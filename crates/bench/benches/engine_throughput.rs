@@ -1,13 +1,13 @@
 //! Engine event-throughput micro-benchmarks — the offline companion of
-//! the `events_per_sec` / `speedup_vs_legacy` columns `prs bench --all`
-//! records into BENCH_prs.json (and `--check` gates).
+//! the `events_per_sec` / `hold_us_per_event` columns `prs bench --all`
+//! records into BENCH_prs.json.
 //!
 //! Two shapes:
 //! * the synthetic timer stress ([`simtime::stress::run_stress`]) under
 //!   every queue discipline, at a cluster-scale population — the pure
-//!   queue-cost path (engine-thread timers, no process handoff);
-//! * the seed engine's hold() baseline ([`run_hold_baseline`]) — every
-//!   event pays two OS context switches, the "before" of the rework.
+//!   queue-cost path (inline timers, no process handoff);
+//! * the process path ([`run_hold_baseline`]): OS-thread processes
+//!   `hold()`ing in a loop, handing the execution token to one another.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use simtime::stress::{run_hold_baseline, run_stress, StressSpec};

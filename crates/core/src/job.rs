@@ -516,7 +516,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     let hooks = Arc::new(hooks);
     let n = spec.len();
     // Shard layout for the parallel engine: the master (plus any
-    // engine-thread timers) on shard 0, each node's processes on shard
+    // `Sim::schedule` timers) on shard 0, each node's processes on shard
     // `1 + rank`. Lookahead is the network's α latency — a batching knob
     // only; sequential and parallel runs are bit-identical regardless.
     let mut sim = Sim::with_config(EngineConfig {
@@ -828,6 +828,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     let metrics = JobMetrics {
         total_seconds: report.end_time.as_secs_f64(),
         sim_events: report.events_processed,
+        sim_handoffs: report.handoffs,
         setup_seconds,
         compute_seconds,
         iterations,

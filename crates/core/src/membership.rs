@@ -692,6 +692,7 @@ pub fn run_elastic_observed<A: CheckpointableApp>(
     let mut attempts: Vec<ElasticEpoch> = Vec::new();
     let mut cluster_sizes: Vec<(f64, usize)> = vec![(0.0, profiles.len())];
     let mut sim_events: u64 = 0;
+    let mut sim_handoffs: u64 = 0;
 
     // Autoscaler state.
     let mut grow_run: usize = 0;
@@ -812,6 +813,7 @@ pub fn run_elastic_observed<A: CheckpointableApp>(
         let boundary = base_secs + end_local;
         merged = merged.merged(&result.metrics.recovery);
         sim_events += result.metrics.sim_events;
+        sim_handoffs += result.metrics.sim_handoffs;
         let iters_run = result.metrics.iterations.len() as u64;
         let mut epoch_entry = ElasticEpoch {
             epoch,
@@ -1062,6 +1064,7 @@ pub fn run_elastic_observed<A: CheckpointableApp>(
                 metrics.recovery = merged;
                 metrics.total_seconds = total_virtual_secs;
                 metrics.sim_events = sim_events;
+                metrics.sim_handoffs = sim_handoffs;
                 return Ok(ElasticOutcome {
                     outputs: result.outputs,
                     metrics,

@@ -127,6 +127,11 @@ pub struct JobMetrics {
     /// `prs bench`. Bit-identical across engine modes (the determinism
     /// contract), and summed across epochs by the resilient driver.
     pub sim_events: u64,
+    /// Of those events, the wakes that moved the engine's execution token
+    /// from one process thread to another (`simtime::SimReport::handoffs`)
+    /// — the host-cost driver `prs bench` reports as `handoffs_per_event`.
+    /// Engine-independent and summed across epochs like `sim_events`.
+    pub sim_handoffs: u64,
     /// One-off setup time (partitioning messages, resident-data staging) —
     /// excluded from iteration time like the paper's "one-off overhead".
     pub setup_seconds: f64,

@@ -137,6 +137,7 @@ pub fn run_resilient_observed<A: CheckpointableApp>(
     let mut merged = crate::metrics::RecoveryCounters::default();
     let mut attempts: Vec<AttemptSummary> = Vec::new();
     let mut sim_events: u64 = 0;
+    let mut sim_handoffs: u64 = 0;
 
     // Each interrupted epoch consumes at least one crash from the finite
     // plan, so at most `crashes + 1` attempts run; overrunning the budget
@@ -187,6 +188,7 @@ pub fn run_resilient_observed<A: CheckpointableApp>(
         let end_local = result.metrics.total_seconds;
         merged = merged.merged(&result.metrics.recovery);
         sim_events += result.metrics.sim_events;
+        sim_handoffs += result.metrics.sim_handoffs;
         let interrupted = result.metrics.interrupted;
         attempts.push(AttemptSummary {
             epoch,
@@ -204,6 +206,7 @@ pub fn run_resilient_observed<A: CheckpointableApp>(
             metrics.recovery = merged;
             metrics.total_seconds = total_virtual_secs;
             metrics.sim_events = sim_events;
+            metrics.sim_handoffs = sim_handoffs;
             return Ok(ResilientOutcome {
                 outputs: result.outputs,
                 metrics,

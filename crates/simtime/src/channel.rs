@@ -144,12 +144,7 @@ impl<T: Send + 'static> Channel<T> {
                 g.next_ticket += 1;
                 g.waiters.push_back((ctx.pid(), ticket));
             }
-            let pid = ctx.pid();
-            ctx.with_kernel(|ks| {
-                let label = ks.intern(&self.name);
-                ks.procs[pid].block_reason = BlockReason::Recv(label);
-            });
-            ctx.yield_to_engine();
+            ctx.block(|ks| BlockReason::Recv(ks.intern(&self.name)));
         }
     }
 
@@ -163,7 +158,7 @@ impl<T: Send + 'static> Channel<T> {
     pub fn recv_deadline(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
         loop {
             let now = ctx.now();
-            {
+            let ticket = {
                 let mut g = self.inner.lock();
                 if let Some(m) = g.queue.pop_front() {
                     return RecvOutcome::Msg(m);
@@ -176,35 +171,30 @@ impl<T: Send + 'static> Channel<T> {
                 }
                 let ticket = g.next_ticket;
                 g.next_ticket += 1;
-                let pid = ctx.pid();
-                g.waiters.push_back((pid, ticket));
-                drop(g);
-                let inner = self.inner.clone();
-                ctx.with_kernel(|ks| {
-                    ks.schedule_action(deadline, move |ks2| {
-                        let expired = {
-                            let mut g = inner.lock();
-                            match g.waiters.iter().position(|&w| w == (pid, ticket)) {
-                                Some(i) => {
-                                    g.waiters.remove(i);
-                                    true
-                                }
-                                None => false,
-                            }
-                        };
-                        if expired {
-                            let now = ks2.now;
-                            ks2.schedule_wake(now, pid);
-                        }
-                    });
-                });
-            }
+                g.waiters.push_back((ctx.pid(), ticket));
+                ticket
+            };
             let pid = ctx.pid();
-            ctx.with_kernel(|ks| {
-                let label = ks.intern(&self.name);
-                ks.procs[pid].block_reason = BlockReason::RecvDeadline(label, deadline);
+            let inner = self.inner.clone();
+            ctx.block(|ks| {
+                ks.schedule_action(deadline, move |ks2| {
+                    let expired = {
+                        let mut g = inner.lock();
+                        match g.waiters.iter().position(|&w| w == (pid, ticket)) {
+                            Some(i) => {
+                                g.waiters.remove(i);
+                                true
+                            }
+                            None => false,
+                        }
+                    };
+                    if expired {
+                        let now = ks2.now;
+                        ks2.schedule_wake(now, pid);
+                    }
+                });
+                BlockReason::RecvDeadline(ks.intern(&self.name), deadline)
             });
-            ctx.yield_to_engine();
         }
     }
 

@@ -1,17 +1,24 @@
 //! The public simulation engine: spawning processes, running the event loop,
 //! and the in-process context handle ([`SimCtx`]).
+//!
+//! There is no engine thread. The event loop ([`dispatch`]) runs on whichever
+//! thread holds the execution token: a process that blocks pops events
+//! itself, runs kernel actions and timers inline, keeps going when the next
+//! wake is its own, and otherwise opens the target process's gate and parks.
+//! The thread in [`Sim::run`] starts the first process and is woken once, at
+//! the terminal condition.
 
 use crate::gate::Gate;
 use crate::kernel::{
-    BlockReason, EventPayload, KState, Kernel, Pid, ProcEntry, ProcState, Queues, Shard,
+    BlockReason, EventPayload, KState, Kernel, Outcome, Pid, ProcEntry, ProcState, Queues, Shard,
     TraceEvent,
 };
 use crate::time::SimTime;
-use parking_lot::Mutex;
+use parking_lot::MutexGuard;
 use serde::{Deserialize, Serialize};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Payload used to unwind parked process threads when the simulation ends.
 struct Shutdown;
@@ -167,6 +174,15 @@ pub struct SimReport {
     pub end_time: SimTime,
     /// Total events processed by the engine loop.
     pub events_processed: u64,
+    /// Wakes that moved the execution token from one process thread to
+    /// another — one OS thread switch each. A pure function of the event
+    /// order, so identical across [`EngineMode`]s and across runs. The
+    /// start of the first process from the thread in [`Sim::run`] and the
+    /// return to it at the end are not counted.
+    pub handoffs: u64,
+    /// Wakes whose target was the very process running the event loop: it
+    /// resumed on its own thread with no switch at all.
+    pub inline_resumes: u64,
     /// Trace records, if tracing was enabled via [`Sim::enable_trace`].
     pub trace: Vec<TraceEvent>,
 }
@@ -186,15 +202,13 @@ impl ProcHandle {
     }
 }
 
-/// Registry of OS threads backing simulation processes, joined on shutdown.
-type ThreadRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
-
 /// A deterministic process-oriented discrete-event simulation.
 ///
 /// Processes are plain closures written in blocking style; they advance
 /// virtual time with [`SimCtx::hold`] and synchronize through
-/// [`crate::Resource`] and [`crate::Channel`]. Exactly one process (or the
-/// engine) executes at any real-time instant, so runs are deterministic:
+/// [`crate::Resource`] and [`crate::Channel`]. Exactly one thread — the
+/// holder of the execution token — executes at any real-time instant, so
+/// runs are deterministic:
 /// events at equal virtual times fire in scheduling order — under every
 /// [`EngineMode`], including the sharded parallel stepper.
 ///
@@ -211,7 +225,6 @@ type ThreadRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
 /// ```
 pub struct Sim {
     kernel: Arc<Kernel>,
-    threads: ThreadRegistry,
 }
 
 impl Default for Sim {
@@ -235,7 +248,6 @@ impl Sim {
         };
         Sim {
             kernel: Kernel::new(queue),
-            threads: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -266,14 +278,16 @@ impl Sim {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, shard as Shard, name, f)
+        spawn_process(&self.kernel, shard as Shard, name, f)
     }
 
     /// Schedules a lightweight timer `after` the current virtual time.
     ///
-    /// Timers run on the engine thread with no process handoff — no OS
-    /// thread, no context switches — so million-timer workloads pay only
-    /// queue cost. The callback may reschedule via [`Timers::schedule`].
+    /// Timers run inline on whichever thread holds the execution token when
+    /// they come due — no OS thread of their own, no handoff — so
+    /// million-timer workloads pay only queue cost. The callback may
+    /// reschedule via [`Timers::schedule`]. A panicking callback stops the
+    /// run; [`Sim::run`] re-raises the panic after joining every process.
     pub fn schedule<F>(&self, after: SimTime, f: F)
     where
         F: FnOnce(&mut Timers) + Send + 'static,
@@ -299,97 +313,132 @@ impl Sim {
 
     /// Runs the event loop to completion and returns a report, or the first
     /// error (deadlock, panic, event-limit).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from a kernel action or timer callback, after
+    /// every process thread has been unwound and joined.
     pub fn run(self) -> Result<SimReport, SimError> {
-        let result = self.event_loop();
-        self.shutdown();
-        result
-    }
-
-    fn event_loop(&self) -> Result<SimReport, SimError> {
-        loop {
-            let next = {
-                let mut ks = self.kernel.state.lock();
-                if let Some((process, message)) = ks.panic_info.take() {
-                    return Err(SimError::ProcessPanicked { process, message });
-                }
-                if let Some(limit) = ks.event_limit {
-                    if ks.events_processed > limit {
-                        return Err(SimError::EventLimitExceeded { limit });
-                    }
-                }
-                match ks.pop_event() {
-                    Some((_, payload)) => Some(payload),
-                    None => {
-                        if ks.live == 0 {
-                            return Ok(SimReport {
-                                end_time: ks.now,
-                                events_processed: ks.events_processed,
-                                trace: ks.take_trace(),
-                            });
-                        }
-                        None
-                    }
-                }
-            };
-
-            let Some(payload) = next else {
-                let ks = self.kernel.state.lock();
-                return Err(SimError::Deadlock {
-                    now: ks.now,
-                    blocked: ks.blocked_summary(),
-                });
-            };
-
-            match payload {
-                EventPayload::Wake(pid) => {
-                    let gate = {
-                        let mut ks = self.kernel.state.lock();
-                        let entry = &mut ks.procs[pid];
-                        if entry.state == ProcState::Finished {
-                            continue;
-                        }
-                        debug_assert_eq!(entry.state, ProcState::Blocked);
-                        entry.state = ProcState::Running;
-                        entry.gate.clone()
-                    };
-                    gate.open();
-                    self.kernel.engine_gate.wait();
-                }
-                EventPayload::Action(slot) => {
-                    let mut ks = self.kernel.state.lock();
-                    let f = ks.take_action(slot);
-                    f(&mut ks);
-                }
-            }
+        let kernel = &self.kernel;
+        kernel.run_gate.bind(std::thread::current());
+        if dispatch(kernel, kernel.state.lock(), None) == Baton::Passed {
+            kernel.run_gate.wait();
         }
+        let outcome = kernel.state.lock().outcome.take();
+        self.shutdown();
+        outcome
+            .expect("the token came back without an outcome")
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// Unwinds every still-parked process thread and joins all threads so no
     /// OS threads leak past `run`.
     fn shutdown(&self) {
-        let gates: Vec<Arc<Gate>> = {
+        self.kernel.shutdown.store(true, Ordering::Relaxed);
+        let (gates, handles) = {
             let mut ks = self.kernel.state.lock();
-            ks.shutdown = true;
-            ks.procs
+            let gates: Vec<Arc<Gate>> = ks
+                .procs
                 .iter()
                 .filter(|p| p.state != ProcState::Finished)
                 .map(|p| p.gate.clone())
-                .collect()
+                .collect();
+            // New threads can no longer be registered: every live process
+            // is unwinding, and unwinding processes cannot spawn.
+            (gates, std::mem::take(&mut ks.threads))
         };
         for g in gates {
             g.open();
         }
-        // New threads can no longer be registered: every live process is
-        // unwinding, and unwinding processes cannot spawn.
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for t in handles {
             let _ = t.join();
         }
     }
 }
 
+/// Whether the thread that called [`dispatch`] still holds the execution
+/// token when it returns.
+#[derive(PartialEq)]
+enum Baton {
+    /// The caller runs on: its own wake came due, or (for `Sim::run`) the
+    /// run is over.
+    Kept,
+    /// Another thread's gate was opened; the caller must park or exit.
+    Passed,
+}
+
+/// The event loop, run by whoever holds the execution token: `me` is the
+/// blocking (or finishing) process, or `None` for the thread in `Sim::run`.
+///
+/// Pops events in `(time, seq)` order under the caller's one kernel lock.
+/// Actions run inline. A wake for `me` returns [`Baton::Kept`] — no thread
+/// switch; a wake for another process opens that gate directly. On a
+/// terminal condition (checked in the order panic, event limit, done,
+/// deadlock) the outcome is stored and the thread in `Sim::run` is woken.
+/// Which thread pops an event never influences which event is popped, so
+/// the event order is that of the queue alone.
+fn dispatch(kernel: &Kernel, mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
+    let outcome: Outcome = loop {
+        if let Some((process, message)) = ks.panic_info.take() {
+            break Ok(Err(SimError::ProcessPanicked { process, message }));
+        }
+        if let Some(limit) = ks.event_limit.filter(|&l| ks.events_processed > l) {
+            break Ok(Err(SimError::EventLimitExceeded { limit }));
+        }
+        match ks.pop_event() {
+            Some((_, EventPayload::Wake(pid))) => {
+                if ks.procs[pid].state == ProcState::Finished {
+                    continue;
+                }
+                debug_assert_eq!(ks.procs[pid].state, ProcState::Blocked);
+                ks.procs[pid].state = ProcState::Running;
+                if me == Some(pid) {
+                    ks.inline_resumes += 1;
+                    return Baton::Kept;
+                }
+                ks.handoffs += u64::from(me.is_some());
+                let gate = ks.procs[pid].gate.clone();
+                drop(ks);
+                gate.open();
+                return Baton::Passed;
+            }
+            Some((_, EventPayload::Action(slot))) => {
+                let f = ks.take_action(slot);
+                // Caught here so the panic is neither blamed on the process
+                // whose thread happens to run the loop nor allowed to skip
+                // the shutdown of everyone else.
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ks))) {
+                    break Err(payload);
+                }
+            }
+            None if ks.live == 0 => {
+                break Ok(Ok(SimReport {
+                    end_time: ks.now,
+                    events_processed: ks.events_processed,
+                    handoffs: ks.handoffs,
+                    inline_resumes: ks.inline_resumes,
+                    trace: ks.take_trace(),
+                }));
+            }
+            None => {
+                break Ok(Err(SimError::Deadlock {
+                    now: ks.now,
+                    blocked: ks.blocked_summary(),
+                }));
+            }
+        }
+    };
+    ks.outcome = Some(outcome);
+    drop(ks);
+    if me.is_none() {
+        return Baton::Kept;
+    }
+    kernel.run_gate.open();
+    Baton::Passed
+}
+
 /// Handle passed to [`Sim::schedule`] timer callbacks: read the clock and
-/// chain further timers, all from the engine thread.
+/// chain further timers, all inline on the thread running the event loop.
 pub struct Timers<'a> {
     ks: &'a mut KState,
 }
@@ -414,68 +463,54 @@ impl Timers<'_> {
     }
 }
 
-fn spawn_process<F>(
-    kernel: &Arc<Kernel>,
-    threads: &ThreadRegistry,
-    shard: Shard,
-    name: &str,
-    f: F,
-) -> ProcHandle
+fn spawn_process<F>(kernel: &Arc<Kernel>, shard: Shard, name: &str, f: F) -> ProcHandle
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
     let gate = Arc::new(Gate::new());
-    let pid = {
-        let mut ks = kernel.state.lock();
-        let pid = ks.procs.len();
-        let label = ks.intern(name);
-        ks.procs.push(ProcEntry {
-            name: name.to_string(),
-            label,
-            shard,
-            gate: gate.clone(),
-            state: ProcState::Blocked,
-            block_reason: BlockReason::NotStarted,
-            join_waiters: Vec::new(),
-        });
-        ks.live += 1;
-        let now = ks.now;
-        ks.schedule_wake(now, pid);
-        pid
-    };
-
+    // One critical section for the whole registration. Only the token
+    // holder spawns, and the new thread parks on its gate without touching
+    // the kernel, so nobody contends for the lock meanwhile. The thread
+    // comes first: if the OS refuses it, nothing has been registered.
+    let mut ks = kernel.state.lock();
+    let pid = ks.procs.len();
     let ctx = SimCtx {
         kernel: kernel.clone(),
-        threads: threads.clone(),
         pid,
         shard,
         gate: gate.clone(),
     };
-    let kernel2 = kernel.clone();
     let thread = std::thread::Builder::new()
         .name(format!("sim:{name}"))
         .stack_size(PROC_STACK_BYTES)
         .spawn(move || {
             ctx.gate.wait();
-            if ctx.kernel.state.lock().shutdown {
-                finishing(&kernel2, pid, None, true);
+            if ctx.kernel.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            match result {
-                Ok(()) => finishing(&kernel2, pid, None, false),
-                Err(payload) => {
-                    if payload.is::<Shutdown>() {
-                        finishing(&kernel2, pid, None, true);
-                    } else {
-                        let msg = panic_message(payload.as_ref());
-                        finishing(&kernel2, pid, Some(msg), false);
-                    }
-                }
+            match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                Ok(()) => finishing(&ctx, None),
+                Err(payload) if payload.is::<Shutdown>() => {}
+                Err(payload) => finishing(&ctx, Some(panic_message(payload.as_ref()))),
             }
         })
         .expect("failed to spawn simulation process thread");
-    threads.lock().push(thread);
+    gate.bind(thread.thread().clone());
+    ks.threads.push(thread);
+
+    let label = ks.intern(name);
+    ks.procs.push(ProcEntry {
+        name: name.to_string(),
+        label,
+        shard,
+        gate,
+        state: ProcState::Blocked,
+        block_reason: BlockReason::NotStarted,
+        join_waiters: Vec::new(),
+    });
+    ks.live += 1;
+    let now = ks.now;
+    ks.schedule_wake(now, pid);
 
     ProcHandle {
         pid,
@@ -493,33 +528,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Marks `pid` finished, wakes joiners, and returns control to the engine.
-fn finishing(kernel: &Arc<Kernel>, pid: Pid, panic_msg: Option<String>, shutting_down: bool) {
-    {
-        let mut ks = kernel.state.lock();
-        let now = ks.now;
-        let entry = &mut ks.procs[pid];
-        entry.state = ProcState::Finished;
-        let waiters = std::mem::take(&mut entry.join_waiters);
-        ks.live -= 1;
-        if !shutting_down {
-            for w in waiters {
-                ks.schedule_wake(now, w);
-            }
-            if let Some(msg) = panic_msg {
-                let name = ks.procs[pid].name.clone();
-                ks.panic_info = Some((name, msg));
-            }
-        }
+/// Marks the process finished, wakes its joiners, and runs the event loop
+/// one last time to pass the token on before the thread exits.
+fn finishing(ctx: &SimCtx, panic_msg: Option<String>) {
+    let mut ks = ctx.kernel.state.lock();
+    let now = ks.now;
+    let entry = &mut ks.procs[ctx.pid];
+    entry.state = ProcState::Finished;
+    let waiters = std::mem::take(&mut entry.join_waiters);
+    ks.live -= 1;
+    for w in waiters {
+        ks.schedule_wake(now, w);
     }
-    kernel.engine_gate.open();
+    if let Some(msg) = panic_msg {
+        let name = ks.procs[ctx.pid].name.clone();
+        ks.panic_info = Some((name, msg));
+    }
+    // A finished process is never resumed, so the baton is always passed.
+    dispatch(&ctx.kernel, ks, Some(ctx.pid));
 }
 
 /// The in-process handle: every process closure receives `&SimCtx` and uses
 /// it for all interaction with virtual time and the scheduler.
 pub struct SimCtx {
     kernel: Arc<Kernel>,
-    threads: ThreadRegistry,
     pid: Pid,
     shard: Shard,
     gate: Arc<Gate>,
@@ -534,13 +566,10 @@ impl SimCtx {
     /// Advances this process's virtual time by `dt`, letting other events
     /// fire in between.
     pub fn hold(&self, dt: SimTime) {
-        {
-            let mut ks = self.kernel.state.lock();
-            let at = ks.now + dt;
-            ks.schedule_wake(at, self.pid);
-            ks.procs[self.pid].block_reason = BlockReason::HoldUntil(at);
-        }
-        self.yield_to_engine();
+        let mut ks = self.kernel.state.lock();
+        let at = ks.now + dt;
+        ks.schedule_wake(at, self.pid);
+        self.park(ks, BlockReason::HoldUntil(at));
     }
 
     /// Spawns a child process starting at the current virtual time, on the
@@ -549,7 +578,7 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, self.shard, name, f)
+        spawn_process(&self.kernel, self.shard, name, f)
     }
 
     /// Spawns a child process on an explicit shard (see [`Sim::spawn_on`]).
@@ -557,22 +586,20 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, shard as Shard, name, f)
+        spawn_process(&self.kernel, shard as Shard, name, f)
     }
 
     /// Blocks until the process behind `handle` finishes. Returns
     /// immediately if it already has.
     pub fn join(&self, handle: &ProcHandle) {
-        {
-            let mut ks = self.kernel.state.lock();
-            if ks.procs[handle.pid].state == ProcState::Finished {
-                return;
-            }
-            ks.procs[handle.pid].join_waiters.push(self.pid);
-            let target = ks.procs[handle.pid].label;
-            ks.procs[self.pid].block_reason = BlockReason::Join(target);
+        let mut ks = self.kernel.state.lock();
+        let target = &mut ks.procs[handle.pid];
+        if target.state == ProcState::Finished {
+            return;
         }
-        self.yield_to_engine();
+        target.join_waiters.push(self.pid);
+        let reason = BlockReason::Join(target.label);
+        self.park(ks, reason);
     }
 
     /// Joins every handle in `handles`, in order.
@@ -598,15 +625,59 @@ impl SimCtx {
         f(&mut ks)
     }
 
-    /// Parks this process and hands control back to the engine. The caller
-    /// must already have arranged for a future wake (a scheduled event, a
-    /// resource grant, a channel delivery, or a join notification).
-    pub(crate) fn yield_to_engine(&self) {
-        self.kernel.state.lock().procs[self.pid].state = ProcState::Blocked;
-        self.kernel.engine_gate.open();
-        self.gate.wait();
-        if self.kernel.state.lock().shutdown {
-            panic::panic_any(Shutdown);
+    /// Blocks this process until its next wake. `arm` runs in the same
+    /// kernel critical section as the handoff and returns why the process
+    /// blocks; it (or the caller, beforehand) must have arranged for a
+    /// future wake: a scheduled event, a resource grant, a channel
+    /// delivery, or a join notification.
+    pub(crate) fn block(&self, arm: impl FnOnce(&mut KState) -> BlockReason) {
+        let mut ks = self.kernel.state.lock();
+        let reason = arm(&mut ks);
+        self.park(ks, reason);
+    }
+
+    /// Records the block reason, then runs the event loop on this thread
+    /// until the token either comes straight back (own wake next) or goes
+    /// to another thread — in which case this one parks on its gate.
+    fn park(&self, mut ks: MutexGuard<'_, KState>, reason: BlockReason) {
+        let entry = &mut ks.procs[self.pid];
+        entry.block_reason = reason;
+        entry.state = ProcState::Blocked;
+        if dispatch(&self.kernel, ks, Some(self.pid)) == Baton::Passed {
+            self.gate.wait();
+            if self.kernel.shutdown.load(Ordering::Relaxed) {
+                panic::panic_any(Shutdown);
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::watchdog::{assert_no_sim_threads, within_deadline};
+
+    #[test]
+    fn wake_for_a_finished_process_is_skipped() {
+        // No public operation leaves a wake behind for a process that has
+        // since finished, so plant one: it must be counted as an event and
+        // otherwise ignored, on the process thread that pops it.
+        let report = within_deadline(|| {
+            let mut sim = Sim::new();
+            let gone = sim.spawn("sw-gone", |_| {});
+            sim.spawn("sw-live", move |ctx| {
+                ctx.with_kernel(|ks| {
+                    let at = ks.now + SimTime::from_secs(1);
+                    ks.schedule_wake(at, gone.pid);
+                });
+                ctx.hold(SimTime::from_secs(2));
+            });
+            sim.run().unwrap()
+        });
+        assert_eq!(report.end_time, SimTime::from_secs(2));
+        // Two starts, the stale wake, and the hold.
+        assert_eq!(report.events_processed, 4);
+        assert_eq!((report.handoffs, report.inline_resumes), (1, 1));
+        assert_no_sim_threads("sw-");
     }
 }

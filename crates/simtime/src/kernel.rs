@@ -9,6 +9,7 @@
 //! fresh queue node per event, and a label interner so block reasons and
 //! trace attribution are integer handles rather than per-event `String`s.
 
+use crate::engine::{SimError, SimReport};
 use crate::gate::Gate;
 use crate::queue::CalendarQueue;
 use crate::time::SimTime;
@@ -16,7 +17,9 @@ use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Process identifier: an index into the process table.
 pub(crate) type Pid = usize;
@@ -135,7 +138,8 @@ impl BlockReason {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcState {
-    /// Parked on its gate, waiting for a wake event or a grant.
+    /// Waiting for a wake event or a grant: parked on its gate, or running
+    /// the event loop on the way there.
     Blocked,
     /// Currently holding the execution token.
     Running,
@@ -372,8 +376,13 @@ impl Queues {
     }
 }
 
-/// Mutable kernel state, guarded by the kernel mutex. Because only one
-/// thread (the engine or a single process) ever runs at a time, the lock is
+/// How a run ended: the report or error `Sim::run` returns, or the payload
+/// of a panic raised by a kernel action or timer callback, which `Sim::run`
+/// re-raises once every process thread has been unwound and joined.
+pub(crate) type Outcome = std::thread::Result<Result<SimReport, SimError>>;
+
+/// Mutable kernel state, guarded by the kernel mutex. Because only the one
+/// thread holding the execution token ever runs at a time, the lock is
 /// uncontended; it exists to satisfy the type system and to make the
 /// handoff points explicit.
 pub(crate) struct KState {
@@ -387,8 +396,16 @@ pub(crate) struct KState {
     pub trace: Option<Vec<RawTrace>>,
     pub events_processed: u64,
     pub event_limit: Option<u64>,
-    pub shutdown: bool,
+    /// Wakes delivered by one process thread opening another's gate.
+    pub handoffs: u64,
+    /// Wakes whose target was the dispatching process itself.
+    pub inline_resumes: u64,
     pub panic_info: Option<(String, String)>,
+    /// Set once, by whichever thread detects the terminal condition.
+    pub outcome: Option<Outcome>,
+    /// OS threads backing the processes, joined by `Sim::run` on the way
+    /// out so none outlives the call.
+    pub threads: Vec<JoinHandle<()>>,
     /// Shard of the event currently firing; actions and spawns it causes
     /// inherit it. Placement only — ordering never depends on it.
     pub cur_shard: Shard,
@@ -407,8 +424,11 @@ impl KState {
             trace: None,
             events_processed: 0,
             event_limit: None,
-            shutdown: false,
+            handoffs: 0,
+            inline_resumes: 0,
             panic_info: None,
+            outcome: None,
+            threads: Vec::new(),
             cur_shard: 0,
         }
     }
@@ -503,17 +523,23 @@ impl KState {
     }
 }
 
-/// Shared kernel: state plus the engine's own handoff gate.
+/// Shared kernel: the state, the gate of the thread blocked in `Sim::run`
+/// (opened once per run, at the terminal condition), and the shutdown flag
+/// parked processes read when their gate opens.
 pub(crate) struct Kernel {
     pub state: Mutex<KState>,
-    pub engine_gate: Gate,
+    pub run_gate: Gate,
+    /// Set before the shutdown sweep opens every parked process's gate.
+    /// `Relaxed` suffices: the gate's Release/Acquire token carries it.
+    pub shutdown: AtomicBool,
 }
 
 impl Kernel {
     pub fn new(queue: Queues) -> Arc<Kernel> {
         Arc::new(Kernel {
             state: Mutex::new(KState::new(queue)),
-            engine_gate: Gate::new(),
+            run_gate: Gate::new(),
+            shutdown: AtomicBool::new(false),
         })
     }
 }

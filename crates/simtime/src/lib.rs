@@ -48,6 +48,8 @@ mod resource;
 pub mod stackctx;
 pub mod stress;
 mod time;
+#[cfg(test)]
+mod watchdog;
 
 pub use channel::{Channel, RecvOutcome};
 pub use engine::{
@@ -81,6 +83,50 @@ mod tests {
         });
         let report = sim.run().unwrap();
         assert_eq!(report.end_time, SimTime::from_secs(1_000_000));
+    }
+
+    #[test]
+    fn lone_process_never_hands_off() {
+        // Every hold finds its own wake next: the process keeps the token
+        // for the whole run.
+        for mode in EngineMode::ALL {
+            let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
+            sim.spawn("solo", |ctx| {
+                for _ in 0..25 {
+                    ctx.hold(SimTime::from_secs(1));
+                }
+            });
+            let report = sim.run().unwrap();
+            assert_eq!(report.events_processed, 26);
+            assert_eq!((report.handoffs, report.inline_resumes), (0, 25));
+        }
+    }
+
+    #[test]
+    fn ping_pong_hands_off_once_per_message() {
+        const ROUNDS: u64 = 40;
+        for mode in EngineMode::ALL {
+            let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
+            let ping: Channel<u64> = Channel::new("ping");
+            let pong: Channel<u64> = Channel::new("pong");
+            let (tx, rx) = (ping.clone(), pong.clone());
+            sim.spawn("pinger", move |ctx| {
+                for i in 0..ROUNDS {
+                    tx.send(ctx, i);
+                    assert_eq!(rx.recv(ctx), Some(i));
+                }
+            });
+            sim.spawn("ponger", move |ctx| {
+                for _ in 0..ROUNDS {
+                    let i = ping.recv(ctx).unwrap();
+                    pong.send(ctx, i);
+                }
+            });
+            let report = sim.run().unwrap();
+            // Each message is received by the other process: one hand-off
+            // per message, and nobody is ever woken on its own thread.
+            assert_eq!((report.handoffs, report.inline_resumes), (2 * ROUNDS, 0));
+        }
     }
 
     #[test]

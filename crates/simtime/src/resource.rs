@@ -76,14 +76,9 @@ impl Resource {
             }
         };
         if must_wait {
-            let pid = ctx.pid();
-            ctx.with_kernel(|ks| {
-                let label = ks.intern(&self.name);
-                ks.procs[pid].block_reason = BlockReason::Acquire(amount, label);
-            });
             // The corresponding `release` deducts our units and schedules our
             // wake; on resume the grant has already been made.
-            ctx.yield_to_engine();
+            ctx.block(|ks| BlockReason::Acquire(amount, ks.intern(&self.name)));
         }
     }
 

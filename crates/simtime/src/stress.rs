@@ -3,11 +3,12 @@
 //! self-rescheduling timers kept resident simultaneously, so the event
 //! queue holds a million entries while events fire.
 //!
-//! Timers use [`crate::Sim::schedule`] (engine-thread callbacks, no process
-//! handoff), so the measured cost is queue discipline plus arena overhead —
-//! exactly the path the calendar queue accelerates over the legacy heap.
+//! Timers use [`crate::Sim::schedule`] (callbacks run inline by the event
+//! loop, no process handoff), so the measured cost is queue discipline plus
+//! arena overhead — exactly the path the calendar queue accelerates over the
+//! legacy heap.
 
-use crate::engine::{EngineConfig, EngineMode, Sim, Timers};
+use crate::engine::{EngineConfig, EngineMode, Sim, SimReport, Timers};
 use crate::time::SimTime;
 
 /// Parameters for the synthetic stress run.
@@ -86,13 +87,18 @@ pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
     (report.events_processed, report.end_time)
 }
 
-/// The seed engine's only timer mechanism, for the `speedup_vs_legacy`
-/// bench ratio: `procs` OS-thread processes each `hold()`ing `holds`
-/// times through the given queue discipline. Every event pays two gate
-/// context switches plus the per-block `format!` the old engine did, so
-/// this is the honest "before" of the engine rework. Returns the events
-/// processed (callers time the run themselves).
+/// The process-handoff path, for the `hold_us_per_event` bench column:
+/// `procs` OS-thread processes each `hold()`ing `holds` times through the
+/// given queue discipline. An event costs one thread switch when the next
+/// wake belongs to another process and none when it is the holder's own.
+/// Returns the events processed (callers time the run themselves).
 pub fn run_hold_baseline(mode: EngineMode, procs: usize, holds: usize) -> u64 {
+    hold_baseline_report(mode, procs, holds).events_processed
+}
+
+/// [`run_hold_baseline`] returning the whole report, for the hand-off
+/// counters.
+pub fn hold_baseline_report(mode: EngineMode, procs: usize, holds: usize) -> SimReport {
     let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
     for p in 0..procs {
         sim.spawn(&format!("hold{p}"), move |ctx| {
@@ -101,8 +107,7 @@ pub fn run_hold_baseline(mode: EngineMode, procs: usize, holds: usize) -> u64 {
             }
         });
     }
-    let report = sim.run().expect("hold baseline cannot deadlock");
-    report.events_processed
+    sim.run().expect("hold baseline cannot deadlock")
 }
 
 #[cfg(test)]
@@ -114,6 +119,30 @@ mod tests {
         // One start wake per process plus one wake per hold.
         let events = run_hold_baseline(EngineMode::LegacyHeap, 10, 7);
         assert_eq!(events, 10 * (7 + 1));
+    }
+
+    #[test]
+    fn hold_baseline_handoffs_are_identical_across_modes() {
+        let counts = |mode| {
+            let r = hold_baseline_report(mode, 50, 20);
+            (r.events_processed, r.handoffs, r.inline_resumes)
+        };
+        let baseline = counts(EngineMode::LegacyHeap);
+        // Every event is a wake, delivered across threads or inline; only
+        // the very first is delivered by the thread in `Sim::run`.
+        assert_eq!(baseline.1 + baseline.2, baseline.0 - 1);
+        assert!(
+            baseline.1 > 0 && baseline.2 > 0,
+            "both paths ran: {baseline:?}"
+        );
+        for mode in [EngineMode::Calendar, EngineMode::Parallel] {
+            assert_eq!(counts(mode), baseline, "mode {mode} diverged");
+        }
+        assert_eq!(
+            counts(EngineMode::LegacyHeap),
+            baseline,
+            "repeat run diverged"
+        );
     }
 
     #[test]
