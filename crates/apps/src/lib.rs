@@ -24,6 +24,7 @@
 //! Table 1) and a serial reference implementation for ground truth.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cmeans;
 pub mod common;

@@ -18,6 +18,7 @@
 //! directly comparable to PRS runs.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use device::FatNode;
 use netsim::{CollectiveSeq, Network};

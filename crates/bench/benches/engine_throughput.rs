@@ -6,7 +6,7 @@
 //! * the synthetic timer stress ([`simtime::stress::run_stress`]) under
 //!   every queue discipline, at a cluster-scale population — the pure
 //!   queue-cost path (inline timers, no process handoff);
-//! * the process path ([`run_hold_baseline`]): OS-thread processes
+//! * the process path ([`run_hold_baseline`]): coroutine processes
 //!   `hold()`ing in a loop, handing the execution token to one another.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -11,6 +11,7 @@
 //! each recorded run.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use prs_core::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
 use roofline::schedule::Workload;

@@ -5,6 +5,7 @@
 //! bare subcommands.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use prs_core::{CalibrationMode, EngineMode, JobConfig, SchedulingMode};
 use roofline::model::DataResidency;

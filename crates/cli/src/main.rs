@@ -9,6 +9,8 @@
 //! prs profiles
 //! ```
 
+#![forbid(unsafe_code)]
+
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
 use obs::rollup::{rollup, RollupConfig, RollupEvent};
 use obs::{AuditLog, MetricsRegistry, Obs};
@@ -1426,9 +1428,9 @@ fn cmd_bench(args: &[String]) -> i32 {
             profile,
             netsim::NetworkParams::infiniband_qdr(),
         );
-        // The 1000-node scenario spawns thousands of OS threads per run;
-        // three iterations bound the suite's wall time while still giving
-        // the throughput gate a best-of-N to shrug off co-tenant noise.
+        // Three iterations bound the suite's wall time on the 1000-node
+        // scenario while still giving the throughput gate a best-of-N to
+        // shrug off co-tenant noise.
         let iters = if opts.nodes >= 100 { 3 } else { ITERS };
         let mut wall_ns: Vec<u128> = Vec::with_capacity(iters);
         let mut makespan = 0.0f64;
@@ -1610,7 +1612,7 @@ fn cmd_bench(args: &[String]) -> i32 {
                         }
                     }
                     // Engine gates. Hand-offs per event are a count, so
-                    // the comparison is exact: more thread switches per
+                    // the comparison is exact: more context switches per
                     // event than the committed run is a process-model
                     // regression on any host. Entries with a recorded
                     // events/sec must stay within 10% of their committed

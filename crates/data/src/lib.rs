@@ -14,6 +14,7 @@
 //!   a reference labeling, adjusted Rand index).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gaussian;
 pub mod matrix;

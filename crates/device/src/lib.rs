@@ -25,6 +25,7 @@
 //! numerically real while timings are hardware-independent.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod cpu;

@@ -30,6 +30,8 @@
 //! iteration from the running fit) lives in `prs-core`, built on
 //! [`CalibrationProfile`].
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod critical;
 pub mod diff;

@@ -18,6 +18,7 @@
 //! reproduction needs for scaling studies without a physical cluster.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;

@@ -28,6 +28,7 @@
 //! `events.jsonl` / `metrics.prom` / `decisions.jsonl` artifacts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod bus;

@@ -1,14 +1,16 @@
 //! The public simulation engine: spawning processes, running the event loop,
 //! and the in-process context handle ([`SimCtx`]).
 //!
-//! There is no engine thread. The event loop ([`dispatch`]) runs on whichever
-//! thread holds the execution token: a process that blocks pops events
+//! There is one OS thread — the caller of [`Sim::run`] — and no engine
+//! context. Every process is a coroutine on a stack of its own
+//! ([`crate::coro`]), and the event loop ([`dispatch`]) runs on whichever
+//! context holds the execution token: a process that blocks pops events
 //! itself, runs kernel actions and timers inline, keeps going when the next
-//! wake is its own, and otherwise opens the target process's gate and parks.
-//! The thread in [`Sim::run`] starts the first process and is woken once, at
-//! the terminal condition.
+//! wake is its own, and otherwise switches straight to the woken process.
+//! The caller of [`Sim::run`] is the root context: it switches to the first
+//! process and is resumed once, at the terminal condition.
 
-use crate::gate::Gate;
+use crate::coro::{Body, Resumed};
 use crate::kernel::{
     BlockReason, EventPayload, KState, Kernel, Outcome, Pid, ProcEntry, ProcState, Queues, Shard,
     TraceEvent,
@@ -16,17 +18,13 @@ use crate::kernel::{
 use crate::time::SimTime;
 use parking_lot::MutexGuard;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Payload used to unwind parked process threads when the simulation ends.
+/// Payload used to unwind blocked processes when the simulation ends.
 struct Shutdown;
-
-/// Stack size for simulation process threads. Processes are shallow
-/// (closure + a few library frames), and 1000-node runs spawn thousands of
-/// them, so the default 8 MiB OS stacks are traded for 1 MiB.
-const PROC_STACK_BYTES: usize = 1 << 20;
 
 /// Which event-queue implementation the engine runs on. Every mode pops
 /// events in identical ascending `(time, seq)` order, so virtual clocks,
@@ -174,14 +172,14 @@ pub struct SimReport {
     pub end_time: SimTime,
     /// Total events processed by the engine loop.
     pub events_processed: u64,
-    /// Wakes that moved the execution token from one process thread to
-    /// another — one OS thread switch each. A pure function of the event
+    /// Wakes that moved the execution token from one process to another —
+    /// one user-space context switch each. A pure function of the event
     /// order, so identical across [`EngineMode`]s and across runs. The
-    /// start of the first process from the thread in [`Sim::run`] and the
-    /// return to it at the end are not counted.
+    /// start of the first process from [`Sim::run`] and the return to it
+    /// at the end are not counted.
     pub handoffs: u64,
     /// Wakes whose target was the very process running the event loop: it
-    /// resumed on its own thread with no switch at all.
+    /// carried on with no switch at all.
     pub inline_resumes: u64,
     /// Trace records, if tracing was enabled via [`Sim::enable_trace`].
     pub trace: Vec<TraceEvent>,
@@ -206,11 +204,15 @@ impl ProcHandle {
 ///
 /// Processes are plain closures written in blocking style; they advance
 /// virtual time with [`SimCtx::hold`] and synchronize through
-/// [`crate::Resource`] and [`crate::Channel`]. Exactly one thread — the
-/// holder of the execution token — executes at any real-time instant, so
-/// runs are deterministic:
-/// events at equal virtual times fire in scheduling order — under every
-/// [`EngineMode`], including the sharded parallel stepper.
+/// [`crate::Resource`] and [`crate::Channel`]. Each runs as a coroutine on
+/// the thread that calls [`Sim::run`] — no OS thread of its own — and
+/// exactly one of them, the holder of the execution token, executes at any
+/// instant, so runs are deterministic: events at equal virtual times fire
+/// in scheduling order — under every [`EngineMode`], including the sharded
+/// parallel stepper.
+///
+/// A process has 1 MiB of stack, committed as it is touched, above a guard
+/// page; overflowing it kills the program with a plain `SIGSEGV`.
 ///
 /// ```
 /// use simtime::{Sim, SimTime};
@@ -283,11 +285,11 @@ impl Sim {
 
     /// Schedules a lightweight timer `after` the current virtual time.
     ///
-    /// Timers run inline on whichever thread holds the execution token when
-    /// they come due — no OS thread of their own, no handoff — so
+    /// Timers run inline on whichever process holds the execution token
+    /// when they come due — no stack of their own, no handoff — so
     /// million-timer workloads pay only queue cost. The callback may
     /// reschedule via [`Timers::schedule`]. A panicking callback stops the
-    /// run; [`Sim::run`] re-raises the panic after joining every process.
+    /// run; [`Sim::run`] re-raises the panic after unwinding every process.
     pub fn schedule<F>(&self, after: SimTime, f: F)
     where
         F: FnOnce(&mut Timers) + Send + 'static,
@@ -317,67 +319,45 @@ impl Sim {
     /// # Panics
     ///
     /// Re-raises a panic from a kernel action or timer callback, after
-    /// every process thread has been unwound and joined.
+    /// every blocked process has been unwound.
     pub fn run(self) -> Result<SimReport, SimError> {
         let kernel = &self.kernel;
-        kernel.run_gate.bind(std::thread::current());
-        if dispatch(kernel, kernel.state.lock(), None) == Baton::Passed {
-            kernel.run_gate.wait();
+        if let Baton::Passed(first) = dispatch(kernel.state.lock(), None) {
+            let _ = kernel.contexts.switch_to(first);
         }
         let outcome = kernel.state.lock().outcome.take();
-        self.shutdown();
+        // Whatever the outcome, no process outlives `run`: each blocked
+        // one unwinds to its base, and the never-started are dropped with
+        // the kernel.
+        kernel.contexts.unwind_all();
         outcome
             .expect("the token came back without an outcome")
             .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
-
-    /// Unwinds every still-parked process thread and joins all threads so no
-    /// OS threads leak past `run`.
-    fn shutdown(&self) {
-        self.kernel.shutdown.store(true, Ordering::Relaxed);
-        let (gates, handles) = {
-            let mut ks = self.kernel.state.lock();
-            let gates: Vec<Arc<Gate>> = ks
-                .procs
-                .iter()
-                .filter(|p| p.state != ProcState::Finished)
-                .map(|p| p.gate.clone())
-                .collect();
-            // New threads can no longer be registered: every live process
-            // is unwinding, and unwinding processes cannot spawn.
-            (gates, std::mem::take(&mut ks.threads))
-        };
-        for g in gates {
-            g.open();
-        }
-        for t in handles {
-            let _ = t.join();
-        }
-    }
 }
 
-/// Whether the thread that called [`dispatch`] still holds the execution
+/// Whether the context that called [`dispatch`] still holds the execution
 /// token when it returns.
-#[derive(PartialEq)]
 enum Baton {
     /// The caller runs on: its own wake came due, or (for `Sim::run`) the
     /// run is over.
     Kept,
-    /// Another thread's gate was opened; the caller must park or exit.
-    Passed,
+    /// The token goes to the named process, or to `Sim::run` (`None`); the
+    /// caller must switch there.
+    Passed(Option<Pid>),
 }
 
 /// The event loop, run by whoever holds the execution token: `me` is the
-/// blocking (or finishing) process, or `None` for the thread in `Sim::run`.
+/// blocking (or finishing) process, or `None` for `Sim::run`.
 ///
 /// Pops events in `(time, seq)` order under the caller's one kernel lock.
-/// Actions run inline. A wake for `me` returns [`Baton::Kept`] — no thread
-/// switch; a wake for another process opens that gate directly. On a
+/// Actions run inline. A wake for `me` returns [`Baton::Kept`] — no
+/// switch; a wake for another process passes the token straight to it. On a
 /// terminal condition (checked in the order panic, event limit, done,
-/// deadlock) the outcome is stored and the thread in `Sim::run` is woken.
-/// Which thread pops an event never influences which event is popped, so
-/// the event order is that of the queue alone.
-fn dispatch(kernel: &Kernel, mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
+/// deadlock) the outcome is stored and the token goes back to `Sim::run`.
+/// Who pops an event never influences which event is popped, so the event
+/// order is that of the queue alone.
+fn dispatch(mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
     let outcome: Outcome = loop {
         if let Some((process, message)) = ks.panic_info.take() {
             break Ok(Err(SimError::ProcessPanicked { process, message }));
@@ -397,16 +377,13 @@ fn dispatch(kernel: &Kernel, mut ks: MutexGuard<'_, KState>, me: Option<Pid>) ->
                     return Baton::Kept;
                 }
                 ks.handoffs += u64::from(me.is_some());
-                let gate = ks.procs[pid].gate.clone();
-                drop(ks);
-                gate.open();
-                return Baton::Passed;
+                return Baton::Passed(Some(pid));
             }
             Some((_, EventPayload::Action(slot))) => {
                 let f = ks.take_action(slot);
                 // Caught here so the panic is neither blamed on the process
-                // whose thread happens to run the loop nor allowed to skip
-                // the shutdown of everyone else.
+                // that happens to run the loop nor allowed to skip the
+                // shutdown of everyone else.
                 if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ks))) {
                     break Err(payload);
                 }
@@ -429,16 +406,14 @@ fn dispatch(kernel: &Kernel, mut ks: MutexGuard<'_, KState>, me: Option<Pid>) ->
         }
     };
     ks.outcome = Some(outcome);
-    drop(ks);
-    if me.is_none() {
-        return Baton::Kept;
+    match me {
+        None => Baton::Kept,
+        Some(_) => Baton::Passed(None),
     }
-    kernel.run_gate.open();
-    Baton::Passed
 }
 
 /// Handle passed to [`Sim::schedule`] timer callbacks: read the clock and
-/// chain further timers, all inline on the thread running the event loop.
+/// chain further timers, all inline in the process running the event loop.
 pub struct Timers<'a> {
     ks: &'a mut KState,
 }
@@ -467,43 +442,38 @@ fn spawn_process<F>(kernel: &Arc<Kernel>, shard: Shard, name: &str, f: F) -> Pro
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
-    let gate = Arc::new(Gate::new());
-    // One critical section for the whole registration. Only the token
-    // holder spawns, and the new thread parks on its gate without touching
-    // the kernel, so nobody contends for the lock meanwhile. The thread
-    // comes first: if the OS refuses it, nothing has been registered.
+    // One critical section for the whole registration. The stack comes
+    // first: if the OS refuses it, nothing has been registered.
     let mut ks = kernel.state.lock();
     let pid = ks.procs.len();
-    let ctx = SimCtx {
-        kernel: kernel.clone(),
-        pid,
-        shard,
-        gate: gate.clone(),
-    };
-    let thread = std::thread::Builder::new()
-        .name(format!("sim:{name}"))
-        .stack_size(PROC_STACK_BYTES)
-        .spawn(move || {
-            ctx.gate.wait();
-            if ctx.kernel.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                Ok(()) => finishing(&ctx, None),
-                Err(payload) if payload.is::<Shutdown>() => {}
-                Err(payload) => finishing(&ctx, Some(panic_message(payload.as_ref()))),
-            }
-        })
-        .expect("failed to spawn simulation process thread");
-    gate.bind(thread.thread().clone());
-    ks.threads.push(thread);
+    // The body owns the process closure; holding the kernel weakly until
+    // it starts keeps a never-started process from keeping the kernel —
+    // and through it itself — alive.
+    let weak = Arc::downgrade(kernel);
+    let body: Body = Box::new(move || {
+        let ctx = SimCtx {
+            kernel: weak
+                .upgrade()
+                .expect("a process only starts inside Sim::run"),
+            pid,
+            shard,
+            not_sync: PhantomData,
+        };
+        match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            Ok(()) => finishing(&ctx, None),
+            // Unwound by `Sim::run` on its way out: back to it.
+            Err(payload) if payload.is::<Shutdown>() => None,
+            Err(payload) => finishing(&ctx, Some(panic_message(payload.as_ref()))),
+        }
+    });
+    let slot = kernel.contexts.spawn(body);
+    assert_eq!(slot, pid, "contexts and processes are numbered alike");
 
     let label = ks.intern(name);
     ks.procs.push(ProcEntry {
         name: name.to_string(),
         label,
         shard,
-        gate,
         state: ProcState::Blocked,
         block_reason: BlockReason::NotStarted,
         join_waiters: Vec::new(),
@@ -529,8 +499,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Marks the process finished, wakes its joiners, and runs the event loop
-/// one last time to pass the token on before the thread exits.
-fn finishing(ctx: &SimCtx, panic_msg: Option<String>) {
+/// one last time; returns who gets the token when this process's context
+/// is left for good.
+fn finishing(ctx: &SimCtx, panic_msg: Option<String>) -> Option<Pid> {
     let mut ks = ctx.kernel.state.lock();
     let now = ks.now;
     let entry = &mut ks.procs[ctx.pid];
@@ -544,17 +515,22 @@ fn finishing(ctx: &SimCtx, panic_msg: Option<String>) {
         let name = ks.procs[ctx.pid].name.clone();
         ks.panic_info = Some((name, msg));
     }
-    // A finished process is never resumed, so the baton is always passed.
-    dispatch(&ctx.kernel, ks, Some(ctx.pid));
+    match dispatch(ks, Some(ctx.pid)) {
+        Baton::Passed(next) => next,
+        Baton::Kept => unreachable!("a finished process is never woken"),
+    }
 }
 
 /// The in-process handle: every process closure receives `&SimCtx` and uses
 /// it for all interaction with virtual time and the scheduler.
+///
+/// Not `Sync`: only the process itself, on the thread inside [`Sim::run`],
+/// may block through it.
 pub struct SimCtx {
     kernel: Arc<Kernel>,
     pid: Pid,
     shard: Shard,
-    gate: Arc<Gate>,
+    not_sync: PhantomData<Cell<()>>,
 }
 
 impl SimCtx {
@@ -636,17 +612,18 @@ impl SimCtx {
         self.park(ks, reason);
     }
 
-    /// Records the block reason, then runs the event loop on this thread
+    /// Records the block reason, then runs the event loop in this process
     /// until the token either comes straight back (own wake next) or goes
-    /// to another thread — in which case this one parks on its gate.
+    /// elsewhere — in which case this process is suspended until it is
+    /// woken, or until the run ends and it is unwound.
     fn park(&self, mut ks: MutexGuard<'_, KState>, reason: BlockReason) {
         let entry = &mut ks.procs[self.pid];
         entry.block_reason = reason;
         entry.state = ProcState::Blocked;
-        if dispatch(&self.kernel, ks, Some(self.pid)) == Baton::Passed {
-            self.gate.wait();
-            if self.kernel.shutdown.load(Ordering::Relaxed) {
-                panic::panic_any(Shutdown);
+        if let Baton::Passed(next) = dispatch(ks, Some(self.pid)) {
+            if self.kernel.contexts.switch_to(next) == Resumed::Unwind {
+                // Not a panic anyone should hear about: no hook.
+                panic::resume_unwind(Box::new(Shutdown));
             }
         }
     }
@@ -655,13 +632,15 @@ impl SimCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watchdog::{assert_no_sim_threads, within_deadline};
+    use crate::coro::live_stacks;
+    use crate::watchdog::within_deadline;
+    use crate::Channel;
 
     #[test]
     fn wake_for_a_finished_process_is_skipped() {
         // No public operation leaves a wake behind for a process that has
         // since finished, so plant one: it must be counted as an event and
-        // otherwise ignored, on the process thread that pops it.
+        // otherwise ignored, by the process that pops it.
         let report = within_deadline(|| {
             let mut sim = Sim::new();
             let gone = sim.spawn("sw-gone", |_| {});
@@ -678,6 +657,77 @@ mod tests {
         // Two starts, the stale wake, and the hold.
         assert_eq!(report.events_processed, 4);
         assert_eq!((report.handoffs, report.inline_resumes), (1, 1));
-        assert_no_sim_threads("sw-");
+    }
+
+    /// A simulation with ten processes blocked for good, one that finishes
+    /// at once, and `last` spawned after them.
+    fn with_bystanders(last: impl FnOnce(&SimCtx) + Send + 'static) -> Sim {
+        let mut sim = Sim::new();
+        for i in 0..10 {
+            let never: Channel<u8> = Channel::new("never");
+            sim.spawn(&format!("idle{i}"), move |ctx| {
+                never.recv(ctx);
+            });
+        }
+        sim.spawn("quick", |_| {});
+        sim.spawn("last", last);
+        sim
+    }
+
+    #[test]
+    fn a_sim_dropped_without_run_releases_every_process() {
+        // `live_stacks` counts per thread, so build and drop on one.
+        within_deadline(|| {
+            let mut sim = Sim::new();
+            let alive = Arc::new(());
+            for i in 0..100 {
+                let held = alive.clone();
+                sim.spawn(&format!("p{i}"), move |_| drop(held));
+            }
+            assert_eq!((live_stacks(), Arc::strong_count(&alive)), (100, 101));
+            drop(sim);
+            assert_eq!((live_stacks(), Arc::strong_count(&alive)), (0, 1));
+        });
+    }
+
+    #[test]
+    fn every_exit_of_run_leaves_no_stack_behind() {
+        within_deadline(|| {
+            // Done.
+            let mut sim = Sim::new();
+            for i in 0..10 {
+                sim.spawn(&format!("p{i}"), move |ctx| ctx.hold(SimTime::from_secs(i)));
+            }
+            assert_eq!(live_stacks(), 10);
+            sim.run().unwrap();
+            assert_eq!(live_stacks(), 0, "done");
+
+            let sim = with_bystanders(|_| {});
+            assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+            assert_eq!(live_stacks(), 0, "deadlock");
+
+            let sim = with_bystanders(|ctx| loop {
+                ctx.hold(SimTime::ZERO);
+            });
+            sim.set_event_limit(100);
+            assert!(matches!(
+                sim.run(),
+                Err(SimError::EventLimitExceeded { .. })
+            ));
+            assert_eq!(live_stacks(), 0, "event limit");
+
+            // The panic ends the run before `unborn` is ever started.
+            let sim = with_bystanders(|ctx| {
+                ctx.spawn("unborn", |_| {});
+                panic!("boom");
+            });
+            assert!(matches!(sim.run(), Err(SimError::ProcessPanicked { .. })));
+            assert_eq!(live_stacks(), 0, "process panic");
+
+            let sim = with_bystanders(|ctx| ctx.hold(SimTime::from_secs(2)));
+            sim.schedule(SimTime::from_secs(1), |_| panic!("timer boom"));
+            assert!(panic::catch_unwind(AssertUnwindSafe(|| sim.run())).is_err());
+            assert_eq!(live_stacks(), 0, "action panic");
+        });
     }
 }

@@ -9,17 +9,16 @@
 //! fresh queue node per event, and a label interner so block reasons and
 //! trace attribution are integer handles rather than per-event `String`s.
 
+use crate::coro::Contexts;
 use crate::engine::{SimError, SimReport};
-use crate::gate::Gate;
 use crate::queue::CalendarQueue;
 use crate::time::SimTime;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Process identifier: an index into the process table.
 pub(crate) type Pid = usize;
@@ -138,8 +137,8 @@ impl BlockReason {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcState {
-    /// Waiting for a wake event or a grant: parked on its gate, or running
-    /// the event loop on the way there.
+    /// Waiting for a wake event or a grant: suspended, or running the
+    /// event loop on the way there.
     Blocked,
     /// Currently holding the execution token.
     Running,
@@ -153,7 +152,6 @@ pub(crate) struct ProcEntry {
     pub label: Label,
     /// Event shard this process's wakes land on (sharded mode only).
     pub shard: Shard,
-    pub gate: Arc<Gate>,
     pub state: ProcState,
     /// Reason recorded before blocking, for deadlock reports.
     pub block_reason: BlockReason,
@@ -378,13 +376,13 @@ impl Queues {
 
 /// How a run ended: the report or error `Sim::run` returns, or the payload
 /// of a panic raised by a kernel action or timer callback, which `Sim::run`
-/// re-raises once every process thread has been unwound and joined.
-pub(crate) type Outcome = std::thread::Result<Result<SimReport, SimError>>;
+/// re-raises once every blocked process has been unwound.
+pub(crate) type Outcome = Result<Result<SimReport, SimError>, Box<dyn Any + Send>>;
 
 /// Mutable kernel state, guarded by the kernel mutex. Because only the one
-/// thread holding the execution token ever runs at a time, the lock is
+/// context holding the execution token ever runs at a time, the lock is
 /// uncontended; it exists to satisfy the type system and to make the
-/// handoff points explicit.
+/// handoff points explicit. It is never held across a context switch.
 pub(crate) struct KState {
     pub now: SimTime,
     pub seq: u64,
@@ -396,16 +394,13 @@ pub(crate) struct KState {
     pub trace: Option<Vec<RawTrace>>,
     pub events_processed: u64,
     pub event_limit: Option<u64>,
-    /// Wakes delivered by one process thread opening another's gate.
+    /// Wakes delivered by one process switching to another.
     pub handoffs: u64,
     /// Wakes whose target was the dispatching process itself.
     pub inline_resumes: u64,
     pub panic_info: Option<(String, String)>,
-    /// Set once, by whichever thread detects the terminal condition.
+    /// Set once, by whoever detects the terminal condition.
     pub outcome: Option<Outcome>,
-    /// OS threads backing the processes, joined by `Sim::run` on the way
-    /// out so none outlives the call.
-    pub threads: Vec<JoinHandle<()>>,
     /// Shard of the event currently firing; actions and spawns it causes
     /// inherit it. Placement only — ordering never depends on it.
     pub cur_shard: Shard,
@@ -428,7 +423,6 @@ impl KState {
             inline_resumes: 0,
             panic_info: None,
             outcome: None,
-            threads: Vec::new(),
             cur_shard: 0,
         }
     }
@@ -523,23 +517,19 @@ impl KState {
     }
 }
 
-/// Shared kernel: the state, the gate of the thread blocked in `Sim::run`
-/// (opened once per run, at the terminal condition), and the shutdown flag
-/// parked processes read when their gate opens.
+/// Shared kernel: the state, and the execution contexts — `Sim::run`'s and
+/// one per process, indexed by [`Pid`] — outside the lock, because a
+/// context is switched away from and back to with the lock released.
 pub(crate) struct Kernel {
     pub state: Mutex<KState>,
-    pub run_gate: Gate,
-    /// Set before the shutdown sweep opens every parked process's gate.
-    /// `Relaxed` suffices: the gate's Release/Acquire token carries it.
-    pub shutdown: AtomicBool,
+    pub contexts: Contexts,
 }
 
 impl Kernel {
     pub fn new(queue: Queues) -> Arc<Kernel> {
         Arc::new(Kernel {
             state: Mutex::new(KState::new(queue)),
-            run_gate: Gate::new(),
-            shutdown: AtomicBool::new(false),
+            contexts: Contexts::new(),
         })
     }
 }
@@ -554,7 +544,6 @@ mod tests {
             name: name.into(),
             label,
             shard: 0,
-            gate: Arc::new(crate::gate::Gate::new()),
             state: ProcState::Blocked,
             block_reason: BlockReason::NotStarted,
             join_waiters: vec![],

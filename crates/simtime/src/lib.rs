@@ -38,10 +38,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod channel;
+#[allow(unsafe_code)]
+mod coro;
 mod engine;
-mod gate;
 mod kernel;
 pub mod queue;
 mod resource;
@@ -124,7 +126,7 @@ mod tests {
             });
             let report = sim.run().unwrap();
             // Each message is received by the other process: one hand-off
-            // per message, and nobody is ever woken on its own thread.
+            // per message, and nobody ever finds its own wake next.
             assert_eq!((report.handoffs, report.inline_resumes), (2 * ROUNDS, 0));
         }
     }

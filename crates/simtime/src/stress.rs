@@ -88,9 +88,9 @@ pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
 }
 
 /// The process-handoff path, for the `hold_us_per_event` bench column:
-/// `procs` OS-thread processes each `hold()`ing `holds` times through the
-/// given queue discipline. An event costs one thread switch when the next
-/// wake belongs to another process and none when it is the holder's own.
+/// `procs` processes each `hold()`ing `holds` times through the given
+/// queue discipline. An event costs one context switch when the next wake
+/// belongs to another process and none when it is the holder's own.
 /// Returns the events processed (callers time the run themselves).
 pub fn run_hold_baseline(mode: EngineMode, procs: usize, holds: usize) -> u64 {
     hold_baseline_report(mode, procs, holds).events_processed
@@ -128,8 +128,8 @@ mod tests {
             (r.events_processed, r.handoffs, r.inline_resumes)
         };
         let baseline = counts(EngineMode::LegacyHeap);
-        // Every event is a wake, delivered across threads or inline; only
-        // the very first is delivered by the thread in `Sim::run`.
+        // Every event is a wake, delivered across processes or inline;
+        // only the very first is delivered by `Sim::run`.
         assert_eq!(baseline.1 + baseline.2, baseline.0 - 1);
         assert!(
             baseline.1 > 0 && baseline.2 > 0,

@@ -1,10 +1,9 @@
 //! Test support, shared by the unit tests and (via `#[path]`) the
 //! integration tests: a wall-clock watchdog, so a lost wake-up fails in
-//! seconds instead of hanging the suite, and a census of the OS threads
-//! backing simulation processes.
+//! seconds instead of hanging the suite.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Generous next to the milliseconds these tests take, short next to a CI
 /// job timeout.
@@ -28,31 +27,5 @@ pub fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static
         Err(RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(worker.join().expect_err("worker dropped its sender"))
         }
-    }
-}
-
-/// Asserts that no thread named `sim:<prefix>…` is left in this process.
-/// Tests run concurrently, so each passes a process-name prefix of its own.
-/// A joined thread can linger in `/proc` for a moment, hence the retry.
-pub fn assert_no_sim_threads(prefix: &str) {
-    let wanted = format!("sim:{prefix}");
-    let alive = || -> Vec<String> {
-        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-            return Vec::new(); // no procfs: nothing to check here
-        };
-        tasks
-            .flatten()
-            .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-            .filter(|comm| comm.starts_with(&wanted))
-            .collect()
-    };
-    let start = Instant::now();
-    while !alive().is_empty() {
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "threads outlived Sim::run: {:?}",
-            alive()
-        );
-        std::thread::sleep(Duration::from_millis(5));
     }
 }

@@ -1,8 +1,7 @@
-//! Lost-wake-up and protocol tests for direct hand-off scheduling: the
-//! event loop runs on whichever process thread blocks, so every edge where
-//! the token changes threads — or pointedly does not — is exercised here,
-//! each under a wall-clock watchdog so a lost wake-up fails instead of
-//! hanging.
+//! Protocol tests for direct hand-off scheduling: the event loop runs in
+//! whichever process blocks, so every edge where the token changes
+//! processes — or pointedly does not — is exercised here, each under a
+//! wall-clock watchdog so a stuck run fails instead of hanging.
 
 #[path = "../src/watchdog.rs"]
 mod watchdog;
@@ -11,7 +10,7 @@ use simtime::{
     Channel, EngineConfig, EngineMode, Resource, Sim, SimError, SimReport, SimTime, TraceEvent,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use watchdog::{assert_no_sim_threads, within_deadline};
+use watchdog::within_deadline;
 
 /// Cheap integer hash: the per-process scripts below are a pure function
 /// of `(process, step)`, so every run executes the same program.
@@ -131,16 +130,13 @@ fn mixed_stress_is_identical_across_engines_and_repeats() {
                 );
             }
         }
-        for prefix in ["w", "consumer", "closer"] {
-            assert_no_sim_threads(prefix);
-        }
     });
 }
 
 #[test]
 fn deadlock_found_on_a_process_thread_lists_the_detector_too() {
     // `dl-a` blocks first and hands the token to `dl-b`, whose own block
-    // drains the queue: the deadlock is detected on `dl-b`'s thread and
+    // drains the queue: the deadlock is detected on `dl-b`'s stack and
     // must still name `dl-b` itself.
     for mode in EngineMode::ALL {
         let err = within_deadline(move || {
@@ -166,7 +162,6 @@ fn deadlock_found_on_a_process_thread_lists_the_detector_too() {
             }
             other => panic!("expected a deadlock, got {other:?}"),
         }
-        assert_no_sim_threads("dl-");
     }
 }
 
@@ -193,8 +188,8 @@ fn zero_hold_spinner_resumes_inline_and_trips_the_event_limit() {
     assert_eq!((report.handoffs, report.inline_resumes), (2, 1000));
     assert_eq!(report.events_processed, 2 + 1000 + 1);
 
-    // The endless variant hits the limit on the spinner's own thread, with
-    // a bystander parked the whole time.
+    // The endless variant hits the limit on the spinner's own stack, with
+    // a bystander blocked the whole time.
     let err = within_deadline(|| {
         let mut sim = Sim::new();
         sim.set_event_limit(500);
@@ -208,7 +203,6 @@ fn zero_hold_spinner_resumes_inline_and_trips_the_event_limit() {
         sim.run().unwrap_err()
     });
     assert!(matches!(err, SimError::EventLimitExceeded { limit: 500 }));
-    assert_no_sim_threads("spin-");
 }
 
 #[test]
@@ -233,7 +227,6 @@ fn process_panic_unwinds_the_parked_processes() {
         }
         other => panic!("expected a process panic, got {other:?}"),
     }
-    assert_no_sim_threads("pp-");
 }
 
 /// Runs `sim`, which must panic out of `Sim::run`, and returns the message.
@@ -250,7 +243,7 @@ fn run_panics(sim: Sim) -> String {
 
 #[test]
 fn delayed_send_onto_a_closed_channel_panics_out_of_run() {
-    // The delivery action fires at t = 1s on the thread of whichever
+    // The delivery action fires at t = 1s on the stack of whichever
     // process blocked last — here `ds-idle`. It is the simulation that is
     // broken, not that process.
     let mut sim = Sim::new();
@@ -265,19 +258,18 @@ fn delayed_send_onto_a_closed_channel_panics_out_of_run() {
         message.contains("delayed send on closed channel 'gone'"),
         "{message}"
     );
-    assert_no_sim_threads("ds-");
 }
 
 #[test]
 fn panicking_timer_panics_out_of_run_from_either_thread() {
-    // With no process at all the timer fires on the thread in `Sim::run`.
+    // With no process at all the timer fires in `Sim::run` itself.
     let sim = Sim::new();
     sim.schedule(SimTime::from_secs(1), |_| panic!("timer boom (run thread)"));
     assert_eq!(run_panics(sim), "timer boom (run thread)");
 
-    // With processes it fires on a process thread: still a panic out of
-    // `run` rather than that process's `ProcessPanicked`, and the parked
-    // processes are unwound and joined first.
+    // With processes it fires on a process's stack: still a panic out of
+    // `run` rather than that process's `ProcessPanicked`, and the blocked
+    // processes are unwound first.
     let mut sim = Sim::new();
     sim.schedule(SimTime::from_secs(1), |_| {
         panic!("timer boom (process thread)")
@@ -288,5 +280,4 @@ fn panicking_timer_panics_out_of_run_from_either_thread() {
         });
     }
     assert_eq!(run_panics(sim), "timer boom (process thread)");
-    assert_no_sim_threads("tp-");
 }

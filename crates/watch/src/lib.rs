@@ -34,6 +34,7 @@
 //! advances virtual time.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod detect;
 pub mod incident;
