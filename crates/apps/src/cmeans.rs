@@ -9,7 +9,10 @@
 //! iteration, the max center shift is an equivalent, memory-light
 //! criterion — recorded in DESIGN.md.)
 
-use crate::common::{max_center_shift, par_block_fold, random_centers, ClusterPartial};
+use crate::common::{
+    max_center_shift, panel_block_fold, panel_labels, random_centers, CenterPanel, ClusterPartial,
+    PanelScratch,
+};
 use parking_lot::RwLock;
 use prs_core::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
 use prs_data::matrix::{sq_dist, MatrixF32};
@@ -79,81 +82,78 @@ impl CMeans {
         self.state.read().last_shift
     }
 
-    /// Fuzzy memberships of `point` against `centers` (Equation (13)),
-    /// plus the index of the nearest center. Exposed for hardening into
-    /// labels.
+    /// Fuzzy memberships of `point` against `centers` (Equation (13)).
+    /// A one-point wrapper over the center panel the map task uses.
     pub fn memberships(centers: &MatrixF32, fuzzifier: f64, point: &[f32]) -> Vec<f64> {
-        let k = centers.rows();
-        let mut d2: Vec<f64> = (0..k).map(|j| sq_dist(point, centers.row(j))).collect();
-        // A point sitting exactly on a center belongs to it fully.
-        if let Some(hit) = d2.iter().position(|&d| d == 0.0) {
-            let mut u = vec![0.0; k];
-            u[hit] = 1.0;
-            return u;
-        }
-        let exponent = 1.0 / (fuzzifier - 1.0);
-        // u_ij = 1 / Σ_c (d_ij²/d_ic²)^(1/(m-1)); compute via inverse
-        // powers for stability.
-        for d in &mut d2 {
-            *d = d.powf(exponent);
-        }
-        let inv_sum: f64 = d2.iter().map(|&d| 1.0 / d).sum();
-        d2.iter().map(|&d| 1.0 / (d * inv_sum)).collect()
+        let mut s = CenterPanel::of_point(centers, point);
+        fuzzy_memberships(membership_exponent(fuzzifier), &mut s);
+        s.u
     }
 
     /// Hard labels (argmax membership) for a matrix of points.
     pub fn harden(&self, points: &MatrixF32) -> Vec<u32> {
-        let centers = self.centers();
-        (0..points.rows())
-            .map(|i| {
-                let u = Self::memberships(&centers, self.fuzzifier, points.row(i));
-                u.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j as u32)
-                    .unwrap()
-            })
-            .collect()
+        let exponent = membership_exponent(self.fuzzifier);
+        let panel = CenterPanel::new(&self.state.read().centers);
+        panel_labels(&panel, points, |s| {
+            fuzzy_memberships(exponent, s);
+            s.u.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(j, _)| j)
+                .unwrap()
+        })
     }
 
     /// Partial sums for a block: per-cluster Σu^m·x and Σu^m, plus the
     /// block's objective contribution Σ_i Σ_j u^m d².
     fn block_partials(&self, range: Range<usize>) -> (Vec<ClusterPartial>, f64) {
-        let centers = self.state.read().centers.clone();
-        let d = self.points.cols();
-        let k = self.k;
         let m = self.fuzzifier;
-        let points = self.points.clone();
-        par_block_fold(
-            range,
-            CHUNK,
-            move |chunk| {
-                let mut partials = vec![ClusterPartial::zero(d); k];
-                let mut obj = 0.0;
-                for i in chunk {
-                    let x = points.row(i);
-                    let u = Self::memberships(&centers, m, x);
-                    for (j, &uij) in u.iter().enumerate() {
-                        let w = uij.powf(m);
-                        partials[j].add(w, x);
-                        obj += w * sq_dist(x, centers.row(j));
-                    }
-                }
-                (partials, obj)
-            },
-            (vec![ClusterPartial::zero(d); k], 0.0),
-            |(mut acc, aobj), (part, pobj)| {
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    a.merge(p);
-                }
-                (acc, aobj + pobj)
-            },
-        )
+        let exponent = membership_exponent(m);
+        let panel = CenterPanel::new(&self.state.read().centers);
+        panel_block_fold(&self.points, &panel, range, CHUNK, |s, sums, obj| {
+            fuzzy_memberships(exponent, s);
+            for (j, (&uij, &d2)) in s.u.iter().zip(&s.d2).enumerate() {
+                let w = uij.powf(m);
+                sums.add(j, w, &s.xf);
+                *obj += w * d2;
+            }
+        })
     }
 
     /// The special key carrying the objective value.
     fn obj_key(&self) -> Key {
         self.k as Key
+    }
+}
+
+/// The power the squared distances are raised to in Equation (13).
+fn membership_exponent(fuzzifier: f64) -> f64 {
+    1.0 / (fuzzifier - 1.0)
+}
+
+/// Equation (13) on a filled scratch: `s.d2` → memberships in `s.u`.
+/// u_ij = 1 / Σ_c (d_ij²/d_ic²)^(1/(m-1)), computed via inverse powers
+/// for stability; `s.d2` is left intact for the objective.
+fn fuzzy_memberships(exponent: f64, s: &mut PanelScratch) {
+    let (d2, u) = (&s.d2, &mut s.u);
+    // A point sitting exactly on a center belongs to it fully.
+    if let Some(hit) = d2.iter().position(|&d| d == 0.0) {
+        u.fill(0.0);
+        u[hit] = 1.0;
+        return;
+    }
+    if exponent == 1.0 {
+        // Fuzzifier 2: `x.powf(1.0)` is `x` bit for bit (pinned by
+        // `powf_one_is_the_identity`), so the libm call is skipped.
+        u.copy_from_slice(d2);
+    } else {
+        for (p, &d) in u.iter_mut().zip(d2) {
+            *p = d.powf(exponent);
+        }
+    }
+    let inv_sum: f64 = u.iter().map(|&p| 1.0 / p).sum();
+    for p in u.iter_mut() {
+        *p = 1.0 / (*p * inv_sum);
     }
 }
 
@@ -294,6 +294,25 @@ impl CheckpointableApp for CMeans {
     }
 }
 
+/// Equation (13) the naive way — one `sq_dist` per center, one `Vec` per
+/// point. Deliberately *not* the center panel: `serial_cmeans` is the
+/// independent formulation the panel is checked against.
+fn serial_memberships(centers: &MatrixF32, fuzzifier: f64, point: &[f32]) -> Vec<f64> {
+    let k = centers.rows();
+    let mut d2: Vec<f64> = (0..k).map(|j| sq_dist(point, centers.row(j))).collect();
+    if let Some(hit) = d2.iter().position(|&d| d == 0.0) {
+        let mut u = vec![0.0; k];
+        u[hit] = 1.0;
+        return u;
+    }
+    let exponent = 1.0 / (fuzzifier - 1.0);
+    for d in &mut d2 {
+        *d = d.powf(exponent);
+    }
+    let inv_sum: f64 = d2.iter().map(|&d| 1.0 / d).sum();
+    d2.iter().map(|&d| 1.0 / (d * inv_sum)).collect()
+}
+
 /// Single-threaded reference implementation (no runtime, no simulation) —
 /// ground truth for the PRS version and the Table-3 baselines.
 pub fn serial_cmeans(
@@ -312,7 +331,7 @@ pub fn serial_cmeans(
         let mut obj = 0.0;
         for i in 0..points.rows() {
             let x = points.row(i);
-            let u = CMeans::memberships(&centers, fuzzifier, x);
+            let u = serial_memberships(&centers, fuzzifier, x);
             for (j, &uij) in u.iter().enumerate() {
                 let w = uij.powf(fuzzifier);
                 partials[j].add(w, x);
@@ -358,6 +377,52 @@ mod tests {
         assert_eq!(fresh.save_state(), bytes);
         assert_eq!(fresh.centers().as_slice(), app.centers().as_slice());
         assert_eq!(fresh.objective_history(), app.objective_history());
+    }
+
+    /// `fuzzy_memberships` skips `powf` when the exponent is exactly 1
+    /// (fuzzifier 2). That is bit-exact only while the platform's `pow`
+    /// returns `x` for `pow(x, 1.0)`; a libm that does not must fail
+    /// here, loudly, not in a golden file three crates away.
+    #[test]
+    fn powf_one_is_the_identity() {
+        // Opaque to the optimiser, which would fold `x.powf(1.0)` itself.
+        let one = std::hint::black_box(1.0f64);
+        let check = |x: f64| {
+            assert_eq!(
+                x.powf(one).to_bits(),
+                x.to_bits(),
+                "pow({x:e}, 1.0) != {x:e}"
+            );
+        };
+        for edge in [
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            check(edge);
+        }
+        let mut rng = prs_data::rng::SplitMix64::new(0x504F_5746);
+        for i in 0..1_000_000u32 {
+            if i % 2 == 0 {
+                // Any non-negative finite bit pattern: every binade,
+                // subnormals included.
+                let x = f64::from_bits(rng.next_u64() >> 1);
+                if x.is_finite() {
+                    check(x);
+                }
+            } else {
+                // The magnitudes squared distances actually take.
+                check(rng.next_f64() * 1e4);
+            }
+        }
     }
 
     #[test]

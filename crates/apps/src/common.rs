@@ -1,5 +1,15 @@
 //! Shared helpers for the clustering applications: deterministic
-//! rayon-parallel partial sums and center bookkeeping.
+//! rayon-parallel partial sums, center bookkeeping, and the **center
+//! panel** — the one point–center distance kernel C-means, K-means and
+//! deterministic annealing share.
+//!
+//! The panel changes the *layout* of the computation, never its
+//! arithmetic: every squared distance still adds its `d` terms in
+//! dimension order, every partial sum still adds its points in index
+//! order, chunks still merge in index order. Its output is therefore
+//! bit-identical to the naive `sq_dist`-per-center formulation that
+//! survives in `serial_cmeans` / `serial_kmeans` (DESIGN.md, "Kernel
+//! numerics contract").
 
 use prs_data::matrix::MatrixF32;
 use prs_data::rng::SplitMix64;
@@ -88,6 +98,197 @@ impl ClusterPartial {
     }
 }
 
+/// `k` centers widened to `f64` and stored dimension-major
+/// (`ct[c * stride + j]` is coordinate `c` of center `j`), so the squared
+/// distances from one point to *all* centers accumulate side by side.
+/// Built once per map task.
+pub(crate) struct CenterPanel {
+    k: usize,
+    d: usize,
+    /// `k` rounded up to a whole number of [`LANES`] groups; the padding
+    /// centers sit at the origin and their distances are discarded.
+    stride: usize,
+    ct: Vec<f64>,
+}
+
+/// Centers whose distances accumulate together, in registers, over the
+/// whole dimension loop.
+const LANES: usize = 4;
+
+/// Per-chunk scratch of a [`CenterPanel`]: the widened point, its squared
+/// distance to every center, and one `k`-long buffer for whatever weights
+/// the app derives from the distances.
+pub(crate) struct PanelScratch {
+    /// The current point, widened to `f64`; length `d`.
+    pub(crate) xf: Vec<f64>,
+    /// Squared distance to each center; length `k`.
+    pub(crate) d2: Vec<f64>,
+    /// App-defined weights (memberships, responsibilities); length `k`.
+    pub(crate) u: Vec<f64>,
+}
+
+impl CenterPanel {
+    /// Widens and transposes `centers`.
+    pub(crate) fn new(centers: &MatrixF32) -> Self {
+        let (k, d) = (centers.rows(), centers.cols());
+        // At least one group, so the row stride is never zero.
+        let stride = k.next_multiple_of(LANES).max(LANES);
+        let mut ct = vec![0.0; stride * d];
+        for j in 0..k {
+            for (c, &v) in centers.row(j).iter().enumerate() {
+                ct[c * stride + j] = v as f64;
+            }
+        }
+        CenterPanel { k, d, stride, ct }
+    }
+
+    /// The filled scratch of one `point` against `centers`, for the
+    /// apps' one-point public helpers.
+    pub(crate) fn of_point(centers: &MatrixF32, point: &[f32]) -> PanelScratch {
+        let panel = CenterPanel::new(centers);
+        let mut s = panel.scratch();
+        panel.sq_dists(point, &mut s);
+        s
+    }
+
+    /// Zeroed scratch of this panel's shape.
+    pub(crate) fn scratch(&self) -> PanelScratch {
+        PanelScratch {
+            xf: vec![0.0; self.d],
+            d2: vec![0.0; self.k],
+            u: vec![0.0; self.k],
+        }
+    }
+
+    /// Widens `point` into `s.xf` and fills `s.d2` with its squared
+    /// distance to every center. The dimension loop is outside and the
+    /// center loop inside: each `d2[j]` adds its terms in dimension order
+    /// `0..d` exactly as `sq_dist` does, the chains of one lane group just
+    /// run together.
+    pub(crate) fn sq_dists(&self, point: &[f32], s: &mut PanelScratch) {
+        assert_eq!(point.len(), self.d);
+        for (w, &x) in s.xf.iter_mut().zip(point) {
+            *w = x as f64;
+        }
+        for (j0, d2) in (0..self.stride).step_by(LANES).zip(s.d2.chunks_mut(LANES)) {
+            let mut acc = [0.0f64; LANES];
+            for (&x, row) in s.xf.iter().zip(self.ct.chunks_exact(self.stride)) {
+                for (a, &cj) in acc.iter_mut().zip(&row[j0..j0 + LANES]) {
+                    let diff = x - cj;
+                    *a += diff * diff;
+                }
+            }
+            d2.copy_from_slice(&acc[..d2.len()]);
+        }
+    }
+}
+
+/// The `k` per-cluster accumulators of one map task as one flat `k × d`
+/// block; the same arithmetic as `k` [`ClusterPartial`]s.
+pub(crate) struct BlockSums {
+    d: usize,
+    sums: Vec<f64>,
+    weights: Vec<f64>,
+}
+
+impl BlockSums {
+    /// Zeroed accumulators for `k` clusters of dimension `d`.
+    pub(crate) fn zero(k: usize, d: usize) -> Self {
+        BlockSums {
+            d,
+            sums: vec![0.0; k * d],
+            weights: vec![0.0; k],
+        }
+    }
+
+    /// Adds `w · xf` to cluster `j` (as [`ClusterPartial::add`], for a
+    /// point already widened).
+    pub(crate) fn add(&mut self, j: usize, w: f64, xf: &[f64]) {
+        debug_assert_eq!(xf.len(), self.d);
+        for (s, &x) in self.sums[j * self.d..(j + 1) * self.d].iter_mut().zip(xf) {
+            *s += w * x;
+        }
+        self.weights[j] += w;
+    }
+
+    /// Merges another block into this one (as [`ClusterPartial::merge`]).
+    pub(crate) fn merge(&mut self, other: &BlockSums) {
+        debug_assert_eq!(self.sums.len(), other.sums.len());
+        for (a, b) in self.sums.iter_mut().zip(&other.sums) {
+            *a += b;
+        }
+        for (a, b) in self.weights.iter_mut().zip(&other.weights) {
+            *a += b;
+        }
+    }
+
+    /// One [`ClusterPartial`] per cluster, in cluster order.
+    pub(crate) fn into_partials(self) -> Vec<ClusterPartial> {
+        let d = self.d;
+        self.weights
+            .iter()
+            .enumerate()
+            .map(|(j, &weight)| ClusterPartial {
+                weighted_sum: self.sums[j * d..(j + 1) * d].to_vec(),
+                weight,
+            })
+            .collect()
+    }
+}
+
+/// The map task of a center-based app: per-cluster partial sums over
+/// `range` plus one scalar objective. `point` is called once per input
+/// point, in index order within a chunk, with `s.xf` / `s.d2` already
+/// filled; it adds the point's contribution to the sums and the
+/// objective. Chunks of `chunk` points are merged in index order.
+pub(crate) fn panel_block_fold<F>(
+    points: &MatrixF32,
+    panel: &CenterPanel,
+    range: Range<usize>,
+    chunk: usize,
+    point: F,
+) -> (Vec<ClusterPartial>, f64)
+where
+    F: Fn(&mut PanelScratch, &mut BlockSums, &mut f64) + Send + Sync,
+{
+    let (k, d) = (panel.k, panel.d);
+    let (sums, objective) = par_block_fold(
+        range,
+        chunk,
+        |chunk| {
+            let mut s = panel.scratch();
+            let mut sums = BlockSums::zero(k, d);
+            let mut objective = 0.0;
+            for i in chunk {
+                panel.sq_dists(points.row(i), &mut s);
+                point(&mut s, &mut sums, &mut objective);
+            }
+            (sums, objective)
+        },
+        (BlockSums::zero(k, d), 0.0),
+        |(mut acc, aobj), (part, pobj)| {
+            acc.merge(&part);
+            (acc, aobj + pobj)
+        },
+    );
+    (sums.into_partials(), objective)
+}
+
+/// Hard labels for every row of `points`: `pick` sees the scratch with
+/// `s.d2` filled and returns the row's cluster.
+pub(crate) fn panel_labels<F>(panel: &CenterPanel, points: &MatrixF32, mut pick: F) -> Vec<u32>
+where
+    F: FnMut(&mut PanelScratch) -> usize,
+{
+    let mut s = panel.scratch();
+    (0..points.rows())
+        .map(|i| {
+            panel.sq_dists(points.row(i), &mut s);
+            pick(&mut s) as u32
+        })
+        .collect()
+}
+
 /// Picks `k` distinct random rows of `points` as initial centers
 /// (deterministic in `seed`).
 pub fn random_centers(points: &MatrixF32, k: usize, seed: u64) -> MatrixF32 {
@@ -125,6 +326,7 @@ pub fn max_center_shift(old: &MatrixF32, new: &MatrixF32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prs_data::matrix::sq_dist;
 
     #[test]
     fn par_fold_is_deterministic_and_correct() {
@@ -162,6 +364,48 @@ mod tests {
         assert_eq!(p.weighted_sum, vec![6.0, 6.0]);
         assert_eq!(p.center(), Some(vec![2.0, 2.0]));
         assert_eq!(p.wire_bytes(), 24);
+    }
+
+    #[test]
+    fn panel_distances_equal_sq_dist_bit_for_bit() {
+        let mut rng = SplitMix64::new(3);
+        for (k, d) in [(1, 1), (3, 7), (8, 32), (12, 40)] {
+            let centers = MatrixF32::from_fn(k, d, |_, _| rng.next_normal() as f32 * 4.0);
+            let panel = CenterPanel::new(&centers);
+            let mut s = panel.scratch();
+            for _ in 0..200 {
+                let x: Vec<f32> = (0..d).map(|_| rng.next_normal() as f32 * 4.0).collect();
+                panel.sq_dists(&x, &mut s);
+                for j in 0..k {
+                    assert_eq!(s.d2[j].to_bits(), sq_dist(&x, centers.row(j)).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_sums_equal_cluster_partials_bit_for_bit() {
+        let mut rng = SplitMix64::new(4);
+        let (k, d) = (3, 5);
+        let mut sums = BlockSums::zero(k, d);
+        let mut partials = vec![ClusterPartial::zero(d); k];
+        for i in 0..100 {
+            let x: Vec<f32> = (0..d).map(|_| rng.next_normal() as f32).collect();
+            let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
+            let w = rng.next_f64();
+            sums.add(i % k, w, &xf);
+            partials[i % k].add(w, &x);
+        }
+        let mut twice = BlockSums::zero(k, d);
+        twice.merge(&sums);
+        twice.merge(&sums);
+        let mut merged = vec![ClusterPartial::zero(d); k];
+        for (m, p) in merged.iter_mut().zip(&partials) {
+            m.merge(p);
+            m.merge(p);
+        }
+        assert_eq!(sums.into_partials(), partials);
+        assert_eq!(twice.into_partials(), merged);
     }
 
     #[test]

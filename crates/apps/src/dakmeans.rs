@@ -10,10 +10,12 @@
 //! structure instead of a random initialization — DA has no seed
 //! sensitivity, which is exactly why it wins on quality.
 
-use crate::common::{max_center_shift, par_block_fold, ClusterPartial};
+use crate::common::{
+    max_center_shift, panel_block_fold, panel_labels, CenterPanel, ClusterPartial, PanelScratch,
+};
 use parking_lot::RwLock;
 use prs_core::{DeviceClass, IterativeApp, Key, SpmdApp};
-use prs_data::matrix::{sq_dist, MatrixF32};
+use prs_data::matrix::MatrixF32;
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
 use std::ops::Range;
@@ -114,66 +116,54 @@ impl DaKmeans {
         self.state.read().temperature
     }
 
-    /// Soft DA responsibilities of `point` at temperature `t`.
+    /// Soft DA responsibilities of `point` at temperature `t`. A
+    /// one-point wrapper over the center panel the map task uses.
     pub fn responsibilities(centers: &MatrixF32, t: f64, point: &[f32]) -> Vec<f64> {
-        let k = centers.rows();
-        let d2: Vec<f64> = (0..k).map(|j| sq_dist(point, centers.row(j))).collect();
-        let min = d2.iter().cloned().fold(f64::INFINITY, f64::min);
-        let mut w: Vec<f64> = d2.iter().map(|&v| (-(v - min) / t).exp()).collect();
-        let sum: f64 = w.iter().sum();
-        for x in &mut w {
-            *x /= sum;
-        }
-        w
+        let mut s = CenterPanel::of_point(centers, point);
+        soft_responsibilities(t, &mut s);
+        s.u
     }
 
     /// Hard labels under the final centers.
     pub fn labels(&self, points: &MatrixF32) -> Vec<u32> {
-        let centers = self.centers();
-        (0..points.rows())
-            .map(|i| {
-                let x = points.row(i);
-                (0..self.k)
-                    .min_by(|&a, &b| {
-                        sq_dist(x, centers.row(a)).total_cmp(&sq_dist(x, centers.row(b)))
-                    })
-                    .unwrap() as u32
-            })
-            .collect()
+        let panel = CenterPanel::new(&self.state.read().centers);
+        panel_labels(&panel, points, |s| {
+            let d2 = &s.d2;
+            (0..d2.len())
+                .min_by(|&a, &b| d2[a].total_cmp(&d2[b]))
+                .unwrap()
+        })
     }
 
     fn block_partials(&self, range: Range<usize>) -> Vec<ClusterPartial> {
-        let (centers, t) = {
+        let (panel, t) = {
             let s = self.state.read();
-            (s.centers.clone(), s.temperature)
+            (CenterPanel::new(&s.centers), s.temperature)
         };
-        let d = self.points.cols();
-        let k = self.k;
-        let points = self.points.clone();
-        par_block_fold(
-            range,
-            CHUNK,
-            move |chunk| {
-                let mut partials = vec![ClusterPartial::zero(d); k];
-                for i in chunk {
-                    let x = points.row(i);
-                    let r = Self::responsibilities(&centers, t, x);
-                    for (j, &w) in r.iter().enumerate() {
-                        if w > 1e-12 {
-                            partials[j].add(w, x);
-                        }
-                    }
+        // DA carries no objective through the map; the fold's scalar
+        // stays zero.
+        let (partials, _) = panel_block_fold(&self.points, &panel, range, CHUNK, |s, sums, _| {
+            soft_responsibilities(t, s);
+            for (j, &w) in s.u.iter().enumerate() {
+                if w > 1e-12 {
+                    sums.add(j, w, &s.xf);
                 }
-                partials
-            },
-            vec![ClusterPartial::zero(d); k],
-            |mut acc, part| {
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    a.merge(p);
-                }
-                acc
-            },
-        )
+            }
+        });
+        partials
+    }
+}
+
+/// `p(j|x) ∝ exp(−d²/T)` on a filled scratch: `s.d2` → `s.u`, shifted
+/// by the smallest distance so the largest term is `exp(0)`.
+fn soft_responsibilities(t: f64, s: &mut PanelScratch) {
+    let min = s.d2.iter().cloned().fold(f64::INFINITY, f64::min);
+    for (w, &v) in s.u.iter_mut().zip(&s.d2) {
+        *w = (-(v - min) / t).exp();
+    }
+    let sum: f64 = s.u.iter().sum();
+    for w in &mut s.u {
+        *w /= sum;
     }
 }
 

@@ -2,7 +2,9 @@
 //! (Figure 5) and the "similar performance ratios" remark in §IV.A.1.
 //! Hard assignments, otherwise the same PRS structure as C-means.
 
-use crate::common::{max_center_shift, par_block_fold, random_centers, ClusterPartial};
+use crate::common::{
+    max_center_shift, panel_block_fold, panel_labels, random_centers, CenterPanel, ClusterPartial,
+};
 use parking_lot::RwLock;
 use prs_core::{DeviceClass, IterativeApp, Key, SpmdApp};
 use prs_data::matrix::{sq_dist, MatrixF32};
@@ -59,58 +61,41 @@ impl KMeans {
         self.state.read().sse.clone()
     }
 
-    /// Index of the nearest center to `point`.
+    /// Index of the nearest center to `point` and its squared distance.
+    /// A one-point wrapper over the center panel the map task uses.
     pub fn nearest(centers: &MatrixF32, point: &[f32]) -> (usize, f64) {
-        let mut best = (0usize, f64::INFINITY);
-        for j in 0..centers.rows() {
-            let d = sq_dist(point, centers.row(j));
-            if d < best.1 {
-                best = (j, d);
-            }
-        }
-        best
+        first_minimum(&CenterPanel::of_point(centers, point).d2)
     }
 
     /// Hard labels for a matrix of points.
     pub fn labels(&self, points: &MatrixF32) -> Vec<u32> {
-        let centers = self.centers();
-        (0..points.rows())
-            .map(|i| Self::nearest(&centers, points.row(i)).0 as u32)
-            .collect()
+        let panel = CenterPanel::new(&self.state.read().centers);
+        panel_labels(&panel, points, |s| first_minimum(&s.d2).0)
     }
 
     fn block_partials(&self, range: Range<usize>) -> (Vec<ClusterPartial>, f64) {
-        let centers = self.state.read().centers.clone();
-        let d = self.points.cols();
-        let k = self.k;
-        let points = self.points.clone();
-        par_block_fold(
-            range,
-            CHUNK,
-            move |chunk| {
-                let mut partials = vec![ClusterPartial::zero(d); k];
-                let mut sse = 0.0;
-                for i in chunk {
-                    let x = points.row(i);
-                    let (j, dist) = Self::nearest(&centers, x);
-                    partials[j].add(1.0, x);
-                    sse += dist;
-                }
-                (partials, sse)
-            },
-            (vec![ClusterPartial::zero(d); k], 0.0),
-            |(mut acc, asse), (part, psse)| {
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    a.merge(p);
-                }
-                (acc, asse + psse)
-            },
-        )
+        let panel = CenterPanel::new(&self.state.read().centers);
+        panel_block_fold(&self.points, &panel, range, CHUNK, |s, sums, sse| {
+            let (j, dist) = first_minimum(&s.d2);
+            sums.add(j, 1.0, &s.xf);
+            *sse += dist;
+        })
     }
 
     fn obj_key(&self) -> Key {
         self.k as Key
     }
+}
+
+/// The smallest of `d2` and its index; the first one wins a tie.
+fn first_minimum(d2: &[f64]) -> (usize, f64) {
+    let mut best = (0usize, f64::INFINITY);
+    for (j, &d) in d2.iter().enumerate() {
+        if d < best.1 {
+            best = (j, d);
+        }
+    }
+    best
 }
 
 impl SpmdApp for KMeans {
@@ -213,7 +198,15 @@ pub fn serial_kmeans(
         let mut sse = 0.0;
         for i in 0..points.rows() {
             let x = points.row(i);
-            let (j, dist) = KMeans::nearest(&centers, x);
+            // The naive formulation, deliberately not the center panel:
+            // this is the reference the panel is checked against.
+            let (mut j, mut dist) = (0usize, f64::INFINITY);
+            for c in 0..k {
+                let dc = sq_dist(x, centers.row(c));
+                if dc < dist {
+                    (j, dist) = (c, dc);
+                }
+            }
             partials[j].add(1.0, x);
             sse += dist;
         }

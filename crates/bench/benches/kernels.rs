@@ -2,7 +2,7 @@
 //! that runs inside simulated launches).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prs_apps::CMeans;
+use prs_apps::{serial_cmeans, serial_kmeans, CMeans, KMeans};
 use prs_core::SpmdApp;
 use prs_data::matrix::{gemm_par, gemm_seq, gemv_par, gemv_seq, MatrixF32};
 use prs_data::rng::SplitMix64;
@@ -46,18 +46,55 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cmeans_block(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kernels/cmeans_map_block");
+/// The repo benchmark's `kernel_cmeans_4node` shape: 32 dims, 8 clusters.
+const DIMS: usize = 32;
+const CLUSTERS: usize = 8;
+
+/// One app's map task on the center panel next to one iteration of its
+/// serial reference over the same rows — the naive `sq_dist`-per-center
+/// formulation, so the panel's speed-up shows without the harness.
+fn bench_map_block<A: SpmdApp>(
+    c: &mut Criterion,
+    group: &str,
+    pts: &MatrixF32,
+    app: &A,
+    serial: impl Fn(&MatrixF32),
+) {
+    let mut g = c.benchmark_group(group);
     g.sample_size(10);
-    let pts = Arc::new(random_matrix(20_000, 32, 4));
-    let app = CMeans::new(pts, 8, 2.0, 1e-6, 5);
     for block in [1_000usize, 10_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(block), &block, |b, &block| {
+        g.bench_with_input(BenchmarkId::new("panel", block), &block, |b, &block| {
             b.iter(|| app.cpu_map(0, 0..block));
+        });
+        let rows = pts.rows_slice(0, block);
+        g.bench_with_input(BenchmarkId::new("serial_naive", block), &block, |b, _| {
+            b.iter(|| serial(&rows));
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_gemv, bench_gemm, bench_cmeans_block);
+fn bench_clustering_blocks(c: &mut Criterion) {
+    let pts = Arc::new(random_matrix(20_000, DIMS, 4));
+    bench_map_block(
+        c,
+        "kernels/cmeans_map_block",
+        &pts,
+        &CMeans::new(pts.clone(), CLUSTERS, 2.0, 1e-6, 5),
+        |rows| {
+            serial_cmeans(rows, CLUSTERS, 2.0, 1e-6, 5, 1);
+        },
+    );
+    bench_map_block(
+        c,
+        "kernels/kmeans_map_block",
+        &pts,
+        &KMeans::new(pts.clone(), CLUSTERS, 1e-6, 5),
+        |rows| {
+            serial_kmeans(rows, CLUSTERS, 1e-6, 5, 1);
+        },
+    );
+}
+
+criterion_group!(benches, bench_gemv, bench_gemm, bench_clustering_blocks);
 criterion_main!(benches);

@@ -275,6 +275,20 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     opts.dims = get_parsed(&kv, "dims", opts.dims)?;
     opts.clusters = get_parsed(&kv, "clusters", opts.clusters)?;
     opts.seed = get_parsed(&kv, "seed", opts.seed)?;
+    // The clustering apps seed their model from the data and need more
+    // points than clusters; their constructors assert it.
+    let clustering = matches!(
+        opts.app,
+        AppKind::Cmeans | AppKind::Kmeans | AppKind::Gmm | AppKind::Da
+    );
+    let k = opts.clusters.max(1);
+    if clustering && k >= opts.points {
+        return Err(format!(
+            "--clusters {k} needs at least {} points, got --points {}",
+            k + 1,
+            opts.points
+        ));
+    }
     opts.timeline = flags.iter().any(|f| f == "timeline");
     opts.json = flags.iter().any(|f| f == "json");
     opts.trace_out = kv.get("trace").cloned();
@@ -425,6 +439,12 @@ mod tests {
         assert!(parse_run(&argv("--frobnicate")).is_err());
         assert!(parse_run(&argv("--nodes 0")).is_err());
         assert!(parse_run(&argv("--nodes abc")).is_err());
+        // Clustering apps need more points than clusters; the others do
+        // not read --clusters that way.
+        assert!(parse_run(&argv("--app kmeans --clusters 8 --points 8")).is_err());
+        assert!(parse_run(&argv("--app da --clusters 0 --points 1")).is_err());
+        assert!(parse_run(&argv("--app cmeans --clusters 8 --points 9")).is_ok());
+        assert!(parse_run(&argv("--app gemv --clusters 8 --points 4")).is_ok());
     }
 
     #[test]

@@ -118,6 +118,28 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn too_many_clusters_is_a_usage_error() {
+    // The clustering apps need more points than clusters; this used to
+    // trip a constructor assertion (exit 101 and a backtrace).
+    for cmd in [
+        vec!["run", "--app", "cmeans", "--clusters", "8", "--points", "8"],
+        vec!["run", "--app", "kmeans", "--clusters", "9", "--points", "8"],
+        vec!["run", "--app", "gmm", "--clusters", "8", "--points", "8"],
+        vec!["run", "--app", "da", "--clusters", "8", "--points", "3"],
+        vec!["sweep", "--app", "kmeans", "--clusters", "8", "--points", "8"],
+    ] {
+        let out = prs(&cmd);
+        assert_eq!(out.status.code(), Some(2), "prs {} must exit 2", cmd.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: --clusters") && !stderr.contains("panicked"),
+            "prs {}: stderr should name the option, got: {stderr}",
+            cmd.join(" ")
+        );
+    }
+}
+
+#[test]
 fn postmortem_rejects_a_dir_without_captures() {
     // The dir exists but holds no capture-*.jsonl: exit 1, not a
     // zero-incident report with exit 0.

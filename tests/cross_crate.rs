@@ -3,10 +3,10 @@
 //! is wired together — output equivalence between runtimes, end-to-end
 //! determinism, and failure injection.
 
-use prs_apps::{BatchFft, CMeans, DaKmeans, WordCount};
+use prs_apps::{BatchFft, CMeans, DaKmeans, KMeans, WordCount};
 use prs_baselines::run_mpi_gpu;
-use prs_core::{run_iterative, run_job, ClusterSpec, JobConfig, JobError};
-use prs_data::gaussian::MixtureSpec;
+use prs_core::{run_iterative, run_job, CheckpointableApp, ClusterSpec, JobConfig, JobError};
+use prs_data::gaussian::{clustering_workload, MixtureSpec};
 use prs_data::matrix::MatrixF32;
 use std::sync::Arc;
 
@@ -147,3 +147,65 @@ fn dynamic_mode_uses_both_device_classes() {
     assert!(result.metrics.cpu_map_tasks > 0, "CPU got tasks");
     assert!(result.metrics.gpu_map_tasks > 0, "GPU got tasks");
 }
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn center_hash(centers: &MatrixF32) -> u64 {
+    fnv1a(centers.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+fn bits(history: &[f64]) -> Vec<u64> {
+    history.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Numerics pinned across commits: these constants were taken on the
+/// commit *before* the center-based apps moved to the shared center panel
+/// (`CenterPanel` in `crates/apps/src/common.rs`). A kernel change may
+/// move layout and host time, never a bit of these (DESIGN.md, "Kernel
+/// numerics contract"); do not regenerate them to make a kernel change
+/// pass.
+#[test]
+fn clustering_numerics_are_pinned_across_commits() {
+    let pts = Arc::new(clustering_workload(5000, 32, 8, 17).points);
+    let cluster = ClusterSpec::delta(2);
+    let three = || JobConfig::static_analytic().with_iterations(3);
+
+    for (fuzzifier, objective, state) in [
+        (2.0, PINNED_CMEANS_M2_OBJECTIVE, PINNED_CMEANS_M2_STATE),
+        (3.0, PINNED_CMEANS_M3_OBJECTIVE, PINNED_CMEANS_M3_STATE),
+    ] {
+        let app = Arc::new(CMeans::new(pts.clone(), 8, fuzzifier, 1e-12, 17));
+        run_iterative(&cluster, app.clone(), three()).unwrap();
+        assert_eq!(bits(&app.objective_history()), objective, "m = {fuzzifier}");
+        assert_eq!(fnv1a(app.save_state()), state, "m = {fuzzifier}");
+    }
+
+    let app = Arc::new(KMeans::new(pts.clone(), 8, 1e-12, 17));
+    run_iterative(&cluster, app.clone(), three()).unwrap();
+    assert_eq!(bits(&app.sse_history()), PINNED_KMEANS_SSE);
+    assert_eq!(center_hash(&app.centers()), PINNED_KMEANS_CENTERS);
+
+    // Sixty sweeps take DA well down its cooling schedule, where most
+    // responsibilities fall under the 1e-12 cut-off.
+    let app = Arc::new(DaKmeans::new(pts, 8, 0.8, 1e-3));
+    let sixty = JobConfig::static_analytic().with_iterations(60);
+    run_iterative(&cluster, app.clone(), sixty).unwrap();
+    assert_eq!(app.temperature().to_bits(), PINNED_DA_TEMPERATURE);
+    assert_eq!(center_hash(&app.centers()), PINNED_DA_CENTERS);
+}
+
+const PINNED_CMEANS_M2_OBJECTIVE: [u64; 3] =
+    [0x410cefcce07a1b29, 0x4102a6683cd654ff, 0x4101b9ccfd061d6a];
+const PINNED_CMEANS_M2_STATE: u64 = 0xf6d96af7704f4e36;
+const PINNED_CMEANS_M3_OBJECTIVE: [u64; 3] =
+    [0x40dfe3667e40e893, 0x40d58fc548261a5a, 0x40d4743a0b2bc43d];
+const PINNED_CMEANS_M3_STATE: u64 = 0x1c2b6c9a9879ad39;
+const PINNED_KMEANS_SSE: [u64; 3] =
+    [0x41339c941856d0e4, 0x411737807f118f78, 0x410d8d3eb219388a];
+const PINNED_KMEANS_CENTERS: u64 = 0x38db0418c9eca345;
+const PINNED_DA_TEMPERATURE: u64 = 0x3f9784469327613d;
+const PINNED_DA_CENTERS: u64 = 0xfd8640dd94db517d;
