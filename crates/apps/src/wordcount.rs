@@ -4,7 +4,7 @@
 //! ids; map counts occurrences, reduce sums.
 
 use prs_core::{DeviceClass, Key, SpmdApp};
-use prs_data::rng::SplitMix64;
+use prs_data::rng::{weight_total, SplitMix64};
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
 use std::collections::HashMap;
@@ -28,8 +28,11 @@ impl WordCount {
     /// distinct words (rank r has weight 1/(r+1)).
     pub fn synthetic(n: usize, vocab: u32, seed: u64) -> Self {
         let weights: Vec<f64> = (0..vocab).map(|r| 1.0 / (r as f64 + 1.0)).collect();
+        let total = weight_total(&weights);
         let mut rng = SplitMix64::new(seed ^ 0x77C0);
-        let words = (0..n).map(|_| rng.next_weighted(&weights) as u32).collect();
+        let words = (0..n)
+            .map(|_| rng.next_weighted_with_total(&weights, total) as u32)
+            .collect();
         WordCount {
             words: Arc::new(words),
             vocab,
@@ -114,6 +117,25 @@ mod tests {
         assert!(counts[0] > counts[9] * 3);
         assert_eq!(counts.iter().sum::<u64>(), 50_000);
     }
+
+    /// The generator's random stream is part of every wordcount result
+    /// (`netsim.bytes`, the `--json` output): this constant was taken on
+    /// the commit before `next_weighted` stopped re-summing the weights
+    /// per draw. A generator speed-up may not move it.
+    #[test]
+    fn synthetic_stream_is_pinned_across_commits() {
+        let wc = WordCount::synthetic(1_000_000, 800, 42);
+        let hash = wc
+            .words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, PINNED_SYNTHETIC_800_SEED42, "{hash:#x}");
+    }
+
+    const PINNED_SYNTHETIC_800_SEED42: u64 = 0xb2c9_7f60_1c64_e8c5;
 
     #[test]
     fn map_counts_match_serial_on_blocks() {

@@ -12,7 +12,8 @@
 #![forbid(unsafe_code)]
 
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
-use obs::rollup::{rollup, RollupConfig, RollupEvent};
+use obs::jsonl::EventLine;
+use obs::rollup::{rollup, RollupConfig};
 use obs::{AuditLog, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
 use prs_cli::{parse_kv, parse_profile, parse_residency, parse_run, AppKind, RunOptions};
@@ -504,16 +505,17 @@ fn cmd_trace(args: &[String]) -> i32 {
     let mut total = 0u64;
     let mut recovery: Vec<(f64, String, String)> = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(v) = serde_json::from_str(line) else {
-            continue;
+        // A summary, not a validator: lines that are not JSON are passed
+        // over and absent members read as "?" / 0.
+        let f = match obs::jsonl::read_event_line(line, &mut obs::jsonl::NoAttrs) {
+            Err(_) | Ok(EventLine::Meta { .. }) => continue,
+            Ok(EventLine::NotObject) => Default::default(),
+            Ok(EventLine::Event(f)) => f,
         };
-        if v.get("schema").is_some() {
-            continue; // exporter meta line, not an event
-        }
-        let kind = v["kind"].as_str().unwrap_or("?").to_string();
-        let lane = v["lane"].as_str().unwrap_or("?").to_string();
-        let t = v["t"].as_f64().unwrap_or(0.0);
-        let dur = v["dur"].as_f64().unwrap_or(0.0);
+        let kind = f.kind.as_deref().unwrap_or("?").to_string();
+        let lane = f.lane.as_deref().unwrap_or("?").to_string();
+        let t = f.t.unwrap_or(0.0);
+        let dur = f.dur.unwrap_or(0.0);
         total += 1;
         t_max = t_max.max(t + dur);
         let e = by_kind.entry(kind.clone()).or_insert((0, 0.0));
@@ -824,18 +826,7 @@ fn cmd_watch(args: &[String]) -> i32 {
     let decisions = std::fs::read_to_string(out_dir.join("decisions.jsonl"))
         .map(|t| AuditLog::parse_jsonl(&t))
         .unwrap_or_default();
-    let roll_events: Vec<RollupEvent> = events
-        .iter()
-        .map(|e| RollupEvent {
-            t: e.t,
-            dur: e.dur,
-            lane: e.lane.clone(),
-            kind: e.kind.clone(),
-            iter: e.iter,
-            attrs: e.attrs.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        })
-        .collect();
-    let out = watch::watch(&roll_events, &decisions, &cfg);
+    let out = watch::watch(&events, &decisions, &cfg);
     for (name, content) in [
         ("alerts.jsonl", out.alerts_jsonl()),
         ("incidents.jsonl", out.incidents_jsonl()),
@@ -1035,10 +1026,10 @@ fn cmd_top(args: &[String]) -> i32 {
                     .collect()
             })
             .unwrap_or_default();
-    let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
+    let replay = prs_cli::top::Replay::new(&events, &decisions, &captures);
+    let horizon = replay.horizon();
     let window = window.unwrap_or_else(|| (horizon / 8.0).max(1e-9));
-    let frame_at =
-        |t: f64| prs_cli::top::render_frame_with_captures(&events, &decisions, &captures, t, window);
+    let frame_at = |t: f64| replay.frame(t, window);
     match snapshot {
         Some(t) => say!("{}", frame_at(t)),
         None => {
@@ -1068,10 +1059,15 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), String> {
             .map_err(|e| format!("{}: {e}", stacks.display()))?;
         if !set.is_empty() {
             // The sampling horizon still comes from the full event
-            // stream so trailing span-less time is counted.
-            let horizon = read_trace_events(dir)
-                .map(|ev| ev.iter().map(insight::TraceEvent::end).fold(0.0, f64::max))
-                .unwrap_or_else(|_| set.horizon());
+            // stream so trailing span-less time is counted: a pass that
+            // keeps only `t`/`dur`. A bundle without events samples to
+            // its last frame; one whose events are damaged is refused.
+            let events = p.join("events.jsonl");
+            let horizon = match std::fs::read_to_string(&events) {
+                Ok(text) => obs::jsonl::events_horizon(&text)
+                    .map_err(|e| format!("{}: {e}", events.display()))?,
+                Err(_) => set.horizon(),
+            };
             return Ok((set, horizon));
         }
     }
@@ -2367,20 +2363,9 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Resu
     let flows = insight::pair_flows(&events);
     let decisions = obs.audit.records();
     let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
-    let roll_events: Vec<RollupEvent> = events
-        .iter()
-        .map(|e| RollupEvent {
-            t: e.t,
-            dur: e.dur,
-            lane: e.lane.clone(),
-            kind: e.kind.clone(),
-            iter: e.iter,
-            attrs: e.attrs.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-        })
-        .collect();
-    let mut roll = rollup(&roll_events, &decisions, &RollupConfig::auto(horizon.max(1e-9)));
+    let mut roll = rollup(&events, &decisions, &RollupConfig::auto(horizon.max(1e-9)));
     roll.register_metrics(&obs.metrics);
-    let mut watched = watch::watch(&roll_events, &decisions, &watch::WatchConfig::default());
+    let mut watched = watch::watch(&events, &decisions, &watch::WatchConfig::default());
     watched.register_metrics(&obs.metrics);
     let set = obs::FrameSet::from_stack(&obs.stack);
     if obs.recorder.is_enabled() {

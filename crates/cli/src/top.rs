@@ -8,41 +8,56 @@
 //! of evenly spaced virtual instants (replay mode).
 
 use insight::TraceEvent;
-use obs::rollup::{rollup, RollupConfig, RollupEvent};
-use obs::DecisionRecord;
-use std::collections::BTreeMap;
+use obs::rollup::{rollup, RollupConfig};
+use obs::{lane_node, DecisionRecord, EventView};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Width of the utilization bars.
 const BAR_W: usize = 24;
 
-/// Truncates the event stream to what an observer at virtual time `t`
-/// has seen: events starting later vanish, spans still running are
-/// clamped to `t` (their remaining duration is the future).
-fn visible_at(events: &[TraceEvent], t: f64) -> Vec<TraceEvent> {
+/// One event as an observer at some virtual instant sees it: the event
+/// itself, borrowed, with a span that is still running clamped to the
+/// instant (its remaining duration is the future).
+struct Seen<'a> {
+    event: &'a TraceEvent,
+    dur: Option<f64>,
+}
+
+impl EventView for Seen<'_> {
+    fn t(&self) -> f64 {
+        self.event.t
+    }
+    fn dur(&self) -> Option<f64> {
+        self.dur
+    }
+    fn lane(&self) -> &str {
+        &self.event.lane
+    }
+    fn kind(&self) -> &str {
+        &self.event.kind
+    }
+    fn iter(&self) -> Option<u64> {
+        self.event.iter
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        self.event.attr(key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        self.event.each_attr(f)
+    }
+}
+
+/// The event stream as an observer at virtual time `t` has seen it, in
+/// the stream's order: events starting later are absent, and nothing is
+/// copied but the clamped durations.
+fn visible_at(events: &[TraceEvent], t: f64) -> Vec<Seen<'_>> {
     events
         .iter()
         .filter(|e| e.t <= t)
-        .map(|e| {
-            let mut e = e.clone();
-            if let Some(d) = e.dur {
-                e.dur = Some(d.min(t - e.t));
-            }
-            e
-        })
-        .collect()
-}
-
-fn to_rollup_events(events: &[TraceEvent]) -> Vec<RollupEvent> {
-    events
-        .iter()
-        .map(|e| RollupEvent {
-            t: e.t,
-            dur: e.dur,
-            lane: e.lane.clone(),
-            kind: e.kind.clone(),
-            iter: e.iter,
-            attrs: e.attrs.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+        .map(|e| Seen {
+            event: e,
+            dur: e.dur.map(|d| d.min(t - e.t)),
         })
         .collect()
 }
@@ -58,14 +73,6 @@ fn bar(frac: f64) -> String {
 
 fn is_device_lane(lane: &str) -> bool {
     lane.contains("-cpu-c") || (lane.contains("-gpu") && lane.ends_with("-compute"))
-}
-
-fn lane_node(lane: &str) -> Option<u64> {
-    let rest = lane
-        .strip_prefix("node")
-        .or_else(|| lane.strip_prefix("net-rank"))?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 /// Renders one dashboard frame at virtual instant `t`.
@@ -95,182 +102,232 @@ pub fn render_frame_with_captures(
     t: f64,
     window: f64,
 ) -> String {
-    let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
-    let seen = visible_at(events, t);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "prs top — virtual t = {t:.6}s / horizon {horizon:.6}s  ({} of {} events)",
-        seen.len(),
-        events.len()
-    );
+    Replay::new(events, decisions, captures).frame(t, window)
+}
 
-    // Per-node device gauges over the trailing window.
-    let w0 = (t - window).max(0.0);
-    let mut node_busy: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
-    for e in &seen {
-        if !is_device_lane(&e.lane) || e.dur.is_none() {
-            continue;
-        }
-        if let Some(n) = lane_node(&e.lane) {
-            node_busy.entry(n).or_insert((0.0, 0)).0 += e.overlap(w0, t);
-        }
-    }
-    let mut node_lanes: BTreeMap<u64, std::collections::BTreeSet<&str>> = BTreeMap::new();
-    for e in events {
-        if is_device_lane(&e.lane) {
-            if let Some(n) = lane_node(&e.lane) {
-                node_lanes.entry(n).or_default().insert(&e.lane);
+/// A bundle prepared for replay: what every frame needs and no instant
+/// changes (the horizon, each node's device lanes, whether the run was
+/// elastic) is worked out once, so a multi-frame replay pays per frame
+/// only for what the observer at that instant has seen.
+pub struct Replay<'a> {
+    events: &'a [TraceEvent],
+    decisions: &'a [DecisionRecord],
+    captures: &'a BTreeMap<u64, String>,
+    horizon: f64,
+    /// Distinct device lanes per worker node, over the whole run.
+    node_lanes: BTreeMap<u64, usize>,
+    elastic: bool,
+}
+
+impl<'a> Replay<'a> {
+    /// Prepares `events` (in any order) for [`Self::frame`].
+    pub fn new(
+        events: &'a [TraceEvent],
+        decisions: &'a [DecisionRecord],
+        captures: &'a BTreeMap<u64, String>,
+    ) -> Self {
+        let mut device_lanes: BTreeSet<&str> = BTreeSet::new();
+        for e in events {
+            if is_device_lane(&e.lane) {
+                device_lanes.insert(&e.lane);
             }
         }
-    }
-    if !node_lanes.is_empty() {
-        let _ = writeln!(out, "\nnode lanes (busy over trailing {window:.6}s):");
-        let span = (t - w0).max(1e-12);
-        for (n, lanes) in &node_lanes {
-            let busy = node_busy.get(n).map_or(0.0, |b| b.0);
-            let frac = busy / (span * lanes.len() as f64);
-            let _ = writeln!(
-                out,
-                "  node{n:<2} [{}] {:>5.1}%  ({} device lanes)",
-                bar(frac),
-                frac * 100.0,
-                lanes.len()
-            );
+        let mut node_lanes: BTreeMap<u64, usize> = BTreeMap::new();
+        for lane in device_lanes {
+            if let Some(n) = lane_node(lane) {
+                *node_lanes.entry(n).or_default() += 1;
+            }
+        }
+        Replay {
+            events,
+            decisions,
+            captures,
+            horizon: events.iter().map(|e| e.end()).fold(0.0, f64::max),
+            node_lanes,
+            elastic: events.iter().any(|e| e.lane == "membership"),
         }
     }
 
-    // Cluster rollup table over everything seen so far.
-    let cfg = RollupConfig::auto(t.max(1e-9));
-    let roll = rollup(&to_rollup_events(&seen), decisions, &cfg);
-    let _ = writeln!(
-        out,
-        "\ncluster rollup (window {:.6}s, {} device lanes, {} nodes):",
-        roll.window_secs, roll.device_lanes, roll.nodes
-    );
-    let _ = writeln!(
-        out,
-        "  {:>3}  {:>10}  {:>6}  {:>6}  {:>12}  {:>10}  {:>10}",
-        "w", "t0", "util", "queue", "inflight_B", "lag_s", "mispredict"
-    );
-    for w in &roll.windows {
-        let _ = writeln!(
-            out,
-            "  {:>3}  {:>10.6}  {:>5.1}%  {:>6.0}  {:>12.0}  {:>10.6}  {:>10.4}",
-            w.index,
-            w.t0,
-            w.device_util * 100.0,
-            w.queue_depth_peak,
-            w.net_inflight_bytes,
-            w.straggler_lag_secs,
-            w.mispredict
-        );
+    /// Latest event end, virtual seconds.
+    pub fn horizon(&self) -> f64 {
+        self.horizon
     }
 
-    // Messages on the wire at t: sends seen whose recv is in the future.
-    let flows = insight::pair_flows(&seen);
-    let inflight: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == "msg-send" && e.t <= t)
-        .filter_map(|e| e.attr("flow").map(|f| (f as u64, e.attr("bytes").unwrap_or(0.0))))
-        .filter(|(id, _)| !flows.iter().any(|f| f.id == *id && f.recv_t <= t))
-        .collect();
-    let inflight_bytes: f64 = inflight.iter().map(|(_, b)| b).sum::<f64>().max(0.0);
-    let _ = writeln!(
-        out,
-        "\nwire: {} flow(s) delivered, {} in flight ({inflight_bytes:.0} B)",
-        flows.len(),
-        inflight.len()
-    );
+    /// The frame at virtual instant `t` (see [`render_frame`]).
+    pub fn frame(&self, t: f64, window: f64) -> String {
+        let (events, decisions) = (self.events, self.decisions);
+        let seen = visible_at(events, t);
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "prs top — virtual t = {t:.6}s / horizon {:.6}s  ({} of {} events)",
+            self.horizon,
+            seen.len(),
+            events.len()
+        );
 
-    // Elastic membership lane: cluster size at t plus the transition
-    // ledger seen so far. Only elastic bundles emit the `membership`
-    // lane, so fixed-cluster frames render byte-identically to before.
-    if events.iter().any(|e| e.lane == "membership") {
-        let memb: Vec<&TraceEvent> = seen.iter().filter(|e| e.lane == "membership").collect();
-        let size = memb
+        // Per-node device gauges over the trailing window.
+        let w0 = (t - window).max(0.0);
+        let mut node_busy: BTreeMap<u64, f64> = BTreeMap::new();
+        for e in &seen {
+            if !is_device_lane(e.lane()) || e.dur.is_none() {
+                continue;
+            }
+            if let Some(n) = lane_node(e.lane()) {
+                *node_busy.entry(n).or_insert(0.0) += e.overlap(w0, t);
+            }
+        }
+        if !self.node_lanes.is_empty() {
+            let _ = writeln!(out, "\nnode lanes (busy over trailing {window:.6}s):");
+            let span = (t - w0).max(1e-12);
+            for (n, lanes) in &self.node_lanes {
+                let busy = node_busy.get(n).copied().unwrap_or(0.0);
+                let frac = busy / (span * *lanes as f64);
+                let _ = writeln!(
+                    out,
+                    "  node{n:<2} [{}] {:>5.1}%  ({} device lanes)",
+                    bar(frac),
+                    frac * 100.0,
+                    lanes
+                );
+            }
+        }
+
+        // Cluster rollup table over everything seen so far.
+        let cfg = RollupConfig::auto(t.max(1e-9));
+        let roll = rollup(&seen, decisions, &cfg);
+        let _ = writeln!(
+            out,
+            "\ncluster rollup (window {:.6}s, {} device lanes, {} nodes):",
+            roll.window_secs, roll.device_lanes, roll.nodes
+        );
+        let _ = writeln!(
+            out,
+            "  {:>3}  {:>10}  {:>6}  {:>6}  {:>12}  {:>10}  {:>10}",
+            "w", "t0", "util", "queue", "inflight_B", "lag_s", "mispredict"
+        );
+        for w in &roll.windows {
+            let _ = writeln!(
+                out,
+                "  {:>3}  {:>10.6}  {:>5.1}%  {:>6.0}  {:>12.0}  {:>10.6}  {:>10.4}",
+                w.index,
+                w.t0,
+                w.device_util * 100.0,
+                w.queue_depth_peak,
+                w.net_inflight_bytes,
+                w.straggler_lag_secs,
+                w.mispredict
+            );
+        }
+
+        // Messages on the wire at t: sends seen whose recv is in the
+        // future. Every flow paired from `seen` was received by `t`.
+        let flows = insight::pair_flows(&seen);
+        let delivered: BTreeSet<u64> = flows.iter().map(|f| f.id).collect();
+        let inflight: Vec<_> = seen
             .iter()
-            .filter(|e| e.kind == "cluster-size")
-            .max_by(|a, b| a.t.total_cmp(&b.t))
-            .and_then(|e| e.attr("n"));
-        let count = |kind: &str| memb.iter().filter(|e| e.kind == kind).count();
+            .filter(|e| e.kind() == "msg-send")
+            .filter_map(|e| e.attr("flow").map(|f| (f as u64, e.attr("bytes").unwrap_or(0.0))))
+            .filter(|(id, _)| !delivered.contains(id))
+            .collect();
+        let inflight_bytes: f64 = inflight.iter().map(|(_, b)| b).sum::<f64>().max(0.0);
         let _ = writeln!(
             out,
-            "\ncluster size: {}  (joins {}, drains {}, evicts {}, handoffs {})",
-            size.map(|n| format!("{n:.0} node(s)")).unwrap_or_else(|| "?".to_string()),
-            count("join"),
-            count("drain"),
-            count("evict"),
-            count("handoff"),
+            "\nwire: {} flow(s) delivered, {} in flight ({inflight_bytes:.0} B)",
+            flows.len(),
+            inflight.len()
         );
-        for e in memb.iter().filter(|e| e.kind != "cluster-size") {
-            let node = e.attr("node").map(|n| format!(" node{n:.0}")).unwrap_or_default();
-            let _ = writeln!(out, "  t={:.6} {}{}", e.t, e.kind, node);
-        }
-    }
 
-    // Alert lane: the watchdog's verdict over everything seen so far.
-    let watched = watch::watch(&to_rollup_events(&seen), decisions, &watch::WatchConfig::default());
-    let firing: Vec<_> = watched
-        .incidents
-        .iter()
-        .filter(|inc| inc.t_detect <= t)
-        .collect();
-    if firing.is_empty() {
-        let _ = writeln!(out, "\nalerts: none firing");
-    } else {
-        let _ = writeln!(
-            out,
-            "\nalerts: {} alert(s) in {} incident(s):",
-            watched.alerts.len(),
-            firing.len()
-        );
-        for inc in &firing {
-            let nodes = if inc.nodes.is_empty() {
-                "cluster".to_string()
-            } else {
-                inc.nodes
-                    .iter()
-                    .map(|n| format!("node{n}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let marker = captures
-                .get(&(inc.id as u64))
-                .map(|c| format!("  * {c}.jsonl"))
-                .unwrap_or_default();
+        // Elastic membership lane: cluster size at t plus the transition
+        // ledger seen so far. Only elastic bundles emit the `membership`
+        // lane, so fixed-cluster frames render byte-identically to before.
+        if self.elastic {
+            let memb: Vec<&Seen> = seen.iter().filter(|e| e.lane() == "membership").collect();
+            let size = memb
+                .iter()
+                .filter(|e| e.kind() == "cluster-size")
+                .max_by(|a, b| a.t().total_cmp(&b.t()))
+                .and_then(|e| e.attr("n"));
+            let count = |kind: &str| memb.iter().filter(|e| e.kind() == kind).count();
             let _ = writeln!(
                 out,
-                "  [{}] #{} {} on {} since t={:.6} ({}){marker}",
-                inc.severity.as_str(),
-                inc.id,
-                inc.kind.as_str(),
-                nodes,
-                inc.t_detect,
-                inc.blame.as_str()
+                "\ncluster size: {}  (joins {}, drains {}, evicts {}, handoffs {})",
+                size.map(|n| format!("{n:.0} node(s)")).unwrap_or_else(|| "?".to_string()),
+                count("join"),
+                count("drain"),
+                count("evict"),
+                count("handoff"),
             );
+            for e in memb.iter().filter(|e| e.kind() != "cluster-size") {
+                let node = e.attr("node").map(|n| format!(" node{n:.0}")).unwrap_or_default();
+                let _ = writeln!(out, "  t={:.6} {}{}", e.t(), e.kind(), node);
+            }
         }
-    }
 
-    // Blame of the last iteration completed by t.
-    let analysis = insight::analyze(&seen);
-    match analysis.iterations.iter().rev().find(|it| it.end <= t) {
-        Some(it) => {
+        // Alert lane: the watchdog's verdict over everything seen so far.
+        let watched = watch::watch(&seen, decisions, &watch::WatchConfig::default());
+        let firing: Vec<_> = watched
+            .incidents
+            .iter()
+            .filter(|inc| inc.t_detect <= t)
+            .collect();
+        if firing.is_empty() {
+            let _ = writeln!(out, "\nalerts: none firing");
+        } else {
             let _ = writeln!(
                 out,
-                "blame: iter {} -> {} (critical node {}, comm {:.6}s / compute {:.6}s)",
-                it.index,
-                it.blame.as_str(),
-                it.critical_node,
-                it.comm_secs,
-                it.compute_secs
+                "\nalerts: {} alert(s) in {} incident(s):",
+                watched.alerts.len(),
+                firing.len()
             );
+            for inc in &firing {
+                let nodes = if inc.nodes.is_empty() {
+                    "cluster".to_string()
+                } else {
+                    inc.nodes
+                        .iter()
+                        .map(|n| format!("node{n}"))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                let marker = self
+                    .captures
+                    .get(&(inc.id as u64))
+                    .map(|c| format!("  * {c}.jsonl"))
+                    .unwrap_or_default();
+                let _ = writeln!(
+                    out,
+                    "  [{}] #{} {} on {} since t={:.6} ({}){marker}",
+                    inc.severity.as_str(),
+                    inc.id,
+                    inc.kind.as_str(),
+                    nodes,
+                    inc.t_detect,
+                    inc.blame.as_str()
+                );
+            }
         }
-        None => {
-            let _ = writeln!(out, "blame: (no iteration completed yet)");
+
+        // Blame of the last iteration completed by t.
+        let analysis = insight::analyze_view(&seen);
+        match analysis.iterations.iter().rev().find(|it| it.end <= t) {
+            Some(it) => {
+                let _ = writeln!(
+                    out,
+                    "blame: iter {} -> {} (critical node {}, comm {:.6}s / compute {:.6}s)",
+                    it.index,
+                    it.blame.as_str(),
+                    it.critical_node,
+                    it.comm_secs,
+                    it.compute_secs
+                );
+            }
+            None => {
+                let _ = writeln!(out, "blame: (no iteration completed yet)");
+            }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]

@@ -273,3 +273,95 @@ fn end_to_end_run_then_watch_succeeds() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn readers_reject_a_truncated_bundle() {
+    // A bundle cut short must not be analysed as if it were whole, whether
+    // the cut falls inside a line (bad JSON) or exactly between two lines
+    // (every line still parses; only the meta line's count gives it away).
+    let whole = tmp_dir("truncated-whole");
+    let w = whole.to_str().expect("utf-8 temp path");
+    let run = prs(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", w]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    let events = std::fs::read_to_string(whole.join("events.jsonl")).expect("events.jsonl");
+    let lines: Vec<&str> = events.lines().collect();
+    let total = lines.len() - 1; // minus the meta line
+    assert!(lines[0].contains(&format!("\"events\":{total}")), "meta line: {}", lines[0]);
+    let kept = total / 2;
+    let at_line_boundary = lines[..=kept].join("\n") + "\n";
+    let inside_a_line = {
+        let cut = at_line_boundary.len() + lines[kept + 1].find("\"lane\":\"").expect("a lane") + 10;
+        events[..cut].to_string()
+    };
+    let without_meta = lines[1..].join("\n") + "\n";
+
+    let damaged = |name: &str, events: &str| {
+        let dir = tmp_dir(name);
+        for entry in std::fs::read_dir(&whole).expect("list bundle") {
+            let path = entry.expect("bundle entry").path();
+            std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+        }
+        std::fs::write(dir.join("events.jsonl"), events).expect("write damaged events");
+        dir
+    };
+    let commands = |d: &str, cal: &str| -> Vec<Vec<String>> {
+        [
+            vec!["analyze", d],
+            vec!["watch", d],
+            vec!["profile", d],
+            vec!["top", d, "--frames", "2"],
+            vec!["calibrate", "--from-trace", d, "--out", cal],
+        ]
+        .iter()
+        .map(|c| c.iter().map(|s| s.to_string()).collect())
+        .collect()
+    };
+    let run_all = |dir: &PathBuf| -> Vec<(String, Output)> {
+        let d = dir.to_str().expect("utf-8 temp path");
+        let cal = dir.join("fit.toml");
+        commands(d, cal.to_str().expect("utf-8 temp path"))
+            .into_iter()
+            .map(|cmd| {
+                let args: Vec<&str> = cmd.iter().map(String::as_str).collect();
+                (cmd.join(" "), prs(&args))
+            })
+            .collect()
+    };
+
+    let dir = damaged("truncated-boundary", &at_line_boundary);
+    for (cmd, out) in run_all(&dir) {
+        assert_eq!(out.status.code(), Some(1), "prs {cmd} on half a bundle must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("declares {total} ")) && stderr.contains(&format!(" {kept} were read")),
+            "prs {cmd}: stderr should name both counts, got: {stderr}"
+        );
+    }
+    assert!(!dir.join("fit.toml").exists(), "calibrate wrote a profile from half a run");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = damaged("truncated-midline", &inside_a_line);
+    for (cmd, out) in run_all(&dir) {
+        assert_eq!(out.status.code(), Some(1), "prs {cmd} on a cut line must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("events.jsonl line {}:", kept + 2)),
+            "prs {cmd}: stderr should name the damaged line, got: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // No meta line, no count to check: hand-written fixtures and
+    // pre-schema bundles keep reading.
+    let dir = damaged("truncated-no-meta", &without_meta);
+    for (cmd, out) in run_all(&dir) {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "prs {cmd} without a meta line: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&whole);
+}

@@ -4,7 +4,7 @@
 //! substitution rationale.
 
 use crate::matrix::MatrixF32;
-use crate::rng::SplitMix64;
+use crate::rng::{weight_total, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 /// One mixture component: a mean and per-dimension standard deviations
@@ -91,11 +91,12 @@ pub fn generate(spec: &MixtureSpec, n: usize, seed: u64) -> Dataset {
     spec.validate();
     let d = spec.dims();
     let weights: Vec<f64> = spec.components.iter().map(|c| c.weight).collect();
+    let total = weight_total(&weights);
     let mut rng = SplitMix64::new(seed);
     let mut points = MatrixF32::zeros(n, d);
     let mut labels = Vec::with_capacity(n);
     for i in 0..n {
-        let k = rng.next_weighted(&weights);
+        let k = rng.next_weighted_with_total(&weights, total);
         let c = &spec.components[k];
         let row = points.row_mut(i);
         for (j, slot) in row.iter_mut().enumerate() {
@@ -177,6 +178,26 @@ mod tests {
         assert_eq!(ds.labels.len(), 500);
         assert!(ds.labels.iter().all(|&l| l < 3));
     }
+
+    /// Every clustering golden and pinned constant downstream hangs off
+    /// this stream: the hash was taken on the commit before
+    /// `next_weighted` stopped re-summing the weights per draw.
+    #[test]
+    fn clustering_workload_stream_is_pinned_across_commits() {
+        let ds = clustering_workload(5000, 8, 4, 42);
+        let bytes = ds
+            .points
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .chain(ds.labels.iter().flat_map(|l| l.to_le_bytes()));
+        let hash = bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, PINNED_CLUSTERING_5000_8_4_SEED42, "{hash:#x}");
+    }
+
+    const PINNED_CLUSTERING_5000_8_4_SEED42: u64 = 0x6217_82d5_1323_e455;
 
     #[test]
     fn generation_is_deterministic() {

@@ -75,9 +75,19 @@ impl SplitMix64 {
     }
 
     /// Samples an index from unnormalized non-negative `weights`.
+    ///
+    /// Sums the table on every call; a loop over one table should sum it
+    /// once with [`weight_total`] and draw with
+    /// [`Self::next_weighted_with_total`] — the draws are the same.
     pub fn next_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must not all be zero");
+        self.next_weighted_with_total(weights, weight_total(weights))
+    }
+
+    /// [`Self::next_weighted`] with the table's [`weight_total`] supplied
+    /// by the caller. The scan is sequential subtraction on purpose: a
+    /// cumulative-table search rounds differently at the boundaries and
+    /// would change the stream.
+    pub fn next_weighted_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         let mut target = self.next_f64() * total;
         for (i, &w) in weights.iter().enumerate() {
             if target < w {
@@ -87,6 +97,15 @@ impl SplitMix64 {
         }
         weights.len() - 1
     }
+}
+
+/// Sum of a weight table, in the order [`SplitMix64::next_weighted`] has
+/// always added it (so the `f64` total, and every draw scaled by it, is
+/// unchanged). Panics when no weight is positive.
+pub fn weight_total(weights: &[f64]) -> f64 {
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "weights must not all be zero");
+    total
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! whether transfers overlap compute and whether the CPU and GPU finish
 //! together (Equation (4)'s balance, visually).
 
+use obs::jsonl::{write_f64, write_str};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use simtime::SimTime;
@@ -239,59 +240,118 @@ pub fn to_chrome_trace(intervals: &[Interval]) -> String {
 /// 1 µs `X` slice so viewers have geometry to attach the arrow to.
 /// Flow lanes that carry no intervals still get thread names.
 pub fn to_chrome_trace_with_flows(intervals: &[Interval], flows: &[FlowArrow]) -> String {
-    fn lane_tid<'a>(lanes: &mut Vec<&'a str>, lane: &'a str) -> usize {
-        match lanes.iter().position(|l| *l == lane) {
-            Some(i) => i,
-            None => {
-                lanes.push(lane);
-                lanes.len() - 1
-            }
+    /// Thread ids in order of first appearance.
+    #[derive(Default)]
+    struct Lanes<'a> {
+        names: Vec<&'a str>,
+        tids: BTreeMap<&'a str, usize>,
+    }
+    impl<'a> Lanes<'a> {
+        fn tid(&mut self, lane: &'a str) -> usize {
+            *self.tids.entry(lane).or_insert_with(|| {
+                self.names.push(lane);
+                self.names.len() - 1
+            })
         }
     }
-    let mut lanes: Vec<&str> = Vec::new();
-    let mut events = Vec::with_capacity(intervals.len() + 4 * flows.len() + 8);
+    let mut lanes = Lanes::default();
+
+    let mut w = TraceWriter::default();
     for iv in intervals {
-        let tid = lane_tid(&mut lanes, iv.lane.as_str());
-        events.push(serde_json::json!({
-            "name": iv.kind,
-            "ph": "X",
-            "ts": iv.start * 1e6,             // microseconds
-            "dur": (iv.end - iv.start) * 1e6,
-            "pid": 0,
-            "tid": tid,
-        }));
+        let tid = lanes.tid(iv.lane.as_str());
+        w.slice(&iv.kind, iv.start * 1e6, (iv.end - iv.start) * 1e6, tid);
     }
     for f in flows {
-        let src = lane_tid(&mut lanes, f.src_lane.as_str());
-        let dst = lane_tid(&mut lanes, f.dst_lane.as_str());
+        let src = lanes.tid(f.src_lane.as_str());
+        let dst = lanes.tid(f.dst_lane.as_str());
         let (send_us, recv_us) = (f.send_t * 1e6, f.recv_t * 1e6);
         // Anchor slices: the arrow endpoints need enclosing slices.
-        events.push(serde_json::json!({
-            "name": f.name, "ph": "X", "ts": send_us, "dur": 1.0, "pid": 0, "tid": src,
-        }));
-        events.push(serde_json::json!({
-            "name": f.name, "ph": "X", "ts": recv_us, "dur": 1.0, "pid": 0, "tid": dst,
-        }));
-        events.push(serde_json::json!({
-            "name": f.name, "cat": "flow", "ph": "s", "id": f.id,
-            "ts": send_us, "pid": 0, "tid": src,
-        }));
-        events.push(serde_json::json!({
-            "name": f.name, "cat": "flow", "ph": "f", "bp": "e", "id": f.id,
-            "ts": recv_us, "pid": 0, "tid": dst,
-        }));
+        w.slice(&f.name, send_us, 1.0, src);
+        w.slice(&f.name, recv_us, 1.0, dst);
+        w.flow_end(None, f.id, &f.name, "s", src, send_us);
+        w.flow_end(Some("e"), f.id, &f.name, "f", dst, recv_us);
     }
-    for (tid, lane) in lanes.iter().enumerate() {
-        events.push(serde_json::json!({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": tid,
-            "args": {"name": lane},
-        }));
+    for (tid, lane) in lanes.names.iter().enumerate() {
+        w.thread_name(lane, tid);
     }
-    serde_json::to_string_pretty(&serde_json::json!({ "traceEvents": events }))
-        .expect("serializable")
+    w.finish()
+}
+
+/// Formats the pretty-printed `{"traceEvents": [...]}` document straight
+/// into one buffer — what `serde_json::to_string_pretty` renders for the
+/// same events (two-space indent, members in key order), without a
+/// `Value` per interval. Numbers and strings go through the bundle
+/// codec's formatters.
+#[derive(Default)]
+struct TraceWriter {
+    out: String,
+}
+
+impl TraceWriter {
+    fn open(&mut self) {
+        self.out.push_str(if self.out.is_empty() {
+            "{\n  \"traceEvents\": [\n    {"
+        } else {
+            ",\n    {"
+        });
+    }
+
+    /// One member of the event object being written; `first` members
+    /// carry no separating comma.
+    fn member(&mut self, first: bool, key: &str) -> &mut String {
+        self.out.push_str(if first { "\n      \"" } else { ",\n      \"" });
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+        &mut self.out
+    }
+
+    fn tail(&mut self, name: &str, ph: &str, tid: usize) {
+        write_str(self.member(false, "name"), name);
+        write_str(self.member(false, "ph"), ph);
+        write_f64(self.member(false, "pid"), 0.0);
+        write_f64(self.member(false, "tid"), tid as f64);
+    }
+
+    /// A complete (`X`) event.
+    fn slice(&mut self, name: &str, ts: f64, dur: f64, tid: usize) {
+        self.open();
+        write_f64(self.member(true, "dur"), dur);
+        self.tail(name, "X", tid);
+        write_f64(self.member(false, "ts"), ts);
+        self.out.push_str("\n    }");
+    }
+
+    /// One half of a flow arrow (`ph` `s` or `f`; the finish binds with
+    /// `bp`).
+    fn flow_end(&mut self, bp: Option<&str>, id: u64, name: &str, ph: &str, tid: usize, ts: f64) {
+        self.open();
+        if let Some(bp) = bp {
+            write_str(self.member(true, "bp"), bp);
+        }
+        write_str(self.member(bp.is_none(), "cat"), "flow");
+        write_f64(self.member(false, "id"), id as f64);
+        self.tail(name, ph, tid);
+        write_f64(self.member(false, "ts"), ts);
+        self.out.push_str("\n    }");
+    }
+
+    /// Thread-name metadata for one lane.
+    fn thread_name(&mut self, lane: &str, tid: usize) {
+        self.open();
+        self.member(true, "args").push_str("{\n        \"name\": ");
+        write_str(&mut self.out, lane);
+        self.out.push_str("\n      }");
+        self.tail("thread_name", "M", tid);
+        self.out.push_str("\n    }");
+    }
+
+    fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            return "{\n  \"traceEvents\": []\n}".to_string();
+        }
+        self.out.push_str("\n  ]\n}");
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -445,5 +505,88 @@ mod tests {
     fn chrome_trace_of_empty_timeline_is_valid_json() {
         let doc: serde_json::Value = serde_json::from_str(&to_chrome_trace(&[])).unwrap();
         assert_eq!(doc["traceEvents"].as_array().unwrap().len(), 0);
+    }
+
+    /// The `Value`-tree rendering the direct writer replaced, kept as its
+    /// oracle.
+    fn chrome_trace_via_value(intervals: &[Interval], flows: &[FlowArrow]) -> String {
+        fn lane_tid<'a>(lanes: &mut Vec<&'a str>, lane: &'a str) -> usize {
+            match lanes.iter().position(|l| *l == lane) {
+                Some(i) => i,
+                None => {
+                    lanes.push(lane);
+                    lanes.len() - 1
+                }
+            }
+        }
+        let mut lanes: Vec<&str> = Vec::new();
+        let mut events = Vec::new();
+        for iv in intervals {
+            let tid = lane_tid(&mut lanes, iv.lane.as_str());
+            events.push(serde_json::json!({
+                "name": iv.kind, "ph": "X", "ts": iv.start * 1e6,
+                "dur": (iv.end - iv.start) * 1e6, "pid": 0, "tid": tid,
+            }));
+        }
+        for f in flows {
+            let src = lane_tid(&mut lanes, f.src_lane.as_str());
+            let dst = lane_tid(&mut lanes, f.dst_lane.as_str());
+            let (send_us, recv_us) = (f.send_t * 1e6, f.recv_t * 1e6);
+            events.push(serde_json::json!({
+                "name": f.name, "ph": "X", "ts": send_us, "dur": 1.0, "pid": 0, "tid": src,
+            }));
+            events.push(serde_json::json!({
+                "name": f.name, "ph": "X", "ts": recv_us, "dur": 1.0, "pid": 0, "tid": dst,
+            }));
+            events.push(serde_json::json!({
+                "name": f.name, "cat": "flow", "ph": "s", "id": f.id,
+                "ts": send_us, "pid": 0, "tid": src,
+            }));
+            events.push(serde_json::json!({
+                "name": f.name, "cat": "flow", "ph": "f", "bp": "e", "id": f.id,
+                "ts": recv_us, "pid": 0, "tid": dst,
+            }));
+        }
+        for (tid, lane) in lanes.iter().enumerate() {
+            events.push(serde_json::json!({
+                "name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": lane},
+            }));
+        }
+        serde_json::to_string_pretty(&serde_json::json!({ "traceEvents": events })).unwrap()
+    }
+
+    #[test]
+    fn chrome_trace_writer_matches_the_value_rendering_byte_for_byte() {
+        let arrow = |id: u64, name: &str, src: &str, send_t: f64, dst: &str, recv_t: f64| FlowArrow {
+            id,
+            name: name.into(),
+            src_lane: src.into(),
+            send_t,
+            dst_lane: dst.into(),
+            recv_t,
+        };
+        let intervals = [
+            iv("node0-gpu0-compute", "kernel", 0.07, 0.0712345678),
+            iv("node0-cpu-c0", "cpu-task", -0.0, 1e10),
+            iv("node0-gpu0-compute", "h2d", 5e-324, f64::MAX),
+            iv("lane \"q\" \\ \n\t\u{1}é", "kind\u{1f}/", f64::NAN, f64::INFINITY),
+            iv("node0-cpu-c0", "", 1.0 / 3.0, 0.5),
+        ];
+        let flows = [
+            arrow(7, "msg 4096B", "net-rank0", 0.1, "net-rank1", 0.2),
+            arrow(u64::MAX, "msg \"x\"", "node0-cpu-c0", 1e9, "only-in-flows", f64::NEG_INFINITY),
+            arrow(1 << 53, "", "net-rank1", 123456.789, "net-rank0", 1e15),
+        ];
+        for (ivs, fls) in [
+            (&intervals[..0], &flows[..0]),
+            (&intervals[..], &flows[..0]),
+            (&intervals[..0], &flows[..]),
+            (&intervals[..], &flows[..]),
+        ] {
+            assert_eq!(
+                to_chrome_trace_with_flows(ivs, fls),
+                chrome_trace_via_value(ivs, fls)
+            );
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! device class whose last block arrives last.
 
 use crate::trace::{pair_flows, Flow, TraceEvent};
+use obs::EventView;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Barrier-ordered stages of one iteration, in execution order.
@@ -161,16 +162,7 @@ impl Analysis {
     }
 }
 
-/// Node index encoded in a lane name (`node{r}-…` or `net-rank{r}`).
-pub fn node_of_lane(lane: &str) -> Option<u64> {
-    let digits = lane
-        .strip_prefix("node")
-        .or_else(|| lane.strip_prefix("net-rank"))?;
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    digits[..end].parse().ok()
-}
+pub use obs::lane_node as node_of_lane;
 
 fn is_cpu_lane(lane: &str) -> bool {
     lane.contains("-cpu-")
@@ -185,11 +177,17 @@ fn is_gpu_lane(lane: &str) -> bool {
 /// iteration tags, so device and network spans are attributed by time
 /// containment.
 pub fn analyze(events: &[TraceEvent]) -> Analysis {
+    analyze_view(events)
+}
+
+/// [`analyze`] over any [`EventView`] — a clamped "as seen at time t"
+/// view, say — without first copying it into [`TraceEvent`]s.
+pub fn analyze_view<E: EventView>(events: &[E]) -> Analysis {
     let mut analysis = Analysis::default();
     if events.is_empty() {
         return analysis;
     }
-    analysis.trace_start = events.iter().map(|e| e.t).fold(f64::INFINITY, f64::min);
+    analysis.trace_start = events.iter().map(|e| e.t()).fold(f64::INFINITY, f64::min);
     analysis.trace_end = events.iter().map(|e| e.end()).fold(0.0, f64::max);
 
     // Cross-node causal edges, paired once for the whole trace.
@@ -198,19 +196,19 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
     // Stage windows: (iter, stage, node) -> (start, end).
     let mut windows: BTreeMap<(u64, usize, u64), (f64, f64)> = BTreeMap::new();
     for e in events {
-        let (Some(iter), Some(node)) = (e.iter, node_of_lane(&e.lane)) else {
+        let (Some(iter), Some(node)) = (e.iter(), node_of_lane(e.lane())) else {
             continue;
         };
-        let Some(stage) = STAGES.iter().position(|s| *s == e.kind) else {
+        let Some(stage) = STAGES.iter().position(|s| *s == e.kind()) else {
             continue;
         };
-        if !e.lane.ends_with("-sched") {
+        if !e.lane().ends_with("-sched") {
             continue;
         }
         let entry = windows
             .entry((iter, stage, node))
-            .or_insert((e.t, e.end()));
-        entry.0 = entry.0.min(e.t);
+            .or_insert((e.t(), e.end()));
+        entry.0 = entry.0.min(e.t());
         entry.1 = entry.1.max(e.end());
     }
 
@@ -269,8 +267,10 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         // Recovery events inside the window (tagged or by containment).
         let recovery_events = events
             .iter()
-            .filter(|e| RECOVERY_KINDS.contains(&e.kind.as_str()))
-            .filter(|e| e.iter == Some(iter) || (e.iter.is_none() && e.t >= start && e.t <= end))
+            .filter(|e| RECOVERY_KINDS.contains(&e.kind()))
+            .filter(|e| {
+                e.iter() == Some(iter) || (e.iter().is_none() && e.t() >= start && e.t() <= end)
+            })
             .count() as u64;
 
         let comm_secs = stages.get("shuffle").copied().unwrap_or(0.0)
@@ -309,12 +309,12 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
         // are containers, not resources — skip them.
         let mut busy: BTreeMap<String, f64> = BTreeMap::new();
         for e in events {
-            if e.dur.is_none() || e.lane.ends_with("-sched") || e.lane == "master" {
+            if e.dur().is_none() || e.lane().ends_with("-sched") || e.lane() == "master" {
                 continue;
             }
             let o = e.overlap(start, end);
             if o > 0.0 {
-                *busy.entry(e.lane.clone()).or_insert(0.0) += o;
+                *busy.entry(e.lane().to_string()).or_insert(0.0) += o;
             }
         }
         let lane_slack = busy
@@ -348,25 +348,30 @@ pub fn analyze(events: &[TraceEvent]) -> Analysis {
 
 /// The device lane on `node` whose last span inside `[start, end]` ends
 /// last — the true tail of the map stage.
-fn last_device_lane(events: &[TraceEvent], node: u64, start: f64, end: f64) -> Option<String> {
+fn last_device_lane<E: EventView>(
+    events: &[E],
+    node: u64,
+    start: f64,
+    end: f64,
+) -> Option<String> {
     let eps = 1e-12;
     events
         .iter()
-        .filter(|e| e.dur.is_some())
-        .filter(|e| node_of_lane(&e.lane) == Some(node))
-        .filter(|e| is_cpu_lane(&e.lane) || is_gpu_lane(&e.lane))
-        .filter(|e| e.t >= start - eps && e.end() <= end + eps)
+        .filter(|e| e.dur().is_some())
+        .filter(|e| node_of_lane(e.lane()) == Some(node))
+        .filter(|e| is_cpu_lane(e.lane()) || is_gpu_lane(e.lane()))
+        .filter(|e| e.t() >= start - eps && e.end() <= end + eps)
         .max_by(|a, b| {
             a.end()
                 .total_cmp(&b.end())
-                .then_with(|| b.lane.cmp(&a.lane))
+                .then_with(|| b.lane().cmp(a.lane()))
         })
-        .map(|e| e.lane.clone())
+        .map(|e| e.lane().to_string())
 }
 
 #[allow(clippy::too_many_arguments)]
-fn classify(
-    events: &[TraceEvent],
+fn classify<E: EventView>(
+    events: &[E],
     map_windows: &[(u64, f64, f64)],
     map_seg: Option<&PathSegment>,
     recovery_events: u64,

@@ -263,7 +263,7 @@ fn node_growth_hints(
             if !e.lane.ends_with("-sched") || !STAGES.contains(&e.kind.as_str()) {
                 continue;
             }
-            let Some(node) = crate::trace::lane_node(&e.lane) else { continue };
+            let Some(node) = obs::lane_node(&e.lane) else { continue };
             *out.entry((iter, e.kind.clone(), node)).or_insert(0.0) += dur;
         }
         out

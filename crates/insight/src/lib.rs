@@ -41,7 +41,9 @@ pub mod report;
 pub mod trace;
 
 pub use calibrate::{fit_from_events, CalibrationProfile, SampleCounts, DEFAULT_ALPHA};
-pub use critical::{analyze, Analysis, Blame, IterationAnalysis, LaneSlack, PathSegment};
+pub use critical::{
+    analyze, analyze_view, Analysis, Blame, IterationAnalysis, LaneSlack, PathSegment,
+};
 pub use diff::{diff, diff_events, BlameShift, Diff, StageDelta, DIFF_SCHEMA};
 pub use postmortem::{parse_capture_jsonl, CaptureDoc, POSTMORTEM_SCHEMA};
 pub use report::{critical_path_json, report_json, summary_table};

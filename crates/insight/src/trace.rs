@@ -7,6 +7,8 @@
 //! canonical order, so the analysis of a live bus and of its exported
 //! JSONL are identical.
 
+use obs::jsonl::{read_events, EventRecord, JsonlError};
+use obs::{lane_node, EventView};
 use std::collections::BTreeMap;
 
 /// One span or point event, with owned strings and a key-sorted attr map.
@@ -52,6 +54,32 @@ impl TraceEvent {
     }
 }
 
+impl EventView for TraceEvent {
+    fn t(&self) -> f64 {
+        self.t
+    }
+    fn dur(&self) -> Option<f64> {
+        self.dur
+    }
+    fn lane(&self) -> &str {
+        &self.lane
+    }
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+    fn iter(&self) -> Option<u64> {
+        self.iter
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        TraceEvent::attr(self, key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        for (k, v) in &self.attrs {
+            f(k, *v);
+        }
+    }
+}
+
 /// One cross-node message flow: a `msg-send` point event paired with its
 /// `msg-recv` through the shared `flow` attribute. The interval
 /// `[send_t, recv_t]` is the message's in-flight (wire + queueing +
@@ -85,42 +113,33 @@ impl Flow {
     }
 }
 
-/// Worker node index of a `node{r}-...` or `net-rank{r}` lane.
-pub(crate) fn lane_node(lane: &str) -> Option<u64> {
-    let rest = lane
-        .strip_prefix("node")
-        .or_else(|| lane.strip_prefix("net-rank"))?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 /// Pairs `msg-send` events with their `msg-recv` by flow id. Events
 /// missing a counterpart are dropped (the flow-conservation tests assert
 /// there are none); duplicate ids pair in time order. The result is
 /// sorted by `(send_t, id)`.
-pub fn pair_flows(events: &[TraceEvent]) -> Vec<Flow> {
+pub fn pair_flows<E: EventView>(events: &[E]) -> Vec<Flow> {
     use std::collections::VecDeque;
-    let mut sends: BTreeMap<u64, VecDeque<&TraceEvent>> = BTreeMap::new();
-    for e in events.iter().filter(|e| e.kind == "msg-send") {
+    let mut sends: BTreeMap<u64, VecDeque<&E>> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.kind() == "msg-send") {
         if let Some(flow) = e.attr("flow") {
             sends.entry(flow as u64).or_default().push_back(e);
         }
     }
     let mut out = Vec::new();
-    for e in events.iter().filter(|e| e.kind == "msg-recv") {
+    for e in events.iter().filter(|e| e.kind() == "msg-recv") {
         let Some(flow) = e.attr("flow") else { continue };
         let Some(q) = sends.get_mut(&(flow as u64)) else { continue };
         let Some(s) = q.pop_front() else { continue };
         out.push(Flow {
             id: flow as u64,
-            src_lane: s.lane.clone(),
-            dst_lane: e.lane.clone(),
-            send_t: s.t,
-            recv_t: e.t,
+            src_lane: s.lane().to_string(),
+            dst_lane: e.lane().to_string(),
+            send_t: s.t(),
+            recv_t: e.t(),
             bytes: s.attr("bytes").unwrap_or(0.0),
-            iter: s.iter,
-            src_node: lane_node(&s.lane),
-            dst_node: lane_node(&e.lane),
+            iter: s.iter(),
+            src_node: lane_node(s.lane()),
+            dst_node: lane_node(e.lane()),
         });
     }
     out.sort_by(|a, b| a.send_t.total_cmp(&b.send_t).then_with(|| a.id.cmp(&b.id)));
@@ -138,77 +157,52 @@ fn canonical_sort(events: &mut [TraceEvent]) {
 
 /// Snapshots a live bus into owned events, canonically sorted.
 pub fn from_bus(bus: &obs::EventBus) -> Vec<TraceEvent> {
-    let mut out: Vec<TraceEvent> = bus
-        .events()
-        .into_iter()
-        .map(|e| TraceEvent {
-            t: e.t,
-            dur: e.dur,
-            lane: e.lane.to_string(),
-            kind: e.kind.to_string(),
-            iter: e.iteration,
-            part: e.partition,
-            block: e.block,
-            attrs: e
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        })
-        .collect();
+    let mut out: Vec<TraceEvent> = bus.with_events(|events| {
+        events
+            .iter()
+            .map(|e| TraceEvent {
+                t: e.t,
+                dur: e.dur,
+                lane: e.lane.to_string(),
+                kind: e.kind.to_string(),
+                iter: e.iteration,
+                part: e.partition,
+                block: e.block,
+                attrs: e
+                    .attrs
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), *v))
+                    .collect(),
+            })
+            .collect()
+    });
     canonical_sort(&mut out);
     out
 }
 
-/// Parses an `events.jsonl` export (one JSON object per line).
+/// Parses an `events.jsonl` export (one JSON object per line) through
+/// the bundle codec ([`obs::jsonl::read_events`], which documents what
+/// is tolerated and what is rejected).
 ///
 /// Unknown keys are ignored so the parser tolerates schema growth; a line
-/// that is not a JSON object is an error, because a truncated bundle
-/// should fail loudly rather than silently analyze half a run.
-pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
+/// that is not a JSON object is an error, and so is a file whose meta
+/// line announces a different number of events than it holds, because a
+/// truncated bundle should fail loudly rather than silently analyze half
+/// a run.
+pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonlError> {
     let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = serde_json::from_str(line)
-            .map_err(|e| format!("events.jsonl line {}: {e}", lineno + 1))?;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("events.jsonl line {}: not an object", lineno + 1))?;
-        if obj.contains_key("schema") {
-            // Exporter meta line (`obs::EVENTS_SCHEMA`), not an event.
-            continue;
-        }
-        let num = |key: &str| obj.get(key).and_then(|x| x.as_f64());
-        let int = |key: &str| obj.get(key).and_then(|x| x.as_u64());
-        let text_field = |key: &str| {
-            obj.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("events.jsonl line {}: missing {key:?}", lineno + 1))
-        };
-        let mut attrs = BTreeMap::new();
-        if let Some(a) = obj.get("attrs").and_then(|x| x.as_object()) {
-            for (k, v) in a {
-                if let Some(f) = v.as_f64() {
-                    attrs.insert(k.clone(), f);
-                }
-            }
-        }
+    read_events(text, |e: EventRecord<'_, BTreeMap<String, f64>>| {
         out.push(TraceEvent {
-            t: num("t")
-                .ok_or_else(|| format!("events.jsonl line {}: missing \"t\"", lineno + 1))?,
-            dur: num("dur"),
-            lane: text_field("lane")?,
-            kind: text_field("kind")?,
-            iter: int("iter"),
-            part: int("part"),
-            block: int("block"),
-            attrs,
+            t: e.t,
+            dur: e.dur,
+            lane: e.lane.into_owned(),
+            kind: e.kind.into_owned(),
+            iter: e.iter,
+            part: e.part,
+            block: e.block,
+            attrs: e.attrs,
         });
-    }
+    })?;
     canonical_sort(&mut out);
     Ok(out)
 }

@@ -9,6 +9,7 @@
 //! analytic-model error a first-class queryable quantity — the same
 //! predicted-vs-measured feedback loop StarPU uses for calibration.
 
+use crate::jsonl::{ScanError, Scanner};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -125,9 +126,10 @@ impl DecisionRecord {
         Value::Object(m)
     }
 
-    /// Rebuilds the fields `prs advise --from-trace` needs from a
-    /// parsed `decisions.jsonl` line. Unknown/missing keys fall back to
-    /// zero; observed fields stay `None` when absent.
+    /// Rebuilds the fields `prs advise --from-trace` needs from an
+    /// already parsed `decisions.jsonl` line ([`AuditLog::parse_jsonl`]
+    /// reads the text directly, with the same fallbacks). Unknown/missing
+    /// keys fall back to zero; observed fields stay `None` when absent.
     pub fn from_value(v: &Value) -> Option<Self> {
         let obj = v.as_object()?;
         let num = |k: &str| obj.get(k).and_then(Value::as_f64);
@@ -270,10 +272,70 @@ impl AuditLog {
     pub fn parse_jsonl(text: &str) -> Vec<DecisionRecord> {
         text.lines()
             .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| serde_json::from_str(l).ok())
-            .filter_map(|v| DecisionRecord::from_value(&v))
+            .filter_map(|l| read_decision_line(l).ok().flatten())
             .collect()
     }
+}
+
+/// Numeric members of a decision line, in [`DecisionRecord`] order.
+const NUM_KEYS: [&str; 18] = [
+    "node", "iter", "ai_cpu", "ai_gpu", "cpu_ridge", "gpu_ridge", "gpus_total", "gpus_usable",
+    "p", "block_items", "items", "bytes", "pred_cpu_s", "pred_gpu_s", "pred_map_s", "obs_cpu_s",
+    "obs_gpu_s", "obs_map_s",
+];
+const STR_KEYS: [&str; 3] = ["mode", "trigger", "regime"];
+
+/// One line of `decisions.jsonl` read without building a `Value`; the
+/// same fallbacks as [`DecisionRecord::from_value`] (`None` for lines
+/// that are not objects or lack a numeric `node`/`iter` — the meta line,
+/// autoscaler lines).
+fn read_decision_line(line: &str) -> Result<Option<DecisionRecord>, ScanError> {
+    let mut sc = Scanner::new(line);
+    let mut num = [None; NUM_KEYS.len()];
+    let mut text = [None, None, None];
+    if !sc.begin_object() {
+        sc.skip_value()?;
+        sc.end()?;
+        return Ok(None);
+    }
+    while let Some(key) = sc.next_key()? {
+        if let Some(i) = NUM_KEYS.iter().position(|k| *k == key) {
+            num[i] = sc.number()?;
+        } else if let Some(i) = STR_KEYS.iter().position(|k| *k == key) {
+            text[i] = sc.string()?;
+        } else {
+            sc.skip_value()?;
+        }
+    }
+    sc.end()?;
+    let (Some(node), Some(iteration)) = (num[0], num[1]) else {
+        return Ok(None);
+    };
+    let n = |i: usize| num[i].unwrap_or(0.0);
+    let mut s = |i: usize| text[i].take().map(|s| s.into_owned()).unwrap_or_default();
+    Ok(Some(DecisionRecord {
+        node: node as usize,
+        iteration: iteration as usize,
+        mode: s(0),
+        trigger: s(1),
+        ai_cpu: n(2),
+        ai_gpu: n(3),
+        cpu_ridge: n(4),
+        gpu_ridge: n(5),
+        regime: s(2),
+        gpus_total: n(6) as usize,
+        gpus_usable: n(7) as usize,
+        cpu_fraction: n(8),
+        block_items: n(9) as usize,
+        items: n(10) as usize,
+        bytes: n(11) as u64,
+        predicted_cpu_secs: n(12),
+        predicted_gpu_secs: n(13),
+        predicted_map_secs: n(14),
+        observed_cpu_secs: num[15],
+        observed_gpu_secs: num[16],
+        observed_map_secs: num[17],
+    }))
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! name, not per event) and the event vector sits behind a single
 //! `parking_lot` mutex taken only when the bus is enabled.
 
+use crate::jsonl::{CanonicalLines, ObjectWriter};
 use parking_lot::Mutex;
-use serde::Value;
 use simtime::SimTime;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,37 +39,6 @@ pub struct Event {
     pub block: Option<u64>,
     /// Free-form numeric attributes (flops, bytes, wait seconds, ...).
     pub attrs: Vec<(&'static str, f64)>,
-}
-
-impl Event {
-    /// JSON object for one event; keys are emitted in BTreeMap order so
-    /// the rendering is deterministic.
-    pub fn to_value(&self) -> Value {
-        let mut m = BTreeMap::new();
-        m.insert("t".to_string(), Value::Number(self.t));
-        if let Some(d) = self.dur {
-            m.insert("dur".to_string(), Value::Number(d));
-        }
-        m.insert("lane".to_string(), Value::String(self.lane.to_string()));
-        m.insert("kind".to_string(), Value::String(self.kind.to_string()));
-        if let Some(i) = self.iteration {
-            m.insert("iter".to_string(), Value::Number(i as f64));
-        }
-        if let Some(p) = self.partition {
-            m.insert("part".to_string(), Value::Number(p as f64));
-        }
-        if let Some(b) = self.block {
-            m.insert("block".to_string(), Value::Number(b as f64));
-        }
-        if !self.attrs.is_empty() {
-            let mut attrs = BTreeMap::new();
-            for (k, v) in &self.attrs {
-                attrs.insert((*k).to_string(), Value::Number(*v));
-            }
-            m.insert("attrs".to_string(), Value::Object(attrs));
-        }
-        Value::Object(m)
-    }
 }
 
 /// The event log behind one bus: a vector of the *resident* events plus
@@ -289,28 +258,30 @@ impl EventBus {
         }
     }
 
+    /// Runs `f` over the *resident* events, in append order, without
+    /// copying them (the log stays locked while `f` runs, so `f` must
+    /// not emit). Empty when disabled.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        match &self.inner {
+            Some(inner) => f(&inner.log.lock().events),
+            None => f(&[]),
+        }
+    }
+
     /// Canonical JSONL export: one JSON object per line, lines sorted
     /// by `(t, rendered bytes)` so two runs that record the same set of
     /// events — in any append order — produce byte-identical output.
     pub fn to_jsonl(&self) -> String {
-        let mut lines: Vec<(f64, String)> = self
-            .events()
-            .iter()
-            .map(|e| (e.t, e.to_value().to_json_string()))
-            .collect();
-        lines.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        let lines = self.with_events(|events| CanonicalLines::render(events));
         let mut out = String::new();
         if !lines.is_empty() {
-            let mut meta = BTreeMap::new();
-            meta.insert("schema".to_string(), Value::String(EVENTS_SCHEMA.to_string()));
-            meta.insert("events".to_string(), Value::Number(lines.len() as f64));
-            out.push_str(&Value::Object(meta).to_json_string());
+            let mut meta = ObjectWriter::begin(&mut out);
+            meta.num("events", lines.len() as f64);
+            meta.str("schema", EVENTS_SCHEMA);
+            meta.end();
             out.push('\n');
         }
-        for (_, l) in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
+        lines.append_to(&mut out);
         out
     }
 }

@@ -32,6 +32,7 @@
 
 pub mod audit;
 pub mod bus;
+pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
@@ -43,8 +44,21 @@ pub use bus::{Event, EventBus, EventDraft, Subscription, EVENTS_SCHEMA};
 pub use metrics::{MetricsRegistry, METRICS_SCHEMA};
 pub use profile::{profile, Frame, FrameSet, Profile, PROFILE_SCHEMA, STACKS_SCHEMA};
 pub use recorder::{Capture, FoldBin, Recorder, RecorderConfig, RecorderSummary, CAPTURE_SCHEMA};
-pub use rollup::{rollup, Rollup, RollupConfig, RollupEvent};
+pub use jsonl::JsonlError;
+pub use rollup::{rollup, EventView, Rollup, RollupConfig, RollupEvent};
 pub use trace_ctx::{flow_id, TraceCtx, CONTROL_RANK};
+
+/// Worker node index of a `node{r}-…` or `net-rank{r}` lane; `None` for
+/// lanes that belong to no worker (`master`, `resilience`, `membership`).
+pub fn lane_node(lane: &str) -> Option<u64> {
+    let rest = lane
+        .strip_prefix("node")
+        .or_else(|| lane.strip_prefix("net-rank"))?;
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
 
 /// The bundle threaded through the runtime: one event bus, one metrics
 /// registry, one decision audit log. Cloning shares the underlying
@@ -119,6 +133,18 @@ mod tests {
         obs.metrics.counter_add("c", &[], 1.0);
         assert_eq!(obs.metrics.to_prometheus(), "");
         assert!(obs.audit.records().is_empty());
+    }
+
+    #[test]
+    fn lane_node_reads_the_worker_rank() {
+        assert_eq!(lane_node("node12-gpu0-compute"), Some(12));
+        assert_eq!(lane_node("node0-sched"), Some(0));
+        assert_eq!(lane_node("net-rank7"), Some(7));
+        assert_eq!(lane_node("node"), None);
+        assert_eq!(lane_node("nodeX-sched"), None);
+        assert_eq!(lane_node("node99999999999999999999-sched"), None);
+        assert_eq!(lane_node("master"), None);
+        assert_eq!(lane_node("resilience"), None);
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! at that instant (`setup` before the first stage, `recovery` on the
 //! resilience lane, `control` on the master lane).
 
+use crate::jsonl::{JsonlError, ObjectWriter, ScanError, Scanner};
+use crate::lane_node;
 use serde::Value;
 use simtime::StackCtx;
 use std::collections::BTreeMap;
@@ -111,18 +113,18 @@ impl FrameSet {
             return String::new();
         }
         let mut out = String::new();
-        let mut meta = BTreeMap::new();
-        meta.insert("schema".to_string(), Value::String(STACKS_SCHEMA.to_string()));
-        meta.insert("frames".to_string(), Value::Number(self.frames.len() as f64));
-        out.push_str(&Value::Object(meta).to_json_string());
+        let mut meta = ObjectWriter::begin(&mut out);
+        meta.num("frames", self.frames.len() as f64);
+        meta.str("schema", STACKS_SCHEMA);
+        meta.end();
         out.push('\n');
         for f in &self.frames {
-            let mut m = BTreeMap::new();
-            m.insert("t0".to_string(), Value::Number(f.t0));
-            m.insert("t1".to_string(), Value::Number(f.t1));
-            m.insert("lane".to_string(), Value::String(f.lane.clone()));
-            m.insert("frame".to_string(), Value::String(f.frame.clone()));
-            out.push_str(&Value::Object(m).to_json_string());
+            let mut o = ObjectWriter::begin(&mut out);
+            o.str("frame", &f.frame);
+            o.str("lane", &f.lane);
+            o.num("t0", f.t0);
+            o.num("t1", f.t1);
+            o.end();
             out.push('\n');
         }
         out
@@ -130,37 +132,61 @@ impl FrameSet {
 
     /// Parses a `stacks.jsonl` rendering. Lines carrying a `schema` key
     /// are metadata; every other line must be a frame object.
-    pub fn parse_stacks_jsonl(text: &str) -> Result<Self, String> {
+    pub fn parse_stacks_jsonl(text: &str) -> Result<Self, JsonlError> {
         let mut frames = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let v = serde_json::from_str(line)
-                .map_err(|e| format!("stacks.jsonl line {}: {e:?}", i + 1))?;
-            if v.get("schema").is_some() {
-                continue;
-            }
-            let field = |k: &str| {
-                v.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("stacks.jsonl line {}: missing '{k}'", i + 1))
-            };
-            let s = |k: &str| {
-                v.get(k)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("stacks.jsonl line {}: missing '{k}'", i + 1))
-            };
-            frames.push(Frame {
-                lane: s("lane")?,
-                frame: s("frame")?,
-                t0: field("t0")?,
-                t1: field("t1")?,
-            });
+            let frame = read_frame_line(line).map_err(|msg| JsonlError::Line {
+                file: "stacks.jsonl",
+                line: i + 1,
+                msg,
+            })?;
+            frames.extend(frame);
         }
         Ok(FrameSet::from_frames(frames))
     }
+}
+
+/// One line of `stacks.jsonl`: `None` for a meta line (an object
+/// carrying `schema`), otherwise the frame. `Err` says what is wrong:
+/// not JSON, or a member missing (anything but an object lacks them all).
+fn read_frame_line(line: &str) -> Result<Option<Frame>, String> {
+    let mut sc = Scanner::new(line);
+    let (mut lane, mut frame, mut t0, mut t1) = (None, None, None, None);
+    let mut meta = false;
+    let mut scan = || -> Result<(), ScanError> {
+        if !sc.begin_object() {
+            sc.skip_value()?;
+            return sc.end();
+        }
+        while let Some(key) = sc.next_key()? {
+            match key.as_ref() {
+                "lane" => lane = sc.string()?,
+                "frame" => frame = sc.string()?,
+                "t0" => t0 = sc.number()?,
+                "t1" => t1 = sc.number()?,
+                "schema" => {
+                    meta = true;
+                    sc.skip_value()?;
+                }
+                _ => sc.skip_value()?,
+            }
+        }
+        sc.end()
+    };
+    scan().map_err(|e| e.to_string())?;
+    if meta {
+        return Ok(None);
+    }
+    let missing = |key: &str| format!("missing '{key}'");
+    Ok(Some(Frame {
+        lane: lane.ok_or_else(|| missing("lane"))?.into_owned(),
+        frame: frame.ok_or_else(|| missing("frame"))?.into_owned(),
+        t0: t0.ok_or_else(|| missing("t0"))?,
+        t1: t1.ok_or_else(|| missing("t1"))?,
+    }))
 }
 
 /// The lane's blame class — the same axes the insight layer attributes
@@ -180,21 +206,6 @@ fn lane_class(lane: &str) -> &'static str {
         "recovery"
     } else {
         "other"
-    }
-}
-
-/// Node rank encoded in a lane name (`node{r}-...` or `net-rank{r}`).
-fn lane_node(lane: &str) -> Option<u64> {
-    let digits = |s: &str| {
-        let d: String = s.chars().take_while(char::is_ascii_digit).collect();
-        d.parse().ok()
-    };
-    if let Some(rest) = lane.strip_prefix("node") {
-        digits(rest)
-    } else if let Some(rest) = lane.strip_prefix("net-rank") {
-        digits(rest)
-    } else {
-        None
     }
 }
 

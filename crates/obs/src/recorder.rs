@@ -38,6 +38,7 @@
 //! (`benches/recorder_overhead.rs` asserts the bits).
 
 use crate::bus::{Event, EventBus};
+use crate::jsonl::CanonicalLines;
 use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use serde::Value;
@@ -207,16 +208,7 @@ impl Capture {
             out.push_str(&l);
             out.push('\n');
         }
-        let mut lines: Vec<(f64, String)> = self
-            .events
-            .iter()
-            .map(|e| (e.t, e.to_value().to_json_string()))
-            .collect();
-        lines.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for (_, l) in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
+        CanonicalLines::render(&self.events).append_to(&mut out);
         out
     }
 }
@@ -451,17 +443,13 @@ impl Recorder {
         // resident count fits. Only events below the stability watermark
         // participate, so the choice is identical under every engine.
         if st.retained.len() > cfg.budget {
-            let mut stable: Vec<(f64, String, usize)> = st
-                .retained
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.t < stable_before && !protected(e))
-                .map(|(i, e)| (e.t, e.to_value().to_json_string(), i))
+            let stable: Vec<usize> = (0..st.retained.len())
+                .filter(|&i| st.retained[i].t < stable_before && !protected(&st.retained[i]))
                 .collect();
-            stable.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let oldest_first = CanonicalLines::render(stable.iter().map(|&i| &st.retained[i]));
             let excess = st.retained.len() - cfg.budget;
             let mut drop_idx: Vec<usize> =
-                stable.iter().take(excess).map(|(_, _, i)| *i).collect();
+                oldest_first.positions().take(excess).map(|p| stable[p]).collect();
             drop_idx.sort_unstable_by(|a, b| b.cmp(a));
             for i in drop_idx {
                 evicted.push(st.retained.swap_remove(i));

@@ -25,9 +25,63 @@ use std::collections::BTreeMap;
 /// Schema tag stamped into the `rollup.jsonl` meta line.
 pub const ROLLUP_SCHEMA: &str = "prs-rollup-v1";
 
-/// A borrowed-free view of one event, decoupled from
-/// [`crate::bus::Event`]'s interned strings so rollups can also be built
-/// from a parsed `events.jsonl` (where attribute keys are owned).
+/// Read access to one span or point event, whoever owns it. The
+/// aggregations over an event stream ([`rollup`], the watchdog, the
+/// critical-path analysis) are written against this trait, so a parsed
+/// `events.jsonl`, a live bus snapshot and a clamped "as seen at time
+/// t" view all feed them without being copied into a common struct.
+pub trait EventView {
+    /// Start time, virtual seconds.
+    fn t(&self) -> f64;
+    /// Span duration; `None` for point events.
+    fn dur(&self) -> Option<f64>;
+    /// Lane name (`node0-cpu-c1`, `net-rank2`, `master`, ...).
+    fn lane(&self) -> &str;
+    /// Event kind (`cpu-task`, `kernel`, `msg-send`, ...).
+    fn kind(&self) -> &str;
+    /// Outer iteration tag, if any.
+    fn iter(&self) -> Option<u64>;
+    /// Looks up a numeric attribute by name.
+    fn attr(&self, key: &str) -> Option<f64>;
+    /// Every attribute, in the owner's order (canonical tie-breaks
+    /// compare these).
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64));
+    /// Span end (start for point events).
+    fn end(&self) -> f64 {
+        self.t() + self.dur().unwrap_or(0.0)
+    }
+    /// Overlap (in seconds) between this span and `[start, end]`.
+    fn overlap(&self, start: f64, end: f64) -> f64 {
+        (self.end().min(end) - self.t().max(start)).max(0.0)
+    }
+}
+
+impl<E: EventView + ?Sized> EventView for &E {
+    fn t(&self) -> f64 {
+        (**self).t()
+    }
+    fn dur(&self) -> Option<f64> {
+        (**self).dur()
+    }
+    fn lane(&self) -> &str {
+        (**self).lane()
+    }
+    fn kind(&self) -> &str {
+        (**self).kind()
+    }
+    fn iter(&self) -> Option<u64> {
+        (**self).iter()
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        (**self).attr(key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        (**self).each_attr(f)
+    }
+}
+
+/// An owned event decoupled from [`crate::bus::Event`]'s interned
+/// strings — the plainest [`EventView`].
 #[derive(Clone, Debug)]
 pub struct RollupEvent {
     /// Start time, virtual seconds.
@@ -53,6 +107,32 @@ impl RollupEvent {
     /// Looks up a numeric attribute by name.
     pub fn attr(&self, key: &str) -> Option<f64> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+}
+
+impl EventView for RollupEvent {
+    fn t(&self) -> f64 {
+        self.t
+    }
+    fn dur(&self) -> Option<f64> {
+        self.dur
+    }
+    fn lane(&self) -> &str {
+        &self.lane
+    }
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+    fn iter(&self) -> Option<u64> {
+        self.iter
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        RollupEvent::attr(self, key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        for (k, v) in &self.attrs {
+            f(k, *v);
+        }
     }
 }
 
@@ -175,11 +255,9 @@ fn is_device_busy_kind(kind: &str) -> bool {
     kind == "cpu-task" || kind == "kernel"
 }
 
-/// Worker node index of a `node{r}-...` lane.
+/// Worker node index of a `node{r}-...` lane (not of a `net-rank{r}` one).
 fn node_of_lane(lane: &str) -> Option<u64> {
-    let rest = lane.strip_prefix("node")?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    lane.starts_with("node").then(|| crate::lane_node(lane))?
 }
 
 /// Overlap of `[a0, a1]` with `[b0, b1]`, clamped at zero.
@@ -202,7 +280,11 @@ fn median(sorted: &[f64]) -> f64 {
 /// Folds an event stream (plus the decision audit) into windowed
 /// cluster-level series. Pure and order-independent: permuting `events`
 /// does not change the result.
-pub fn rollup(events: &[RollupEvent], decisions: &[DecisionRecord], cfg: &RollupConfig) -> Rollup {
+pub fn rollup<E: EventView>(
+    events: &[E],
+    decisions: &[DecisionRecord],
+    cfg: &RollupConfig,
+) -> Rollup {
     let w = cfg.window_secs.max(1e-12);
     let horizon = events.iter().map(|e| e.end()).fold(0.0_f64, f64::max);
     let count = if horizon > 0.0 { (horizon / w).ceil() as usize } else { 0 };
@@ -241,17 +323,17 @@ pub fn rollup(events: &[RollupEvent], decisions: &[DecisionRecord], cfg: &Rollup
         Some(((t / w) as usize).min(count - 1))
     };
     for e in events {
-        if let Some(k) = win_of(e.t) {
+        if let Some(k) = win_of(e.t()) {
             windows[k].events += 1;
-            if is_recovery_kind(&e.kind) {
+            if is_recovery_kind(e.kind()) {
                 windows[k].recovery += 1;
             }
         }
-        if e.dur.is_some() && is_device_lane(&e.lane) && is_device_busy_kind(&e.kind) {
-            device_lanes.insert(&e.lane, ());
-            let node = node_of_lane(&e.lane);
+        if e.dur().is_some() && is_device_lane(e.lane()) && is_device_busy_kind(e.kind()) {
+            device_lanes.insert(e.lane(), ());
+            let node = node_of_lane(e.lane());
             for (k, win) in windows.iter().enumerate() {
-                let o = overlap(e.t, e.end(), win.t0, win.t1);
+                let o = overlap(e.t(), e.end(), win.t0, win.t1);
                 if o > 0.0 {
                     busy_per_window[k] += o;
                     if let Some(n) = node {
@@ -260,9 +342,9 @@ pub fn rollup(events: &[RollupEvent], decisions: &[DecisionRecord], cfg: &Rollup
                 }
             }
         }
-        match e.kind.as_str() {
+        match e.kind() {
             "queue-sample" => {
-                if let (Some(k), Some(d)) = (win_of(e.t), e.attr("depth")) {
+                if let (Some(k), Some(d)) = (win_of(e.t()), e.attr("depth")) {
                     if d > windows[k].queue_depth_peak {
                         windows[k].queue_depth_peak = d;
                     }
@@ -271,20 +353,20 @@ pub fn rollup(events: &[RollupEvent], decisions: &[DecisionRecord], cfg: &Rollup
             "msg-send" => {
                 if let Some(flow) = e.attr("flow") {
                     let bytes = e.attr("bytes").unwrap_or(0.0);
-                    flow_send.insert(flow as u64, (e.t, bytes));
-                    if let Some(k) = win_of(e.t) {
+                    flow_send.insert(flow as u64, (e.t(), bytes));
+                    if let Some(k) = win_of(e.t()) {
                         windows[k].net_sent_bytes += bytes;
                     }
                 }
             }
             "msg-recv" => {
                 if let Some(flow) = e.attr("flow") {
-                    flow_recv.insert(flow as u64, e.t);
+                    flow_recv.insert(flow as u64, e.t());
                 }
             }
             "map" => {
-                if let (Some(it), Some(n)) = (e.iter, node_of_lane(&e.lane)) {
-                    if e.lane.ends_with("-sched") {
+                if let (Some(it), Some(n)) = (e.iter(), node_of_lane(e.lane())) {
+                    if e.lane().ends_with("-sched") {
                         let entry = map_end.entry((it, n)).or_insert(f64::NEG_INFINITY);
                         if e.end() > *entry {
                             *entry = e.end();

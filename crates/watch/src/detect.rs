@@ -35,7 +35,10 @@
 //! thresholding, burn rates, and streak logic to [`crate::slo`].
 
 use crate::slo::SloRule;
-use obs::rollup::{rollup, RollupConfig, RollupEvent};
+#[cfg(test)]
+use obs::rollup::RollupEvent;
+use obs::rollup::{rollup, RollupConfig};
+use obs::{lane_node as node_of_lane, EventView};
 use obs::DecisionRecord;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -162,14 +165,6 @@ const STORM_KINDS: [&str; 9] = [
     "restore",
 ];
 
-fn node_of_lane(lane: &str) -> Option<u64> {
-    let rest = lane
-        .strip_prefix("node")
-        .or_else(|| lane.strip_prefix("net-rank"))?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
     if n == 0 {
@@ -184,8 +179,8 @@ fn median(sorted: &[f64]) -> f64 {
 
 /// Dispatches one rule to its detector. `events` must already be in
 /// canonical order (see `crate::watch`).
-pub fn signals_for_rule(
-    events: &[RollupEvent],
+pub fn signals_for_rule<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     horizon: f64,
     rule: &SloRule,
@@ -210,7 +205,8 @@ const FLAP_KINDS: [&str; 4] = ["join", "drain", "evict", "handoff"];
 /// window (same bucketing as [`recovery_storm`]). The lane is only
 /// emitted by the elastic driver, so the detector is silent on every
 /// fixed-cluster bundle.
-fn membership_flap(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<Signal> {
+fn membership_flap<E: EventView>(
+    events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
     let w = if rule.window_s > 0.0 {
         rule.window_s
     } else {
@@ -218,14 +214,14 @@ fn membership_flap(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<
     };
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
-        if e.lane != "membership" || !FLAP_KINDS.contains(&e.kind.as_str()) {
+        if e.lane() != "membership" || !FLAP_KINDS.contains(&e.kind()) {
             continue;
         }
-        let k = (e.t / w) as usize;
-        let entry = buckets.entry(k).or_insert((0, e.t));
+        let k = (e.t() / w) as usize;
+        let entry = buckets.entry(k).or_insert((0, e.t()));
         entry.0 += 1;
-        if e.t < entry.1 {
-            entry.1 = e.t;
+        if e.t() < entry.1 {
+            entry.1 = e.t();
         }
     }
     buckets
@@ -245,7 +241,8 @@ fn membership_flap(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<
 /// against the median EWMA of the *other* nodes at the same instant.
 /// A healthy homogeneous cluster sits at ratio ≈ 1; a node stretched by
 /// a slowdown window reports ≈ the injected factor.
-fn latency_drift(events: &[RollupEvent], rule: &SloRule) -> Vec<Signal> {
+fn latency_drift<E: EventView>(
+    events: &[E], rule: &SloRule) -> Vec<Signal> {
     let class = rule.class.unwrap_or(LaneClass::Cpu);
     let want_kind = match class {
         LaneClass::Gpu => "kernel",
@@ -255,13 +252,13 @@ fn latency_drift(events: &[RollupEvent], rule: &SloRule) -> Vec<Signal> {
     let mut ewma: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
     let mut signals = Vec::new();
     for e in events {
-        if e.kind != want_kind || e.dur.is_none() {
+        if e.kind() != want_kind || e.dur().is_none() {
             continue;
         }
-        let (Some(node), Some(flops)) = (node_of_lane(&e.lane), e.attr("flops")) else {
+        let (Some(node), Some(flops)) = (node_of_lane(e.lane()), e.attr("flops")) else {
             continue;
         };
-        let dur = e.dur.unwrap_or(0.0);
+        let dur = e.dur().unwrap_or(0.0);
         if flops < 1.0 || dur <= 0.0 {
             continue;
         }
@@ -300,29 +297,30 @@ fn latency_drift(events: &[RollupEvent], rule: &SloRule) -> Vec<Signal> {
 /// Confirmed heartbeat gaps: every `node-crash` / `master-failover`
 /// event on the `resilience` lane becomes one signal whose value is the
 /// detection gap (event time minus the crash instant in `at_s`).
-fn heartbeat_gap(events: &[RollupEvent]) -> Vec<Signal> {
+fn heartbeat_gap<E: EventView>(events: &[E]) -> Vec<Signal> {
     events
         .iter()
         .filter_map(|e| {
-            let (class, node) = match e.kind.as_str() {
+            let (class, node) = match e.kind() {
                 "node-crash" => (LaneClass::Node, e.attr("node").map(|n| n as u64)),
                 "master-failover" => (LaneClass::Master, None),
                 _ => return None,
             };
-            let at = e.attr("at_s").unwrap_or(e.t);
+            let at = e.attr("at_s").unwrap_or(e.t());
             Some(Signal {
-                t: e.t,
+                t: e.t(),
                 t_cause: at,
                 node,
                 class,
-                value: (e.t - at).max(0.0),
+                value: (e.t() - at).max(0.0),
             })
         })
         .collect()
 }
 
 /// Recovery storm: count of [`STORM_KINDS`] events per fixed window.
-fn recovery_storm(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<Signal> {
+fn recovery_storm<E: EventView>(
+    events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
     let w = if rule.window_s > 0.0 {
         rule.window_s
     } else {
@@ -330,14 +328,14 @@ fn recovery_storm(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<S
     };
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
-        if !STORM_KINDS.contains(&e.kind.as_str()) {
+        if !STORM_KINDS.contains(&e.kind()) {
             continue;
         }
-        let k = (e.t / w) as usize;
-        let entry = buckets.entry(k).or_insert((0, e.t));
+        let k = (e.t() / w) as usize;
+        let entry = buckets.entry(k).or_insert((0, e.t()));
         entry.0 += 1;
-        if e.t < entry.1 {
-            entry.1 = e.t;
+        if e.t() < entry.1 {
+            entry.1 = e.t();
         }
     }
     buckets
@@ -352,8 +350,8 @@ fn recovery_storm(events: &[RollupEvent], horizon: f64, rule: &SloRule) -> Vec<S
         .collect()
 }
 
-fn windows_for(
-    events: &[RollupEvent],
+fn windows_for<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     horizon: f64,
     rule: &SloRule,
@@ -370,8 +368,8 @@ fn windows_for(
 /// the preceding windows. The final (possibly truncated) window is the
 /// job winding down and is skipped; so are windows whose baseline never
 /// saw real load.
-fn throughput_drop(
-    events: &[RollupEvent],
+fn throughput_drop<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     horizon: f64,
     rule: &SloRule,
@@ -405,8 +403,8 @@ fn throughput_drop(
 /// Comm stall: bytes in flight while the devices sit essentially idle.
 /// The value is `0.05 / util` when traffic is pending (≥ 1 once
 /// utilization drops under 5%), 0 otherwise.
-fn comm_stall(
-    events: &[RollupEvent],
+fn comm_stall<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     horizon: f64,
     rule: &SloRule,
@@ -436,16 +434,16 @@ fn comm_stall(
 /// so a model that is consistently wrong by the same margin stays quiet
 /// and only a *change* in prediction quality (the split leaving its
 /// regime) raises the burn rate.
-fn regime_shift(
-    events: &[RollupEvent],
+fn regime_shift<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     rule: &SloRule,
 ) -> Vec<Signal> {
     // (iteration, node) → latest sched-lane map-span end.
     let mut map_end: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     for e in events {
-        if e.kind == "map" && e.lane.ends_with("-sched") {
-            if let (Some(it), Some(n)) = (e.iter, node_of_lane(&e.lane)) {
+        if e.kind() == "map" && e.lane().ends_with("-sched") {
+            if let (Some(it), Some(n)) = (e.iter(), node_of_lane(e.lane())) {
                 let entry = map_end.entry((it, n)).or_insert(f64::NEG_INFINITY);
                 if e.end() > *entry {
                     *entry = e.end();

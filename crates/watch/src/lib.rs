@@ -49,8 +49,9 @@ pub use score::{
 };
 pub use slo::{Severity, SloRule, WatchConfig};
 
-use obs::rollup::RollupEvent;
-use obs::{DecisionRecord, MetricsRegistry};
+#[cfg(test)]
+use obs::RollupEvent;
+use obs::{DecisionRecord, EventView, MetricsRegistry};
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -240,27 +241,26 @@ impl WatchOutput {
     }
 }
 
-/// Canonical total order on rollup events: `(t, lane, kind, dur, iter,
+/// Canonical total order on events: `(t, lane, kind, dur, iter,
 /// attrs)`. Two runs that record the same event *set* — in any append
 /// order, under any engine mode — sort to the same sequence, which is
 /// what makes every stateful detector pass deterministic.
-fn canonical_cmp(a: &RollupEvent, b: &RollupEvent) -> std::cmp::Ordering {
-    a.t.total_cmp(&b.t)
-        .then_with(|| a.lane.cmp(&b.lane))
-        .then_with(|| a.kind.cmp(&b.kind))
+fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
+    a.t()
+        .total_cmp(&b.t())
+        .then_with(|| a.lane().cmp(b.lane()))
+        .then_with(|| a.kind().cmp(b.kind()))
         .then_with(|| {
-            a.dur
+            a.dur()
                 .unwrap_or(-1.0)
-                .total_cmp(&b.dur.unwrap_or(-1.0))
+                .total_cmp(&b.dur().unwrap_or(-1.0))
         })
-        .then_with(|| a.iter.cmp(&b.iter))
+        .then_with(|| a.iter().cmp(&b.iter()))
         .then_with(|| {
-            let fmt = |e: &RollupEvent| {
-                e.attrs
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v:?}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
+            let fmt = |e: &E| {
+                let mut pairs = Vec::new();
+                e.each_attr(&mut |k, v| pairs.push(format!("{k}={v:?}")));
+                pairs.join(",")
             };
             fmt(a).cmp(&fmt(b))
         })
@@ -268,15 +268,17 @@ fn canonical_cmp(a: &RollupEvent, b: &RollupEvent) -> std::cmp::Ordering {
 
 /// Runs the full watchdog — detectors, SLO burn-rate evaluation, incident
 /// assembly — over one recorded run. Pure: permuting `events` or
-/// `decisions` does not change the output.
-pub fn watch(
-    events: &[RollupEvent],
+/// `decisions` does not change the output. The events are read in place
+/// (any [`EventView`]: parsed `events.jsonl` records serve as they are);
+/// only an index of them is sorted.
+pub fn watch<E: EventView>(
+    events: &[E],
     decisions: &[DecisionRecord],
     cfg: &WatchConfig,
 ) -> WatchOutput {
-    let mut stream: Vec<RollupEvent> = events.to_vec();
-    stream.sort_by(canonical_cmp);
-    let horizon = stream.iter().map(RollupEvent::end).fold(0.0_f64, f64::max);
+    let mut stream: Vec<&E> = events.iter().collect();
+    stream.sort_by(|a, b| canonical_cmp(*a, *b));
+    let horizon = stream.iter().map(|e| e.end()).fold(0.0_f64, f64::max);
 
     let mut alerts: Vec<Alert> = Vec::new();
     for rule in cfg.rules.iter().filter(|r| r.enabled) {

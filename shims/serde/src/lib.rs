@@ -8,7 +8,7 @@
 //! existing `#[derive(Serialize, Deserialize)]` lines keep compiling.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -90,13 +90,14 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Number(n) => {
+                // Writing into a `String` cannot fail.
                 if n.is_finite() {
                     if n.fract() == 0.0 && n.abs() < 1e15 {
                         // Integral values print without a trailing ".0",
                         // matching serde_json's integer formatting.
-                        out.push_str(&format!("{}", *n as i64));
+                        let _ = write!(out, "{}", *n as i64);
                     } else {
-                        out.push_str(&format!("{n}"));
+                        let _ = write!(out, "{n}");
                     }
                 } else {
                     out.push_str("null");
@@ -185,7 +186,9 @@ fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -240,6 +240,84 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Conformance vectors for the byte-stable artifact surface: the number
+/// formatting, string escaping and key ordering every golden depends on.
+/// The shim's own tests check [`Value`] rendering against them, and any
+/// writer that formats JSON without building a `Value` (the `obs::jsonl`
+/// codec) checks itself against the same tables.
+#[doc(hidden)]
+pub mod conformance {
+    /// `(value, rendered)`: integral values below 1e15 print as integers
+    /// (`-0.0` is `0`), everything else as Rust's shortest round-trip
+    /// `Display` — never an exponent — and non-finite values as `null`.
+    pub fn numbers() -> Vec<(f64, String)> {
+        let zeros = |n: usize| "0".repeat(n);
+        let mut rows: Vec<(f64, String)> = [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (1.0, "1"),
+            (-1.0, "-1"),
+            (4096.0, "4096"),
+            (1e9, "1000000000"),
+            (0.5, "0.5"),
+            (0.1, "0.1"),
+            (0.3, "0.3"),
+            (1.0 / 3.0, "0.3333333333333333"),
+            (-2.5, "-2.5"),
+            (123456.789, "123456.789"),
+            (0.07099967177173912, "0.07099967177173912"),
+            (1e-6, "0.000001"),
+            (1e-7, "0.0000001"),
+            (2.5e-5, "0.000025"),
+            (123456789012345.0, "123456789012345"),
+            (999999999999999.0, "999999999999999"),
+            (999999999999999.5, "999999999999999.5"),
+            (1e15, "1000000000000000"),
+            (-1e15, "-1000000000000000"),
+            (1e16, "10000000000000000"),
+            (9007199254740992.0, "9007199254740992"),
+            (1e21, "1000000000000000000000"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ]
+        .into_iter()
+        .map(|(n, s)| (n, s.to_string()))
+        .collect();
+        rows.push((1.5e300, format!("15{}", zeros(299))));
+        rows.push((f64::MAX, format!("17976931348623157{}", zeros(292))));
+        rows.push((5e-324, format!("0.{}5", zeros(323))));
+        rows.push((
+            f64::MIN_POSITIVE,
+            format!("0.{}22250738585072014", zeros(307)),
+        ));
+        rows
+    }
+
+    /// `(string, rendered)`: only `"`, `\\`, `\n`, `\r`, `\t` get short
+    /// escapes; other control characters below 0x20 are `\u00xx`
+    /// (lower-case hex); `/`, DEL and non-ASCII pass through.
+    pub const STRINGS: &[(&str, &str)] = &[
+        ("", r#""""#),
+        ("node0-gpu0-compute", r#""node0-gpu0-compute""#),
+        ("say \"hi\"", r#""say \"hi\"""#),
+        ("back\\slash", r#""back\\slash""#),
+        ("a\nb\rc\td", r#""a\nb\rc\td""#),
+        ("\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f}", r#""\u0000\u0001\u0008\u000b\u000c\u001f""#),
+        ("a/b\u{7f}", "\"a/b\u{7f}\""),
+        ("é — 日本 🚀", "\"é — 日本 🚀\""),
+    ];
+
+    /// `(keys as inserted, rendered object with value 0 each)`: keys are
+    /// emitted in byte order whatever the insertion order, and a repeated
+    /// key keeps one entry.
+    pub const KEY_ORDER: &[(&[&str], &str)] = &[
+        (&["t", "lane", "kind", "dur", "attrs"], r#"{"attrs":0,"dur":0,"kind":0,"lane":0,"t":0}"#),
+        (&["b", "a", "B", "aa", "", "é", "a"], r#"{"":0,"B":0,"a":0,"aa":0,"b":0,"é":0}"#),
+        (&["t1", "t0", "t_fire", "t"], r#"{"t":0,"t0":0,"t1":0,"t_fire":0}"#),
+    ];
+}
+
 /// Builds a [`Value`] from JSON-ish syntax, like `serde_json::json!`.
 ///
 /// Handles nested objects/arrays and arbitrary Rust expressions in value
@@ -379,5 +457,44 @@ mod tests {
         let v = json!({"k": [1]});
         let p = to_string_pretty(&v).unwrap();
         assert_eq!(p, "{\n  \"k\": [\n    1\n  ]\n}");
+    }
+
+    #[test]
+    fn numbers_render_per_the_conformance_table() {
+        for (n, want) in conformance::numbers() {
+            assert_eq!(Value::Number(n).to_json_string(), want, "{n:e}");
+            assert_eq!(to_string(&n).unwrap(), want, "{n:e}");
+            // Finite renderings parse back to the same bits (modulo -0).
+            if n.is_finite() {
+                let back = from_str(&want).unwrap().as_f64().unwrap();
+                assert_eq!(back, n, "{want}");
+            }
+        }
+    }
+
+    #[test]
+    fn strings_escape_per_the_conformance_table() {
+        for (s, want) in conformance::STRINGS {
+            let v = Value::String(s.to_string());
+            assert_eq!(v.to_json_string(), *want, "{s:?}");
+            assert_eq!(from_str(want).unwrap(), v, "{want}");
+        }
+    }
+
+    #[test]
+    fn object_keys_sort_per_the_conformance_table() {
+        for (keys, want) in conformance::KEY_ORDER {
+            let map: BTreeMap<String, Value> =
+                keys.iter().map(|k| (k.to_string(), Value::Number(0.0))).collect();
+            let v = Value::Object(map);
+            assert_eq!(v.to_json_string(), *want);
+            // Pretty printing changes whitespace only.
+            let pretty: String = v
+                .to_json_string_pretty()
+                .chars()
+                .filter(|c| !c.is_whitespace())
+                .collect();
+            assert_eq!(pretty, want.replace(' ', ""));
+        }
     }
 }
