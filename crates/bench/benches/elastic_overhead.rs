@@ -1,12 +1,12 @@
-//! Elastic-driver overhead bench: the cost of routing a run through
-//! `prs_core::run_elastic` versus the plain iterative driver, with and
+//! Epoch-driver overhead bench: the cost of routing a run through
+//! `prs_core::run_epochs` versus the plain iterative driver, with and
 //! without actual churn.
 //!
 //! The numbers land in `target/experiments/BENCH_elastic.json`:
 //!
-//! - *empty-plan wall seconds* — the elastic driver with nothing
-//!   scheduled, versus the baseline run (the driver delegates to the
-//!   resilient path, so this is the price of the membership plumbing);
+//! - *empty-plan wall seconds* — the epoch driver with nothing
+//!   scheduled, versus the baseline run (one epoch plus checkpoint
+//!   writes, so this is the price of the epoch plumbing);
 //! - *churn wall seconds* — a plan with one scale-out and one graceful
 //!   drain mid-run, i.e. the real multi-epoch path;
 //! - *virtual-time bit-identity* — must be exactly true: an empty plan
@@ -15,9 +15,7 @@
 
 use criterion::{criterion_group, Criterion};
 use prs_bench::{write_json, SyntheticApp};
-use prs_core::{
-    run_elastic, run_iterative, ClusterSpec, JobConfig, MemStore, MembershipPlan,
-};
+use prs_core::{run_epochs, run_iterative, ClusterSpec, EpochOptions, JobConfig, MembershipPlan};
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
 use std::hint::black_box;
@@ -41,15 +39,8 @@ fn config() -> JobConfig {
 }
 
 fn elastic(plan: &MembershipPlan) -> prs_core::ElasticOutcome<()> {
-    run_elastic(
-        &ClusterSpec::delta(2),
-        app(),
-        config(),
-        Arc::new(MemStore::new()),
-        plan,
-        None,
-    )
-    .unwrap()
+    let opts = EpochOptions { membership: plan.clone(), ..EpochOptions::default() };
+    run_epochs(&ClusterSpec::delta(2), app(), config(), opts).unwrap()
 }
 
 fn bench_elastic(c: &mut Criterion) {

@@ -77,8 +77,8 @@ impl IterativeApp for SyntheticApp {
 }
 
 // The stand-in carries no model state, so checkpoints are empty bytes;
-// this is what lets the resilient and elastic drivers bench the
-// machinery's own cost with zero app-serialization noise.
+// this is what lets the epoch driver bench the machinery's own cost
+// with zero app-serialization noise.
 impl CheckpointableApp for SyntheticApp {
     fn save_state(&self) -> Vec<u8> {
         Vec::new()

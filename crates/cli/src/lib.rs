@@ -214,40 +214,135 @@ pub fn parse_kv(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String
     Ok((kv, flags))
 }
 
-fn get_parsed<T: std::str::FromStr>(
-    kv: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match kv.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse::<T>().map_err(|_| format!("bad value for --{key}: '{v}'")),
+/// Why a subcommand stopped early. `main` is the only place that prints
+/// one (`error: <message>`) and turns it into the exit code.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CliError {
+    /// Bad arguments, or a bad input file named by them: exit 2.
+    Usage(String),
+    /// The command ran and failed: exit 1.
+    Failed(String),
+}
+
+/// Every parser in this crate reports a bad argument as a bare message,
+/// so `?` on one is a usage error; a runtime failure is always wrapped
+/// in [`CliError::Failed`] by hand.
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
     }
 }
 
-/// Parses the full `prs run` argument tail.
-pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
-    let (kv, flags) = parse_kv(args)?;
-    let known = [
+/// The arguments one subcommand accepts. [`ArgSpec::parse`] is the only
+/// place that rejects an unknown one.
+pub struct ArgSpec {
+    keys: &'static [&'static str],
+    flags: &'static [&'static str],
+    positionals: usize,
+}
+
+/// An argv tail checked against its [`ArgSpec`].
+#[derive(Debug)]
+pub struct Args {
+    kv: BTreeMap<String, String>,
+    flags: Vec<String>,
+    /// The leading unnamed arguments.
+    pub positionals: Vec<String>,
+}
+
+impl ArgSpec {
+    /// A command taking the `--key value` options `keys`, the bare
+    /// `--flag`s `flags`, and up to `positionals` leading arguments
+    /// without a `--name` (a bundle directory, or `prs diff`'s two).
+    pub const fn new(
+        keys: &'static [&'static str],
+        flags: &'static [&'static str],
+        positionals: usize,
+    ) -> Self {
+        ArgSpec {
+            keys,
+            flags,
+            positionals,
+        }
+    }
+
+    /// Splits `args` into positionals, options and flags, naming the
+    /// first flag (then the first option) the command does not take.
+    pub fn parse(&self, args: &[String]) -> Result<Args, String> {
+        let lead = args
+            .iter()
+            .take(self.positionals)
+            .take_while(|a| !a.starts_with("--"))
+            .count();
+        let (kv, flags) = parse_kv(&args[lead..])?;
+        if let Some(f) = flags.iter().find(|f| !self.flags.contains(&f.as_str())) {
+            return Err(format!("unknown flag --{f}"));
+        }
+        if let Some(k) = kv.keys().find(|k| !self.keys.contains(&k.as_str())) {
+            return Err(format!("unknown option --{k}"));
+        }
+        Ok(Args {
+            kv,
+            flags,
+            positionals: args[..lead].to_vec(),
+        })
+    }
+}
+
+impl Args {
+    /// The value of `--key`, if given.
+    pub fn get(&self, key: &str) -> Option<&String> {
+        self.kv.get(key)
+    }
+
+    /// True when the bare `--name` flag was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.flags.iter().any(|f| f == name)
+    }
+
+    /// `--key` parsed as `T`, if given.
+    pub fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let parse = |v: &String| {
+            v.parse()
+                .map_err(|_| format!("bad value for --{key}: '{v}'"))
+        };
+        self.kv.get(key).map(parse).transpose()
+    }
+
+    /// `--key` parsed as `T`, or `default` when absent.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// The bundle directory: the first positional or `--dir`; `missing`
+    /// is the error when neither was given.
+    pub fn dir(&self, missing: &str) -> Result<String, String> {
+        self.positionals
+            .first()
+            .or_else(|| self.get("dir"))
+            .cloned()
+            .ok_or_else(|| missing.to_string())
+    }
+}
+
+const RUN_ARGS: ArgSpec = ArgSpec::new(
+    &[
         "app", "nodes", "profile", "profile-file", "mode", "iterations", "points", "dims",
         "clusters", "seed", "gpus", "streams", "blocks-per-core", "trace", "obs", "calibrate",
         "engine", "record-window", "record-budget", "membership",
-    ];
-    for k in kv.keys() {
-        if !known.contains(&k.as_str()) {
-            return Err(format!("unknown option --{k}"));
-        }
-    }
-    for f in &flags {
-        if !["timeline", "json", "record", "autoscale"].contains(&f.as_str()) {
-            return Err(format!("unknown flag --{f}"));
-        }
-    }
+    ],
+    &["timeline", "json", "record", "autoscale"],
+    0,
+);
+
+/// Parses the full `prs run` argument tail.
+pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
+    let kv = RUN_ARGS.parse(args)?;
     let mut opts = RunOptions::default();
     if let Some(app) = kv.get("app") {
         opts.app = AppKind::parse(app)?;
     }
-    opts.nodes = get_parsed(&kv, "nodes", opts.nodes)?;
+    opts.nodes = kv.parsed("nodes", opts.nodes)?;
     if opts.nodes == 0 {
         return Err("--nodes must be at least 1".to_string());
     }
@@ -267,14 +362,14 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
             .parse::<EngineMode>()
             .map_err(|e| format!("bad value for --engine: {e}"))?;
     }
-    opts.config.max_iterations = get_parsed(&kv, "iterations", opts.config.max_iterations)?;
-    opts.config.gpus_per_node = get_parsed(&kv, "gpus", opts.config.gpus_per_node)?;
-    opts.config.gpu_streams = get_parsed(&kv, "streams", opts.config.gpu_streams)?;
-    opts.config.blocks_per_core = get_parsed(&kv, "blocks-per-core", opts.config.blocks_per_core)?;
-    opts.points = get_parsed(&kv, "points", opts.points)?;
-    opts.dims = get_parsed(&kv, "dims", opts.dims)?;
-    opts.clusters = get_parsed(&kv, "clusters", opts.clusters)?;
-    opts.seed = get_parsed(&kv, "seed", opts.seed)?;
+    opts.config.max_iterations = kv.parsed("iterations", opts.config.max_iterations)?;
+    opts.config.gpus_per_node = kv.parsed("gpus", opts.config.gpus_per_node)?;
+    opts.config.gpu_streams = kv.parsed("streams", opts.config.gpu_streams)?;
+    opts.config.blocks_per_core = kv.parsed("blocks-per-core", opts.config.blocks_per_core)?;
+    opts.points = kv.parsed("points", opts.points)?;
+    opts.dims = kv.parsed("dims", opts.dims)?;
+    opts.clusters = kv.parsed("clusters", opts.clusters)?;
+    opts.seed = kv.parsed("seed", opts.seed)?;
     // The clustering apps seed their model from the data and need more
     // points than clusters; their constructors assert it.
     let clustering = matches!(
@@ -289,12 +384,12 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
             opts.points
         ));
     }
-    opts.timeline = flags.iter().any(|f| f == "timeline");
-    opts.json = flags.iter().any(|f| f == "json");
+    opts.timeline = kv.flag("timeline");
+    opts.json = kv.flag("json");
     opts.trace_out = kv.get("trace").cloned();
     opts.obs_out = kv.get("obs").cloned();
     opts.membership = kv.get("membership").cloned();
-    opts.autoscale = flags.iter().any(|f| f == "autoscale");
+    opts.autoscale = kv.flag("autoscale");
     // The elastic driver checkpoints and rebases the running app across
     // epochs; only checkpointable iterative apps qualify (C-means today).
     if (opts.membership.is_some() || opts.autoscale) && opts.app != AppKind::Cmeans {
@@ -303,13 +398,10 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
                 .to_string(),
         );
     }
-    if flags.iter().any(|f| f == "record")
-        || kv.contains_key("record-window")
-        || kv.contains_key("record-budget")
-    {
+    if kv.flag("record") || kv.get("record-window").is_some() || kv.get("record-budget").is_some() {
         let mut rec = obs::RecorderConfig::enabled();
-        rec.window = get_parsed(&kv, "record-window", rec.window)?;
-        rec.budget = get_parsed(&kv, "record-budget", rec.budget)?;
+        rec.window = kv.parsed("record-window", rec.window)?;
+        rec.budget = kv.parsed("record-budget", rec.budget)?;
         if rec.window <= 0.0 || !rec.window.is_finite() {
             return Err("--record-window must be a positive number of virtual seconds".to_string());
         }

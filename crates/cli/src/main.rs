@@ -16,13 +16,15 @@ use obs::jsonl::EventLine;
 use obs::rollup::{rollup, RollupConfig};
 use obs::{AuditLog, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
-use prs_cli::{parse_kv, parse_profile, parse_residency, parse_run, AppKind, RunOptions};
+use prs_cli::CliError::{self, Failed, Usage};
+use prs_cli::{parse_profile, parse_residency, parse_run, AppKind, ArgSpec, RunOptions};
 use prs_core::{run_iterative_observed, run_job_observed, ClusterSpec, JobResult};
 use prs_data::gaussian::clustering_workload;
 use prs_data::matrix::MatrixF32;
 use prs_data::rng::SplitMix64;
 use roofline::model::DataResidency;
 use roofline::schedule::{split_multi_gpu, Workload};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Prints to stdout, exiting quietly when the pipe is closed (`prs | head`
@@ -36,9 +38,12 @@ macro_rules! say {
     }};
 }
 
+/// What every subcommand returns; see [`CliError`] for the exit codes.
+type Cmd = Result<(), CliError>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("advise") => cmd_advise(&args[1..]),
@@ -56,15 +61,74 @@ fn main() {
         Some("profiles") => cmd_profiles(),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_help();
-            0
+            Ok(())
         }
         Some(other) => {
             eprintln!("unknown command '{other}'\n");
             print_help();
-            2
+            std::process::exit(2);
         }
     };
+    let (code, msg) = match outcome {
+        Ok(()) => return,
+        Err(Usage(msg)) => (2, msg),
+        Err(Failed(msg)) => (1, msg),
+    };
+    eprintln!("error: {msg}");
     std::process::exit(code);
+}
+
+/// Reads an input file a command was pointed at.
+fn read(path: impl AsRef<Path>) -> Result<String, CliError> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| Failed(format!("reading {}: {e}", path.display())))
+}
+
+/// Writes an output file.
+fn write(path: impl AsRef<Path>, content: impl AsRef<[u8]>) -> Cmd {
+    let path = path.as_ref();
+    std::fs::write(path, content).map_err(|e| Failed(format!("writing {}: {e}", path.display())))
+}
+
+/// Writes a JSON document, pretty-printed with a final newline.
+fn write_json(path: impl AsRef<Path>, doc: &serde_json::Value) -> Cmd {
+    write(path, serde_json::to_string_pretty(doc).unwrap() + "\n")
+}
+
+/// The directory artifacts derived from `bundle` are written to: the
+/// bundle itself, or the directory holding it when a file was named.
+fn out_dir(bundle: &str) -> std::path::PathBuf {
+    let p = Path::new(bundle);
+    if p.is_dir() { p.to_path_buf() } else { p.parent().unwrap_or(p).to_path_buf() }
+}
+
+/// The options of `prs run` / `prs sweep`; a bad one is answered with the
+/// option list on stdout as well as the error.
+fn run_options(args: &[String]) -> Result<RunOptions, CliError> {
+    parse_run(args).map_err(|e| {
+        print_help();
+        Usage(e)
+    })
+}
+
+/// The cluster `prs run`, `prs sweep` and `prs bench` build: `--nodes`
+/// copies of the resolved profile on QDR InfiniBand.
+fn cluster(opts: &RunOptions) -> Result<ClusterSpec, String> {
+    let profile = load_profile(opts.profile_file.as_ref(), &opts.profile)?;
+    Ok(ClusterSpec::homogeneous(
+        opts.nodes,
+        profile,
+        netsim::NetworkParams::infiniband_qdr(),
+    ))
+}
+
+/// The `--rules <toml>` override of the built-in SLO rules.
+fn watch_rules(path: Option<&String>) -> Result<watch::WatchConfig, CliError> {
+    let Some(path) = path else {
+        return Ok(watch::WatchConfig::default());
+    };
+    let text = read(path)?;
+    watch::WatchConfig::from_toml(&text).map_err(|e| Usage(format!("{path}: {e}")))
 }
 
 fn print_help() {
@@ -202,7 +266,7 @@ CALIBRATE OPTIONS:
     );
 }
 
-fn cmd_profiles() -> i32 {
+fn cmd_profiles() -> Cmd {
     for p in [
         parse_profile("delta").unwrap(),
         parse_profile("bigred2").unwrap(),
@@ -228,136 +292,84 @@ fn cmd_profiles() -> i32 {
             );
         }
     }
-    0
+    Ok(())
 }
 
 /// `prs sweep`: the paper's Table-5 profiling experiment for any app —
 /// run a grid of static splits, report the empirical optimum next to the
 /// analytic prediction.
-fn cmd_sweep(args: &[String]) -> i32 {
-    let mut opts = match parse_run(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            print_help();
-            return 2;
-        }
-    };
-    let profile = match resolve_profile(&opts) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let spec = ClusterSpec::homogeneous(
-        opts.nodes,
-        profile.clone(),
-        netsim::NetworkParams::infiniband_qdr(),
-    );
+fn cmd_sweep(args: &[String]) -> Cmd {
+    let mut opts = run_options(args)?;
+    let spec = cluster(&opts)?;
     say!("sweeping static CPU fractions (0%..100%, step 10%) ...");
     let mut best = (f64::INFINITY, 0.0);
     for i in 0..=10 {
         let p = i as f64 / 10.0;
         opts.config.scheduling = prs_core::SchedulingMode::Static { p_override: Some(p) };
-        match dispatch(&opts, &spec, Obs::disabled()) {
-            Ok((m, _, _)) => {
-                let t = m.compute_seconds;
-                say!("  p = {:>3.0}%  ->  {:10.3} ms", p * 100.0, t * 1e3);
-                if t < best.0 {
-                    best = (t, p);
-                }
-            }
-            Err(e) => {
-                eprintln!("error at p = {p}: {e}");
-                return 1;
-            }
+        let (m, _, _) = dispatch(&opts, &spec, None, Obs::disabled())
+            .map_err(|e| Failed(format!("at p = {p}: {e}")))?;
+        let t = m.compute_seconds;
+        say!("  p = {:>3.0}%  ->  {:10.3} ms", p * 100.0, t * 1e3);
+        if t < best.0 {
+            best = (t, p);
         }
     }
     // Analytic prediction for the same app: rebuild once in static mode.
     opts.config.scheduling = prs_core::SchedulingMode::Static { p_override: None };
-    match dispatch(&opts, &spec, Obs::disabled()) {
-        Ok((m, label, _)) => {
-            let p_eq8 = m.cpu_fraction.unwrap_or(f64::NAN);
-            say!(
-                "\n{label}: empirical optimum p = {:.0}% ({:.3} ms); Equation (8) says {:.1}% ({:.3} ms)",
-                best.1 * 100.0,
-                best.0 * 1e3,
-                p_eq8 * 100.0,
-                m.compute_seconds * 1e3
-            );
-            say!(
-                "analytic-vs-profiled error: {:.1} percentage points (paper's Table-5 bound: < 10)",
-                (p_eq8 - best.1).abs() * 100.0
-            );
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    }
-    0
+    let (m, label, _) = dispatch(&opts, &spec, None, Obs::disabled()).map_err(Failed)?;
+    let p_eq8 = m.cpu_fraction.unwrap_or(f64::NAN);
+    say!(
+        "\n{label}: empirical optimum p = {:.0}% ({:.3} ms); Equation (8) says {:.1}% ({:.3} ms)",
+        best.1 * 100.0,
+        best.0 * 1e3,
+        p_eq8 * 100.0,
+        m.compute_seconds * 1e3
+    );
+    say!(
+        "analytic-vs-profiled error: {:.1} percentage points (paper's Table-5 bound: < 10)",
+        (p_eq8 - best.1).abs() * 100.0
+    );
+    Ok(())
 }
 
-fn cmd_advise(args: &[String]) -> i32 {
+fn cmd_advise(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(
+        &[
+            "ai",
+            "residency",
+            "profile",
+            "profile-file",
+            "gpus",
+            "from-trace",
+        ],
+        &[],
+        0,
+    );
+    let kv = ARGS.parse(args)?;
     // `--from-trace` switches advise from the hypothetical (given AI,
     // what split?) to the retrospective (how well did the model do?).
-    if let Ok((kv, _)) = parse_kv(args) {
-        if let Some(path) = kv.get("from-trace") {
-            return advise_from_trace(path);
-        }
+    if let Some(path) = kv.get("from-trace") {
+        return advise_from_trace(path);
     }
-    let parsed = parse_kv(args).and_then(|(kv, flags)| {
-        if !flags.is_empty() {
-            return Err(format!("unknown flag --{}", flags[0]));
-        }
-        let ai: f64 = kv
-            .get("ai")
-            .map(|v| v.parse().map_err(|_| format!("bad --ai '{v}'")))
-            .transpose()?
-            .unwrap_or(12.5);
-        let residency = kv
-            .get("residency")
-            .map(|v| parse_residency(v))
-            .transpose()?
-            .unwrap_or(DataResidency::Staged);
-        let profile = match kv.get("profile-file") {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                insight::profile_toml::parse_device_profile(&text)
-                    .map_err(|e| format!("{path}: {e}"))?
-            }
-            None => kv
-                .get("profile")
-                .map(|v| parse_profile(v))
-                .transpose()?
-                .unwrap_or_else(|| parse_profile("delta").unwrap()),
-        };
-        let gpus: usize = kv
-            .get("gpus")
-            .map(|v| v.parse().map_err(|_| format!("bad --gpus '{v}'")))
-            .transpose()?
-            .unwrap_or(1);
-        if !(ai > 0.0 && ai.is_finite()) {
-            return Err(format!("--ai must be a positive number, got {ai}"));
-        }
-        if gpus == 0 || gpus > profile.gpus.len() {
-            return Err(format!(
-                "--gpus must be 1..={} for profile '{}'",
-                profile.gpus.len(),
-                profile.name
-            ));
-        }
-        Ok((ai, residency, profile, gpus))
-    });
-    let (ai, residency, profile, gpus) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+    let ai: f64 = kv.parsed("ai", 12.5)?;
+    let residency = kv
+        .get("residency")
+        .map_or(Ok(DataResidency::Staged), |v| parse_residency(v))?;
+    let profile = load_profile(
+        kv.get("profile-file"),
+        kv.get("profile").map_or("delta", String::as_str),
+    )?;
+    let gpus: usize = kv.parsed("gpus", 1)?;
+    if !(ai > 0.0 && ai.is_finite()) {
+        return Err(Usage(format!("--ai must be a positive number, got {ai}")));
+    }
+    if gpus == 0 || gpus > profile.gpus.len() {
+        return Err(Usage(format!(
+            "--gpus must be 1..={} for profile '{}'",
+            profile.gpus.len(),
+            profile.name
+        )));
+    }
 
     let w = Workload::uniform(ai, residency);
     let d = split_multi_gpu(&profile, &w, gpus);
@@ -378,7 +390,7 @@ fn cmd_advise(args: &[String]) -> i32 {
         d.cpu_flops / 1e9,
         d.gpu_flops / 1e9
     );
-    0
+    Ok(())
 }
 
 /// Accepts either a `decisions.jsonl` file or an `--obs` output
@@ -394,19 +406,11 @@ fn resolve_decisions_path(path: &str) -> std::path::PathBuf {
 
 /// `prs advise --from-trace`: replay an audit log and report the
 /// roofline model's predicted-vs-observed error per decision.
-fn advise_from_trace(path: &str) -> i32 {
+fn advise_from_trace(path: &str) -> Cmd {
     let file = resolve_decisions_path(path);
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", file.display());
-            return 1;
-        }
-    };
-    let recs = AuditLog::parse_jsonl(&text);
+    let recs = AuditLog::parse_jsonl(&read(&file)?);
     if recs.is_empty() {
-        eprintln!("no decisions found in {}", file.display());
-        return 1;
+        return Err(Failed(format!("no decisions found in {}", file.display())));
     }
     say!(
         "{} audited decision(s) from {}",
@@ -445,60 +449,25 @@ fn advise_from_trace(path: &str) -> i32 {
             errs.len()
         );
     }
-    0
+    Ok(())
 }
 
-/// Reads the `--dir <d>` option the artifact commands share.
-fn artifact_dir(args: &[String]) -> Result<String, String> {
-    let (kv, flags) = parse_kv(args)?;
-    if let Some(f) = flags.first() {
-        return Err(format!("unknown flag --{f}"));
-    }
-    for k in kv.keys() {
-        if k != "dir" {
-            return Err(format!("unknown option --{k}"));
-        }
-    }
-    kv.get("dir")
-        .cloned()
-        .ok_or_else(|| "missing --dir <obs output directory>".to_string())
+const MISSING_BUNDLE: &str = "missing --dir <obs output directory>";
+
+/// The whole argument list of the plain bundle readers: the `--obs`
+/// directory, as the first argument or as `--dir`.
+fn bundle_dir(args: &[String], missing: &str) -> Result<String, String> {
+    ArgSpec::new(&["dir"], &[], 1).parse(args)?.dir(missing)
 }
 
 /// `prs trace`: summarize `events.jsonl` and `decisions.jsonl`.
 /// `--flows` adds the paired `msg-send`/`msg-recv` causal-edge summary.
-fn cmd_trace(args: &[String]) -> i32 {
-    let parsed = parse_kv(args).and_then(|(kv, flags)| {
-        for f in &flags {
-            if f != "flows" {
-                return Err(format!("unknown flag --{f}"));
-            }
-        }
-        for k in kv.keys() {
-            if k != "dir" {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        let dir = kv
-            .get("dir")
-            .cloned()
-            .ok_or_else(|| "missing --dir <obs output directory>".to_string())?;
-        Ok((dir, flags.iter().any(|f| f == "flows")))
-    });
-    let (dir, want_flows) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+fn cmd_trace(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(&["dir"], &["flows"], 1);
+    let kv = ARGS.parse(args)?;
+    let dir = kv.dir(MISSING_BUNDLE)?;
     let events_path = std::path::Path::new(&dir).join("events.jsonl");
-    let text = match std::fs::read_to_string(&events_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", events_path.display());
-            return 1;
-        }
-    };
+    let text = read(&events_path)?;
     let mut by_kind: std::collections::BTreeMap<String, (u64, f64)> =
         std::collections::BTreeMap::new();
     let mut t_max = 0.0f64;
@@ -529,11 +498,10 @@ fn cmd_trace(args: &[String]) -> i32 {
         }
     }
     if total == 0 {
-        eprintln!(
-            "error: no events found in {} — was the run recorded with --obs?",
+        return Err(Failed(format!(
+            "no events found in {} — was the run recorded with --obs?",
             events_path.display()
-        );
-        return 1;
+        )));
     }
     say!("{total} event(s) over {t_max:.6} virtual seconds ({})", events_path.display());
     say!("  kind                 count   busy_s");
@@ -548,43 +516,36 @@ fn cmd_trace(args: &[String]) -> i32 {
             say!("  t={t:<12.6} {kind:<16} on {lane}");
         }
     }
-    if want_flows {
-        match read_trace_events(&dir) {
-            Ok(events) => {
-                let flows = insight::pair_flows(&events);
-                if flows.is_empty() {
-                    say!("\nno message flows (run recorded before flow tracing, or single node)");
-                } else {
-                    let bytes: f64 = flows.iter().map(|f| f.bytes).sum();
-                    let mean_lat =
-                        flows.iter().map(insight::Flow::latency).sum::<f64>() / flows.len() as f64;
-                    say!(
-                        "\n{} message flow(s), {bytes:.0} B total, mean latency {mean_lat:.6}s:",
-                        flows.len()
-                    );
-                    // Aggregate by (src lane, dst lane) edge.
-                    let mut edges: std::collections::BTreeMap<(String, String), (u64, f64, f64)> =
-                        std::collections::BTreeMap::new();
-                    for f in &flows {
-                        let e = edges
-                            .entry((f.src_lane.clone(), f.dst_lane.clone()))
-                            .or_insert((0, 0.0, 0.0));
-                        e.0 += 1;
-                        e.1 += f.bytes;
-                        e.2 += f.latency();
-                    }
-                    say!("  {:<14} -> {:<14} {:>6} {:>12} {:>12}", "src", "dst", "count", "bytes", "mean_lat_s");
-                    for ((src, dst), (count, b, lat)) in &edges {
-                        say!(
-                            "  {src:<14} -> {dst:<14} {count:>6} {b:>12.0} {:>12.6}",
-                            lat / *count as f64
-                        );
-                    }
-                }
+    if kv.flag("flows") {
+        let events = read_trace_events(&dir)?;
+        let flows = insight::pair_flows(&events);
+        if flows.is_empty() {
+            say!("\nno message flows (run recorded before flow tracing, or single node)");
+        } else {
+            let bytes: f64 = flows.iter().map(|f| f.bytes).sum();
+            let mean_lat =
+                flows.iter().map(insight::Flow::latency).sum::<f64>() / flows.len() as f64;
+            say!(
+                "\n{} message flow(s), {bytes:.0} B total, mean latency {mean_lat:.6}s:",
+                flows.len()
+            );
+            // Aggregate by (src lane, dst lane) edge.
+            let mut edges: std::collections::BTreeMap<(String, String), (u64, f64, f64)> =
+                std::collections::BTreeMap::new();
+            for f in &flows {
+                let e = edges
+                    .entry((f.src_lane.clone(), f.dst_lane.clone()))
+                    .or_insert((0, 0.0, 0.0));
+                e.0 += 1;
+                e.1 += f.bytes;
+                e.2 += f.latency();
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
+            say!("  {:<14} -> {:<14} {:>6} {:>12} {:>12}", "src", "dst", "count", "bytes", "mean_lat_s");
+            for ((src, dst), (count, b, lat)) in &edges {
+                say!(
+                    "  {src:<14} -> {dst:<14} {count:>6} {b:>12.0} {:>12.6}",
+                    lat / *count as f64
+                );
             }
         }
     }
@@ -614,30 +575,16 @@ fn cmd_trace(args: &[String]) -> i32 {
             }
         }
     }
-    0
+    Ok(())
 }
 
 /// `prs metrics`: summarize `metrics.prom`.
-fn cmd_metrics(args: &[String]) -> i32 {
-    let dir = match artifact_dir(args) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+fn cmd_metrics(args: &[String]) -> Cmd {
+    let dir = bundle_dir(args, MISSING_BUNDLE)?;
     let path = std::path::Path::new(&dir).join("metrics.prom");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", path.display());
-            return 1;
-        }
-    };
-    let samples = MetricsRegistry::parse_samples(&text);
+    let samples = MetricsRegistry::parse_samples(&read(&path)?);
     if samples.is_empty() {
-        eprintln!("no samples found in {}", path.display());
-        return 1;
+        return Err(Failed(format!("no samples found in {}", path.display())));
     }
     let pick = |prefix: &str| -> Vec<(String, f64)> {
         samples
@@ -688,19 +635,18 @@ fn cmd_metrics(args: &[String]) -> i32 {
             say!("  {label:<40} {v}");
         }
     }
-    0
+    Ok(())
 }
 
 /// Reads `events.jsonl` from a path that is either the file itself or an
 /// `--obs` output directory containing one.
-fn read_trace_events(path: &str) -> Result<Vec<insight::TraceEvent>, String> {
+fn read_trace_events(path: &str) -> Result<Vec<insight::TraceEvent>, CliError> {
     let p = std::path::Path::new(path);
     let file = if p.is_dir() { p.join("events.jsonl") } else { p.to_path_buf() };
-    let text = std::fs::read_to_string(&file)
-        .map_err(|e| format!("reading {}: {e}", file.display()))?;
-    let events = insight::parse_events_jsonl(&text).map_err(|e| format!("{}: {e}", file.display()))?;
+    let events = insight::parse_events_jsonl(&read(&file)?)
+        .map_err(|e| Failed(format!("{}: {e}", file.display())))?;
     if events.is_empty() {
-        return Err(format!("no events found in {}", file.display()));
+        return Err(Failed(format!("no events found in {}", file.display())));
     }
     Ok(events)
 }
@@ -708,135 +654,49 @@ fn read_trace_events(path: &str) -> Result<Vec<insight::TraceEvent>, String> {
 /// `prs analyze`: critical-path + blame analysis of an `--obs` bundle.
 /// Writes deterministic `report.json` and `critical_path.json` next to
 /// the events and prints the per-iteration summary table.
-fn cmd_analyze(args: &[String]) -> i32 {
-    // Accept the directory as a positional argument or as `--dir`.
-    let dir = if let Some(first) = args.first().filter(|a| !a.starts_with("--")) {
-        if args.len() > 1 {
-            eprintln!("error: unexpected argument '{}'", args[1]);
-            return 2;
-        }
-        first.clone()
-    } else {
-        match artifact_dir(args) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
-    };
-    let events = match read_trace_events(&dir) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+fn cmd_analyze(args: &[String]) -> Cmd {
+    let dir = bundle_dir(args, MISSING_BUNDLE)?;
+    let events = read_trace_events(&dir)?;
     let analysis = insight::analyze(&events);
     if analysis.iterations.is_empty() {
-        eprintln!(
+        return Err(Failed(format!(
             "no iteration spans found in {dir}: was the run recorded with --obs?"
-        );
-        return 1;
+        )));
     }
-    let out_dir = {
-        let p = std::path::Path::new(&dir);
-        if p.is_dir() { p.to_path_buf() } else { p.parent().unwrap_or(p).to_path_buf() }
-    };
-    for (name, content) in [
-        ("report.json", insight::report_json(&analysis)),
-        ("critical_path.json", insight::critical_path_json(&analysis)),
-    ] {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("error writing {}: {e}", path.display());
-            return 1;
-        }
-    }
+    let out_dir = out_dir(&dir);
+    write(
+        out_dir.join("report.json"),
+        insight::report_json(&analysis),
+    )?;
+    write(
+        out_dir.join("critical_path.json"),
+        insight::critical_path_json(&analysis),
+    )?;
     say!("{}", insight::summary_table(&analysis));
     eprintln!(
         "analysis written to {}/report.json and {}/critical_path.json",
         out_dir.display(),
         out_dir.display()
     );
-    0
+    Ok(())
 }
 
 /// `prs watch`: run the health watchdog offline over a recorded `--obs`
 /// bundle, write `alerts.jsonl` + `incidents.jsonl` next to the events,
 /// and print the incident summary.
-fn cmd_watch(args: &[String]) -> i32 {
-    // Accept the directory as a positional argument or as `--dir`.
-    let parsed = (|| -> Result<(String, Option<String>), String> {
-        let (positional, rest) = match args.first() {
-            Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-            _ => (None, args),
-        };
-        let (kv, flags) = parse_kv(rest)?;
-        if let Some(f) = flags.first() {
-            return Err(format!("unknown flag --{f}"));
-        }
-        for k in kv.keys() {
-            if !["dir", "rules"].contains(&k.as_str()) {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        let dir = positional
-            .or_else(|| kv.get("dir").cloned())
-            .ok_or_else(|| "missing --dir <obs output directory>".to_string())?;
-        Ok((dir, kv.get("rules").cloned()))
-    })();
-    let (dir, rules_path) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let cfg = match &rules_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error reading {path}: {e}");
-                    return 1;
-                }
-            };
-            match watch::WatchConfig::from_toml(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        None => watch::WatchConfig::default(),
-    };
-    let events = match read_trace_events(&dir) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let out_dir = {
-        let p = std::path::Path::new(&dir);
-        if p.is_dir() { p.to_path_buf() } else { p.parent().unwrap_or(p).to_path_buf() }
-    };
+fn cmd_watch(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(&["dir", "rules"], &[], 1);
+    let kv = ARGS.parse(args)?;
+    let dir = kv.dir(MISSING_BUNDLE)?;
+    let cfg = watch_rules(kv.get("rules"))?;
+    let events = read_trace_events(&dir)?;
+    let out_dir = out_dir(&dir);
     let decisions = std::fs::read_to_string(out_dir.join("decisions.jsonl"))
         .map(|t| AuditLog::parse_jsonl(&t))
         .unwrap_or_default();
     let out = watch::watch(&events, &decisions, &cfg);
-    for (name, content) in [
-        ("alerts.jsonl", out.alerts_jsonl()),
-        ("incidents.jsonl", out.incidents_jsonl()),
-    ] {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("error writing {}: {e}", path.display());
-            return 1;
-        }
-    }
+    write(out_dir.join("alerts.jsonl"), out.alerts_jsonl())?;
+    write(out_dir.join("incidents.jsonl"), out.incidents_jsonl())?;
     if out.alerts.is_empty() {
         say!("healthy: no alerts fired over {} event(s)", events.len());
     } else {
@@ -875,59 +735,28 @@ fn cmd_watch(args: &[String]) -> i32 {
         out_dir.display(),
         out_dir.display()
     );
-    0
+    Ok(())
 }
 
 /// `prs calibrate`: EWMA-fit a hardware profile from a recorded trace
 /// and persist it as TOML (`--profile-file` loads it back).
-fn cmd_calibrate(args: &[String]) -> i32 {
+fn cmd_calibrate(args: &[String]) -> Cmd {
     // parse_kv only knows `--key`; accept the conventional `-o` too.
     let args: Vec<String> = args
         .iter()
         .map(|a| if a == "-o" { "--out".to_string() } else { a.clone() })
         .collect();
-    let parsed = parse_kv(&args).and_then(|(kv, flags)| {
-        if let Some(f) = flags.first() {
-            return Err(format!("unknown flag --{f}"));
-        }
-        for k in kv.keys() {
-            if !["from-trace", "out", "profile", "alpha"].contains(&k.as_str()) {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        let trace = kv
-            .get("from-trace")
-            .cloned()
-            .ok_or_else(|| "missing --from-trace <events.jsonl or --obs dir>".to_string())?;
-        let base = kv
-            .get("profile")
-            .map(|v| parse_profile(v))
-            .transpose()?
-            .unwrap_or_else(|| parse_profile("delta").unwrap());
-        let alpha: f64 = kv
-            .get("alpha")
-            .map(|v| v.parse().map_err(|_| format!("bad --alpha '{v}'")))
-            .transpose()?
-            .unwrap_or(insight::DEFAULT_ALPHA);
-        if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
-            return Err(format!("--alpha {alpha} out of [0,1]"));
-        }
-        Ok((trace, kv.get("out").cloned(), base, alpha))
-    });
-    let (trace, out, base, alpha) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let events = match read_trace_events(&trace) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    const ARGS: ArgSpec = ArgSpec::new(&["from-trace", "out", "profile", "alpha"], &[], 0);
+    let kv = ARGS.parse(&args)?;
+    let trace = kv
+        .get("from-trace")
+        .ok_or_else(|| Usage("missing --from-trace <events.jsonl or --obs dir>".to_string()))?;
+    let base = parse_profile(kv.get("profile").map_or("delta", String::as_str))?;
+    let alpha: f64 = kv.parsed("alpha", insight::DEFAULT_ALPHA)?;
+    if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
+        return Err(Usage(format!("--alpha {alpha} out of [0,1]")));
+    }
+    let events = read_trace_events(trace)?;
     let cal = insight::fit_from_events(base, alpha, &events);
     let counts = cal.samples;
     if cal.total_samples() == 0 {
@@ -938,12 +767,9 @@ fn cmd_calibrate(args: &[String]) -> i32 {
         );
     }
     let toml = insight::profile_toml::to_toml(&cal);
-    match &out {
+    match kv.get("out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &toml) {
-                eprintln!("error writing {path}: {e}");
-                return 1;
-            }
+            write(path, &toml)?;
             eprintln!(
                 "fitted profile written to {path} ({} cpu / {} gpu / {} pcie / {} net samples); \
                  load it with --profile-file",
@@ -952,60 +778,24 @@ fn cmd_calibrate(args: &[String]) -> i32 {
         }
         None => say!("{toml}"),
     }
-    0
+    Ok(())
 }
 
 /// `prs top`: terminal dashboard over an `--obs` bundle, replayed in
 /// virtual time. `--snapshot <t>` renders exactly one frame (the mode
 /// the determinism tests pin); without it the replay renders `--frames`
 /// evenly spaced instants up to the trace horizon.
-fn cmd_top(args: &[String]) -> i32 {
-    let parsed = (|| -> Result<(String, Option<f64>, Option<f64>, usize), String> {
-        let (positional, rest) = match args.first() {
-            Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-            _ => (None, args),
-        };
-        let (kv, flags) = parse_kv(rest)?;
-        if let Some(f) = flags.first() {
-            return Err(format!("unknown flag --{f}"));
-        }
-        for k in kv.keys() {
-            if !["dir", "snapshot", "window", "frames"].contains(&k.as_str()) {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        let dir = positional
-            .or_else(|| kv.get("dir").cloned())
-            .ok_or_else(|| "missing <obs output directory>".to_string())?;
-        let num = |key: &str| -> Result<Option<f64>, String> {
-            kv.get(key)
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --{key} '{v}'")))
-                .transpose()
-        };
-        let frames: usize = kv
-            .get("frames")
-            .map(|v| v.parse().map_err(|_| format!("bad --frames '{v}'")))
-            .transpose()?
-            .unwrap_or(8);
-        if frames == 0 {
-            return Err("--frames must be at least 1".to_string());
-        }
-        Ok((dir, num("snapshot")?, num("window")?, frames))
-    })();
-    let (dir, snapshot, window, frames) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let events = match read_trace_events(&dir) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+fn cmd_top(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(&["dir", "snapshot", "window", "frames"], &[], 1);
+    let kv = ARGS.parse(args)?;
+    let dir = kv.dir("missing <obs output directory>")?;
+    let snapshot: Option<f64> = kv.opt("snapshot")?;
+    let window: Option<f64> = kv.opt("window")?;
+    let frames: usize = kv.parsed("frames", 8)?;
+    if frames == 0 {
+        return Err(Usage("--frames must be at least 1".to_string()));
+    }
+    let events = read_trace_events(&dir)?;
     let decisions = std::fs::read_to_string(resolve_decisions_path(&dir))
         .map(|t| AuditLog::parse_jsonl(&t))
         .unwrap_or_default();
@@ -1040,7 +830,7 @@ fn cmd_top(args: &[String]) -> i32 {
             }
         }
     }
-    0
+    Ok(())
 }
 
 /// The fixed, seeded benchmark suite behind `prs bench --all`: the same
@@ -1051,12 +841,12 @@ fn cmd_top(args: &[String]) -> i32 {
 /// when present, otherwise reconstructed from `events.jsonl` span events
 /// (bundles recorded before stack recording existed still profile).
 /// Returns the frames plus the bundle's event horizon in virtual seconds.
-fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), String> {
+fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), CliError> {
     let p = std::path::Path::new(dir);
     let stacks = if p.is_dir() { p.join("stacks.jsonl") } else { p.to_path_buf() };
     if let Ok(text) = std::fs::read_to_string(&stacks) {
         let set = obs::FrameSet::parse_stacks_jsonl(&text)
-            .map_err(|e| format!("{}: {e}", stacks.display()))?;
+            .map_err(|e| Failed(format!("{}: {e}", stacks.display())))?;
         if !set.is_empty() {
             // The sampling horizon still comes from the full event
             // stream so trailing span-less time is counted: a pass that
@@ -1065,7 +855,7 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), String> {
             let events = p.join("events.jsonl");
             let horizon = match std::fs::read_to_string(&events) {
                 Ok(text) => obs::jsonl::events_horizon(&text)
-                    .map_err(|e| format!("{}: {e}", events.display()))?,
+                    .map_err(|e| Failed(format!("{}: {e}", events.display())))?,
                 Err(_) => set.horizon(),
             };
             return Ok((set, horizon));
@@ -1085,7 +875,9 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), String> {
         .collect();
     let set = obs::FrameSet::from_frames(frames);
     if set.is_empty() {
-        return Err(format!("no stack frames found in {dir} — was the run recorded with --obs?"));
+        return Err(Failed(format!(
+            "no stack frames found in {dir} — was the run recorded with --obs?"
+        )));
     }
     Ok((set, horizon))
 }
@@ -1094,60 +886,20 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), String> {
 /// recorded stack frames at a fixed virtual sampling period and print
 /// the per-phase / per-node / hot-frame summary (or the collapsed-stack
 /// lines with `--folded`).
-fn cmd_profile(args: &[String]) -> i32 {
-    let parsed = (|| -> Result<(String, bool, usize, f64), String> {
-        let (positional, rest) = match args.first() {
-            Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-            _ => (None, args),
-        };
-        let (kv, flags) = parse_kv(rest)?;
-        for f in &flags {
-            if f != "folded" {
-                return Err(format!("unknown flag --{f}"));
-            }
-        }
-        for k in kv.keys() {
-            if !["dir", "top", "period"].contains(&k.as_str()) {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        let dir = positional
-            .or_else(|| kv.get("dir").cloned())
-            .ok_or_else(|| "missing --dir <obs output directory>".to_string())?;
-        let top = match kv.get("top") {
-            Some(v) => v.parse::<usize>().map_err(|_| format!("--top {v}: not an integer"))?,
-            None => 10,
-        };
-        let period = match kv.get("period") {
-            Some(v) => {
-                let p = v.parse::<f64>().map_err(|_| format!("--period {v}: not a number"))?;
-                if p <= 0.0 {
-                    return Err(format!("--period {v}: must be positive"));
-                }
-                p
-            }
-            None => obs::profile::DEFAULT_PERIOD_S,
-        };
-        Ok((dir, flags.iter().any(|f| f == "folded"), top, period))
-    })();
-    let (dir, folded, top, period) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let (set, horizon) = match load_frame_set(&dir) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+fn cmd_profile(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(&["dir", "top", "period"], &["folded"], 1);
+    let kv = ARGS.parse(args)?;
+    let dir = kv.dir(MISSING_BUNDLE)?;
+    let top: usize = kv.parsed("top", 10)?;
+    let period: f64 = kv.parsed("period", obs::profile::DEFAULT_PERIOD_S)?;
+    if period <= 0.0 {
+        return Err(Usage(format!("--period {period}: must be positive")));
+    }
+    let (set, horizon) = load_frame_set(&dir)?;
     let prof = obs::profile(&set, horizon, period);
-    if folded {
+    if kv.flag("folded") {
         say!("{}", prof.to_folded().trim_end());
-        return 0;
+        return Ok(());
     }
     say!(
         "{} sample(s) at {:.0} ns virtual period over {:.6} s ({} frames, {} lanes)",
@@ -1174,52 +926,27 @@ fn cmd_profile(args: &[String]) -> i32 {
     for (name, fp) in prof.ranked_frames().into_iter().take(top) {
         say!("  {name:<16} {:>9} {:>9}", fp.self_samples, fp.total_samples);
     }
-    0
+    Ok(())
 }
 
 /// `prs diff <baseline> <candidate>`: attribute the virtual-makespan
 /// delta between two `--obs` bundles. Writes `diff.json` into the
 /// candidate directory and prints the decomposition table.
-fn cmd_diff(args: &[String]) -> i32 {
-    let parsed = (|| -> Result<(String, String), String> {
-        let positionals: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-        if args.len() != positionals.len() {
-            let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
-            return Err(format!("unknown flag {flag}"));
-        }
-        match positionals.as_slice() {
-            [base, cand] => Ok(((*base).clone(), (*cand).clone())),
-            _ => Err("usage: prs diff <baseline obs dir> <candidate obs dir>".to_string()),
-        }
-    })();
-    let (base_dir, cand_dir) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+fn cmd_diff(args: &[String]) -> Cmd {
+    let kv = ArgSpec::new(&[], &[], 2).parse(args)?;
+    let [base_dir, cand_dir] = kv.positionals.as_slice() else {
+        return Err(Usage(
+            "usage: prs diff <baseline obs dir> <candidate obs dir>".to_string(),
+        ));
     };
-    let (base_events, cand_events) =
-        match (read_trace_events(&base_dir), read_trace_events(&cand_dir)) {
-            (Ok(b), Ok(c)) => (b, c),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
+    let base_events = read_trace_events(base_dir)?;
+    let cand_events = read_trace_events(cand_dir)?;
     let d = insight::diff_events(&base_events, &cand_events);
-    let out_dir = {
-        let p = std::path::Path::new(&cand_dir);
-        if p.is_dir() { p.to_path_buf() } else { p.parent().unwrap_or(p).to_path_buf() }
-    };
-    let path = out_dir.join("diff.json");
-    if let Err(e) = std::fs::write(&path, d.to_json()) {
-        eprintln!("error writing {}: {e}", path.display());
-        return 1;
-    }
+    let path = out_dir(cand_dir).join("diff.json");
+    write(&path, d.to_json())?;
     say!("{}", d.table().trim_end());
     eprintln!("diff written to {}", path.display());
-    0
+    Ok(())
 }
 
 fn bench_suite() -> Vec<(&'static str, RunOptions)> {
@@ -1248,19 +975,14 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
     wordcount.app = AppKind::Wordcount;
     wordcount.nodes = 2;
     wordcount.points = 50_000;
-    // Names ending in `_ckpt` run through the resilient driver with
-    // per-iteration checkpointing armed (no faults), and `--check` holds
-    // them to a tighter 5% makespan envelope: checkpoint writes are
-    // host-only and must stay off the virtual clock.
+    // A checkpoint interval sends C-means through the epoch driver (no
+    // faults, no churn), and `--check` holds names ending in `_ckpt` to a
+    // tighter 5% makespan envelope: checkpoint writes are host-only and
+    // must stay off the virtual clock. There is no `_elastic` twin any
+    // more: with one driver, an empty membership plan is this same call
+    // with the same arguments.
     let mut cmeans_ckpt = cmeans_static.clone();
     cmeans_ckpt.config = cmeans_ckpt.config.with_checkpoint_interval(1);
-    // Names ending in `_elastic` route through the elastic membership
-    // driver with an *empty* plan: contractually bit-identical to the
-    // fixed-cluster run (docs/elasticity.md), so it shares `_ckpt`'s
-    // tighter envelope and any drift is membership-plumbing cost leaking
-    // onto the virtual clock.
-    let mut cmeans_elastic = cmeans_static.clone();
-    cmeans_elastic.config = cmeans_elastic.config.with_checkpoint_interval(1);
     // The cluster-scale scenario: 1000 micro nodes under the parallel
     // engine, one iteration. Sized so every node gets a few map blocks;
     // what the entry really measures is engine throughput (sim events per
@@ -1284,7 +1006,6 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
         ("gemv_2node", gemv_gpu),
         ("wordcount_2node", wordcount),
         ("cmeans_2node_ckpt", cmeans_ckpt),
-        ("cmeans_2node_elastic", cmeans_elastic),
         ("cmeans_1000node", cmeans_1000),
     ]
 }
@@ -1382,48 +1103,19 @@ fn engine_synthetic_row() -> BenchRow {
 /// write `BENCH_prs.json`, and with `--check` fail (exit 1) when any
 /// scenario's virtual makespan regressed more than 10% against the
 /// committed baseline.
-fn cmd_bench(args: &[String]) -> i32 {
-    let parsed = parse_kv(args).and_then(|(kv, flags)| {
-        for f in &flags {
-            if !["all", "check"].contains(&f.as_str()) {
-                return Err(format!("unknown flag --{f}"));
-            }
-        }
-        for k in kv.keys() {
-            if k != "out" {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        if !flags.iter().any(|f| f == "all") {
-            return Err("prs bench requires --all (the fixed suite)".to_string());
-        }
-        Ok((
-            flags.iter().any(|f| f == "check"),
-            kv.get("out").cloned().unwrap_or_else(|| "BENCH_prs.json".to_string()),
-        ))
-    });
-    let (check, out_path) = match parsed {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+fn cmd_bench(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(&["out"], &["all", "check"], 0);
+    let kv = ARGS.parse(args)?;
+    if !kv.flag("all") {
+        return Err(Usage(
+            "prs bench requires --all (the fixed suite)".to_string(),
+        ));
+    }
+    let out_path = kv.get("out").map_or("BENCH_prs.json", String::as_str);
     const ITERS: usize = 5;
     let mut entries: Vec<BenchRow> = Vec::new();
     for (name, opts) in bench_suite() {
-        let profile = match resolve_profile(&opts) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let spec = ClusterSpec::homogeneous(
-            opts.nodes,
-            profile,
-            netsim::NetworkParams::infiniband_qdr(),
-        );
+        let spec = cluster(&opts)?;
         // Three iterations bound the suite's wall time on the 1000-node
         // scenario while still giving the throughput gate a best-of-N to
         // shrug off co-tenant noise.
@@ -1436,25 +1128,12 @@ fn cmd_bench(args: &[String]) -> i32 {
         let mut best_wall_s = f64::MAX;
         for _ in 0..iters {
             let t0 = std::time::Instant::now();
-            let outcome = if name.ends_with("_ckpt") {
-                run_checkpointed_bench(&opts, &spec)
-            } else if name.ends_with("_elastic") {
-                run_elastic_bench(&opts, &spec)
-            } else {
-                dispatch(&opts, &spec, Obs::disabled()).map(|(m, _, _)| m)
-            };
-            match outcome {
-                Ok(m) => {
-                    makespan = m.total_seconds;
-                    sim_events = m.sim_events;
-                    sim_handoffs = m.sim_handoffs;
-                    phases = phase_breakdown(&m);
-                }
-                Err(e) => {
-                    eprintln!("error in bench '{name}': {e}");
-                    return 1;
-                }
-            }
+            let (m, _, _) = dispatch(&opts, &spec, None, Obs::disabled())
+                .map_err(|e| Failed(format!("in bench '{name}': {e}")))?;
+            makespan = m.total_seconds;
+            sim_events = m.sim_events;
+            sim_handoffs = m.sim_handoffs;
+            phases = phase_breakdown(&m);
             let wall = t0.elapsed();
             best_wall_s = best_wall_s.min(wall.as_secs_f64());
             wall_ns.push(wall.as_nanos());
@@ -1505,176 +1184,159 @@ fn cmd_bench(args: &[String]) -> i32 {
         row.handoffs_per_event.unwrap_or(0.0)
     );
     entries.push(row);
-    if check {
-        match std::fs::read_to_string(&out_path) {
-            Ok(text) => {
-                let Ok(doc) = serde_json::from_str(&text) else {
-                    eprintln!("error: {out_path} is not valid JSON");
-                    return 1;
-                };
-                let mut regressed = false;
-                // Per-entry phase deltas for every tripped makespan gate;
-                // written to BENCH_diff.json so a red CI run names its
-                // suspect without a rerun.
-                let mut diff_entries: Vec<serde_json::Value> = Vec::new();
-                // Machine-speed calibration for the wall-derived gates:
-                // the legacy-heap timer path (no threads, no hand-offs) is
-                // measured fresh in this process, so the ratio of
-                // measured-to-committed throughput says how much
-                // faster/slower this host is than the one that wrote the
-                // baseline. Envelopes scale by it; on the baseline host
-                // itself the scale is ~1 and the check is the plain 10%
-                // envelope.
-                let machine_scale = entries
-                    .iter()
-                    .find_map(|r| r.calibration_eps)
-                    .and_then(|measured| {
-                        let committed = doc["entries"].as_array().and_then(|a| {
-                            a.iter()
-                                .find_map(|e| e["legacy_timer_events_per_sec"].as_f64())
-                        })?;
-                        Some(measured / committed.max(1e-9))
-                    })
-                    .unwrap_or(1.0);
-                for row in &entries {
-                    let name = row.name;
-                    let fresh = row.virtual_makespan;
-                    let baseline_entry = doc["entries"]
-                        .as_array()
-                        .and_then(|a| a.iter().find(|e| e["bench"].as_str() == Some(name)));
-                    let baseline =
-                        baseline_entry.and_then(|e| e["virtual_makespan"].as_f64());
-                    // Checkpoint-enabled scenarios get a tighter envelope:
-                    // store writes are host-only, so their virtual makespan
-                    // must track the baseline closely.
-                    let tolerance = if name.ends_with("_ckpt") || name.ends_with("_elastic") {
-                        1.05
-                    } else {
-                        1.10
-                    };
-                    match baseline {
-                        Some(b) if fresh > b * tolerance => {
-                            eprintln!(
-                                "REGRESSION {name}: virtual makespan {fresh:.6}s vs baseline \
-                                 {b:.6}s (+{:.1}%, tolerance {:.0}%)",
-                                (fresh / b - 1.0) * 100.0,
-                                (tolerance - 1.0) * 100.0
-                            );
-                            regressed = true;
-                            // Attribute the regression: fresh-vs-committed
-                            // per-phase deltas, largest first.
-                            let committed = baseline_entry
-                                .and_then(|e| e["phases"].as_object().cloned())
-                                .unwrap_or_default();
-                            let mut deltas: Vec<(String, f64)> = row
-                                .phases
-                                .iter()
-                                .flatten()
-                                .map(|(phase, secs)| {
-                                    let was =
-                                        committed.get(*phase).and_then(|v| v.as_f64()).unwrap_or(0.0);
-                                    (phase.to_string(), secs - was)
-                                })
-                                .collect();
-                            deltas.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                            if let Some((phase, d)) = deltas.first().filter(|(_, d)| *d > 0.0) {
-                                eprintln!(
-                                    "  regressing phase: `{phase}` (+{d:.6}s vs baseline)"
-                                );
-                            }
-                            let delta_obj: std::collections::BTreeMap<String, serde_json::Value> =
-                                deltas
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
-                                    .collect();
-                            diff_entries.push(serde_json::json!({
-                                "bench": name,
-                                "baseline_makespan_s": b,
-                                "fresh_makespan_s": fresh,
-                                "delta_s": fresh - b,
-                                "phase_deltas": delta_obj,
-                                "regressing_phase": deltas
-                                    .first()
-                                    .filter(|(_, d)| *d > 0.0)
-                                    .map(|(p, _)| serde_json::json!(p.clone()))
-                                    .unwrap_or(serde_json::Value::Null),
-                            }));
-                        }
-                        Some(b) => {
-                            say!("check {name:<24} {fresh:.6}s vs {b:.6}s baseline: ok");
-                        }
-                        None => {
-                            say!("check {name:<24} no baseline entry (new bench)");
-                        }
+    if kv.flag("check") {
+        let text = read(out_path)?;
+        let Ok(doc) = serde_json::from_str(&text) else {
+            return Err(Failed(format!("{out_path} is not valid JSON")));
+        };
+        let mut regressed = false;
+        // Per-entry phase deltas for every tripped makespan gate;
+        // written to BENCH_diff.json so a red CI run names its
+        // suspect without a rerun.
+        let mut diff_entries: Vec<serde_json::Value> = Vec::new();
+        // Machine-speed calibration for the wall-derived gates:
+        // the legacy-heap timer path (no threads, no hand-offs) is
+        // measured fresh in this process, so the ratio of
+        // measured-to-committed throughput says how much
+        // faster/slower this host is than the one that wrote the
+        // baseline. Envelopes scale by it; on the baseline host
+        // itself the scale is ~1 and the check is the plain 10%
+        // envelope.
+        let machine_scale = entries
+            .iter()
+            .find_map(|r| r.calibration_eps)
+            .and_then(|measured| {
+                let committed = doc["entries"].as_array().and_then(|a| {
+                    a.iter()
+                        .find_map(|e| e["legacy_timer_events_per_sec"].as_f64())
+                })?;
+                Some(measured / committed.max(1e-9))
+            })
+            .unwrap_or(1.0);
+        for row in &entries {
+            let name = row.name;
+            let fresh = row.virtual_makespan;
+            let baseline_entry = doc["entries"]
+                .as_array()
+                .and_then(|a| a.iter().find(|e| e["bench"].as_str() == Some(name)));
+            let baseline =
+                baseline_entry.and_then(|e| e["virtual_makespan"].as_f64());
+            // Checkpoint-enabled scenarios get a tighter envelope:
+            // store writes are host-only, so their virtual makespan
+            // must track the baseline closely.
+            let tolerance = if name.ends_with("_ckpt") { 1.05 } else { 1.10 };
+            match baseline {
+                Some(b) if fresh > b * tolerance => {
+                    eprintln!(
+                        "REGRESSION {name}: virtual makespan {fresh:.6}s vs baseline \
+                         {b:.6}s (+{:.1}%, tolerance {:.0}%)",
+                        (fresh / b - 1.0) * 100.0,
+                        (tolerance - 1.0) * 100.0
+                    );
+                    regressed = true;
+                    // Attribute the regression: fresh-vs-committed
+                    // per-phase deltas, largest first.
+                    let committed = baseline_entry
+                        .and_then(|e| e["phases"].as_object().cloned())
+                        .unwrap_or_default();
+                    let mut deltas: Vec<(String, f64)> = row
+                        .phases
+                        .iter()
+                        .flatten()
+                        .map(|(phase, secs)| {
+                            let was =
+                                committed.get(*phase).and_then(|v| v.as_f64()).unwrap_or(0.0);
+                            (phase.to_string(), secs - was)
+                        })
+                        .collect();
+                    deltas.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    if let Some((phase, d)) = deltas.first().filter(|(_, d)| *d > 0.0) {
+                        eprintln!(
+                            "  regressing phase: `{phase}` (+{d:.6}s vs baseline)"
+                        );
                     }
-                    // Engine gates. Hand-offs per event are a count, so
-                    // the comparison is exact: more context switches per
-                    // event than the committed run is a process-model
-                    // regression on any host. Entries with a recorded
-                    // events/sec must stay within 10% of their committed
-                    // baseline (regressions only — faster is always fine).
-                    if let (Some(hpe), Some(base_hpe)) = (
-                        row.handoffs_per_event,
-                        baseline_entry.and_then(|e| e["handoffs_per_event"].as_f64()),
-                    ) {
-                        if hpe > base_hpe + 1e-9 {
-                            eprintln!(
-                                "REGRESSION {name}: {hpe:.4} handoffs/event vs baseline \
-                                 {base_hpe:.4}"
-                            );
-                            regressed = true;
-                        } else {
-                            say!(
-                                "check {name:<24} {hpe:.4} handoffs/event vs {base_hpe:.4} \
-                                 baseline: ok"
-                            );
-                        }
-                    }
-                    if let (Some(eps), Some(base_eps)) = (
-                        row.events_per_sec,
-                        baseline_entry.and_then(|e| e["events_per_sec"].as_f64()),
-                    ) {
-                        let expected = base_eps * machine_scale;
-                        if eps < expected / 1.10 {
-                            eprintln!(
-                                "REGRESSION {name}: {eps:.0} events/s vs baseline \
-                                 {base_eps:.0} (machine-scaled to {expected:.0}, \
-                                 -{:.1}%, tolerance 10%)",
-                                (1.0 - eps / expected) * 100.0
-                            );
-                            regressed = true;
-                        } else {
-                            say!(
-                                "check {name:<24} {eps:.0} ev/s vs {expected:.0} \
-                                 machine-scaled baseline: ok"
-                            );
-                        }
-                    }
+                    let delta_obj: std::collections::BTreeMap<String, serde_json::Value> =
+                        deltas
+                            .iter()
+                            .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
+                            .collect();
+                    diff_entries.push(serde_json::json!({
+                        "bench": name,
+                        "baseline_makespan_s": b,
+                        "fresh_makespan_s": fresh,
+                        "delta_s": fresh - b,
+                        "phase_deltas": delta_obj,
+                        "regressing_phase": deltas
+                            .first()
+                            .filter(|(_, d)| *d > 0.0)
+                            .map(|(p, _)| serde_json::json!(p.clone()))
+                            .unwrap_or(serde_json::Value::Null),
+                    }));
                 }
-                if regressed {
-                    if !diff_entries.is_empty() {
-                        let diff_doc = serde_json::json!({
-                            "schema": "prs-bench-diff-v1",
-                            "entries": diff_entries,
-                        });
-                        let diff_path = "BENCH_diff.json";
-                        match std::fs::write(
-                            diff_path,
-                            serde_json::to_string_pretty(&diff_doc).unwrap() + "\n",
-                        ) {
-                            Ok(()) => eprintln!("regression attribution written to {diff_path}"),
-                            Err(e) => eprintln!("error writing {diff_path}: {e}"),
-                        }
-                    }
-                    return 1;
+                Some(b) => {
+                    say!("check {name:<24} {fresh:.6}s vs {b:.6}s baseline: ok");
                 }
-                return 0;
+                None => {
+                    say!("check {name:<24} no baseline entry (new bench)");
+                }
             }
-            Err(e) => {
-                eprintln!("error reading baseline {out_path}: {e}");
-                return 1;
+            // Engine gates. Hand-offs per event are a count, so
+            // the comparison is exact: more context switches per
+            // event than the committed run is a process-model
+            // regression on any host. Entries with a recorded
+            // events/sec must stay within 10% of their committed
+            // baseline (regressions only — faster is always fine).
+            if let (Some(hpe), Some(base_hpe)) = (
+                row.handoffs_per_event,
+                baseline_entry.and_then(|e| e["handoffs_per_event"].as_f64()),
+            ) {
+                if hpe > base_hpe + 1e-9 {
+                    eprintln!(
+                        "REGRESSION {name}: {hpe:.4} handoffs/event vs baseline \
+                         {base_hpe:.4}"
+                    );
+                    regressed = true;
+                } else {
+                    say!(
+                        "check {name:<24} {hpe:.4} handoffs/event vs {base_hpe:.4} \
+                         baseline: ok"
+                    );
+                }
+            }
+            if let (Some(eps), Some(base_eps)) = (
+                row.events_per_sec,
+                baseline_entry.and_then(|e| e["events_per_sec"].as_f64()),
+            ) {
+                let expected = base_eps * machine_scale;
+                if eps < expected / 1.10 {
+                    eprintln!(
+                        "REGRESSION {name}: {eps:.0} events/s vs baseline \
+                         {base_eps:.0} (machine-scaled to {expected:.0}, \
+                         -{:.1}%, tolerance 10%)",
+                        (1.0 - eps / expected) * 100.0
+                    );
+                    regressed = true;
+                } else {
+                    say!(
+                        "check {name:<24} {eps:.0} ev/s vs {expected:.0} \
+                         machine-scaled baseline: ok"
+                    );
+                }
             }
         }
+        if regressed {
+            if !diff_entries.is_empty() {
+                let diff_doc = serde_json::json!({
+                    "schema": "prs-bench-diff-v1",
+                    "entries": diff_entries,
+                });
+                let diff_path = "BENCH_diff.json";
+                write_json(diff_path, &diff_doc)?;
+                eprintln!("regression attribution written to {diff_path}");
+            }
+            return Err(Failed(format!("benchmark regressed against {out_path}")));
+        }
+        return Ok(());
     }
     let json_entries: Vec<serde_json::Value> = entries
         .iter()
@@ -1713,140 +1375,83 @@ fn cmd_bench(args: &[String]) -> i32 {
         "schema": "prs-bench-v1",
         "entries": json_entries,
     });
-    if let Err(e) = std::fs::write(&out_path, serde_json::to_string_pretty(&doc).unwrap() + "\n") {
-        eprintln!("error writing {out_path}: {e}");
-        return 1;
-    }
+    write_json(out_path, &doc)?;
     eprintln!("benchmark results written to {out_path}");
-    0
-}
-
-/// One checkpoint-enabled bench iteration: C-means through the resilient
-/// driver with a fresh in-memory store and no faults. Returns the merged
-/// metrics (`total_seconds` is the whole-run virtual makespan).
-fn run_checkpointed_bench(
-    opts: &RunOptions,
-    spec: &ClusterSpec,
-) -> Result<prs_core::JobMetrics, String> {
-    let k = opts.clusters.max(1);
-    let pts = Arc::new(clustering_workload(opts.points, opts.dims, k, opts.seed).points);
-    let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, opts.seed));
-    let store: Arc<dyn prs_core::CheckpointStore> = Arc::new(prs_core::MemStore::new());
-    prs_core::run_resilient(spec, app, opts.config, store)
-        .map(|outcome| outcome.metrics)
-        .map_err(|e| e.to_string())
-}
-
-/// The `_elastic` bench flavour: the same C-means scenario through
-/// `run_elastic` with an empty membership plan and no autoscaler — the
-/// driver delegates to the resilient path, so the virtual makespan must
-/// match the fixed-cluster baseline bit for bit.
-fn run_elastic_bench(
-    opts: &RunOptions,
-    spec: &ClusterSpec,
-) -> Result<prs_core::JobMetrics, String> {
-    let k = opts.clusters.max(1);
-    let pts = Arc::new(clustering_workload(opts.points, opts.dims, k, opts.seed).points);
-    let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, opts.seed));
-    let store: Arc<dyn prs_core::CheckpointStore> = Arc::new(prs_core::MemStore::new());
-    let plan = prs_core::MembershipPlan::seeded(opts.seed);
-    prs_core::run_elastic(spec, app, opts.config, store, &plan, None)
-        .map(|outcome| outcome.metrics)
-        .map_err(|e| e.to_string())
+    Ok(())
 }
 
 /// `prs chaos [--trials <n>] [--seed <n>] [--out <file>] [--json]`:
 /// sample seeded fault plans across a cluster/workload grid, run each
-/// through the resilient driver, and assert the recovery invariants
+/// through the epoch driver, and assert the recovery invariants
 /// (result bit-equality with the fault-free run, flow conservation,
 /// speculation reconciliation, counter consistency, a monotone virtual
 /// clock). Writes a deterministic `chaos_report.json`; exits 1 when any
 /// trial violates an invariant.
-fn cmd_chaos(args: &[String]) -> i32 {
-    let parsed = parse_kv(args).and_then(|(kv, flags)| {
-        for f in &flags {
-            if f != "json" && f != "score-watch" && f != "record" && f != "churn" {
-                return Err(format!("unknown flag --{f}"));
-            }
-        }
-        let mut cfg = prs_core::ChaosConfig::default();
-        let mut out_path = "chaos_report.json".to_string();
-        let mut watch_out = "watch_score.json".to_string();
-        let mut record_out = "chaos_records".to_string();
-        let mut rules_path: Option<String> = None;
-        for (k, v) in &kv {
-            match k.as_str() {
-                "trials" => {
-                    cfg.trials = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("--trials expects a count, got '{v}'"))?;
-                }
-                "seed" => {
-                    cfg.seed = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("--seed expects an integer, got '{v}'"))?;
-                }
-                "engine" => {
-                    cfg.engine = v
-                        .parse::<simtime::EngineMode>()
-                        .map_err(|e| format!("bad value for --engine: {e}"))?;
-                }
-                "out" => out_path = v.clone(),
-                "watch-out" => watch_out = v.clone(),
-                "record-out" => record_out = v.clone(),
-                "rules" => rules_path = Some(v.clone()),
-                other => return Err(format!("unknown option --{other}")),
-            }
-        }
-        let score_watch = flags.iter().any(|f| f == "score-watch");
-        if !score_watch && (rules_path.is_some() || kv.contains_key("watch-out")) {
-            return Err("--rules / --watch-out require --score-watch".to_string());
-        }
-        let record = flags.iter().any(|f| f == "record");
-        if !record && kv.contains_key("record-out") {
-            return Err("--record-out requires --record".to_string());
-        }
-        if record && !score_watch {
-            return Err("--record requires --score-watch (captures are incident-triggered)".to_string());
-        }
-        let churn = flags.iter().any(|f| f == "churn");
-        if churn && (score_watch || record) {
-            return Err(
-                "--churn runs the elastic-membership grid and cannot combine with \
-                 --score-watch / --record"
-                    .to_string(),
-            );
-        }
-        if churn && !kv.contains_key("out") {
-            out_path = "churn_report.json".to_string();
-        }
-        Ok((
-            cfg,
-            out_path,
-            flags.iter().any(|f| f == "json"),
-            score_watch,
-            watch_out,
-            rules_path,
-            record.then_some(record_out),
-            churn,
-        ))
-    });
-    let (cfg, out_path, json, score_watch, watch_out, rules_path, record_out, churn) = match parsed
-    {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+fn cmd_chaos(args: &[String]) -> Cmd {
+    const ARGS: ArgSpec = ArgSpec::new(
+        &[
+            "trials",
+            "seed",
+            "engine",
+            "out",
+            "watch-out",
+            "record-out",
+            "rules",
+        ],
+        &["json", "score-watch", "record", "churn"],
+        0,
+    );
+    let kv = ARGS.parse(args)?;
+    let defaults = prs_core::ChaosConfig::default();
+    let cfg = prs_core::ChaosConfig {
+        trials: kv.parsed("trials", defaults.trials)?,
+        seed: kv.parsed("seed", defaults.seed)?,
+        engine: match kv.get("engine") {
+            Some(v) => v
+                .parse()
+                .map_err(|e| Usage(format!("bad value for --engine: {e}")))?,
+            None => defaults.engine,
+        },
+    };
+    let (json, score_watch) = (kv.flag("json"), kv.flag("score-watch"));
+    let (record, churn) = (kv.flag("record"), kv.flag("churn"));
+    let conflict = if !score_watch && (kv.get("rules").is_some() || kv.get("watch-out").is_some()) {
+        Some("--rules / --watch-out require --score-watch")
+    } else if !record && kv.get("record-out").is_some() {
+        Some("--record-out requires --record")
+    } else if record && !score_watch {
+        Some("--record requires --score-watch (captures are incident-triggered)")
+    } else if churn && (score_watch || record) {
+        Some(
+            "--churn runs the elastic-membership grid and cannot combine with \
+             --score-watch / --record",
+        )
+    } else {
+        None
+    };
+    if let Some(msg) = conflict {
+        return Err(Usage(msg.to_string()));
+    }
+    let default_out = if churn {
+        "churn_report.json"
+    } else {
+        "chaos_report.json"
+    };
+    let out_path = kv.get("out").map_or(default_out, String::as_str);
+    let watch_out = kv
+        .get("watch-out")
+        .map_or("watch_score.json", String::as_str);
+    let record_out = record.then(|| kv.get("record-out").map_or("chaos_records", String::as_str));
+    let verdict = |passed: bool| match passed {
+        true => Ok(()),
+        false => Err(Failed(
+            "chaos invariants violated or watch floors missed".into(),
+        )),
     };
     if churn {
         let report = prs_core::run_chaos_churn(&cfg);
         let doc = report.to_json();
-        if let Err(e) = std::fs::write(&out_path, serde_json::to_string_pretty(&doc).unwrap() + "\n")
-        {
-            eprintln!("error writing {out_path}: {e}");
-            return 1;
-        }
+        write_json(out_path, &doc)?;
         if json {
             say!("{}", serde_json::to_string_pretty(&doc).unwrap());
         } else {
@@ -1877,34 +1482,13 @@ fn cmd_chaos(args: &[String]) -> i32 {
                 if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
             );
         }
-        return if report.all_passed() { 0 } else { 1 };
+        return verdict(report.all_passed());
     }
-    let rules = match &rules_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error reading {path}: {e}");
-                    return 1;
-                }
-            };
-            match watch::WatchConfig::from_toml(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-        None => watch::WatchConfig::default(),
-    };
-    let (report, score, recordings) = if let Some(dir) = &record_out {
+    let rules = watch_rules(kv.get("rules"))?;
+    let (report, score, recordings) = if let Some(dir) = record_out {
         let (report, score, recordings) =
             prs_core::run_chaos_recorded(&cfg, &rules, obs::RecorderConfig::enabled());
-        if let Err(e) = write_chaos_recordings(dir, &recordings) {
-            eprintln!("error: {e}");
-            return 1;
-        }
+        write_chaos_recordings(dir, &recordings)?;
         (report, Some(score), recordings)
     } else if score_watch {
         let (report, score) = prs_core::run_chaos_scored(&cfg, &rules);
@@ -1913,10 +1497,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
         (prs_core::run_chaos(&cfg), None, Vec::new())
     };
     let doc = report.to_json();
-    if let Err(e) = std::fs::write(&out_path, serde_json::to_string_pretty(&doc).unwrap() + "\n") {
-        eprintln!("error writing {out_path}: {e}");
-        return 1;
-    }
+    write_json(out_path, &doc)?;
     if json {
         say!("{}", serde_json::to_string_pretty(&doc).unwrap());
     } else {
@@ -1948,12 +1529,9 @@ fn cmd_chaos(args: &[String]) -> i32 {
             if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
         );
     }
-    let mut code = if report.all_passed() { 0 } else { 1 };
+    let mut passed = report.all_passed();
     if let Some(score) = &score {
-        if let Err(e) = std::fs::write(&watch_out, score.to_json()) {
-            eprintln!("error writing {watch_out}: {e}");
-            return 1;
-        }
+        write(watch_out, score.to_json())?;
         if !json {
             say!(
                 "\nwatch: {} trial(s) scored, {} fault-free alert(s)",
@@ -1984,11 +1562,9 @@ fn cmd_chaos(args: &[String]) -> i32 {
                 score.recall_floor
             );
         }
-        if !score.meets_floors() {
-            code = 1;
-        }
+        passed &= score.meets_floors();
     }
-    if let Some(dir) = &record_out {
+    if let Some(dir) = record_out {
         let captures: usize = recordings.iter().map(|r| r.captures.len()).sum();
         if !json {
             say!(
@@ -1998,20 +1574,19 @@ fn cmd_chaos(args: &[String]) -> i32 {
             );
         }
     }
-    code
+    verdict(passed)
 }
 
 /// Writes each recorded chaos trial's captures and assembled postmortem
 /// into `<dir>/trial-<index>/`.
-fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) -> Result<(), String> {
+fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) -> Cmd {
     let root = std::path::Path::new(dir);
     for rec in recordings {
         let tdir = root.join(format!("trial-{}", rec.index));
-        std::fs::create_dir_all(&tdir).map_err(|e| format!("creating {}: {e}", tdir.display()))?;
+        std::fs::create_dir_all(&tdir)
+            .map_err(|e| Failed(format!("creating {}: {e}", tdir.display())))?;
         for c in &rec.captures {
-            let path = tdir.join(c.file_name());
-            std::fs::write(&path, c.to_jsonl())
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            write(tdir.join(c.file_name()), c.to_jsonl())?;
         }
         // Echo the incident rows so `prs postmortem <trial dir>` can
         // re-assemble the identical document from the artifacts alone.
@@ -2033,19 +1608,11 @@ fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) ->
                 text.push_str(&inc.to_json_string());
                 text.push('\n');
             }
-            let path = tdir.join("incidents.jsonl");
-            std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            write(tdir.join("incidents.jsonl"), text)?;
         }
-        for (name, text) in [
-            ("decisions.jsonl", &rec.decisions_jsonl),
-            ("stacks.jsonl", &rec.stacks_jsonl),
-        ] {
-            let path = tdir.join(name);
-            std::fs::write(&path, text).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        }
-        let path = tdir.join("postmortem.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&rec.postmortem).unwrap() + "\n")
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        write(tdir.join("decisions.jsonl"), &rec.decisions_jsonl)?;
+        write(tdir.join("stacks.jsonl"), &rec.stacks_jsonl)?;
+        write_json(tdir.join("postmortem.json"), &rec.postmortem)?;
     }
     Ok(())
 }
@@ -2055,78 +1622,37 @@ fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) ->
 /// one `postmortem.json`, and print the human-readable incident report.
 /// Exits 2 on usage errors, 1 when the dir is missing or holds no
 /// `capture-*.jsonl` files.
-fn cmd_postmortem(args: &[String]) -> i32 {
-    let parsed = (|| -> Result<String, String> {
-        let (positional, rest) = match args.first() {
-            Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-            _ => (None, args),
-        };
-        let (kv, flags) = parse_kv(rest)?;
-        if let Some(f) = flags.first() {
-            return Err(format!("unknown flag --{f}"));
-        }
-        for k in kv.keys() {
-            if k != "dir" {
-                return Err(format!("unknown option --{k}"));
-            }
-        }
-        positional
-            .or_else(|| kv.get("dir").cloned())
-            .ok_or_else(|| "missing <dir> (a --record'ed --obs bundle or chaos trial dir)".to_string())
-    })();
-    let dir = match parsed {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
+fn cmd_postmortem(args: &[String]) -> Cmd {
+    let dir = bundle_dir(
+        args,
+        "missing <dir> (a --record'ed --obs bundle or chaos trial dir)",
+    )?;
     let root = std::path::Path::new(&dir);
     if !root.is_dir() {
-        eprintln!("error: {dir} is not a directory");
-        return 1;
+        return Err(Failed(format!("{dir} is not a directory")));
     }
     // Every capture file in name order: capture ids are per-incident, so
     // the lexicographic tie-break keeps multi-digit ids deterministic.
-    let mut capture_paths: Vec<std::path::PathBuf> = match std::fs::read_dir(root) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .map(|n| n.starts_with("capture-") && n.ends_with(".jsonl"))
-                    .unwrap_or(false)
-            })
-            .collect(),
-        Err(e) => {
-            eprintln!("error reading {dir}: {e}");
-            return 1;
-        }
-    };
+    let mut capture_paths: Vec<std::path::PathBuf> = std::fs::read_dir(root)
+        .map_err(|e| Failed(format!("reading {dir}: {e}")))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("capture-") && n.ends_with(".jsonl"))
+        })
+        .collect();
     capture_paths.sort();
     if capture_paths.is_empty() {
-        eprintln!(
-            "error: no capture files (capture-*.jsonl) in {dir} — was the run recorded \
-             with --record?"
-        );
-        return 1;
+        return Err(Failed(format!(
+            "no capture files (capture-*.jsonl) in {dir} — was the run recorded with --record?"
+        )));
     }
     let mut docs = Vec::new();
     for path in &capture_paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error reading {}: {e}", path.display());
-                return 1;
-            }
-        };
-        match insight::parse_capture_jsonl(&text) {
-            Ok(doc) => docs.push(doc),
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return 1;
-            }
-        }
+        let doc = insight::parse_capture_jsonl(&read(path)?)
+            .map_err(|e| Failed(format!("{}: {e}", path.display())))?;
+        docs.push(doc);
     }
     // The companion artifacts are optional: a chaos trial dir carries only
     // captures, an --obs bundle carries all three.
@@ -2164,67 +1690,38 @@ fn cmd_postmortem(args: &[String]) -> i32 {
         .unwrap_or_default();
     let pm = insight::postmortem::assemble(&docs, &incidents, &decisions, frames.frames());
     let out = root.join("postmortem.json");
-    if let Err(e) = std::fs::write(&out, serde_json::to_string_pretty(&pm).unwrap() + "\n") {
-        eprintln!("error writing {}: {e}", out.display());
-        return 1;
-    }
+    write_json(&out, &pm)?;
     say!("{}", insight::postmortem::summary(&pm).trim_end());
     eprintln!("postmortem written to {}", out.display());
-    0
+    Ok(())
 }
 
-/// Resolves the node hardware for `run`/`sweep`: a `prs calibrate` TOML
-/// when `--profile-file` is given, a named preset otherwise.
-fn resolve_profile(opts: &RunOptions) -> Result<roofline::profiles::DeviceProfile, String> {
-    match &opts.profile_file {
+/// Resolves node hardware: a `prs calibrate` TOML when `--profile-file`
+/// is given, a named preset otherwise.
+fn load_profile(
+    file: Option<&String>,
+    name: &str,
+) -> Result<roofline::profiles::DeviceProfile, String> {
+    match file {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             insight::profile_toml::parse_device_profile(&text).map_err(|e| format!("{path}: {e}"))
         }
-        None => parse_profile(&opts.profile),
+        None => parse_profile(name),
     }
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let opts = match parse_run(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            print_help();
-            return 2;
+fn cmd_run(args: &[String]) -> Cmd {
+    let opts = run_options(args)?;
+    let spec = cluster(&opts)?;
+    // A churn plan is loaded up front so a bad plan file fails like any
+    // other argument error, before the cluster spins up.
+    let churn = match &opts.membership {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            Some(prs_core::MembershipPlan::from_toml(&text).map_err(|e| format!("{path}: {e}"))?)
         }
-    };
-    let profile = match resolve_profile(&opts) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let spec = ClusterSpec::homogeneous(
-        opts.nodes,
-        profile,
-        netsim::NetworkParams::infiniband_qdr(),
-    );
-
-    // An elastic run loads its churn plan up front so a bad plan file
-    // fails like any other argument error, before the cluster spins up.
-    let elastic = opts.membership.is_some() || opts.autoscale;
-    let mplan = if let Some(path) = &opts.membership {
-        let loaded = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| {
-                prs_core::MembershipPlan::from_toml(&text).map_err(|e| format!("{path}: {e}"))
-            });
-        match loaded {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
-    } else {
-        prs_core::MembershipPlan::seeded(opts.seed)
+        None => None,
     };
 
     // With `--record` the flight recorder rides along: shadow mode when an
@@ -2242,18 +1739,8 @@ fn cmd_run(args: &[String]) -> i32 {
     } else {
         Obs::disabled()
     };
-    let outcome = if elastic {
-        dispatch_elastic(&opts, &spec, &mplan, obs.clone())
-    } else {
-        dispatch(&opts, &spec, obs.clone())
-    };
-    let (result, label, extra) = match outcome {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let (result, label, extra) =
+        dispatch(&opts, &spec, churn.as_ref(), obs.clone()).map_err(Failed)?;
 
     if opts.json {
         let doc = serde_json::json!({
@@ -2297,31 +1784,21 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     }
     if let Some(path) = &opts.trace_out {
-        match std::fs::write(path, to_chrome_trace(&result.timeline)) {
-            Ok(()) => eprintln!("trace written to {path} (open in chrome://tracing or Perfetto)"),
-            Err(e) => {
-                eprintln!("error writing trace to {path}: {e}");
-                return 1;
-            }
-        }
+        write(path, to_chrome_trace(&result.timeline))?;
+        eprintln!("trace written to {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(dir) = &opts.obs_out {
-        match write_obs_bundle(dir, &obs, &result.timeline) {
-            Ok(()) => eprintln!(
-                "observability bundle written to {dir}/ (events.jsonl, metrics.prom, \
-                 decisions.jsonl, rollup.jsonl, alerts.jsonl, incidents.jsonl, trace.json, \
-                 stacks.jsonl, profile.folded, profile.json{})",
-                if rec_cfg.is_enabled() {
-                    ", capture-*.jsonl, postmortem.json"
-                } else {
-                    ""
-                }
-            ),
-            Err(e) => {
-                eprintln!("error writing observability bundle: {e}");
-                return 1;
+        write_obs_bundle(dir, &obs, &result.timeline)?;
+        eprintln!(
+            "observability bundle written to {dir}/ (events.jsonl, metrics.prom, \
+             decisions.jsonl, rollup.jsonl, alerts.jsonl, incidents.jsonl, trace.json, \
+             stacks.jsonl, profile.folded, profile.json{})",
+            if rec_cfg.is_enabled() {
+                ", capture-*.jsonl, postmortem.json"
+            } else {
+                ""
             }
-        }
+        );
     } else if rec_cfg.is_enabled() {
         let s = obs.recorder.summary();
         eprintln!(
@@ -2330,7 +1807,7 @@ fn cmd_run(args: &[String]) -> i32 {
             s.retained, s.peak_retained, s.folded, s.fold_bins, s.bytes
         );
     }
-    0
+    Ok(())
 }
 
 /// Converts paired message flows into Chrome-trace arrows.
@@ -2352,13 +1829,10 @@ fn flow_arrows(flows: &[insight::Flow]) -> Vec<FlowArrow> {
 /// `events.jsonl`, `metrics.prom` (including the rollup gauge families),
 /// `decisions.jsonl`, `rollup.jsonl`, and a `trace.json` whose lanes are
 /// linked by flow arrows for every paired cross-node message.
-fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Result<(), String> {
+fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Cmd {
     let dir = std::path::Path::new(dir);
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let write = |name: &str, content: String| -> Result<(), String> {
-        let path = dir.join(name);
-        std::fs::write(&path, content).map_err(|e| format!("writing {}: {e}", path.display()))
-    };
+    std::fs::create_dir_all(dir).map_err(|e| Failed(format!("creating {}: {e}", dir.display())))?;
+    let write = |name: &str, content: String| write(dir.join(name), content);
     let events = insight::from_bus(&obs.bus);
     let flows = insight::pair_flows(&events);
     let decisions = obs.audit.records();
@@ -2404,53 +1878,17 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Resu
 
 type RunOutcome = Result<(prs_core::JobMetrics, String, String), String>;
 
-/// Runs C-means through the elastic membership driver: the loaded plan
-/// (and/or the default hysteresis autoscaler) governs epoch boundaries,
-/// and a fresh in-memory store carries checkpoints across them.
-fn dispatch_elastic(
+/// Builds the requested app, runs it (with the given observability
+/// bundle attached), and summarizes app-specific results. C-means goes
+/// through the epoch driver when it is given a membership plan, the
+/// autoscaler or a checkpoint interval; a fresh in-memory store carries
+/// the checkpoints across epochs.
+fn dispatch(
     opts: &RunOptions,
     spec: &ClusterSpec,
-    mplan: &prs_core::MembershipPlan,
+    churn: Option<&prs_core::MembershipPlan>,
     obs: Obs,
 ) -> RunOutcome {
-    let k = opts.clusters.max(1);
-    let pts = Arc::new(clustering_workload(opts.points, opts.dims, k, opts.seed).points);
-    let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, opts.seed));
-    let store: Arc<dyn prs_core::CheckpointStore> = Arc::new(prs_core::MemStore::new());
-    let policy = prs_core::AutoscalePolicy::default();
-    let out = prs_core::run_elastic_observed(
-        spec,
-        app.clone(),
-        opts.config,
-        store,
-        mplan,
-        opts.autoscale.then_some(&policy),
-        obs,
-    )
-    .map_err(|e| e.to_string())?;
-    let m = &out.membership;
-    let final_nodes = out.cluster_sizes.last().map(|&(_, n)| n).unwrap_or(spec.len());
-    let obj = app.objective_history().last().copied().unwrap_or(0.0);
-    let extra = format!(
-        "elastic: {} epoch(s), {} -> {} node(s), joins={} (retries={}) drains={} evicts={} \
-         handoffs={} grow={} shrink={}; final J_m = {obj:.4e}",
-        out.attempts.len(),
-        spec.len(),
-        final_nodes,
-        m.joins,
-        m.join_retries,
-        m.drains,
-        m.evictions,
-        m.handoffs,
-        m.grow_decisions,
-        m.shrink_decisions,
-    );
-    Ok((out.metrics, "C-means (elastic)".into(), extra))
-}
-
-/// Builds the requested app, runs it (with the given observability
-/// bundle attached), and summarizes app-specific results.
-fn dispatch(opts: &RunOptions, spec: &ClusterSpec, obs: Obs) -> RunOutcome {
     let seed = opts.seed;
     let n = opts.points;
     let d = opts.dims;
@@ -2465,9 +1903,39 @@ fn dispatch(opts: &RunOptions, spec: &ClusterSpec, obs: Obs) -> RunOutcome {
         AppKind::Cmeans => {
             let pts = Arc::new(clustering_workload(n, d, k, seed).points);
             let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, seed));
-            let r = run_iterative_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let obj = app.objective_history().last().copied().unwrap_or(0.0);
-            Ok((metrics(r), "C-means".into(), format!("final J_m = {obj:.4e}")))
+            let final_jm = || app.objective_history().last().copied().unwrap_or(0.0);
+            if churn.is_none() && !opts.autoscale && opts.config.checkpoint_interval_iters == 0 {
+                let r = run_iterative_observed(spec, app.clone(), opts.config, obs).map_err(err)?;
+                return Ok((
+                    metrics(r),
+                    "C-means".into(),
+                    format!("final J_m = {:.4e}", final_jm()),
+                ));
+            }
+            let epochs = prs_core::EpochOptions {
+                membership: churn.cloned().unwrap_or_default(),
+                autoscale: opts.autoscale.then(prs_core::AutoscalePolicy::default),
+                obs,
+                ..Default::default()
+            };
+            let out = prs_core::run_epochs(spec, app.clone(), opts.config, epochs).map_err(err)?;
+            let m = &out.membership;
+            let extra = format!(
+                "elastic: {} epoch(s), {} -> {} node(s), joins={} (retries={}) drains={} \
+                 evicts={} handoffs={} grow={} shrink={}; final J_m = {:.4e}",
+                out.attempts.len(),
+                spec.len(),
+                out.cluster_sizes.last().map_or(spec.len(), |&(_, n)| n),
+                m.joins,
+                m.join_retries,
+                m.drains,
+                m.evictions,
+                m.handoffs,
+                m.grow_decisions,
+                m.shrink_decisions,
+                final_jm(),
+            );
+            Ok((out.metrics, "C-means (elastic)".into(), extra))
         }
         AppKind::Kmeans => {
             let pts = Arc::new(clustering_workload(n, d, k, seed).points);

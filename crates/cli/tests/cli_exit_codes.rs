@@ -84,6 +84,17 @@ fn readers_reject_an_empty_bundle() {
 
 #[test]
 fn usage_errors_exit_two() {
+    // Scale-out counts no cluster could hold: the first used to abort in
+    // release on a failed allocation, the second to overflow the total.
+    let dir = tmp_dir("huge-plans");
+    let plan = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write plan");
+        path.to_str().expect("utf-8 temp path").to_string()
+    };
+    let huge = plan("huge.toml", "[[scale_out]]\ncount = 200000000000\nat_s = 0.01\n");
+    let max = "[[scale_out]]\ncount = 18446744073709551615\nat_s = 0.01\n";
+    let overflow = plan("overflow.toml", &max.repeat(2));
     for cmd in [
         vec!["trace"],
         vec!["trace", "--bogus", "x"],
@@ -105,6 +116,8 @@ fn usage_errors_exit_two() {
         vec!["run", "--membership", "p.toml", "--app", "gemv"], // elastic needs cmeans
         vec!["run", "--autoscale", "--app", "kmeans"],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
+        vec!["run", "--membership", &huge],     // more nodes than can be simulated
+        vec!["run", "--membership", &overflow], // total overflows usize
         vec!["definitely-not-a-subcommand"],
     ] {
         let out = prs(&cmd);
@@ -114,7 +127,10 @@ fn usage_errors_exit_two() {
             "prs {} must exit 2 (usage error)",
             cmd.join(" ")
         );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "prs {}: {stderr}", cmd.join(" "));
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -117,7 +117,7 @@ pub trait IterativeApp: SpmdApp {
 
 /// Extension for iterative applications whose model state can be
 /// checkpointed and restored, enabling the epoch-based recovery driver
-/// (`run_resilient`) to resume a crashed job from the last iteration
+/// (`run_epochs`) to resume a crashed job from the last iteration
 /// boundary.
 ///
 /// The byte format is the app's own business — the runtime treats it as

@@ -1,5 +1,5 @@
 //! Seeded chaos harness: samples deterministic fault plans across a grid
-//! of jobs and cluster shapes, runs each through the resilient driver,
+//! of jobs and cluster shapes, runs each through the epoch driver,
 //! and asserts the recovery invariants the rest of the stack depends on:
 //!
 //! 1. **Result equivalence** — the recovered run's final outputs and
@@ -23,11 +23,11 @@ use crate::api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
 use crate::checkpoint::MemStore;
 use crate::cluster::ClusterSpec;
 use crate::config::JobConfig;
+use crate::epoch::{run_epochs, ElasticOutcome, EpochOptions};
 use crate::faults::{splitmix64, FaultPlan};
 use crate::job::{run_iterative, run_iterative_observed};
-use crate::membership::{run_elastic_observed, MembershipCounters, MembershipPlan};
+use crate::membership::{MembershipCounters, MembershipPlan};
 use crate::metrics::RecoveryCounters;
-use crate::resilient::{run_resilient_observed, ResilientOutcome};
 use obs::rollup::RollupEvent;
 use obs::Obs;
 use watch::{score_trials, FaultKind, GroundTruthFault, TrialWatch, WatchConfig, WatchScore};
@@ -87,7 +87,7 @@ pub struct ChaosTrial {
     pub node_crashes: usize,
     /// Master crashes injected.
     pub master_crashes: usize,
-    /// Recovery epochs the resilient driver ran (1 = no crash fired).
+    /// Recovery epochs the epoch driver ran (1 = no crash fired).
     pub epochs: usize,
     /// Merged recovery counters of the chaotic run.
     pub recovery: RecoveryCounters,
@@ -539,12 +539,15 @@ fn run_chaos_inner(
         // The watchdog is an online consumer: it opens its cursor before
         // the run and drains everything the run appended afterwards.
         let mut watch_sub = obs.bus.subscribe();
-        let outcome: ResilientOutcome<u64> = run_resilient_observed(
+        let outcome = run_epochs(
             &ClusterSpec::delta(nodes).with_faults(plan),
             chaotic_app.clone(),
             chaotic_config,
-            store,
-            obs.clone(),
+            EpochOptions {
+                store,
+                obs: obs.clone(),
+                ..EpochOptions::default()
+            },
         )
         .expect("chaos resilient run");
 
@@ -604,15 +607,7 @@ fn run_chaos_inner(
         let speculation_reconciled = rec.speculation_reconciles();
         let counters_consistent = rec.restores == rec.node_crashes + rec.master_failovers
             && outcome.attempts.len() as u64 == rec.restores + 1;
-        let clock_monotone = outcome
-            .attempts
-            .windows(2)
-            .all(|w| w[1].base_secs > w[0].base_secs)
-            && outcome.attempts.iter().all(|a| a.end_secs >= a.base_secs)
-            && outcome
-                .attempts
-                .last()
-                .is_some_and(|a| a.end_secs == outcome.total_virtual_secs);
+        let clock_monotone = epoch_clock_monotone(&outcome);
 
         trials.push(ChaosTrial {
             index,
@@ -645,10 +640,23 @@ fn run_chaos_inner(
     )
 }
 
+/// The clock invariant both grids assert: epoch base times strictly
+/// increase, no epoch ends before it starts, the last one ends at the
+/// run's total, and the size trace's timestamps never run backwards.
+fn epoch_clock_monotone(out: &ElasticOutcome<u64>) -> bool {
+    let epochs = &out.attempts;
+    epochs.windows(2).all(|w| w[1].base_secs > w[0].base_secs)
+        && epochs.iter().all(|a| a.end_secs >= a.base_secs)
+        && epochs
+            .last()
+            .is_some_and(|a| a.end_secs == out.total_virtual_secs)
+        && out.cluster_sizes.windows(2).all(|w| w[1].0 >= w[0].0)
+}
+
 /// One churn trial: the sampled shape, the injected membership plan and
 /// crash faults, and the elastic invariant verdicts. Extends the base
 /// chaos grid with churn×fault coverage: the same derived-seed
-/// discipline, but the run goes through [`run_elastic_observed`] with a
+/// discipline, but the run goes through [`run_epochs`] with a
 /// sampled [`MembershipPlan`] alongside (sometimes) a crash plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnTrial {
@@ -676,7 +684,7 @@ pub struct ChurnTrial {
     pub node_crashes: usize,
     /// Master crashes injected alongside the churn.
     pub master_crashes: usize,
-    /// Epochs the elastic driver ran (1 = nothing fired).
+    /// Epochs the epoch driver ran (1 = nothing fired).
     pub epochs: usize,
     /// The membership state machine's ledger for the run.
     pub membership: MembershipCounters,
@@ -807,7 +815,7 @@ impl ChurnReport {
 }
 
 /// Runs the churn chaos grid: every trial runs the chaos app through
-/// the elastic driver with a seeded [`MembershipPlan`] (scale-out,
+/// the epoch driver with a seeded [`MembershipPlan`] (scale-out,
 /// drain, and evict events inside the fault-free span), and a sampled
 /// subset of trials composes the churn with worker/master crashes.
 /// Trial 0 always forces the hardest composition — a crash landing
@@ -906,14 +914,16 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
         let churn_app = Arc::new(ChaosApp::new(items, keys, 0));
         let store = Arc::new(MemStore::new());
         let obs = Obs::recording();
-        let outcome = run_elastic_observed(
+        let outcome = run_epochs(
             &ClusterSpec::delta(nodes).with_faults(plan),
             churn_app.clone(),
             config.with_checkpoint_interval(checkpoint_interval),
-            store,
-            &mplan,
-            None,
-            obs.clone(),
+            EpochOptions {
+                store,
+                membership: mplan,
+                obs: obs.clone(),
+                autoscale: None,
+            },
         )
         .expect("churn elastic run");
 
@@ -957,19 +967,7 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
                     + disp("evict")
                     + disp("handoff")
                     + disp("node-crash");
-        let clock_monotone = outcome
-            .attempts
-            .windows(2)
-            .all(|w| w[1].base_secs > w[0].base_secs)
-            && outcome.attempts.iter().all(|a| a.end_secs >= a.base_secs)
-            && outcome
-                .attempts
-                .last()
-                .is_some_and(|a| a.end_secs == outcome.total_virtual_secs)
-            && outcome
-                .cluster_sizes
-                .windows(2)
-                .all(|w| w[1].0 >= w[0].0);
+        let clock_monotone = epoch_clock_monotone(&outcome);
 
         trials.push(ChurnTrial {
             index,

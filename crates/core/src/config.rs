@@ -105,8 +105,8 @@ pub struct JobConfig {
     /// first completion wins, the loser is cancelled. `None` disables
     /// speculation entirely (bit-identical to the seed's behaviour).
     pub speculation_lag_multiplier: Option<f64>,
-    /// Iterations between checkpoints when running under the resilient
-    /// driver (`run_resilient`): rank 0 snapshots the model state after
+    /// Iterations between checkpoints when running under the epoch
+    /// driver (`run_epochs`): rank 0 snapshots the model state after
     /// every `n`-th global reduce. 0 disables checkpointing.
     pub checkpoint_interval_iters: usize,
     /// Simulation engine the job runs on (see `docs/engine.md`). All modes
@@ -243,7 +243,7 @@ impl JobConfig {
         self
     }
 
-    /// Builder-style checkpoint cadence for the resilient driver: snapshot
+    /// Builder-style checkpoint cadence for the epoch driver: snapshot
     /// after every `n`-th global reduce (`n ≥ 1`).
     pub fn with_checkpoint_interval(mut self, n: usize) -> Self {
         assert!(n >= 1, "checkpoint interval must be >= 1");

@@ -82,7 +82,7 @@ pub struct NodeStall {
 /// crash is detected at the next iteration boundary (plus the heartbeat
 /// detection delay), the job rolls back to the last checkpoint, and the
 /// surviving nodes re-run the remaining iterations (see
-/// [`crate::resilient::run_resilient`]).
+/// [`crate::run_epochs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NodeCrash {
     /// Stable node id: a node keeps its id for the job's whole lifetime,
@@ -163,9 +163,9 @@ pub struct FaultPlan {
     pub node_stalls: Vec<NodeStall>,
     /// Network jitter / congestion / partition windows.
     pub link_faults: Vec<LinkFault>,
-    /// Whole-node crashes (require the epoch-based resilient driver).
+    /// Whole-node crashes (require the epoch driver).
     pub node_crashes: Vec<NodeCrash>,
-    /// Master crashes (require checkpointing + the resilient driver).
+    /// Master crashes (require checkpointing + the epoch driver).
     pub master_crashes: Vec<MasterCrash>,
 }
 
@@ -200,12 +200,12 @@ impl FaultPlan {
     }
 
     /// True when the plan contains whole-node or master crashes — faults
-    /// only the epoch-based resilient driver can survive.
+    /// only the epoch driver can survive.
     pub fn has_crash_faults(&self) -> bool {
         !self.node_crashes.is_empty() || !self.master_crashes.is_empty()
     }
 
-    /// A copy with the crash faults removed — the plan the resilient
+    /// A copy with the crash faults removed — the plan the epoch
     /// driver hands each attempt's simulation (the driver consumes the
     /// crash events itself between epochs).
     pub fn sans_crashes(&self) -> FaultPlan {
@@ -270,7 +270,7 @@ impl FaultPlan {
     }
 
     /// Adds a whole-node crash: every daemon on `node` dies at `at_secs`.
-    /// Only [`crate::resilient::run_resilient`] accepts plans with crash
+    /// Only [`crate::run_epochs`] accepts plans with crash
     /// faults; the plain drivers reject them at validation.
     pub fn crash_node(mut self, node: usize, at_secs: f64) -> Self {
         self.node_crashes.push(NodeCrash { node, at_secs });
@@ -279,7 +279,7 @@ impl FaultPlan {
 
     /// Adds a master crash at `at_secs`. Recovery requires a checkpoint
     /// interval > 0 (the standby master replays the last checkpoint), a
-    /// rule enforced by the resilient driver's validation.
+    /// rule enforced by the epoch driver's validation.
     pub fn crash_master(mut self, at_secs: f64) -> Self {
         self.master_crashes.push(MasterCrash { at_secs });
         self
@@ -424,106 +424,73 @@ impl FaultPlan {
     /// a master crash at the same instant resolve to the node crash (the
     /// bigger loss), then to the lowest rank — fully deterministic.
     pub fn earliest_crash(&self) -> Option<CrashEvent> {
-        let mut best: Option<CrashEvent> = None;
-        let better = |cand: &CrashEvent, cur: &CrashEvent| -> bool {
-            if cand.at_secs() != cur.at_secs() {
-                return cand.at_secs() < cur.at_secs();
-            }
-            match (cand, cur) {
-                (CrashEvent::Node { node: a, .. }, CrashEvent::Node { node: b, .. }) => a < b,
-                (CrashEvent::Node { .. }, CrashEvent::Master { .. }) => true,
-                _ => false,
-            }
+        let nodes = self.node_crashes.iter().map(|c| CrashEvent::Node {
+            node: c.node,
+            at_secs: c.at_secs,
+        });
+        let masters = self.master_crashes.iter().map(|c| CrashEvent::Master {
+            at_secs: c.at_secs,
+        });
+        let key = |c: &CrashEvent| match *c {
+            CrashEvent::Node { node, at_secs } => (at_secs, 0, node),
+            CrashEvent::Master { at_secs } => (at_secs, 1, 0),
         };
-        for c in &self.node_crashes {
-            let cand = CrashEvent::Node {
-                node: c.node,
-                at_secs: c.at_secs,
-            };
-            if best.as_ref().is_none_or(|cur| better(&cand, cur)) {
-                best = Some(cand);
-            }
-        }
-        for c in &self.master_crashes {
-            let cand = CrashEvent::Master { at_secs: c.at_secs };
-            if best.as_ref().is_none_or(|cur| better(&cand, cur)) {
-                best = Some(cand);
-            }
-        }
-        best
+        // Of equal keys `min_by` keeps the first, as a strict `<` scan would.
+        nodes.chain(masters).min_by(|a, b| {
+            let order = key(a).partial_cmp(&key(b));
+            order.unwrap_or(std::cmp::Ordering::Equal)
+        })
     }
 
     /// Shifts every fault time back by `base_secs` — the virtual time a
     /// failed recovery epoch consumed — dropping faults and clipping
     /// windows that now lie entirely in the past. Fault times in a plan
     /// are absolute in the cumulative (cross-epoch) virtual timeline; each
-    /// attempt's simulation clock restarts at zero, so the resilient
+    /// attempt's simulation clock restarts at zero, so the epoch
     /// driver rebases the plan before every retry.
     pub fn rebased(&self, base_secs: f64) -> FaultPlan {
         assert!(base_secs >= 0.0 && base_secs.is_finite());
-        let mut out = FaultPlan::seeded(self.seed);
-        for c in &self.gpu_crashes {
-            if c.at_secs > base_secs {
-                out.gpu_crashes.push(GpuCrash {
-                    at_secs: c.at_secs - base_secs,
-                    ..*c
-                });
-            }
-        }
-        let window = |from: f64, until: f64| -> Option<(f64, f64)> {
-            (until > base_secs).then(|| ((from - base_secs).max(0.0), until - base_secs))
+        // An instant fault is kept while it is still ahead, a window
+        // while it is not yet over; both move onto the new clock.
+        let ahead = |at: &mut f64| {
+            let keep = *at > base_secs;
+            *at -= base_secs;
+            keep
         };
-        for s in &self.cpu_slowdowns {
-            if let Some((from_secs, until_secs)) = window(s.from_secs, s.until_secs) {
-                out.cpu_slowdowns.push(CpuSlowdown {
-                    from_secs,
-                    until_secs,
-                    ..*s
-                });
-            }
-        }
-        for s in &self.gpu_slowdowns {
-            if let Some((from_secs, until_secs)) = window(s.from_secs, s.until_secs) {
-                out.gpu_slowdowns.push(GpuSlowdown {
-                    from_secs,
-                    until_secs,
-                    ..*s
-                });
-            }
-        }
-        for s in &self.node_stalls {
-            if let Some((from_secs, until_secs)) = window(s.from_secs, s.until_secs) {
-                out.node_stalls.push(NodeStall {
-                    from_secs,
-                    until_secs,
-                    ..*s
-                });
-            }
-        }
-        for f in &self.link_faults {
-            if let Some((from_secs, until_secs)) = window(f.from_secs, f.until_secs) {
-                out.link_faults.push(LinkFault {
-                    from_secs,
-                    until_secs,
-                    ..*f
-                });
-            }
-        }
-        for c in &self.node_crashes {
-            if c.at_secs > base_secs {
-                out.node_crashes.push(NodeCrash {
-                    at_secs: c.at_secs - base_secs,
-                    ..*c
-                });
-            }
-        }
-        for c in &self.master_crashes {
-            if c.at_secs > base_secs {
-                out.master_crashes.push(MasterCrash {
-                    at_secs: c.at_secs - base_secs,
-                });
-            }
-        }
+        let open = |from: &mut f64, until: &mut f64| {
+            *from = (*from - base_secs).max(0.0);
+            ahead(until)
+        };
+        let mut out = self.clone();
+        out.gpu_crashes.retain_mut(|c| ahead(&mut c.at_secs));
+        out.cpu_slowdowns
+            .retain_mut(|s| open(&mut s.from_secs, &mut s.until_secs));
+        out.gpu_slowdowns
+            .retain_mut(|s| open(&mut s.from_secs, &mut s.until_secs));
+        out.node_stalls
+            .retain_mut(|s| open(&mut s.from_secs, &mut s.until_secs));
+        out.link_faults
+            .retain_mut(|f| open(&mut f.from_secs, &mut f.until_secs));
+        out.node_crashes.retain_mut(|c| ahead(&mut c.at_secs));
+        out.master_crashes.retain_mut(|c| ahead(&mut c.at_secs));
+        out
+    }
+
+    /// The plan with every node reference sent through `f`. A fault whose
+    /// node — or either named end of its link — maps to `None` is
+    /// dropped; link wildcards (`None`) and master crashes name no node
+    /// and are kept.
+    fn map_nodes(&self, f: impl Fn(usize) -> Option<usize>) -> FaultPlan {
+        let node = |n: &mut usize| f(*n).map(|mapped| *n = mapped).is_some();
+        let end = |e: &mut Option<usize>| e.as_mut().is_none_or(node);
+        let mut out = self.clone();
+        out.gpu_crashes.retain_mut(|c| node(&mut c.node));
+        out.cpu_slowdowns.retain_mut(|s| node(&mut s.node));
+        out.gpu_slowdowns.retain_mut(|s| node(&mut s.node));
+        out.node_stalls.retain_mut(|s| node(&mut s.node));
+        out.link_faults
+            .retain_mut(|l| end(&mut l.src) && end(&mut l.dst));
+        out.node_crashes.retain_mut(|c| node(&mut c.node));
         out
     }
 
@@ -537,48 +504,7 @@ impl FaultPlan {
     /// rank space with [`FaultPlan::project`]). Link-fault wildcards
     /// (`None`) are preserved.
     pub fn without_node(&self, id: usize) -> FaultPlan {
-        let keep = |n: usize| -> Option<usize> { (n != id).then_some(n) };
-        let mut out = FaultPlan::seeded(self.seed);
-        for c in &self.gpu_crashes {
-            if let Some(node) = keep(c.node) {
-                out.gpu_crashes.push(GpuCrash { node, ..*c });
-            }
-        }
-        for s in &self.cpu_slowdowns {
-            if let Some(node) = keep(s.node) {
-                out.cpu_slowdowns.push(CpuSlowdown { node, ..*s });
-            }
-        }
-        for s in &self.gpu_slowdowns {
-            if let Some(node) = keep(s.node) {
-                out.gpu_slowdowns.push(GpuSlowdown { node, ..*s });
-            }
-        }
-        for s in &self.node_stalls {
-            if let Some(node) = keep(s.node) {
-                out.node_stalls.push(NodeStall { node, ..*s });
-            }
-        }
-        for f in &self.link_faults {
-            let src = match f.src {
-                Some(s) => keep(s).map(Some),
-                None => Some(None),
-            };
-            let dst = match f.dst {
-                Some(d) => keep(d).map(Some),
-                None => Some(None),
-            };
-            if let (Some(src), Some(dst)) = (src, dst) {
-                out.link_faults.push(LinkFault { src, dst, ..*f });
-            }
-        }
-        for c in &self.node_crashes {
-            if let Some(node) = keep(c.node) {
-                out.node_crashes.push(NodeCrash { node, ..*c });
-            }
-        }
-        out.master_crashes = self.master_crashes.clone();
-        out
+        self.map_nodes(|n| (n != id).then_some(n))
     }
 
     /// Projects a stable-id plan onto one attempt's contiguous rank
@@ -588,78 +514,17 @@ impl FaultPlan {
     /// With the identity mapping `[0, 1, ..., n-1]` the projection is the
     /// plan itself — plain fixed-cluster runs are untouched.
     pub fn project(&self, node_ids: &[usize]) -> FaultPlan {
-        let pos = |n: usize| -> Option<usize> { node_ids.iter().position(|&id| id == n) };
-        let mut out = FaultPlan::seeded(self.seed);
-        for c in &self.gpu_crashes {
-            if let Some(node) = pos(c.node) {
-                out.gpu_crashes.push(GpuCrash { node, ..*c });
-            }
-        }
-        for s in &self.cpu_slowdowns {
-            if let Some(node) = pos(s.node) {
-                out.cpu_slowdowns.push(CpuSlowdown { node, ..*s });
-            }
-        }
-        for s in &self.gpu_slowdowns {
-            if let Some(node) = pos(s.node) {
-                out.gpu_slowdowns.push(GpuSlowdown { node, ..*s });
-            }
-        }
-        for s in &self.node_stalls {
-            if let Some(node) = pos(s.node) {
-                out.node_stalls.push(NodeStall { node, ..*s });
-            }
-        }
-        for f in &self.link_faults {
-            let src = match f.src {
-                Some(s) => pos(s).map(Some),
-                None => Some(None),
-            };
-            let dst = match f.dst {
-                Some(d) => pos(d).map(Some),
-                None => Some(None),
-            };
-            if let (Some(src), Some(dst)) = (src, dst) {
-                out.link_faults.push(LinkFault { src, dst, ..*f });
-            }
-        }
-        for c in &self.node_crashes {
-            if let Some(node) = pos(c.node) {
-                out.node_crashes.push(NodeCrash { node, ..*c });
-            }
-        }
-        out.master_crashes = self.master_crashes.clone();
-        out
+        self.map_nodes(|n| node_ids.iter().position(|&id| id == n))
     }
 
     /// Largest node rank referenced anywhere in the plan, for validation.
     pub fn max_node_ref(&self) -> Option<usize> {
-        let mut max: Option<usize> = None;
-        let mut push = |n: usize| max = Some(max.map_or(n, |m| m.max(n)));
-        for c in &self.gpu_crashes {
-            push(c.node);
-        }
-        for s in &self.cpu_slowdowns {
-            push(s.node);
-        }
-        for s in &self.gpu_slowdowns {
-            push(s.node);
-        }
-        for s in &self.node_stalls {
-            push(s.node);
-        }
-        for f in &self.link_faults {
-            if let Some(s) = f.src {
-                push(s);
-            }
-            if let Some(d) = f.dst {
-                push(d);
-            }
-        }
-        for c in &self.node_crashes {
-            push(c.node);
-        }
-        max
+        let max = std::cell::Cell::new(None);
+        self.map_nodes(|n| {
+            max.set(max.get().max(Some(n)));
+            Some(n)
+        });
+        max.get()
     }
 
     /// Checks internal consistency (finite, ordered windows; positive

@@ -58,14 +58,7 @@ pub fn run_job<A: SpmdApp>(
     app: Arc<A>,
     config: JobConfig,
 ) -> Result<JobResult<A::Output>, JobError> {
-    run_with_update(
-        spec,
-        app,
-        config,
-        Arc::new(|_| true),
-        Obs::disabled(),
-        RunHooks::default(),
-    )
+    run_job_observed(spec, app, config, Obs::disabled())
 }
 
 /// Like [`run_job`], with a live [`Obs`] bundle attached to every layer:
@@ -148,15 +141,15 @@ enum Verdict {
     Converged,
     /// The attempt hit its scheduled crash time (or blew a drain
     /// deadline): the iteration's update is discarded and the
-    /// resilient/elastic driver takes over.
+    /// epoch driver takes over.
     Aborted,
     /// The attempt reached a scheduled membership boundary gracefully:
-    /// the iteration's update *was* applied and the elastic driver
+    /// the iteration's update *was* applied and the epoch driver
     /// continues from the live model state on the new cluster.
     Paused,
 }
 
-/// Checkpoint cadence and sink for one attempt, armed by the resilient
+/// Checkpoint cadence and sink for one attempt, armed by the epoch
 /// driver. Rank 0's sub-task scheduler writes a [`Checkpoint`] through
 /// `store` after every `interval`-th *cumulative* iteration (host-side
 /// only — writing never advances the virtual clock).
@@ -179,7 +172,7 @@ pub(crate) struct CheckpointHooks {
 }
 
 /// Driver-side hooks for one simulation attempt (recovery epoch). The
-/// plain entry points run with `RunHooks::default()`; the resilient
+/// plain entry points run with `RunHooks::default()`; the epoch
 /// driver arms the epoch's first scheduled crash time and the checkpoint
 /// sink.
 #[derive(Default)]
@@ -363,7 +356,7 @@ pub(crate) fn record_recovery(
 /// The master's partition plan: each node's contiguous share of the input
 /// (heterogeneity-weighted when configured), cut into
 /// `partitions_per_node` partitions. Pure function of the cluster and
-/// config — shared by the master loop and the resilient driver's
+/// config — shared by the master loop and the epoch driver's
 /// checkpoint metadata so the recorded plan always matches the real one.
 pub(crate) fn partition_plan(
     profiles: &[DeviceProfile],
@@ -488,8 +481,8 @@ fn validate<A: SpmdApp>(spec: &ClusterSpec, app: &A, config: &JobConfig) -> Resu
     }
     if spec.faults.has_crash_faults() {
         return Err(JobError::InvalidConfig(
-            "node/master crash faults require the epoch-based resilient driver \
-             (run_resilient); the plain drivers cannot survive them"
+            "node/master crash faults require the epoch driver \
+             (run_epochs); the plain drivers cannot survive them"
                 .into(),
         ));
     }
@@ -1924,7 +1917,7 @@ fn worker_body<A: SpmdApp>(
             let membership_due = hooks.finish_at.is_some_and(|t| now_s >= t);
             let v = if hooks.abort_at.is_some_and(|t| now_s >= t) {
                 // A crash beats a pending drain: a node can die mid-drain
-                // and the elastic driver must see the crash, not the
+                // and the epoch driver must see the crash, not the
                 // graceful departure.
                 Verdict::Aborted
             } else if membership_due && hooks.finish_deadline.is_some_and(|d| now_s > d) {
@@ -1982,7 +1975,7 @@ fn worker_body<A: SpmdApp>(
         let t_update = ctx.now();
 
         // An aborted attempt stops here: the iteration is not recorded
-        // (its update never happened) and the resilient driver resumes
+        // (its update never happened) and the epoch driver resumes
         // from the last checkpoint.
         if verdict == Verdict::Aborted {
             if rank == 0 {
@@ -2038,7 +2031,7 @@ fn worker_body<A: SpmdApp>(
         }
 
         // A graceful membership pause: the update above was applied (and
-        // recorded), so the elastic driver resumes from the live model
+        // recorded), so the epoch driver resumes from the live model
         // state — no rollback, no recovery delay.
         if verdict == Verdict::Paused {
             if rank == 0 {

@@ -16,11 +16,11 @@
 //!   scheduler's recovery machinery.
 //! - [`checkpoint`] — iteration checkpoints: a deterministic binary codec
 //!   plus in-memory and on-disk stores.
-//! - [`resilient`] — the epoch-based driver that survives node and master
-//!   crashes by restoring the last checkpoint on the surviving nodes.
+//! - [`epoch`] — the epoch driver: one loop that carries an iterative job
+//!   through node and master crashes, membership churn and autoscaler
+//!   decisions by restoring the last checkpoint on the current cluster.
 //! - [`membership`] — elastic cluster membership: seeded churn plans
-//!   (scale-out / drain / evict), the join handshake, and the
-//!   hysteresis-based autoscaler.
+//!   (scale-out / drain / evict) and the hysteresis autoscaler policy.
 //! - [`chaos`] — a seeded chaos harness sampling fault plans across
 //!   cluster shapes and asserting recovery invariants.
 //!
@@ -69,11 +69,11 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod cluster;
 pub mod config;
+pub mod epoch;
 pub mod faults;
 pub mod job;
 pub mod membership;
 pub mod metrics;
-pub mod resilient;
 mod task;
 
 pub use api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
@@ -92,12 +92,12 @@ pub use faults::{
 pub use job::{
     run_iterative, run_iterative_observed, run_job, run_job_observed, JobError, JobResult,
 };
+pub use epoch::{run_epochs, ElasticEpoch, ElasticOutcome, EpochOptions};
 pub use membership::{
-    run_elastic, run_elastic_observed, AutoscalePolicy, Drain, ElasticEpoch, ElasticOutcome,
-    Evict, MembershipCounters, MembershipEvent, MembershipPlan, ScaleOut,
+    AutoscalePolicy, Drain, Evict, MembershipCounters, MembershipEvent, MembershipPlan, ScaleOut,
+    MAX_SCALE_OUT_NODES,
 };
 pub use metrics::{JobMetrics, RecoveryCounters, StageTimes};
-pub use resilient::{run_resilient, run_resilient_observed, AttemptSummary, ResilientOutcome};
 pub use obs::Obs;
 pub use obs;
 

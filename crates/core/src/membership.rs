@@ -1,10 +1,9 @@
 //! Elastic cluster membership: seeded, serializable churn plans and the
-//! epoch-based elastic driver that executes them.
+//! autoscaler policy the epoch driver ([`crate::run_epochs`]) executes.
 //!
 //! A [`MembershipPlan`] is the membership counterpart of
 //! [`crate::FaultPlan`]: a deterministic schedule of scale-out,
-//! graceful-drain, and forced-evict events in virtual time, threaded
-//! through the same epoch machinery the resilient driver uses. Planned
+//! graceful-drain, and forced-evict events in virtual time. Planned
 //! churn degrades *gracefully* where a crash cannot: a draining node
 //! stops receiving new work at the event's iteration boundary and its
 //! in-flight results are kept (no rollback); only a blown drain deadline
@@ -19,34 +18,15 @@
 //! lower-id nodes leave first, and scale-out assigns fresh ids past the
 //! largest ever used. The driver projects stable ids onto each attempt's
 //! contiguous rank space with [`crate::FaultPlan::project`].
-//!
-//! An empty plan (and no autoscaler) delegates to
-//! [`crate::run_resilient_observed`] untouched — the empty-plan path is
-//! bit-identical to a fixed-cluster run by construction.
 
-use crate::api::CheckpointableApp;
-use crate::checkpoint::CheckpointStore;
-use crate::cluster::ClusterSpec;
-use crate::config::JobConfig;
-use crate::faults::CrashEvent;
-use crate::job::{partition_plan, run_with_update, CheckpointHooks, JobError, RunHooks, UpdateFn};
-use crate::metrics::JobMetrics;
-use crate::resilient::run_resilient_observed;
-use netsim::HeartbeatMonitor;
-use obs::Obs;
-use serde::{Deserialize, Serialize, Value};
-use simtime::SimTime;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use serde::{Deserialize, Serialize};
 
-/// First send of a failed join handshake is retried after this long;
-/// each further retry doubles the wait (exponential backoff).
-const JOIN_BACKOFF_BASE_SECS: f64 = 0.05;
-/// Join attempts before the driver gives up. Partition windows are
-/// finite (validation), so a handshake always succeeds eventually; the
-/// cap is a defensive bound, not a tuning knob.
-const JOIN_MAX_ATTEMPTS: usize = 32;
+/// The most nodes one plan may admit in total. Every simulated node is
+/// five coroutine stacks and the process table tops out near 32k
+/// (`docs/engine.md`), so a larger total cannot be simulated — and a
+/// count read from a plan file must be bounded before a cluster is sized
+/// from it.
+pub const MAX_SCALE_OUT_NODES: usize = 4096;
 
 /// Admit `count` new nodes at a fixed virtual time. The new nodes clone
 /// the cluster's node-0 profile (homogeneous growth) and receive fresh
@@ -143,14 +123,17 @@ impl MembershipPlan {
         }
     }
 
-    /// True when the plan schedules nothing — the bit-identity fast path.
+    /// True when the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
         self.scale_outs.is_empty() && self.drains.is_empty() && self.evicts.is_empty()
     }
 
-    /// Total nodes admitted by all scale-out events.
+    /// Total nodes admitted by all scale-out events (saturating, so an
+    /// absurd plan reads as `usize::MAX` for [`Self::validate`] to reject).
     pub fn total_scale_out(&self) -> usize {
-        self.scale_outs.iter().map(|s| s.count).sum()
+        self.scale_outs
+            .iter()
+            .fold(0, |n, s| n.saturating_add(s.count))
     }
 
     /// Adds a scale-out event (builder style).
@@ -178,26 +161,17 @@ impl MembershipPlan {
     /// The earliest pending event, with deterministic same-instant
     /// tie-breaking (see `MembershipEvent::order_key`).
     pub fn earliest_event(&self) -> Option<MembershipEvent> {
-        let mut best: Option<MembershipEvent> = None;
-        let mut consider = |cand: MembershipEvent| {
-            if best.as_ref().is_none_or(|cur| {
-                let (ta, ka, na) = cand.order_key();
-                let (tb, kb, nb) = cur.order_key();
-                (ta, ka, na) < (tb, kb, nb)
-            }) {
-                best = Some(cand);
-            }
-        };
-        for e in &self.evicts {
-            consider(MembershipEvent::Evict(*e));
-        }
-        for d in &self.drains {
-            consider(MembershipEvent::Drain(*d));
-        }
-        for s in &self.scale_outs {
-            consider(MembershipEvent::ScaleOut(*s));
-        }
-        best
+        let evicts = self.evicts.iter().map(|e| MembershipEvent::Evict(*e));
+        let drains = self.drains.iter().map(|d| MembershipEvent::Drain(*d));
+        let scale_outs = self
+            .scale_outs
+            .iter()
+            .map(|s| MembershipEvent::ScaleOut(*s));
+        // Of equal keys `min_by` keeps the first, as a strict `<` scan would.
+        evicts.chain(drains).chain(scale_outs).min_by(|a, b| {
+            let order = a.order_key().partial_cmp(&b.order_key());
+            order.unwrap_or(std::cmp::Ordering::Equal)
+        })
     }
 
     /// Removes the first event equal to `ev` — the driver consumes each
@@ -205,23 +179,16 @@ impl MembershipPlan {
     /// of iteration boundaries are handled one epoch at a time rather
     /// than silently dropped together.
     pub fn consumed(&self, ev: &MembershipEvent) -> MembershipPlan {
+        fn remove_first<T: PartialEq>(events: &mut Vec<T>, ev: &T) {
+            if let Some(i) = events.iter().position(|x| x == ev) {
+                events.remove(i);
+            }
+        }
         let mut out = self.clone();
         match ev {
-            MembershipEvent::Evict(e) => {
-                if let Some(i) = out.evicts.iter().position(|x| x == e) {
-                    out.evicts.remove(i);
-                }
-            }
-            MembershipEvent::Drain(d) => {
-                if let Some(i) = out.drains.iter().position(|x| x == d) {
-                    out.drains.remove(i);
-                }
-            }
-            MembershipEvent::ScaleOut(s) => {
-                if let Some(i) = out.scale_outs.iter().position(|x| x == s) {
-                    out.scale_outs.remove(i);
-                }
-            }
+            MembershipEvent::Evict(e) => remove_first(&mut out.evicts, e),
+            MembershipEvent::Drain(d) => remove_first(&mut out.drains, d),
+            MembershipEvent::ScaleOut(s) => remove_first(&mut out.scale_outs, s),
         }
         out
     }
@@ -235,25 +202,13 @@ impl MembershipPlan {
     /// still stands.
     pub fn rebased(&self, base_secs: f64) -> MembershipPlan {
         assert!(base_secs >= 0.0 && base_secs.is_finite());
-        let mut out = MembershipPlan::seeded(self.seed);
-        for s in &self.scale_outs {
-            out.scale_outs.push(ScaleOut {
-                at_secs: (s.at_secs - base_secs).max(0.0),
-                ..*s
-            });
-        }
-        for d in &self.drains {
-            out.drains.push(Drain {
-                at_secs: (d.at_secs - base_secs).max(0.0),
-                ..*d
-            });
-        }
-        for e in &self.evicts {
-            out.evicts.push(Evict {
-                at_secs: (e.at_secs - base_secs).max(0.0),
-                ..*e
-            });
-        }
+        let shift = |at: &mut f64| *at = (*at - base_secs).max(0.0);
+        let mut out = self.clone();
+        out.scale_outs
+            .iter_mut()
+            .for_each(|s| shift(&mut s.at_secs));
+        out.drains.iter_mut().for_each(|d| shift(&mut d.at_secs));
+        out.evicts.iter_mut().for_each(|e| shift(&mut e.at_secs));
         out
     }
 
@@ -276,8 +231,9 @@ impl MembershipPlan {
     }
 
     /// Checks internal consistency: finite non-negative times, positive
-    /// scale-out counts, non-negative drain deadlines, and no node
-    /// drained or evicted twice (each removal is final).
+    /// scale-out counts totalling at most [`MAX_SCALE_OUT_NODES`],
+    /// non-negative drain deadlines, and no node drained or evicted twice
+    /// (each removal is final).
     pub fn validate(&self) -> Result<(), String> {
         let time = |t: f64, what: &str| -> Result<(), String> {
             if !t.is_finite() || t < 0.0 {
@@ -290,6 +246,13 @@ impl MembershipPlan {
             if s.count == 0 {
                 return Err("scale-out count must be >= 1".into());
             }
+        }
+        if self.total_scale_out() > MAX_SCALE_OUT_NODES {
+            return Err(format!(
+                "scale-out events admit {} nodes in total, more than the {MAX_SCALE_OUT_NODES} \
+                 a run can simulate",
+                self.total_scale_out()
+            ));
         }
         for d in &self.drains {
             time(d.at_secs, "drain")?;
@@ -518,659 +481,6 @@ pub struct MembershipCounters {
     pub secs_waiting_joins: f64,
 }
 
-/// One epoch of an elastic run and how it ended.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ElasticEpoch {
-    /// Epoch index (0 = the initial attempt).
-    pub epoch: usize,
-    /// Cluster size during this epoch.
-    pub nodes: usize,
-    /// Cumulative iterations completed before the epoch started.
-    pub base_iteration: u64,
-    /// Cumulative virtual seconds consumed before the epoch started.
-    pub base_secs: f64,
-    /// Cumulative virtual seconds when the epoch's simulation ended.
-    pub end_secs: f64,
-    /// How the epoch ended: `completed`, `autoscale-eval`, `drain`,
-    /// `scale-out`, `handoff`, `evict`, `node-crash`, or
-    /// `master-failover`.
-    pub disposition: &'static str,
-}
-
-/// A completed elastic run: final outputs plus merged measurements, the
-/// membership ledger, and the cluster-size history.
-#[derive(Debug)]
-pub struct ElasticOutcome<O> {
-    /// Final reduce outputs, sorted by key.
-    pub outputs: Vec<(crate::api::Key, O)>,
-    /// The final epoch's metrics with `recovery` replaced by the merge
-    /// of every epoch's counters and `total_seconds` by the cumulative
-    /// virtual time.
-    pub metrics: JobMetrics,
-    /// One entry per epoch, in order.
-    pub attempts: Vec<ElasticEpoch>,
-    /// The membership state machine's ledger.
-    pub membership: MembershipCounters,
-    /// Cumulative virtual seconds across all epochs.
-    pub total_virtual_secs: f64,
-    /// `(virtual_secs, nodes)` at the start and after every size change.
-    pub cluster_sizes: Vec<(f64, usize)>,
-}
-
-/// Runs an iterative, checkpointable job through the scheduled
-/// membership churn in `mplan` (and any crash faults in `spec.faults`).
-pub fn run_elastic<A: CheckpointableApp>(
-    spec: &ClusterSpec,
-    app: Arc<A>,
-    config: JobConfig,
-    store: Arc<dyn CheckpointStore>,
-    mplan: &MembershipPlan,
-    autoscale: Option<&AutoscalePolicy>,
-) -> Result<ElasticOutcome<A::Output>, JobError> {
-    run_elastic_observed(spec, app, config, store, mplan, autoscale, Obs::disabled())
-}
-
-/// Like [`run_elastic`], with a live [`Obs`] bundle: the driver adds
-/// `join` / `drain` / `evict` / `handoff` / `cluster-size` events on the
-/// `membership` lane at cumulative virtual timestamps,
-/// `prs_membership_total` counters and the `prs_cluster_size` gauge, and
-/// autoscaler decision lines (with full inputs) in the audit log's
-/// `decisions.jsonl` export.
-#[allow(clippy::too_many_lines)]
-pub fn run_elastic_observed<A: CheckpointableApp>(
-    spec: &ClusterSpec,
-    app: Arc<A>,
-    config: JobConfig,
-    store: Arc<dyn CheckpointStore>,
-    mplan: &MembershipPlan,
-    autoscale: Option<&AutoscalePolicy>,
-    obs: Obs,
-) -> Result<ElasticOutcome<A::Output>, JobError> {
-    // The bit-identity fast path: no churn, no autoscaler — the elastic
-    // driver adds nothing and must cost nothing.
-    if mplan.is_empty() && autoscale.is_none() {
-        let out = run_resilient_observed(spec, app, config, store, obs)?;
-        let attempts: Vec<ElasticEpoch> = out
-            .attempts
-            .iter()
-            .map(|a| ElasticEpoch {
-                epoch: a.epoch,
-                nodes: a.nodes,
-                base_iteration: a.base_iteration,
-                base_secs: a.base_secs,
-                end_secs: a.end_secs,
-                disposition: if a.interrupted {
-                    match a.crash {
-                        Some(CrashEvent::Node { .. }) => "node-crash",
-                        Some(CrashEvent::Master { .. }) | None => "master-failover",
-                    }
-                } else {
-                    "completed"
-                },
-            })
-            .collect();
-        // The size trace still reflects crash departures (a size change
-        // takes effect at the next epoch's base, after the detection
-        // delay); only the *observability artifacts* must stay
-        // bit-identical to the plain resilient run, and this is a pure
-        // reconstruction from the attempt summaries.
-        let mut cluster_sizes = vec![(0.0, spec.len())];
-        for pair in attempts.windows(2) {
-            if pair[0].disposition == "node-crash" {
-                cluster_sizes.push((pair[1].base_secs, pair[1].nodes));
-            }
-        }
-        return Ok(ElasticOutcome {
-            outputs: out.outputs,
-            metrics: out.metrics,
-            attempts,
-            membership: MembershipCounters::default(),
-            total_virtual_secs: out.total_virtual_secs,
-            cluster_sizes,
-        });
-    }
-
-    if let Err(msg) = spec.faults.validate() {
-        return Err(JobError::InvalidConfig(format!("fault plan: {msg}")));
-    }
-    if let Err(msg) = mplan.validate() {
-        return Err(JobError::InvalidConfig(format!("membership plan: {msg}")));
-    }
-    if let Some(policy) = autoscale {
-        if let Err(msg) = policy.validate() {
-            return Err(JobError::InvalidConfig(format!("autoscale policy: {msg}")));
-        }
-    }
-    let capacity = spec.len() + mplan.total_scale_out();
-    if let Some(max) = mplan.max_node_ref() {
-        if max >= capacity {
-            return Err(JobError::InvalidConfig(format!(
-                "membership plan references node {max} but at most {capacity} stable ids \
-                 ever exist ({} initial + {} scaled out)",
-                spec.len(),
-                mplan.total_scale_out()
-            )));
-        }
-    }
-    if mplan.drains.len() + mplan.evicts.len() + spec.faults.node_crashes.len() >= capacity {
-        return Err(JobError::InvalidConfig(format!(
-            "{} drains + {} evicts + {} node crashes scheduled but at most {capacity} nodes \
-             ever exist — at least one must survive",
-            mplan.drains.len(),
-            mplan.evicts.len(),
-            spec.faults.node_crashes.len()
-        )));
-    }
-    if !spec.faults.master_crashes.is_empty() && config.checkpoint_interval_iters == 0 {
-        return Err(JobError::InvalidConfig(
-            "master crash recovery requires checkpointing (checkpoint_interval_iters >= 1): \
-             the standby master replays the checkpoint log"
-                .into(),
-        ));
-    }
-    if let Some(max) = spec.faults.max_node_ref() {
-        if max >= capacity {
-            return Err(JobError::InvalidConfig(format!(
-                "fault plan references node {max} but at most {capacity} stable ids ever exist"
-            )));
-        }
-    }
-
-    let monitor = HeartbeatMonitor::default();
-    let initial_state = app.save_state();
-    let rtt = 2.0 * spec.network.latency.as_secs_f64();
-
-    let mut profiles = spec.nodes.clone();
-    let mut node_ids: Vec<usize> = (0..profiles.len()).collect();
-    let mut next_id = profiles.len();
-    let mut plan = spec.faults.clone();
-    let mut mplan = mplan.clone();
-    let mut base_iteration: u64 = 0;
-    let mut base_secs: f64 = 0.0;
-    let mut merged = crate::metrics::RecoveryCounters::default();
-    let mut membership = MembershipCounters::default();
-    let mut attempts: Vec<ElasticEpoch> = Vec::new();
-    let mut cluster_sizes: Vec<(f64, usize)> = vec![(0.0, profiles.len())];
-    let mut sim_events: u64 = 0;
-    let mut sim_handoffs: u64 = 0;
-
-    // Autoscaler state.
-    let mut grow_run: usize = 0;
-    let mut shrink_run: usize = 0;
-    let mut cooldown: usize = 0;
-    let mut eval_index: usize = 0;
-    let converged = Arc::new(AtomicBool::new(false));
-
-    let membership_event = |obs: &Obs, kind: &str, at: f64, node: Option<usize>| {
-        if let Some(d) = obs.bus.event("membership", kind, SimTime::from_secs_f64(at)) {
-            let d = match node {
-                Some(n) => d.attr("node", n as f64),
-                None => d,
-            };
-            d.commit();
-        }
-        obs.metrics
-            .counter_add("prs_membership_total", &[("event", kind)], 1.0);
-    };
-    let cluster_size_event = |obs: &Obs, at: f64, n: usize| {
-        if let Some(d) = obs.bus.event("membership", "cluster-size", SimTime::from_secs_f64(at)) {
-            d.attr("n", n as f64).commit();
-        }
-        obs.metrics.gauge_set("prs_cluster_size", &[], n as f64);
-    };
-
-    // Every epoch either completes >= 1 iteration or consumes one finite
-    // scheduled event, so the budget is a loose upper bound; overrunning
-    // it means a rebasing bug.
-    let max_epochs = config.max_iterations
-        + spec.faults.node_crashes.len()
-        + spec.faults.master_crashes.len()
-        + mplan.scale_outs.len()
-        + mplan.drains.len()
-        + mplan.evicts.len()
-        + 2;
-    for epoch in 0..max_epochs {
-        let attempt_spec = ClusterSpec {
-            nodes: profiles.clone(),
-            network: spec.network,
-            overheads: spec.overheads,
-            faults: plan.sans_crashes().project(&node_ids),
-        };
-        let remaining = config.max_iterations - base_iteration as usize;
-        let mut attempt_config = config;
-        attempt_config.max_iterations = match autoscale {
-            Some(policy) => remaining.min(policy.eval_interval_iters),
-            None => remaining,
-        };
-
-        let crash = plan.earliest_crash();
-        let memb = mplan.earliest_event();
-        // Evictions share the crash-abort mechanism (the iteration in
-        // flight is lost either way); the earlier of the two arms the
-        // abort, and a tie goes to the crash (the bigger loss). Drains
-        // and scale-outs pause gracefully instead.
-        let evict_at = match memb {
-            Some(MembershipEvent::Evict(e)) => Some(e.at_secs),
-            _ => None,
-        };
-        let crash_wins = match (crash, evict_at) {
-            (Some(c), Some(e)) => c.at_secs() <= e,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let abort_at = match (crash.map(|c| c.at_secs()), evict_at) {
-            (Some(c), Some(e)) => Some(c.min(e)),
-            (Some(c), None) => Some(c),
-            (None, Some(e)) => Some(e),
-            (None, None) => None,
-        };
-        let (finish_at, finish_deadline) = match memb {
-            Some(MembershipEvent::Drain(d)) => (Some(d.at_secs), Some(d.at_secs + d.deadline_secs)),
-            Some(MembershipEvent::ScaleOut(s)) => (Some(s.at_secs), None),
-            _ => (None, None),
-        };
-
-        let checkpoint = (config.checkpoint_interval_iters >= 1).then(|| {
-            let save_app = app.clone();
-            CheckpointHooks {
-                interval: config.checkpoint_interval_iters as u64,
-                store: store.clone(),
-                save_state: Arc::new(move || save_app.save_state()),
-                base_iteration,
-                base_secs,
-                partition_map: partition_plan(
-                    &profiles,
-                    &app.workload(),
-                    app.num_items(),
-                    &attempt_config,
-                )
-                .into_iter()
-                .map(|(rank, r)| (rank as u32, r.start as u64, r.end as u64))
-                .collect(),
-                rng_seed: plan.seed,
-            }
-        });
-        let hooks = RunHooks {
-            abort_at,
-            checkpoint,
-            finish_at,
-            finish_deadline,
-            node_ids: Some(Arc::new(node_ids.clone())),
-        };
-        let update_app = app.clone();
-        let conv = converged.clone();
-        let update: UpdateFn<A> = Arc::new(move |outputs| {
-            let done = update_app.update(outputs);
-            if done {
-                conv.store(true, Ordering::Relaxed);
-            }
-            done
-        });
-        let result =
-            run_with_update(&attempt_spec, app.clone(), attempt_config, update, obs.clone(), hooks)?;
-
-        let end_local = result.metrics.total_seconds;
-        let boundary = base_secs + end_local;
-        merged = merged.merged(&result.metrics.recovery);
-        sim_events += result.metrics.sim_events;
-        sim_handoffs += result.metrics.sim_handoffs;
-        let iters_run = result.metrics.iterations.len() as u64;
-        let mut epoch_entry = ElasticEpoch {
-            epoch,
-            nodes: profiles.len(),
-            base_iteration,
-            base_secs,
-            end_secs: boundary,
-            disposition: "completed",
-        };
-
-        // A shared closure would borrow half the driver state; a macro
-        // keeps the three rollback paths (handoff, evict, crash) on the
-        // exact restore logic the resilient driver uses.
-        macro_rules! restore {
-            () => {{
-                let restored = store
-                    .latest()
-                    .map_err(|e| JobError::InvalidConfig(format!("checkpoint store: {e}")))?;
-                match &restored {
-                    Some(ckpt) => {
-                        app.restore_state(&ckpt.app_state);
-                        base_iteration = ckpt.iteration;
-                        ckpt.virtual_secs
-                    }
-                    None => {
-                        app.restore_state(&initial_state);
-                        base_iteration = 0;
-                        0.0
-                    }
-                }
-            }};
-        }
-        // Admits `count` nodes through the join handshake at `boundary`
-        // (epoch-local send times checked against the current rebased
-        // plan's partition windows) and returns the cumulative time the
-        // cluster resumes at.
-        macro_rules! join_nodes {
-            ($count:expr) => {{
-                let count: usize = $count;
-                let mut send = end_local;
-                let mut backoff = JOIN_BACKOFF_BASE_SECS;
-                let mut retries: u64 = 0;
-                loop {
-                    let blocked = plan.link_faults.iter().any(|f| {
-                        f.partition && send < f.until_secs && send + rtt > f.from_secs
-                    });
-                    if !blocked {
-                        break;
-                    }
-                    retries += 1;
-                    if retries as usize >= JOIN_MAX_ATTEMPTS {
-                        return Err(JobError::InvalidConfig(format!(
-                            "join handshake still blocked after {JOIN_MAX_ATTEMPTS} attempts — \
-                             is a partition window unbounded?"
-                        )));
-                    }
-                    send += backoff;
-                    backoff *= 2.0;
-                }
-                let complete = base_secs + send + rtt;
-                let waited = complete - boundary;
-                membership.joins += count as u64;
-                membership.join_retries += retries * count as u64;
-                membership.secs_waiting_joins += waited;
-                if waited > 0.0 {
-                    obs.stack.frame(
-                        "membership",
-                        "join",
-                        SimTime::from_secs_f64(boundary),
-                        SimTime::from_secs_f64(complete),
-                    );
-                }
-                for _ in 0..count {
-                    profiles.push(spec.nodes[0].clone());
-                    node_ids.push(next_id);
-                    membership_event(&obs, "join", complete, Some(next_id));
-                    next_id += 1;
-                }
-                cluster_sizes.push((complete, profiles.len()));
-                cluster_size_event(&obs, complete, profiles.len());
-                complete
-            }};
-        }
-
-        let new_base: f64;
-        if result.metrics.paused {
-            // Graceful membership boundary: the last update WAS applied,
-            // nothing rolls back.
-            base_iteration += iters_run;
-            match memb.expect("an attempt only pauses at an armed membership event") {
-                MembershipEvent::Drain(d) => {
-                    epoch_entry.disposition = "drain";
-                    if let Some(pos) = node_ids.iter().position(|&id| id == d.node) {
-                        if profiles.len() == 1 {
-                            return Err(JobError::InvalidConfig(format!(
-                                "drain of node {} would leave the cluster empty",
-                                d.node
-                            )));
-                        }
-                        profiles.remove(pos);
-                        node_ids.remove(pos);
-                        membership.drains += 1;
-                        membership_event(&obs, "drain", boundary, Some(d.node));
-                        cluster_sizes.push((boundary, profiles.len()));
-                        cluster_size_event(&obs, boundary, profiles.len());
-                    }
-                    mplan = mplan.consumed(&MembershipEvent::Drain(d));
-                    new_base = boundary;
-                }
-                MembershipEvent::ScaleOut(s) => {
-                    epoch_entry.disposition = "scale-out";
-                    new_base = join_nodes!(s.count);
-                    mplan = mplan.consumed(&MembershipEvent::ScaleOut(s));
-                }
-                MembershipEvent::Evict(_) => {
-                    return Err(JobError::InvalidConfig(
-                        "internal: eviction surfaced as a graceful pause".into(),
-                    ));
-                }
-            }
-        } else if result.metrics.interrupted && result.metrics.handoff {
-            // Drain deadline blown: checkpoint handoff. The master drove
-            // the removal, so no detection delay is charged.
-            epoch_entry.disposition = "handoff";
-            let Some(MembershipEvent::Drain(d)) = memb else {
-                return Err(JobError::InvalidConfig(
-                    "internal: handoff abort without an armed drain".into(),
-                ));
-            };
-            let resume_secs = restore!();
-            merged.seconds_lost_to_faults += boundary - resume_secs;
-            merged.restores += 1;
-            if let Some(pos) = node_ids.iter().position(|&id| id == d.node) {
-                if profiles.len() == 1 {
-                    return Err(JobError::InvalidConfig(format!(
-                        "drain of node {} would leave the cluster empty",
-                        d.node
-                    )));
-                }
-                profiles.remove(pos);
-                node_ids.remove(pos);
-            }
-            membership.handoffs += 1;
-            membership_event(&obs, "handoff", boundary, Some(d.node));
-            cluster_sizes.push((boundary, profiles.len()));
-            cluster_size_event(&obs, boundary, profiles.len());
-            mplan = mplan.consumed(&MembershipEvent::Drain(d));
-            new_base = boundary;
-        } else if result.metrics.interrupted && !crash_wins {
-            // Forced eviction: rollback like a crash, but the master
-            // initiated it, so detection is free.
-            epoch_entry.disposition = "evict";
-            let Some(MembershipEvent::Evict(e)) = memb else {
-                return Err(JobError::InvalidConfig(
-                    "internal: evict abort without an armed eviction".into(),
-                ));
-            };
-            let resume_secs = restore!();
-            merged.seconds_lost_to_faults += boundary - resume_secs;
-            merged.restores += 1;
-            if let Some(pos) = node_ids.iter().position(|&id| id == e.node) {
-                if profiles.len() == 1 {
-                    return Err(JobError::InvalidConfig(format!(
-                        "eviction of node {} would leave the cluster empty",
-                        e.node
-                    )));
-                }
-                profiles.remove(pos);
-                node_ids.remove(pos);
-            }
-            plan = plan.without_node(e.node);
-            membership.evictions += 1;
-            membership_event(&obs, "evict", boundary, Some(e.node));
-            cluster_sizes.push((boundary, profiles.len()));
-            cluster_size_event(&obs, boundary, profiles.len());
-            mplan = mplan.consumed(&MembershipEvent::Evict(e));
-            new_base = boundary;
-        } else if result.metrics.interrupted {
-            // A real crash — the resilient driver's recovery path,
-            // including the heartbeat detection delay. A node can crash
-            // mid-drain: its pending drain/evict events die with it.
-            let crash = crash.expect("an interrupted attempt without handoff has an armed crash");
-            let crash_cumulative = base_secs + crash.at_secs();
-            let recovery_delay = match crash {
-                CrashEvent::Node { .. } => monitor.detection_delay(crash_cumulative),
-                CrashEvent::Master { .. } => monitor.master_failover_delay(crash_cumulative),
-            };
-            let resume_secs = restore!();
-            new_base = boundary + recovery_delay;
-            merged.seconds_lost_to_faults += new_base - resume_secs;
-            merged.restores += 1;
-            let kind = match crash {
-                CrashEvent::Node { node, .. } => {
-                    merged.node_crashes += 1;
-                    plan = plan.without_node(node);
-                    mplan = mplan.without_node(node);
-                    let pos = node_ids
-                        .iter()
-                        .position(|&id| id == node)
-                        .expect("crashed node is in the surviving set");
-                    profiles.remove(pos);
-                    node_ids.remove(pos);
-                    cluster_sizes.push((new_base, profiles.len()));
-                    cluster_size_event(&obs, new_base, profiles.len());
-                    epoch_entry.disposition = "node-crash";
-                    "node-crash"
-                }
-                CrashEvent::Master { .. } => {
-                    merged.master_failovers += 1;
-                    epoch_entry.disposition = "master-failover";
-                    "master-failover"
-                }
-            };
-            let now = SimTime::from_secs_f64(new_base);
-            obs.stack
-                .frame("resilience", "recovery", SimTime::from_secs_f64(boundary), now);
-            if let Some(d) = obs.bus.event("resilience", kind, now) {
-                let d = d.attr("at_s", crash_cumulative);
-                let d = match crash {
-                    CrashEvent::Node { node, .. } => d.attr("node", node as f64),
-                    CrashEvent::Master { .. } => d,
-                };
-                d.commit();
-            }
-            if let Some(d) = obs.bus.event("resilience", "restore", now) {
-                d.attr("iteration", base_iteration as f64)
-                    .attr("resume_s", resume_secs)
-                    .commit();
-            }
-            let action = match crash {
-                CrashEvent::Node { .. } => "node_crash",
-                CrashEvent::Master { .. } => "master_failover",
-            };
-            obs.metrics
-                .counter_add("prs_recovery_total", &[("action", action)], 1.0);
-            obs.metrics
-                .counter_add("prs_recovery_total", &[("action", "restore")], 1.0);
-        } else {
-            // The attempt ran to its iteration cap: either the job is
-            // done, or this is an autoscaler evaluation boundary.
-            base_iteration += iters_run;
-            if converged.load(Ordering::Relaxed)
-                || base_iteration as usize >= config.max_iterations
-            {
-                attempts.push(epoch_entry);
-                let total_virtual_secs = boundary;
-                let mut metrics = result.metrics;
-                metrics.recovery = merged;
-                metrics.total_seconds = total_virtual_secs;
-                metrics.sim_events = sim_events;
-                metrics.sim_handoffs = sim_handoffs;
-                return Ok(ElasticOutcome {
-                    outputs: result.outputs,
-                    metrics,
-                    attempts,
-                    membership,
-                    total_virtual_secs,
-                    cluster_sizes,
-                });
-            }
-            epoch_entry.disposition = "autoscale-eval";
-            let policy = autoscale.expect("only autoscale-capped attempts stop before the job ends");
-            let mean_iter_s = if iters_run == 0 {
-                0.0
-            } else {
-                result.metrics.compute_seconds / iters_run as f64
-            };
-            let mut action = "hold";
-            if cooldown > 0 {
-                cooldown -= 1;
-                action = "cooldown";
-            } else if mean_iter_s > policy.grow_above_secs {
-                grow_run += 1;
-                shrink_run = 0;
-                if grow_run >= policy.grow_streak && profiles.len() < policy.max_nodes {
-                    action = "grow";
-                }
-            } else if mean_iter_s < policy.shrink_below_secs {
-                shrink_run += 1;
-                grow_run = 0;
-                if shrink_run >= policy.shrink_streak && profiles.len() > policy.min_nodes {
-                    action = "shrink";
-                }
-            } else {
-                grow_run = 0;
-                shrink_run = 0;
-            }
-            // Every evaluation is audited with its full inputs — the
-            // keys avoid `node`+`iter` so trace tooling keeps seeing
-            // only scheduling decisions.
-            let mut m = BTreeMap::new();
-            m.insert("action".to_string(), Value::String(action.to_string()));
-            m.insert("at_iter".to_string(), Value::Number(base_iteration as f64));
-            m.insert("cooldown".to_string(), Value::Number(cooldown as f64));
-            m.insert("eval".to_string(), Value::Number(eval_index as f64));
-            m.insert(
-                "grow_above_s".to_string(),
-                Value::Number(policy.grow_above_secs),
-            );
-            m.insert("grow_streak".to_string(), Value::Number(grow_run as f64));
-            m.insert("mean_iter_s".to_string(), Value::Number(mean_iter_s));
-            m.insert("nodes".to_string(), Value::Number(profiles.len() as f64));
-            m.insert(
-                "shrink_below_s".to_string(),
-                Value::Number(policy.shrink_below_secs),
-            );
-            m.insert("shrink_streak".to_string(), Value::Number(shrink_run as f64));
-            m.insert("t_s".to_string(), Value::Number(boundary));
-            m.insert(
-                "trigger".to_string(),
-                Value::String("autoscale-eval".to_string()),
-            );
-            obs.audit.scale_line(Value::Object(m).to_json_string());
-            eval_index += 1;
-            match action {
-                "grow" => {
-                    new_base = join_nodes!(1);
-                    membership.grow_decisions += 1;
-                    grow_run = 0;
-                    cooldown = policy.cooldown_evals;
-                }
-                "shrink" => {
-                    // At an iteration boundary nothing is in flight, so a
-                    // shrink is a drain that completes instantly. The
-                    // newest node goes first (LIFO keeps the longest-lived
-                    // calibration history).
-                    let (pos, _) = node_ids
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, &id)| id)
-                        .expect("a shrinking cluster is non-empty");
-                    let id = node_ids[pos];
-                    profiles.remove(pos);
-                    node_ids.remove(pos);
-                    membership.drains += 1;
-                    membership.shrink_decisions += 1;
-                    membership_event(&obs, "drain", boundary, Some(id));
-                    cluster_sizes.push((boundary, profiles.len()));
-                    cluster_size_event(&obs, boundary, profiles.len());
-                    shrink_run = 0;
-                    cooldown = policy.cooldown_evals;
-                    new_base = boundary;
-                }
-                _ => new_base = boundary,
-            }
-        }
-
-        attempts.push(epoch_entry);
-        plan = plan.rebased(new_base - base_secs);
-        mplan = mplan.rebased(new_base - base_secs);
-        base_secs = new_base;
-    }
-    Err(JobError::InvalidConfig(format!(
-        "elastic driver exceeded its epoch budget ({max_epochs}) — rebasing bug?"
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1302,6 +612,22 @@ at_s = 0.6
         assert!(MembershipPlan::from_toml("node = 1\n").is_err());
         // Validation runs on the parsed plan too.
         assert!(MembershipPlan::from_toml("[[scale_out]]\ncount = 0\n").is_err());
+    }
+
+    #[test]
+    fn unsimulable_scale_out_totals_are_rejected() {
+        let section = |count: &str| format!("[[scale_out]]\ncount = {count}\nat_s = 0.01\n");
+        // One count no cluster could hold; two whose sum overflows `usize`.
+        for text in [
+            section("200000000000"),
+            section("18446744073709551615").repeat(2),
+        ] {
+            let err = MembershipPlan::from_toml(&text).unwrap_err();
+            assert!(err.contains("more than the 4096"), "{err}");
+        }
+        let at_ceiling = MembershipPlan::default().scale_out(MAX_SCALE_OUT_NODES, 1.0);
+        assert!(at_ceiling.validate().is_ok());
+        assert!(at_ceiling.scale_out(1, 2.0).validate().is_err());
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl RecoveryCounters {
         self.speculative_launched == self.speculative_won + self.speculative_wasted
     }
 
-    /// Field-wise sum, used by the resilient driver to merge the counters
+    /// Field-wise sum, used by the epoch driver to merge the counters
     /// of successive recovery epochs.
     pub fn merged(&self, other: &RecoveryCounters) -> RecoveryCounters {
         RecoveryCounters {
@@ -125,7 +125,7 @@ pub struct JobMetrics {
     /// Simulation events processed by the engine during the run — the
     /// numerator of the simulated-events/sec throughput entries in
     /// `prs bench`. Bit-identical across engine modes (the determinism
-    /// contract), and summed across epochs by the resilient driver.
+    /// contract), and summed across epochs by the epoch driver.
     pub sim_events: u64,
     /// Of those events, the wakes that moved the engine's execution token
     /// from one process thread to another (`simtime::SimReport::handoffs`)
@@ -162,16 +162,16 @@ pub struct JobMetrics {
     pub recovery: RecoveryCounters,
     /// True when the attempt was cut short by a scheduled process crash
     /// (node or master loss): the final iteration's update was not applied
-    /// and `outputs` are empty. The resilient driver resumes such runs
+    /// and `outputs` are empty. The epoch driver resumes such runs
     /// from the last checkpoint.
     pub interrupted: bool,
     /// True when `interrupted` was caused by a drain deadline expiring
     /// rather than a crash: the departing node checkpoint-handed-off its
-    /// work, so the elastic driver restores without a detection delay.
+    /// work, so the epoch driver restores without a detection delay.
     pub handoff: bool,
     /// True when the attempt stopped gracefully at a membership boundary
     /// (drain or scale-out): the final iteration's update *was* applied
-    /// and the elastic driver continues from the live model state.
+    /// and the epoch driver continues from the live model state.
     pub paused: bool,
 }
 

@@ -25,9 +25,9 @@
 
 use obs::Obs;
 use prs_core::{
-    run_chaos, run_chaos_churn, run_chaos_scored, run_elastic_observed, run_iterative,
+    run_chaos, run_chaos_churn, run_chaos_scored, run_epochs, run_iterative,
     run_iterative_observed, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, EngineMode,
-    FaultPlan, IterativeApp, JobConfig, Key, MemStore, MembershipPlan, SpmdApp,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MembershipPlan, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -478,14 +478,11 @@ fn run_elastic_under(mode: EngineMode) -> (RunArtifacts, String, String) {
         .drain(2, 0.45 * span, 10.0 * span)
         .evict(1, 0.70 * span);
     let obs = Obs::recording();
-    let out = run_elastic_observed(
+    let out = run_epochs(
         &spec,
         hist(),
         config,
-        Arc::new(MemStore::new()),
-        &plan,
-        None,
-        obs.clone(),
+        EpochOptions { membership: plan, obs: obs.clone(), ..Default::default() },
     )
     .expect("churn scenario must complete under every engine");
     let roll_events: Vec<obs::rollup::RollupEvent> =

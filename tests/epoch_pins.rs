@@ -2,14 +2,15 @@
 //! driver classifies (crash, master failover, drain, handoff, evict,
 //! scale-out, autoscale evaluation) one seeded scenario whose rendered
 //! artifacts, outputs, clock and epoch trace are hashed and compared
-//! with constants captured on commit 7493b67, before the resilient and
-//! elastic loops were merged. A refactor of the driver must leave every
-//! constant alone; do not regenerate them for a host-side change.
+//! with constants captured on commit 7493b67 — the three crash scenarios
+//! through `run_resilient_observed`, the rest through
+//! `run_elastic_observed` — before the two loops became `run_epochs`. A
+//! refactor of the driver must leave every constant alone; do not
+//! regenerate them for a host-side change.
 
 use prs_core::{
-    run_elastic_observed, run_iterative, run_resilient_observed, AutoscalePolicy, CheckpointStore,
-    CheckpointableApp, ClusterSpec, CrashEvent, DeviceClass, FaultPlan, IterativeApp, JobConfig,
-    JobMetrics, Key, MemStore, MembershipPlan, Obs, SpmdApp,
+    run_epochs, run_iterative, AutoscalePolicy, CheckpointableApp, ClusterSpec, DeviceClass,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -101,73 +102,39 @@ struct Pin {
     trace: u64,
 }
 
-/// Which parent-commit entry point a scenario was captured through.
-enum Via<'a> {
-    Resilient,
-    Elastic(&'a MembershipPlan, Option<&'a AutoscalePolicy>),
-}
-
 /// Runs one scenario and renders the pinned quantities. The epoch trace
 /// is one `[epoch n it base..end disposition]` group per epoch followed
 /// by the `time:nodes` cluster-size history, clock values as bits.
-fn pin(spec: &ClusterSpec, config: JobConfig, via: Via) -> Pin {
+fn pin(
+    spec: &ClusterSpec,
+    config: JobConfig,
+    membership: MembershipPlan,
+    autoscale: Option<AutoscalePolicy>,
+) -> Pin {
     let obs = Obs::recording();
-    let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    // (epoch, nodes, base_iteration, base_secs, end_secs, disposition)
-    type Row = (usize, usize, u64, f64, f64, &'static str);
-    let (outputs, total, rows, sizes): (_, f64, Vec<Row>, Vec<(f64, usize)>) = match via {
-        Via::Resilient => {
-            let out = run_resilient_observed(spec, chain(), config, store, obs.clone()).unwrap();
-            let rows: Vec<Row> = out
-                .attempts
-                .iter()
-                .map(|a| {
-                    let disposition = match (a.interrupted, a.crash) {
-                        (false, _) => "completed",
-                        (true, Some(CrashEvent::Node { .. })) => "node-crash",
-                        (true, _) => "master-failover",
-                    };
-                    (a.epoch, a.nodes, a.base_iteration, a.base_secs, a.end_secs, disposition)
-                })
-                .collect();
-            // A crash departure takes effect at the next epoch's base.
-            let mut sizes = vec![(0.0, spec.len())];
-            for w in rows.windows(2) {
-                if w[0].5 == "node-crash" {
-                    sizes.push((w[1].3, w[1].1));
-                }
-            }
-            (out.outputs, out.total_virtual_secs, rows, sizes)
-        }
-        Via::Elastic(plan, autoscale) => {
-            let out =
-                run_elastic_observed(spec, chain(), config, store, plan, autoscale, obs.clone())
-                    .unwrap();
-            let rows = out
-                .attempts
-                .iter()
-                .map(|e| (e.epoch, e.nodes, e.base_iteration, e.base_secs, e.end_secs, e.disposition))
-                .collect();
-            (out.outputs, out.total_virtual_secs, rows, out.cluster_sizes)
-        }
-    };
+    let opts = EpochOptions { membership, autoscale, obs: obs.clone(), ..EpochOptions::default() };
+    let out = run_epochs(spec, chain(), config, opts).unwrap();
     let mut trace = String::new();
-    for (epoch, nodes, it, base, end, disposition) in rows {
+    for e in &out.attempts {
         trace.push_str(&format!(
-            "[{epoch} n={nodes} it={it} {:016x}..{:016x} {disposition}] ",
-            base.to_bits(),
-            end.to_bits()
+            "[{} n={} it={} {:016x}..{:016x} {}] ",
+            e.epoch,
+            e.nodes,
+            e.base_iteration,
+            e.base_secs.to_bits(),
+            e.end_secs.to_bits(),
+            e.disposition
         ));
     }
-    for (t, n) in sizes {
+    for (t, n) in &out.cluster_sizes {
         trace.push_str(&format!("{:016x}:{n} ", t.to_bits()));
     }
     Pin {
         events: fnv1a(obs.bus.to_jsonl().bytes()),
         metrics: fnv1a(obs.metrics.to_prometheus().bytes()),
         decisions: fnv1a(obs.audit.to_jsonl().bytes()),
-        outputs: fnv1a(outputs.iter().flat_map(|(k, v)| [k.to_le_bytes(), v.to_le_bytes()].concat())),
-        clock: total.to_bits(),
+        outputs: fnv1a(out.outputs.iter().flat_map(|(k, v)| [k.to_le_bytes(), v.to_le_bytes()].concat())),
+        clock: out.total_virtual_secs.to_bits(),
         trace: fnv1a(trace.bytes()),
     }
 }
@@ -194,7 +161,7 @@ fn worker_crash() {
     let config = checkpointed(4);
     let at = inside_iteration(&clean(3, config), 2, 0.5);
     let spec = ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, at));
-    assert_eq!(pin(&spec, config, Via::Resilient), WORKER_CRASH);
+    assert_eq!(pin(&spec, config, MembershipPlan::default(), None), WORKER_CRASH);
 }
 
 #[test]
@@ -202,7 +169,7 @@ fn master_crash() {
     let config = checkpointed(4);
     let at = inside_iteration(&clean(2, config), 2, 0.5);
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(7).crash_master(at));
-    assert_eq!(pin(&spec, config, Via::Resilient), MASTER_CRASH);
+    assert_eq!(pin(&spec, config, MembershipPlan::default(), None), MASTER_CRASH);
 }
 
 #[test]
@@ -218,35 +185,35 @@ fn crash_with_speculation() {
         .slow_cpu(1, 0.0, 2.0 * m.total_seconds, 3.0)
         .crash_node(0, inside_iteration(&m, 2, 0.25));
     let spec = ClusterSpec::delta(3).with_faults(faults);
-    assert_eq!(pin(&spec, config, Via::Resilient), CRASH_WITH_SPECULATION);
+    assert_eq!(pin(&spec, config, MembershipPlan::default(), None), CRASH_WITH_SPECULATION);
 }
 
 #[test]
 fn drain() {
     let config = checkpointed(4);
     let plan = MembershipPlan::seeded(1).drain(2, inside_iteration(&clean(3, config), 2, 0.5), 10.0);
-    assert_eq!(pin(&ClusterSpec::delta(3), config, Via::Elastic(&plan, None)), DRAIN);
+    assert_eq!(pin(&ClusterSpec::delta(3), config, plan, None), DRAIN);
 }
 
 #[test]
 fn blown_deadline_handoff() {
     let config = checkpointed(4);
     let plan = MembershipPlan::seeded(2).drain(2, inside_iteration(&clean(3, config), 2, 0.5), 0.0);
-    assert_eq!(pin(&ClusterSpec::delta(3), config, Via::Elastic(&plan, None)), HANDOFF);
+    assert_eq!(pin(&ClusterSpec::delta(3), config, plan, None), HANDOFF);
 }
 
 #[test]
 fn evict() {
     let config = checkpointed(4);
     let plan = MembershipPlan::seeded(1).evict(2, inside_iteration(&clean(3, config), 2, 0.5));
-    assert_eq!(pin(&ClusterSpec::delta(3), config, Via::Elastic(&plan, None)), EVICT);
+    assert_eq!(pin(&ClusterSpec::delta(3), config, plan, None), EVICT);
 }
 
 #[test]
 fn scale_out() {
     let config = JobConfig::static_analytic().with_iterations(4);
     let plan = MembershipPlan::seeded(3).scale_out(1, inside_iteration(&clean(2, config), 1, 0.5));
-    assert_eq!(pin(&ClusterSpec::delta(2), config, Via::Elastic(&plan, None)), SCALE_OUT);
+    assert_eq!(pin(&ClusterSpec::delta(2), config, plan, None), SCALE_OUT);
 }
 
 #[test]
@@ -256,7 +223,7 @@ fn crash_mid_drain() {
     let plan = MembershipPlan::seeded(5).drain(2, inside_iteration(&m, 2, 0.5), 10.0);
     let faults = FaultPlan::seeded(5).crash_node(2, inside_iteration(&m, 2, 0.75));
     let spec = ClusterSpec::delta(3).with_faults(faults);
-    assert_eq!(pin(&spec, config, Via::Elastic(&plan, None)), CRASH_MID_DRAIN);
+    assert_eq!(pin(&spec, config, plan, None), CRASH_MID_DRAIN);
 }
 
 #[test]
@@ -274,7 +241,7 @@ fn autoscale_grow() {
     let config = JobConfig::static_analytic().with_iterations(5);
     let plan = MembershipPlan::seeded(6);
     assert_eq!(
-        pin(&ClusterSpec::delta(1), config, Via::Elastic(&plan, Some(&policy))),
+        pin(&ClusterSpec::delta(1), config, plan, Some(policy)),
         AUTOSCALE_GROW
     );
 }

@@ -5,8 +5,8 @@
 //! and the same seed replays to the same metrics).
 
 use prs_core::{
-    run_iterative, run_resilient, CheckpointStore, CheckpointableApp, ClusterSpec, DeviceClass,
-    FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
+    run_epochs, run_iterative, CheckpointStore, CheckpointableApp, ClusterSpec, DeviceClass,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -295,7 +295,7 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
         ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
     let app = chain(60_000, 8);
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    let outcome = run_resilient(&spec, app.clone(), config, store).unwrap();
+    let outcome = run_epochs(&spec, app.clone(), config, EpochOptions { store, ..Default::default() }).unwrap();
 
     assert_eq!(
         outcome.outputs, clean.outputs,
@@ -313,9 +313,9 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
     assert!(r.checkpoints_written > 0, "{r:?}");
     assert!(r.seconds_lost_to_faults > 0.0, "{r:?}");
     assert_eq!(outcome.attempts.len(), 2, "one crash -> two epochs");
-    assert!(outcome.attempts[0].interrupted);
+    assert_eq!(outcome.attempts[0].disposition, "node-crash");
     assert_eq!(outcome.attempts[0].nodes, 3);
-    assert!(!outcome.attempts[1].interrupted);
+    assert_eq!(outcome.attempts[1].disposition, "completed");
     assert_eq!(outcome.attempts[1].nodes, 2, "the dead node must be dropped");
     assert!(
         outcome.attempts[1].base_iteration > 0,
@@ -338,7 +338,7 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(7).crash_master(crash_at));
     let app = chain(60_000, 8);
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    let outcome = run_resilient(&spec, app, config, store).unwrap();
+    let outcome = run_epochs(&spec, app, config, EpochOptions { store, ..Default::default() }).unwrap();
 
     assert_eq!(outcome.outputs, clean.outputs);
     let r = &outcome.metrics.recovery;
@@ -359,7 +359,12 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
 fn master_crash_without_checkpointing_is_invalid_config() {
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(8).crash_master(0.01));
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    let err = run_resilient(&spec, chain(10_000, 4), JobConfig::static_analytic(), store);
+    let err = run_epochs(
+        &spec,
+        chain(10_000, 4),
+        JobConfig::static_analytic(),
+        EpochOptions { store, ..Default::default() },
+    );
     assert!(err.is_err(), "missing checkpoint interval must be rejected");
 }
 

@@ -1,12 +1,12 @@
 //! Elastic-membership scenario suite: seeded churn plans executed by the
-//! elastic driver, pinning the drain-vs-evict semantics, crash-mid-drain
+//! epoch driver, pinning the drain-vs-evict semantics, crash-mid-drain
 //! composition with the fault plan, the autoscaler's audited decisions,
 //! and the empty-plan bit-identity contract with the fixed-cluster path.
 
 use prs_core::{
-    run_elastic, run_elastic_observed, run_iterative, run_resilient_observed, AutoscalePolicy,
-    CheckpointStore, CheckpointableApp, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
-    JobConfig, Key, MemStore, MembershipPlan, Obs, SpmdApp,
+    run_epochs, run_iterative, run_iterative_observed, AutoscalePolicy, CheckpointableApp,
+    ClusterSpec, DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key,
+    MembershipPlan, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -81,8 +81,14 @@ fn chain(n: usize, k: u64) -> Arc<ChainApp> {
     Arc::new(ChainApp { n, k, state: RwLock::new(0x9e37_79b9_7f4a_7c15) })
 }
 
-fn store() -> Arc<dyn CheckpointStore> {
-    Arc::new(MemStore::new())
+/// Epoch options for a churn plan: fresh in-memory store, no autoscaler.
+fn churn(plan: &MembershipPlan) -> EpochOptions {
+    EpochOptions { membership: plan.clone(), ..EpochOptions::default() }
+}
+
+/// [`churn`] with an autoscaler and a recording bundle attached.
+fn observed(plan: &MembershipPlan, autoscale: Option<AutoscalePolicy>, obs: &Obs) -> EpochOptions {
+    EpochOptions { autoscale, obs: obs.clone(), ..churn(plan) }
 }
 
 /// Virtual time of the middle of iteration `i` on the clean run's clock.
@@ -101,43 +107,44 @@ impl MetricsExt for prs_core::JobMetrics {
     }
 }
 
-/// The bit-identity contract: an empty membership plan with no autoscaler
-/// is *byte-identical* to the fixed-cluster resilient path — virtual
-/// clock, outputs, and every observability artifact.
+/// The identity contract: the epoch driver with default options (no
+/// churn, no autoscaler, no faults) is the fixed-cluster iterative run.
+/// Without checkpointing every artifact is byte-identical; with it the
+/// clock, outputs, model state and decision audit still are, and the bus
+/// and metrics differ only by the `checkpoint` records themselves (all
+/// checked on commit 7493b67 against `run_resilient_observed`).
 #[test]
 fn empty_plan_is_bit_identical_to_fixed_cluster() {
-    let config = JobConfig::static_analytic().with_iterations(3).with_checkpoint_interval(1);
     let spec = ClusterSpec::delta(2);
+    for checkpointing in [false, true] {
+        let mut config = JobConfig::static_analytic().with_iterations(3);
+        if checkpointing {
+            config = config.with_checkpoint_interval(1);
+        }
+        let (obs_a, a_app) = (Obs::recording(), chain(40_000, 8));
+        let a = run_iterative_observed(&spec, a_app.clone(), config, obs_a.clone()).unwrap();
 
-    let obs_a = Obs::recording();
-    let a_app = chain(40_000, 8);
-    let a = run_resilient_observed(&spec, a_app.clone(), config, store(), obs_a.clone()).unwrap();
+        let (obs_b, b_app) = (Obs::recording(), chain(40_000, 8));
+        let opts = EpochOptions { obs: obs_b.clone(), ..EpochOptions::default() };
+        let b = run_epochs(&spec, b_app.clone(), config, opts).unwrap();
 
-    let obs_b = Obs::recording();
-    let b_app = chain(40_000, 8);
-    let b = run_elastic_observed(
-        &spec,
-        b_app.clone(),
-        config,
-        store(),
-        &MembershipPlan::seeded(7),
-        None,
-        obs_b.clone(),
-    )
-    .unwrap();
-
-    assert_eq!(a.outputs, b.outputs);
-    assert_eq!(a_app.save_state(), b_app.save_state());
-    assert_eq!(
-        a.total_virtual_secs.to_bits(),
-        b.total_virtual_secs.to_bits(),
-        "empty-plan virtual clock must be bit-identical"
-    );
-    assert_eq!(obs_a.bus.to_jsonl(), obs_b.bus.to_jsonl());
-    assert_eq!(obs_a.metrics.to_prometheus(), obs_b.metrics.to_prometheus());
-    assert_eq!(obs_a.audit.to_jsonl(), obs_b.audit.to_jsonl());
-    assert!(b.membership == prs_core::MembershipCounters::default());
-    assert_eq!(b.cluster_sizes, vec![(0.0, 2)]);
+        assert_eq!(a.outputs, b.outputs);
+        assert_eq!(a_app.save_state(), b_app.save_state());
+        assert_eq!(
+            a.metrics.total_seconds.to_bits(),
+            b.total_virtual_secs.to_bits(),
+            "empty-plan virtual clock must be bit-identical"
+        );
+        assert_eq!(obs_a.audit.to_jsonl(), obs_b.audit.to_jsonl());
+        if !checkpointing {
+            assert_eq!(obs_a.bus.to_jsonl(), obs_b.bus.to_jsonl());
+            assert_eq!(obs_a.metrics.to_prometheus(), obs_b.metrics.to_prometheus());
+        }
+        assert_eq!(b.metrics.recovery.checkpoints_written, if checkpointing { 3 } else { 0 });
+        assert!(b.membership == prs_core::MembershipCounters::default());
+        assert_eq!(b.cluster_sizes, vec![(0.0, 2)]);
+        assert_eq!(b.attempts.len(), 1);
+    }
 }
 
 /// Drain-vs-evict golden: the same node leaving at the same instant keeps
@@ -152,14 +159,7 @@ fn drain_keeps_progress_where_evict_rolls_back() {
 
     let drain_plan = MembershipPlan::seeded(1).drain(2, leave_at, 10.0);
     let drained_app = chain(60_000, 8);
-    let drained = run_elastic(
-        &ClusterSpec::delta(3),
-        drained_app.clone(),
-        config,
-        store(),
-        &drain_plan,
-        None,
-    )
+    let drained = run_epochs(&ClusterSpec::delta(3), drained_app.clone(), config, churn(&drain_plan))
     .unwrap();
     assert_eq!(drained.outputs, clean.outputs, "drained run must converge identically");
     let m = &drained.membership;
@@ -177,14 +177,7 @@ fn drain_keeps_progress_where_evict_rolls_back() {
 
     let evict_plan = MembershipPlan::seeded(1).evict(2, leave_at);
     let evicted_app = chain(60_000, 8);
-    let evicted = run_elastic(
-        &ClusterSpec::delta(3),
-        evicted_app.clone(),
-        config,
-        store(),
-        &evict_plan,
-        None,
-    )
+    let evicted = run_epochs(&ClusterSpec::delta(3), evicted_app.clone(), config, churn(&evict_plan))
     .unwrap();
     assert_eq!(evicted.outputs, clean.outputs, "evicted run must converge identically");
     assert_eq!(evicted_app.save_state(), drained_app.save_state());
@@ -214,7 +207,7 @@ fn blown_drain_deadline_takes_the_handoff_path() {
     // past the deadline.
     let plan = MembershipPlan::seeded(2).drain(2, leave_at, 0.0);
     let app = chain(60_000, 8);
-    let out = run_elastic(&ClusterSpec::delta(3), app, config, store(), &plan, None).unwrap();
+    let out = run_epochs(&ClusterSpec::delta(3), app, config, churn(&plan)).unwrap();
     assert_eq!(out.outputs, clean.outputs);
     let m = &out.membership;
     assert_eq!((m.drains, m.evictions, m.handoffs), (0, 0, 1), "{m:?}");
@@ -237,7 +230,7 @@ fn scale_out_joins_and_resplits() {
 
     let plan = MembershipPlan::seeded(3).scale_out(1, join_at);
     let app = chain(60_000, 8);
-    let out = run_elastic(&ClusterSpec::delta(2), app, config, store(), &plan, None).unwrap();
+    let out = run_epochs(&ClusterSpec::delta(2), app, config, churn(&plan)).unwrap();
     assert_eq!(out.outputs, clean.outputs);
     let m = &out.membership;
     assert_eq!(m.joins, 1, "{m:?}");
@@ -273,7 +266,7 @@ fn join_handshake_retries_through_partition_windows() {
     let faults = FaultPlan::seeded(4).partition_link(Some(2), None, 0.0, boundary + 0.2);
     let spec = ClusterSpec::delta(2).with_faults(faults);
     let app = chain(60_000, 8);
-    let out = run_elastic(&spec, app, config, store(), &plan, None).unwrap();
+    let out = run_epochs(&spec, app, config, churn(&plan)).unwrap();
     assert_eq!(out.outputs, clean.outputs);
     let m = &out.membership;
     assert_eq!(m.joins, 1, "{m:?}");
@@ -299,7 +292,7 @@ fn crash_mid_drain_recovers_via_checkpoint() {
     let plan = MembershipPlan::seeded(5).drain(2, drain_at, 10.0);
     let spec = ClusterSpec::delta(3).with_faults(FaultPlan::seeded(5).crash_node(2, crash_at));
     let app = chain(60_000, 8);
-    let out = run_elastic(&spec, app.clone(), config, store(), &plan, None).unwrap();
+    let out = run_epochs(&spec, app.clone(), config, churn(&plan)).unwrap();
 
     assert_eq!(out.outputs, clean.outputs, "crash-mid-drain must still converge bit-identically");
     assert_eq!(app.save_state(), clean_app.save_state());
@@ -337,16 +330,8 @@ fn autoscaler_grows_under_pressure_with_audited_decisions() {
     };
     let obs = Obs::recording();
     let app = chain(60_000, 8);
-    let out = run_elastic_observed(
-        &ClusterSpec::delta(1),
-        app,
-        config,
-        store(),
-        &MembershipPlan::seeded(6),
-        Some(&policy),
-        obs.clone(),
-    )
-    .unwrap();
+    let opts = observed(&MembershipPlan::seeded(6), Some(policy), &obs);
+    let out = run_epochs(&ClusterSpec::delta(1), app, config, opts).unwrap();
 
     let m = &out.membership;
     assert_eq!(m.grow_decisions, 2, "grows to max_nodes then holds: {m:?}");
@@ -397,16 +382,8 @@ fn autoscaler_shrinks_on_idle_with_cooldown_hysteresis() {
     };
     let obs = Obs::recording();
     let app = chain(60_000, 8);
-    let out = run_elastic_observed(
-        &ClusterSpec::delta(3),
-        app,
-        config,
-        store(),
-        &MembershipPlan::seeded(7),
-        Some(&policy),
-        obs.clone(),
-    )
-    .unwrap();
+    let opts = observed(&MembershipPlan::seeded(7), Some(policy), &obs);
+    let out = run_epochs(&ClusterSpec::delta(3), app, config, opts).unwrap();
 
     let m = &out.membership;
     assert_eq!(m.shrink_decisions, 2, "3 -> 2 -> 1 with cooldowns between: {m:?}");
@@ -433,16 +410,8 @@ fn repeat_churn_runs_are_byte_identical() {
             .evict(1, 0.10);
         let obs = Obs::recording();
         let app = chain(50_000, 8);
-        let out = run_elastic_observed(
-            &ClusterSpec::delta(3),
-            app,
-            config,
-            store(),
-            &plan,
-            None,
-            obs.clone(),
-        )
-        .unwrap();
+        let out =
+            run_epochs(&ClusterSpec::delta(3), app, config, observed(&plan, None, &obs)).unwrap();
         (
             out.outputs.clone(),
             out.total_virtual_secs.to_bits(),
@@ -473,8 +442,7 @@ fn churn_emits_membership_lane_and_metric_families() {
         .scale_out(1, mid_iteration(&clean.metrics, 2));
     let obs = Obs::recording();
     let app = chain(60_000, 8);
-    run_elastic_observed(&ClusterSpec::delta(3), app, config, store(), &plan, None, obs.clone())
-        .unwrap();
+    run_epochs(&ClusterSpec::delta(3), app, config, observed(&plan, None, &obs)).unwrap();
 
     let events = obs.bus.events();
     let membership: Vec<_> = events.iter().filter(|e| &*e.lane == "membership").collect();
@@ -501,21 +469,14 @@ fn invalid_membership_configs_are_rejected() {
     let config = JobConfig::static_analytic().with_iterations(2);
     // Reference past the largest stable id that will ever exist.
     let plan = MembershipPlan::seeded(1).drain(5, 0.1, 1.0);
-    assert!(run_elastic(&ClusterSpec::delta(2), chain(1_000, 4), config, store(), &plan, None)
+    assert!(run_epochs(&ClusterSpec::delta(2), chain(1_000, 4), config, churn(&plan))
         .is_err());
     // Removing every node that ever exists.
     let plan = MembershipPlan::seeded(1).drain(0, 0.1, 1.0).evict(1, 0.2);
-    assert!(run_elastic(&ClusterSpec::delta(2), chain(1_000, 4), config, store(), &plan, None)
+    assert!(run_epochs(&ClusterSpec::delta(2), chain(1_000, 4), config, churn(&plan))
         .is_err());
     // Broken autoscale policy.
     let policy = AutoscalePolicy { eval_interval_iters: 0, ..AutoscalePolicy::default() };
-    assert!(run_elastic(
-        &ClusterSpec::delta(2),
-        chain(1_000, 4),
-        config,
-        store(),
-        &MembershipPlan::seeded(1),
-        Some(&policy)
-    )
-    .is_err());
+    let opts = observed(&MembershipPlan::seeded(1), Some(policy), &Obs::disabled());
+    assert!(run_epochs(&ClusterSpec::delta(2), chain(1_000, 4), config, opts).is_err());
 }

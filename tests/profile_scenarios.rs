@@ -12,8 +12,8 @@
 
 use obs::Obs;
 use prs_core::{
-    run_iterative_observed, run_resilient_observed, CheckpointStore, CheckpointableApp,
-    ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
+    run_epochs, run_iterative_observed, CheckpointStore, CheckpointableApp, ClusterSpec,
+    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -169,7 +169,13 @@ fn recovery_time_is_a_distinct_profile_lane() {
     let spec = ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let obs = Obs::recording();
-    let outcome = run_resilient_observed(&spec, hist(), config, store, obs.clone()).unwrap();
+    let outcome = run_epochs(
+        &spec,
+        hist(),
+        config,
+        EpochOptions { store, obs: obs.clone(), ..Default::default() },
+    )
+    .unwrap();
     assert_eq!(outcome.metrics.recovery.node_crashes, 1);
 
     let set = obs::FrameSet::from_stack(&obs.stack);

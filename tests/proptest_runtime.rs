@@ -5,8 +5,9 @@
 
 use prs_bench::SyntheticApp;
 use prs_core::{
-    run_iterative, run_job, run_resilient, CheckpointStore, CheckpointableApp, ClusterSpec,
-    DeviceClass, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
+    run_epochs, run_iterative, run_job, CheckpointStore, CheckpointableApp, ClusterSpec,
+    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, MembershipPlan,
+    SpmdApp, MAX_SCALE_OUT_NODES,
 };
 use proptest::prelude::*;
 use roofline::model::DataResidency;
@@ -211,8 +212,13 @@ proptest! {
         let app = chain(n, k);
         let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
         let outcome =
-            run_resilient(&ClusterSpec::delta(nodes).with_faults(plan), app.clone(), config, store)
-                .unwrap();
+            run_epochs(
+                &ClusterSpec::delta(nodes).with_faults(plan),
+                app.clone(),
+                config,
+                EpochOptions { store, ..Default::default() },
+            )
+            .unwrap();
 
         prop_assert_eq!(&outcome.outputs, &clean.outputs);
         prop_assert_eq!(app.save_state(), clean_app.save_state());
@@ -447,5 +453,103 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, stamps.len());
+    }
+}
+
+/// A plan over stable ids `0..ids` that fills all seven fault lists, link
+/// faults with named ends and wildcards included — the input of the node
+/// algebra properties (never run, so windows need not be short).
+fn arb_stable_id_plan(ids: usize) -> impl Strategy<Value = FaultPlan> {
+    let end = move || prop_oneof![Just(None), (0..ids).prop_map(Some)];
+    (
+        proptest::collection::vec((0..ids, 0usize..2, 0.0..2.0f64), 0..4),
+        proptest::collection::vec((0..ids, 0usize..2, 0.0..1.0f64, 0.01..1.0f64), 0..4),
+        proptest::collection::vec((end(), end(), 0.0..1.0f64, 0.01..1.0f64, 0u8..2), 0..5),
+        proptest::collection::vec((0..ids, 0.0..2.0f64), 0..3),
+        0usize..3,
+    )
+        .prop_map(|(gpu_crashes, windows, links, node_crashes, master_crashes)| {
+            let mut plan = FaultPlan::seeded(11);
+            for (node, gpu, at) in gpu_crashes {
+                plan = plan.crash_gpu(node, gpu, at);
+            }
+            for (node, gpu, from, len) in windows {
+                plan = plan
+                    .slow_cpu(node, from, from + len, 2.0)
+                    .slow_gpu(node, gpu, from, from + len, 3.0)
+                    .stall_node(node, from, from + len, 0.01);
+            }
+            for (src, dst, from, len, partition) in links {
+                plan = match partition {
+                    0 => plan.jitter_link(src, dst, from, from + len, 0.001),
+                    _ => plan.partition_link(src, dst, from, from + len),
+                };
+            }
+            for (node, at) in node_crashes {
+                plan = plan.crash_node(node, at);
+            }
+            for i in 0..master_crashes {
+                plan = plan.crash_master(0.5 + i as f64);
+            }
+            plan
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `without_node` and `project` are one node map with two functions:
+    /// the identity projection changes nothing, and dropping a node
+    /// before projecting equals projecting onto the ids without it —
+    /// what the epoch driver relies on when a node leaves.
+    #[test]
+    fn fault_plan_node_maps_compose(
+        plan in arb_stable_id_plan(6),
+        ids in proptest::collection::vec(0usize..6, 0..6),
+        gone in 0usize..6,
+    ) {
+        let identity: Vec<usize> = (0..6).collect();
+        prop_assert_eq!(&plan.project(&identity), &plan);
+        // An id set: first occurrences only, in the drawn (rank) order.
+        let mut live: Vec<usize> = Vec::new();
+        for id in ids {
+            if !live.contains(&id) {
+                live.push(id);
+            }
+        }
+        let survivors: Vec<usize> = live.iter().copied().filter(|&id| id != gone).collect();
+        let dropped_then_projected = plan.without_node(gone).project(&survivors);
+        prop_assert_eq!(&dropped_then_projected, &plan.project(&survivors));
+        // And nothing in a projection points outside the rank space.
+        prop_assert!(dropped_then_projected.max_node_ref().is_none_or(|m| m < survivors.len()));
+    }
+
+    /// `from_toml` never panics, whatever the lines: it returns a plan
+    /// that passes `validate` (so a bounded scale-out total) or an error.
+    #[test]
+    fn membership_toml_never_panics(
+        lines in proptest::collection::vec((0usize..12, 0usize..14), 0..12),
+    ) {
+        const HEADS: [&str; 12] = [
+            "[[scale_out]]", "[[drain]]", "[[evict]]", "[scale_out]", "[[", "seed", "count",
+            "at_s", "node", "deadline_s", "# note", "",
+        ];
+        const VALUES: [&str; 14] = [
+            "1", "0", "-1", "0.5", "4096", "4097", "200000000000", "18446744073709551615",
+            "1e400", "NaN", "inf", "-0", "", "x = = 3",
+        ];
+        let text: String = lines
+            .iter()
+            .map(|&(h, v)| match HEADS[h] {
+                head if head.starts_with('[') || head.starts_with('#') || head.is_empty() => {
+                    format!("{head}\n")
+                }
+                key => format!("{key} = {}\n", VALUES[v]),
+            })
+            .collect();
+        if let Ok(plan) = MembershipPlan::from_toml(&text) {
+            prop_assert!(plan.validate().is_ok());
+            prop_assert!(plan.total_scale_out() <= MAX_SCALE_OUT_NODES);
+        }
     }
 }
