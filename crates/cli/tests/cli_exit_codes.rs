@@ -156,6 +156,55 @@ fn too_many_clusters_is_a_usage_error() {
 }
 
 #[test]
+fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
+    // 1.5 GB of address space holds some 1400 one-MiB stacks; the job
+    // wants 5001. This used to be a panic in `coro.rs` (exit 101) that,
+    // with a backtrace asked for, never exited at all — hence the watchdog.
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let limited = |script: &str| {
+        let mut sh = Command::new("sh");
+        sh.args(["-c", &format!("ulimit -v 1500000 && {script}")])
+            .arg(env!("CARGO_BIN_EXE_prs"))
+            .env("RUST_BACKTRACE", "1")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped());
+        sh
+    };
+    if !limited("true").status().is_ok_and(|s| s.success()) {
+        eprintln!("skipped: no `sh` with a working `ulimit -v` here");
+        return;
+    }
+    let mut child = limited(
+        "exec \"$0\" run --app cmeans --nodes 1000 --profile micro \
+         --points 27000 --dims 8 --clusters 8 --iterations 1",
+    )
+    .spawn()
+    .expect("sh runs");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        match child.try_wait().expect("wait for prs") {
+            Some(status) => break status,
+            None if Instant::now() > deadline => {
+                let _ = child.kill();
+                panic!("prs was still running after 30 s");
+            }
+            None => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    let out = child.wait_with_output().expect("collect stderr");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert!(
+        matches!(lines[..], [line] if line.starts_with("error: ")
+            && line.contains("address space")
+            && line.contains("vm.max_map_count")),
+        "one `error:` line naming the limits, got: {stderr}"
+    );
+}
+
+#[test]
 fn postmortem_rejects_a_dir_without_captures() {
     // The dir exists but holds no capture-*.jsonl: exit 1, not a
     // zero-incident report with exit 0.

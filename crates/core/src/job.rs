@@ -27,7 +27,8 @@ use std::sync::Arc;
 pub enum JobError {
     /// The configuration is inconsistent with the cluster or application.
     InvalidConfig(String),
-    /// The underlying simulation failed (deadlock, panic, event limit).
+    /// The underlying simulation failed (deadlock, panic, event limit, no
+    /// stack left for a simulated process).
     Sim(SimError),
 }
 
@@ -1903,8 +1904,17 @@ fn worker_body<A: SpmdApp>(
         // GLOBAL GATHER + UPDATE.
         let out_bytes: u64 = outputs.iter().map(|(_, o)| app.output_bytes(o)).sum();
         let gathered = coll.allgather(ctx, out_bytes.max(1), outputs);
-        let mut global: Vec<(Key, A::Output)> = gathered.into_iter().flatten().collect();
-        global.sort_by_key(|(k, _)| *k);
+        // Every rank takes part in the exchange, but only rank 0 reads its
+        // result (for the update, and as the job's outputs): the others
+        // let theirs go unassembled — now, not after blocking in the
+        // broadcast below with every other rank's copy still around.
+        let mut global: Vec<(Key, A::Output)> = Vec::new();
+        if rank == 0 {
+            global.extend(gathered.into_iter().flatten());
+            global.sort_by_key(|(k, _)| *k);
+        } else {
+            drop(gathered);
+        }
         // One node decides the iteration's fate, broadcast so replicated
         // app state is written exactly once per iteration. A scheduled
         // crash aborts BEFORE the model update runs: the interrupted

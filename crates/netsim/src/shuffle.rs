@@ -1,6 +1,12 @@
 //! The MapReduce shuffle: an all-to-all exchange that routes each item to
 //! the rank owning its bucket, so that "pairs with the same key are stored
 //! consecutively in a bucket on the same node" (paper §III.A.2).
+//!
+//! A rank first works out its `Plan` — which ranks it will message, with
+//! what — and only then enters the collective that tells it how many
+//! batches to expect. All `n` ranks block there together, so the plan holds
+//! one entry per batch, not one per rank: an `n`-slot table per rank is
+//! `n²` slots alive at once.
 
 use crate::collectives::CollectiveSeq;
 use crate::comm::Communicator;
@@ -28,6 +34,47 @@ pub fn bucket_owner(bucket: u64, ranks: usize) -> usize {
     (bucket % ranks as u64) as usize
 }
 
+/// What one rank puts into a shuffle.
+#[derive(Debug, PartialEq)]
+struct Plan<T> {
+    /// Per destination, 1 if this rank will message it.
+    senders: Vec<u64>,
+    /// The items this rank already owns.
+    mine: Vec<ShuffleItem<T>>,
+    /// The non-empty `(dst, wire bytes, batch)` sends, in send order: the
+    /// ring from `me + 1`.
+    outgoing: Vec<(usize, u64, Vec<ShuffleItem<T>>)>,
+}
+
+/// Partitions `items` by owner among `n` ranks, as seen from rank `me`.
+/// The `n`-slot partition table lives only inside this function: kept
+/// across the collective, the tables of 1000 ranks were 24 MB of mostly
+/// empty `Vec` headers.
+fn plan<T>(n: usize, me: usize, items: Vec<ShuffleItem<T>>) -> Plan<T> {
+    let mut table: Vec<Vec<ShuffleItem<T>>> = (0..n).map(|_| Vec::new()).collect();
+    for item in items {
+        let dst = bucket_owner(item.bucket, n);
+        table[dst].push(item);
+    }
+    let senders = (0..n)
+        .map(|dst| u64::from(dst != me && !table[dst].is_empty()))
+        .collect();
+    let mine = std::mem::take(&mut table[me]);
+    let outgoing = (1..n)
+        .map(|offset| (me + offset) % n)
+        .filter_map(|dst| {
+            let batch = std::mem::take(&mut table[dst]);
+            let bytes = batch.iter().map(|i| i.bytes).sum();
+            (!batch.is_empty()).then_some((dst, bytes, batch))
+        })
+        .collect();
+    Plan {
+        senders,
+        mine,
+        outgoing,
+    }
+}
+
 /// Executes the shuffle from this rank: sends every item to its bucket
 /// owner and returns all items this rank owns, grouped by bucket
 /// (ascending), with stable source order (by source rank, then send
@@ -47,43 +94,28 @@ pub fn shuffle<T: Send + 'static>(
     ctx: &SimCtx,
     items: Vec<ShuffleItem<T>>,
 ) -> Vec<ShuffleItem<T>> {
-    let n = comm.size();
     let me = comm.rank();
     // A fresh op id, shared across ranks because they call the same
     // collectives and shuffles in the same (SPMD) order.
     let op = seq.next();
 
-    // Partition items by destination.
-    let mut outgoing: Vec<Vec<ShuffleItem<T>>> = (0..n).map(|_| Vec::new()).collect();
-    for item in items {
-        let dst = bucket_owner(item.bucket, n);
-        outgoing[dst].push(item);
-    }
+    let Plan {
+        senders,
+        mine,
+        outgoing,
+    } = plan(comm.size(), me, items);
 
     // Metadata exchange: each rank contributes a 0/1 vector of which
     // destinations it will actually message; the element-wise sum tells
     // every rank its incoming batch count. One u64 per rank on the wire —
     // the size-exchange phase real shuffles piggyback on their control
     // plane.
-    let senders: Vec<u64> = (0..n)
-        .map(|dst| u64::from(dst != me && !outgoing[dst].is_empty()))
-        .collect();
     let incoming = comm
         .collectives(seq)
         .reduce_scatter(ctx, 8, senders, |a, b| a + b);
 
-    let mut mine: Vec<ShuffleItem<T>> = Vec::new();
-
-    // Send only non-empty batches (deterministic order), keep own locally.
-    for offset in 0..n {
-        let dst = (me + offset) % n;
-        let batch = std::mem::take(&mut outgoing[dst]);
-        if dst == me {
-            mine.extend(batch);
-        } else if !batch.is_empty() {
-            let bytes: u64 = batch.iter().map(|i| i.bytes).sum();
-            comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch);
-        }
+    for (dst, bytes, batch) in outgoing {
+        comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch);
     }
 
     // Receive exactly the announced number of batches, from whichever
@@ -115,23 +147,9 @@ mod tests {
         n: usize,
         make_items: impl Fn(usize) -> Vec<ShuffleItem<u64>> + Send + Sync + 'static,
     ) -> Vec<Vec<ShuffleItem<u64>>> {
-        let mut sim = Sim::new();
-        let net = Network::new("n", n, NetworkParams::ideal());
-        let results: Arc<Mutex<Vec<Vec<ShuffleItem<u64>>>>> =
-            Arc::new(Mutex::new((0..n).map(|_| Vec::new()).collect()));
-        let make_items = Arc::new(make_items);
-        for rank in 0..n {
-            let comm = net.communicator(rank);
-            let results = results.clone();
-            let make_items = make_items.clone();
-            sim.spawn(&format!("rank{rank}"), move |ctx| {
-                let seq = CollectiveSeq::new();
-                let out = shuffle(&comm, &seq, ctx, make_items(rank));
-                results.lock()[rank] = out;
-            });
-        }
-        sim.run().unwrap();
-        Arc::try_unwrap(results).ok().unwrap().into_inner()
+        run_ranks(n, move |comm, seq, ctx| {
+            shuffle(comm, seq, ctx, make_items(comm.rank()))
+        })
     }
 
     fn item(bucket: u64, value: u64) -> ShuffleItem<u64> {
@@ -139,6 +157,117 @@ mod tests {
             bucket,
             bytes: 8,
             value,
+        }
+    }
+
+    type Sends = Vec<(usize, u64, Vec<ShuffleItem<u64>>)>;
+
+    /// The shuffle as it was before the plan was compacted — the `n`-slot
+    /// table kept across the collective and walked densely from `me` — the
+    /// reference for `plan` and `shuffle`. Returns its `senders` vector and
+    /// its sends, in order, next to the result.
+    fn shuffle_dense(
+        comm: &Communicator,
+        seq: &CollectiveSeq,
+        ctx: &SimCtx,
+        items: Vec<ShuffleItem<u64>>,
+    ) -> (Vec<u64>, Sends, Vec<ShuffleItem<u64>>) {
+        let n = comm.size();
+        let me = comm.rank();
+        let op = seq.next();
+        let mut outgoing: Vec<Vec<ShuffleItem<u64>>> = (0..n).map(|_| Vec::new()).collect();
+        for item in items {
+            let dst = bucket_owner(item.bucket, n);
+            outgoing[dst].push(item);
+        }
+        let senders: Vec<u64> = (0..n)
+            .map(|dst| u64::from(dst != me && !outgoing[dst].is_empty()))
+            .collect();
+        let incoming = comm
+            .collectives(seq)
+            .reduce_scatter(ctx, 8, senders.clone(), |a, b| a + b);
+        let mut mine: Vec<ShuffleItem<u64>> = Vec::new();
+        let mut sent = Sends::new();
+        for offset in 0..n {
+            let dst = (me + offset) % n;
+            let batch = std::mem::take(&mut outgoing[dst]);
+            if dst == me {
+                mine.extend(batch);
+            } else if !batch.is_empty() {
+                let bytes: u64 = batch.iter().map(|i| i.bytes).sum();
+                sent.push((dst, bytes, batch.clone()));
+                comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch);
+            }
+        }
+        let mut received = vec![(me, mine)];
+        for _ in 0..incoming {
+            received.push(comm.recv_any::<Vec<ShuffleItem<u64>>>(ctx, SHUFFLE_TAG_BASE | op));
+        }
+        received.sort_by_key(|(src, _)| *src);
+        let mut all: Vec<ShuffleItem<u64>> = received.into_iter().flat_map(|(_, b)| b).collect();
+        all.sort_by_key(|item| item.bucket);
+        (senders, sent, all)
+    }
+
+    /// Runs `each` as rank `0..n` of one simulation and collects what the
+    /// ranks return.
+    fn run_ranks<R: Default + Send + 'static>(
+        n: usize,
+        each: impl Fn(&Communicator, &CollectiveSeq, &SimCtx) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let mut sim = Sim::new();
+        let net = Network::new("n", n, NetworkParams::ideal());
+        let results: Arc<Mutex<Vec<R>>> =
+            Arc::new(Mutex::new((0..n).map(|_| R::default()).collect()));
+        let each = Arc::new(each);
+        for rank in 0..n {
+            let comm = net.communicator(rank);
+            let (results, each) = (results.clone(), each.clone());
+            sim.spawn(&format!("rank{rank}"), move |ctx| {
+                let out = each(&comm, &CollectiveSeq::new(), ctx);
+                results.lock()[rank] = out;
+            });
+        }
+        sim.run().unwrap();
+        Arc::try_unwrap(results).ok().unwrap().into_inner()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Over random rank counts and item sets — sparse (fewer buckets
+        /// than ranks) and dense — every rank announces the same `senders`,
+        /// sends the same `(dst, bytes, items)` sequence and gets the same
+        /// vector back as under the dense reference.
+        #[test]
+        fn plan_and_result_match_the_dense_reference(
+            n in 1usize..10,
+            buckets in 1u64..40,
+            drawn in proptest::collection::vec((0usize..10, 0u64..40, 1u64..100), 0..150),
+        ) {
+            let items_of = move |rank: usize| -> Vec<ShuffleItem<u64>> {
+                drawn
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (src, _, _))| src % n == rank)
+                    .map(|(i, &(_, bucket, bytes))| ShuffleItem {
+                        bucket: bucket % buckets,
+                        bytes,
+                        value: i as u64,
+                    })
+                    .collect()
+            };
+            let (a, b) = (items_of.clone(), items_of.clone());
+            let reference = run_ranks(n, move |comm, seq, ctx| {
+                shuffle_dense(comm, seq, ctx, a(comm.rank()))
+            });
+            let got = run_ranks(n, move |comm, seq, ctx| shuffle(comm, seq, ctx, b(comm.rank())));
+            for (me, (senders, sent, result)) in reference.into_iter().enumerate() {
+                let plan = plan(n, me, items_of(me));
+                proptest::prop_assert_eq!(plan.senders, senders);
+                proptest::prop_assert_eq!(plan.outgoing, sent);
+                proptest::prop_assert_eq!(&got[me], &result);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! queues, request/reply protocols, and the network layer.
 
 use crate::engine::SimCtx;
-use crate::kernel::{BlockReason, Pid};
+use crate::kernel::{BlockReason, CachedLabel, KState, Label, Pid};
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -19,6 +19,8 @@ struct ChanInner<T> {
     waiters: VecDeque<(Pid, u64)>,
     next_ticket: u64,
     closed: bool,
+    /// The channel's name as receivers' block reasons carry it.
+    label: CachedLabel,
 }
 
 /// Result of a [`Channel::recv_deadline`] call.
@@ -71,6 +73,7 @@ impl<T: Send + 'static> Channel<T> {
                 waiters: VecDeque::new(),
                 next_ticket: 0,
                 closed: false,
+                label: CachedLabel::default(),
             })),
         }
     }
@@ -144,7 +147,7 @@ impl<T: Send + 'static> Channel<T> {
                 g.next_ticket += 1;
                 g.waiters.push_back((ctx.pid(), ticket));
             }
-            ctx.block(|ks| BlockReason::Recv(ks.intern(&self.name)));
+            ctx.block(|ks| BlockReason::Recv(self.label(ks)));
         }
     }
 
@@ -193,9 +196,13 @@ impl<T: Send + 'static> Channel<T> {
                         ks2.schedule_wake(now, pid);
                     }
                 });
-                BlockReason::RecvDeadline(ks.intern(&self.name), deadline)
+                BlockReason::RecvDeadline(self.label(ks), deadline)
             });
         }
+    }
+
+    fn label(&self, ks: &mut KState) -> Label {
+        self.inner.lock().label.get(ks, &self.name)
     }
 
     /// Non-blocking receive.
@@ -226,6 +233,34 @@ impl<T: Send + 'static> Channel<T> {
 mod tests {
     use super::*;
     use crate::{Sim, SimTime};
+
+    #[test]
+    fn a_channel_blocked_on_under_two_kernels_is_named_in_both_reports() {
+        use crate::SimError;
+        let ch: Channel<u8> = Channel::new("shared");
+        for pads in [0, 3] {
+            let mut sim = Sim::new();
+            // Names interned ahead of the channel's give it another label
+            // the second time round.
+            for i in 0..pads {
+                sim.spawn(&format!("pad{i}"), |_| {});
+            }
+            let rx = ch.clone();
+            sim.spawn("stuck", move |ctx| {
+                for _ in 0..2 {
+                    rx.recv_deadline(ctx, ctx.now() + SimTime::from_secs(1));
+                }
+                rx.recv(ctx);
+            });
+            match sim.run() {
+                Err(SimError::Deadlock { blocked, .. }) => assert_eq!(
+                    blocked,
+                    vec![("stuck".to_string(), "recv on 'shared'".to_string())]
+                ),
+                other => panic!("expected a deadlock, got {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn send_then_recv_same_time() {

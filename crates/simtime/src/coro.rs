@@ -4,6 +4,15 @@
 //! pointer — on the thread inside `Sim::run`. The workspace's only `unsafe`
 //! lives in this module.
 //!
+//! Stacks are carved out of [`Chunk`] mappings, [`CHUNK_STACKS`] to a
+//! chunk: one `mmap` and one `munmap` per chunk, and per stack one
+//! `mprotect` that opens it up and leaves the page below it `PROT_NONE`.
+//! A finished context's stack goes to the next `spawn`; chunks go back to
+//! the OS when the table drops. The guard pages keep the mappings at two
+//! per stack, so `vm.max_map_count` (65 530 by default) still ends a run
+//! near 32 k live processes — as an error from `spawn`, like a refused
+//! `mmap` under an address-space limit.
+//!
 //! [`Contexts`] is the whole interface: `spawn` seeds a stack so that its
 //! first activation enters the body, `switch_to` suspends the running
 //! context and resumes another (`None` is the root: the caller of
@@ -17,6 +26,7 @@
 //! code has no way to break it.
 
 use std::cell::UnsafeCell;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
 
@@ -28,6 +38,12 @@ const STACK_BYTES: usize = 1 << 20;
 /// every page on the way down, so an overflow faults here — a plain
 /// `SIGSEGV` (std's "stack overflow" report only knows thread stacks).
 const GUARD_BYTES: usize = 4096;
+/// A guard page and the stack above it.
+const SLOT_BYTES: usize = GUARD_BYTES + STACK_BYTES;
+/// Stacks per chunk mapping: enough that a thousand-node job makes a few
+/// dozen mappings, not so many that a two-process one reserves more than
+/// 64 MiB of address space.
+const CHUNK_STACKS: usize = 64;
 
 const PROT_NONE: i32 = 0;
 const PROT_READ_WRITE: i32 = 1 | 2;
@@ -83,46 +99,80 @@ unsafe extern "C" fn enter() {
     std::arch::naked_asm!("mov rdi, r12", "jmp {base}", base = sym base)
 }
 
-/// A stack mapping: guard page at the bottom, `STACK_BYTES` above it.
-struct Stack(*mut u8);
+/// One `PROT_NONE` mapping of [`CHUNK_STACKS`] slots, the first `carved`
+/// of which have had their stack made writable.
+struct Chunk {
+    base: *mut u8,
+    carved: usize,
+}
 
-impl Stack {
-    fn map() -> Stack {
-        let len = GUARD_BYTES + STACK_BYTES;
-        // SAFETY: a fresh anonymous mapping aliases nothing, and the
-        // `mprotect` stays inside it.
+impl Chunk {
+    fn map() -> io::Result<Chunk> {
+        // SAFETY: a fresh anonymous mapping aliases nothing.
         let base = unsafe {
-            let base = mmap(
+            mmap(
                 ptr::null_mut(),
-                len,
+                CHUNK_STACKS * SLOT_BYTES,
                 PROT_NONE,
                 MAP_PRIVATE_ANON_NORESERVE,
                 -1,
                 0,
-            );
-            assert!(
-                base as isize != -1,
-                "failed to map a simulation process stack"
-            );
-            let rc = mprotect(base.add(GUARD_BYTES), STACK_BYTES, PROT_READ_WRITE);
-            assert_eq!(rc, 0, "failed to unprotect a simulation process stack");
-            base
+            )
         };
-        #[cfg(test)]
-        LIVE_STACKS.with(|n| n.set(n.get() + 1));
-        Stack(base)
+        if base as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Chunk { base, carved: 0 })
     }
 
+    /// Opens up the stack of the next slot, which must exist; the slot's
+    /// guard page stays as mapped.
+    fn carve(&mut self) -> io::Result<Stack> {
+        assert!(self.carved < CHUNK_STACKS, "the chunk is used up");
+        // SAFETY: slot `carved` lies inside the mapping, and so does the
+        // range the `mprotect` covers: the slot less its guard page.
+        let slot = unsafe {
+            let slot = self.base.add(self.carved * SLOT_BYTES);
+            if mprotect(slot.add(GUARD_BYTES), STACK_BYTES, PROT_READ_WRITE) != 0 {
+                return Err(io::Error::last_os_error());
+            }
+            slot
+        };
+        self.carved += 1;
+        #[cfg(test)]
+        LIVE_STACKS.with(|n| n.set(n.get() + 1));
+        Ok(Stack(slot))
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        #[cfg(test)]
+        LIVE_STACKS.with(|n| n.set(n.get() - self.carved as isize));
+        // SAFETY: the mapping is ours, whole, and nobody stands on it: a
+        // chunk goes with its table, which the root drops — `Sim::run`
+        // keeps the table alive past the last context it unwinds — and the
+        // contexts left on these stacks will never be resumed.
+        unsafe { munmap(self.base, CHUNK_STACKS * SLOT_BYTES) };
+    }
+}
+
+/// A slot of a [`Chunk`]: guard page at the bottom, `STACK_BYTES` above it.
+/// Held by one context, or by `zombie` or `idle`, and valid as long as the
+/// table's chunks are.
+struct Stack(*mut u8);
+
+impl Stack {
     /// Writes the frame a first `switch` pops — six zeroed registers but
     /// for `r12 = arg`, `enter`, a null return address — and returns the
     /// stack pointer to resume.
     fn seed(&self, arg: *const Table) -> *mut u8 {
         let frame: [usize; 8] = [0, 0, 0, arg as usize, 0, 0, enter as *const () as usize, 0];
-        // SAFETY: the top of the mapping is page-aligned, so the frame is
-        // in bounds and aligned and ends on a 16-byte boundary; nothing
-        // runs on this stack yet.
+        // SAFETY: the top of the slot is page-aligned, so the frame is in
+        // bounds and aligned and ends on a 16-byte boundary; nothing runs
+        // on this stack.
         unsafe {
-            let top = self.0.add(GUARD_BYTES + STACK_BYTES);
+            let top = self.0.add(SLOT_BYTES);
             let sp = top.cast::<[usize; 8]>().sub(1);
             sp.write(frame);
             sp.cast()
@@ -130,22 +180,22 @@ impl Stack {
     }
 }
 
-impl Drop for Stack {
-    fn drop(&mut self) {
-        #[cfg(test)]
-        LIVE_STACKS.with(|n| n.set(n.get() - 1));
-        // SAFETY: the mapping is ours, and whoever drops a `Stack` is not
-        // standing on it: a finished context's is parked in `zombie` until
-        // another context runs, and the others belong to contexts that
-        // will never be resumed.
-        unsafe { munmap(self.0, GUARD_BYTES + STACK_BYTES) };
-    }
-}
-
 #[cfg(test)]
 thread_local! {
-    /// Stacks mapped minus stacks unmapped by this thread.
+    /// Stacks carved minus stacks unmapped by this thread.
     static LIVE_STACKS: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+    /// Chunks a table on this thread may map before the mapper reports
+    /// `ENOMEM`, standing in for the OS limits.
+    static CHUNK_CAP: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+}
+
+/// Runs `f` with this thread's tables capped at `chunks` chunk mappings.
+#[cfg(test)]
+pub(crate) fn with_chunk_cap<R>(chunks: usize, f: impl FnOnce() -> R) -> R {
+    let before = CHUNK_CAP.with(|c| c.replace(chunks));
+    let r = f();
+    CHUNK_CAP.with(|c| c.set(before));
+    r
 }
 
 /// Stacks currently mapped, as seen from the calling thread: exact for a
@@ -189,6 +239,9 @@ struct Inner {
     zombie: Option<Stack>,
     /// Stacks of finished contexts, for the next `spawn`.
     idle: Vec<Stack>,
+    /// Every stack above points into one of these; only the last can have
+    /// slots left to carve.
+    chunks: Vec<Chunk>,
     unwinding: bool,
 }
 
@@ -199,9 +252,10 @@ type Table = UnsafeCell<Inner>;
 /// is stable.
 pub(crate) struct Contexts(Box<Table>);
 
-// SAFETY: a suspended context is plain memory, and a body that has not
-// started is a `Send` closure, so the table may move between threads while
-// nothing runs (tests build a `Sim` on one thread and run it on another).
+// SAFETY: a suspended context and the chunk it lives in are plain memory,
+// and a body that has not started is a `Send` closure, so the table may
+// move between threads while nothing runs (tests build a `Sim` on one
+// thread and run it on another).
 // Once `switch_to` has started a context, the table is only touched by the
 // token holder on the one thread inside `Sim::run` (module docs), which is
 // what lets `&Contexts` be shared with every process.
@@ -217,25 +271,27 @@ impl Contexts {
             root_sp: ptr::null_mut(),
             zombie: None,
             idle: Vec::new(),
+            chunks: Vec::new(),
             unwinding: false,
         })))
     }
 
     /// Adds a context that will run `body` when first switched to, on a
-    /// recycled stack if one is idle. Returns its index.
-    pub(crate) fn spawn(&self, body: Body) -> usize {
+    /// recycled stack if one is idle. Returns its index, or the error of
+    /// the `mmap` or `mprotect` that refused a new stack — in which case
+    /// `body` is dropped and the table is as it was.
+    pub(crate) fn spawn(&self, body: Body) -> io::Result<usize> {
         // SAFETY: the token holder has exclusive access, and no reference
         // into the table outlives a call.
         let inner = unsafe { &mut *self.0.get() };
-        inner.idle.extend(inner.zombie.take());
-        let stack = inner.idle.pop().unwrap_or_else(Stack::map);
+        let stack = inner.take_stack()?;
         let sp = stack.seed(&*self.0);
         inner.slots.push(Slot {
             sp,
             body: Some(body),
             stack: Some(stack),
         });
-        inner.slots.len() - 1
+        Ok(inner.slots.len() - 1)
     }
 
     /// Suspends the running context and resumes `next`; returns when some
@@ -290,6 +346,23 @@ impl Contexts {
 }
 
 impl Inner {
+    /// An idle stack, or one carved from the last chunk, or the first of a
+    /// new chunk.
+    fn take_stack(&mut self) -> io::Result<Stack> {
+        self.idle.extend(self.zombie.take());
+        if let Some(stack) = self.idle.pop() {
+            return Ok(stack);
+        }
+        if self.chunks.last().is_none_or(|c| c.carved == CHUNK_STACKS) {
+            #[cfg(test)]
+            if self.chunks.len() >= CHUNK_CAP.with(|c| c.get()) {
+                return Err(io::Error::from_raw_os_error(12)); // ENOMEM
+            }
+            self.chunks.push(Chunk::map()?);
+        }
+        self.chunks.last_mut().expect("pushed if absent").carve()
+    }
+
     /// Takes the saved stack pointer of `next`, which must be suspended,
     /// and makes `next` the running context.
     fn resume(&mut self, next: Option<usize>) -> *mut u8 {
@@ -345,7 +418,7 @@ mod tests {
         body: impl FnOnce(&Contexts) -> Option<usize> + Send + 'static,
     ) -> usize {
         let t = table.clone();
-        table.spawn(Box::new(move || body(&t)))
+        table.spawn(Box::new(move || body(&t))).expect("a stack")
     }
 
     /// Sets its flag when dropped.
@@ -487,16 +560,109 @@ mod tests {
         assert_eq!(live_stacks(), 0);
     }
 
+    /// The bottom of every live context's stack (the address just above
+    /// its guard page), and the number of chunks mapped.
+    fn stack_bottoms(table: &Contexts) -> (Vec<usize>, usize) {
+        // SAFETY: the test holds the token: no context is running.
+        let inner = unsafe { &*table.0.get() };
+        let bottoms = (inner.slots.iter())
+            .filter_map(|slot| slot.stack.as_ref())
+            .map(|stack| stack.0 as usize + GUARD_BYTES)
+            .collect();
+        (bottoms, inner.chunks.len())
+    }
+
+    /// The permissions of the mapping holding `addr`, and where that
+    /// mapping starts, from `/proc/self/maps`.
+    fn mapping_at(maps: &str, addr: usize) -> (usize, &str) {
+        maps.lines()
+            .find_map(|line| {
+                let (range, rest) = line.split_once(' ')?;
+                let (start, end) = range.split_once('-')?;
+                let start = usize::from_str_radix(start, 16).ok()?;
+                let end = usize::from_str_radix(end, 16).ok()?;
+                (start..end)
+                    .contains(&addr)
+                    .then(|| (start, rest.split(' ').next().unwrap_or("")))
+            })
+            .unwrap_or_else(|| panic!("{addr:#x} is not mapped"))
+    }
+
+    #[test]
+    fn stacks_are_carved_from_chunks_each_over_a_guard_page_and_reused() {
+        const N: usize = 2 * CHUNK_STACKS + 3;
+        let table = Arc::new(Contexts::new());
+        let first: Vec<usize> = (0..N).map(|_| spawn(&table, |_| None)).collect();
+        let (bottoms, chunks) = stack_bottoms(&table);
+        assert_eq!((live_stacks(), bottoms.len(), chunks), (N as isize, N, 3));
+
+        // Every stack is its own read-write mapping, and the page directly
+        // below it is not accessible.
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("Linux");
+        for &bottom in &bottoms {
+            assert_eq!(mapping_at(&maps, bottom), (bottom, "rw-p"));
+            assert_eq!(mapping_at(&maps, bottom + STACK_BYTES - 1).1, "rw-p");
+            assert_eq!(mapping_at(&maps, bottom - 1).1, "---p");
+        }
+
+        // Finished stacks go round: a second generation maps nothing new.
+        for c in first {
+            let _ = table.switch_to(Some(c));
+        }
+        let second: Vec<usize> = (0..N).map(|_| spawn(&table, |_| None)).collect();
+        let (mut again, chunks) = stack_bottoms(&table);
+        again.sort_unstable();
+        let mut sorted = bottoms.clone();
+        sorted.sort_unstable();
+        assert_eq!((live_stacks(), chunks), (N as isize, 3));
+        assert_eq!(again, sorted);
+        // One more than ever lived at once is carved from the last chunk.
+        let extra = spawn(&table, |_| None);
+        assert_eq!((live_stacks(), stack_bottoms(&table).1), (N as isize + 1, 3));
+        for c in second.into_iter().chain([extra]) {
+            let _ = table.switch_to(Some(c));
+        }
+        drop(table);
+        assert_eq!(live_stacks(), 0);
+    }
+
+    #[test]
+    fn a_refused_chunk_is_an_error_that_leaves_the_table_usable() {
+        with_chunk_cap(1, || {
+            let table = Arc::new(Contexts::new());
+            let all: Vec<usize> = (0..CHUNK_STACKS).map(|_| spawn(&table, |_| None)).collect();
+            let dropped = Arc::new(AtomicU64::new(0));
+            let flag = Flag(dropped.clone());
+            let refused = table.spawn(Box::new(move || {
+                let _keep = &flag;
+                None
+            }));
+            assert_eq!(refused.map_err(|e| e.raw_os_error()), Err(Some(12)));
+            assert_eq!(dropped.load(Relaxed), 1, "the body went with the refusal");
+            assert_eq!(live_stacks(), CHUNK_STACKS as isize);
+            // A stack that comes free serves the next spawn.
+            let _ = table.switch_to(Some(all[0]));
+            let next = spawn(&table, |_| None);
+            assert_eq!(next, CHUNK_STACKS, "the refused spawn took no index");
+            // (Each body holds the table until it has run.)
+            for &c in all[1..].iter().chain([&next]) {
+                let _ = table.switch_to(Some(c));
+            }
+        });
+        assert_eq!(live_stacks(), 0);
+    }
+
     #[test]
     fn never_started_bodies_are_dropped_with_the_table() {
         let table = Contexts::new();
         let dropped = Arc::new(AtomicU64::new(0));
         for _ in 0..3 {
             let flag = Flag(dropped.clone());
-            table.spawn(Box::new(move || {
+            let spawned = table.spawn(Box::new(move || {
                 let _keep = &flag;
                 None
             }));
+            assert!(spawned.is_ok());
         }
         assert_eq!((live_stacks(), dropped.load(Relaxed)), (3, 0));
         drop(table);
@@ -514,7 +680,9 @@ mod tests {
             assert_eq!(t.switch_to(None), Resumed::Unwind);
             None
         });
-        let never = table.spawn(Box::new(|| unreachable!("never started")));
+        let never = table
+            .spawn(Box::new(|| unreachable!("never started")))
+            .expect("a stack");
         let _ = table.switch_to(Some(done));
         let _ = table.switch_to(Some(waiting));
         table.unwind_all();

@@ -138,6 +138,16 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
+    /// The operating system refused the stack of a new process: the
+    /// address-space limit (`ulimit -v`) or the mapping-count limit
+    /// (`vm.max_map_count`; a stack and its guard page are two mappings)
+    /// is used up. The run ends at that spawn.
+    StackExhausted {
+        /// Processes spawned before the one that got no stack.
+        processes: usize,
+        /// What `mmap` or `mprotect` reported.
+        source: std::io::Error,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -159,11 +169,24 @@ impl std::fmt::Display for SimError {
             SimError::EventLimitExceeded { limit } => {
                 write!(f, "event limit of {limit} exceeded")
             }
+            SimError::StackExhausted { processes, source } => write!(
+                f,
+                "no stack for a new process after {processes} simulated processes ({source}): \
+                 the address space (`ulimit -v`) or vm.max_map_count (two mappings per \
+                 process) is used up"
+            ),
         }
     }
 }
 
-impl std::error::Error for SimError {}
+impl std::error::Error for SimError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SimError::StackExhausted { source, .. } => Some(source),
+            _ => None,
+        }
+    }
+}
 
 /// Summary of a completed simulation run.
 #[derive(Debug)]
@@ -280,7 +303,12 @@ impl Sim {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, shard as Shard, name, f)
+        // Without a stack the run is over before it starts, so nothing will
+        // ever look this handle up.
+        spawn_process(&self.kernel, shard as Shard, name, f).unwrap_or_else(|| ProcHandle {
+            pid: Pid::MAX,
+            name: name.to_string(),
+        })
     }
 
     /// Schedules a lightweight timer `after` the current virtual time.
@@ -314,7 +342,8 @@ impl Sim {
     }
 
     /// Runs the event loop to completion and returns a report, or the first
-    /// error (deadlock, panic, event-limit).
+    /// error (deadlock, panic, event-limit, a spawn the OS had no stack
+    /// for).
     ///
     /// # Panics
     ///
@@ -322,8 +351,14 @@ impl Sim {
     /// every blocked process has been unwound.
     pub fn run(self) -> Result<SimReport, SimError> {
         let kernel = &self.kernel;
-        if let Baton::Passed(first) = dispatch(kernel.state.lock(), None) {
-            let _ = kernel.contexts.switch_to(first);
+        let ks = kernel.state.lock();
+        // A root spawn that got no stack has settled the outcome already.
+        if ks.outcome.is_none() {
+            if let Baton::Passed(first) = dispatch(ks, None) {
+                let _ = kernel.contexts.switch_to(first);
+            }
+        } else {
+            drop(ks);
         }
         let outcome = kernel.state.lock().outcome.take();
         // Whatever the outcome, no process outlives `run`: each blocked
@@ -438,7 +473,9 @@ impl Timers<'_> {
     }
 }
 
-fn spawn_process<F>(kernel: &Arc<Kernel>, shard: Shard, name: &str, f: F) -> ProcHandle
+/// Registers a process and schedules its start. `None` when the OS has no
+/// stack for it: that error is then the run's outcome, if it had none yet.
+fn spawn_process<F>(kernel: &Arc<Kernel>, shard: Shard, name: &str, f: F) -> Option<ProcHandle>
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
@@ -466,7 +503,16 @@ where
             Err(payload) => finishing(&ctx, Some(panic_message(payload.as_ref()))),
         }
     });
-    let slot = kernel.contexts.spawn(body);
+    let slot = match kernel.contexts.spawn(body) {
+        Ok(slot) => slot,
+        Err(source) => {
+            ks.outcome.get_or_insert(Ok(Err(SimError::StackExhausted {
+                processes: pid,
+                source,
+            })));
+            return None;
+        }
+    };
     assert_eq!(slot, pid, "contexts and processes are numbered alike");
 
     let label = ks.intern(name);
@@ -482,10 +528,10 @@ where
     let now = ks.now;
     ks.schedule_wake(now, pid);
 
-    ProcHandle {
+    Some(ProcHandle {
         pid,
         name: name.to_string(),
-    }
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -554,7 +600,7 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, self.shard, name, f)
+        self.spawn_on(self.shard as usize, name, f)
     }
 
     /// Spawns a child process on an explicit shard (see [`Sim::spawn_on`]).
@@ -562,7 +608,11 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
+        // Without a stack for the child the run is over, its outcome
+        // stored: this process leaves as one unwound at shutdown does,
+        // straight back to `Sim::run`.
         spawn_process(&self.kernel, shard as Shard, name, f)
+            .unwrap_or_else(|| panic::resume_unwind(Box::new(Shutdown)))
     }
 
     /// Blocks until the process behind `handle` finishes. Returns
@@ -728,6 +778,72 @@ mod tests {
             sim.schedule(SimTime::from_secs(1), |_| panic!("timer boom"));
             assert!(panic::catch_unwind(AssertUnwindSafe(|| sim.run())).is_err());
             assert_eq!(live_stacks(), 0, "action panic");
+        });
+    }
+
+    #[test]
+    fn a_refused_stack_ends_the_run_with_an_error_and_nothing_mapped() {
+        use crate::coro::with_chunk_cap;
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        /// What `run` must say when the `refused`th spawn found no stack.
+        fn assert_exhausted(result: Result<SimReport, SimError>, refused: usize) {
+            match result {
+                Err(SimError::StackExhausted { processes, source }) => {
+                    assert_eq!(processes, refused);
+                    assert_eq!(source.raw_os_error(), Some(12));
+                }
+                other => panic!("expected StackExhausted, got {other:?}"),
+            }
+            assert_eq!(live_stacks(), 0);
+        }
+        within_deadline(|| {
+            with_chunk_cap(1, || {
+                // Root spawns until the one chunk is used up: nothing runs.
+                let ran = Arc::new(AtomicU64::new(0));
+                let r = ran.clone();
+                let mut sim = with_bystanders(move |_| {
+                    r.fetch_add(1, Relaxed);
+                });
+                let mut spawned = live_stacks();
+                loop {
+                    sim.spawn("root", |_| {});
+                    if live_stacks() == spawned {
+                        break;
+                    }
+                    spawned += 1;
+                }
+                let result = sim.run();
+                let message = result.as_ref().unwrap_err().to_string();
+                assert_exhausted(result, spawned as usize);
+                assert_eq!(ran.load(Relaxed), 0);
+                assert!(
+                    message.contains("vm.max_map_count") && message.contains("address space"),
+                    "{message}"
+                );
+
+                // A `ctx.spawn` mid-run: the spawner does not come back from
+                // it, and the blocked bystanders are unwound as ever.
+                let children = Arc::new(AtomicU64::new(0));
+                let c = children.clone();
+                let sim = with_bystanders(move |ctx| {
+                    ctx.hold(SimTime::from_secs(1));
+                    loop {
+                        ctx.spawn("child", |ctx| ctx.hold(SimTime::from_secs(9)));
+                        c.fetch_add(1, Relaxed);
+                    }
+                });
+                let roots = live_stacks() as u64;
+                let result = sim.run();
+                let children = children.load(Relaxed);
+                assert!(children > 0, "some children got a stack");
+                assert_exhausted(result, (roots + children) as usize);
+            });
+            // The cap is gone with the closure.
+            let mut sim = Sim::new();
+            for i in 0..100 {
+                sim.spawn(&format!("p{i}"), |_| {});
+            }
+            sim.run().unwrap();
         });
     }
 }

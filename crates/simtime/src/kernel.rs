@@ -100,6 +100,27 @@ impl Interner {
     }
 }
 
+/// The label of one name under the kernel it was last needed in. Interning
+/// hashes the name, and a channel or resource has processes block on it
+/// thousands of times in a run, so each keeps one of these next to its
+/// name. Keyed by kernel because nothing ties a channel to one simulation.
+#[derive(Default)]
+pub(crate) struct CachedLabel(Option<(u64, Label)>);
+
+impl CachedLabel {
+    /// `name`'s label in `ks`, interned on first use there.
+    pub fn get(&mut self, ks: &mut KState, name: &str) -> Label {
+        match self.0 {
+            Some((kernel, label)) if kernel == ks.id => label,
+            _ => {
+                let label = ks.intern(name);
+                self.0 = Some((ks.id, label));
+                label
+            }
+        }
+    }
+}
+
 /// Why a process is parked, stored without allocating. Rendered to the
 /// exact human-readable strings deadlock reports always used.
 #[derive(Debug, Clone, Copy)]
@@ -384,6 +405,8 @@ pub(crate) type Outcome = Result<Result<SimReport, SimError>, Box<dyn Any + Send
 /// uncontended; it exists to satisfy the type system and to make the
 /// handoff points explicit. It is never held across a context switch.
 pub(crate) struct KState {
+    /// Unique in this program: what a [`CachedLabel`] is good for.
+    pub id: u64,
     pub now: SimTime,
     pub seq: u64,
     pub queue: Queues,
@@ -408,7 +431,10 @@ pub(crate) struct KState {
 
 impl KState {
     pub fn new(queue: Queues) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        static KERNELS: AtomicU64 = AtomicU64::new(0);
         KState {
+            id: KERNELS.fetch_add(1, Relaxed),
             now: SimTime::ZERO,
             seq: 0,
             queue,

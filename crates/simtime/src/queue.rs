@@ -1,16 +1,29 @@
-//! The calendar event queue: an O(1)-amortized priority queue for
-//! discrete-event timestamps, replacing the engine's original global
-//! `BinaryHeap` on the million-event scaling path.
+//! The calendar event queue: a priority queue for discrete-event
+//! timestamps, replacing the engine's original global `BinaryHeap` on the
+//! million-event scaling path.
 //!
 //! A calendar queue (Brown, CACM 1988) hashes each event into a "day"
 //! bucket by `floor(time / width) % buckets`, like appointments written
 //! into a wall calendar. Popping sweeps the calendar forward one day at a
 //! time, returning the earliest `(time, seq)` entry of the current day;
-//! one full lap without a hit falls back to a direct scan (the "search
-//! for the next event in any year" case). With the bucket count and
-//! width adapted to the live population, both `schedule` and `pop` are
-//! amortized O(1) — against O(log n) heap sifts whose cache misses
-//! dominate once millions of events are resident.
+//! one full lap without a hit falls back to a direct search over every
+//! bucket's earliest entry (the "search for the next event in any year"
+//! case). The bucket count and width adapt to the live population, so
+//! timestamps that are spread out land a handful to a bucket, and a pop
+//! scans that handful: amortized O(1).
+//!
+//! Timestamps that are *not* spread out — an SPMD job's thousand ranks
+//! waking at one instant — share a bucket whatever the width, and scanning
+//! it on every pop made a superstep of `m` ties cost `m²/2` comparisons.
+//! So a bucket that outgrows `Bucket::FEW` entries sorts itself and stays
+//! ascending by `(time, seq)` until it is empty again (or the calendar is
+//! rebuilt around it): `pop` and `peek` take its front, and `schedule`
+//! appends at the back unless the entry is earlier than one already there
+//! (the engine's clock never runs backwards and `seq` only grows, so it
+//! rarely is), in which case a binary search finds its place. Which of
+//! the two a bucket is depends on the length it has reached, nothing else;
+//! keeping every bucket ordered instead cost the spread-out traffic a
+//! fifth of its throughput.
 //!
 //! Day numbers are computed once per entry and stored as exact integers,
 //! so the sweep compares `u64`s rather than accumulating floating-point
@@ -25,6 +38,7 @@
 //! interleaving, bucket layout, or resize history.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Largest quotient `time / width` whose floor is exactly representable;
 /// entries beyond it live in the overflow list (found by direct search).
@@ -40,10 +54,135 @@ struct Entry<T> {
     payload: T,
 }
 
+impl<T> Entry<T> {
+    fn key(&self) -> (f64, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// The entries of one calendar day (and of the days that share its slot).
+#[derive(Debug)]
+enum Bucket<T> {
+    /// At most [`Bucket::FEW`] entries in no order; the earliest is found
+    /// by scanning. An empty bucket is an empty `Few`.
+    Few(Vec<Entry<T>>),
+    /// Entries ascending by `(time, seq)`; the earliest is the front.
+    Many(VecDeque<Entry<T>>),
+}
+
+impl<T> Bucket<T> {
+    /// The longest bucket that is scanned rather than kept in order. Well
+    /// above what spread-out timestamps reach (a resize aims at 3 to 6 a
+    /// day), well below a superstep's ties.
+    const FEW: usize = 32;
+
+    fn new() -> Self {
+        Bucket::Few(Vec::new())
+    }
+
+    /// The earliest entry and its index.
+    fn earliest(&self) -> Option<(usize, &Entry<T>)> {
+        match self {
+            Bucket::Few(v) => {
+                examined(v.len());
+                let mut best: Option<(usize, &Entry<T>)> = None;
+                for (i, e) in v.iter().enumerate() {
+                    if best.is_none_or(|(_, b)| e.key() < b.key()) {
+                        best = Some((i, e));
+                    }
+                }
+                best
+            }
+            Bucket::Many(d) => {
+                examined(1);
+                d.front().map(|e| (0, e))
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> &Entry<T> {
+        match self {
+            Bucket::Few(v) => &v[i],
+            Bucket::Many(d) => &d[i],
+        }
+    }
+
+    fn insert(&mut self, e: Entry<T>) {
+        examined(1);
+        match self {
+            Bucket::Few(v) if v.len() < Self::FEW => v.push(e),
+            Bucket::Few(v) => {
+                v.push(e);
+                v.sort_by(|x, y| {
+                    examined(1);
+                    x.key()
+                        .partial_cmp(&y.key())
+                        .expect("a SimTime is never NaN")
+                });
+                *self = Bucket::Many(std::mem::take(v).into());
+            }
+            Bucket::Many(d) if d.back().is_none_or(|last| last.key() < e.key()) => d.push_back(e),
+            Bucket::Many(d) => {
+                let at = d.partition_point(|x| x.key() < e.key());
+                // The comparisons of the search, and the entries `insert`
+                // shifts.
+                examined(d.len().ilog2() as usize + 1 + at.min(d.len() - at));
+                d.insert(at, e);
+            }
+        }
+    }
+
+    /// Removes the entry at `i`, which must exist.
+    fn remove(&mut self, i: usize) -> Entry<T> {
+        match self {
+            Bucket::Few(v) => v.swap_remove(i),
+            Bucket::Many(d) => {
+                let e = d.remove(i).expect("the index of a live entry");
+                if d.is_empty() {
+                    *self = Bucket::new();
+                }
+                e
+            }
+        }
+    }
+
+    fn position(&self, seq: u64) -> Option<usize> {
+        match self {
+            Bucket::Few(v) => v.iter().position(|e| e.seq == seq),
+            Bucket::Many(d) => d.iter().position(|e| e.seq == seq),
+        }
+    }
+
+    /// Moves every entry to the back of `out`.
+    fn drain_into(&mut self, out: &mut Vec<Entry<T>>) {
+        match std::mem::replace(self, Bucket::new()) {
+            Bucket::Few(v) => out.extend(v),
+            Bucket::Many(d) => out.extend(d),
+        }
+    }
+}
+
 /// Where `locate` found the next entry.
-enum Loc {
-    Bucket(usize, usize),
-    Overflow(usize),
+#[derive(Clone, Copy)]
+struct Loc {
+    /// The bucket; `None` is the overflow list.
+    bucket: Option<usize>,
+    /// The entry's index in it.
+    index: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entries this thread's queues compared or moved; see [`examined`].
+    static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts `n` entries compared or moved, in test builds: what the
+/// cost-under-ties test bounds.
+#[inline(always)]
+fn examined(_n: usize) {
+    #[cfg(test)]
+    EXAMINED.with(|c| c.set(c.get() + _n as u64));
 }
 
 /// A calendar queue over `(SimTime, seq)` keys.
@@ -54,9 +193,9 @@ enum Loc {
 /// numbers).
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Entry<T>>>,
+    buckets: Vec<Bucket<T>>,
     /// Entries whose day number is not exactly representable.
-    overflow: Vec<Entry<T>>,
+    overflow: Bucket<T>,
     /// Bucket width in virtual seconds (one calendar "day").
     width: f64,
     len: usize,
@@ -78,8 +217,8 @@ impl<T> CalendarQueue<T> {
     /// shrinks, and re-tunes its bucket width as the population changes.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..Self::MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
+            buckets: (0..Self::MIN_BUCKETS).map(|_| Bucket::new()).collect(),
+            overflow: Bucket::new(),
             width: 1.0,
             len: 0,
             cur_day: 0,
@@ -107,31 +246,23 @@ impl<T> CalendarQueue<T> {
     /// times pop in ascending `seq` order.
     pub fn schedule(&mut self, time: SimTime, seq: u64, payload: T) {
         let t = time.as_secs_f64();
-        match self.day_of(t) {
-            Some(day) => {
-                // Sweep invariant: no live entry's day precedes `cur_day`.
-                // Rewind for entries behind the sweep, and align a
-                // previously-empty calendar to its first entry so the
-                // sweep does not crawl forward from day zero.
-                if self.len == 0 || day < self.cur_day {
-                    self.cur_day = day;
-                }
-                let nb = self.buckets.len() as u64;
-                let idx = (day % nb) as usize;
-                self.buckets[idx].push(Entry {
-                    time: t,
-                    seq,
-                    day,
-                    payload,
-                });
+        let day = self.day_of(t);
+        if let Some(day) = day {
+            // Sweep invariant: no live entry's day precedes `cur_day`.
+            // Rewind for entries behind the sweep, and align a
+            // previously-empty calendar to its first entry so the sweep
+            // does not crawl forward from day zero.
+            if self.len == 0 || day < self.cur_day {
+                self.cur_day = day;
             }
-            None => self.overflow.push(Entry {
-                time: t,
-                seq,
-                day: u64::MAX,
-                payload,
-            }),
         }
+        let nb = self.buckets.len() as u64;
+        self.bucket_at(day.map(|d| (d % nb) as usize)).insert(Entry {
+            time: t,
+            seq,
+            day: day.unwrap_or(u64::MAX),
+            payload,
+        });
         self.len += 1;
         if self.len > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
@@ -147,8 +278,8 @@ impl<T> CalendarQueue<T> {
             .iter_mut()
             .chain(std::iter::once(&mut self.overflow))
         {
-            if let Some(i) = b.iter().position(|e| e.seq == seq) {
-                let e = b.swap_remove(i);
+            if let Some(i) = b.position(seq) {
+                let e = b.remove(i);
                 self.len -= 1;
                 return Some((SimTime::from_secs_f64(e.time), e.payload));
             }
@@ -159,20 +290,14 @@ impl<T> CalendarQueue<T> {
     /// The earliest `(time, seq)` key without removing it.
     pub fn peek(&mut self) -> Option<(SimTime, u64)> {
         let loc = self.locate()?;
-        let e = match loc {
-            Loc::Bucket(b, i) => &self.buckets[b][i],
-            Loc::Overflow(i) => &self.overflow[i],
-        };
+        let e = self.bucket_at(loc.bucket).get(loc.index);
         Some((SimTime::from_secs_f64(e.time), e.seq))
     }
 
     /// Removes and returns the earliest entry by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let loc = self.locate()?;
-        let e = match loc {
-            Loc::Bucket(b, i) => self.buckets[b].swap_remove(i),
-            Loc::Overflow(i) => self.overflow.swap_remove(i),
-        };
+        let e = self.bucket_at(loc.bucket).remove(loc.index);
         self.len -= 1;
         if self.len < self.buckets.len() / 8 && self.buckets.len() > Self::MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
@@ -190,12 +315,21 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Bucket `b`, or the overflow list.
+    fn bucket_at(&mut self, b: Option<usize>) -> &mut Bucket<T> {
+        match b {
+            Some(b) => &mut self.buckets[b],
+            None => &mut self.overflow,
+        }
+    }
+
     /// Finds the earliest entry, advancing the sweep to its day.
     ///
     /// Sweeps at most one full calendar lap from the current day; a lap
     /// without a hit (entries far in the future, or in the overflow list)
-    /// falls back to a direct scan of everything, then re-aligns the
-    /// sweep so neighbours of the found entry are cheap again.
+    /// falls back to a direct search over every bucket's earliest entry,
+    /// then re-aligns the sweep so neighbours of the found entry are cheap
+    /// again.
     fn locate(&mut self) -> Option<Loc> {
         if self.len == 0 {
             return None;
@@ -204,45 +338,39 @@ impl<T> CalendarQueue<T> {
         let mut day = self.cur_day;
         for _ in 0..nb {
             let bi = (day % nb) as usize;
-            let mut best: Option<(f64, u64, usize)> = None;
-            for (i, e) in self.buckets[bi].iter().enumerate() {
-                if e.day <= day && best.is_none_or(|(bt, bs, _)| (e.time, e.seq) < (bt, bs)) {
-                    best = Some((e.time, e.seq, i));
+            // A day never contradicts time order, so the bucket's earliest
+            // entry is of its earliest day: if that is still to come, so
+            // is every other entry here.
+            if let Some((index, e)) = self.buckets[bi].earliest() {
+                if e.day <= day {
+                    self.cur_day = day;
+                    return Some(Loc {
+                        bucket: Some(bi),
+                        index,
+                    });
                 }
-            }
-            if let Some((_, _, i)) = best {
-                self.cur_day = day;
-                return Some(Loc::Bucket(bi, i));
             }
             match day.checked_add(1) {
                 Some(d) => day = d,
                 None => break,
             }
         }
-        // Direct search: global minimum over every bucket and the overflow
-        // list, then re-align the sweep onto its day.
-        let mut best: Option<(f64, u64, u64, Loc)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if best
-                    .as_ref()
-                    .is_none_or(|(bt, bs, _, _)| (e.time, e.seq) < (*bt, *bs))
-                {
-                    best = Some((e.time, e.seq, e.day, Loc::Bucket(b, i)));
+        // Direct search: the earliest of the buckets' and the overflow
+        // list's earliest entries, then re-align the sweep onto its day.
+        let mut best: Option<(&Entry<T>, Loc)> = None;
+        let all = (self.buckets.iter().enumerate())
+            .map(|(b, bucket)| (Some(b), bucket))
+            .chain([(None, &self.overflow)]);
+        for (bucket, entries) in all {
+            if let Some((index, e)) = entries.earliest() {
+                if best.is_none_or(|(b, _)| e.key() < b.key()) {
+                    best = Some((e, Loc { bucket, index }));
                 }
             }
         }
-        for (i, e) in self.overflow.iter().enumerate() {
-            if best
-                .as_ref()
-                .is_none_or(|(bt, bs, _, _)| (e.time, e.seq) < (*bt, *bs))
-            {
-                best = Some((e.time, e.seq, e.day, Loc::Overflow(i)));
-            }
-        }
-        let (_, _, day, loc) = best.expect("len > 0 implies an entry exists");
-        if day != u64::MAX {
-            self.cur_day = day;
+        let (e, loc) = best.expect("len > 0 implies an entry exists");
+        if e.day != u64::MAX {
+            self.cur_day = e.day;
         }
         Some(loc)
     }
@@ -254,10 +382,10 @@ impl<T> CalendarQueue<T> {
     fn resize(&mut self, new_buckets: usize) {
         let new_buckets = new_buckets.max(Self::MIN_BUCKETS);
         let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
+        for b in self.buckets.iter_mut().chain([&mut self.overflow]) {
+            b.drain_into(&mut entries);
         }
-        entries.append(&mut self.overflow);
+        examined(entries.len());
 
         if entries.len() >= 2 {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -273,7 +401,7 @@ impl<T> CalendarQueue<T> {
             }
         }
 
-        self.buckets = (0..new_buckets).map(|_| Vec::new()).collect();
+        self.buckets = (0..new_buckets).map(|_| Bucket::new()).collect();
         self.cur_day = u64::MAX;
         for e in &mut entries {
             e.day = self.day_of(e.time).unwrap_or(u64::MAX);
@@ -284,13 +412,11 @@ impl<T> CalendarQueue<T> {
         if self.cur_day == u64::MAX {
             self.cur_day = 0;
         }
+        // A long bucket arrives in order, so its entries pass through
+        // `insert` without a search.
         for e in entries {
-            if e.day == u64::MAX {
-                self.overflow.push(e);
-            } else {
-                let idx = (e.day % new_buckets as u64) as usize;
-                self.buckets[idx].push(e);
-            }
+            let b = (e.day != u64::MAX).then(|| (e.day % new_buckets as u64) as usize);
+            self.bucket_at(b).insert(e);
         }
     }
 }
@@ -400,6 +526,78 @@ mod tests {
         for i in 0..1000u64 {
             assert_eq!(q.pop().map(|(_, s, _)| s), Some(i));
         }
+    }
+
+    /// Runs `f` and returns how many entries this thread's queues
+    /// compared or moved meanwhile.
+    fn examined_by(f: impl FnOnce()) -> u64 {
+        let before = EXAMINED.with(|c| c.get());
+        f();
+        EXAMINED.with(|c| c.get()) - before
+    }
+
+    #[test]
+    fn a_pop_among_ties_does_not_look_at_the_ties() {
+        // An SPMD superstep: every rank's wake at one instant, so one
+        // bucket holds them all. A bucket scanned per pop examines
+        // N²/2 = 1.25e9 entries here.
+        const N: u64 = 50_000;
+        let bound = 4 * N * u64::from(N.ilog2());
+        let cost = examined_by(|| {
+            let mut q = CalendarQueue::new();
+            for i in 0..N {
+                q.schedule(t(5.0), i, i);
+            }
+            for i in 0..N {
+                assert_eq!(q.peek().map(|(_, s)| s), Some(i));
+                assert_eq!(q.pop().map(|(_, s, _)| s), Some(i));
+            }
+        });
+        assert!(cost <= bound, "examined {cost} entries, bound {bound}");
+
+        // The same with a straggler per tie scheduled out of order, so
+        // that `schedule` has to search, and pops interleaved.
+        let cost = examined_by(|| {
+            let mut q = CalendarQueue::new();
+            for i in 0..N / 2 {
+                q.schedule(t(5.0), 2 * i + 1, ());
+                q.schedule(t(5.0), 2 * i, ());
+                if i % 3 == 0 {
+                    q.pop().expect("two were just scheduled");
+                }
+            }
+            let mut last = None;
+            while let Some((_, s, ())) = q.pop() {
+                assert!(last < Some(s), "order violated at seq {s}");
+                last = Some(s);
+            }
+        });
+        assert!(cost <= bound, "examined {cost} entries, bound {bound}");
+    }
+
+    #[test]
+    fn a_bucket_orders_itself_from_its_thirty_third_entry_on() {
+        let mut q = CalendarQueue::new();
+        let ordered = |q: &CalendarQueue<u64>| {
+            let many = |b: &Bucket<u64>| matches!(b, Bucket::Many(_));
+            q.buckets.iter().filter(|b| many(b)).count()
+        };
+        // One instant — so one bucket, whatever the resizes do — in a
+        // scrambled `seq` order (37 and 100 are coprime).
+        for i in 0..100u64 {
+            let seq = i * 37 % 100;
+            q.schedule(t(5.0), seq, seq);
+            assert_eq!(ordered(&q), usize::from(i >= Bucket::<u64>::FEW as u64), "at {i}");
+        }
+        for seq in 0..100u64 {
+            assert_eq!(q.pop(), Some((t(5.0), seq, seq)));
+            // Still ordered on the way down, as far as a shrinking
+            // calendar's rebuilds leave it.
+            if q.len() > Bucket::<u64>::FEW {
+                assert_eq!(ordered(&q), 1, "after {seq}");
+            }
+        }
+        assert_eq!(ordered(&q), 0, "an empty bucket forgets");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! GPU compute engines, copy engines, CPU cores, and network links.
 
 use crate::engine::SimCtx;
-use crate::kernel::{BlockReason, Pid};
+use crate::kernel::{BlockReason, CachedLabel, Pid};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -12,6 +12,8 @@ struct ResInner {
     capacity: u64,
     available: u64,
     waiters: VecDeque<(Pid, u64)>,
+    /// The resource's name as waiters' block reasons carry it.
+    label: CachedLabel,
 }
 
 /// A capacity-limited resource. `acquire(n)` blocks until `n` units are
@@ -33,6 +35,7 @@ impl Resource {
                 capacity,
                 available: capacity,
                 waiters: VecDeque::new(),
+                label: CachedLabel::default(),
             })),
         }
     }
@@ -78,7 +81,10 @@ impl Resource {
         if must_wait {
             // The corresponding `release` deducts our units and schedules our
             // wake; on resume the grant has already been made.
-            ctx.block(|ks| BlockReason::Acquire(amount, ks.intern(&self.name)));
+            ctx.block(|ks| {
+                let label = self.inner.lock().label.get(ks, &self.name);
+                BlockReason::Acquire(amount, label)
+            });
         }
     }
 

@@ -6,7 +6,9 @@
 //! Timers use [`crate::Sim::schedule`] (callbacks run inline by the event
 //! loop, no process handoff), so the measured cost is queue discipline plus
 //! arena overhead — exactly the path the calendar queue accelerates over the
-//! legacy heap.
+//! legacy heap. [`run_stress`] spreads the timestamps by hash, so no two
+//! events tie; [`run_lockstep`] gives every node the same timestamps, so
+//! every instant is a tie among all nodes, as in an SPMD job.
 
 use crate::engine::{EngineConfig, EngineMode, Sim, SimReport, Timers};
 use crate::time::SimTime;
@@ -56,17 +58,31 @@ fn gap_nanos(node: usize, timer: usize, round: usize) -> f64 {
 /// `(events_processed, end_time)`. Identical across modes — callers use
 /// that to cross-check determinism while measuring wall-clock outside.
 pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
+    run_timers(mode, spec, gap_nanos)
+}
+
+/// The synthetic in lock-step, the traffic of an SPMD job: timer `t` of
+/// every node fires at the same instants, so each instant is a tie among
+/// `spec.nodes` events. Same event count and return value as
+/// [`run_stress`].
+pub fn run_lockstep(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
+    run_timers(mode, spec, |_node, timer, round| gap_nanos(0, timer, round))
+}
+
+/// A timer's gap in virtual nanoseconds from `(node, timer, round)`.
+type Gap = fn(usize, usize, usize) -> f64;
+
+fn run_timers(mode: EngineMode, spec: StressSpec, gap: Gap) -> (u64, SimTime) {
     let sim = Sim::with_config(EngineConfig {
         mode,
         shards: spec.nodes,
         lookahead: SimTime::from_micros(2.0),
     });
 
-    fn arm(t: &mut Timers, node: usize, timer: usize, round: usize, refires: usize) {
-        let gap = SimTime::from_nanos(gap_nanos(node, timer, round));
-        t.schedule(gap, move |t2| {
+    fn arm(t: &mut Timers, gap: Gap, node: usize, timer: usize, round: usize, refires: usize) {
+        t.schedule(SimTime::from_nanos(gap(node, timer, round)), move |t2| {
             if round < refires {
-                arm(t2, node, timer, round + 1, refires);
+                arm(t2, gap, node, timer, round + 1, refires);
             }
         });
     }
@@ -74,10 +90,10 @@ pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
     for node in 0..spec.nodes {
         for timer in 0..spec.timers_per_node {
             let refires = spec.refires;
-            let gap = SimTime::from_nanos(gap_nanos(node, timer, 0));
-            sim.schedule_timer_on(node, gap, move |t| {
+            let first = SimTime::from_nanos(gap(node, timer, 0));
+            sim.schedule_timer_on(node, first, move |t| {
                 if refires > 0 {
-                    arm(t, node, timer, 1, refires);
+                    arm(t, gap, node, timer, 1, refires);
                 }
             });
         }
@@ -157,5 +173,25 @@ mod tests {
         for mode in [EngineMode::Calendar, EngineMode::Parallel] {
             assert_eq!(run_stress(mode, spec), baseline, "mode {mode} diverged");
         }
+    }
+
+    #[test]
+    fn lockstep_fires_as_many_events_as_one_node_does_instants() {
+        let spec = StressSpec {
+            nodes: 8,
+            timers_per_node: 50,
+            refires: 2,
+        };
+        let one_node = run_lockstep(EngineMode::LegacyHeap, StressSpec { nodes: 1, ..spec });
+        for mode in EngineMode::ALL {
+            // Every node's timers are node 0's: the same last instant,
+            // eight times the events.
+            assert_eq!(
+                run_lockstep(mode, spec),
+                (spec.total_events(), one_node.1),
+                "mode {mode}"
+            );
+        }
+        assert_ne!(run_stress(EngineMode::Calendar, spec).1, one_node.1);
     }
 }

@@ -60,7 +60,7 @@ impl Bencher {
     }
 }
 
-fn report(label: &str, mean_ns: f64) {
+fn report(label: &str, mean_ns: f64, throughput: Option<&Throughput>) {
     let (value, unit) = if mean_ns >= 1e9 {
         (mean_ns / 1e9, "s")
     } else if mean_ns >= 1e6 {
@@ -70,13 +70,20 @@ fn report(label: &str, mean_ns: f64) {
     } else {
         (mean_ns, "ns")
     };
-    println!("bench: {label:<48} {value:>10.3} {unit}");
+    let rate = match throughput {
+        Some(Throughput::Elements(n)) => format!("  {:>8.3} Melem/s", *n as f64 * 1e3 / mean_ns),
+        Some(Throughput::Bytes(n)) => format!("  {:>8.3} MB/s", *n as f64 * 1e3 / mean_ns),
+        None => String::new(),
+    };
+    println!("bench: {label:<48} {value:>10.3} {unit}{rate}");
 }
 
 /// A named group of benches (shim of criterion's `BenchmarkGroup`).
 pub struct BenchmarkGroup<'a> {
     name: String,
     iters: u32,
+    /// Work per iteration of the benches that follow, for the rate column.
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -97,7 +104,11 @@ impl<'a> BenchmarkGroup<'a> {
             last_mean_ns: 0.0,
         };
         f(&mut b);
-        report(&format!("{}/{}", self.name, id), b.last_mean_ns);
+        report(
+            &format!("{}/{}", self.name, id),
+            b.last_mean_ns,
+            self.throughput.as_ref(),
+        );
         self
     }
 
@@ -115,18 +126,24 @@ impl<'a> BenchmarkGroup<'a> {
             last_mean_ns: 0.0,
         };
         f(&mut b, input);
-        report(&format!("{}/{}", self.name, id), b.last_mean_ns);
+        report(
+            &format!("{}/{}", self.name, id),
+            b.last_mean_ns,
+            self.throughput.as_ref(),
+        );
         self
     }
 
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
     pub fn finish(self) {}
 }
 
-/// Shim of criterion's `Throughput` (accepted, ignored).
+/// Shim of criterion's `Throughput`: the work one iteration does, printed
+/// as a rate after the mean time.
 #[derive(Debug, Clone)]
 pub enum Throughput {
     Bytes(u64),
@@ -149,6 +166,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             iters: self.default_iters,
+            throughput: None,
             _criterion: self,
         }
     }
@@ -162,7 +180,7 @@ impl Criterion {
             last_mean_ns: 0.0,
         };
         f(&mut b);
-        report(&id.to_string(), b.last_mean_ns);
+        report(&id.to_string(), b.last_mean_ns, None);
         self
     }
 }

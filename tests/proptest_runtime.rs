@@ -345,88 +345,166 @@ proptest! {
 }
 
 /// One step of the calendar-queue model test: schedule at a drawn time,
-/// pop the minimum, or cancel a live entry picked by hint.
+/// pop or peek at the minimum, cancel a live entry picked by hint, or
+/// drain everything up to a drawn time (peek and drain are what the
+/// `Parallel` stepper's window opening does to its shards).
 #[derive(Debug, Clone)]
 enum QueueOp {
     Schedule(f64),
     Pop,
     Cancel(usize),
+    Peek,
+    DrainUntil(f64),
+}
+
+/// Up to `max_ops` steps. Entry times and drain limits both come from
+/// `times`, so that a limit often equals a live entry's time exactly.
+fn arb_queue_ops(
+    times: impl Fn() -> BoxedStrategy<f64>,
+    max_ops: usize,
+) -> impl Strategy<Value = Vec<QueueOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            10 => times().prop_map(QueueOp::Schedule),
+            5 => Just(QueueOp::Pop),
+            2 => proptest::prelude::any::<usize>().prop_map(QueueOp::Cancel),
+            2 => Just(QueueOp::Peek),
+            1 => times().prop_map(QueueOp::DrainUntil),
+        ],
+        1..max_ops,
+    )
 }
 
 /// Times drawn across wildly mixed scales — sub-microsecond clusters,
 /// ordinary seconds, and far-future stamps — so interleavings force
 /// bucket-width re-tunes, day-number rollovers, and the overflow list.
-fn arb_queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            5 => prop_oneof![0.0..1e-6f64, 0.0..100.0f64, 1e6..1e12f64]
-                .prop_map(QueueOp::Schedule),
-            3 => Just(QueueOp::Pop),
-            1 => proptest::prelude::any::<usize>().prop_map(QueueOp::Cancel),
-        ],
-        1..200,
+fn arb_spread_ops(max_ops: usize) -> impl Strategy<Value = Vec<QueueOp>> {
+    arb_queue_ops(
+        || prop_oneof![0.0..1e-6f64, 0.0..100.0f64, 1e6..1e12f64].boxed(),
+        max_ops,
     )
+}
+
+/// The SPMD shape: twelve in thirteen times are one of at most four
+/// stamps fixed for the case, so hundreds of entries tie; the rest are
+/// stragglers spread log-uniformly over twelve decades. A case opens with
+/// stamps alone, often enough of them for a resize to see nothing else:
+/// where the stamps are picoseconds apart, the width it picks sends later
+/// stragglers — or later ties, if the stamps are large — to the overflow
+/// list.
+fn arb_tie_heavy_ops(max_ops: usize) -> impl Strategy<Value = Vec<QueueOp>> {
+    fn decades(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
+        (lo..hi).prop_map(|e| 10f64.powf(e))
+    }
+    let gap = prop_oneof![decades(-12.0, -9.0), decades(-9.0, 3.0)];
+    (decades(-6.0, 6.0), gap, 1usize..=4, 0usize..80).prop_flat_map(
+        move |(base, gap, stamps, opening)| {
+            let stamp = move || (0..stamps).prop_map(move |j| base + j as f64 * gap);
+            let opening = proptest::collection::vec(stamp().prop_map(QueueOp::Schedule), opening);
+            let rest = arb_queue_ops(
+                move || prop_oneof![12 => stamp(), 1 => decades(-6.0, 6.0)].boxed(),
+                max_ops,
+            );
+            (opening, rest).prop_map(|(mut ops, rest)| {
+                ops.extend(rest);
+                ops
+            })
+        },
+    )
+}
+
+/// Replays `ops` on a `CalendarQueue` and on a reference model (a plain
+/// vector searched for its `(time, seq)` minimum, the semantics of the
+/// engine's original `BinaryHeap`). Every comparison is exact: times by
+/// bit pattern, order by the full `(time, seq)` key.
+fn check_queue_against_model(ops: Vec<QueueOp>) -> TestCaseResult {
+    use simtime::{CalendarQueue, SimTime};
+    let mut q = CalendarQueue::new();
+    let mut model: Vec<(f64, u64)> = Vec::new();
+    let mut seq = 0u64;
+    let by_key = |a: &(f64, u64), b: &(f64, u64)| a.partial_cmp(b).unwrap();
+    for op in ops {
+        match op {
+            QueueOp::Schedule(t) => {
+                q.schedule(SimTime::from_secs_f64(t), seq, seq);
+                model.push((t, seq));
+                seq += 1;
+            }
+            QueueOp::Pop => {
+                let min = (0..model.len()).min_by(|&a, &b| by_key(&model[a], &model[b]));
+                match min {
+                    Some(i) => {
+                        let (wt, ws) = model.remove(i);
+                        let (gt, gs, payload) = q.pop().expect("model has entries");
+                        prop_assert_eq!(gs, ws, "pop returned the wrong entry");
+                        prop_assert_eq!(payload, ws);
+                        prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
+                    }
+                    None => prop_assert!(q.pop().is_none()),
+                }
+            }
+            QueueOp::Cancel(hint) => {
+                if model.is_empty() {
+                    prop_assert!(q.cancel(hint as u64).is_none());
+                } else {
+                    let i = hint % model.len();
+                    let (wt, ws) = model.remove(i);
+                    let (gt, _) = q.cancel(ws).expect("live seq must cancel");
+                    prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
+                }
+            }
+            QueueOp::Peek => {
+                let want = model.iter().copied().min_by(by_key);
+                let got = q.peek().map(|(t, s)| (t.as_secs_f64(), s));
+                prop_assert_eq!(
+                    got.map(|(t, s)| (t.to_bits(), s)),
+                    want.map(|(t, s)| (t.to_bits(), s)),
+                    "peek saw the wrong entry"
+                );
+            }
+            QueueOp::DrainUntil(limit) => {
+                let mut want: Vec<(f64, u64)> =
+                    model.iter().copied().filter(|&(t, _)| t <= limit).collect();
+                want.sort_by(by_key);
+                model.retain(|&(t, _)| t > limit);
+                let mut got = Vec::new();
+                q.drain_until(SimTime::from_secs_f64(limit), &mut got);
+                prop_assert_eq!(
+                    got.iter()
+                        .map(|&(t, s, _)| (t.as_secs_f64().to_bits(), s))
+                        .collect::<Vec<_>>(),
+                    want.iter().map(|&(t, s)| (t.to_bits(), s)).collect::<Vec<_>>(),
+                    "drain_until({}) took the wrong entries or order",
+                    limit
+                );
+            }
+        }
+        prop_assert_eq!(q.len(), model.len());
+    }
+    // Drain: the remainder pops in exact ascending (time, seq) order.
+    model.sort_by(by_key);
+    for (wt, ws) in model {
+        let (gt, gs, _) = q.pop().expect("entry remains");
+        prop_assert_eq!(gs, ws);
+        prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
+    }
+    prop_assert!(q.is_empty());
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The calendar queue agrees with a reference model (min-by-(time,
-    /// seq) over a plain vector, the semantics of the engine's original
-    /// `BinaryHeap`) under arbitrary interleavings of schedule, pop, and
-    /// cancel. Every comparison is exact: times by bit pattern, order by
-    /// the full `(time, seq)` key.
+    /// The calendar queue agrees with the reference model under arbitrary
+    /// interleavings of schedule, pop, peek, cancel and drain, on spread
+    /// times and on tie-heavy ones.
     #[test]
-    fn calendar_queue_matches_reference_model(ops in arb_queue_ops()) {
-        use simtime::{CalendarQueue, SimTime};
-        let mut q = CalendarQueue::new();
-        let mut model: Vec<(f64, u64)> = Vec::new();
-        let mut seq = 0u64;
-        for op in ops {
-            match op {
-                QueueOp::Schedule(t) => {
-                    q.schedule(SimTime::from_secs_f64(t), seq, seq);
-                    model.push((t, seq));
-                    seq += 1;
-                }
-                QueueOp::Pop => {
-                    let min = model
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-                        .map(|(i, _)| i);
-                    match min {
-                        Some(i) => {
-                            let (wt, ws) = model.remove(i);
-                            let (gt, gs, payload) = q.pop().expect("model has entries");
-                            prop_assert_eq!(gs, ws, "pop returned the wrong entry");
-                            prop_assert_eq!(payload, ws);
-                            prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
-                        }
-                        None => prop_assert!(q.pop().is_none()),
-                    }
-                }
-                QueueOp::Cancel(hint) => {
-                    if model.is_empty() {
-                        prop_assert!(q.cancel(hint as u64).is_none());
-                    } else {
-                        let i = hint % model.len();
-                        let (wt, ws) = model.remove(i);
-                        let (gt, _) = q.cancel(ws).expect("live seq must cancel");
-                        prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
-                    }
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
-        // Drain: the remainder pops in exact ascending (time, seq) order.
-        model.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (wt, ws) in model {
-            let (gt, gs, _) = q.pop().expect("entry remains");
-            prop_assert_eq!(gs, ws);
-            prop_assert_eq!(gt.as_secs_f64().to_bits(), wt.to_bits());
-        }
-        prop_assert!(q.is_empty());
+    fn calendar_queue_matches_reference_model(
+        spread in arb_spread_ops(200),
+        ties in arb_tie_heavy_ops(400),
+    ) {
+        check_queue_against_model(spread)?;
+        check_queue_against_model(ties)?;
     }
 
     /// FIFO stability: among equal timestamps, entries pop in scheduling
@@ -453,6 +531,23 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, stamps.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The model property at length — thirty times the cases and runs
+    /// long enough for a dozen resizes each way. Minutes in a debug
+    /// build, so the CI `engine` job asks for it by name, in `--release`.
+    #[test]
+    #[ignore = "long; run with --release -- --ignored"]
+    fn calendar_queue_matches_reference_model_at_length(
+        spread in arb_spread_ops(3000),
+        ties in arb_tie_heavy_ops(3000),
+    ) {
+        check_queue_against_model(spread)?;
+        check_queue_against_model(ties)?;
     }
 }
 
