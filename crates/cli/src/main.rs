@@ -14,7 +14,7 @@
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
 use obs::jsonl::EventLine;
 use obs::rollup::{rollup, RollupConfig};
-use obs::{AuditLog, MetricsRegistry, Obs};
+use obs::{AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
 use prs_cli::CliError::{self, Failed, Usage};
 use prs_cli::{parse_profile, parse_residency, parse_run, AppKind, ArgSpec, RunOptions};
@@ -404,11 +404,26 @@ fn resolve_decisions_path(path: &str) -> std::path::PathBuf {
     }
 }
 
+/// Reads a `decisions.jsonl` strictly ([`AuditLog::read_jsonl`]): a
+/// damaged or truncated file is an error naming it, never half a log.
+fn parse_decisions(text: &str, file: &Path) -> Result<Vec<obs::DecisionRecord>, CliError> {
+    AuditLog::read_jsonl(text).map_err(|e| Failed(format!("{}: {e}", file.display())))
+}
+
+/// [`parse_decisions`] for the readers that can do without the audit
+/// log: a *missing* file reads as no decisions.
+fn decisions_if_present(file: &Path) -> Result<Vec<obs::DecisionRecord>, CliError> {
+    match std::fs::read_to_string(file) {
+        Ok(text) => parse_decisions(&text, file),
+        Err(_) => Ok(Vec::new()),
+    }
+}
+
 /// `prs advise --from-trace`: replay an audit log and report the
 /// roofline model's predicted-vs-observed error per decision.
 fn advise_from_trace(path: &str) -> Cmd {
     let file = resolve_decisions_path(path);
-    let recs = AuditLog::parse_jsonl(&read(&file)?);
+    let recs = parse_decisions(&read(&file)?, &file)?;
     if recs.is_empty() {
         return Err(Failed(format!("no decisions found in {}", file.display())));
     }
@@ -468,6 +483,7 @@ fn cmd_trace(args: &[String]) -> Cmd {
     let dir = kv.dir(MISSING_BUNDLE)?;
     let events_path = std::path::Path::new(&dir).join("events.jsonl");
     let text = read(&events_path)?;
+    let mut recs = decisions_if_present(&Path::new(&dir).join("decisions.jsonl"))?;
     let mut by_kind: std::collections::BTreeMap<String, (u64, f64)> =
         std::collections::BTreeMap::new();
     let mut t_max = 0.0f64;
@@ -550,29 +566,25 @@ fn cmd_trace(args: &[String]) -> Cmd {
         }
     }
     // Decision summary: the iterations where the model was most wrong.
-    let decisions = std::path::Path::new(&dir).join("decisions.jsonl");
-    if let Ok(text) = std::fs::read_to_string(&decisions) {
-        let mut recs = AuditLog::parse_jsonl(&text);
-        recs.retain(|r| r.map_error().is_some());
-        if !recs.is_empty() {
-            recs.sort_by(|a, b| {
-                b.map_error()
-                    .unwrap_or(0.0)
-                    .total_cmp(&a.map_error().unwrap_or(0.0))
-            });
-            say!("\nmost divergent scheduling decisions (predicted vs observed map time):");
-            for r in recs.iter().take(5) {
-                say!(
-                    "  iter {:>3} node {:>2} [{}]: p = {:.3}, predicted {:.6}s, observed {:.6}s ({:+.1}%)",
-                    r.iteration,
-                    r.node,
-                    r.regime,
-                    r.cpu_fraction,
-                    r.predicted_map_secs,
-                    r.observed_map_secs.unwrap_or(0.0),
-                    r.map_error().unwrap_or(0.0) * 100.0
-                );
-            }
+    recs.retain(|r| r.map_error().is_some());
+    if !recs.is_empty() {
+        recs.sort_by(|a, b| {
+            b.map_error()
+                .unwrap_or(0.0)
+                .total_cmp(&a.map_error().unwrap_or(0.0))
+        });
+        say!("\nmost divergent scheduling decisions (predicted vs observed map time):");
+        for r in recs.iter().take(5) {
+            say!(
+                "  iter {:>3} node {:>2} [{}]: p = {:.3}, predicted {:.6}s, observed {:.6}s ({:+.1}%)",
+                r.iteration,
+                r.node,
+                r.regime,
+                r.cpu_fraction,
+                r.predicted_map_secs,
+                r.observed_map_secs.unwrap_or(0.0),
+                r.map_error().unwrap_or(0.0) * 100.0
+            );
         }
     }
     Ok(())
@@ -691,9 +703,7 @@ fn cmd_watch(args: &[String]) -> Cmd {
     let cfg = watch_rules(kv.get("rules"))?;
     let events = read_trace_events(&dir)?;
     let out_dir = out_dir(&dir);
-    let decisions = std::fs::read_to_string(out_dir.join("decisions.jsonl"))
-        .map(|t| AuditLog::parse_jsonl(&t))
-        .unwrap_or_default();
+    let decisions = decisions_if_present(&out_dir.join("decisions.jsonl"))?;
     let out = watch::watch(&events, &decisions, &cfg);
     write(out_dir.join("alerts.jsonl"), out.alerts_jsonl())?;
     write(out_dir.join("incidents.jsonl"), out.incidents_jsonl())?;
@@ -796,9 +806,7 @@ fn cmd_top(args: &[String]) -> Cmd {
         return Err(Usage("--frames must be at least 1".to_string()));
     }
     let events = read_trace_events(&dir)?;
-    let decisions = std::fs::read_to_string(resolve_decisions_path(&dir))
-        .map(|t| AuditLog::parse_jsonl(&t))
-        .unwrap_or_default();
+    let decisions = decisions_if_present(&resolve_decisions_path(&dir))?;
     // Incident→capture links from a `--record`'ed bundle, marking
     // captured incidents in the alert lane.
     let captures: std::collections::BTreeMap<u64, String> =
@@ -867,8 +875,8 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), CliError> {
         .iter()
         .filter(|e| e.dur.is_some())
         .map(|e| obs::Frame {
-            lane: e.lane.clone(),
-            frame: e.kind.clone(),
+            lane: e.lane.to_string(),
+            frame: e.kind.to_string(),
             t0: e.t,
             t1: e.end(),
         })
@@ -1681,9 +1689,7 @@ fn cmd_postmortem(args: &[String]) -> Cmd {
     } else {
         incidents
     };
-    let decisions = std::fs::read_to_string(root.join("decisions.jsonl"))
-        .map(|t| AuditLog::parse_jsonl(&t))
-        .unwrap_or_default();
+    let decisions = decisions_if_present(&root.join("decisions.jsonl"))?;
     let frames = std::fs::read_to_string(root.join("stacks.jsonl"))
         .ok()
         .and_then(|t| obs::FrameSet::parse_stacks_jsonl(&t).ok())
@@ -1833,13 +1839,20 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Cmd 
     let dir = std::path::Path::new(dir);
     std::fs::create_dir_all(dir).map_err(|e| Failed(format!("creating {}: {e}", dir.display())))?;
     let write = |name: &str, content: String| write(dir.join(name), content);
-    let events = insight::from_bus(&obs.bus);
-    let flows = insight::pair_flows(&events);
     let decisions = obs.audit.records();
-    let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
-    let mut roll = rollup(&events, &decisions, &RollupConfig::auto(horizon.max(1e-9)));
+    // Everything derived from the event stream reads the bus's own
+    // records, in the analyzer's canonical order — no snapshot.
+    let (flows, horizon, mut roll, mut watched) = obs.bus.with_events(|events| {
+        let events = insight::canonical_view(events);
+        let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
+        (
+            insight::pair_flows(&events),
+            horizon,
+            rollup(&events, &decisions, &RollupConfig::auto(horizon.max(1e-9))),
+            watch::watch(&events, &decisions, &watch::WatchConfig::default()),
+        )
+    });
     roll.register_metrics(&obs.metrics);
-    let mut watched = watch::watch(&events, &decisions, &watch::WatchConfig::default());
     watched.register_metrics(&obs.metrics);
     let set = obs::FrameSet::from_stack(&obs.stack);
     if obs.recorder.is_enabled() {

@@ -51,9 +51,9 @@ impl EventView for Seen<'_> {
 /// The event stream as an observer at virtual time `t` has seen it, in
 /// the stream's order: events starting later are absent, and nothing is
 /// copied but the clamped durations.
-fn visible_at(events: &[TraceEvent], t: f64) -> Vec<Seen<'_>> {
+fn visible_at<'a>(events: impl IntoIterator<Item = &'a TraceEvent>, t: f64) -> Vec<Seen<'a>> {
     events
-        .iter()
+        .into_iter()
         .filter(|e| e.t <= t)
         .map(|e| Seen {
             event: e,
@@ -111,6 +111,10 @@ pub fn render_frame_with_captures(
 /// only for what the observer at that instant has seen.
 pub struct Replay<'a> {
     events: &'a [TraceEvent],
+    /// `events` in the watchdog's canonical order, sorted once: what an
+    /// observer has seen by some instant is a prefix of it, so every
+    /// frame hands the watchdog a stream that is already in order.
+    ranked: Vec<&'a TraceEvent>,
     decisions: &'a [DecisionRecord],
     captures: &'a BTreeMap<u64, String>,
     horizon: f64,
@@ -138,8 +142,11 @@ impl<'a> Replay<'a> {
                 *node_lanes.entry(n).or_default() += 1;
             }
         }
+        let mut ranked: Vec<&TraceEvent> = events.iter().collect();
+        ranked.sort_by(|a, b| watch::canonical_cmp(*a, *b));
         Replay {
             events,
+            ranked,
             decisions,
             captures,
             horizon: events.iter().map(|e| e.end()).fold(0.0, f64::max),
@@ -265,7 +272,8 @@ impl<'a> Replay<'a> {
         }
 
         // Alert lane: the watchdog's verdict over everything seen so far.
-        let watched = watch::watch(&seen, decisions, &watch::WatchConfig::default());
+        let ranked = visible_at(self.ranked.iter().copied(), t);
+        let watched = watch::watch(&ranked, decisions, &watch::WatchConfig::default());
         let firing: Vec<_> = watched
             .incidents
             .iter()
@@ -333,7 +341,6 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap as Map;
 
     fn ev(lane: &str, kind: &str, t: f64, dur: Option<f64>, iter: Option<u64>) -> TraceEvent {
         TraceEvent {
@@ -344,7 +351,7 @@ mod tests {
             iter,
             part: None,
             block: None,
-            attrs: Map::new(),
+            attrs: obs::Attrs::new(),
         }
     }
 

@@ -360,15 +360,16 @@ fn readers_reject_a_truncated_bundle() {
     };
     let without_meta = lines[1..].join("\n") + "\n";
 
-    let damaged = |name: &str, events: &str| {
+    let damaged_file = |name: &str, file: &str, content: &str| {
         let dir = tmp_dir(name);
         for entry in std::fs::read_dir(&whole).expect("list bundle") {
             let path = entry.expect("bundle entry").path();
             std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
         }
-        std::fs::write(dir.join("events.jsonl"), events).expect("write damaged events");
+        std::fs::write(dir.join(file), content).expect("write the damaged file");
         dir
     };
+    let damaged = |name: &str, events: &str| damaged_file(name, "events.jsonl", events);
     let commands = |d: &str, cal: &str| -> Vec<Vec<String>> {
         [
             vec!["analyze", d],
@@ -428,5 +429,42 @@ fn readers_reject_a_truncated_bundle() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The audit log is held to its meta line the same way: the readers
+    // that join decisions to events refuse half a `decisions.jsonl`, and
+    // `watch` leaves the verdict files as the run wrote them.
+    let decisions = std::fs::read_to_string(whole.join("decisions.jsonl")).expect("decisions.jsonl");
+    let lines: Vec<&str> = decisions.lines().collect();
+    let total = lines.len() - 1;
+    assert!(lines[0].contains(&format!("\"decisions\":{total}")), "meta line: {}", lines[0]);
+    let kept = total / 2;
+    let at_line_boundary = lines[..=kept].join("\n") + "\n";
+    let inside_a_line = decisions[..at_line_boundary.len() + lines[kept + 1].len() / 2].to_string();
+    let verdicts = |dir: &PathBuf| {
+        ["alerts.jsonl", "incidents.jsonl"].map(|f| std::fs::read(dir.join(f)).expect("verdict file"))
+    };
+    for (name, content, says) in [
+        (
+            "truncated-decisions-boundary",
+            &at_line_boundary,
+            format!("decisions.jsonl: the meta line declares {total} record(s) but {kept} were read"),
+        ),
+        (
+            "truncated-decisions-midline",
+            &inside_a_line,
+            format!("decisions.jsonl line {}:", kept + 2),
+        ),
+    ] {
+        let dir = damaged_file(name, "decisions.jsonl", content);
+        let d = dir.to_str().expect("utf-8 temp path");
+        for cmd in [vec!["watch", d], vec!["top", d, "--frames", "2"]] {
+            let out = prs(&cmd);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "prs {cmd:?} on half an audit log: {stderr}");
+            assert!(stderr.contains(&says), "prs {cmd:?}: stderr should say {says:?}, got: {stderr}");
+        }
+        assert_eq!(verdicts(&dir), verdicts(&whole), "{name}: watch rewrote the run's verdict");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let _ = std::fs::remove_dir_all(&whole);
 }

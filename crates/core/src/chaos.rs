@@ -28,7 +28,6 @@ use crate::faults::{splitmix64, FaultPlan};
 use crate::job::{run_iterative, run_iterative_observed};
 use crate::membership::{MembershipCounters, MembershipPlan};
 use crate::metrics::RecoveryCounters;
-use obs::rollup::RollupEvent;
 use obs::Obs;
 use watch::{score_trials, FaultKind, GroundTruthFault, TrialWatch, WatchConfig, WatchScore};
 use parking_lot::RwLock;
@@ -319,6 +318,14 @@ fn flows_conserved(obs: &Obs) -> bool {
     balance.values().all(|&b| b == 0)
 }
 
+/// The watchdog's verdict over everything `obs` recorded — a trial's
+/// bundle is fresh, so that is the whole run — read from the bus's own
+/// records.
+fn watch_bus(obs: &Obs, rules: &WatchConfig) -> watch::WatchOutput {
+    let decisions = obs.audit.records();
+    obs.bus.with_events(|events| watch::watch(events, &decisions, rules))
+}
+
 /// Extracts the watchdog-scoreable ground truth from a fault plan.
 /// Slowdown windows below the straggler factor are not expected to be
 /// detectable and are excluded.
@@ -536,9 +543,6 @@ fn run_chaos_inner(
             Some(rc) if rc.is_enabled() => Obs::recording_with_recorder(rc, false),
             _ => Obs::recording(),
         };
-        // The watchdog is an online consumer: it opens its cursor before
-        // the run and drains everything the run appended afterwards.
-        let mut watch_sub = obs.bus.subscribe();
         let outcome = run_epochs(
             &ClusterSpec::delta(nodes).with_faults(plan),
             chaotic_app.clone(),
@@ -561,9 +565,7 @@ fn run_chaos_inner(
             // recovery counters confirm fired, earliest first.
             retain_fired(&mut truth, FaultKind::NodeCrash, rec.node_crashes as usize);
             retain_fired(&mut truth, FaultKind::MasterCrash, rec.master_failovers as usize);
-            let chaotic_events: Vec<RollupEvent> =
-                watch_sub.poll().iter().map(RollupEvent::from).collect();
-            let mut chaotic = watch::watch(&chaotic_events, &obs.audit.records(), rules);
+            let mut chaotic = watch_bus(&obs, rules);
             // The incident→recorder trigger: freeze each incident's
             // window, emit one capture per incident, and assemble the
             // trial's postmortem from the captures it just produced.
@@ -590,9 +592,7 @@ fn run_chaos_inner(
                     total_virtual_secs: outcome.total_virtual_secs,
                 });
             }
-            let healthy_events: Vec<RollupEvent> =
-                baseline_obs.bus.events().iter().map(RollupEvent::from).collect();
-            let healthy = watch::watch(&healthy_events, &baseline_obs.audit.records(), rules);
+            let healthy = watch_bus(baseline_obs, rules);
             watched.push(TrialWatch {
                 index,
                 faults: truth,

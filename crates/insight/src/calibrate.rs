@@ -17,7 +17,7 @@
 //! byte rate. The ridge is re-derived from the *current fitted* values,
 //! so the classification itself converges with the fit.
 
-use crate::trace::TraceEvent;
+use obs::EventView;
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::{split_multi_gpu, SplitDecision, Workload};
 
@@ -187,18 +187,18 @@ impl CalibrationProfile {
 /// every `net-send` span becomes one EWMA sample, in canonical trace
 /// order. `cpu-task` spans time one core slot of `cores`, so their rate
 /// is scaled to the aggregate roofline.
-pub fn fit_from_events(
+pub fn fit_from_events<E: EventView>(
     base: DeviceProfile,
     alpha: f64,
-    events: &[TraceEvent],
+    events: &[E],
 ) -> CalibrationProfile {
     let cores = base.cpu.cores as f64;
     let mut cal = CalibrationProfile::new(base, alpha);
     for e in events {
-        let Some(dur) = e.dur.filter(|d| *d > 0.0) else {
+        let Some(dur) = e.dur().filter(|d| *d > 0.0) else {
             continue;
         };
-        match e.kind.as_str() {
+        match e.kind() {
             "cpu-task" => {
                 if let (Some(flops), Some(bytes)) = (e.attr("flops"), e.attr("bytes")) {
                     if bytes > 0.0 {
@@ -294,6 +294,7 @@ mod tests {
 
     #[test]
     fn fit_from_events_reads_span_attrs() {
+        use crate::trace::TraceEvent;
         let mk = |kind: &str, lane: &str, dur: f64, attrs: &[(&str, f64)]| TraceEvent {
             t: 0.0,
             dur: Some(dur),

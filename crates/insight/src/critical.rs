@@ -307,20 +307,20 @@ pub fn analyze_view<E: EventView>(events: &[E]) -> Analysis {
 
         // Per-lane slack against the iteration window. Scheduler lanes
         // are containers, not resources — skip them.
-        let mut busy: BTreeMap<String, f64> = BTreeMap::new();
+        let mut busy: BTreeMap<&str, f64> = BTreeMap::new();
         for e in events {
             if e.dur().is_none() || e.lane().ends_with("-sched") || e.lane() == "master" {
                 continue;
             }
             let o = e.overlap(start, end);
             if o > 0.0 {
-                *busy.entry(e.lane().to_string()).or_insert(0.0) += o;
+                *busy.entry(e.lane()).or_insert(0.0) += o;
             }
         }
         let lane_slack = busy
             .into_iter()
             .map(|(lane, busy)| LaneSlack {
-                lane,
+                lane: lane.to_string(),
                 busy,
                 slack: (end - start) - busy,
             })
@@ -434,7 +434,7 @@ mod tests {
             iter,
             part: None,
             block: None,
-            attrs: BTreeMap::new(),
+            attrs: obs::Attrs::new(),
         }
     }
 

@@ -264,7 +264,7 @@ fn node_growth_hints(
                 continue;
             }
             let Some(node) = obs::lane_node(&e.lane) else { continue };
-            *out.entry((iter, e.kind.clone(), node)).or_insert(0.0) += dur;
+            *out.entry((iter, e.kind.to_string(), node)).or_insert(0.0) += dur;
         }
         out
     };
@@ -457,7 +457,7 @@ mod tests {
             iter: Some(iter),
             part: None,
             block: None,
-            attrs: BTreeMap::new(),
+            attrs: obs::Attrs::new(),
         }
     }
 

@@ -47,4 +47,4 @@ pub use critical::{
 pub use diff::{diff, diff_events, BlameShift, Diff, StageDelta, DIFF_SCHEMA};
 pub use postmortem::{parse_capture_jsonl, CaptureDoc, POSTMORTEM_SCHEMA};
 pub use report::{critical_path_json, report_json, summary_table};
-pub use trace::{from_bus, pair_flows, parse_events_jsonl, Flow, TraceEvent};
+pub use trace::{canonical_view, from_bus, pair_flows, parse_events_jsonl, Flow, TraceEvent};

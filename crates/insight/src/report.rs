@@ -155,7 +155,6 @@ mod tests {
     use super::*;
     use crate::critical::analyze;
     use crate::trace::TraceEvent;
-    use std::collections::BTreeMap;
 
     fn sample() -> Analysis {
         let ev = |lane: &str, kind: &str, t: f64, dur: f64, iter: u64| TraceEvent {
@@ -166,7 +165,7 @@ mod tests {
             iter: Some(iter),
             part: None,
             block: None,
-            attrs: BTreeMap::new(),
+            attrs: obs::Attrs::new(),
         };
         analyze(&[
             ev("node0-sched", "map", 0.0, 1.0, 0),

@@ -6,12 +6,18 @@
 //! downstream pass is source-agnostic, and both are sorted with the same
 //! canonical order, so the analysis of a live bus and of its exported
 //! JSONL are identical.
+//!
+//! Names are interned ([`obs::Name`]): a parsed file holds one allocation
+//! per distinct lane, kind and attribute key, and a bus snapshot shares
+//! the allocations the bus already holds. Consumers that only need to
+//! *read* a live bus skip the snapshot altogether: [`canonical_view`]
+//! orders references to the bus's own records.
 
-use obs::jsonl::{read_events, EventRecord, JsonlError};
-use obs::{lane_node, EventView};
+use obs::jsonl::{read_events, JsonlError};
+use obs::{cmp_names, lane_node, Attrs, EventView, Name, Names};
 use std::collections::BTreeMap;
 
-/// One span or point event, with owned strings and a key-sorted attr map.
+/// One span or point event: interned names and a key-sorted attr vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Start timestamp, virtual seconds.
@@ -19,9 +25,9 @@ pub struct TraceEvent {
     /// Span length; `None` for point events.
     pub dur: Option<f64>,
     /// Timeline name, e.g. `node0-gpu0-compute`.
-    pub lane: String,
+    pub lane: Name,
     /// Event kind, e.g. `kernel`.
-    pub kind: String,
+    pub kind: Name,
     /// Iteration tag, when the emitter scoped the event to one.
     pub iter: Option<u64>,
     /// Partition tag.
@@ -29,7 +35,7 @@ pub struct TraceEvent {
     /// Block tag.
     pub block: Option<u64>,
     /// Free-form numeric attributes (`flops`, `bytes`, `wait_s`, …).
-    pub attrs: BTreeMap<String, f64>,
+    pub attrs: Attrs,
 }
 
 impl TraceEvent {
@@ -45,7 +51,7 @@ impl TraceEvent {
 
     /// Looks up a numeric attribute.
     pub fn attr(&self, key: &str) -> Option<f64> {
-        self.attrs.get(key).copied()
+        self.attrs.get(key)
     }
 
     /// Overlap (in seconds) between this span and `[start, end]`.
@@ -146,37 +152,53 @@ pub fn pair_flows<E: EventView>(events: &[E]) -> Vec<Flow> {
     out
 }
 
-fn canonical_sort(events: &mut [TraceEvent]) {
-    events.sort_by(|a, b| {
-        a.t.total_cmp(&b.t)
-            .then_with(|| a.end().total_cmp(&b.end()))
-            .then_with(|| a.lane.cmp(&b.lane))
-            .then_with(|| a.kind.cmp(&b.kind))
-    });
+/// The analyzer's canonical order: `(t, end, lane, kind)`. Names from
+/// one table (or one bus) tie on their address before any byte is read.
+fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
+    a.t()
+        .total_cmp(&b.t())
+        .then_with(|| a.end().total_cmp(&b.end()))
+        .then_with(|| cmp_names(a.lane(), b.lane()))
+        .then_with(|| cmp_names(a.kind(), b.kind()))
 }
 
-/// Snapshots a live bus into owned events, canonically sorted.
+/// References to `events` in the analyzer's canonical order (stable, so
+/// full ties keep their input order) — what [`from_bus`] and
+/// [`parse_events_jsonl`] sort their copies into, without the copies.
+/// Over a live bus (`bus.with_events(|e| canonical_view(e))`) every
+/// [`EventView`] consumer reads the bus's own records.
+pub fn canonical_view<E: EventView>(events: &[E]) -> Vec<&E> {
+    let mut view: Vec<&E> = events.iter().collect();
+    view.sort_by(|a, b| canonical_cmp(*a, *b));
+    view
+}
+
+/// Snapshots a live bus into owned events, canonically sorted. Lane and
+/// kind share the bus's `Arc`s; attribute keys are interned once each.
 pub fn from_bus(bus: &obs::EventBus) -> Vec<TraceEvent> {
+    let mut names = Names::default();
     let mut out: Vec<TraceEvent> = bus.with_events(|events| {
         events
             .iter()
-            .map(|e| TraceEvent {
-                t: e.t,
-                dur: e.dur,
-                lane: e.lane.to_string(),
-                kind: e.kind.to_string(),
-                iter: e.iteration,
-                part: e.partition,
-                block: e.block,
-                attrs: e
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), *v))
-                    .collect(),
+            .map(|e| {
+                let mut attrs = Attrs::new();
+                for &(k, v) in &e.attrs {
+                    attrs.set_with(k, v, || names.intern(k));
+                }
+                TraceEvent {
+                    t: e.t,
+                    dur: e.dur,
+                    lane: names.adopt(&e.lane),
+                    kind: names.adopt(&e.kind),
+                    iter: e.iteration,
+                    part: e.partition,
+                    block: e.block,
+                    attrs,
+                }
             })
             .collect()
     });
-    canonical_sort(&mut out);
+    out.sort_by(canonical_cmp);
     out
 }
 
@@ -191,19 +213,19 @@ pub fn from_bus(bus: &obs::EventBus) -> Vec<TraceEvent> {
 /// a run.
 pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonlError> {
     let mut out = Vec::new();
-    read_events(text, |e: EventRecord<'_, BTreeMap<String, f64>>| {
+    read_events(text, |e| {
         out.push(TraceEvent {
             t: e.t,
             dur: e.dur,
-            lane: e.lane.into_owned(),
-            kind: e.kind.into_owned(),
+            lane: e.lane,
+            kind: e.kind,
             iter: e.iter,
             part: e.part,
             block: e.block,
             attrs: e.attrs,
         });
     })?;
-    canonical_sort(&mut out);
+    out.sort_by(canonical_cmp);
     Ok(out)
 }
 
@@ -245,7 +267,7 @@ mod tests {
             iter: None,
             part: None,
             block: None,
-            attrs: BTreeMap::new(),
+            attrs: Attrs::new(),
         };
         assert_eq!(e.overlap(0.0, 10.0), 2.0);
         assert_eq!(e.overlap(2.0, 2.5), 0.5);
@@ -255,10 +277,10 @@ mod tests {
     #[test]
     fn pair_flows_matches_sends_to_recvs_by_id_in_time_order() {
         let mk = |lane: &str, kind: &str, t: f64, flow: f64, bytes: Option<f64>| {
-            let mut attrs = BTreeMap::new();
-            attrs.insert("flow".to_string(), flow);
+            let mut attrs = Attrs::new();
+            attrs.insert("flow".into(), flow);
             if let Some(b) = bytes {
-                attrs.insert("bytes".to_string(), b);
+                attrs.insert("bytes".into(), b);
             }
             TraceEvent {
                 t,

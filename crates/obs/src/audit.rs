@@ -9,15 +9,15 @@
 //! analytic-model error a first-class queryable quantity — the same
 //! predicted-vs-measured feedback loop StarPU uses for calibration.
 
-use crate::jsonl::{ScanError, Scanner};
+use crate::jsonl::{as_u64, JsonlError, ScanError, Scanner};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Schema tag on the `decisions.jsonl` meta line (the first line of a
-/// non-empty export). [`AuditLog::parse_jsonl`] skips it because a meta
-/// line carries no `node`/`iter` keys.
+/// non-empty export). It declares how many scheduling decisions follow;
+/// [`AuditLog::read_jsonl`] holds the file to that count.
 pub const DECISIONS_SCHEMA: &str = "prs-decisions-v1";
 
 /// Handle returned by [`AuditLog::begin`]; pass it back to
@@ -266,15 +266,69 @@ impl AuditLog {
         out
     }
 
-    /// Parses a `decisions.jsonl` file back into records (for
-    /// `prs trace` / `prs advise --from-trace`). Lines that fail to
-    /// parse are skipped.
+    /// Reads a `decisions.jsonl` file back into records, strictly: a
+    /// line that is not a JSON object is an error naming it (1-based),
+    /// and so is a file holding a different number of scheduling
+    /// decisions than its meta line declares — a bundle cut short must
+    /// not be analysed as if it were whole. Autoscaler lines (objects
+    /// without `node`/`iter`) are passed over and, like the writer's
+    /// count, not counted; a file without a meta line is read as it is.
+    pub fn read_jsonl(text: &str) -> Result<Vec<DecisionRecord>, JsonlError> {
+        const FILE: &str = "decisions.jsonl";
+        let mut out = Vec::new();
+        let mut declared: Option<u64> = None;
+        for (i, line) in text.lines().enumerate() {
+            let bad = |msg: String| JsonlError::Line {
+                file: FILE,
+                line: i + 1,
+                msg,
+            };
+            match read_decision_line(line).map_err(|e| bad(e.to_string()))? {
+                DecisionLine::Blank | DecisionLine::Other => {}
+                DecisionLine::NotObject => return Err(bad("not an object".into())),
+                DecisionLine::Meta { decisions } => {
+                    if let Some(n) = decisions {
+                        declared = Some(declared.unwrap_or(0).saturating_add(n));
+                    }
+                }
+                DecisionLine::Record(rec) => out.push(*rec),
+            }
+        }
+        match declared {
+            Some(declared) if declared != out.len() as u64 => Err(JsonlError::Count {
+                file: FILE,
+                declared,
+                read: out.len() as u64,
+            }),
+            _ => Ok(out),
+        }
+    }
+
+    /// [`Self::read_jsonl`] for callers that want whatever can be read:
+    /// lines that fail to parse are skipped and no count is checked.
     pub fn parse_jsonl(text: &str) -> Vec<DecisionRecord> {
         text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| read_decision_line(l).ok().flatten())
+            .filter_map(|l| match read_decision_line(l) {
+                Ok(DecisionLine::Record(rec)) => Some(*rec),
+                _ => None,
+            })
             .collect()
     }
+}
+
+/// What one line of `decisions.jsonl` is.
+enum DecisionLine {
+    /// Nothing but whitespace.
+    Blank,
+    /// Valid JSON, but not an object.
+    NotObject,
+    /// An object carrying `schema`: the meta line and the count it
+    /// declares.
+    Meta { decisions: Option<u64> },
+    /// An object without a numeric `node`/`iter`: an autoscaler line.
+    Other,
+    /// A scheduling decision.
+    Record(Box<DecisionRecord>),
 }
 
 /// Numeric members of a decision line, in [`DecisionRecord`] order.
@@ -285,35 +339,46 @@ const NUM_KEYS: [&str; 18] = [
 ];
 const STR_KEYS: [&str; 3] = ["mode", "trigger", "regime"];
 
-/// One line of `decisions.jsonl` read without building a `Value`; the
-/// same fallbacks as [`DecisionRecord::from_value`] (`None` for lines
-/// that are not objects or lack a numeric `node`/`iter` — the meta line,
-/// autoscaler lines).
-fn read_decision_line(line: &str) -> Result<Option<DecisionRecord>, ScanError> {
+/// One line of `decisions.jsonl` read without building a `Value`, with
+/// the same fallbacks as [`DecisionRecord::from_value`].
+fn read_decision_line(line: &str) -> Result<DecisionLine, ScanError> {
+    if line.trim().is_empty() {
+        return Ok(DecisionLine::Blank);
+    }
     let mut sc = Scanner::new(line);
     let mut num = [None; NUM_KEYS.len()];
     let mut text = [None, None, None];
+    let mut meta = false;
+    let mut declared = None;
     if !sc.begin_object() {
         sc.skip_value()?;
         sc.end()?;
-        return Ok(None);
+        return Ok(DecisionLine::NotObject);
     }
     while let Some(key) = sc.next_key()? {
         if let Some(i) = NUM_KEYS.iter().position(|k| *k == key) {
             num[i] = sc.number()?;
         } else if let Some(i) = STR_KEYS.iter().position(|k| *k == key) {
             text[i] = sc.string()?;
+        } else if key == "schema" {
+            meta = true;
+            sc.skip_value()?;
+        } else if key == "decisions" {
+            declared = sc.number()?.and_then(as_u64);
         } else {
             sc.skip_value()?;
         }
     }
     sc.end()?;
+    if meta {
+        return Ok(DecisionLine::Meta { decisions: declared });
+    }
     let (Some(node), Some(iteration)) = (num[0], num[1]) else {
-        return Ok(None);
+        return Ok(DecisionLine::Other);
     };
     let n = |i: usize| num[i].unwrap_or(0.0);
     let mut s = |i: usize| text[i].take().map(|s| s.into_owned()).unwrap_or_default();
-    Ok(Some(DecisionRecord {
+    Ok(DecisionLine::Record(Box::new(DecisionRecord {
         node: node as usize,
         iteration: iteration as usize,
         mode: s(0),
@@ -335,7 +400,7 @@ fn read_decision_line(line: &str) -> Result<Option<DecisionRecord>, ScanError> {
         observed_cpu_secs: num[15],
         observed_gpu_secs: num[16],
         observed_map_secs: num[17],
-    }))
+    })))
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! accepts and writes exactly the bytes `Value::to_json_string` writes.
 
 use crate::bus::Event;
+use crate::name::{Attrs, Name, Names};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
@@ -104,29 +105,35 @@ impl<'a> ObjectWriter<'a> {
     }
 }
 
+/// Walks `attrs` the way an event line lists them: ascending key order,
+/// a repeated key seen once with its last value.
+pub(crate) fn each_attr_sorted(attrs: &[(&'static str, f64)], mut f: impl FnMut(&str, f64)) {
+    // Selection by ascending key: a handful of entries per event, so
+    // quadratic beats allocating a sorted copy.
+    let mut prev: Option<&str> = None;
+    loop {
+        let mut next: Option<(&str, f64)> = None;
+        for &(k, v) in attrs {
+            if prev.is_some_and(|p| k <= p) {
+                continue;
+            }
+            if next.is_none_or(|(best, _)| k <= best) {
+                next = Some((k, v));
+            }
+        }
+        let Some((k, v)) = next else { break };
+        f(k, v);
+        prev = Some(k);
+    }
+}
+
 /// Appends the `events.jsonl` line of `e` (no newline). `attrs` render as
 /// a sorted object in which a repeated key keeps its last value.
 pub fn write_event(out: &mut String, e: &Event) {
     let mut o = ObjectWriter::begin(out);
     if !e.attrs.is_empty() {
         let mut a = ObjectWriter::begin(o.key("attrs"));
-        // Selection by ascending key: a handful of entries per event, so
-        // quadratic beats allocating a sorted copy.
-        let mut prev: Option<&str> = None;
-        loop {
-            let mut next: Option<(&str, f64)> = None;
-            for &(k, v) in &e.attrs {
-                if prev.is_some_and(|p| k <= p) {
-                    continue;
-                }
-                if next.is_none_or(|(best, _)| k <= best) {
-                    next = Some((k, v));
-                }
-            }
-            let Some((k, v)) = next else { break };
-            a.num(k, v);
-            prev = Some(k);
-        }
+        each_attr_sorted(&e.attrs, |k, v| a.num(k, v));
         a.end();
     }
     if let Some(b) = e.block {
@@ -576,15 +583,25 @@ pub trait AttrSink {
     fn unset(&mut self, key: &str);
 }
 
-impl AttrSink for std::collections::BTreeMap<String, f64> {
+/// The sink of [`read_events`]: attributes land key-sorted in an
+/// [`Attrs`], their keys interned through the file's one [`Names`] table
+/// (which the reader also runs lane and kind through).
+#[derive(Default)]
+struct Interning {
+    names: Names,
+    attrs: Attrs,
+}
+
+impl AttrSink for Interning {
     fn reset(&mut self) {
-        self.clear();
+        self.attrs.clear();
     }
     fn set(&mut self, key: Cow<'_, str>, value: f64) {
-        self.insert(key.into_owned(), value);
+        let names = &mut self.names;
+        self.attrs.set_with(&key, value, || names.intern(&key));
     }
     fn unset(&mut self, key: &str) {
-        self.remove(key);
+        self.attrs.remove(key);
     }
 }
 
@@ -687,38 +704,43 @@ pub fn read_event_line<'a>(
 }
 
 /// One event of a strict [`read_events`] pass: every required member is
-/// present.
+/// present, every name is a handle from the file's intern table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord<'a, A> {
+pub struct EventRecord {
     /// Start time, virtual seconds.
     pub t: f64,
     /// Span duration; `None` for point events.
     pub dur: Option<f64>,
     /// Lane name.
-    pub lane: Cow<'a, str>,
+    pub lane: Name,
     /// Event kind.
-    pub kind: Cow<'a, str>,
+    pub kind: Name,
     /// Iteration tag.
     pub iter: Option<u64>,
     /// Partition tag.
     pub part: Option<u64>,
     /// Block tag.
     pub block: Option<u64>,
-    /// The numeric attributes, in the caller's sink.
-    pub attrs: A,
+    /// The numeric attributes, key-sorted.
+    pub attrs: Attrs,
 }
 
-/// Reads a whole `events.jsonl`, handing each event to `each` in file
-/// order. Blank lines are skipped; a line that is not a JSON object, or
-/// an event without a numeric `t` and string `lane`/`kind`, is an error
-/// naming its line. When the meta line declares an event count, a file
-/// holding a different number of event lines is an error too — a bundle
-/// cut at a line boundary must not be analysed as if it were whole.
-/// Files without a meta line (hand-written fixtures, pre-schema bundles)
-/// are read as they are.
-pub fn read_events<'a, A: AttrSink + Default>(
+/// An event line whose required members are all there.
+struct CheckedLine<'a> {
+    t: f64,
+    lane: Cow<'a, str>,
+    kind: Cow<'a, str>,
+    /// The optional members (`t`, `lane` and `kind` moved out).
+    rest: EventFields<'a>,
+}
+
+/// The strict pass behind [`read_events`] and [`events_horizon`]: hands
+/// `each` every event line, in file order, with that line's attributes
+/// in `sink`.
+fn scan_events<'a, S: AttrSink>(
     text: &'a str,
-    mut each: impl FnMut(EventRecord<'a, A>),
+    sink: &mut S,
+    mut each: impl FnMut(&mut S, CheckedLine<'a>),
 ) -> Result<(), JsonlError> {
     const FILE: &str = "events.jsonl";
     let mut declared: Option<u64> = None;
@@ -733,8 +755,8 @@ pub fn read_events<'a, A: AttrSink + Default>(
             line: i + 1,
             msg,
         };
-        let mut attrs = A::default();
-        let f = match read_event_line(line, &mut attrs).map_err(|e| bad(e.to_string()))? {
+        sink.reset();
+        let mut f = match read_event_line(line, sink).map_err(|e| bad(e.to_string()))? {
             EventLine::NotObject => return Err(bad("not an object".into())),
             EventLine::Meta { events } => {
                 if let Some(n) = events {
@@ -745,16 +767,13 @@ pub fn read_events<'a, A: AttrSink + Default>(
             EventLine::Event(f) => f,
         };
         let missing = |key: &str| bad(format!("missing {key:?}"));
-        each(EventRecord {
+        let line = CheckedLine {
             t: f.t.ok_or_else(|| missing("t"))?,
-            dur: f.dur,
-            lane: f.lane.ok_or_else(|| missing("lane"))?,
-            kind: f.kind.ok_or_else(|| missing("kind"))?,
-            iter: f.iter,
-            part: f.part,
-            block: f.block,
-            attrs,
-        });
+            lane: f.lane.take().ok_or_else(|| missing("lane"))?,
+            kind: f.kind.take().ok_or_else(|| missing("kind"))?,
+            rest: f,
+        };
+        each(sink, line);
         read += 1;
     }
     match declared {
@@ -767,13 +786,41 @@ pub fn read_events<'a, A: AttrSink + Default>(
     }
 }
 
+/// Reads a whole `events.jsonl`, handing each event to `each` in file
+/// order. Blank lines are skipped; a line that is not a JSON object, or
+/// an event without a numeric `t` and string `lane`/`kind`, is an error
+/// naming its line. When the meta line declares an event count, a file
+/// holding a different number of event lines is an error too — a bundle
+/// cut at a line boundary must not be analysed as if it were whole.
+/// Files without a meta line (hand-written fixtures, pre-schema bundles)
+/// are read as they are.
+///
+/// Lane, kind and attribute keys go through one intern table for the
+/// whole file, so two events naming the same lane — however the file
+/// spells it (`"node0-sched"`, `"\u006eode0-sched"`) — share one
+/// allocation: a read allocates per distinct name, not per event.
+pub fn read_events(text: &str, mut each: impl FnMut(EventRecord)) -> Result<(), JsonlError> {
+    scan_events(text, &mut Interning::default(), |sink, line| {
+        each(EventRecord {
+            t: line.t,
+            dur: line.rest.dur,
+            lane: sink.names.intern(&line.lane),
+            kind: sink.names.intern(&line.kind),
+            iter: line.rest.iter,
+            part: line.rest.part,
+            block: line.rest.block,
+            attrs: std::mem::take(&mut sink.attrs),
+        })
+    })
+}
+
 /// Latest event end in an `events.jsonl` — the sampling horizon — from
 /// a pass that keeps nothing but `t` and `dur`. Rejects exactly what
 /// [`read_events`] rejects.
 pub fn events_horizon(text: &str) -> Result<f64, JsonlError> {
     let mut horizon = 0.0_f64;
-    read_events(text, |e: EventRecord<'_, NoAttrs>| {
-        horizon = horizon.max(e.t + e.dur.unwrap_or(0.0));
+    scan_events(text, &mut NoAttrs, |_, line| {
+        horizon = horizon.max(line.t + line.rest.dur.unwrap_or(0.0));
     })?;
     Ok(horizon)
 }

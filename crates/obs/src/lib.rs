@@ -34,6 +34,7 @@ pub mod audit;
 pub mod bus;
 pub mod jsonl;
 pub mod metrics;
+pub mod name;
 pub mod profile;
 pub mod recorder;
 pub mod rollup;
@@ -42,6 +43,7 @@ pub mod trace_ctx;
 pub use audit::{AuditLog, DecisionId, DecisionRecord, DECISIONS_SCHEMA};
 pub use bus::{Event, EventBus, EventDraft, Subscription, EVENTS_SCHEMA};
 pub use metrics::{MetricsRegistry, METRICS_SCHEMA};
+pub use name::{cmp_names, Attrs, Name, Names};
 pub use profile::{profile, Frame, FrameSet, Profile, PROFILE_SCHEMA, STACKS_SCHEMA};
 pub use recorder::{Capture, FoldBin, Recorder, RecorderConfig, RecorderSummary, CAPTURE_SCHEMA};
 pub use jsonl::JsonlError;

@@ -19,6 +19,7 @@
 use crate::audit::DecisionRecord;
 use crate::bus::Event;
 use crate::metrics::MetricsRegistry;
+use crate::name::Name;
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -80,8 +81,8 @@ impl<E: EventView + ?Sized> EventView for &E {
     }
 }
 
-/// An owned event decoupled from [`crate::bus::Event`]'s interned
-/// strings — the plainest [`EventView`].
+/// An owned event with its attributes in the owner's order — the
+/// plainest [`EventView`], for tests, benches and hand-built streams.
 #[derive(Clone, Debug)]
 pub struct RollupEvent {
     /// Start time, virtual seconds.
@@ -89,13 +90,13 @@ pub struct RollupEvent {
     /// Span duration; `None` for point events.
     pub dur: Option<f64>,
     /// Lane name (`node0-cpu-c1`, `net-rank2`, `master`, ...).
-    pub lane: String,
+    pub lane: Name,
     /// Event kind (`cpu-task`, `kernel`, `msg-send`, ...).
-    pub kind: String,
+    pub kind: Name,
     /// Outer iteration tag, if any.
     pub iter: Option<u64>,
     /// Numeric attributes.
-    pub attrs: Vec<(String, f64)>,
+    pub attrs: Vec<(Name, f64)>,
 }
 
 impl RollupEvent {
@@ -141,11 +142,39 @@ impl From<&Event> for RollupEvent {
         RollupEvent {
             t: e.t,
             dur: e.dur,
-            lane: e.lane.to_string(),
-            kind: e.kind.to_string(),
+            lane: e.lane.clone().into(),
+            kind: e.kind.clone().into(),
             iter: e.iteration,
-            attrs: e.attrs.iter().map(|(k, v)| ((*k).to_string(), *v)).collect(),
+            attrs: e.attrs.iter().map(|(k, v)| (Name::from(*k), *v)).collect(),
         }
+    }
+}
+
+/// The bus's own record is a view: nothing is copied to aggregate a live
+/// run. Attributes read as the event's `events.jsonl` line lists them —
+/// ascending key order, the last value of a repeated key — so a bus and
+/// its export look the same to every consumer.
+impl EventView for Event {
+    fn t(&self) -> f64 {
+        self.t
+    }
+    fn dur(&self) -> Option<f64> {
+        self.dur
+    }
+    fn lane(&self) -> &str {
+        &self.lane
+    }
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+    fn iter(&self) -> Option<u64> {
+        self.iteration
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        self.attrs.iter().rfind(|(k, _)| *k == key).map(|(_, v)| *v)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        crate::jsonl::each_attr_sorted(&self.attrs, f)
     }
 }
 
@@ -555,7 +584,7 @@ mod tests {
     }
 
     fn with_attrs(mut e: RollupEvent, attrs: &[(&str, f64)]) -> RollupEvent {
-        e.attrs = attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        e.attrs = attrs.iter().map(|(k, v)| (Name::from(*k), *v)).collect();
         e
     }
 

@@ -93,16 +93,18 @@ fn oracle_events(text: &str) -> Parsed {
 
 fn codec_events(text: &str) -> Parsed {
     let mut out = Vec::new();
-    jsonl::read_events(text, |e: EventRecord<'_, BTreeMap<String, f64>>| {
+    jsonl::read_events(text, |e: EventRecord| {
+        // The flat vector must already be what the map would iterate.
+        assert!(e.attrs.iter().zip(e.attrs.iter().skip(1)).all(|(a, b)| a.0 < b.0));
         out.push(Rec {
             t: e.t,
             dur: e.dur,
-            lane: e.lane.into_owned(),
-            kind: e.kind.into_owned(),
+            lane: e.lane.to_string(),
+            kind: e.kind.to_string(),
             iter: e.iter,
             part: e.part,
             block: e.block,
-            attrs: e.attrs,
+            attrs: e.attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         });
     })
     .map_err(|e| match e {

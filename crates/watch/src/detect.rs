@@ -165,6 +165,7 @@ const STORM_KINDS: [&str; 9] = [
     "restore",
 ];
 
+#[cfg(test)]
 fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
     if n == 0 {
@@ -177,20 +178,57 @@ fn median(sorted: &[f64]) -> f64 {
     }
 }
 
+/// The window width a windowed rule asks for: its own, or one auto
+/// rollup window over the horizon.
+fn rule_window(rule: &SloRule, horizon: f64) -> f64 {
+    if rule.window_s > 0.0 {
+        rule.window_s
+    } else {
+        RollupConfig::auto(horizon.max(1e-9)).window_secs
+    }
+}
+
+/// The rollups of one stream, one per distinct window width: every rule
+/// that reads rollup windows at a width shares the one built for it.
+#[derive(Default)]
+pub(crate) struct Rollups(Vec<(f64, obs::Rollup)>);
+
+impl Rollups {
+    fn at<E: EventView>(
+        &mut self,
+        events: &[E],
+        decisions: &[DecisionRecord],
+        window_secs: f64,
+    ) -> &obs::Rollup {
+        let at = match self.0.iter().position(|(w, _)| w.to_bits() == window_secs.to_bits()) {
+            Some(at) => at,
+            None => {
+                let roll = rollup(events, decisions, &RollupConfig { window_secs });
+                self.0.push((window_secs, roll));
+                self.0.len() - 1
+            }
+        };
+        &self.0[at].1
+    }
+}
+
 /// Dispatches one rule to its detector. `events` must already be in
-/// canonical order (see `crate::watch`).
-pub fn signals_for_rule<E: EventView>(
+/// canonical order (see `crate::watch`); `rollups` is the cache shared
+/// by every rule evaluated over these `events` and `decisions`.
+pub(crate) fn signals_for_rule<E: EventView>(
     events: &[E],
     decisions: &[DecisionRecord],
     horizon: f64,
     rule: &SloRule,
+    rollups: &mut Rollups,
 ) -> Vec<Signal> {
+    let windows = |rollups| Rollups::at(rollups, events, decisions, rule_window(rule, horizon));
     match rule.detector {
         DetectorKind::LatencyDrift => latency_drift(events, rule),
         DetectorKind::HeartbeatGap => heartbeat_gap(events),
         DetectorKind::RecoveryStorm => recovery_storm(events, horizon, rule),
-        DetectorKind::ThroughputDrop => throughput_drop(events, decisions, horizon, rule),
-        DetectorKind::CommStall => comm_stall(events, decisions, horizon, rule),
+        DetectorKind::ThroughputDrop => throughput_drop(windows(rollups), rule),
+        DetectorKind::CommStall => comm_stall(windows(rollups)),
         DetectorKind::RegimeShift => regime_shift(events, decisions, rule),
         DetectorKind::MembershipFlap => membership_flap(events, horizon, rule),
     }
@@ -207,11 +245,7 @@ const FLAP_KINDS: [&str; 4] = ["join", "drain", "evict", "handoff"];
 /// fixed-cluster bundle.
 fn membership_flap<E: EventView>(
     events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
-    let w = if rule.window_s > 0.0 {
-        rule.window_s
-    } else {
-        RollupConfig::auto(horizon.max(1e-9)).window_secs
-    };
+    let w = rule_window(rule, horizon);
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
         if e.lane() != "membership" || !FLAP_KINDS.contains(&e.kind()) {
@@ -236,33 +270,98 @@ fn membership_flap<E: EventView>(
         .collect()
 }
 
+/// The `cpu-task` / `kernel` spans a latency-drift rule samples, as
+/// `(node, seconds per flop, span end)`.
+fn drift_samples<E: EventView>(
+    events: &[E],
+    class: LaneClass,
+) -> impl Iterator<Item = (u64, f64, f64)> + '_ {
+    let want_kind = match class {
+        LaneClass::Gpu => "kernel",
+        _ => "cpu-task",
+    };
+    events.iter().filter_map(move |e| {
+        if e.kind() != want_kind {
+            return None;
+        }
+        let (dur, node, flops) = (e.dur()?, node_of_lane(e.lane())?, e.attr("flops")?);
+        if flops < 1.0 || dur <= 0.0 {
+            return None;
+        }
+        Some((node, dur / flops, e.end()))
+    })
+}
+
 /// Cross-sectional latency drift: per-node EWMA of seconds-per-flop on
 /// `cpu-task` (class `cpu`) or `kernel` (class `gpu`) spans, compared
 /// against the median EWMA of the *other* nodes at the same instant.
 /// A healthy homogeneous cluster sits at ratio ≈ 1; a node stretched by
 /// a slowdown window reports ≈ the injected factor.
-fn latency_drift<E: EventView>(
-    events: &[E], rule: &SloRule) -> Vec<Signal> {
+///
+/// The EWMAs of the nodes with two or more samples are kept ranked by
+/// `(value, node)`: a sample moves its own node's entry (binary search,
+/// remove, insert) and reads the peer median by index around it, instead
+/// of collecting and sorting every peer again. The median is that of the
+/// same multiset of values, so which of two equal EWMAs ranks first
+/// cannot change it.
+fn latency_drift<E: EventView>(events: &[E], rule: &SloRule) -> Vec<Signal> {
     let class = rule.class.unwrap_or(LaneClass::Cpu);
-    let want_kind = match class {
-        LaneClass::Gpu => "kernel",
-        _ => "cpu-task",
+    let alpha = rule.alpha.clamp(0.0, 1.0);
+    let mut ewma: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    let mut ranked: Vec<(f64, u64)> = Vec::new();
+    let rank = |ranked: &[(f64, u64)], key: (f64, u64)| {
+        ranked.binary_search_by(|(v, n)| v.total_cmp(&key.0).then(n.cmp(&key.1)))
     };
+    let mut signals = Vec::new();
+    for (node, spf, end) in drift_samples(events, class) {
+        let entry = ewma.entry(node).or_insert((spf, 0));
+        let (old, seen) = *entry;
+        entry.0 = alpha * spf + (1.0 - alpha) * old;
+        entry.1 += 1;
+        if entry.1 < 2 {
+            continue;
+        }
+        let mine = entry.0;
+        if seen >= 2 {
+            let at = rank(&ranked, (old, node)).expect("a ranked node keeps its entry");
+            ranked.remove(at);
+        }
+        let at = rank(&ranked, (mine, node)).unwrap_or_else(|at| at);
+        ranked.insert(at, (mine, node));
+        // The peers are `ranked` without the entry at `at`.
+        let peers = ranked.len() - 1;
+        if peers == 0 {
+            continue;
+        }
+        let peer = |i: usize| ranked[i + usize::from(i >= at)].0;
+        let peer_med = if peers % 2 == 1 {
+            peer(peers / 2)
+        } else {
+            0.5 * (peer(peers / 2 - 1) + peer(peers / 2))
+        };
+        if peer_med <= 0.0 {
+            continue;
+        }
+        signals.push(Signal {
+            t: end,
+            t_cause: end,
+            node: Some(node),
+            class,
+            value: mine / peer_med,
+        });
+    }
+    signals
+}
+
+/// The oracle [`latency_drift`] is checked against: collect every peer's
+/// EWMA and sort them, for every sample.
+#[cfg(test)]
+fn latency_drift_by_sorting<E: EventView>(events: &[E], rule: &SloRule) -> Vec<Signal> {
+    let class = rule.class.unwrap_or(LaneClass::Cpu);
     let alpha = rule.alpha.clamp(0.0, 1.0);
     let mut ewma: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
     let mut signals = Vec::new();
-    for e in events {
-        if e.kind() != want_kind || e.dur().is_none() {
-            continue;
-        }
-        let (Some(node), Some(flops)) = (node_of_lane(e.lane()), e.attr("flops")) else {
-            continue;
-        };
-        let dur = e.dur().unwrap_or(0.0);
-        if flops < 1.0 || dur <= 0.0 {
-            continue;
-        }
-        let spf = dur / flops;
+    for (node, spf, end) in drift_samples(events, class) {
         let entry = ewma.entry(node).or_insert((spf, 0));
         entry.0 = alpha * spf + (1.0 - alpha) * entry.0;
         entry.1 += 1;
@@ -284,8 +383,8 @@ fn latency_drift<E: EventView>(
             continue;
         }
         signals.push(Signal {
-            t: e.end(),
-            t_cause: e.end(),
+            t: end,
+            t_cause: end,
             node: Some(node),
             class,
             value: mine / peer_med,
@@ -321,11 +420,7 @@ fn heartbeat_gap<E: EventView>(events: &[E]) -> Vec<Signal> {
 /// Recovery storm: count of [`STORM_KINDS`] events per fixed window.
 fn recovery_storm<E: EventView>(
     events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
-    let w = if rule.window_s > 0.0 {
-        rule.window_s
-    } else {
-        RollupConfig::auto(horizon.max(1e-9)).window_secs
-    };
+    let w = rule_window(rule, horizon);
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
         if !STORM_KINDS.contains(&e.kind()) {
@@ -350,31 +445,11 @@ fn recovery_storm<E: EventView>(
         .collect()
 }
 
-fn windows_for<E: EventView>(
-    events: &[E],
-    decisions: &[DecisionRecord],
-    horizon: f64,
-    rule: &SloRule,
-) -> obs::Rollup {
-    let w = if rule.window_s > 0.0 {
-        rule.window_s
-    } else {
-        RollupConfig::auto(horizon.max(1e-9)).window_secs
-    };
-    rollup(events, decisions, &RollupConfig { window_secs: w })
-}
-
 /// Throughput drop: each window's device utilization against the EWMA of
 /// the preceding windows. The final (possibly truncated) window is the
 /// job winding down and is skipped; so are windows whose baseline never
 /// saw real load.
-fn throughput_drop<E: EventView>(
-    events: &[E],
-    decisions: &[DecisionRecord],
-    horizon: f64,
-    rule: &SloRule,
-) -> Vec<Signal> {
-    let roll = windows_for(events, decisions, horizon, rule);
+fn throughput_drop(roll: &obs::Rollup, rule: &SloRule) -> Vec<Signal> {
     let alpha = rule.alpha.clamp(0.0, 1.0);
     let mut signals = Vec::new();
     let mut baseline: Option<f64> = None;
@@ -403,13 +478,7 @@ fn throughput_drop<E: EventView>(
 /// Comm stall: bytes in flight while the devices sit essentially idle.
 /// The value is `0.05 / util` when traffic is pending (≥ 1 once
 /// utilization drops under 5%), 0 otherwise.
-fn comm_stall<E: EventView>(
-    events: &[E],
-    decisions: &[DecisionRecord],
-    horizon: f64,
-    rule: &SloRule,
-) -> Vec<Signal> {
-    let roll = windows_for(events, decisions, horizon, rule);
+fn comm_stall(roll: &obs::Rollup) -> Vec<Signal> {
     roll.windows
         .iter()
         .map(|win| Signal {
@@ -502,7 +571,7 @@ mod tests {
             lane: lane.into(),
             kind: kind.into(),
             iter: None,
-            attrs: attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            attrs: attrs.iter().map(|(k, v)| ((*k).into(), *v)).collect(),
         }
     }
 
@@ -528,6 +597,67 @@ mod tests {
         assert!((last.value - 3.0).abs() < 0.2, "ratio {}", last.value);
         let peer = sig.iter().rfind(|s| s.node == Some(1)).unwrap();
         assert!(peer.value < 1.0);
+    }
+
+    /// A seeded stream of `cpu-task` spans over `nodes` nodes whose
+    /// durations and flops come from a few values, so equal EWMAs are
+    /// common; some spans are ones the detector must pass over.
+    fn drift_stream(seed: u64, nodes: u64, len: usize) -> Vec<RollupEvent> {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        (0..len)
+            .map(|i| {
+                let lane = format!("node{}-cpu-c{}", draw(nodes), draw(2));
+                let dur = match draw(12) {
+                    0 => None,
+                    1 => Some(0.0),
+                    d => Some([0.05, 0.1, 0.1, 0.25, 0.4][d as usize % 5]),
+                };
+                let flops = [0.5, 1e6, 1e6, 2e6, 4e6][draw(5) as usize];
+                let kind = if draw(10) == 0 { "kernel" } else { "cpu-task" };
+                ev(&lane, kind, i as f64 * 0.01, dur, &[("flops", flops)])
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The ranked vector and the sort-per-sample oracle emit the same
+        /// signals, bit for bit: few nodes, many nodes, nodes reaching
+        /// their second sample mid-stream, and the `alpha` extremes
+        /// (0 freezes every EWMA at its first sample, 1 makes it the last
+        /// sample — both full of ties).
+        #[test]
+        fn ranked_peer_median_matches_sorting_every_sample(
+            seed in proptest::prelude::any::<u64>(),
+            nodes in proptest::prop_oneof![1u64..=3, proptest::prelude::Just(128u64)],
+            alpha in proptest::prop_oneof![
+                proptest::prelude::Just(0.0),
+                proptest::prelude::Just(0.3),
+                proptest::prelude::Just(1.0)
+            ],
+        ) {
+            let events = drift_stream(seed, nodes, if nodes > 3 { 900 } else { 120 });
+            let mut rule = rule_for(DetectorKind::LatencyDrift);
+            rule.alpha = alpha;
+            let bits = |signals: Vec<Signal>| -> Vec<(u64, u64, Option<u64>, LaneClass, u64)> {
+                signals
+                    .iter()
+                    .map(|s| (s.t.to_bits(), s.t_cause.to_bits(), s.node, s.class, s.value.to_bits()))
+                    .collect()
+            };
+            let got = bits(latency_drift(&events, &rule));
+            let want = bits(latency_drift_by_sorting(&events, &rule));
+            proptest::prop_assert!(nodes == 1 || !want.is_empty());
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -578,7 +708,8 @@ mod tests {
         ];
         let mut rule = rule_for(DetectorKind::ThroughputDrop);
         rule.window_s = 1.0;
-        let sig = throughput_drop(&events, &[], 5.0, &rule);
+        let roll = rollup(&events, &[], &RollupConfig { window_secs: rule_window(&rule, 5.0) });
+        let sig = throughput_drop(&roll, &rule);
         let worst = sig.iter().map(|s| s.value).fold(0.0, f64::max);
         assert!(worst > 100.0, "idle window vs busy baseline: {worst}");
     }

@@ -51,7 +51,7 @@ pub use slo::{Severity, SloRule, WatchConfig};
 
 #[cfg(test)]
 use obs::RollupEvent;
-use obs::{DecisionRecord, EventView, MetricsRegistry};
+use obs::{cmp_names, DecisionRecord, EventView, MetricsRegistry};
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -244,12 +244,14 @@ impl WatchOutput {
 /// Canonical total order on events: `(t, lane, kind, dur, iter,
 /// attrs)`. Two runs that record the same event *set* — in any append
 /// order, under any engine mode — sort to the same sequence, which is
-/// what makes every stateful detector pass deterministic.
-fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
+/// what makes every stateful detector pass deterministic. A caller that
+/// watches growing prefixes of one stream (`prs top`) sorts it by this
+/// once; [`watch`] then finds each prefix already in order.
+pub fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
     a.t()
         .total_cmp(&b.t())
-        .then_with(|| a.lane().cmp(b.lane()))
-        .then_with(|| a.kind().cmp(b.kind()))
+        .then_with(|| cmp_names(a.lane(), b.lane()))
+        .then_with(|| cmp_names(a.kind(), b.kind()))
         .then_with(|| {
             a.dur()
                 .unwrap_or(-1.0)
@@ -269,8 +271,9 @@ fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
 /// Runs the full watchdog — detectors, SLO burn-rate evaluation, incident
 /// assembly — over one recorded run. Pure: permuting `events` or
 /// `decisions` does not change the output. The events are read in place
-/// (any [`EventView`]: parsed `events.jsonl` records serve as they are);
-/// only an index of them is sorted.
+/// (any [`EventView`]: parsed `events.jsonl` records and the bus's own
+/// records serve as they are); only an index of them is sorted, and the
+/// rollup behind the windowed detectors is built once per window width.
 pub fn watch<E: EventView>(
     events: &[E],
     decisions: &[DecisionRecord],
@@ -281,16 +284,19 @@ pub fn watch<E: EventView>(
     let horizon = stream.iter().map(|e| e.end()).fold(0.0_f64, f64::max);
 
     let mut alerts: Vec<Alert> = Vec::new();
+    let mut rollups = detect::Rollups::default();
     for rule in cfg.rules.iter().filter(|r| r.enabled) {
-        let signals = detect::signals_for_rule(&stream, decisions, horizon, rule);
+        let signals = detect::signals_for_rule(&stream, decisions, horizon, rule, &mut rollups);
         alerts.extend(slo::evaluate_rule(rule, &signals));
     }
-    // Canonical alert order: by streak start, then rendered bytes.
-    alerts.sort_by(|a, b| {
-        a.t_start
-            .total_cmp(&b.t_start)
-            .then_with(|| a.to_value().to_json_string().cmp(&b.to_value().to_json_string()))
-    });
+    // Canonical alert order: by streak start, then rendered bytes (each
+    // alert rendered once, not once per comparison).
+    let mut rendered: Vec<(String, Alert)> = alerts
+        .into_iter()
+        .map(|a| (a.to_value().to_json_string(), a))
+        .collect();
+    rendered.sort_by(|a, b| a.1.t_start.total_cmp(&b.1.t_start).then_with(|| a.0.cmp(&b.0)));
+    let alerts: Vec<Alert> = rendered.into_iter().map(|(_, a)| a).collect();
     let merge_gap = if cfg.merge_gap_s > 0.0 {
         cfg.merge_gap_s
     } else {
@@ -342,7 +348,7 @@ mod tests {
             lane: lane.into(),
             kind: kind.into(),
             iter: None,
-            attrs: attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            attrs: attrs.iter().map(|(k, v)| ((*k).into(), *v)).collect(),
         }
     }
 
