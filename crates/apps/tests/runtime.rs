@@ -3,7 +3,7 @@
 //! small simulated clusters, checked against serial references.
 
 use prs_apps::{serial_cmeans, CMeans, CsrMatrix, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
-use prs_core::{run_iterative, run_job, ClusterSpec, JobConfig};
+use prs_core::{run_iterative, run_job, run_job_observed, ClusterSpec, JobConfig, Obs};
 use prs_data::gaussian::MixtureSpec;
 use prs_data::matrix::{gemm_seq, gemv_seq, MatrixF32};
 use prs_data::rng::SplitMix64;
@@ -293,3 +293,68 @@ fn gpu_plus_cpu_beats_gpu_only_for_gemv() {
         "expected large GEMV speedup from adding the CPU, got {speedup:.2}x"
     );
 }
+
+/// The whole keyed path — generator stream, map blocks, combine, shuffle
+/// into buckets, reduce grouping — as one hash per configuration: FNV-1a
+/// over every `(key, output)`, then `sim_events`, the number of network
+/// messages and their wire bytes. The constants were taken on commit
+/// d804ce4, before the weighted-draw table, the hash-free `cpu_map` and
+/// the sort-grouped combine/reduce replaced what computed them; a
+/// host-side change to any of those may not move one.
+#[test]
+fn wordcount_job_is_pinned_across_commits() {
+    let spec = ClusterSpec::homogeneous(
+        16,
+        roofline::profiles::DeviceProfile::micro_node(),
+        netsim::NetworkParams::infiniband_qdr(),
+    );
+    let mut got = Vec::new();
+    for seed in [42u64, 7] {
+        let app = Arc::new(WordCount::synthetic(200_000, 800, seed));
+        for dynamic in [false, true] {
+            for use_combiner in [true, false] {
+                let mut config = if dynamic {
+                    JobConfig::dynamic(100)
+                } else {
+                    JobConfig::static_analytic()
+                };
+                config.use_combiner = use_combiner;
+                let obs = Obs::recording();
+                let r = run_job_observed(&spec, app.clone(), config, obs.clone()).expect("job runs");
+                let (msgs, wire) = obs.bus.with_events(|events| {
+                    let sends = events.iter().filter(|e| &*e.kind == "msg-send");
+                    // The master's control messages carry no `bytes`.
+                    let bytes = sends
+                        .clone()
+                        .flat_map(|e| e.attrs.iter().find(|(k, _)| *k == "bytes"))
+                        .map(|(_, b)| *b as u64);
+                    (sends.count() as u64, bytes.sum::<u64>())
+                });
+                let words = r
+                    .outputs
+                    .iter()
+                    .flat_map(|(k, c)| [*k, *c])
+                    .chain([r.metrics.sim_events, msgs, wire]);
+                let hash = words
+                    .flat_map(u64::to_le_bytes)
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                got.push(hash);
+            }
+        }
+    }
+    assert_eq!(got, PINNED_WORDCOUNT_JOBS, "{got:#018x?}");
+}
+
+/// Seeds 42 then 7 × `{static, dynamic:100}` × combiner `{on, off}`.
+const PINNED_WORDCOUNT_JOBS: [u64; 8] = [
+    0xa6e6_e01d_a172_5ff5,
+    0xae26_53d4_2e72_4ead,
+    0x4f50_4c61_b47a_f2e3,
+    0x9083_bab2_b388_870b,
+    0xe2b3_dd5c_9f5c_2d2f,
+    0xd35a_bd7b_abca_8ed6,
+    0x9420_a415_408a_5deb,
+    0xf33d_aba6_d3ce_2286,
+];
