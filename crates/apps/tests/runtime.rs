@@ -320,7 +320,8 @@ fn wordcount_job_is_pinned_across_commits() {
                 };
                 config.use_combiner = use_combiner;
                 let obs = Obs::recording();
-                let r = run_job_observed(&spec, app.clone(), config, obs.clone()).expect("job runs");
+                let r = run_job_observed(&spec, app.clone(), config, obs.clone())
+                    .expect("job runs");
                 let (msgs, wire) = obs.bus.with_events(|events| {
                     let sends = events.iter().filter(|e| &*e.kind == "msg-send");
                     // The master's control messages carry no `bytes`.

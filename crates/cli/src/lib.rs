@@ -335,6 +335,9 @@ const RUN_ARGS: ArgSpec = ArgSpec::new(
     0,
 );
 
+/// Vocabulary words `--app wordcount` generates per `--clusters`.
+pub const WORDS_PER_CLUSTER: u32 = 100;
+
 /// Parses the full `prs run` argument tail.
 pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     let kv = RUN_ARGS.parse(args)?;
@@ -382,6 +385,15 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
             "--clusters {k} needs at least {} points, got --points {}",
             k + 1,
             opts.points
+        ));
+    }
+    // Word count reads --clusters as hundreds of words of a `u32`
+    // vocabulary; past this the product wrapped to some other size.
+    let most = (u32::MAX / WORDS_PER_CLUSTER) as usize;
+    if opts.app == AppKind::Wordcount && k > most {
+        return Err(format!(
+            "--clusters {k} is too many for --app wordcount: at most {most} \
+             ({WORDS_PER_CLUSTER} vocabulary words each)"
         ));
     }
     opts.timeline = kv.flag("timeline");
@@ -537,6 +549,12 @@ mod tests {
         assert!(parse_run(&argv("--app da --clusters 0 --points 1")).is_err());
         assert!(parse_run(&argv("--app cmeans --clusters 8 --points 9")).is_ok());
         assert!(parse_run(&argv("--app gemv --clusters 8 --points 4")).is_ok());
+        // Word count's vocabulary, 100 words per cluster, is a u32.
+        assert!(parse_run(&argv("--app wordcount --clusters 42949672")).is_ok());
+        let wrapped = parse_run(&argv("--app wordcount --clusters 42949673")).unwrap_err();
+        assert!(wrapped.contains("--clusters 42949673"), "{wrapped}");
+        assert!(wrapped.contains("at most 42949672"), "{wrapped}");
+        assert!(parse_run(&argv("--app gemv --clusters 50000000")).is_ok());
     }
 
     #[test]

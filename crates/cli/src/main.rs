@@ -17,7 +17,9 @@ use obs::rollup::{rollup, RollupConfig};
 use obs::{AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
 use prs_cli::CliError::{self, Failed, Usage};
-use prs_cli::{parse_profile, parse_residency, parse_run, AppKind, ArgSpec, RunOptions};
+use prs_cli::{
+    parse_profile, parse_residency, parse_run, AppKind, ArgSpec, RunOptions, WORDS_PER_CLUSTER,
+};
 use prs_core::{run_iterative_observed, run_job_observed, ClusterSpec, JobResult};
 use prs_data::gaussian::clustering_workload;
 use prs_data::matrix::MatrixF32;
@@ -2018,7 +2020,7 @@ fn dispatch(
             ))
         }
         AppKind::Wordcount => {
-            let app = Arc::new(WordCount::synthetic(n, k as u32 * 100, seed));
+            let app = Arc::new(WordCount::synthetic(n, k as u32 * WORDS_PER_CLUSTER, seed));
             let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
             Ok((
                 metrics(r),

@@ -143,6 +143,9 @@ fn too_many_clusters_is_a_usage_error() {
         vec!["run", "--app", "gmm", "--clusters", "8", "--points", "8"],
         vec!["run", "--app", "da", "--clusters", "8", "--points", "3"],
         vec!["sweep", "--app", "kmeans", "--clusters", "8", "--points", "8"],
+        // Word count's vocabulary is 100 words per cluster in a u32: this
+        // one used to wrap to 705 032 704 words and run for minutes.
+        vec!["run", "--app", "wordcount", "--points", "1000", "--clusters", "50000000"],
     ] {
         let out = prs(&cmd);
         assert_eq!(out.status.code(), Some(2), "prs {} must exit 2", cmd.join(" "));

@@ -4,7 +4,7 @@
 //! substitution rationale.
 
 use crate::matrix::MatrixF32;
-use crate::rng::{weight_total, SplitMix64};
+use crate::rng::{SplitMix64, WeightTable};
 use serde::{Deserialize, Serialize};
 
 /// One mixture component: a mean and per-dimension standard deviations
@@ -90,13 +90,12 @@ pub struct Dataset {
 pub fn generate(spec: &MixtureSpec, n: usize, seed: u64) -> Dataset {
     spec.validate();
     let d = spec.dims();
-    let weights: Vec<f64> = spec.components.iter().map(|c| c.weight).collect();
-    let total = weight_total(&weights);
+    let weights = WeightTable::new(spec.components.iter().map(|c| c.weight).collect());
     let mut rng = SplitMix64::new(seed);
     let mut points = MatrixF32::zeros(n, d);
     let mut labels = Vec::with_capacity(n);
     for i in 0..n {
-        let k = rng.next_weighted_with_total(&weights, total);
+        let k = rng.next_in(&weights);
         let c = &spec.components[k];
         let row = points.row_mut(i);
         for (j, slot) in row.iter_mut().enumerate() {
