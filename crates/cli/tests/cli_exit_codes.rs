@@ -159,6 +159,40 @@ fn too_many_clusters_is_a_usage_error() {
 }
 
 #[test]
+fn a_resident_share_that_does_not_fit_gpu_memory_is_an_error_line_and_exit_one() {
+    // `prs calibrate`'s output with the GPU's memory cut to 1000 bytes:
+    // c-means keeps 2000 x 4 x f32 / 2 nodes = 16 000 bytes resident per
+    // node. This used to panic inside the `stage-gpu0` process.
+    let dir = tmp_dir("gpu-oom");
+    let profile = dir.join("cal.toml");
+    let toml = "schema = \"prs-calibration-v1\"\nalpha = 0.3\n\
+        [samples]\ncpu = 1\ngpu = 1\npcie = 1\nnet = 1\n\
+        [network]\nbandwidth = 4e9\n\
+        [profile]\nname = \"Tiny\"\n\
+        [profile.cpu]\nmodel = \"cpu\"\ncores = 2\npeak_flops = 2e10\ndram_bw = 1e10\n\
+        mem_bytes = 8589934592\n\
+        [[profile.gpu]]\nmodel = \"gpu\"\ncores = 128\npeak_flops = 2e11\ndram_bw = 4e10\n\
+        pcie_peak_bw = 8e9\npcie_eff_bw = 9.2e8\nmem_bytes = 1000\nhw_queues = 1\n";
+    std::fs::write(&profile, toml).expect("write profile");
+    let out = prs(&[
+        "run", "--app", "cmeans", "--nodes", "2", "--points", "2000", "--dims", "4",
+        "--clusters", "3", "--iterations", "2", "--profile-file",
+        profile.to_str().expect("utf-8 temp path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert!(
+        matches!(lines[..], [line] if line.starts_with("error: ")
+            && line.contains("node 0")
+            && line.contains("16000 bytes")
+            && line.contains("1000 bytes")),
+        "one `error:` line naming the node and both sizes, got: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
     // 1.5 GB of address space holds some 1400 one-MiB stacks; the job
     // wants 5001. This used to be a panic in `coro.rs` (exit 101) that,

@@ -8,8 +8,10 @@
 //! - [`config`] — job configuration: static (analytic, Equation (8)) vs
 //!   dynamic (polling) scheduling, granularities, streams, caching.
 //! - [`cluster`] — the cluster description (profiles + fabric).
-//! - [`job`] — orchestration: master task scheduler, per-node sub-task
-//!   schedulers, CPU/GPU device daemons, shuffle, reduce, iterations.
+//! - [`job`] — orchestration: the entry points, the master task scheduler
+//!   and the run summary; the per-node sub-task scheduler (one method per
+//!   stage of the paper's superstep) and the CPU/GPU device daemons live
+//!   beside it in `worker.rs`.
 //! - [`metrics`] — per-stage timing and device counters.
 //! - [`faults`] — deterministic fault injection (GPU crashes, stragglers,
 //!   network disruptions, whole-node and master crashes) and the
@@ -75,6 +77,7 @@ pub mod job;
 pub mod membership;
 pub mod metrics;
 mod task;
+mod worker;
 
 pub use api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
 pub use chaos::{
@@ -660,6 +663,34 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, JobError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn a_resident_share_larger_than_gpu_memory_is_rejected_before_the_clock_starts() {
+        // 2000 items x 8 bytes over two nodes: 8000 resident bytes a node.
+        let mut spec = ClusterSpec::delta(2);
+        spec.nodes[1].gpus[0].mem_bytes = 1000;
+        let mk = || ModCount::resident(2000, 4, 500.0);
+        let err = run_job(&spec, mk(), JobConfig::static_analytic()).unwrap_err();
+        match err {
+            JobError::InvalidConfig(msg) => {
+                for needle in ["node 1", "8000 bytes", "1000 bytes"] {
+                    assert!(msg.contains(needle), "'{msg}' should mention '{needle}'");
+                }
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // Only a cached resident copy on an engaged GPU has to fit.
+        let uncached = JobConfig {
+            cache_resident_data: false,
+            ..JobConfig::static_analytic()
+        };
+        for ok in [uncached, JobConfig::cpu_only()] {
+            run_job(&spec, mk(), ok).unwrap();
+        }
+        run_job(&spec, ModCount::new(2000, 4), JobConfig::static_analytic()).unwrap();
+        spec.nodes[1].gpus.swap(0, 1);
+        run_job(&spec, mk(), JobConfig::static_analytic()).unwrap();
     }
 
     /// App with tunable intermediate wire size, for stage-cost tests.

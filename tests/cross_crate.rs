@@ -62,8 +62,9 @@ fn full_stack_runs_are_bit_deterministic() {
 }
 
 /// Failure injection: a resident working set that exceeds GPU memory is a
-/// loud, diagnosable error (the simulated allocation fails), not a silent
-/// mis-timing.
+/// loud, diagnosable error — refused by validation before the clock
+/// starts, naming the node and both sizes — not a silent mis-timing (and
+/// no longer a panic inside the staging process).
 #[test]
 fn oversized_resident_working_set_fails_loudly() {
     struct Huge;
@@ -95,14 +96,16 @@ fn oversized_resident_working_set_fails_loudly() {
     let err = run_job(&ClusterSpec::delta(1), Arc::new(Huge), JobConfig::static_analytic())
         .unwrap_err();
     match err {
-        JobError::Sim(e) => {
-            let msg = e.to_string();
+        JobError::InvalidConfig(msg) => {
+            let (asked, there) = (1u64 << 40, 6u64 << 30);
             assert!(
-                msg.contains("fit in GPU memory") || msg.contains("out of memory"),
-                "unexpected failure mode: {msg}"
+                msg.contains("node 0")
+                    && msg.contains(&format!("{asked} bytes"))
+                    && msg.contains(&format!("{there} bytes")),
+                "unexpected message: {msg}"
             );
         }
-        other => panic!("expected a simulation failure, got {other:?}"),
+        other => panic!("expected the config to be refused, got {other:?}"),
     }
 }
 
