@@ -1,6 +1,6 @@
 //! Engine event-throughput micro-benchmarks — the offline companion of
-//! the `events_per_sec` / `hold_us_per_event` columns `prs bench --all`
-//! records into BENCH_prs.json.
+//! the repo benchmark's `simtime.timer_us_per_event` and
+//! `simtime.hold_us_per_event` (`bash benchmark/run.sh`).
 //!
 //! Three shapes:
 //! * the synthetic timer stress ([`simtime::stress::run_stress`]) under

@@ -13,7 +13,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use prs_core::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
+use prs_core::{DeviceClass, IterativeApp, Key, SpmdApp};
 use roofline::schedule::Workload;
 use serde::Serialize;
 use std::ops::Range;
@@ -74,16 +74,6 @@ impl IterativeApp for SyntheticApp {
     fn update(&self, _outputs: &[(Key, ())]) -> bool {
         false // run to the configured iteration cap
     }
-}
-
-// The stand-in carries no model state, so checkpoints are empty bytes;
-// this is what lets the epoch driver bench the machinery's own cost
-// with zero app-serialization noise.
-impl CheckpointableApp for SyntheticApp {
-    fn save_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn restore_state(&self, _bytes: &[u8]) {}
 }
 
 /// The workload scale factor from `PRS_SCALE` (default 1.0).

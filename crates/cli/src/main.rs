@@ -57,18 +57,14 @@ fn main() {
         Some("top") => cmd_top(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("postmortem") => cmd_postmortem(&args[1..]),
-        Some("profiles") => cmd_profiles(),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print_help();
-            Ok(())
-        }
+        Some("profiles") => cmd_profiles(&args[1..]),
+        Some("help") => cmd_help(&args[1..]),
+        Some("--help") | Some("-h") | None => cmd_help(&[]),
         Some(other) => {
-            eprintln!("unknown command '{other}'\n");
             print_help();
-            std::process::exit(2);
+            Err(Usage(format!("unknown command '{other}'")))
         }
     };
     let (code, msg) = match outcome {
@@ -113,7 +109,7 @@ fn run_options(args: &[String]) -> Result<RunOptions, CliError> {
     })
 }
 
-/// The cluster `prs run`, `prs sweep` and `prs bench` build: `--nodes`
+/// The cluster `prs run` and `prs sweep` build: `--nodes`
 /// copies of the resolved profile on QDR InfiniBand.
 fn cluster(opts: &RunOptions) -> Result<ClusterSpec, String> {
     let profile = load_profile(opts.profile_file.as_ref(), &opts.profile)?;
@@ -169,14 +165,6 @@ USAGE:
                           delta into per-phase / per-node / per-blame
                           contributions and writes diff.json into the
                           candidate dir
-  prs bench --all         run the fixed benchmark suite (including the
-                          1000-node engine-throughput scenarios) and write
-                          BENCH_prs.json (--check compares virtual
-                          makespans, simulated-events/sec, and the engine
-                          speedup floor against the committed baseline,
-                          names the regressing phase and writes
-                          BENCH_diff.json when a gate trips,
-                          --out <file> overrides the output path)
   prs chaos [options]     sample seeded fault plans (node/master crashes,
                           stragglers, speculation) and assert the recovery
                           invariants; writes chaos_report.json
@@ -268,7 +256,15 @@ CALIBRATE OPTIONS:
     );
 }
 
-fn cmd_profiles() -> Cmd {
+/// `prs help`; like every subcommand it refuses arguments it does not take.
+fn cmd_help(args: &[String]) -> Cmd {
+    ArgSpec::new(&[], &[], 0).parse(args)?;
+    print_help();
+    Ok(())
+}
+
+fn cmd_profiles(args: &[String]) -> Cmd {
+    ArgSpec::new(&[], &[], 0).parse(args)?;
     for p in [
         parse_profile("delta").unwrap(),
         parse_profile("bigred2").unwrap(),
@@ -843,10 +839,6 @@ fn cmd_top(args: &[String]) -> Cmd {
     Ok(())
 }
 
-/// The fixed, seeded benchmark suite behind `prs bench --all`: the same
-/// scenarios every run, so their virtual makespans are bit-reproducible
-/// and regressions are diffable. Wall-clock medians are reported for
-/// context but never gated on.
 /// Loads the profiler's frame set from an `--obs` bundle: `stacks.jsonl`
 /// when present, otherwise reconstructed from `events.jsonl` span events
 /// (bundles recorded before stack recording existed still profile).
@@ -956,437 +948,6 @@ fn cmd_diff(args: &[String]) -> Cmd {
     write(&path, d.to_json())?;
     say!("{}", d.table().trim_end());
     eprintln!("diff written to {}", path.display());
-    Ok(())
-}
-
-fn bench_suite() -> Vec<(&'static str, RunOptions)> {
-    let base = RunOptions::default();
-    let mut cmeans_static = base.clone();
-    cmeans_static.app = AppKind::Cmeans;
-    cmeans_static.nodes = 2;
-    cmeans_static.points = 20_000;
-    cmeans_static.config = prs_core::JobConfig::static_analytic().with_iterations(3);
-    let mut cmeans_dynamic = base.clone();
-    cmeans_dynamic.app = AppKind::Cmeans;
-    cmeans_dynamic.nodes = 4;
-    cmeans_dynamic.points = 20_000;
-    cmeans_dynamic.config = prs_core::JobConfig::dynamic(2000).with_iterations(3);
-    let mut kmeans_static = base.clone();
-    kmeans_static.app = AppKind::Kmeans;
-    kmeans_static.nodes = 2;
-    kmeans_static.points = 20_000;
-    kmeans_static.config = prs_core::JobConfig::static_analytic().with_iterations(3);
-    let mut gemv_gpu = base.clone();
-    gemv_gpu.app = AppKind::Gemv;
-    gemv_gpu.nodes = 2;
-    gemv_gpu.points = 4_000;
-    gemv_gpu.dims = 512;
-    let mut wordcount = base;
-    wordcount.app = AppKind::Wordcount;
-    wordcount.nodes = 2;
-    wordcount.points = 50_000;
-    // A checkpoint interval sends C-means through the epoch driver (no
-    // faults, no churn), and `--check` holds names ending in `_ckpt` to a
-    // tighter 5% makespan envelope: checkpoint writes are host-only and
-    // must stay off the virtual clock. There is no `_elastic` twin any
-    // more: with one driver, an empty membership plan is this same call
-    // with the same arguments.
-    let mut cmeans_ckpt = cmeans_static.clone();
-    cmeans_ckpt.config = cmeans_ckpt.config.with_checkpoint_interval(1);
-    // The cluster-scale scenario: 1000 micro nodes under the parallel
-    // engine, one iteration. Sized so every node gets a few map blocks;
-    // what the entry really measures is engine throughput (sim events per
-    // wall second) at the paper's target scale.
-    let cmeans_1000 = RunOptions {
-        app: AppKind::Cmeans,
-        nodes: 1000,
-        profile: "micro".to_string(),
-        points: 20_000,
-        dims: 8,
-        config: prs_core::JobConfig::static_analytic()
-            .with_iterations(1)
-            .with_streams(1)
-            .with_engine(prs_core::EngineMode::Parallel),
-        ..Default::default()
-    };
-    vec![
-        ("cmeans_static_2node", cmeans_static),
-        ("cmeans_dynamic_4node", cmeans_dynamic),
-        ("kmeans_static_2node", kmeans_static),
-        ("gemv_2node", gemv_gpu),
-        ("wordcount_2node", wordcount),
-        ("cmeans_2node_ckpt", cmeans_ckpt),
-        ("cmeans_1000node", cmeans_1000),
-    ]
-}
-
-/// One `prs bench` result row. `events_per_sec` and the hand-off columns
-/// are only present on the engine-throughput entries; virtual quantities
-/// and counts are bit-reproducible, wall-derived ones are gated loosely.
-/// `calibration_eps` records the same-run legacy-heap *timer* throughput —
-/// the machine-speed calibration the `--check` envelope divides out, so
-/// the events/sec gate measures the engine, not the host it ran on. It is
-/// deliberately a thread-free path: a faster process hand-off must not
-/// read as a faster host.
-struct BenchRow {
-    name: &'static str,
-    median_ns: u128,
-    iters: usize,
-    virtual_makespan: f64,
-    events_per_sec: Option<f64>,
-    /// Host microseconds per event on the process hand-off path (`hold`).
-    hold_us_per_event: Option<f64>,
-    /// Thread-to-thread hand-offs per engine event (a deterministic count).
-    handoffs_per_event: Option<f64>,
-    calibration_eps: Option<f64>,
-    /// Virtual seconds per phase (`setup` + the four stage sums from
-    /// [`prs_core::JobMetrics`]); absent on the synthetic engine row.
-    /// `--check` uses the committed values to name the regressing phase.
-    phases: Option<std::collections::BTreeMap<&'static str, f64>>,
-}
-
-/// Per-phase virtual-seconds breakdown of a run, derived from
-/// [`prs_core::JobMetrics`] alone (no obs attachment, so bench timing
-/// loops stay unobserved).
-fn phase_breakdown(m: &prs_core::JobMetrics) -> std::collections::BTreeMap<&'static str, f64> {
-    let mut out = std::collections::BTreeMap::new();
-    out.insert("setup", m.setup_seconds);
-    out.insert("map", m.iterations.iter().map(|s| s.map).sum());
-    out.insert("shuffle", m.iterations.iter().map(|s| s.shuffle).sum());
-    out.insert("reduce", m.iterations.iter().map(|s| s.reduce).sum());
-    out.insert("update", m.iterations.iter().map(|s| s.update).sum());
-    out
-}
-
-/// The synthetic engine-throughput entry: the 1000-node / 2M-event timer
-/// stress under the calendar queue, plus two recorded (ungated) columns
-/// from the process hand-off path — 500 processes `hold()`ing 40 times —
-/// and the host-speed calibration run. All wall-clock sides take the best
-/// of three runs: co-tenant load only ever slows a run down, so peak
-/// throughput is the noise-robust statistic for a wall-clock gate.
-fn engine_synthetic_row() -> BenchRow {
-    use simtime::stress::{hold_baseline_report, run_stress, StressSpec};
-    const REPS: usize = 3;
-    fn best_wall_s(mut run: impl FnMut()) -> f64 {
-        let timed = (0..REPS).map(|_| {
-            let t0 = std::time::Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        });
-        timed.fold(f64::MAX, f64::min).max(1e-9)
-    }
-
-    let spec = StressSpec::thousand_node();
-    let mut end_time = simtime::SimTime::ZERO;
-    let wall_s = best_wall_s(|| end_time = run_stress(simtime::EngineMode::Calendar, spec).1);
-
-    // ~20k hand-off events and 200k legacy-heap timer events: small runs,
-    // stable per-event costs.
-    let mut hold = (0, 0);
-    let hold_s = best_wall_s(|| {
-        let r = hold_baseline_report(simtime::EngineMode::Calendar, 500, 40);
-        hold = (r.events_processed, r.handoffs);
-    });
-    let calibration = StressSpec {
-        nodes: 100,
-        timers_per_node: 1000,
-        refires: 1,
-    };
-    let calibration_s = best_wall_s(|| {
-        run_stress(simtime::EngineMode::LegacyHeap, calibration);
-    });
-
-    BenchRow {
-        name: "engine_1000node_synthetic",
-        median_ns: (wall_s * 1e9) as u128,
-        iters: REPS,
-        virtual_makespan: end_time.as_secs_f64(),
-        events_per_sec: Some(spec.total_events() as f64 / wall_s),
-        hold_us_per_event: Some(hold_s * 1e6 / hold.0 as f64),
-        handoffs_per_event: Some(hold.1 as f64 / hold.0 as f64),
-        calibration_eps: Some(calibration.total_events() as f64 / calibration_s),
-        phases: None,
-    }
-}
-
-/// `prs bench --all [--check] [--out <file>]`: run the fixed suite,
-/// write `BENCH_prs.json`, and with `--check` fail (exit 1) when any
-/// scenario's virtual makespan regressed more than 10% against the
-/// committed baseline.
-fn cmd_bench(args: &[String]) -> Cmd {
-    const ARGS: ArgSpec = ArgSpec::new(&["out"], &["all", "check"], 0);
-    let kv = ARGS.parse(args)?;
-    if !kv.flag("all") {
-        return Err(Usage(
-            "prs bench requires --all (the fixed suite)".to_string(),
-        ));
-    }
-    let out_path = kv.get("out").map_or("BENCH_prs.json", String::as_str);
-    const ITERS: usize = 5;
-    let mut entries: Vec<BenchRow> = Vec::new();
-    for (name, opts) in bench_suite() {
-        let spec = cluster(&opts)?;
-        // Three iterations bound the suite's wall time on the 1000-node
-        // scenario while still giving the throughput gate a best-of-N to
-        // shrug off co-tenant noise.
-        let iters = if opts.nodes >= 100 { 3 } else { ITERS };
-        let mut wall_ns: Vec<u128> = Vec::with_capacity(iters);
-        let mut makespan = 0.0f64;
-        let mut sim_events = 0u64;
-        let mut sim_handoffs = 0u64;
-        let mut phases = std::collections::BTreeMap::new();
-        let mut best_wall_s = f64::MAX;
-        for _ in 0..iters {
-            let t0 = std::time::Instant::now();
-            let (m, _, _) = dispatch(&opts, &spec, None, Obs::disabled())
-                .map_err(|e| Failed(format!("in bench '{name}': {e}")))?;
-            makespan = m.total_seconds;
-            sim_events = m.sim_events;
-            sim_handoffs = m.sim_handoffs;
-            phases = phase_breakdown(&m);
-            let wall = t0.elapsed();
-            best_wall_s = best_wall_s.min(wall.as_secs_f64());
-            wall_ns.push(wall.as_nanos());
-        }
-        wall_ns.sort_unstable();
-        let median_ns = wall_ns[iters / 2];
-        // Engine throughput only means something once the run is big
-        // enough to swamp setup; report it for the cluster-scale entry,
-        // from the fastest iteration (noise only ever slows a run).
-        let events_per_sec =
-            (opts.nodes >= 100).then(|| sim_events as f64 / best_wall_s.max(1e-9));
-        let handoffs_per_event =
-            (opts.nodes >= 100).then(|| sim_handoffs as f64 / sim_events.max(1) as f64);
-        match events_per_sec {
-            Some(eps) => say!(
-                "{name:<24} median {:>10.3} ms wall, {makespan:.6} s virtual, {:.0} ev/s \
-                 ({sim_events} events, {:.3} handoffs/event)",
-                median_ns as f64 / 1e6,
-                eps,
-                handoffs_per_event.unwrap_or(0.0)
-            ),
-            None => say!(
-                "{name:<24} median {:>10.3} ms wall, {makespan:.6} s virtual",
-                median_ns as f64 / 1e6
-            ),
-        }
-        entries.push(BenchRow {
-            name,
-            median_ns,
-            iters,
-            virtual_makespan: makespan,
-            events_per_sec,
-            hold_us_per_event: None,
-            handoffs_per_event,
-            calibration_eps: None,
-            phases: Some(phases),
-        });
-    }
-    let row = engine_synthetic_row();
-    say!(
-        "{:<24} median {:>10.3} ms wall, {:.6} s virtual, {:.0} ev/s \
-         (hold path: {:.2} us/event, {:.3} handoffs/event)",
-        row.name,
-        row.median_ns as f64 / 1e6,
-        row.virtual_makespan,
-        row.events_per_sec.unwrap_or(0.0),
-        row.hold_us_per_event.unwrap_or(0.0),
-        row.handoffs_per_event.unwrap_or(0.0)
-    );
-    entries.push(row);
-    if kv.flag("check") {
-        let text = read(out_path)?;
-        let Ok(doc) = serde_json::from_str(&text) else {
-            return Err(Failed(format!("{out_path} is not valid JSON")));
-        };
-        let mut regressed = false;
-        // Per-entry phase deltas for every tripped makespan gate;
-        // written to BENCH_diff.json so a red CI run names its
-        // suspect without a rerun.
-        let mut diff_entries: Vec<serde_json::Value> = Vec::new();
-        // Machine-speed calibration for the wall-derived gates:
-        // the legacy-heap timer path (no threads, no hand-offs) is
-        // measured fresh in this process, so the ratio of
-        // measured-to-committed throughput says how much
-        // faster/slower this host is than the one that wrote the
-        // baseline. Envelopes scale by it; on the baseline host
-        // itself the scale is ~1 and the check is the plain 10%
-        // envelope.
-        let machine_scale = entries
-            .iter()
-            .find_map(|r| r.calibration_eps)
-            .and_then(|measured| {
-                let committed = doc["entries"].as_array().and_then(|a| {
-                    a.iter()
-                        .find_map(|e| e["legacy_timer_events_per_sec"].as_f64())
-                })?;
-                Some(measured / committed.max(1e-9))
-            })
-            .unwrap_or(1.0);
-        for row in &entries {
-            let name = row.name;
-            let fresh = row.virtual_makespan;
-            let baseline_entry = doc["entries"]
-                .as_array()
-                .and_then(|a| a.iter().find(|e| e["bench"].as_str() == Some(name)));
-            let baseline =
-                baseline_entry.and_then(|e| e["virtual_makespan"].as_f64());
-            // Checkpoint-enabled scenarios get a tighter envelope:
-            // store writes are host-only, so their virtual makespan
-            // must track the baseline closely.
-            let tolerance = if name.ends_with("_ckpt") { 1.05 } else { 1.10 };
-            match baseline {
-                Some(b) if fresh > b * tolerance => {
-                    eprintln!(
-                        "REGRESSION {name}: virtual makespan {fresh:.6}s vs baseline \
-                         {b:.6}s (+{:.1}%, tolerance {:.0}%)",
-                        (fresh / b - 1.0) * 100.0,
-                        (tolerance - 1.0) * 100.0
-                    );
-                    regressed = true;
-                    // Attribute the regression: fresh-vs-committed
-                    // per-phase deltas, largest first.
-                    let committed = baseline_entry
-                        .and_then(|e| e["phases"].as_object().cloned())
-                        .unwrap_or_default();
-                    let mut deltas: Vec<(String, f64)> = row
-                        .phases
-                        .iter()
-                        .flatten()
-                        .map(|(phase, secs)| {
-                            let was =
-                                committed.get(*phase).and_then(|v| v.as_f64()).unwrap_or(0.0);
-                            (phase.to_string(), secs - was)
-                        })
-                        .collect();
-                    deltas.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    if let Some((phase, d)) = deltas.first().filter(|(_, d)| *d > 0.0) {
-                        eprintln!(
-                            "  regressing phase: `{phase}` (+{d:.6}s vs baseline)"
-                        );
-                    }
-                    let delta_obj: std::collections::BTreeMap<String, serde_json::Value> =
-                        deltas
-                            .iter()
-                            .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
-                            .collect();
-                    diff_entries.push(serde_json::json!({
-                        "bench": name,
-                        "baseline_makespan_s": b,
-                        "fresh_makespan_s": fresh,
-                        "delta_s": fresh - b,
-                        "phase_deltas": delta_obj,
-                        "regressing_phase": deltas
-                            .first()
-                            .filter(|(_, d)| *d > 0.0)
-                            .map(|(p, _)| serde_json::json!(p.clone()))
-                            .unwrap_or(serde_json::Value::Null),
-                    }));
-                }
-                Some(b) => {
-                    say!("check {name:<24} {fresh:.6}s vs {b:.6}s baseline: ok");
-                }
-                None => {
-                    say!("check {name:<24} no baseline entry (new bench)");
-                }
-            }
-            // Engine gates. Hand-offs per event are a count, so
-            // the comparison is exact: more context switches per
-            // event than the committed run is a process-model
-            // regression on any host. Entries with a recorded
-            // events/sec must stay within 10% of their committed
-            // baseline (regressions only — faster is always fine).
-            if let (Some(hpe), Some(base_hpe)) = (
-                row.handoffs_per_event,
-                baseline_entry.and_then(|e| e["handoffs_per_event"].as_f64()),
-            ) {
-                if hpe > base_hpe + 1e-9 {
-                    eprintln!(
-                        "REGRESSION {name}: {hpe:.4} handoffs/event vs baseline \
-                         {base_hpe:.4}"
-                    );
-                    regressed = true;
-                } else {
-                    say!(
-                        "check {name:<24} {hpe:.4} handoffs/event vs {base_hpe:.4} \
-                         baseline: ok"
-                    );
-                }
-            }
-            if let (Some(eps), Some(base_eps)) = (
-                row.events_per_sec,
-                baseline_entry.and_then(|e| e["events_per_sec"].as_f64()),
-            ) {
-                let expected = base_eps * machine_scale;
-                if eps < expected / 1.10 {
-                    eprintln!(
-                        "REGRESSION {name}: {eps:.0} events/s vs baseline \
-                         {base_eps:.0} (machine-scaled to {expected:.0}, \
-                         -{:.1}%, tolerance 10%)",
-                        (1.0 - eps / expected) * 100.0
-                    );
-                    regressed = true;
-                } else {
-                    say!(
-                        "check {name:<24} {eps:.0} ev/s vs {expected:.0} \
-                         machine-scaled baseline: ok"
-                    );
-                }
-            }
-        }
-        if regressed {
-            if !diff_entries.is_empty() {
-                let diff_doc = serde_json::json!({
-                    "schema": "prs-bench-diff-v1",
-                    "entries": diff_entries,
-                });
-                let diff_path = "BENCH_diff.json";
-                write_json(diff_path, &diff_doc)?;
-                eprintln!("regression attribution written to {diff_path}");
-            }
-            return Err(Failed(format!("benchmark regressed against {out_path}")));
-        }
-        return Ok(());
-    }
-    let json_entries: Vec<serde_json::Value> = entries
-        .iter()
-        .map(|row| {
-            let mut e = serde_json::json!({
-                "bench": row.name,
-                "median_ns": row.median_ns as f64,
-                "iters": row.iters as f64,
-                "virtual_makespan": row.virtual_makespan,
-            });
-            if let serde_json::Value::Object(map) = &mut e {
-                if let Some(eps) = row.events_per_sec {
-                    map.insert("events_per_sec".into(), serde_json::json!(eps));
-                }
-                for (key, value) in [
-                    ("hold_us_per_event", row.hold_us_per_event),
-                    ("handoffs_per_event", row.handoffs_per_event),
-                    ("legacy_timer_events_per_sec", row.calibration_eps),
-                ] {
-                    if let Some(v) = value {
-                        map.insert(key.into(), serde_json::json!(v));
-                    }
-                }
-                if let Some(phases) = &row.phases {
-                    let obj: std::collections::BTreeMap<String, serde_json::Value> = phases
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), serde_json::json!(*v)))
-                        .collect();
-                    map.insert("phases".into(), serde_json::json!(obj));
-                }
-            }
-            e
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "schema": "prs-bench-v1",
-        "entries": json_entries,
-    });
-    write_json(out_path, &doc)?;
-    eprintln!("benchmark results written to {out_path}");
     Ok(())
 }
 

@@ -119,6 +119,7 @@ fn usage_errors_exit_two() {
         vec!["run", "--membership", &huge],     // more nodes than can be simulated
         vec!["run", "--membership", &overflow], // total overflows usize
         vec!["definitely-not-a-subcommand"],
+        vec!["bench", "--all"], // retired: the repo benchmark is benchmark/run.sh
     ] {
         let out = prs(&cmd);
         assert_eq!(
@@ -129,8 +130,36 @@ fn usage_errors_exit_two() {
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "prs {}: {stderr}", cmd.join(" "));
+        // Every usage error leaves through `main`'s one `error:` line.
+        assert!(stderr.contains("error: "), "prs {}: {stderr}", cmd.join(" "));
     }
+    let stderr = prs(&["bench", "--all"]).stderr;
+    assert!(String::from_utf8_lossy(&stderr).contains("error: unknown command 'bench'"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `prs help` cannot drift from `main`'s dispatch: every `prs <cmd>` the
+/// USAGE block names reaches a subcommand's own argument check.
+#[test]
+fn every_command_in_the_help_text_is_dispatched() {
+    let out = prs(&["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    let usage = help.split("USAGE:").nth(1).expect("help has a USAGE block");
+    let usage = usage.split("RUN OPTIONS").next().expect("USAGE block ends");
+    let cmds: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  prs ")?.split_whitespace().next())
+        .collect();
+    assert!(cmds.contains(&"run") && cmds.contains(&"help"), "USAGE block not parsed: {cmds:?}");
+    assert!(!help.contains("bench"), "the retired subcommand is still advertised");
+    for cmd in cmds {
+        let out = prs(&[cmd, "--no-such-flag"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "prs {cmd} --no-such-flag: {stderr}");
+        assert!(stderr.contains("error: unknown flag --no-such-flag"), "prs {cmd}: {stderr}");
+        assert!(!stderr.contains("unknown command"), "prs {cmd} is in the help text only");
+    }
 }
 
 #[test]

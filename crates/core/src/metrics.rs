@@ -123,14 +123,15 @@ pub struct JobMetrics {
     /// End-to-end virtual time, including setup.
     pub total_seconds: f64,
     /// Simulation events processed by the engine during the run — the
-    /// numerator of the simulated-events/sec throughput entries in
-    /// `prs bench`. Bit-identical across engine modes (the determinism
-    /// contract), and summed across epochs by the epoch driver.
+    /// numerator of the repo benchmark's `simtime.events_per_s`
+    /// (`benchmark/run.sh`). Bit-identical across engine modes (the
+    /// determinism contract), and summed across epochs by the epoch driver.
     pub sim_events: u64,
     /// Of those events, the wakes that moved the engine's execution token
     /// from one process thread to another (`simtime::SimReport::handoffs`)
-    /// — the host-cost driver `prs bench` reports as `handoffs_per_event`.
-    /// Engine-independent and summed across epochs like `sim_events`.
+    /// — the host-cost driver; `tests/engine_determinism.rs` pins it below
+    /// `sim_events` on the 1000-node job. Engine-independent and summed
+    /// across epochs like `sim_events`.
     pub sim_handoffs: u64,
     /// One-off setup time (partitioning messages, resident-data staging) —
     /// excluded from iteration time like the paper's "one-off overhead".

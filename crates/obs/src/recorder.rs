@@ -35,7 +35,7 @@
 //! Pumping reads the bus and mutates host-side state only; it never
 //! holds, spawns, or sends inside the simulation, so a recorded run's
 //! virtual clock is bit-identical to an unrecorded one
-//! (`benches/recorder_overhead.rs` asserts the bits).
+//! (`tests/recorder_scenarios.rs` asserts the bits).
 
 use crate::bus::{Event, EventBus};
 use crate::jsonl::CanonicalLines;

@@ -1,7 +1,9 @@
 //! Synthetic engine stress workload shared by the throughput micro-bench
-//! and `prs bench` — the "1000-node synthetic": `nodes × timers_per_node`
-//! self-rescheduling timers kept resident simultaneously, so the event
-//! queue holds a million entries while events fire.
+//! (`benches/engine_throughput.rs`) and the repo benchmark's `simtime.*`
+//! probes (`benchmark/src/probes.rs`): `nodes × timers_per_node`
+//! self-rescheduling timers kept resident simultaneously, so at a
+//! thousand of each the event queue holds a million entries while
+//! events fire.
 //!
 //! Timers use [`crate::Sim::schedule`] (callbacks run inline by the event
 //! loop, no process handoff), so the measured cost is queue discipline plus
@@ -25,15 +27,6 @@ pub struct StressSpec {
 }
 
 impl StressSpec {
-    /// The 1000-node / million-event configuration the bench gate uses.
-    pub fn thousand_node() -> Self {
-        StressSpec {
-            nodes: 1000,
-            timers_per_node: 1000,
-            refires: 1,
-        }
-    }
-
     /// Total events the run will fire.
     pub fn total_events(&self) -> u64 {
         (self.nodes * self.timers_per_node * (1 + self.refires)) as u64
@@ -103,7 +96,7 @@ fn run_timers(mode: EngineMode, spec: StressSpec, gap: Gap) -> (u64, SimTime) {
     (report.events_processed, report.end_time)
 }
 
-/// The process-handoff path, for the `hold_us_per_event` bench column:
+/// The process-handoff path (the benchmark's `simtime.hold_us_per_event`):
 /// `procs` processes each `hold()`ing `holds` times through the given
 /// queue discipline. An event costs one context switch when the next wake
 /// belongs to another process and none when it is the holder's own.
@@ -114,7 +107,7 @@ pub fn run_hold_baseline(mode: EngineMode, procs: usize, holds: usize) -> u64 {
 
 /// [`run_hold_baseline`] returning the whole report, for the hand-off
 /// counters.
-pub fn hold_baseline_report(mode: EngineMode, procs: usize, holds: usize) -> SimReport {
+fn hold_baseline_report(mode: EngineMode, procs: usize, holds: usize) -> SimReport {
     let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
     for p in 0..procs {
         sim.spawn(&format!("hold{p}"), move |ctx| {

@@ -61,18 +61,19 @@ impl IterativeApp for HistApp {
 
 const ITERS: usize = 8;
 
-/// Runs the wrong-profile scenario and returns, per node, the
+/// Runs the wrong-profile scenario, calibrating online with `alpha` when
+/// one is given, and returns the job's `total_seconds` and, per node, the
 /// `(cpu_fraction, map_error)` sequence over the iterations.
-fn run_scenario(calibrate: bool) -> Vec<Vec<(f64, f64)>> {
+fn run_with(alpha: Option<f64>) -> (f64, Vec<Vec<(f64, f64)>>) {
     // Node 0's GPU runs at half the configured speed for the whole job.
     let spec = ClusterSpec::delta(2)
         .with_faults(FaultPlan::seeded(3).slow_gpu(0, 0, 0.0, 1e9, 2.0));
     let mut config = JobConfig::static_analytic().with_iterations(ITERS);
-    if calibrate {
-        config = config.with_online_calibration(0.5);
+    if let Some(alpha) = alpha {
+        config = config.with_online_calibration(alpha);
     }
     let obs = Obs::recording();
-    run_iterative_observed(
+    let result = run_iterative_observed(
         &spec,
         Arc::new(HistApp { n: 400_000, k: 16, ai: 500.0 }),
         config,
@@ -84,7 +85,7 @@ fn run_scenario(calibrate: bool) -> Vec<Vec<(f64, f64)>> {
         let err = rec.map_error().expect("completed decision");
         per_node[rec.node].push((rec.cpu_fraction, err));
     }
-    per_node
+    (result.metrics.total_seconds, per_node)
 }
 
 /// The split a truthful profile would compute for node 0: the slowdown
@@ -98,7 +99,7 @@ fn true_p(w: &Workload) -> f64 {
 
 #[test]
 fn online_calibration_converges_on_the_faulted_node() {
-    let per_node = run_scenario(true);
+    let (_, per_node) = run_with(Some(0.5));
     let node0 = &per_node[0];
     assert_eq!(node0.len(), ITERS);
 
@@ -144,7 +145,7 @@ fn online_calibration_converges_on_the_faulted_node() {
 
 #[test]
 fn unfaulted_node_stays_at_the_configured_split() {
-    let per_node = run_scenario(true);
+    let (_, per_node) = run_with(Some(0.5));
     let node1 = &per_node[1];
     assert_eq!(node1.len(), ITERS);
     let w = Workload::uniform(500.0, DataResidency::Resident);
@@ -164,7 +165,7 @@ fn unfaulted_node_stays_at_the_configured_split() {
 fn static_model_stays_wrong_without_calibration() {
     // Control: with calibration off, the faulted node's model error never
     // improves — the analytic model keeps trusting the bad profile.
-    let per_node = run_scenario(false);
+    let (_, per_node) = run_with(None);
     let node0 = &per_node[0];
     assert_eq!(node0.len(), ITERS);
     let first = node0[0].1;
@@ -177,4 +178,24 @@ fn static_model_stays_wrong_without_calibration() {
     for (p, _) in &node0[1..] {
         assert!((p - node0[0].0).abs() < 1e-12);
     }
+}
+
+/// The frozen-fit law: with `alpha = 0` the EWMA never leaves the
+/// configured profile, so every re-solve of Equation (8) returns the
+/// static split and the calibrated run's virtual clock is the
+/// uncalibrated run's to the bit — on the scenario where `alpha = 0.5`
+/// does move both.
+#[test]
+fn zero_alpha_freezes_the_fit_and_the_virtual_clock() {
+    let (bare_secs, bare) = run_with(None);
+    let (frozen_secs, frozen) = run_with(Some(0.0));
+    assert_eq!(
+        frozen_secs.to_bits(),
+        bare_secs.to_bits(),
+        "alpha = 0 moved the clock: {frozen_secs} vs {bare_secs}"
+    );
+    assert_eq!(frozen, bare, "alpha = 0 moved a split or a predicted map time");
+    let (moved_secs, moved) = run_with(Some(0.5));
+    assert_ne!(moved_secs.to_bits(), bare_secs.to_bits(), "the scenario must be able to move");
+    assert_ne!(moved[0], bare[0]);
 }

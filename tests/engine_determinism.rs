@@ -260,6 +260,34 @@ fn parallel_engine_is_stable_across_repeated_runs() {
     assert_identical(name, EngineMode::Parallel, &b, &a);
 }
 
+/// The process model's hand-off law at the paper's target scale: the
+/// 1000-node c-means job (one block or so per device, so what runs is the
+/// engine, the daemons and the tree collectives) needs fewer stack
+/// switches than it fires events, because a process whose own wake is
+/// next resumes inline. Both counts are deterministic and engine-
+/// independent (`simtime::stress` holds the latter), so the pair is pinned
+/// as captured on commit 12e7c1d: more hand-offs per event than this is a
+/// process-model regression on any host.
+#[test]
+fn thousand_node_job_hands_off_less_than_once_per_event() {
+    let points = Arc::new(prs_data::gaussian::clustering_workload(20_000, 8, 8, 42).points);
+    let app = Arc::new(prs_apps::CMeans::new(points, 8, 2.0, 1e-3, 42));
+    let spec = ClusterSpec::homogeneous(
+        1000,
+        roofline::profiles::DeviceProfile::micro_node(),
+        netsim::NetworkParams::infiniband_qdr(),
+    );
+    let config = JobConfig::static_analytic().with_iterations(1).with_streams(1);
+    let m = run_iterative(&spec, app, config).expect("1000-node run completes").metrics;
+    assert!(
+        m.sim_handoffs < m.sim_events,
+        "{} hand-offs for {} events: one stack switch per event or more",
+        m.sim_handoffs,
+        m.sim_events
+    );
+    assert_eq!((m.sim_events, m.sim_handoffs), (101_691, 75_859));
+}
+
 /// Regression for the tie-break hazard the rework fixed: events landing
 /// on the *same virtual instant* from *different nodes* (shards) fire in
 /// stable scheduling order — the `(time, seq)` key — under every engine.

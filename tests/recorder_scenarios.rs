@@ -188,9 +188,12 @@ fn recording_keeps_the_virtual_clock_bit_identical() {
     let config = JobConfig::static_analytic().with_iterations(3);
     let run = |obs: Obs| {
         let r = run_iterative_observed(&spec, hist(), config, obs.clone()).expect("run completes");
-        (obs.bus.to_jsonl(), r.metrics.compute_seconds.to_bits())
+        let m = r.metrics;
+        (obs.bus.to_jsonl(), (m.compute_seconds.to_bits(), m.total_seconds.to_bits()))
     };
     let (plain_events, plain_bits) = run(Obs::recording());
+    // Nor does the plain recording differ from the unobserved run.
+    assert_eq!(run(Obs::disabled()).1, plain_bits, "observing moved the virtual clock");
     // Shadow mode: full bus retained, so the event log is comparable.
     let (rec_events, rec_bits) =
         run(Obs::recording_with_recorder(RecorderConfig::enabled(), false));

@@ -160,13 +160,17 @@ fn toml_rules_control_what_fires() {
 fn online_subscription_sees_the_full_stream() {
     let obs = Obs::recording();
     let mut sub = obs.bus.subscribe();
-    run_iterative_observed(
-        &ClusterSpec::delta(2),
-        hist(),
-        JobConfig::static_analytic().with_iterations(2),
-        obs.clone(),
-    )
-    .expect("run completes");
+    let spec = ClusterSpec::delta(2);
+    let config = JobConfig::static_analytic().with_iterations(2);
+    let watched = run_iterative_observed(&spec, hist(), config, obs.clone()).expect("run completes");
+    // An attached subscriber is host-side only: the clock is the
+    // unobserved run's to the bit.
+    let bare = run_iterative_observed(&spec, hist(), config, Obs::disabled()).expect("run completes");
+    assert_eq!(
+        watched.metrics.total_seconds.to_bits(),
+        bare.metrics.total_seconds.to_bits(),
+        "watching must not advance virtual time"
+    );
     let polled: Vec<RollupEvent> = sub.poll().iter().map(Into::into).collect();
     let full: Vec<RollupEvent> = obs.bus.events().iter().map(Into::into).collect();
     assert_eq!(polled.len(), full.len());
