@@ -13,6 +13,12 @@ fn prs(args: &[&str]) -> Output {
         .expect("prs binary runs")
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("prs-exit-codes-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -404,6 +410,53 @@ fn end_to_end_run_then_watch_succeeds() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The Gantt chart, `--trace` and the bundle's `trace.json`, byte for
+/// byte: a GPU-only run's stdout and trace file, a plain run's bundle, and
+/// the bundle of an elastic run, whose trace is its final attempt's. The
+/// constants were captured on commit 198c3f0, while device busy time still
+/// had a recorder of its own; do not regenerate them for a host-side change.
+#[test]
+fn gantt_and_traces_are_pinned() {
+    let dir = tmp_dir("trace-pins");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let ok = |args: &[&str]| {
+        let out = prs(args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let trace = path("t.json");
+    let gantt = ok(&["run", "--app", "gemv", "--mode", "gpu", "--timeline", "--trace", &trace]);
+    let plain = path("plain");
+    ok(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", &plain]);
+    let plan = path("plan.toml");
+    std::fs::write(&plan, "seed = 11\n\n[[drain]]\nnode = 1\nat_s = 0.05\ndeadline_s = 10.0\n")
+        .expect("write plan");
+    let elastic = path("elastic");
+    let summary = ok(&[
+        "run", "--nodes", "2", "--points", "20000", "--iterations", "3", "--membership", &plan,
+        "--obs", &elastic,
+    ]);
+    assert!(
+        String::from_utf8_lossy(&summary).contains("elastic: 2 epoch(s)"),
+        "the drain must split the run: {}",
+        String::from_utf8_lossy(&summary)
+    );
+    let read = |file: String| std::fs::read(&file).expect("trace file");
+    let got = [
+        fnv1a(&gantt),
+        fnv1a(&read(trace)),
+        fnv1a(&read(format!("{plain}/trace.json"))),
+        fnv1a(&read(format!("{elastic}/trace.json"))),
+    ];
+    assert_eq!(got, TRACE_PINS, "{got:#018x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `gemv --timeline` stdout, its `--trace` file, the plain bundle's
+/// `trace.json`, the elastic bundle's `trace.json`.
+const TRACE_PINS: [u64; 4] =
+    [0x0841a9ea7afe4772, 0x3e8c041ad3a84000, 0x8178f2ebf6e90086, 0x9ed0eca9ac2d1582];
 
 #[test]
 fn readers_reject_a_truncated_bundle() {

@@ -6,8 +6,12 @@
 //! through `run_resilient_observed`, the rest through
 //! `run_elastic_observed` — before the two loops became `run_epochs`. A
 //! refactor of the driver must leave every constant alone; do not
-//! regenerate them for a host-side change.
+//! regenerate them for a host-side change. The `timeline` pins (the Gantt
+//! chart and the Chrome trace of the final attempt's `JobMetrics::timeline`)
+//! were captured on commit 198c3f0, while device busy time still had a
+//! recorder of its own.
 
+use device::{render_ascii, to_chrome_trace};
 use prs_core::{
     run_epochs, run_iterative, AutoscalePolicy, CheckpointableApp, ClusterSpec, DeviceClass,
     EpochOptions, FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
@@ -100,6 +104,7 @@ struct Pin {
     outputs: u64,
     clock: u64,
     trace: u64,
+    timeline: u64,
 }
 
 /// Runs one scenario and renders the pinned quantities. The epoch trace
@@ -111,6 +116,7 @@ fn pin(
     membership: MembershipPlan,
     autoscale: Option<AutoscalePolicy>,
 ) -> Pin {
+    let config = JobConfig { record_timeline: true, ..config };
     let obs = Obs::recording();
     let opts = EpochOptions { membership, autoscale, obs: obs.clone(), ..EpochOptions::default() };
     let out = run_epochs(spec, chain(), config, opts).unwrap();
@@ -129,6 +135,7 @@ fn pin(
     for (t, n) in &out.cluster_sizes {
         trace.push_str(&format!("{:016x}:{n} ", t.to_bits()));
     }
+    let timeline = &out.metrics.timeline;
     Pin {
         events: fnv1a(obs.bus.to_jsonl().bytes()),
         metrics: fnv1a(obs.metrics.to_prometheus().bytes()),
@@ -136,6 +143,7 @@ fn pin(
         outputs: fnv1a(out.outputs.iter().flat_map(|(k, v)| [k.to_le_bytes(), v.to_le_bytes()].concat())),
         clock: out.total_virtual_secs.to_bits(),
         trace: fnv1a(trace.bytes()),
+        timeline: fnv1a(render_ascii(timeline, 100).bytes().chain(to_chrome_trace(timeline).bytes())),
     }
 }
 
@@ -253,6 +261,7 @@ const WORKER_CRASH: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fd7d42b9cf73618,
     trace: 0x31069d95c1c209ce,
+    timeline: 0xbe0f4446ea38d466,
 };
 const MASTER_CRASH: Pin = Pin {
     events: 0xbbfab143d61612e9,
@@ -261,6 +270,7 @@ const MASTER_CRASH: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3febead860911a2d,
     trace: 0xc4ebfd2d40eb65a5,
+    timeline: 0xbe0f4446ea38d466,
 };
 const CRASH_WITH_SPECULATION: Pin = Pin {
     events: 0xe5e6d7bc0e9954b3,
@@ -269,6 +279,7 @@ const CRASH_WITH_SPECULATION: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fd7fdf50f4f6e33,
     trace: 0x404e2f067d720edd,
+    timeline: 0x327d2e064e04be2b,
 };
 const DRAIN: Pin = Pin {
     events: 0x59e429573fbf8084,
@@ -277,6 +288,7 @@ const DRAIN: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fc25a217a50e5a2,
     trace: 0x825fdaedea1cec9d,
+    timeline: 0x5349fbd158f2bc6c,
 };
 const HANDOFF: Pin = Pin {
     events: 0x75e5f08d067520f1,
@@ -285,6 +297,7 @@ const HANDOFF: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fc279e5d47aca38,
     trace: 0x70bfc85d4c4f162a,
+    timeline: 0xbe0f4446ea38d466,
 };
 const EVICT: Pin = Pin {
     events: 0xb7cf66ddce8bef1e,
@@ -293,6 +306,7 @@ const EVICT: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fc279e5d47aca38,
     trace: 0xe8df98ae723f111d,
+    timeline: 0xbe0f4446ea38d466,
 };
 const SCALE_OUT: Pin = Pin {
     events: 0x4920eb3c4c02c959,
@@ -301,6 +315,7 @@ const SCALE_OUT: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fc25fd5c08f5237,
     trace: 0x2e89918c66a53cec,
+    timeline: 0xb67960cb97923330,
 };
 const CRASH_MID_DRAIN: Pin = Pin {
     events: 0x62df696352f36d26,
@@ -309,6 +324,7 @@ const CRASH_MID_DRAIN: Pin = Pin {
     outputs: 0x3257196a890f9a79,
     clock: 0x3fd7d0ddf7fba4ca,
     trace: 0xc0b31c3841ac346f,
+    timeline: 0xbe0f4446ea38d466,
 };
 const AUTOSCALE_GROW: Pin = Pin {
     events: 0x26c22f3bf22e94bb,
@@ -317,4 +333,5 @@ const AUTOSCALE_GROW: Pin = Pin {
     outputs: 0xa2b088b1b109567a,
     clock: 0x3fd6b717cfe4d8b4,
     trace: 0xc5e6fdf0b61dd866,
+    timeline: 0x0b47a6efae84229a,
 };

@@ -11,19 +11,23 @@
 //! The constants were captured on commit b044449, while the scheduler
 //! was still the single `worker_body` function; a refactor of the
 //! scheduler must leave every one alone. Do not regenerate them for a
-//! host-side change.
+//! host-side change. The `timeline` pins (the Gantt chart and the Chrome
+//! trace of `JobMetrics::timeline`) were captured on commit 198c3f0,
+//! while device busy time still had a recorder of its own.
 
+use device::{render_ascii, to_chrome_trace};
 use obs::{FrameSet, Obs, RecorderConfig};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
 use prs_core::{
-    run_iterative, run_iterative_observed, run_job, ClusterSpec, DeviceClass, FaultPlan,
-    IterativeApp, JobConfig, JobError, JobMetrics, JobResult, Key, SpmdApp,
+    run_iterative_observed, run_job_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
+    JobConfig, JobError, JobMetrics, JobResult, Key, SpmdApp,
 };
 use prs_data::gaussian::clustering_workload;
 use prs_data::{MatrixF32, SplitMix64};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::Workload;
+use simtime::StackCtx;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -130,6 +134,8 @@ struct Pin {
     metrics: u64,
     decisions: u64,
     stacks: u64,
+    /// The Gantt chart and the Chrome trace of `JobMetrics::timeline`.
+    timeline: u64,
 }
 
 impl std::fmt::Debug for Pin {
@@ -139,7 +145,8 @@ impl std::fmt::Debug for Pin {
             f,
             "Pin {{\n    clock: {:#018x},\n    sim: {:#018x},\n    outputs: {:#018x},\n    \
              stages: {:#018x},\n    counters: {:#018x},\n    events: {:#018x},\n    \
-             metrics: {:#018x},\n    decisions: {:#018x},\n    stacks: {:#018x},\n}}",
+             metrics: {:#018x},\n    decisions: {:#018x},\n    stacks: {:#018x},\n    \
+             timeline: {:#018x},\n}}",
             self.clock,
             self.sim,
             self.outputs,
@@ -148,7 +155,8 @@ impl std::fmt::Debug for Pin {
             self.events,
             self.metrics,
             self.decisions,
-            self.stacks
+            self.stacks,
+            self.timeline
         )
     }
 }
@@ -157,6 +165,15 @@ fn stage_bits(m: &JobMetrics) -> impl Iterator<Item = u64> + '_ {
     m.iterations
         .iter()
         .flat_map(|s| [s.map, s.shuffle, s.reduce, s.update].map(f64::to_bits))
+}
+
+fn timeline_pin(m: &JobMetrics) -> u64 {
+    fnv1a(render_ascii(&m.timeline, 100).bytes().chain(to_chrome_trace(&m.timeline).bytes()))
+}
+
+/// An `Obs` that records the profiler's stack frames and nothing else.
+fn stack_only() -> Obs {
+    Obs { stack: StackCtx::recording(), ..Obs::disabled() }
 }
 
 fn pin_of(r: &JobResult<u64>, obs: &Obs) -> Pin {
@@ -179,6 +196,7 @@ fn pin_of(r: &JobResult<u64>, obs: &Obs) -> Pin {
         metrics: fnv1a(obs.metrics.to_prometheus().bytes()),
         decisions: fnv1a(obs.audit.to_jsonl().bytes()),
         stacks: fnv1a(FrameSet::from_stack(&obs.stack).to_stacks_jsonl().bytes()),
+        timeline: timeline_pin(m),
     }
 }
 
@@ -187,6 +205,7 @@ fn run(spec: &ClusterSpec, app: HistApp, config: JobConfig) -> (JobResult<u64>, 
 }
 
 fn run_with(spec: &ClusterSpec, app: HistApp, config: JobConfig, obs: Obs) -> (JobResult<u64>, Pin) {
+    let config = JobConfig { record_timeline: true, ..config };
     let r = run_iterative_observed(spec, Arc::new(app), config, obs.clone()).expect("job runs");
     let pin = pin_of(&r, &obs);
     (r, pin)
@@ -380,26 +399,31 @@ fn bounded_recorder_pump() {
     assert_eq!(pin, BOUNDED_RECORDER);
 }
 
-fn stage_pin<O>(r: Result<JobResult<O>, JobError>) -> u64 {
+/// The stage pin and the timeline pin of one run.
+fn stage_pin<O>(r: Result<JobResult<O>, JobError>) -> (u64, u64) {
     let m = r.expect("job runs").metrics;
-    fnv_words(stage_bits(&m).chain([m.total_seconds.to_bits()]))
+    (fnv_words(stage_bits(&m).chain([m.total_seconds.to_bits()])), timeline_pin(&m))
 }
 
 fn micro4() -> ClusterSpec {
     ClusterSpec::homogeneous(4, DeviceProfile::micro_node(), netsim::NetworkParams::infiniband_qdr())
 }
 
-fn iterate<A: IterativeApp>(app: A) -> u64 {
+fn iterate<A: IterativeApp>(app: A) -> (u64, u64) {
     let config = JobConfig::static_analytic().with_iterations(3);
-    stage_pin(run_iterative(&micro4(), Arc::new(app), config))
+    let config = JobConfig { record_timeline: true, ..config };
+    stage_pin(run_iterative_observed(&micro4(), Arc::new(app), config, stack_only()))
 }
 
-fn once<A: SpmdApp>(app: A) -> u64 {
-    stage_pin(run_job(&micro4(), Arc::new(app), JobConfig::static_analytic()))
+fn once<A: SpmdApp>(app: A) -> (u64, u64) {
+    let config = JobConfig::static_analytic();
+    let config = JobConfig { record_timeline: true, ..config };
+    stage_pin(run_job_observed(&micro4(), Arc::new(app), config, stack_only()))
 }
 
 /// Per-iteration stage seconds (as bits) and the clock of each `--app`,
-/// built the way `prs run` builds it, at a small size on four micro nodes.
+/// built the way `prs run` builds it, at a small size on four micro nodes,
+/// and the Gantt chart and Chrome trace of each run.
 #[test]
 fn stage_times_of_the_nine_apps() {
     let (n, d, k, seed) = (4000usize, 8usize, 3usize, 42u64);
@@ -409,7 +433,7 @@ fn stage_times_of_the_nine_apps() {
     let x: Arc<Vec<f32>> = Arc::new((0..d).map(|_| rng.next_f32()).collect());
     let b = Arc::new(MatrixF32::from_fn(d, d, |_, _| rng.next_f32() - 0.5));
     let csr = Arc::new(CsrMatrix::synthetic(n, d, 8, seed));
-    let got = [
+    let (stages, timelines): (Vec<u64>, Vec<u64>) = [
         iterate(CMeans::new(points(), k, 2.0, 1e-3, seed)),
         iterate(KMeans::new(points(), k, 1e-3, seed)),
         iterate(Gmm::new(points(), k, 1e-6, seed)),
@@ -419,8 +443,11 @@ fn stage_times_of_the_nine_apps() {
         once(Dgemm::new(a, b)),
         once(WordCount::synthetic(n, 300, seed)),
         once(BatchFft::synthetic(n, 64, seed)),
-    ];
-    assert_eq!(got, NINE_APPS, "{got:#018x?}");
+    ]
+    .into_iter()
+    .unzip();
+    assert_eq!(stages, NINE_APPS, "{stages:#018x?}");
+    assert_eq!(timelines, NINE_APPS_TIMELINE, "{timelines:#018x?}");
 }
 
 const STATIC_EQ8: Pin = Pin {
@@ -433,6 +460,7 @@ const STATIC_EQ8: Pin = Pin {
     metrics: 0xe36939f144abde73,
     decisions: 0x6d1834688005927a,
     stacks: 0x0555c374594620da,
+    timeline: 0x82821cab2c299741,
 };
 const P_OVERRIDE: Pin = Pin {
     clock: 0x3fb32bff71dbd1bc,
@@ -444,6 +472,7 @@ const P_OVERRIDE: Pin = Pin {
     metrics: 0x40dfd4813f383683,
     decisions: 0xdaa82e2f5638140f,
     stacks: 0x9a70ec6ebb7a7db4,
+    timeline: 0xee165d57f2fa60bc,
 };
 const CPU_ONLY: Pin = Pin {
     clock: 0x3f7118cd2d67e1e3,
@@ -455,6 +484,7 @@ const CPU_ONLY: Pin = Pin {
     metrics: 0x18bc3293a0657bd3,
     decisions: 0x1d9601059c803124,
     stacks: 0x4454eb153ed83b5e,
+    timeline: 0x174a9cefaf11c02e,
 };
 const GPU_ONLY: Pin = Pin {
     clock: 0x3fb380851932b7c8,
@@ -466,6 +496,7 @@ const GPU_ONLY: Pin = Pin {
     metrics: 0x16dc65b8feca4acd,
     decisions: 0x52cc675870cfe47b,
     stacks: 0xe81125012352232a,
+    timeline: 0x0270e0d2b3247505,
 };
 const DYNAMIC: Pin = Pin {
     clock: 0x3fb2a2497560dafd,
@@ -477,6 +508,7 @@ const DYNAMIC: Pin = Pin {
     metrics: 0xa3308f2bad020c67,
     decisions: 0x63b6bc3e2f802696,
     stacks: 0x60994d89bc50ac4d,
+    timeline: 0x0440497e58ea4aba,
 };
 const TWO_GPUS: Pin = Pin {
     clock: 0x3fb2fac1a54856ba,
@@ -488,6 +520,7 @@ const TWO_GPUS: Pin = Pin {
     metrics: 0xe64253c29fa05bca,
     decisions: 0x450b161a4ffe1c21,
     stacks: 0x57d3310e3ff29c3c,
+    timeline: 0x014a841834039b63,
 };
 const RESIDENT_CACHED: Pin = Pin {
     clock: 0x3fb3030c4c37f146,
@@ -499,6 +532,7 @@ const RESIDENT_CACHED: Pin = Pin {
     metrics: 0xc2c4a7bb6a6a991c,
     decisions: 0x7714a2970e8426d5,
     stacks: 0x0ce2e745cf0ec55c,
+    timeline: 0x6d04f15c2d030322,
 };
 const RESIDENT_RESTAGED: Pin = Pin {
     clock: 0x3fb3bfa28f75005a,
@@ -510,6 +544,7 @@ const RESIDENT_RESTAGED: Pin = Pin {
     metrics: 0x9aa807ef0874df9b,
     decisions: 0x9ac0c8bb3b0f31b3,
     stacks: 0xa47ed4e93733dbbc,
+    timeline: 0x1b84a42335958d08,
 };
 const CONTEXT_PER_TASK: Pin = Pin {
     clock: 0x3fe2059a6d8f0d7f,
@@ -521,6 +556,7 @@ const CONTEXT_PER_TASK: Pin = Pin {
     metrics: 0xbe0f91afbc3681cd,
     decisions: 0xd37af733d8686c52,
     stacks: 0xf14531312fcd43e3,
+    timeline: 0x4aa88c788172ff16,
 };
 const REDUCE_ON_GPU: Pin = Pin {
     clock: 0x3fb2bf499bf38d50,
@@ -532,6 +568,7 @@ const REDUCE_ON_GPU: Pin = Pin {
     metrics: 0x600c17e595d75830,
     decisions: 0x833d84040f5b3aa1,
     stacks: 0x3bca5d473e0099d9,
+    timeline: 0x5c9c342e611d27d0,
 };
 const NO_COMBINER: Pin = Pin {
     clock: 0x3fb2732b8c0aee15,
@@ -543,6 +580,7 @@ const NO_COMBINER: Pin = Pin {
     metrics: 0xbf0b6b55ffe401bf,
     decisions: 0xe6a35fc9143dc881,
     stacks: 0xd0edb3ccd3ff7425,
+    timeline: 0xd69fcff01d295dc1,
 };
 const ORDERED: Pin = Pin {
     clock: 0x3fb2bd76c64ec92a,
@@ -554,6 +592,7 @@ const ORDERED: Pin = Pin {
     metrics: 0x9c0b1aa73ae987fb,
     decisions: 0x134c424a946e5aa1,
     stacks: 0x90ab4e38e9b3cabb,
+    timeline: 0x60040a0006f9483f,
 };
 const ONLINE_CALIBRATION: Pin = Pin {
     clock: 0x3fb478330bceb929,
@@ -565,6 +604,7 @@ const ONLINE_CALIBRATION: Pin = Pin {
     metrics: 0x76d7360e70ad8490,
     decisions: 0xcfaa1658d23a4c15,
     stacks: 0x146b64f4b7c470ad,
+    timeline: 0xdd3e5c70d62f9a81,
 };
 const SPECULATION: Pin = Pin {
     clock: 0x3fb4a6eb135140d0,
@@ -576,6 +616,7 @@ const SPECULATION: Pin = Pin {
     metrics: 0x34789aa51aa734f8,
     decisions: 0x08b16160e66979e4,
     stacks: 0x2e1018556ce33ea8,
+    timeline: 0x4237c1a2a9b1841f,
 };
 const GPU_CRASH_STATIC: Pin = Pin {
     clock: 0x3fca38279439bec1,
@@ -587,6 +628,7 @@ const GPU_CRASH_STATIC: Pin = Pin {
     metrics: 0xbba07f42cce05656,
     decisions: 0x590f695fa2711574,
     stacks: 0x3667ff5042e338c5,
+    timeline: 0x699b615ac26d42d3,
 };
 const GPU_CRASH_DYNAMIC: Pin = Pin {
     clock: 0x3fc4456562704509,
@@ -598,6 +640,7 @@ const GPU_CRASH_DYNAMIC: Pin = Pin {
     metrics: 0xe212593be74bf17d,
     decisions: 0x85c019ef69defedc,
     stacks: 0x1c25c2f07aca27c7,
+    timeline: 0x20430adea7e456a3,
 };
 const GPU_CRASH_REDUCE: Pin = Pin {
     clock: 0x400f46b7e4a6e5d9,
@@ -609,6 +652,7 @@ const GPU_CRASH_REDUCE: Pin = Pin {
     metrics: 0xeecbbb7f81c37924,
     decisions: 0x1eb2d5abd9a64be1,
     stacks: 0xa38e6079d9b296ff,
+    timeline: 0xf90f5436970ee98a,
 };
 const STALL_RETRY_REASSIGN: Pin = Pin {
     clock: 0x4024042b639c3f78,
@@ -620,6 +664,7 @@ const STALL_RETRY_REASSIGN: Pin = Pin {
     metrics: 0x8c5a152bc1a56f12,
     decisions: 0xa044e4fb8e71b4b6,
     stacks: 0xcdb89fc973d07c36,
+    timeline: 0x447f9ce9065f800e,
 };
 const BOUNDED_RECORDER: Pin = Pin {
     clock: 0x3fb38e5f162fc918,
@@ -631,6 +676,7 @@ const BOUNDED_RECORDER: Pin = Pin {
     metrics: 0x98e496ab5d9bf21f,
     decisions: 0x127d32b52095ed65,
     stacks: 0x73973bec019a92f2,
+    timeline: 0xa1eb4303c3dec739,
 };
 /// cmeans, kmeans, gmm, da, gemv, spmv, dgemm, wordcount, fft.
 const NINE_APPS: [u64; 9] = [
@@ -643,4 +689,16 @@ const NINE_APPS: [u64; 9] = [
     0x417637f3bb8a68a0,
     0xa6a5575e29fdc36d,
     0x8734883521677e51,
+];
+/// The timeline pins of the same nine runs.
+const NINE_APPS_TIMELINE: [u64; 9] = [
+    0x1d1cb274d1bed707,
+    0x3b51e4b34d9b2c0d,
+    0x8277d034bbb1cba9,
+    0xb7ca9d54140f3a07,
+    0x4eb0581770152e7f,
+    0x4b1c1b8e003c0677,
+    0xc48b788f35223653,
+    0x43372b53399801d1,
+    0x9911cd920ed9bb01,
 ];
