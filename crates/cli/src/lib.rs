@@ -7,7 +7,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use prs_core::{CalibrationMode, EngineMode, JobConfig, SchedulingMode};
+use prs_core::{CalibrationMode, EngineMode, JobConfig, Obs, SchedulingMode};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use std::collections::BTreeMap;
@@ -87,7 +87,7 @@ pub struct RunOptions {
     /// Write a Chrome-tracing JSON file of the execution to this path.
     pub trace_out: Option<String>,
     /// Write the full observability bundle (events.jsonl, metrics.prom,
-    /// decisions.jsonl, trace.json) into this directory.
+    /// decisions.jsonl, trace.json, ...) into this directory.
     pub obs_out: Option<String>,
     /// Run through the elastic driver with this membership plan TOML
     /// (scale-out / drain / evict events in virtual time).
@@ -96,6 +96,28 @@ pub struct RunOptions {
     pub autoscale: bool,
     /// Emit machine-readable JSON instead of prose.
     pub json: bool,
+}
+
+impl RunOptions {
+    /// The observability bundle the run records into: everything with
+    /// `--obs`, only the profiler's stack frames — which carry the device
+    /// timeline — for `--timeline` / `--trace`, nothing otherwise. With
+    /// `--record` the flight recorder rides along: in shadow mode under
+    /// `--obs` (the export needs the full bus), bounded otherwise so the
+    /// run stays O(budget) in resident events.
+    pub fn obs(&self) -> Obs {
+        let rec = self.config.recorder;
+        match (&self.obs_out, rec.is_enabled()) {
+            (Some(_), true) => Obs::recording_with_recorder(rec, false),
+            (Some(_), false) => Obs::recording(),
+            (None, true) => Obs::recording_with_recorder(rec, true),
+            (None, false) if self.timeline || self.trace_out.is_some() => Obs {
+                stack: simtime::StackCtx::recording(),
+                ..Obs::disabled()
+            },
+            (None, false) => Obs::disabled(),
+        }
+    }
 }
 
 impl Default for RunOptions {
@@ -422,9 +444,6 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
         }
         opts.config = opts.config.with_recorder(rec);
     }
-    if opts.timeline || opts.trace_out.is_some() || opts.obs_out.is_some() {
-        opts.config.record_timeline = true;
-    }
     Ok(opts)
 }
 
@@ -481,7 +500,6 @@ mod tests {
         assert_eq!(opts.nodes, 8);
         assert_eq!(opts.points, 1000);
         assert!(opts.timeline);
-        assert!(opts.config.record_timeline);
         assert!(matches!(
             opts.config.scheduling,
             SchedulingMode::Dynamic { block_items: 50 }
@@ -493,12 +511,20 @@ mod tests {
 
     #[test]
     fn obs_option_enables_timeline_recording() {
+        // The device timeline is the profiler stack's device frames, so
+        // every option that shows it records the stack.
+        for args in ["--obs /tmp/obs-out", "--timeline", "--trace /tmp/t.json", "--record"] {
+            let opts = parse_run(&argv(args)).unwrap();
+            assert!(opts.obs().stack.is_enabled(), "{args} implies timeline capture");
+        }
         let opts = parse_run(&argv("--app cmeans --obs /tmp/obs-out")).unwrap();
         assert_eq!(opts.obs_out.as_deref(), Some("/tmp/obs-out"));
-        assert!(opts.config.record_timeline, "--obs implies timeline capture");
+        assert!(opts.obs().bus.is_enabled(), "--obs records the whole bundle");
+        let gantt = parse_run(&argv("--timeline --trace /tmp/t.json")).unwrap().obs();
+        assert!(!(gantt.bus.is_enabled() || gantt.metrics.is_enabled() || gantt.audit.is_enabled()));
         let plain = parse_run(&argv("--app cmeans")).unwrap();
         assert_eq!(plain.obs_out, None);
-        assert!(!plain.config.record_timeline);
+        assert!(!plain.obs().is_enabled());
     }
 
     #[test]

@@ -212,9 +212,11 @@ RUN OPTIONS (defaults in parentheses):
   --seed <n>                  RNG seed (42)
   --timeline                  print the execution Gantt chart
   --trace <file>              write a Chrome-tracing JSON file
-  --obs <dir>                 write events.jsonl, metrics.prom,
-                              decisions.jsonl, rollup.jsonl and a
-                              flow-linked trace.json into <dir>
+  --obs <dir>                 write the observability bundle into <dir>:
+                              events.jsonl, metrics.prom, decisions.jsonl,
+                              rollup.jsonl, alerts.jsonl, incidents.jsonl,
+                              a flow-linked trace.json, stacks.jsonl,
+                              profile.folded and profile.json
   --record                    arm the bounded-memory flight recorder:
                               retain a sliding virtual-time window of
                               events, fold evicted ones into rollup bins,
@@ -807,21 +809,16 @@ fn cmd_top(args: &[String]) -> Cmd {
     let decisions = decisions_if_present(&resolve_decisions_path(&dir))?;
     // Incident→capture links from a `--record`'ed bundle, marking
     // captured incidents in the alert lane.
-    let captures: std::collections::BTreeMap<u64, String> =
-        std::fs::read_to_string(std::path::Path::new(&dir).join("incidents.jsonl"))
-            .map(|text| {
-                text.lines()
-                    .filter_map(|l| serde_json::from_str(l).ok())
-                    .filter_map(|v: serde_json::Value| {
-                        let o = v.as_object()?;
-                        Some((
-                            o.get("id").and_then(serde_json::Value::as_u64)?,
-                            o.get("capture")?.as_str()?.to_string(),
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+    let captures: std::collections::BTreeMap<u64, String> = incidents_if_present(Path::new(&dir))?
+        .iter()
+        .filter_map(|v| {
+            let o = v.as_object()?;
+            Some((
+                o.get("id")?.as_u64()?,
+                o.get("capture")?.as_str()?.to_string(),
+            ))
+        })
+        .collect();
     let replay = prs_cli::top::Replay::new(&events, &decisions, &captures);
     let horizon = replay.horizon();
     let window = window.unwrap_or_else(|| (horizon / 8.0).max(1e-9));
@@ -837,6 +834,40 @@ fn cmd_top(args: &[String]) -> Cmd {
         }
     }
     Ok(())
+}
+
+/// The incident rows of `<dir>/incidents.jsonl`; a *missing* file reads
+/// as no incidents. Strict like every bundle reader: each non-empty line
+/// must be a JSON object, and when a meta line declares an `incidents`
+/// count (chaos trial dirs write none) the rows read must match it.
+fn incidents_if_present(dir: &Path) -> Result<Vec<serde_json::Value>, CliError> {
+    const FILE: &str = "incidents.jsonl";
+    let path = dir.join(FILE);
+    let Ok(text) = std::fs::read_to_string(&path) else {
+        return Ok(Vec::new());
+    };
+    let failed = |e: obs::JsonlError| Failed(format!("{}: {e}", path.display()));
+    let (mut rows, mut declared) = (Vec::new(), None);
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let bad = |msg: String| failed(obs::JsonlError::Line { file: FILE, line: i + 1, msg });
+        let v: serde_json::Value = serde_json::from_str(line).map_err(|e| bad(e.to_string()))?;
+        let o = v.as_object().ok_or_else(|| bad("not a JSON object".into()))?;
+        if o.contains_key("schema") {
+            declared = o.get("incidents").and_then(serde_json::Value::as_u64);
+        } else {
+            rows.push(v);
+        }
+    }
+    let read = rows.len() as u64;
+    match declared {
+        Some(declared) if declared != read => {
+            Err(failed(obs::JsonlError::Count { file: FILE, declared, read }))
+        }
+        _ => Ok(rows),
+    }
 }
 
 /// Loads the profiler's frame set from an `--obs` bundle: `stacks.jsonl`
@@ -865,12 +896,12 @@ fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), CliError> {
     }
     let events = read_trace_events(dir)?;
     let horizon = events.iter().map(insight::TraceEvent::end).fold(0.0, f64::max);
-    let frames: Vec<obs::Frame> = events
+    let frames: Vec<simtime::StackFrame> = events
         .iter()
         .filter(|e| e.dur.is_some())
-        .map(|e| obs::Frame {
-            lane: e.lane.to_string(),
-            frame: e.kind.to_string(),
+        .map(|e| simtime::StackFrame {
+            lane: e.lane.as_str().into(),
+            frame: e.kind.as_str().into(),
             t0: e.t,
             t1: e.end(),
         })
@@ -1202,6 +1233,10 @@ fn cmd_postmortem(args: &[String]) -> Cmd {
     if !root.is_dir() {
         return Err(Failed(format!("{dir} is not a directory")));
     }
+    // The companion artifacts are optional: a chaos trial dir carries
+    // captures and incidents, an --obs bundle carries all four. A damaged
+    // one is refused before anything is assembled.
+    let incidents = incidents_if_present(root)?;
     // Every capture file in name order: capture ids are per-incident, so
     // the lexicographic tie-break keeps multi-digit ids deterministic.
     let mut capture_paths: Vec<std::path::PathBuf> = std::fs::read_dir(root)
@@ -1225,18 +1260,6 @@ fn cmd_postmortem(args: &[String]) -> Cmd {
             .map_err(|e| Failed(format!("{}: {e}", path.display())))?;
         docs.push(doc);
     }
-    // The companion artifacts are optional: a chaos trial dir carries only
-    // captures, an --obs bundle carries all three.
-    let incidents: Vec<serde_json::Value> = std::fs::read_to_string(root.join("incidents.jsonl"))
-        .map(|text| {
-            text.lines()
-                .filter_map(|l| serde_json::from_str(l).ok())
-                .filter(|v: &serde_json::Value| {
-                    v.as_object().map(|o| !o.contains_key("schema")).unwrap_or(false)
-                })
-                .collect()
-        })
-        .unwrap_or_default();
     let incidents = if incidents.is_empty() {
         // No incident log — fall back to one skeleton incident per capture
         // so the captures still anchor postmortem entries.
@@ -1257,7 +1280,7 @@ fn cmd_postmortem(args: &[String]) -> Cmd {
         .ok()
         .and_then(|t| obs::FrameSet::parse_stacks_jsonl(&t).ok())
         .unwrap_or_default();
-    let pm = insight::postmortem::assemble(&docs, &incidents, &decisions, frames.frames());
+    let pm = insight::postmortem::assemble(&docs, &incidents, &decisions, &frames);
     let out = root.join("postmortem.json");
     write_json(&out, &pm)?;
     say!("{}", insight::postmortem::summary(&pm).trim_end());
@@ -1293,21 +1316,8 @@ fn cmd_run(args: &[String]) -> Cmd {
         None => None,
     };
 
-    // With `--record` the flight recorder rides along: shadow mode when an
-    // `--obs` bundle is requested (the export needs the full bus), bounded
-    // mode otherwise so the run stays O(budget) in resident events.
     let rec_cfg = opts.config.recorder;
-    let obs = if opts.obs_out.is_some() {
-        if rec_cfg.is_enabled() {
-            Obs::recording_with_recorder(rec_cfg, false)
-        } else {
-            Obs::recording()
-        }
-    } else if rec_cfg.is_enabled() {
-        Obs::recording_with_recorder(rec_cfg, true)
-    } else {
-        Obs::disabled()
-    };
+    let obs = opts.obs();
     let (result, label, extra) =
         dispatch(&opts, &spec, churn.as_ref(), obs.clone()).map_err(Failed)?;
 
@@ -1398,7 +1408,7 @@ fn flow_arrows(flows: &[insight::Flow]) -> Vec<FlowArrow> {
 /// `events.jsonl`, `metrics.prom` (including the rollup gauge families),
 /// `decisions.jsonl`, `rollup.jsonl`, and a `trace.json` whose lanes are
 /// linked by flow arrows for every paired cross-node message.
-fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Cmd {
+fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[simtime::StackFrame]) -> Cmd {
     let dir = std::path::Path::new(dir);
     std::fs::create_dir_all(dir).map_err(|e| Failed(format!("creating {}: {e}", dir.display())))?;
     let write = |name: &str, content: String| write(dir.join(name), content);
@@ -1430,7 +1440,7 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[device::Interval]) -> Cmd 
             captures.iter().map(insight::postmortem::capture_doc).collect();
         let incident_values: Vec<serde_json::Value> =
             watched.incidents.iter().map(|i| i.to_value()).collect();
-        let pm = insight::postmortem::assemble(&docs, &incident_values, &decisions, set.frames());
+        let pm = insight::postmortem::assemble(&docs, &incident_values, &decisions, &set);
         write(
             "postmortem.json",
             serde_json::to_string_pretty(&pm).unwrap() + "\n",

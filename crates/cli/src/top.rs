@@ -9,7 +9,7 @@
 
 use insight::TraceEvent;
 use obs::rollup::{rollup, RollupConfig};
-use obs::{lane_node, DecisionRecord, EventView};
+use obs::{is_device_lane, lane_node, DecisionRecord, EventView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -69,10 +69,6 @@ fn bar(frac: f64) -> String {
         s.push(if i < filled { '#' } else { '.' });
     }
     s
-}
-
-fn is_device_lane(lane: &str) -> bool {
-    lane.contains("-cpu-c") || (lane.contains("-gpu") && lane.ends_with("-compute"))
 }
 
 /// Renders one dashboard frame at virtual instant `t`.

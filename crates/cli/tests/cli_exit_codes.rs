@@ -370,6 +370,13 @@ fn end_to_end_run_then_watch_succeeds() {
     let d = dir.to_str().expect("utf-8 temp path");
     let run = prs(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", d]);
     assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    // `prs help` names every file the bundle holds.
+    let help = String::from_utf8_lossy(&prs(&["help"]).stdout).into_owned();
+    let obs_option = help.split("--obs <dir>").nth(1).and_then(|s| s.split("--record").next());
+    for entry in std::fs::read_dir(&dir).expect("list bundle") {
+        let name = entry.expect("bundle entry").file_name().into_string().expect("utf-8 name");
+        assert!(obs_option.is_some_and(|o| o.contains(&name)), "prs help's --obs omits {name}");
+    }
     for artifact in [
         "events.jsonl",
         "alerts.jsonl",
@@ -583,6 +590,34 @@ fn readers_reject_a_truncated_bundle() {
             assert!(stderr.contains(&says), "prs {cmd:?}: stderr should say {says:?}, got: {stderr}");
         }
         assert_eq!(verdicts(&dir), verdicts(&whole), "{name}: watch rewrote the run's verdict");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // So is the incident log `top` and `postmortem` read: two rows under a
+    // meta line that declares them, cut the same two ways.
+    let incidents = std::fs::read_to_string(whole.join("incidents.jsonl")).expect("incidents.jsonl");
+    let meta = incidents.lines().next().expect("a meta line");
+    assert!(meta.contains("\"incidents\":0"), "meta line: {meta}");
+    let meta = meta.replace("\"incidents\":0", "\"incidents\":2");
+    let rows = ["{\"capture\":\"capture-0\",\"id\":0}", "{\"capture\":\"capture-1\",\"id\":1}"];
+    let at_line_boundary = format!("{meta}\n{}\n", rows[0]);
+    let inside_a_line = format!("{at_line_boundary}{}", &rows[1][..rows[1].len() / 2]);
+    for (name, content, says) in [
+        (
+            "truncated-incidents-boundary",
+            &at_line_boundary,
+            "incidents.jsonl: the meta line declares 2 record(s) but 1 were read",
+        ),
+        ("truncated-incidents-midline", &inside_a_line, "incidents.jsonl line 3:"),
+    ] {
+        let dir = damaged_file(name, "incidents.jsonl", content);
+        let d = dir.to_str().expect("utf-8 temp path");
+        for cmd in [vec!["top", d, "--frames", "2"], vec!["postmortem", d]] {
+            let out = prs(&cmd);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "prs {cmd:?} on half an incident log: {stderr}");
+            assert!(stderr.contains(says), "prs {cmd:?}: stderr should say {says:?}, got: {stderr}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&whole);

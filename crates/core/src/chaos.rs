@@ -580,7 +580,7 @@ fn run_chaos_inner(
                     &capture_docs,
                     &incident_values,
                     &obs.audit.records(),
-                    frames.frames(),
+                    &frames,
                 );
                 recordings.push(TrialRecording {
                     index,

@@ -82,10 +82,6 @@ pub struct JobConfig {
     /// roofline rate (the §V(c) heterogeneous-fat-nodes extension).
     /// Disabled, every node receives an equal share.
     pub hetero_aware_partitioning: bool,
-    /// Record every device busy interval into
-    /// [`crate::JobMetrics::timeline`] (Gantt observability; small
-    /// overhead in host time, none in virtual time).
-    pub record_timeline: bool,
     /// Online roofline recalibration (§III.B.2 extension): when
     /// `Online`, each worker EWMA-fits its device profile from observed
     /// map times and re-solves Equation (8) against the fitted profile
@@ -136,7 +132,6 @@ impl Default for JobConfig {
             context_per_task: false,
             cache_resident_data: true,
             hetero_aware_partitioning: true,
-            record_timeline: false,
             calibration: CalibrationMode::Off,
             partition_timeout_secs: None,
             max_partition_retries: 2,

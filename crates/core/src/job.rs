@@ -12,10 +12,11 @@ use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
 use crate::faults::FaultPlan;
 use crate::metrics::{JobMetrics, RecoveryCounters, StageTimes};
 use crate::task::split_range;
+use crate::timeline::device_timeline;
 use crate::worker::{
     cpu_poller, gpu_stream_worker, record_recovery, JobShared, NodePorts, RecoveryAction, Worker,
 };
-use device::{CompletionBoard, FatNode, Timeline};
+use device::{CompletionBoard, FatNode};
 use netsim::Network;
 use obs::{trace_ctx, Obs};
 use parking_lot::Mutex;
@@ -376,14 +377,12 @@ fn check_resident_fit<A: SpmdApp>(
 struct Cluster {
     nodes: Vec<Arc<FatNode>>,
     network: Arc<Network>,
-    timeline: Option<Timeline>,
     faults: FaultPlan,
 }
 
-/// Builds the fat nodes and the fabric, attaches the timeline and the
-/// observability sinks, and arms the failure scenario on every layer
-/// before the clock starts.
-fn build_cluster(spec: &ClusterSpec, config: &JobConfig, obs: &Obs, hooks: &RunHooks) -> Cluster {
+/// Builds the fat nodes and the fabric, attaches the observability sinks,
+/// and arms the failure scenario on every layer before the clock starts.
+fn build_cluster(spec: &ClusterSpec, obs: &Obs, hooks: &RunHooks) -> Cluster {
     let n = spec.len();
     // Stable node ids: lane names and attribution follow the id, while
     // channels/collectives use the contiguous rank. Identity on plain
@@ -398,12 +397,8 @@ fn build_cluster(spec: &ClusterSpec, config: &JobConfig, obs: &Obs, hooks: &RunH
         .enumerate()
         .map(|(rank, prof)| FatNode::new(node_id(rank), prof.clone(), spec.overheads))
         .collect();
-    let timeline = config.record_timeline.then(Timeline::new);
     let faults = spec.faults.clone();
     for (rank, node) in nodes.iter().enumerate() {
-        if let Some(t) = &timeline {
-            node.attach_timeline(t);
-        }
         if obs.is_enabled() {
             node.attach_obs(obs);
         }
@@ -422,7 +417,6 @@ fn build_cluster(spec: &ClusterSpec, config: &JobConfig, obs: &Obs, hooks: &RunH
     Cluster {
         nodes,
         network,
-        timeline,
         faults,
     }
 }
@@ -436,6 +430,9 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     hooks: RunHooks,
 ) -> Result<JobResult<A::Output>, JobError> {
     validate(spec, app.as_ref(), &config)?;
+    // The stack may be shared with earlier runs (the epoch driver's
+    // attempts): this run's device timeline is what it appends.
+    let stack_mark = obs.stack.len();
     let n = spec.len();
     // Shard layout for the parallel engine: the master (plus any
     // `Sim::schedule` timers) on shard 0, each node's processes on shard
@@ -446,7 +443,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
         shards: n + 1,
         lookahead: spec.network.conservative_lookahead(),
     });
-    let cluster = build_cluster(spec, &config, &obs, &hooks);
+    let cluster = build_cluster(spec, &obs, &hooks);
     let job = Arc::new(JobShared {
         app,
         config,
@@ -486,7 +483,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     let job = Arc::try_unwrap(job)
         .ok()
         .expect("all simulation processes have finished");
-    Ok(summarize(job, &cluster, &report))
+    Ok(summarize(job, &cluster, &report, stack_mark))
 }
 
 /// The master: the first-level task scheduler. Every partition assignment
@@ -656,11 +653,13 @@ fn spawn_node<A: SpmdApp>(
 
 /// Folds what the nodes reported into the job's result: per-iteration
 /// stage times are the slowest node's, set-up ends when the last node's
-/// does.
+/// does, and the device timeline is what the stack gained past
+/// `stack_mark`.
 fn summarize<A: SpmdApp>(
     job: JobShared<A>,
     cluster: &Cluster,
     report: &SimReport,
+    stack_mark: usize,
 ) -> JobResult<A::Output> {
     let Collected {
         nodes: reports,
@@ -696,11 +695,7 @@ fn summarize<A: SpmdApp>(
             .collect(),
         cpu_map_tasks: map_tasks(DeviceClass::Cpu),
         gpu_map_tasks: map_tasks(DeviceClass::Gpu),
-        timeline: cluster
-            .timeline
-            .as_ref()
-            .map(|t| t.intervals())
-            .unwrap_or_default(),
+        timeline: device_timeline(&job.obs.stack, stack_mark),
         recovery: job.recovery.into_inner(),
         interrupted,
         handoff,

@@ -77,6 +77,7 @@ pub mod job;
 pub mod membership;
 pub mod metrics;
 mod task;
+mod timeline;
 mod worker;
 
 pub use api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};

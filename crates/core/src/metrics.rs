@@ -3,8 +3,8 @@
 
 use device::cpu::CpuStats;
 use device::gpu::GpuStats;
-use device::timeline::Interval;
 use serde::{Deserialize, Serialize};
+use simtime::StackFrame;
 
 /// Per-node, per-iteration stage durations (virtual seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -118,7 +118,7 @@ impl RecoveryCounters {
 }
 
 /// Everything measured about one job run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct JobMetrics {
     /// End-to-end virtual time, including setup.
     pub total_seconds: f64,
@@ -155,9 +155,11 @@ pub struct JobMetrics {
     pub cpu_map_tasks: u64,
     /// Map tasks executed on the GPU.
     pub gpu_map_tasks: u64,
-    /// Device busy intervals, when [`crate::JobConfig::record_timeline`]
-    /// was set (render with [`device::timeline::render_ascii`]).
-    pub timeline: Vec<Interval>,
+    /// Device busy intervals: the frames of the [`device::DEVICE_KINDS`]
+    /// this run recorded on its `Obs`'s profiler stack, sorted by lane,
+    /// start and end — empty when the stack does not record. Render with
+    /// [`device::render_ascii`] or [`device::to_chrome_trace`].
+    pub timeline: Vec<StackFrame>,
     /// Fault-recovery actions taken during the run (all zero on a healthy
     /// cluster).
     pub recovery: RecoveryCounters,

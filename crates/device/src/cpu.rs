@@ -4,7 +4,7 @@
 
 use crate::cost::{cpu_core_time, WorkProfile};
 use crate::faults::SlowdownWindow;
-use crate::timeline::Timeline;
+use crate::timeline::DEVICE_KINDS;
 use obs::Obs;
 use parking_lot::Mutex;
 use roofline::profiles::CpuSpec;
@@ -23,18 +23,6 @@ pub struct CpuStats {
     pub core_busy: f64,
 }
 
-/// Timeline attachment with the task kind pre-interned.
-struct TimelineAttach {
-    timeline: Timeline,
-    kind_task: Arc<str>,
-}
-
-/// Observability attachment with the task kind pre-interned.
-struct ObsAttach {
-    obs: Obs,
-    kind_task: Arc<str>,
-}
-
 /// A pool of CPU cores with shared-roofline task timing.
 pub struct CpuPool {
     /// Hardware description.
@@ -42,8 +30,9 @@ pub struct CpuPool {
     cores: Resource,
     stats: Mutex<CpuStats>,
     name: Arc<str>,
-    timeline: Mutex<Option<TimelineAttach>>,
-    obs: Mutex<Option<ObsAttach>>,
+    /// The kind every task is recorded under.
+    kind_task: Arc<str>,
+    obs: Mutex<Option<Obs>>,
     /// Recording lanes, one per concurrently busy core slot:
     /// `(interned lane name, last recorded end time)`. Slots are
     /// claimed lowest-index-first by tasks whose start is at or after
@@ -55,12 +44,13 @@ pub struct CpuPool {
 impl CpuPool {
     /// Creates the pool with `spec.cores` schedulable cores.
     pub fn new(name: &str, spec: CpuSpec) -> Arc<Self> {
+        let [cpu_task, ..] = DEVICE_KINDS;
         Arc::new(CpuPool {
             cores: Resource::new(&format!("{name}-cores"), spec.cores as u64),
             spec,
             stats: Mutex::new(CpuStats::default()),
             name: name.into(),
-            timeline: Mutex::new(None),
+            kind_task: Arc::from(cpu_task),
             obs: Mutex::new(None),
             lane_slots: Mutex::new(Vec::new()),
             slowdowns: Mutex::new(Vec::new()),
@@ -83,17 +73,11 @@ impl CpuPool {
         &self.name
     }
 
-    /// Attaches an execution-timeline recorder.
-    pub fn attach_timeline(&self, timeline: Timeline) {
-        let kind_task = timeline.intern("cpu-task");
-        *self.timeline.lock() = Some(TimelineAttach { timeline, kind_task });
-    }
-
     /// Attaches structured observability: per-task spans on the event
-    /// bus and block-wait-time observations in the metrics registry.
+    /// bus and stack frames on the profiler stack (the device timeline),
+    /// block-wait-time observations in the metrics registry.
     pub fn attach_obs(&self, obs: Obs) {
-        let kind_task = obs.bus.intern("cpu-task");
-        *self.obs.lock() = Some(ObsAttach { obs, kind_task });
+        *self.obs.lock() = Some(obs);
     }
 
     /// Claims a recording lane for a task spanning `[start, end]`:
@@ -134,25 +118,18 @@ impl CpuPool {
         };
         ctx.hold(t);
         let t_end = ctx.now();
-        let recording = self.timeline.lock().is_some() || self.obs.lock().is_some();
-        if recording {
+        if let Some(obs) = self.obs.lock().as_ref() {
             let lane = self.claim_lane(t0.as_secs_f64(), t_end.as_secs_f64());
-            if let Some(tl) = self.timeline.lock().as_ref() {
-                tl.timeline.record_interned(&lane, &tl.kind_task, t0, t_end);
+            let wait = t0.saturating_sub(t_queued).as_secs_f64();
+            if let Some(d) = obs.bus.span_interned(&lane, &self.kind_task, t0, t_end) {
+                d.attr("flops", work.flops)
+                    .attr("bytes", work.dram_bytes)
+                    .attr("wait_s", wait)
+                    .commit();
             }
-            if let Some(o) = self.obs.lock().as_ref() {
-                let wait = t0.saturating_sub(t_queued).as_secs_f64();
-                if let Some(d) = o.obs.bus.span_interned(&lane, &o.kind_task, t0, t_end) {
-                    d.attr("flops", work.flops)
-                        .attr("bytes", work.dram_bytes)
-                        .attr("wait_s", wait)
-                        .commit();
-                }
-                o.obs.stack.frame_interned(&lane, &o.kind_task, t0, t_end);
-                o.obs
-                    .metrics
-                    .observe("prs_block_wait_seconds", &[("device", &self.name)], wait);
-            }
+            obs.stack.frame_interned(&lane, &self.kind_task, t0, t_end);
+            obs.metrics
+                .observe("prs_block_wait_seconds", &[("device", &self.name)], wait);
         }
         self.cores.release(ctx, 1);
         let mut s = self.stats.lock();
@@ -276,8 +253,11 @@ mod tests {
     #[test]
     fn concurrent_tasks_record_on_distinct_non_overlapping_lanes() {
         let p = pool();
-        let tl = Timeline::new();
-        p.attach_timeline(tl.clone());
+        let obs = Obs {
+            stack: simtime::StackCtx::recording(),
+            ..Obs::disabled()
+        };
+        p.attach_obs(obs.clone());
         let mut sim = Sim::new();
         // Two waves of 12 one-second tasks: the recorder must spread each
         // wave across 12 core lanes and reuse them for the second wave.
@@ -289,8 +269,16 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        tl.assert_no_overlaps();
-        let busy = tl.busy_by_lane();
+        let frames = obs.stack.frames();
+        let overlaps = crate::timeline::overlapping_frames(&frames);
+        assert!(
+            overlaps.is_empty(),
+            "a core lane self-overlaps: {overlaps:?}"
+        );
+        let mut busy: std::collections::BTreeMap<&str, f64> = Default::default();
+        for f in &frames {
+            *busy.entry(&f.lane).or_default() += f.t1 - f.t0;
+        }
         assert_eq!(busy.len(), 12, "12 cores -> 12 lanes: {busy:?}");
         assert!(busy.iter().all(|(lane, b)| lane.starts_with("cpu-c") && (*b - 2.0).abs() < 1e-9));
     }

@@ -9,7 +9,7 @@
 use crate::cost::{gpu_kernel_time, pcie_transfer_time, OverheadModel, WorkProfile};
 use crate::faults::{GpuCrashed, SlowdownWindow};
 use crate::memory::MemorySpace;
-use crate::timeline::Timeline;
+use crate::timeline::DEVICE_KINDS;
 use obs::Obs;
 use parking_lot::Mutex;
 use roofline::profiles::GpuSpec;
@@ -71,7 +71,6 @@ pub struct Gpu {
     context_epoch: AtomicU64,
     name: Arc<str>,
     lanes: RecordingLanes,
-    timeline: Mutex<Option<Timeline>>,
     obs: Mutex<Option<Obs>>,
     /// Armed crash time; the device dies the first time a kernel would run
     /// past this instant (or is launched after it).
@@ -97,18 +96,18 @@ impl Gpu {
         } else {
             copy_in.clone()
         };
+        let [_, kernel, crashed, h2d, d2h] = DEVICE_KINDS.map(Arc::<str>::from);
         Arc::new(Gpu {
             name: name.into(),
             lanes: RecordingLanes {
                 compute: Arc::from(format!("{name}-compute").as_str()),
                 copy_in,
                 copy_out,
-                kind_kernel: Arc::from("kernel"),
-                kind_crashed: Arc::from("crashed-kernel"),
-                kind_h2d: Arc::from("h2d"),
-                kind_d2h: Arc::from("d2h"),
+                kind_kernel: kernel,
+                kind_crashed: crashed,
+                kind_h2d: h2d,
+                kind_d2h: d2h,
             },
-            timeline: Mutex::new(None),
             obs: Mutex::new(None),
             memory: MemorySpace::new(&format!("{name}-globalmem"), spec.mem_bytes),
             compute: Resource::new(&format!("{name}-compute"), 1),
@@ -162,23 +161,12 @@ impl Gpu {
         &self.name
     }
 
-    /// Attaches an execution-timeline recorder; subsequent kernels and
-    /// transfers append busy intervals to it.
-    pub fn attach_timeline(&self, timeline: Timeline) {
-        *self.timeline.lock() = Some(timeline);
-    }
-
     /// Attaches structured observability: per-kernel and per-transfer
-    /// spans on the event bus, engine wait times and bytes-moved
-    /// counters in the metrics registry.
+    /// spans on the event bus and stack frames on the profiler stack (the
+    /// device timeline), engine wait times and bytes-moved counters in
+    /// the metrics registry.
     pub fn attach_obs(&self, obs: Obs) {
         *self.obs.lock() = Some(obs);
-    }
-
-    fn record_tl(&self, lane: &Arc<str>, kind: &Arc<str>, start: SimTime, end: SimTime) {
-        if let Some(t) = self.timeline.lock().as_ref() {
-            t.record_interned(lane, kind, start, end);
-        }
     }
 
     /// Creates a GPU context, paying the creation cost in virtual time.
@@ -200,7 +188,6 @@ impl Gpu {
         let t0 = ctx.now();
         ctx.hold(t);
         let t1 = ctx.now();
-        self.record_tl(&self.lanes.copy_in, &self.lanes.kind_h2d, t0, t1);
         self.record_obs_transfer(&self.lanes.copy_in, &self.lanes.kind_h2d, "h2d", bytes, t0, t1);
         self.copy_h2d.release(ctx, 1);
         let mut s = self.stats.lock();
@@ -241,7 +228,6 @@ impl Gpu {
         let t0 = ctx.now();
         ctx.hold(t);
         let t1 = ctx.now();
-        self.record_tl(&self.lanes.copy_out, &self.lanes.kind_d2h, t0, t1);
         self.record_obs_transfer(&self.lanes.copy_out, &self.lanes.kind_d2h, "d2h", bytes, t0, t1);
         engine.release(ctx, 1);
         let mut s = self.stats.lock();
@@ -292,7 +278,6 @@ impl Gpu {
                 let lost = if at > t0 { at - t0 } else { SimTime::ZERO };
                 ctx.hold(lost);
                 let t1 = ctx.now();
-                self.record_tl(&self.lanes.compute, &self.lanes.kind_crashed, t0, t1);
                 if let Some(o) = self.obs.lock().as_ref() {
                     if let Some(d) =
                         o.bus.span_interned(&self.lanes.compute, &self.lanes.kind_crashed, t0, t1)
@@ -309,7 +294,6 @@ impl Gpu {
         let result = body();
         ctx.hold(t);
         let t1 = ctx.now();
-        self.record_tl(&self.lanes.compute, &self.lanes.kind_kernel, t0, t1);
         if let Some(o) = self.obs.lock().as_ref() {
             let wait = t0.saturating_sub(t_queued).as_secs_f64();
             if let Some(d) = o.bus.span_interned(&self.lanes.compute, &self.lanes.kind_kernel, t0, t1)
@@ -605,8 +589,11 @@ mod tests {
             prof.cpu.dram_bw,
             OverheadModel::zero(),
         );
-        let tl = crate::timeline::Timeline::new();
-        gpu.attach_timeline(tl.clone());
+        let obs = Obs {
+            stack: simtime::StackCtx::recording(),
+            ..Obs::disabled()
+        };
+        gpu.attach_obs(obs.clone());
         let mut sim = Sim::new();
         let g1 = gpu.clone();
         sim.spawn("h2d", move |ctx| g1.transfer_h2d(ctx, 1 << 30));
@@ -615,9 +602,17 @@ mod tests {
         sim.run().unwrap();
         // The two directions overlap in time, so with one shared lane the
         // no-overlap invariant would trip; dual DMA gets dual lanes.
-        tl.assert_no_overlaps();
-        let lanes: Vec<String> = tl.busy_by_lane().into_iter().map(|(l, _)| l).collect();
-        assert_eq!(lanes, vec!["k20-copy-d2h".to_string(), "k20-copy-h2d".to_string()]);
+        let frames = obs.stack.frames();
+        let overlaps = crate::timeline::overlapping_frames(&frames);
+        assert!(
+            overlaps.is_empty(),
+            "a copy lane self-overlaps: {overlaps:?}"
+        );
+        let lanes: std::collections::BTreeSet<&str> = frames.iter().map(|f| &*f.lane).collect();
+        assert_eq!(
+            lanes.into_iter().collect::<Vec<_>>(),
+            ["k20-copy-d2h", "k20-copy-h2d"]
+        );
     }
 
     #[test]
@@ -653,6 +648,11 @@ mod tests {
     #[test]
     fn fermi_single_copy_engine_serializes_transfers() {
         let gpu = delta_gpu(OverheadModel::zero()); // C2070: 1 queue
+        let obs = Obs {
+            stack: simtime::StackCtx::recording(),
+            ..Obs::disabled()
+        };
+        gpu.attach_obs(obs.clone());
         let one = gpu.transfer_cost(1 << 30).as_secs_f64();
         let mut sim = Sim::new();
         let g1 = gpu.clone();
@@ -661,5 +661,12 @@ mod tests {
         sim.spawn("d2h", move |ctx| g2.transfer_d2h(ctx, 1 << 30));
         let report = sim.run().unwrap();
         assert!((report.end_time.as_secs_f64() - 2.0 * one).abs() < 1e-9);
+        // Both directions share the one `-copy` lane, back to back.
+        let frames = obs.stack.frames();
+        assert!(frames.iter().all(|f| &*f.lane == "gpu0-copy"), "{frames:?}");
+        assert!(
+            crate::timeline::overlapping_frames(&frames).is_empty(),
+            "{frames:?}"
+        );
     }
 }

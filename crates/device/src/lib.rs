@@ -19,6 +19,8 @@
 //!   fault-injection experiments.
 //! - [`race`] — the first-completion-wins scoreboard arbitrating
 //!   speculative backup tasks against their straggling primaries.
+//! - [`timeline`] — the Gantt chart and Chrome trace of the busy time the
+//!   devices record as profiler stack frames.
 //!
 //! Real computation executes on host threads inside `launch`/`run_task`
 //! bodies; only its *duration* is simulated, so experiment outputs are
@@ -44,7 +46,7 @@ pub use gpu::{Gpu, GpuContext, Stream};
 pub use memory::{MemorySpace, OutOfMemory, Region};
 pub use node::FatNode;
 pub use timeline::{
-    render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow, Interval, Timeline,
+    render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow, DEVICE_KINDS,
 };
 
 #[cfg(test)]

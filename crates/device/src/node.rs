@@ -65,15 +65,6 @@ impl FatNode {
             .collect()
     }
 
-    /// Attaches one execution-timeline recorder to every device on the
-    /// node.
-    pub fn attach_timeline(&self, timeline: &crate::timeline::Timeline) {
-        self.cpu.attach_timeline(timeline.clone());
-        for gpu in &self.gpus {
-            gpu.attach_timeline(timeline.clone());
-        }
-    }
-
     /// Attaches one structured-observability bundle to every device on
     /// the node.
     pub fn attach_obs(&self, obs: &obs::Obs) {

@@ -1,177 +1,52 @@
-//! Execution-timeline recording: devices append busy intervals (kernel,
-//! transfer, task) to an attached [`Timeline`], and [`render_ascii`]
-//! draws the classic runtime-paper Gantt chart — the quickest way to see
+//! Drawing device busy time: the devices record each kernel, transfer
+//! and CPU task as a profiler stack frame ([`simtime::StackCtx`]) under
+//! one of the [`DEVICE_KINDS`], and [`render_ascii`] draws those frames as
+//! the classic runtime-paper Gantt chart — the quickest way to see
 //! whether transfers overlap compute and whether the CPU and GPU finish
-//! together (Equation (4)'s balance, visually).
+//! together (Equation (4)'s balance, visually). [`to_chrome_trace`]
+//! writes the same frames for a trace viewer.
 
 use obs::jsonl::{write_f64, write_str};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use simtime::SimTime;
+use simtime::StackFrame;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// One busy interval on one lane (device engine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Interval {
-    /// Lane name, e.g. `node0-gpu0-compute`.
-    pub lane: String,
-    /// Start, virtual seconds.
-    pub start: f64,
-    /// End, virtual seconds.
-    pub end: f64,
-    /// What occupied the lane (`kernel`, `h2d`, `d2h`, `cpu-task`).
-    pub kind: String,
+/// The frame names a device records its busy time under: a CPU task, a
+/// GPU kernel, a kernel cut short by a GPU crash, and the two PCI-E
+/// directions. These frames, and only these, make a job's timeline.
+pub const DEVICE_KINDS: [&str; 5] = ["cpu-task", "kernel", "crashed-kernel", "h2d", "d2h"];
+
+/// The overlapping start-sorted neighbour pairs per lane (sharing an
+/// endpoint is not an overlap) — empty iff no two frames on any lane
+/// overlap. Device engines are exclusive resources, so any hit is a
+/// recording bug.
+#[cfg(test)]
+pub(crate) fn overlapping_frames(frames: &[StackFrame]) -> Vec<(StackFrame, StackFrame)> {
+    let mut sorted = frames.to_vec();
+    sorted.sort_by(|a, b| a.lane.cmp(&b.lane).then(a.t0.total_cmp(&b.t0)));
+    sorted
+        .windows(2)
+        .filter(|w| w[0].lane == w[1].lane && w[1].t0 < w[0].t1 - 1e-12)
+        .map(|w| (w[0].clone(), w[1].clone()))
+        .collect()
 }
 
-/// Internal storage: interned lane/kind so hot-path recording never
-/// allocates a fresh `String` per interval.
-#[derive(Clone)]
-struct Rec {
-    lane: Arc<str>,
-    start: f64,
-    end: f64,
-    kind: Arc<str>,
-}
-
-struct TimelineInner {
-    recs: Mutex<Vec<Rec>>,
-    interned: Mutex<BTreeMap<String, Arc<str>>>,
-}
-
-/// A shared recorder devices append to.
-#[derive(Clone)]
-pub struct Timeline {
-    inner: Arc<TimelineInner>,
-}
-
-impl Default for Timeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Timeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(TimelineInner {
-                recs: Mutex::new(Vec::new()),
-                interned: Mutex::new(BTreeMap::new()),
-            }),
-        }
-    }
-
-    /// Interns a lane or kind name: allocates once per *distinct* name,
-    /// returns `Arc` clones afterwards. Devices intern their lane names
-    /// up front and record via [`Timeline::record_interned`].
-    pub fn intern(&self, name: &str) -> Arc<str> {
-        let mut table = self.inner.interned.lock();
-        if let Some(a) = table.get(name) {
-            return a.clone();
-        }
-        let a: Arc<str> = Arc::from(name);
-        table.insert(name.to_string(), a.clone());
-        a
-    }
-
-    /// Records one interval, interning the names (allocation-free once
-    /// a name has been seen).
-    pub fn record(&self, lane: &str, kind: &str, start: SimTime, end: SimTime) {
-        let lane = self.intern(lane);
-        let kind = self.intern(kind);
-        self.record_interned(&lane, &kind, start, end);
-    }
-
-    /// Hot-path record with pre-interned names: two `Arc` clones, one
-    /// vector push, no string work.
-    pub fn record_interned(&self, lane: &Arc<str>, kind: &Arc<str>, start: SimTime, end: SimTime) {
-        self.inner.recs.lock().push(Rec {
-            lane: lane.clone(),
-            start: start.as_secs_f64(),
-            end: end.as_secs_f64(),
-            kind: kind.clone(),
-        });
-    }
-
-    /// All intervals recorded so far, sorted by `(lane, start, end)` —
-    /// a canonical order independent of how device daemons interleaved
-    /// their appends.
-    pub fn intervals(&self) -> Vec<Interval> {
-        let mut out: Vec<Interval> = self
-            .inner
-            .recs
-            .lock()
-            .iter()
-            .map(|r| Interval {
-                lane: r.lane.to_string(),
-                start: r.start,
-                end: r.end,
-                kind: r.kind.to_string(),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.lane
-                .cmp(&b.lane)
-                .then_with(|| a.start.total_cmp(&b.start))
-                .then_with(|| a.end.total_cmp(&b.end))
-        });
-        out
-    }
-
-    /// Total busy time per lane.
-    pub fn busy_by_lane(&self) -> Vec<(String, f64)> {
-        let mut map: BTreeMap<String, f64> = BTreeMap::new();
-        for r in self.inner.recs.lock().iter() {
-            *map.entry(r.lane.to_string()).or_default() += r.end - r.start;
-        }
-        map.into_iter().collect()
-    }
-
-    /// Returns the overlapping start-sorted neighbour pairs per lane
-    /// (sharing an endpoint is not an overlap) — empty iff no two
-    /// intervals on any lane overlap. Device engines are exclusive
-    /// resources, so any hit is a recording bug.
-    pub fn overlapping_intervals(&self) -> Vec<(Interval, Interval)> {
-        let ivs = self.intervals();
-        let mut bad = Vec::new();
-        for w in ivs.windows(2) {
-            if w[0].lane == w[1].lane && w[1].start < w[0].end - 1e-12 {
-                bad.push((w[0].clone(), w[1].clone()));
-            }
-        }
-        bad
-    }
-
-    /// Regression assert: panics (with the offending pair) if any lane
-    /// carries overlapping intervals.
-    pub fn assert_no_overlaps(&self) {
-        let bad = self.overlapping_intervals();
-        assert!(
-            bad.is_empty(),
-            "timeline lanes must never self-overlap; first offender: {:?}",
-            bad[0]
-        );
-    }
-}
-
-/// Renders intervals as an ASCII Gantt chart, `width` columns wide.
-/// Lanes are ordered by first appearance; overlapping intervals on one
-/// lane merge visually. Interval kinds are drawn with distinct glyphs:
-/// `#` kernel/cpu-task, `>` h2d, `<` d2h, `*` mixed.
-pub fn render_ascii(intervals: &[Interval], width: usize) -> String {
+/// Renders frames as an ASCII Gantt chart, `width` columns wide. Lanes
+/// are ordered by first appearance; overlapping frames on one lane merge
+/// visually. Frame kinds are drawn with distinct glyphs: `#`
+/// kernel/cpu-task, `>` h2d, `<` d2h, `*` mixed.
+pub fn render_ascii(frames: &[StackFrame], width: usize) -> String {
     assert!(width >= 10);
-    if intervals.is_empty() {
+    if frames.is_empty() {
         return "(empty timeline)\n".to_string();
     }
-    let t_end = intervals.iter().map(|i| i.end).fold(0.0, f64::max);
-    let t_start = intervals.iter().map(|i| i.start).fold(f64::INFINITY, f64::min);
+    let t_end = frames.iter().map(|f| f.t1).fold(0.0, f64::max);
+    let t_start = frames.iter().map(|f| f.t0).fold(f64::INFINITY, f64::min);
     let span = (t_end - t_start).max(1e-12);
 
-    let mut lanes: Vec<String> = Vec::new();
-    for iv in intervals {
-        if !lanes.contains(&iv.lane) {
-            lanes.push(iv.lane.clone());
+    let mut lanes: Vec<&str> = Vec::new();
+    for f in frames {
+        if !lanes.contains(&&*f.lane) {
+            lanes.push(&f.lane);
         }
     }
     let name_w = lanes.iter().map(|l| l.len()).max().unwrap_or(4).max(4);
@@ -191,10 +66,10 @@ pub fn render_ascii(intervals: &[Interval], width: usize) -> String {
     ));
     for lane in &lanes {
         let mut row = vec![' '; width];
-        for iv in intervals.iter().filter(|i| &i.lane == lane) {
-            let a = (((iv.start - t_start) / span) * width as f64).floor() as usize;
-            let b = (((iv.end - t_start) / span) * width as f64).ceil() as usize;
-            let g = glyph(&iv.kind);
+        for f in frames.iter().filter(|f| &*f.lane == *lane) {
+            let a = (((f.t0 - t_start) / span) * width as f64).floor() as usize;
+            let b = (((f.t1 - t_start) / span) * width as f64).ceil() as usize;
+            let g = glyph(&f.frame);
             for cell in row.iter_mut().take(b.min(width)).skip(a.min(width.saturating_sub(1))) {
                 *cell = if *cell == ' ' || *cell == g { g } else { '*' };
             }
@@ -226,20 +101,20 @@ pub struct FlowArrow {
     pub recv_t: f64,
 }
 
-/// Serializes intervals in the Chrome tracing (`chrome://tracing` /
+/// Serializes frames in the Chrome tracing (`chrome://tracing` /
 /// Perfetto) "trace event" JSON format: one complete (`X`) event per
-/// interval, lanes mapped to thread names. Load the returned string from
-/// a file in any trace viewer.
-pub fn to_chrome_trace(intervals: &[Interval]) -> String {
-    to_chrome_trace_with_flows(intervals, &[])
+/// frame, lanes mapped to thread names. Load the returned string from a
+/// file in any trace viewer.
+pub fn to_chrome_trace(frames: &[StackFrame]) -> String {
+    to_chrome_trace_with_flows(frames, &[])
 }
 
 /// [`to_chrome_trace`] plus causal arrows: each [`FlowArrow`] becomes a
 /// flow-start (`ph:"s"`) on the source lane and a binding flow-finish
 /// (`ph:"f"`, `bp:"e"`) on the destination lane, each anchored to a
 /// 1 µs `X` slice so viewers have geometry to attach the arrow to.
-/// Flow lanes that carry no intervals still get thread names.
-pub fn to_chrome_trace_with_flows(intervals: &[Interval], flows: &[FlowArrow]) -> String {
+/// Flow lanes that carry no frames still get thread names.
+pub fn to_chrome_trace_with_flows(frames: &[StackFrame], flows: &[FlowArrow]) -> String {
     /// Thread ids in order of first appearance.
     #[derive(Default)]
     struct Lanes<'a> {
@@ -257,9 +132,9 @@ pub fn to_chrome_trace_with_flows(intervals: &[Interval], flows: &[FlowArrow]) -
     let mut lanes = Lanes::default();
 
     let mut w = TraceWriter::default();
-    for iv in intervals {
-        let tid = lanes.tid(iv.lane.as_str());
-        w.slice(&iv.kind, iv.start * 1e6, (iv.end - iv.start) * 1e6, tid);
+    for f in frames {
+        let tid = lanes.tid(&f.lane);
+        w.slice(&f.frame, f.t0 * 1e6, (f.t1 - f.t0) * 1e6, tid);
     }
     for f in flows {
         let src = lanes.tid(f.src_lane.as_str());
@@ -280,7 +155,7 @@ pub fn to_chrome_trace_with_flows(intervals: &[Interval], flows: &[FlowArrow]) -
 /// Formats the pretty-printed `{"traceEvents": [...]}` document straight
 /// into one buffer — what `serde_json::to_string_pretty` renders for the
 /// same events (two-space indent, members in key order), without a
-/// `Value` per interval. Numbers and strings go through the bundle
+/// `Value` per frame. Numbers and strings go through the bundle
 /// codec's formatters.
 #[derive(Default)]
 struct TraceWriter {
@@ -358,34 +233,13 @@ impl TraceWriter {
 mod tests {
     use super::*;
 
-    fn iv(lane: &str, kind: &str, start: f64, end: f64) -> Interval {
-        Interval {
+    fn iv(lane: &str, kind: &str, t0: f64, t1: f64) -> StackFrame {
+        StackFrame {
             lane: lane.into(),
-            start,
-            end,
-            kind: kind.into(),
+            frame: kind.into(),
+            t0,
+            t1,
         }
-    }
-
-    #[test]
-    fn record_and_read_back() {
-        let t = Timeline::new();
-        t.record("gpu", "kernel", SimTime::ZERO, SimTime::from_secs(1));
-        t.record("gpu", "h2d", SimTime::from_secs(1), SimTime::from_secs(2));
-        let ivs = t.intervals();
-        assert_eq!(ivs.len(), 2);
-        assert_eq!(ivs[0].kind, "kernel");
-        assert_eq!(ivs[1].end, 2.0);
-    }
-
-    #[test]
-    fn busy_by_lane_sums() {
-        let t = Timeline::new();
-        t.record("a", "kernel", SimTime::ZERO, SimTime::from_secs(1));
-        t.record("a", "kernel", SimTime::from_secs(2), SimTime::from_secs(3));
-        t.record("b", "h2d", SimTime::ZERO, SimTime::from_secs(5));
-        let busy = t.busy_by_lane();
-        assert_eq!(busy, vec![("a".to_string(), 2.0), ("b".to_string(), 5.0)]);
     }
 
     #[test]
@@ -411,47 +265,17 @@ mod tests {
     }
 
     #[test]
-    fn intervals_sorted_by_lane_then_start() {
-        let t = Timeline::new();
-        t.record("b", "kernel", SimTime::from_secs(5), SimTime::from_secs(6));
-        t.record("a", "kernel", SimTime::from_secs(3), SimTime::from_secs(4));
-        t.record("a", "kernel", SimTime::from_secs(1), SimTime::from_secs(2));
-        let ivs = t.intervals();
-        let order: Vec<(&str, f64)> = ivs.iter().map(|i| (i.lane.as_str(), i.start)).collect();
-        assert_eq!(order, vec![("a", 1.0), ("a", 3.0), ("b", 5.0)]);
-    }
-
-    #[test]
-    fn interning_reuses_one_allocation_per_name() {
-        let t = Timeline::new();
-        let a = t.intern("node0-gpu0-compute");
-        let b = t.intern("node0-gpu0-compute");
-        assert!(Arc::ptr_eq(&a, &b));
-        let k = t.intern("kernel");
-        t.record_interned(&a, &k, SimTime::ZERO, SimTime::from_secs(1));
-        assert_eq!(t.intervals()[0].lane, "node0-gpu0-compute");
-    }
-
-    #[test]
     fn overlap_detection_flags_only_true_overlaps() {
-        let t = Timeline::new();
-        // Touching endpoints and different lanes are fine.
-        t.record("a", "kernel", SimTime::ZERO, SimTime::from_secs(1));
-        t.record("a", "kernel", SimTime::from_secs(1), SimTime::from_secs(2));
-        t.record("b", "kernel", SimTime::ZERO, SimTime::from_secs(2));
-        assert!(t.overlapping_intervals().is_empty());
-        t.assert_no_overlaps();
+        // Touching endpoints and different lanes are fine, in any order.
+        let mut frames = vec![
+            iv("a", "kernel", 1.0, 2.0),
+            iv("b", "kernel", 0.0, 2.0),
+            iv("a", "kernel", 0.0, 1.0),
+        ];
+        assert!(overlapping_frames(&frames).is_empty());
         // A genuine overlap on one lane is caught.
-        t.record("a", "kernel", SimTime::from_secs_f64(1.5), SimTime::from_secs(3));
-        assert_eq!(t.overlapping_intervals().len(), 1);
-    }
-
-    #[test]
-    fn shared_clone_records_to_same_store() {
-        let t = Timeline::new();
-        let t2 = t.clone();
-        t2.record("x", "kernel", SimTime::ZERO, SimTime::from_secs(1));
-        assert_eq!(t.intervals().len(), 1);
+        frames.push(iv("a", "kernel", 1.5, 3.0));
+        assert_eq!(overlapping_frames(&frames).len(), 1);
     }
 
     #[test]
@@ -509,7 +333,7 @@ mod tests {
 
     /// The `Value`-tree rendering the direct writer replaced, kept as its
     /// oracle.
-    fn chrome_trace_via_value(intervals: &[Interval], flows: &[FlowArrow]) -> String {
+    fn chrome_trace_via_value(frames: &[StackFrame], flows: &[FlowArrow]) -> String {
         fn lane_tid<'a>(lanes: &mut Vec<&'a str>, lane: &'a str) -> usize {
             match lanes.iter().position(|l| *l == lane) {
                 Some(i) => i,
@@ -521,11 +345,11 @@ mod tests {
         }
         let mut lanes: Vec<&str> = Vec::new();
         let mut events = Vec::new();
-        for iv in intervals {
-            let tid = lane_tid(&mut lanes, iv.lane.as_str());
+        for f in frames {
+            let tid = lane_tid(&mut lanes, &f.lane);
             events.push(serde_json::json!({
-                "name": iv.kind, "ph": "X", "ts": iv.start * 1e6,
-                "dur": (iv.end - iv.start) * 1e6, "pid": 0, "tid": tid,
+                "name": &*f.frame, "ph": "X", "ts": f.t0 * 1e6,
+                "dur": (f.t1 - f.t0) * 1e6, "pid": 0, "tid": tid,
             }));
         }
         for f in flows {

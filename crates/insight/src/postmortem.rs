@@ -19,7 +19,7 @@
 
 use crate::critical::analyze;
 use crate::trace::TraceEvent;
-use obs::{DecisionRecord, Frame};
+use obs::{DecisionRecord, FrameSet};
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,15 +106,6 @@ pub fn capture_doc(capture: &obs::Capture) -> CaptureDoc {
     parse_capture_jsonl(&capture.to_jsonl()).expect("a rendered capture always parses")
 }
 
-fn frame_value(f: &Frame) -> Value {
-    let mut m = BTreeMap::new();
-    m.insert("lane".to_string(), Value::String(f.lane.clone()));
-    m.insert("frame".to_string(), Value::String(f.frame.clone()));
-    m.insert("t0".to_string(), Value::Number(f.t0));
-    m.insert("t1".to_string(), Value::Number(f.t1));
-    Value::Object(m)
-}
-
 /// Assembles the postmortem document: one entry per incident, each
 /// joined with its capture (by the incident's `capture` link or the
 /// capture's incident id), the window-scoped critical-path analysis,
@@ -128,7 +119,7 @@ pub fn assemble(
     captures: &[CaptureDoc],
     incidents: &[Value],
     decisions: &[DecisionRecord],
-    frames: &[Frame],
+    frames: &FrameSet,
 ) -> Value {
     let mut entries: Vec<(u64, Value)> = Vec::new();
     for inc in incidents {
@@ -234,9 +225,17 @@ pub fn assemble(
 
             // Profiler frames overlapping the window.
             let overlapping: Vec<Value> = frames
+                .frames()
                 .iter()
                 .filter(|f| f.t1 > cap.t0 && f.t0 < cap.t1)
-                .map(frame_value)
+                .map(|f| {
+                    let mut o = BTreeMap::new();
+                    o.insert("lane".to_string(), Value::String(f.lane.to_string()));
+                    o.insert("frame".to_string(), Value::String(f.frame.to_string()));
+                    o.insert("t0".to_string(), Value::Number(f.t0));
+                    o.insert("t1".to_string(), Value::Number(f.t1));
+                    Value::Object(o)
+                })
                 .collect();
             m.insert("frames".to_string(), Value::Array(overlapping));
             m.insert("folds".to_string(), Value::Array(cap.folds.clone()));
@@ -423,7 +422,7 @@ mod tests {
             })
             .collect();
         let incidents = vec![incident_value(0, Some("capture-0"))];
-        let pm = assemble(&[doc], &incidents, &decisions, &[]);
+        let pm = assemble(&[doc], &incidents, &decisions, &FrameSet::default());
         let rendered = pm.to_json_string();
         assert!(rendered.contains(POSTMORTEM_SCHEMA));
         let entry = pm.as_object().unwrap()["incidents"].as_array().unwrap()[0]
@@ -442,7 +441,7 @@ mod tests {
             &[capture_doc(&cap2)],
             &[incident_value(0, Some("capture-0"))],
             &decisions,
-            &[],
+            &FrameSet::default(),
         );
         assert_eq!(rendered, pm2.to_json_string());
     }
@@ -454,13 +453,13 @@ mod tests {
             &[capture_doc(&cap)],
             &[incident_value(0, Some("capture-0"))],
             &[],
-            &[],
+            &FrameSet::default(),
         );
         let text = summary(&pm);
         assert!(text.contains("incident #0: gpu-slowdown"), "{text}");
         assert!(text.contains("primary blame: node 0, gpu-slowdown"), "{text}");
         assert!(text.contains("capture: capture-0.jsonl"), "{text}");
-        let empty = assemble(&[], &[], &[], &[]);
+        let empty = assemble(&[], &[], &[], &FrameSet::default());
         assert!(summary(&empty).contains("no incidents"));
     }
 }

@@ -44,7 +44,7 @@ pub use audit::{AuditLog, DecisionId, DecisionRecord, DECISIONS_SCHEMA};
 pub use bus::{Event, EventBus, EventDraft, Subscription, EVENTS_SCHEMA};
 pub use metrics::{MetricsRegistry, METRICS_SCHEMA};
 pub use name::{cmp_names, Attrs, Name, Names};
-pub use profile::{profile, Frame, FrameSet, Profile, PROFILE_SCHEMA, STACKS_SCHEMA};
+pub use profile::{profile, FrameSet, Profile, PROFILE_SCHEMA, STACKS_SCHEMA};
 pub use recorder::{Capture, FoldBin, Recorder, RecorderConfig, RecorderSummary, CAPTURE_SCHEMA};
 pub use jsonl::JsonlError;
 pub use rollup::{rollup, EventView, Rollup, RollupConfig, RollupEvent};
@@ -62,6 +62,13 @@ pub fn lane_node(lane: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// Whether `lane` is a device engine whose busy time counts as
+/// utilization: a CPU core slot (`node{r}-cpu-c{i}`) or a GPU compute
+/// engine (`node{r}-gpu{g}-compute`), not a copy engine.
+pub fn is_device_lane(lane: &str) -> bool {
+    lane.contains("-cpu-c") || (lane.contains("-gpu") && lane.ends_with("-compute"))
+}
+
 /// The bundle threaded through the runtime: one event bus, one metrics
 /// registry, one decision audit log. Cloning shares the underlying
 /// sinks (it is an `Arc` handle, not a copy).
@@ -74,7 +81,8 @@ pub struct Obs {
     /// Scheduler-decision audit log.
     pub audit: AuditLog,
     /// Stack-frame recorder feeding the virtual-time profiler
-    /// ([`mod@profile`]).
+    /// ([`mod@profile`]); the devices' frames in it are also the run's
+    /// device timeline (Gantt chart and `trace.json`).
     pub stack: simtime::StackCtx,
     /// Bounded-memory flight recorder ([`mod@recorder`]); disabled by
     /// default — drivers pump it at iteration boundaries when enabled.
@@ -147,6 +155,15 @@ mod tests {
         assert_eq!(lane_node("node99999999999999999999-sched"), None);
         assert_eq!(lane_node("master"), None);
         assert_eq!(lane_node("resilience"), None);
+    }
+
+    #[test]
+    fn device_lanes_are_core_slots_and_compute_engines() {
+        assert!(is_device_lane("node3-cpu-c11"));
+        assert!(is_device_lane("node0-gpu1-compute"));
+        assert!(!is_device_lane("node0-gpu1-copy-h2d"));
+        assert!(!is_device_lane("node0-sched"));
+        assert!(!is_device_lane("net-rank0"));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::jsonl::{JsonlError, ObjectWriter, ScanError, Scanner};
 use crate::lane_node;
 use serde::Value;
-use simtime::StackCtx;
+use simtime::{StackCtx, StackFrame};
 use std::collections::BTreeMap;
 
 /// Schema tag embedded in `profile.json`.
@@ -41,44 +41,23 @@ pub const DEFAULT_PERIOD_S: f64 = 1e-4;
 /// The iteration stage names, innermost phase axis of the profile.
 const STAGES: [&str; 4] = ["map", "shuffle", "reduce", "update"];
 
-/// One profiler frame: a named `[t0, t1)` interval on a lane.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Frame {
-    /// Execution lane (obs bus naming: `node0-gpu0-compute`, ...).
-    pub lane: String,
-    /// Frame name (`kernel`, `cpu-task`, `map`, `recovery`, ...).
-    pub frame: String,
-    /// Start, virtual seconds (inclusive).
-    pub t0: f64,
-    /// End, virtual seconds (exclusive).
-    pub t1: f64,
-}
-
 /// A canonically ordered set of profiler frames.
 #[derive(Clone, Debug, Default)]
 pub struct FrameSet {
-    frames: Vec<Frame>,
+    frames: Vec<StackFrame>,
 }
 
 impl FrameSet {
     /// Snapshots a live [`StackCtx`] (already canonically ordered).
     pub fn from_stack(stack: &StackCtx) -> Self {
-        let frames = stack
-            .frames()
-            .into_iter()
-            .map(|f| Frame {
-                lane: f.lane.to_string(),
-                frame: f.frame.to_string(),
-                t0: f.t0,
-                t1: f.t1,
-            })
-            .collect();
-        FrameSet { frames }
+        FrameSet {
+            frames: stack.frames(),
+        }
     }
 
     /// Builds a set from arbitrary frames, dropping empty intervals and
     /// sorting into canonical (containment) order.
-    pub fn from_frames(mut frames: Vec<Frame>) -> Self {
+    pub fn from_frames(mut frames: Vec<StackFrame>) -> Self {
         frames.retain(|f| f.t1 > f.t0);
         frames.sort_by(|a, b| {
             a.t0.total_cmp(&b.t0)
@@ -90,7 +69,7 @@ impl FrameSet {
     }
 
     /// The frames, canonically ordered.
-    pub fn frames(&self) -> &[Frame] {
+    pub fn frames(&self) -> &[StackFrame] {
         &self.frames
     }
 
@@ -152,7 +131,7 @@ impl FrameSet {
 /// One line of `stacks.jsonl`: `None` for a meta line (an object
 /// carrying `schema`), otherwise the frame. `Err` says what is wrong:
 /// not JSON, or a member missing (anything but an object lacks them all).
-fn read_frame_line(line: &str) -> Result<Option<Frame>, String> {
+fn read_frame_line(line: &str) -> Result<Option<StackFrame>, String> {
     let mut sc = Scanner::new(line);
     let (mut lane, mut frame, mut t0, mut t1) = (None, None, None, None);
     let mut meta = false;
@@ -181,9 +160,9 @@ fn read_frame_line(line: &str) -> Result<Option<Frame>, String> {
         return Ok(None);
     }
     let missing = |key: &str| format!("missing '{key}'");
-    Ok(Some(Frame {
-        lane: lane.ok_or_else(|| missing("lane"))?.into_owned(),
-        frame: frame.ok_or_else(|| missing("frame"))?.into_owned(),
+    Ok(Some(StackFrame {
+        lane: lane.ok_or_else(|| missing("lane"))?.into(),
+        frame: frame.ok_or_else(|| missing("frame"))?.into(),
         t0: t0.ok_or_else(|| missing("t0"))?,
         t1: t1.ok_or_else(|| missing("t1"))?,
     }))
@@ -264,7 +243,7 @@ pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
     let instants = ((horizon_s / period_s - 0.5).ceil().max(0.0)) as u64;
 
     // Group frames per lane, preserving canonical (containment) order.
-    let mut by_lane: BTreeMap<&str, Vec<&Frame>> = BTreeMap::new();
+    let mut by_lane: BTreeMap<&str, Vec<&StackFrame>> = BTreeMap::new();
     for f in set.frames() {
         by_lane.entry(&f.lane).or_default().push(f);
     }
@@ -277,7 +256,7 @@ pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
         if f.lane.ends_with("-sched") {
             if let (Some(node), Some(stage)) = (
                 lane_node(&f.lane),
-                STAGES.iter().find(|s| **s == f.frame).copied(),
+                STAGES.iter().find(|s| **s == &*f.frame).copied(),
             ) {
                 stage_windows.entry(node).or_default().push((f.t0, f.t1, stage));
             }
@@ -309,7 +288,7 @@ pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
     for (lane, frames) in &by_lane {
         let class = lane_class(lane);
         let node = lane_node(lane);
-        let mut active: Vec<&Frame> = Vec::new();
+        let mut active: Vec<&StackFrame> = Vec::new();
         let mut next = 0usize;
         let mut key = String::new();
         for k in 0..instants {
@@ -332,7 +311,7 @@ pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
             for (depth, f) in active.iter().enumerate() {
                 key.push(';');
                 key.push_str(&f.frame);
-                let rec = prof.frames.entry(f.frame.clone()).or_default();
+                let rec = prof.frames.entry(f.frame.to_string()).or_default();
                 if depth + 1 == active.len() {
                     rec.self_samples += 1;
                 }
@@ -477,10 +456,10 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn frame(lane: &str, name: &str, t0: f64, t1: f64) -> Frame {
-        Frame {
-            lane: lane.to_string(),
-            frame: name.to_string(),
+    fn frame(lane: &str, name: &str, t0: f64, t1: f64) -> StackFrame {
+        StackFrame {
+            lane: lane.into(),
+            frame: name.into(),
             t0,
             t1,
         }

@@ -18,6 +18,7 @@
 
 use crate::audit::DecisionRecord;
 use crate::bus::Event;
+use crate::is_device_lane;
 use crate::metrics::MetricsRegistry;
 use crate::name::Name;
 use serde::Value;
@@ -274,10 +275,6 @@ pub struct Rollup {
     /// Flight-recorder memory accounting, when the run recorded
     /// (rendered as a `recorder` block line after the meta line).
     pub recorder: Option<crate::recorder::RecorderSummary>,
-}
-
-fn is_device_lane(lane: &str) -> bool {
-    lane.contains("-cpu-c") || (lane.contains("-gpu") && lane.ends_with("-compute"))
 }
 
 fn is_device_busy_kind(kind: &str) -> bool {

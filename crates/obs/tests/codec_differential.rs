@@ -12,9 +12,10 @@
 //! building a `Value` and printing it.
 
 use obs::jsonl::{self, EventRecord, JsonlError, ObjectWriter, Scanner};
-use obs::{AuditLog, DecisionRecord, Event, EventBus, Frame, FrameSet};
+use obs::{AuditLog, DecisionRecord, Event, EventBus, FrameSet};
 use proptest::prelude::*;
 use serde_json::Value;
+use simtime::StackFrame;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -171,7 +172,7 @@ fn oracle_events_jsonl(events: &[Event]) -> String {
     out
 }
 
-fn oracle_stacks_jsonl(frames: &[Frame]) -> String {
+fn oracle_stacks_jsonl(frames: &[StackFrame]) -> String {
     if frames.is_empty() {
         return String::new();
     }
@@ -188,8 +189,8 @@ fn oracle_stacks_jsonl(frames: &[Frame]) -> String {
         let mut m = BTreeMap::new();
         m.insert("t0".to_string(), Value::Number(f.t0));
         m.insert("t1".to_string(), Value::Number(f.t1));
-        m.insert("lane".to_string(), Value::String(f.lane.clone()));
-        m.insert("frame".to_string(), Value::String(f.frame.clone()));
+        m.insert("lane".to_string(), Value::String(f.lane.to_string()));
+        m.insert("frame".to_string(), Value::String(f.frame.to_string()));
         out.push_str(&Value::Object(m).to_json_string());
         out.push('\n');
     }
@@ -198,7 +199,7 @@ fn oracle_stacks_jsonl(frames: &[Frame]) -> String {
 
 /// The frames the `Value` path reads from a `stacks.jsonl`, before
 /// canonical ordering, or the line it fails on.
-fn oracle_stacks(text: &str) -> Result<Vec<Frame>, usize> {
+fn oracle_stacks(text: &str) -> Result<Vec<StackFrame>, usize> {
     let mut frames = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -212,10 +213,10 @@ fn oracle_stacks(text: &str) -> Result<Vec<Frame>, usize> {
         let s = |k: &str| {
             v.get(k)
                 .and_then(Value::as_str)
-                .map(str::to_string)
+                .map(Into::into)
                 .ok_or(i + 1)
         };
-        frames.push(Frame {
+        frames.push(StackFrame {
             lane: s("lane")?,
             frame: s("frame")?,
             t0: num("t0")?,
@@ -764,9 +765,9 @@ fn stacks_jsonl_matches_the_value_rendering_and_round_trips() {
         if e.t.is_nan() || e.t.is_infinite() {
             continue; // frames order by `total_cmp`; keep the set finite
         }
-        frames.push(Frame {
-            lane: e.lane.to_string(),
-            frame: e.kind.to_string(),
+        frames.push(StackFrame {
+            lane: e.lane.clone(),
+            frame: e.kind.clone(),
             t0: e.t,
             t1: e.t + 1.0 + i as f64,
         });

@@ -5,7 +5,9 @@
 //! driver) can record *frames* — named intervals of virtual time that
 //! nest like call stacks. The profiler (`obs::profile`) later samples
 //! these frames at a fixed virtual period and folds them into
-//! collapsed-stack profiles.
+//! collapsed-stack profiles, and the device daemons' frames are the
+//! job's one record of device busy time (its Gantt chart and Chrome
+//! trace).
 //!
 //! The design mirrors the observability sinks: a [`StackCtx`] is a cheap
 //! `Clone` around an `Option<Arc<...>>`. The default value is disabled —
@@ -170,6 +172,17 @@ impl StackCtx {
         self.len() == 0
     }
 
+    /// Calls `f` with the closed frames recorded since [`Self::len`]
+    /// returned `mark`, in append order — what one run added to a context
+    /// shared by several — without copying them. A disabled context
+    /// passes an empty slice.
+    pub fn with_frames_since<R>(&self, mark: usize, f: impl FnOnce(&[StackFrame]) -> R) -> R {
+        match &self.inner {
+            Some(inner) => f(inner.frames.lock().get(mark..).unwrap_or_default()),
+            None => f(&[]),
+        }
+    }
+
     /// Snapshot of every closed frame in canonical order: by start
     /// ascending, then end *descending* (outer frames before the inner
     /// frames they contain), then lane, then frame name. The ordering is
@@ -260,6 +273,21 @@ mod tests {
         assert_eq!((frames[0].t0, frames[0].t1), (0.0, 3.0));
         assert_eq!(&*frames[2].frame, "inner");
         assert_eq!((frames[2].t0, frames[2].t1), (1.0, 2.0));
+    }
+
+    #[test]
+    fn frames_since_a_mark_are_the_later_appends_in_order() {
+        let ctx = StackCtx::recording();
+        ctx.frame("a", "before", s(0.0), s(1.0));
+        let mark = ctx.len();
+        ctx.frame("b", "late", s(5.0), s(6.0));
+        ctx.frame("a", "early", s(2.0), s(3.0));
+        let names = |frames: &[StackFrame]| -> Vec<String> {
+            frames.iter().map(|f| f.frame.to_string()).collect()
+        };
+        assert_eq!(ctx.with_frames_since(mark, names), ["late", "early"]);
+        assert!(ctx.with_frames_since(ctx.len() + 1, names).is_empty());
+        assert!(StackCtx::disabled().with_frames_since(0, names).is_empty());
     }
 
     #[test]

@@ -50,10 +50,13 @@ impl SpmdApp for Balanced {
 
 fn main() {
     let config = JobConfig {
-        record_timeline: true,
         gpu_streams: 2,
         ..JobConfig::static_analytic()
     };
+    // The devices record their busy time as profiler stack frames, so the
+    // Gantt chart needs only `Obs { stack: StackCtx::recording(),
+    // ..Obs::disabled() }`; this example records everything to show the
+    // event stream and the audit too.
     let obs = Obs::recording();
     let result =
         run_job_observed(&ClusterSpec::delta(1), Arc::new(Balanced), config, obs.clone())

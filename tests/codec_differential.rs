@@ -13,7 +13,7 @@
 
 use insight::TraceEvent;
 use obs::rollup::{rollup, RollupConfig, RollupEvent};
-use obs::{AuditLog, DecisionRecord, EventView, Frame, FrameSet, JsonlError, Name};
+use obs::{AuditLog, DecisionRecord, EventView, FrameSet, JsonlError, Name};
 use prs_core::{
     run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig, Key, Obs,
     SpmdApp,
@@ -21,6 +21,7 @@ use prs_core::{
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
 use serde_json::Value;
+use simtime::StackFrame;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -138,13 +139,13 @@ fn value_path_events(text: &str) -> Result<Vec<TraceEvent>, usize> {
     Ok(out)
 }
 
-fn value_path_frames(text: &str) -> Vec<Frame> {
+fn value_path_frames(text: &str) -> Vec<StackFrame> {
     text.lines()
         .map(|l| serde_json::from_str(l).unwrap())
         .filter(|v: &Value| v.get("schema").is_none())
-        .map(|v| Frame {
-            lane: v["lane"].as_str().unwrap().to_string(),
-            frame: v["frame"].as_str().unwrap().to_string(),
+        .map(|v| StackFrame {
+            lane: v["lane"].as_str().unwrap().into(),
+            frame: v["frame"].as_str().unwrap().into(),
             t0: v["t0"].as_f64().unwrap(),
             t1: v["t1"].as_f64().unwrap(),
         })

@@ -116,7 +116,6 @@ fn pin(
     membership: MembershipPlan,
     autoscale: Option<AutoscalePolicy>,
 ) -> Pin {
-    let config = JobConfig { record_timeline: true, ..config };
     let obs = Obs::recording();
     let opts = EpochOptions { membership, autoscale, obs: obs.clone(), ..EpochOptions::default() };
     let out = run_epochs(spec, chain(), config, opts).unwrap();

@@ -2,14 +2,18 @@
 //! [`FaultPlan`] and pins down both the *correctness* of the recovery
 //! (outputs identical to the fault-free run, bit for bit) and its
 //! *accounting* (the recovery counters match the injected plan exactly,
-//! and the same seed replays to the same metrics).
+//! and the same seed replays to the same metrics). Every run also records
+//! its device timeline and checks that no two busy intervals on one device
+//! lane overlap.
 
 use prs_core::{
-    run_epochs, run_iterative, CheckpointStore, CheckpointableApp, ClusterSpec, DeviceClass,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
+    run_epochs, run_iterative_observed, CheckpointStore, CheckpointableApp, ClusterSpec,
+    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, JobError, JobResult, Key,
+    MemStore, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
+use simtime::{StackCtx, StackFrame};
 use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
@@ -58,6 +62,41 @@ fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
     Arc::new(HistApp { n, k, ai, residency })
 }
 
+/// An `Obs` that records the profiler's stack frames — which carry the
+/// device timeline — and nothing else.
+fn stack_only() -> Obs {
+    Obs {
+        stack: StackCtx::recording(),
+        ..Obs::disabled()
+    }
+}
+
+/// Device engines are exclusive resources, so no two busy intervals on one
+/// lane may overlap, whatever the faults did (sharing an endpoint is not an
+/// overlap); a hit is a recording bug. `timeline` is sorted by lane, start.
+fn assert_lanes_exclusive(timeline: &[StackFrame]) {
+    assert!(!timeline.is_empty(), "the run recorded no device timeline");
+    for w in timeline.windows(2) {
+        let overlap = w[0].lane == w[1].lane && w[1].t0 < w[0].t1 - 1e-12;
+        assert!(
+            !overlap,
+            "device lane intervals overlap: {:?} and {:?}",
+            w[0], w[1]
+        );
+    }
+}
+
+/// `run_iterative` with the device timeline recorded and its lanes checked.
+fn run<A: IterativeApp>(
+    spec: &ClusterSpec,
+    app: Arc<A>,
+    config: JobConfig,
+) -> Result<JobResult<A::Output>, JobError> {
+    let r = run_iterative_observed(spec, app, config, stack_only())?;
+    assert_lanes_exclusive(&r.metrics.timeline);
+    Ok(r)
+}
+
 /// A GPU daemon crash mid-iteration: the job completes on the CPU cores
 /// with outputs identical to the fault-free run, the interrupted blocks
 /// are re-queued, and the next iteration's static split excludes the dead
@@ -67,7 +106,7 @@ fn gpu_crash_mid_iteration_completes_on_cpu_with_identical_outputs() {
     let mk = || hist(400_000, 16, 500.0, DataResidency::Resident);
     let config = JobConfig::static_analytic().with_iterations(2);
 
-    let clean = run_iterative(&ClusterSpec::delta(2), mk(), config).unwrap();
+    let clean = run(&ClusterSpec::delta(2), mk(), config).unwrap();
     assert!(clean.metrics.recovery.is_clean());
 
     // Aim the crash at 40% through node 0's first map stage; the
@@ -75,7 +114,7 @@ fn gpu_crash_mid_iteration_completes_on_cpu_with_identical_outputs() {
     let crash_at = clean.metrics.setup_seconds + 0.4 * clean.metrics.iterations[0].map;
     let spec = ClusterSpec::delta(2)
         .with_faults(FaultPlan::seeded(1).crash_gpu(0, 0, crash_at));
-    let faulty = run_iterative(&spec, mk(), config).unwrap();
+    let faulty = run(&spec, mk(), config).unwrap();
 
     assert_eq!(
         faulty.outputs, clean.outputs,
@@ -102,14 +141,14 @@ fn straggler_triggers_reassignment_only_under_timeout_config() {
     let mk = || hist(100_000, 8, 50.0, DataResidency::Staged);
     // Node 1 sits on every assignment for 5 virtual seconds.
     let plan = || FaultPlan::seeded(2).stall_node(1, 0.0, 10.0, 5.0);
-    let clean = run_iterative(&ClusterSpec::delta(2), mk(), JobConfig::static_analytic()).unwrap();
+    let clean = run(&ClusterSpec::delta(2), mk(), JobConfig::static_analytic()).unwrap();
 
     // With a 100 ms deadline and one retry: each of node 1's two
     // partitions times out twice (initial + retry) and is then reassigned
     // to node 0 — counters follow from the plan arithmetic alone.
     let strict = JobConfig::static_analytic().with_partition_timeout(0.1, 1);
     let spec = ClusterSpec::delta(2).with_faults(plan());
-    let reassigned = run_iterative(&spec, mk(), strict).unwrap();
+    let reassigned = run(&spec, mk(), strict).unwrap();
     assert_eq!(reassigned.outputs, clean.outputs);
     let r = reassigned.metrics.recovery;
     assert_eq!(r.retries, 2, "one retry per stalled partition: {r:?}");
@@ -123,7 +162,7 @@ fn straggler_triggers_reassignment_only_under_timeout_config() {
 
     // Without a timeout the master waits out the stall: no recovery
     // actions, same outputs, and the stall shows up as setup time instead.
-    let patient = run_iterative(&spec, mk(), JobConfig::static_analytic()).unwrap();
+    let patient = run(&spec, mk(), JobConfig::static_analytic()).unwrap();
     assert_eq!(patient.outputs, clean.outputs);
     assert!(patient.metrics.recovery.is_clean());
     assert!(patient.metrics.setup_seconds > clean.metrics.setup_seconds + 4.0);
@@ -135,7 +174,7 @@ fn straggler_triggers_reassignment_only_under_timeout_config() {
 fn network_disruptions_delay_but_do_not_corrupt() {
     let mk = || hist(200_000, 12, 20.0, DataResidency::Staged);
     let config = JobConfig::static_analytic();
-    let clean = run_iterative(&ClusterSpec::delta(3), mk(), config).unwrap();
+    let clean = run(&ClusterSpec::delta(3), mk(), config).unwrap();
 
     let horizon = clean.metrics.total_seconds.max(1.0);
     let plan = FaultPlan::seeded(3)
@@ -143,7 +182,7 @@ fn network_disruptions_delay_but_do_not_corrupt() {
         .partition_link(Some(1), Some(2), 0.0, 0.5 * horizon)
         .with_random_jitter(3, 4, horizon, 0.001);
     let spec = ClusterSpec::delta(3).with_faults(plan);
-    let faulty = run_iterative(&spec, mk(), config).unwrap();
+    let faulty = run(&spec, mk(), config).unwrap();
 
     assert_eq!(faulty.outputs, clean.outputs);
     assert!(faulty.metrics.total_seconds >= clean.metrics.total_seconds);
@@ -167,7 +206,12 @@ fn same_seed_reproduces_identical_metrics_twice() {
         let config = JobConfig::static_analytic()
             .with_iterations(2)
             .with_partition_timeout(0.2, 2);
-        run_iterative(&spec, hist(150_000, 8, 200.0, DataResidency::Resident), config).unwrap()
+        run(
+            &spec,
+            hist(150_000, 8, 200.0, DataResidency::Resident),
+            config,
+        )
+        .unwrap()
     };
 
     let a = run();
@@ -193,11 +237,11 @@ fn same_seed_reproduces_identical_metrics_twice() {
 fn dynamic_mode_survives_gpu_crash() {
     let mk = || hist(120_000, 10, 100.0, DataResidency::Staged);
     let config = JobConfig::dynamic(2_000);
-    let clean = run_iterative(&ClusterSpec::delta(1), mk(), config).unwrap();
+    let clean = run(&ClusterSpec::delta(1), mk(), config).unwrap();
 
     let crash_at = clean.metrics.setup_seconds + 0.3 * clean.metrics.iterations[0].map;
     let spec = ClusterSpec::delta(1).with_faults(FaultPlan::seeded(4).crash_gpu(0, 0, crash_at));
-    let faulty = run_iterative(&spec, mk(), config).unwrap();
+    let faulty = run(&spec, mk(), config).unwrap();
 
     assert_eq!(faulty.outputs, clean.outputs);
     assert_eq!(faulty.metrics.recovery.gpu_daemon_crashes, 1);
@@ -282,7 +326,7 @@ fn chain(n: usize, k: u64) -> Arc<ChainApp> {
 fn worker_crash_resumes_from_checkpoint_bit_identical() {
     let config = JobConfig::static_analytic().with_iterations(4).with_checkpoint_interval(1);
     let clean_app = chain(60_000, 8);
-    let clean = run_iterative(&ClusterSpec::delta(3), clean_app.clone(), config).unwrap();
+    let clean = run(&ClusterSpec::delta(3), clean_app.clone(), config).unwrap();
     let clean_state = clean_app.save_state();
 
     // Node 2 dies inside iteration 3, after the iteration-2 checkpoint
@@ -295,7 +339,13 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
         ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
     let app = chain(60_000, 8);
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    let outcome = run_epochs(&spec, app.clone(), config, EpochOptions { store, ..Default::default() }).unwrap();
+    let opts = EpochOptions {
+        store,
+        obs: stack_only(),
+        ..Default::default()
+    };
+    let outcome = run_epochs(&spec, app.clone(), config, opts).unwrap();
+    assert_lanes_exclusive(&outcome.metrics.timeline);
 
     assert_eq!(
         outcome.outputs, clean.outputs,
@@ -330,7 +380,7 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
 #[test]
 fn master_crash_resumes_from_checkpoint_bit_identical() {
     let config = JobConfig::static_analytic().with_iterations(4).with_checkpoint_interval(1);
-    let clean = run_iterative(&ClusterSpec::delta(2), chain(60_000, 8), config).unwrap();
+    let clean = run(&ClusterSpec::delta(2), chain(60_000, 8), config).unwrap();
 
     let it = &clean.metrics.iterations;
     let crash_at =
@@ -338,7 +388,13 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(7).crash_master(crash_at));
     let app = chain(60_000, 8);
     let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
-    let outcome = run_epochs(&spec, app, config, EpochOptions { store, ..Default::default() }).unwrap();
+    let opts = EpochOptions {
+        store,
+        obs: stack_only(),
+        ..Default::default()
+    };
+    let outcome = run_epochs(&spec, app, config, opts).unwrap();
+    assert_lanes_exclusive(&outcome.metrics.timeline);
 
     assert_eq!(outcome.outputs, clean.outputs);
     let r = &outcome.metrics.recovery;
@@ -374,7 +430,7 @@ fn master_crash_without_checkpointing_is_invalid_config() {
 fn slowdown_windows_stretch_without_recovery_actions() {
     let mk = || hist(150_000, 8, 80.0, DataResidency::Staged);
     let config = JobConfig::static_analytic();
-    let clean = run_iterative(&ClusterSpec::delta(2), mk(), config).unwrap();
+    let clean = run(&ClusterSpec::delta(2), mk(), config).unwrap();
 
     let horizon = clean.metrics.total_seconds.max(1.0);
     let spec = ClusterSpec::delta(2).with_faults(
@@ -382,7 +438,7 @@ fn slowdown_windows_stretch_without_recovery_actions() {
             .slow_cpu(0, 0.0, horizon, 3.0)
             .slow_gpu(1, 0, 0.0, horizon, 2.0),
     );
-    let faulty = run_iterative(&spec, mk(), config).unwrap();
+    let faulty = run(&spec, mk(), config).unwrap();
 
     assert_eq!(faulty.outputs, clean.outputs);
     assert!(faulty.metrics.recovery.is_clean());

@@ -265,12 +265,7 @@ fn injected_gpu_fault_postmortem_names_the_node_and_kind() {
         captures.iter().map(insight::postmortem::capture_doc).collect();
     let incident_values: Vec<Value> = out.incidents.iter().map(|i| i.to_value()).collect();
     let frames = obs::FrameSet::from_stack(&obs.stack);
-    let pm = insight::postmortem::assemble(
-        &docs,
-        &incident_values,
-        &obs.audit.records(),
-        frames.frames(),
-    );
+    let pm = insight::postmortem::assemble(&docs, &incident_values, &obs.audit.records(), &frames);
 
     let entry = pm.as_object().unwrap()["incidents"]
         .as_array()

@@ -205,7 +205,6 @@ fn run(spec: &ClusterSpec, app: HistApp, config: JobConfig) -> (JobResult<u64>, 
 }
 
 fn run_with(spec: &ClusterSpec, app: HistApp, config: JobConfig, obs: Obs) -> (JobResult<u64>, Pin) {
-    let config = JobConfig { record_timeline: true, ..config };
     let r = run_iterative_observed(spec, Arc::new(app), config, obs.clone()).expect("job runs");
     let pin = pin_of(&r, &obs);
     (r, pin)
@@ -411,13 +410,11 @@ fn micro4() -> ClusterSpec {
 
 fn iterate<A: IterativeApp>(app: A) -> (u64, u64) {
     let config = JobConfig::static_analytic().with_iterations(3);
-    let config = JobConfig { record_timeline: true, ..config };
     stage_pin(run_iterative_observed(&micro4(), Arc::new(app), config, stack_only()))
 }
 
 fn once<A: SpmdApp>(app: A) -> (u64, u64) {
     let config = JobConfig::static_analytic();
-    let config = JobConfig { record_timeline: true, ..config };
     stage_pin(run_job_observed(&micro4(), Arc::new(app), config, stack_only()))
 }
 
