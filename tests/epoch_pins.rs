@@ -10,11 +10,18 @@
 //! chart and the Chrome trace of the final attempt's `JobMetrics::timeline`)
 //! were captured on commit 198c3f0, while device busy time still had a
 //! recorder of its own.
+//!
+//! The grid pins hash the files `prs chaos` writes at its defaults
+//! (seed 7): `chaos_report.json` over 32 trials, `churn_report.json` over
+//! 16, `watch_score.json` over 32 with the default rules, and every
+//! `--record` trial directory. They were captured on commit 7fe4b34,
+//! before the checkpoint lost its codec and its store.
 
 use device::{render_ascii, to_chrome_trace};
 use prs_core::{
-    run_epochs, run_iterative, AutoscalePolicy, CheckpointableApp, ClusterSpec, DeviceClass,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
+    run_chaos, run_chaos_churn, run_chaos_recorded, run_chaos_scored, run_epochs, run_iterative,
+    AutoscalePolicy, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, EpochOptions,
+    FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -253,6 +260,69 @@ fn autoscale_grow() {
     );
 }
 
+/// A JSON document as `prs` writes it: pretty, with a final newline.
+fn json_file(doc: &serde_json::Value) -> String {
+    serde_json::to_string_pretty(doc).unwrap() + "\n"
+}
+
+fn grid(trials: usize) -> ChaosConfig {
+    ChaosConfig { trials, seed: 7, ..ChaosConfig::default() }
+}
+
+#[test]
+fn chaos_grid() {
+    let report = run_chaos(&grid(32));
+    assert!(report.all_passed());
+    assert_eq!(fnv1a(json_file(&report.to_json()).bytes()), CHAOS_REPORT);
+}
+
+#[test]
+fn churn_grid() {
+    let report = run_chaos_churn(&grid(16));
+    assert!(report.all_passed());
+    assert_eq!(fnv1a(json_file(&report.to_json()).bytes()), CHURN_REPORT);
+}
+
+#[test]
+fn scored_grid() {
+    let (report, score) = run_chaos_scored(&grid(32), &watch::WatchConfig::default());
+    assert_eq!(fnv1a(json_file(&report.to_json()).bytes()), CHAOS_REPORT);
+    assert_eq!(fnv1a(score.to_json().bytes()), WATCH_SCORE);
+}
+
+/// Every file `prs chaos --score-watch --record` writes, in the order it
+/// writes them, each preceded by its path under the records directory.
+#[test]
+fn recorded_grid() {
+    let (_, _, recordings) = run_chaos_recorded(
+        &grid(32),
+        &watch::WatchConfig::default(),
+        obs::RecorderConfig::enabled(),
+    );
+    let mut files: Vec<(String, String)> = Vec::new();
+    for rec in &recordings {
+        let dir = format!("trial-{}", rec.index);
+        for c in &rec.captures {
+            files.push((format!("{dir}/{}", c.file_name()), c.to_jsonl()));
+        }
+        let incidents: String = rec.postmortem["incidents"]
+            .as_array()
+            .into_iter()
+            .flatten()
+            .filter_map(|e| e.get("incident"))
+            .map(|inc| inc.to_json_string() + "\n")
+            .collect();
+        if !incidents.is_empty() {
+            files.push((format!("{dir}/incidents.jsonl"), incidents));
+        }
+        files.push((format!("{dir}/decisions.jsonl"), rec.decisions_jsonl.clone()));
+        files.push((format!("{dir}/stacks.jsonl"), rec.stacks_jsonl.clone()));
+        files.push((format!("{dir}/postmortem.json"), json_file(&rec.postmortem)));
+    }
+    let bytes = files.iter().flat_map(|(path, text)| format!("{path}\n{text}").into_bytes());
+    assert_eq!(fnv1a(bytes), RECORDED_TRIALS);
+}
+
 const WORKER_CRASH: Pin = Pin {
     events: 0x87ff678e0cb9f9d4,
     metrics: 0x519d172d2eceaebc,
@@ -334,3 +404,7 @@ const AUTOSCALE_GROW: Pin = Pin {
     trace: 0xc5e6fdf0b61dd866,
     timeline: 0x0b47a6efae84229a,
 };
+const CHAOS_REPORT: u64 = 0x72a9c3573b0b15b3;
+const CHURN_REPORT: u64 = 0xd881d89ba027dcc0;
+const WATCH_SCORE: u64 = 0xf8d94aee0d5dfba9;
+const RECORDED_TRIALS: u64 = 0x883df037ed38e669;
