@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
-use obs::jsonl::EventLine;
 use obs::rollup::{rollup, RollupConfig};
 use obs::{AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
@@ -477,49 +476,45 @@ fn bundle_dir(args: &[String], missing: &str) -> Result<String, String> {
 
 /// `prs trace`: summarize `events.jsonl` and `decisions.jsonl`.
 /// `--flows` adds the paired `msg-send`/`msg-recv` causal-edge summary.
+/// The events are read strictly, once: a damaged file is an error naming
+/// it, never a summary of part of a run.
 fn cmd_trace(args: &[String]) -> Cmd {
     const ARGS: ArgSpec = ArgSpec::new(&["dir"], &["flows"], 1);
     let kv = ARGS.parse(args)?;
     let dir = kv.dir(MISSING_BUNDLE)?;
     let events_path = std::path::Path::new(&dir).join("events.jsonl");
-    let text = read(&events_path)?;
+    let mut events = Vec::new();
+    obs::jsonl::read_events(&read(&events_path)?, |e| events.push(e))
+        .map_err(|e| Failed(format!("{}: {e}", events_path.display())))?;
     let mut recs = decisions_if_present(&Path::new(&dir).join("decisions.jsonl"))?;
-    let mut by_kind: std::collections::BTreeMap<String, (u64, f64)> =
-        std::collections::BTreeMap::new();
-    let mut t_max = 0.0f64;
-    let mut total = 0u64;
-    let mut recovery: Vec<(f64, String, String)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        // A summary, not a validator: lines that are not JSON are passed
-        // over and absent members read as "?" / 0.
-        let f = match obs::jsonl::read_event_line(line, &mut obs::jsonl::NoAttrs) {
-            Err(_) | Ok(EventLine::Meta { .. }) => continue,
-            Ok(EventLine::NotObject) => Default::default(),
-            Ok(EventLine::Event(f)) => f,
-        };
-        let kind = f.kind.as_deref().unwrap_or("?").to_string();
-        let lane = f.lane.as_deref().unwrap_or("?").to_string();
-        let t = f.t.unwrap_or(0.0);
-        let dur = f.dur.unwrap_or(0.0);
-        total += 1;
-        t_max = t_max.max(t + dur);
-        let e = by_kind.entry(kind.clone()).or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += dur;
-        if matches!(
-            kind.as_str(),
-            "retry" | "reassign" | "gpu-crash" | "gpu-daemon-down" | "block-requeued"
-        ) {
-            recovery.push((t, kind, lane));
-        }
-    }
-    if total == 0 {
+    if events.is_empty() {
         return Err(Failed(format!(
             "no events found in {} — was the run recorded with --obs?",
             events_path.display()
         )));
     }
-    say!("{total} event(s) over {t_max:.6} virtual seconds ({})", events_path.display());
+    let mut by_kind: std::collections::BTreeMap<&str, (u64, f64)> =
+        std::collections::BTreeMap::new();
+    let mut t_max = 0.0f64;
+    let mut recovery = Vec::new();
+    for e in &events {
+        let dur = e.dur.unwrap_or(0.0);
+        t_max = t_max.max(e.t + dur);
+        let entry = by_kind.entry(&e.kind).or_insert((0, 0.0));
+        entry.0 += 1;
+        entry.1 += dur;
+        if matches!(
+            &*e.kind,
+            "retry" | "reassign" | "gpu-crash" | "gpu-daemon-down" | "block-requeued"
+        ) {
+            recovery.push(e);
+        }
+    }
+    say!(
+        "{} event(s) over {t_max:.6} virtual seconds ({})",
+        events.len(),
+        events_path.display()
+    );
     say!("  kind                 count   busy_s");
     for (kind, (count, busy)) in &by_kind {
         say!("  {kind:<20} {count:>5}   {busy:.6}");
@@ -528,13 +523,12 @@ fn cmd_trace(args: &[String]) -> Cmd {
         say!("\nno recovery events: fault-free run");
     } else {
         say!("\n{} recovery event(s):", recovery.len());
-        for (t, kind, lane) in &recovery {
-            say!("  t={t:<12.6} {kind:<16} on {lane}");
+        for e in &recovery {
+            say!("  t={:<12.6} {:<16} on {}", e.t, &*e.kind, &*e.lane);
         }
     }
     if kv.flag("flows") {
-        let events = read_trace_events(&dir)?;
-        let flows = insight::pair_flows(&events);
+        let flows = insight::pair_flows(&insight::canonical_view(&events));
         if flows.is_empty() {
             say!("\nno message flows (run recorded before flow tracing, or single node)");
         } else {
@@ -1015,6 +1009,10 @@ fn cmd_chaos(args: &[String]) -> Cmd {
             None => defaults.engine,
         },
     };
+    if cfg.trials == 0 {
+        // An empty grid would pass every invariant and floor vacuously.
+        return Err(Usage("--trials must be at least 1".to_string()));
+    }
     let (json, score_watch) = (kv.flag("json"), kv.flag("score-watch"));
     let (record, churn) = (kv.flag("record"), kv.flag("churn"));
     let conflict = if !score_watch && (kv.get("rules").is_some() || kv.get("watch-out").is_some()) {
@@ -1502,7 +1500,6 @@ fn dispatch(
                 membership: churn.cloned().unwrap_or_default(),
                 autoscale: opts.autoscale.then(prs_core::AutoscalePolicy::default),
                 obs,
-                ..Default::default()
             };
             let out = prs_core::run_epochs(spec, app.clone(), opts.config, epochs).map_err(err)?;
             let m = &out.membership;

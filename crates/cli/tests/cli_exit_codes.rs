@@ -118,6 +118,9 @@ fn usage_errors_exit_two() {
         vec!["chaos", "--record-out", "d"],  // needs --record
         vec!["chaos", "--churn", "--score-watch"], // churn grid stands alone
         vec!["chaos", "--churn", "--record", "--score-watch"],
+        vec!["chaos", "--trials", "0"], // an empty grid passes vacuously
+        vec!["chaos", "--trials", "0", "--score-watch"],
+        vec!["chaos", "--trials", "0", "--churn"],
         vec!["run", "--record-budget", "0"], // budget must be at least 1
         vec!["run", "--membership", "p.toml", "--app", "gemv"], // elastic needs cmeans
         vec!["run", "--autoscale", "--app", "kmeans"],
@@ -503,6 +506,7 @@ fn readers_reject_a_truncated_bundle() {
             vec!["profile", d],
             vec!["top", d, "--frames", "2"],
             vec!["calibrate", "--from-trace", d, "--out", cal],
+            vec!["trace", "--dir", d],
         ]
         .iter()
         .map(|c| c.iter().map(|s| s.to_string()).collect())

@@ -20,7 +20,6 @@
 //! report, byte for byte.
 
 use crate::api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
-use crate::checkpoint::MemStore;
 use crate::cluster::ClusterSpec;
 use crate::config::JobConfig;
 use crate::epoch::{run_epochs, ElasticOutcome, EpochOptions};
@@ -485,15 +484,12 @@ fn run_chaos_inner(
         // the whole report) is identical either way.
         let baseline_app = Arc::new(ChaosApp::new(items, keys, converge_round));
         let baseline_obs = rules.map(|_| Obs::recording());
-        let baseline = match &baseline_obs {
-            Some(o) => run_iterative_observed(
-                &ClusterSpec::delta(nodes),
-                baseline_app.clone(),
-                config,
-                o.clone(),
-            ),
-            None => run_iterative(&ClusterSpec::delta(nodes), baseline_app.clone(), config),
-        }
+        let baseline = run_iterative_observed(
+            &ClusterSpec::delta(nodes),
+            baseline_app.clone(),
+            config,
+            baseline_obs.clone().unwrap_or_else(Obs::disabled),
+        )
         .expect("chaos baseline run");
         let span = baseline.metrics.total_seconds;
 
@@ -535,7 +531,6 @@ fn run_chaos_inner(
 
         let chaotic_config = config.with_checkpoint_interval(checkpoint_interval);
         let chaotic_app = Arc::new(ChaosApp::new(items, keys, converge_round));
-        let store = Arc::new(MemStore::new());
         // Recorded trials shadow the bus rather than trimming it: the
         // flow-conservation invariant and the watchdog's cursor both
         // read the full event history after the run.
@@ -548,7 +543,6 @@ fn run_chaos_inner(
             chaotic_app.clone(),
             chaotic_config,
             EpochOptions {
-                store,
                 obs: obs.clone(),
                 ..EpochOptions::default()
             },
@@ -912,14 +906,12 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
         let planned_evicts = mplan.evicts.len();
 
         let churn_app = Arc::new(ChaosApp::new(items, keys, 0));
-        let store = Arc::new(MemStore::new());
         let obs = Obs::recording();
         let outcome = run_epochs(
             &ClusterSpec::delta(nodes).with_faults(plan),
             churn_app.clone(),
             config.with_checkpoint_interval(checkpoint_interval),
             EpochOptions {
-                store,
                 membership: mplan,
                 obs: obs.clone(),
                 autoscale: None,

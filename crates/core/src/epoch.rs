@@ -16,15 +16,15 @@
 //! chaos grids pin.
 
 use crate::api::{CheckpointableApp, Key};
-use crate::checkpoint::{CheckpointStore, MemStore};
 use crate::cluster::ClusterSpec;
 use crate::config::JobConfig;
 use crate::faults::{CrashEvent, FaultPlan};
-use crate::job::{partition_plan, run_with_update, CheckpointHooks, JobError, RunHooks, UpdateFn};
+use crate::job::{run_with_update, Checkpoint, CheckpointHooks, JobError, RunHooks, UpdateFn};
 use crate::membership::{AutoscalePolicy, MembershipCounters, MembershipEvent, MembershipPlan};
 use crate::metrics::{JobMetrics, RecoveryCounters};
 use netsim::HeartbeatMonitor;
 use obs::Obs;
+use parking_lot::Mutex;
 use roofline::DeviceProfile;
 use serde_json::json;
 use simtime::SimTime;
@@ -40,12 +40,10 @@ const JOIN_BACKOFF_BASE_SECS: f64 = 0.05;
 const JOIN_MAX_ATTEMPTS: usize = 32;
 
 /// What [`run_epochs`] takes besides the cluster, the application and the
-/// job config. Every default is the identity: an unused in-memory store,
-/// no churn, no autoscaler, no observation.
+/// job config. Every default is the identity: no churn, no autoscaler, no
+/// observation.
+#[derive(Default)]
 pub struct EpochOptions {
-    /// Where checkpoints go. Written only when
-    /// `config.checkpoint_interval_iters >= 1`.
-    pub store: Arc<dyn CheckpointStore>,
     /// Scheduled scale-out / drain / evict events.
     pub membership: MembershipPlan,
     /// Hysteresis autoscaler, evaluated every `eval_interval_iters`
@@ -54,17 +52,6 @@ pub struct EpochOptions {
     /// Shared across epochs: bus events, metrics and the audit log
     /// accumulate over the whole run at cumulative virtual timestamps.
     pub obs: Obs,
-}
-
-impl Default for EpochOptions {
-    fn default() -> Self {
-        EpochOptions {
-            store: Arc::new(MemStore::new()),
-            membership: MembershipPlan::default(),
-            autoscale: None,
-            obs: Obs::disabled(),
-        }
-    }
 }
 
 /// One epoch of a run and how it ended.
@@ -157,11 +144,11 @@ fn validate(spec: &ClusterSpec, config: &JobConfig, opts: &EpochOptions) -> Resu
 struct Epochs<'a, A> {
     spec: &'a ClusterSpec,
     app: Arc<A>,
-    store: Arc<dyn CheckpointStore>,
+    /// The latest checkpoint, written by rank 0 of each attempt; the
+    /// initial model state at iteration 0 until the first one is taken.
+    latest: Arc<Mutex<Checkpoint>>,
     obs: Obs,
     monitor: HeartbeatMonitor,
-    /// Snapshot for a rollback before the first checkpoint exists.
-    initial_state: Vec<u8>,
     /// True when a membership plan or an autoscaler is attached: the
     /// `membership` lane and the `prs_cluster_size` gauge are emitted.
     /// Crash-only runs leave both out of their artifacts.
@@ -238,20 +225,10 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
             let save_app = self.app.clone();
             CheckpointHooks {
                 interval: config.checkpoint_interval_iters as u64,
-                store: self.store.clone(),
+                latest: self.latest.clone(),
                 save_state: Arc::new(move || save_app.save_state()),
                 base_iteration: self.base_iteration,
                 base_secs: self.base_secs,
-                partition_map: partition_plan(
-                    &self.profiles,
-                    &self.app.workload(),
-                    self.app.num_items(),
-                    &attempt,
-                )
-                .into_iter()
-                .map(|(rank, r)| (rank as u32, r.start as u64, r.end as u64))
-                .collect(),
-                rng_seed: self.faults.seed,
             }
         });
         let hooks = RunHooks {
@@ -271,23 +248,16 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
         }
     }
 
-    /// Rolls the application back to the last checkpoint (or the initial
-    /// model state when none exists yet) and charges the virtual time
-    /// between it and `until`. Returns the checkpoint's clock.
-    fn restore(&mut self, until: f64) -> Result<f64, JobError> {
-        let restored = self
-            .store
-            .latest()
-            .map_err(|e| JobError::InvalidConfig(format!("checkpoint store: {e}")))?;
-        let (state, iteration, resume_secs) = match &restored {
-            Some(ckpt) => (&ckpt.app_state, ckpt.iteration, ckpt.virtual_secs),
-            None => (&self.initial_state, 0, 0.0),
-        };
-        self.app.restore_state(state);
-        self.base_iteration = iteration;
-        self.recovery.seconds_lost_to_faults += until - resume_secs;
+    /// Rolls the application back to the latest checkpoint and charges
+    /// the virtual time between it and `until`. Returns the checkpoint's
+    /// clock.
+    fn restore(&mut self, until: f64) -> f64 {
+        let ckpt = self.latest.lock();
+        self.app.restore_state(&ckpt.app_state);
+        self.base_iteration = ckpt.iteration;
+        self.recovery.seconds_lost_to_faults += until - ckpt.virtual_secs;
         self.recovery.restores += 1;
-        Ok(resume_secs)
+        ckpt.virtual_secs
     }
 
     /// Takes stable id `id` out of the live cluster. `Ok(false)` when it
@@ -398,7 +368,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
     fn churned(&mut self, ev: MembershipEvent, discarded: bool, end_local: f64) -> Boundary {
         let boundary = self.base_secs + end_local;
         if discarded {
-            self.restore(boundary)?;
+            self.restore(boundary);
         }
         let (kind, new_base) = match (ev, discarded) {
             (MembershipEvent::Drain(d), false) => {
@@ -449,7 +419,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
             ),
         };
         let new_base = boundary + delay;
-        let resume_secs = self.restore(new_base)?;
+        let resume_secs = self.restore(new_base);
         let node = match crash {
             CrashEvent::Node { node, .. } => {
                 self.recovery.node_crashes += 1;
@@ -604,9 +574,12 @@ pub fn run_epochs<A: CheckpointableApp>(
     let autoscale = opts.autoscale;
     let mut st = Epochs {
         spec,
-        initial_state: app.save_state(),
+        latest: Arc::new(Mutex::new(Checkpoint {
+            iteration: 0,
+            virtual_secs: 0.0,
+            app_state: app.save_state(),
+        })),
         app: app.clone(),
-        store: opts.store,
         obs: opts.obs,
         monitor: HeartbeatMonitor::default(),
         elastic: !opts.membership.is_empty() || autoscale.is_some(),

@@ -93,8 +93,8 @@ pub struct NodeCrash {
 }
 
 /// Kill the master task scheduler at a fixed virtual time. Failover to a
-/// standby master requires a checkpoint interval > 0 — the standby replays
-/// from the last `ckpt-NNN.bin`, so the cluster topology is unchanged but
+/// standby master requires a checkpoint interval > 0 — the standby resumes
+/// from the latest checkpoint, so the cluster topology is unchanged but
 /// the detection + failover delay is charged to the run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MasterCrash {

@@ -6,7 +6,6 @@
 #![warn(clippy::too_many_lines)]
 
 use crate::api::{DeviceClass, IterativeApp, Key, SpmdApp};
-use crate::checkpoint::{CheckpointStore, PartitionSpan};
 use crate::cluster::ClusterSpec;
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
 use crate::faults::FaultPlan;
@@ -146,15 +145,27 @@ pub(crate) struct Collected<O> {
     pub paused: bool,
 }
 
-/// Checkpoint cadence and sink for one attempt, armed by the epoch
-/// driver. Rank 0's sub-task scheduler writes a [`Checkpoint`] through
-/// `store` after every `interval`-th *cumulative* iteration (host-side
-/// only — writing never advances the virtual clock).
+/// An iteration checkpoint: exactly what a restore reads back.
+pub(crate) struct Checkpoint {
+    /// Completed iterations, cumulative across recovery epochs (resume
+    /// starts at this iteration).
+    pub iteration: u64,
+    /// Cumulative virtual clock (seconds) at the checkpointed reduce.
+    pub virtual_secs: f64,
+    /// Opaque application model state
+    /// ([`crate::api::CheckpointableApp::save_state`]).
+    pub app_state: Vec<u8>,
+}
+
+/// Checkpoint cadence and slot for one attempt, armed by the epoch
+/// driver. Rank 0's sub-task scheduler overwrites `latest` after every
+/// `interval`-th *cumulative* iteration (host-side only — writing never
+/// advances the virtual clock).
 pub(crate) struct CheckpointHooks {
     /// Cumulative iterations between checkpoints (>= 1).
     pub interval: u64,
-    /// Where checkpoints go.
-    pub store: Arc<dyn CheckpointStore>,
+    /// The epoch driver's latest-checkpoint slot.
+    pub latest: Arc<Mutex<Checkpoint>>,
     /// Serializes the application's model state.
     pub save_state: Arc<dyn Fn() -> Vec<u8> + Send + Sync>,
     /// Iterations completed before this attempt started (checkpoint
@@ -162,16 +173,12 @@ pub(crate) struct CheckpointHooks {
     pub base_iteration: u64,
     /// Cumulative virtual seconds consumed before this attempt started.
     pub base_secs: f64,
-    /// The master's partition plan, recorded into every checkpoint.
-    pub partition_map: Vec<PartitionSpan>,
-    /// The fault plan's RNG cursor, recorded into every checkpoint.
-    pub rng_seed: u64,
 }
 
 /// Driver-side hooks for one simulation attempt (recovery epoch). The
 /// plain entry points run with `RunHooks::default()`; the epoch
 /// driver arms the epoch's first scheduled crash time and the checkpoint
-/// sink.
+/// slot.
 #[derive(Default)]
 pub(crate) struct RunHooks {
     /// Abort the attempt at the first iteration boundary at or after this
@@ -202,9 +209,9 @@ pub(crate) struct RunHooks {
 /// The master's partition plan: each node's contiguous share of the input
 /// (heterogeneity-weighted when configured), cut into
 /// `partitions_per_node` partitions. Pure function of the cluster and
-/// config — shared by the master loop and the epoch driver's
-/// checkpoint metadata so the recorded plan always matches the real one.
-pub(crate) fn partition_plan(
+/// config — shared by the master loop and the GPU-memory check in
+/// validation, so the checked plan always matches the real one.
+fn partition_plan(
     profiles: &[DeviceProfile],
     workload: &Workload,
     total_items: usize,

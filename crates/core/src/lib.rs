@@ -16,11 +16,10 @@
 //! - [`faults`] — deterministic fault injection (GPU crashes, stragglers,
 //!   network disruptions, whole-node and master crashes) and the
 //!   scheduler's recovery machinery.
-//! - [`checkpoint`] — iteration checkpoints: a deterministic binary codec
-//!   plus in-memory and on-disk stores.
 //! - [`epoch`] — the epoch driver: one loop that carries an iterative job
 //!   through node and master crashes, membership churn and autoscaler
-//!   decisions by restoring the last checkpoint on the current cluster.
+//!   decisions by restoring the latest iteration checkpoint (the model
+//!   state, its iteration and its clock) on the current cluster.
 //! - [`membership`] — elastic cluster membership: seeded churn plans
 //!   (scale-out / drain / evict) and the hysteresis autoscaler policy.
 //! - [`chaos`] — a seeded chaos harness sampling fault plans across
@@ -68,7 +67,6 @@
 
 pub mod api;
 pub mod chaos;
-pub mod checkpoint;
 pub mod cluster;
 pub mod config;
 pub mod epoch;
@@ -85,7 +83,6 @@ pub use chaos::{
     ground_truth_from_plan, run_chaos, run_chaos_churn, run_chaos_recorded, run_chaos_scored,
     ChaosConfig, ChaosReport, ChaosTrial, ChurnReport, ChurnTrial, TrialRecording,
 };
-pub use checkpoint::{Checkpoint, CheckpointStore, DirStore, MemStore};
 pub use cluster::ClusterSpec;
 pub use config::{CalibrationMode, JobConfig, SchedulingMode};
 pub use simtime::{EngineConfig, EngineMode};

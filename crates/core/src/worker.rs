@@ -7,10 +7,9 @@
 #![warn(clippy::too_many_lines)]
 
 use crate::api::{DeviceClass, Key, SpmdApp};
-use crate::checkpoint::Checkpoint;
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
 use crate::faults::NodeStall;
-use crate::job::{CheckpointHooks, Collected, CtrlMsg, NodeReport, RunHooks, UpdateFn};
+use crate::job::{Checkpoint, CheckpointHooks, Collected, CtrlMsg, NodeReport, RunHooks, UpdateFn};
 use crate::metrics::{RecoveryCounters, StageTimes};
 use crate::task::{split_fixed, split_range, Task, TaskResult};
 use device::{CompletionBoard, FatNode, Gpu};
@@ -1311,7 +1310,7 @@ impl<A: SpmdApp> Worker<A> {
     /// runs: the interrupted iteration leaves no trace in the application
     /// state, so restoring the last checkpoint is exact. Otherwise the
     /// update is applied and, on the configured cadence, a checkpoint is
-    /// serialized (host-side only — writing costs no virtual time).
+    /// taken (host-side only — writing costs no virtual time).
     fn decide(&mut self, ctx: &SimCtx, iter: usize, global: &Outputs<A>) -> Verdict {
         let hooks = &self.job.hooks;
         let now_s = ctx.now().as_secs_f64();
@@ -1345,26 +1344,11 @@ impl<A: SpmdApp> Worker<A> {
     }
 
     fn write_checkpoint(&self, ctx: &SimCtx, ck: &CheckpointHooks, iteration: u64) {
-        let (prof, workload, gpu_usable) = (self.profile(), &self.workload, self.split.gpu_usable);
-        let cpu_rate = if workload.ai_cpu > 0.0 {
-            prof.cpu_roofline().attainable_flops(workload.ai_cpu)
-        } else {
-            0.0
-        };
-        let gpu_rate = if gpu_usable > 0 && workload.ai_gpu > 0.0 && !prof.gpus.is_empty() {
-            split_multi_gpu(prof, workload, gpu_usable).gpu_flops
-        } else {
-            0.0
-        };
-        let snapshot = Checkpoint {
+        *ck.latest.lock() = Checkpoint {
             iteration,
             virtual_secs: ck.base_secs + ctx.now().as_secs_f64(),
             app_state: (ck.save_state)(),
-            partition_map: ck.partition_map.clone(),
-            calib_rates: (cpu_rate, gpu_rate),
-            rng_seed: ck.rng_seed,
         };
-        ck.store.save(&snapshot).expect("checkpoint store write");
         self.recover(ctx, RecoveryAction::CheckpointWritten { iteration });
     }
 

@@ -19,6 +19,7 @@
 use crate::audit::DecisionRecord;
 use crate::bus::Event;
 use crate::is_device_lane;
+use crate::jsonl::EventRecord;
 use crate::metrics::MetricsRegistry;
 use crate::name::Name;
 use serde::Value;
@@ -176,6 +177,33 @@ impl EventView for Event {
     }
     fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
         crate::jsonl::each_attr_sorted(&self.attrs, f)
+    }
+}
+
+/// A strictly read `events.jsonl` line is a view too, in file order.
+impl EventView for EventRecord {
+    fn t(&self) -> f64 {
+        self.t
+    }
+    fn dur(&self) -> Option<f64> {
+        self.dur
+    }
+    fn lane(&self) -> &str {
+        &self.lane
+    }
+    fn kind(&self) -> &str {
+        &self.kind
+    }
+    fn iter(&self) -> Option<u64> {
+        self.iter
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        self.attrs.get(key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        for (k, v) in &self.attrs {
+            f(k, *v);
+        }
     }
 }
 

@@ -124,7 +124,7 @@ fn pin(
     autoscale: Option<AutoscalePolicy>,
 ) -> Pin {
     let obs = Obs::recording();
-    let opts = EpochOptions { membership, autoscale, obs: obs.clone(), ..EpochOptions::default() };
+    let opts = EpochOptions { membership, autoscale, obs: obs.clone() };
     let out = run_epochs(spec, chain(), config, opts).unwrap();
     let mut trace = String::new();
     for e in &out.attempts {

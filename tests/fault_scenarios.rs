@@ -7,9 +7,8 @@
 //! lane overlap.
 
 use prs_core::{
-    run_epochs, run_iterative_observed, CheckpointStore, CheckpointableApp, ClusterSpec,
-    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, JobError, JobResult, Key,
-    MemStore, Obs, SpmdApp,
+    run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, DeviceClass,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, JobError, JobResult, Key, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -338,9 +337,7 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
     let spec =
         ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
     let app = chain(60_000, 8);
-    let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let opts = EpochOptions {
-        store,
         obs: stack_only(),
         ..Default::default()
     };
@@ -387,9 +384,7 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
         clean.metrics.setup_seconds + it[0].total() + it[1].total() + 0.5 * it[2].total();
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(7).crash_master(crash_at));
     let app = chain(60_000, 8);
-    let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let opts = EpochOptions {
-        store,
         obs: stack_only(),
         ..Default::default()
     };
@@ -414,12 +409,11 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
 #[test]
 fn master_crash_without_checkpointing_is_invalid_config() {
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(8).crash_master(0.01));
-    let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let err = run_epochs(
         &spec,
         chain(10_000, 4),
         JobConfig::static_analytic(),
-        EpochOptions { store, ..Default::default() },
+        EpochOptions::default(),
     );
     assert!(err.is_err(), "missing checkpoint interval must be rejected");
 }

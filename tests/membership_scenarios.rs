@@ -81,7 +81,7 @@ fn chain(n: usize, k: u64) -> Arc<ChainApp> {
     Arc::new(ChainApp { n, k, state: RwLock::new(0x9e37_79b9_7f4a_7c15) })
 }
 
-/// Epoch options for a churn plan: fresh in-memory store, no autoscaler.
+/// Epoch options for a churn plan: no autoscaler.
 fn churn(plan: &MembershipPlan) -> EpochOptions {
     EpochOptions { membership: plan.clone(), ..EpochOptions::default() }
 }

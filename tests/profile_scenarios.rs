@@ -12,8 +12,8 @@
 
 use obs::Obs;
 use prs_core::{
-    run_epochs, run_iterative_observed, CheckpointStore, CheckpointableApp, ClusterSpec,
-    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, SpmdApp,
+    run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, DeviceClass,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -167,13 +167,12 @@ fn recovery_time_is_a_distinct_profile_lane() {
         clean.metrics.setup_seconds + it[0].total() + it[1].total() + 0.5 * it[2].total();
 
     let spec = ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
-    let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
     let obs = Obs::recording();
     let outcome = run_epochs(
         &spec,
         hist(),
         config,
-        EpochOptions { store, obs: obs.clone(), ..Default::default() },
+        EpochOptions { obs: obs.clone(), ..Default::default() },
     )
     .unwrap();
     assert_eq!(outcome.metrics.recovery.node_crashes, 1);

@@ -5,8 +5,8 @@
 
 use prs_bench::SyntheticApp;
 use prs_core::{
-    run_epochs, run_iterative, run_job, CheckpointStore, CheckpointableApp, ClusterSpec,
-    DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MemStore, MembershipPlan,
+    run_epochs, run_iterative, run_job, CheckpointableApp, ClusterSpec, DeviceClass,
+    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MembershipPlan,
     SpmdApp, MAX_SCALE_OUT_NODES,
 };
 use proptest::prelude::*;
@@ -210,13 +210,12 @@ proptest! {
             plan = plan.crash_master(f_master * span);
         }
         let app = chain(n, k);
-        let store: Arc<dyn CheckpointStore> = Arc::new(MemStore::new());
         let outcome =
             run_epochs(
                 &ClusterSpec::delta(nodes).with_faults(plan),
                 app.clone(),
                 config,
-                EpochOptions { store, ..Default::default() },
+                EpochOptions::default(),
             )
             .unwrap();
 
