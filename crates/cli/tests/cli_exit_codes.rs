@@ -626,3 +626,45 @@ fn readers_reject_a_truncated_bundle() {
     }
     let _ = std::fs::remove_dir_all(&whole);
 }
+
+/// Every recorded chaos trial that holds captures re-assembles into the
+/// `postmortem.json` the grid wrote, byte for byte, from the trial dir's
+/// files alone. A trial without captures is refused by design.
+#[test]
+fn recorded_chaos_trials_reassemble_byte_for_byte() {
+    let dir = tmp_dir("chaos-reassembly");
+    let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let (rec, report, score) = (at("rec"), at("chaos.json"), at("watch.json"));
+    let grid = prs(&[
+        "chaos", "--trials", "8", "--seed", "7", "--score-watch", "--record", "--record-out", &rec,
+        "--out", &report, "--watch-out", &score,
+    ]);
+    assert_eq!(grid.status.code(), Some(0), "{}", String::from_utf8_lossy(&grid.stderr));
+    let mut trials: Vec<PathBuf> = std::fs::read_dir(&rec)
+        .expect("list trials")
+        .map(|e| e.expect("trial entry").path())
+        .collect();
+    trials.sort();
+    assert_eq!(trials.len(), 8);
+    let mut reassembled = 0;
+    for trial in &trials {
+        let t = trial.to_str().expect("utf-8 temp path");
+        let written = std::fs::read(trial.join("postmortem.json")).expect("the grid's postmortem");
+        let has_captures = std::fs::read_dir(trial).expect("list trial").any(|e| {
+            e.expect("trial file").file_name().to_string_lossy().starts_with("capture-")
+        });
+        let out = prs(&["postmortem", t]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if !has_captures {
+            assert_eq!(out.status.code(), Some(1), "{t}: {stderr}");
+            assert!(stderr.contains("no capture"), "{t}: {stderr}");
+            continue;
+        }
+        assert_eq!(out.status.code(), Some(0), "{t}: {stderr}");
+        let again = std::fs::read(trial.join("postmortem.json")).expect("re-assembled postmortem");
+        assert!(again == written, "{t}: prs postmortem wrote other bytes than the grid");
+        reassembled += 1;
+    }
+    assert_eq!(reassembled, 7, "trials with captures");
+    let _ = std::fs::remove_dir_all(&dir);
+}
