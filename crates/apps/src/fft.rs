@@ -62,20 +62,6 @@ pub fn fft_inplace(signal: &mut [f32]) {
     }
 }
 
-/// Inverse FFT (unnormalized conjugate method), for round-trip tests.
-pub fn ifft_inplace(signal: &mut [f32]) {
-    let l = signal.len() / 2;
-    for i in 0..l {
-        signal[2 * i + 1] = -signal[2 * i + 1];
-    }
-    fft_inplace(signal);
-    let scale = 1.0 / l as f32;
-    for i in 0..l {
-        signal[2 * i] *= scale;
-        signal[2 * i + 1] *= -scale;
-    }
-}
-
 /// Batched FFT over `batch` signals of length `len` each, on the PRS.
 pub struct BatchFft {
     signals: Arc<Vec<Vec<f32>>>,
@@ -104,11 +90,6 @@ impl BatchFft {
             signals: Arc::new(signals),
             len,
         }
-    }
-
-    /// Signal length L.
-    pub fn signal_len(&self) -> usize {
-        self.len
     }
 
     /// Time-domain energy of one signal (for Parseval checks).
@@ -176,6 +157,20 @@ impl SpmdApp for BatchFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse FFT (unnormalized conjugate method), for the round trip.
+    fn ifft_inplace(signal: &mut [f32]) {
+        let l = signal.len() / 2;
+        for i in 0..l {
+            signal[2 * i + 1] = -signal[2 * i + 1];
+        }
+        fft_inplace(signal);
+        let scale = 1.0 / l as f32;
+        for i in 0..l {
+            signal[2 * i] *= scale;
+            signal[2 * i + 1] *= -scale;
+        }
+    }
 
     fn impulse(l: usize) -> Vec<f32> {
         let mut s = vec![0.0; 2 * l];

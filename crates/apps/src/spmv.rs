@@ -54,11 +54,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Nonzeros in rows `range`.
-    pub fn nnz_in(&self, range: &Range<usize>) -> usize {
-        self.row_ptr[range.end] - self.row_ptr[range.start]
-    }
-
     /// A random sparse matrix with a skewed (power-law-ish) row-length
     /// distribution: most rows short, a few heavy — the shape that makes
     /// uniform work accounting wrong.
@@ -260,14 +255,6 @@ mod tests {
             }
         }
         assert_eq!(app.assemble(&outputs), expect);
-    }
-
-    #[test]
-    fn nnz_in_range() {
-        let m = small();
-        assert_eq!(m.nnz_in(&(0..1)), 2);
-        assert_eq!(m.nnz_in(&(1..2)), 0);
-        assert_eq!(m.nnz_in(&(0..3)), 4);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use prs_data::matrix::MatrixF32;
 use prs_data::rng::SplitMix64;
 use roofline::model::DataResidency;
 use roofline::schedule::{split_multi_gpu, Workload};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Prints to stdout, exiting quietly when the pipe is closed (`prs | head`
@@ -92,11 +92,73 @@ fn write_json(path: impl AsRef<Path>, doc: &serde_json::Value) -> Cmd {
     write(path, serde_json::to_string_pretty(doc).unwrap() + "\n")
 }
 
-/// The directory artifacts derived from `bundle` are written to: the
-/// bundle itself, or the directory holding it when a file was named.
-fn out_dir(bundle: &str) -> std::path::PathBuf {
-    let p = Path::new(bundle);
-    if p.is_dir() { p.to_path_buf() } else { p.parent().unwrap_or(p).to_path_buf() }
+/// An `--obs` bundle (or chaos trial dir) as a command names it: the
+/// directory, or any file in it. Every artifact is read from the
+/// directory by its own file name, and derived artifacts are written
+/// there.
+struct Bundle(PathBuf);
+
+impl Bundle {
+    fn new(arg: &str) -> Self {
+        let p = Path::new(arg);
+        let dir = match p.parent() {
+            Some(dir) if p.is_file() && dir.as_os_str().is_empty() => Path::new("."),
+            Some(dir) if p.is_file() => dir,
+            _ => p,
+        };
+        Bundle(dir.to_path_buf())
+    }
+
+    /// The path of the artifact called `name`.
+    fn file(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+
+    /// Reads and parses the artifact `name`; a missing or damaged file is
+    /// an error naming it.
+    fn read<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, CliError> {
+        let path = self.file(name);
+        parse(&read(&path)?).map_err(|e| Failed(format!("{}: {e}", path.display())))
+    }
+
+    /// [`Self::read`] for an artifact a command can do without: a missing
+    /// file reads as empty, a damaged one is still an error.
+    fn read_if_present<T: Default, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, CliError> {
+        match self.file(name).try_exists() {
+            Ok(false) => Ok(T::default()),
+            _ => self.read(name, parse),
+        }
+    }
+
+    /// The events of `events.jsonl`, canonically ordered; an empty file
+    /// is an error too.
+    fn events(&self) -> Result<Vec<insight::TraceEvent>, CliError> {
+        let events = self.read("events.jsonl", insight::parse_events_jsonl)?;
+        if events.is_empty() {
+            let file = self.file("events.jsonl");
+            return Err(Failed(format!("no events found in {}", file.display())));
+        }
+        Ok(events)
+    }
+
+    /// `decisions.jsonl`'s scheduling decisions; a missing file reads as
+    /// none.
+    fn decisions(&self) -> Result<Vec<obs::DecisionRecord>, CliError> {
+        self.read_if_present("decisions.jsonl", AuditLog::read_jsonl)
+    }
+
+    /// `incidents.jsonl`'s incident rows; a missing file reads as none.
+    fn incidents(&self) -> Result<Vec<serde_json::Value>, CliError> {
+        self.read_if_present("incidents.jsonl", watch::WatchOutput::read_incidents_jsonl)
+    }
 }
 
 /// The options of `prs run` / `prs sweep`; a bad one is answered with the
@@ -241,11 +303,13 @@ ADVISE OPTIONS:
   --gpus <n>                  (1)
   --from-trace <path>         instead of a hypothetical: report the
                               analytic model's predicted-vs-observed
-                              error from a decisions.jsonl (or --obs dir)
+                              error from a bundle's decisions.jsonl; the
+                              path is the --obs dir or any file in it
                               (also accepts --profile-file <toml>)
 
 CALIBRATE OPTIONS:
-  --from-trace <path>         events.jsonl or an --obs dir (required)
+  --from-trace <path>         fit from a bundle's events.jsonl; the path
+                              is the --obs dir or any file in it (required)
   --out <file> / -o <file>    write the fitted profile TOML here
                               (default: print to stdout)
   --profile <delta|bigred2>   seed profile for the EWMA fit (delta)
@@ -392,37 +456,12 @@ fn cmd_advise(args: &[String]) -> Cmd {
     Ok(())
 }
 
-/// Accepts either a `decisions.jsonl` file or an `--obs` output
-/// directory containing one.
-fn resolve_decisions_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_dir() {
-        p.join("decisions.jsonl")
-    } else {
-        p.to_path_buf()
-    }
-}
-
-/// Reads a `decisions.jsonl` strictly ([`AuditLog::read_jsonl`]): a
-/// damaged or truncated file is an error naming it, never half a log.
-fn parse_decisions(text: &str, file: &Path) -> Result<Vec<obs::DecisionRecord>, CliError> {
-    AuditLog::read_jsonl(text).map_err(|e| Failed(format!("{}: {e}", file.display())))
-}
-
-/// [`parse_decisions`] for the readers that can do without the audit
-/// log: a *missing* file reads as no decisions.
-fn decisions_if_present(file: &Path) -> Result<Vec<obs::DecisionRecord>, CliError> {
-    match std::fs::read_to_string(file) {
-        Ok(text) => parse_decisions(&text, file),
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
-/// `prs advise --from-trace`: replay an audit log and report the
+/// `prs advise --from-trace`: replay a bundle's audit log and report the
 /// roofline model's predicted-vs-observed error per decision.
 fn advise_from_trace(path: &str) -> Cmd {
-    let file = resolve_decisions_path(path);
-    let recs = parse_decisions(&read(&file)?, &file)?;
+    let bundle = Bundle::new(path);
+    let recs = bundle.read("decisions.jsonl", AuditLog::read_jsonl)?;
+    let file = bundle.file("decisions.jsonl");
     if recs.is_empty() {
         return Err(Failed(format!("no decisions found in {}", file.display())));
     }
@@ -481,12 +520,13 @@ fn bundle_dir(args: &[String], missing: &str) -> Result<String, String> {
 fn cmd_trace(args: &[String]) -> Cmd {
     const ARGS: ArgSpec = ArgSpec::new(&["dir"], &["flows"], 1);
     let kv = ARGS.parse(args)?;
-    let dir = kv.dir(MISSING_BUNDLE)?;
-    let events_path = std::path::Path::new(&dir).join("events.jsonl");
-    let mut events = Vec::new();
-    obs::jsonl::read_events(&read(&events_path)?, |e| events.push(e))
-        .map_err(|e| Failed(format!("{}: {e}", events_path.display())))?;
-    let mut recs = decisions_if_present(&Path::new(&dir).join("decisions.jsonl"))?;
+    let bundle = Bundle::new(&kv.dir(MISSING_BUNDLE)?);
+    let events_path = bundle.file("events.jsonl");
+    let events = bundle.read("events.jsonl", |text| {
+        let mut events = Vec::new();
+        obs::jsonl::read_events(text, |e| events.push(e)).map(|()| events)
+    })?;
+    let mut recs = bundle.decisions()?;
     if events.is_empty() {
         return Err(Failed(format!(
             "no events found in {} — was the run recorded with --obs?",
@@ -586,8 +626,7 @@ fn cmd_trace(args: &[String]) -> Cmd {
 
 /// `prs metrics`: summarize `metrics.prom`.
 fn cmd_metrics(args: &[String]) -> Cmd {
-    let dir = bundle_dir(args, MISSING_BUNDLE)?;
-    let path = std::path::Path::new(&dir).join("metrics.prom");
+    let path = Bundle::new(&bundle_dir(args, MISSING_BUNDLE)?).file("metrics.prom");
     let samples = MetricsRegistry::parse_samples(&read(&path)?);
     if samples.is_empty() {
         return Err(Failed(format!("no samples found in {}", path.display())));
@@ -644,32 +683,20 @@ fn cmd_metrics(args: &[String]) -> Cmd {
     Ok(())
 }
 
-/// Reads `events.jsonl` from a path that is either the file itself or an
-/// `--obs` output directory containing one.
-fn read_trace_events(path: &str) -> Result<Vec<insight::TraceEvent>, CliError> {
-    let p = std::path::Path::new(path);
-    let file = if p.is_dir() { p.join("events.jsonl") } else { p.to_path_buf() };
-    let events = insight::parse_events_jsonl(&read(&file)?)
-        .map_err(|e| Failed(format!("{}: {e}", file.display())))?;
-    if events.is_empty() {
-        return Err(Failed(format!("no events found in {}", file.display())));
-    }
-    Ok(events)
-}
-
 /// `prs analyze`: critical-path + blame analysis of an `--obs` bundle.
 /// Writes deterministic `report.json` and `critical_path.json` next to
 /// the events and prints the per-iteration summary table.
 fn cmd_analyze(args: &[String]) -> Cmd {
-    let dir = bundle_dir(args, MISSING_BUNDLE)?;
-    let events = read_trace_events(&dir)?;
+    let bundle = Bundle::new(&bundle_dir(args, MISSING_BUNDLE)?);
+    let events = bundle.events()?;
     let analysis = insight::analyze(&events);
     if analysis.iterations.is_empty() {
         return Err(Failed(format!(
-            "no iteration spans found in {dir}: was the run recorded with --obs?"
+            "no iteration spans found in {}: was the run recorded with --obs?",
+            bundle.0.display()
         )));
     }
-    let out_dir = out_dir(&dir);
+    let out_dir = &bundle.0;
     write(
         out_dir.join("report.json"),
         insight::report_json(&analysis),
@@ -693,11 +720,11 @@ fn cmd_analyze(args: &[String]) -> Cmd {
 fn cmd_watch(args: &[String]) -> Cmd {
     const ARGS: ArgSpec = ArgSpec::new(&["dir", "rules"], &[], 1);
     let kv = ARGS.parse(args)?;
-    let dir = kv.dir(MISSING_BUNDLE)?;
+    let bundle = Bundle::new(&kv.dir(MISSING_BUNDLE)?);
     let cfg = watch_rules(kv.get("rules"))?;
-    let events = read_trace_events(&dir)?;
-    let out_dir = out_dir(&dir);
-    let decisions = decisions_if_present(&out_dir.join("decisions.jsonl"))?;
+    let events = bundle.events()?;
+    let decisions = bundle.decisions()?;
+    let out_dir = &bundle.0;
     let out = watch::watch(&events, &decisions, &cfg);
     write(out_dir.join("alerts.jsonl"), out.alerts_jsonl())?;
     write(out_dir.join("incidents.jsonl"), out.incidents_jsonl())?;
@@ -760,7 +787,7 @@ fn cmd_calibrate(args: &[String]) -> Cmd {
     if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
         return Err(Usage(format!("--alpha {alpha} out of [0,1]")));
     }
-    let events = read_trace_events(trace)?;
+    let events = Bundle::new(trace).events()?;
     let cal = insight::fit_from_events(base, alpha, &events);
     let counts = cal.samples;
     if cal.total_samples() == 0 {
@@ -799,11 +826,13 @@ fn cmd_top(args: &[String]) -> Cmd {
     if frames == 0 {
         return Err(Usage("--frames must be at least 1".to_string()));
     }
-    let events = read_trace_events(&dir)?;
-    let decisions = decisions_if_present(&resolve_decisions_path(&dir))?;
+    let bundle = Bundle::new(&dir);
+    let events = bundle.events()?;
+    let decisions = bundle.decisions()?;
     // Incident→capture links from a `--record`'ed bundle, marking
     // captured incidents in the alert lane.
-    let captures: std::collections::BTreeMap<u64, String> = incidents_if_present(Path::new(&dir))?
+    let captures: std::collections::BTreeMap<u64, String> = bundle
+        .incidents()?
         .iter()
         .filter_map(|v| {
             let o = v.as_object()?;
@@ -830,82 +859,23 @@ fn cmd_top(args: &[String]) -> Cmd {
     Ok(())
 }
 
-/// The incident rows of `<dir>/incidents.jsonl`; a *missing* file reads
-/// as no incidents. Strict like every bundle reader: each non-empty line
-/// must be a JSON object, and when a meta line declares an `incidents`
-/// count (chaos trial dirs write none) the rows read must match it.
-fn incidents_if_present(dir: &Path) -> Result<Vec<serde_json::Value>, CliError> {
-    const FILE: &str = "incidents.jsonl";
-    let path = dir.join(FILE);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(Vec::new());
-    };
-    let failed = |e: obs::JsonlError| Failed(format!("{}: {e}", path.display()));
-    let (mut rows, mut declared) = (Vec::new(), None);
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let bad = |msg: String| failed(obs::JsonlError::Line { file: FILE, line: i + 1, msg });
-        let v: serde_json::Value = serde_json::from_str(line).map_err(|e| bad(e.to_string()))?;
-        let o = v.as_object().ok_or_else(|| bad("not a JSON object".into()))?;
-        if o.contains_key("schema") {
-            declared = o.get("incidents").and_then(serde_json::Value::as_u64);
-        } else {
-            rows.push(v);
-        }
-    }
-    let read = rows.len() as u64;
-    match declared {
-        Some(declared) if declared != read => {
-            Err(failed(obs::JsonlError::Count { file: FILE, declared, read }))
-        }
-        _ => Ok(rows),
-    }
-}
-
-/// Loads the profiler's frame set from an `--obs` bundle: `stacks.jsonl`
-/// when present, otherwise reconstructed from `events.jsonl` span events
-/// (bundles recorded before stack recording existed still profile).
-/// Returns the frames plus the bundle's event horizon in virtual seconds.
-fn load_frame_set(dir: &str) -> Result<(obs::FrameSet, f64), CliError> {
-    let p = std::path::Path::new(dir);
-    let stacks = if p.is_dir() { p.join("stacks.jsonl") } else { p.to_path_buf() };
-    if let Ok(text) = std::fs::read_to_string(&stacks) {
-        let set = obs::FrameSet::parse_stacks_jsonl(&text)
-            .map_err(|e| Failed(format!("{}: {e}", stacks.display())))?;
-        if !set.is_empty() {
-            // The sampling horizon still comes from the full event
-            // stream so trailing span-less time is counted: a pass that
-            // keeps only `t`/`dur`. A bundle without events samples to
-            // its last frame; one whose events are damaged is refused.
-            let events = p.join("events.jsonl");
-            let horizon = match std::fs::read_to_string(&events) {
-                Ok(text) => obs::jsonl::events_horizon(&text)
-                    .map_err(|e| Failed(format!("{}: {e}", events.display())))?,
-                Err(_) => set.horizon(),
-            };
-            return Ok((set, horizon));
-        }
-    }
-    let events = read_trace_events(dir)?;
-    let horizon = events.iter().map(insight::TraceEvent::end).fold(0.0, f64::max);
-    let frames: Vec<simtime::StackFrame> = events
-        .iter()
-        .filter(|e| e.dur.is_some())
-        .map(|e| simtime::StackFrame {
-            lane: e.lane.as_str().into(),
-            frame: e.kind.as_str().into(),
-            t0: e.t,
-            t1: e.end(),
-        })
-        .collect();
-    let set = obs::FrameSet::from_frames(frames);
+/// Loads the profiler's frame set from a bundle's `stacks.jsonl`, plus
+/// the bundle's event horizon in virtual seconds.
+fn load_frame_set(bundle: &Bundle) -> Result<(obs::FrameSet, f64), CliError> {
+    let set = bundle.read_if_present("stacks.jsonl", obs::FrameSet::parse_stacks_jsonl)?;
     if set.is_empty() {
         return Err(Failed(format!(
-            "no stack frames found in {dir} — was the run recorded with --obs?"
+            "no stack frames found in {} — was the run recorded with --obs?",
+            bundle.0.display()
         )));
     }
+    // The sampling horizon comes from the full event stream, so trailing
+    // span-less time is counted: a pass that keeps only `t`/`dur`. A
+    // bundle without events samples to its last frame; one whose events
+    // are damaged is refused.
+    let horizon = bundle
+        .read_if_present("events.jsonl", |text| obs::jsonl::events_horizon(text).map(Some))?
+        .unwrap_or_else(|| set.horizon());
     Ok((set, horizon))
 }
 
@@ -922,7 +892,7 @@ fn cmd_profile(args: &[String]) -> Cmd {
     if period <= 0.0 {
         return Err(Usage(format!("--period {period}: must be positive")));
     }
-    let (set, horizon) = load_frame_set(&dir)?;
+    let (set, horizon) = load_frame_set(&Bundle::new(&dir))?;
     let prof = obs::profile(&set, horizon, period);
     if kv.flag("folded") {
         say!("{}", prof.to_folded().trim_end());
@@ -966,10 +936,9 @@ fn cmd_diff(args: &[String]) -> Cmd {
             "usage: prs diff <baseline obs dir> <candidate obs dir>".to_string(),
         ));
     };
-    let base_events = read_trace_events(base_dir)?;
-    let cand_events = read_trace_events(cand_dir)?;
-    let d = insight::diff_events(&base_events, &cand_events);
-    let path = out_dir(cand_dir).join("diff.json");
+    let cand = Bundle::new(cand_dir);
+    let d = insight::diff_events(&Bundle::new(base_dir).events()?, &cand.events()?);
+    let path = cand.file("diff.json");
     write(&path, d.to_json())?;
     say!("{}", d.table().trim_end());
     eprintln!("diff written to {}", path.display());
@@ -1223,21 +1192,22 @@ fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) ->
 /// Exits 2 on usage errors, 1 when the dir is missing or holds no
 /// `capture-*.jsonl` files.
 fn cmd_postmortem(args: &[String]) -> Cmd {
-    let dir = bundle_dir(
+    let bundle = Bundle::new(&bundle_dir(
         args,
         "missing <dir> (a --record'ed --obs bundle or chaos trial dir)",
-    )?;
-    let root = std::path::Path::new(&dir);
+    )?);
+    let (root, dir) = (&bundle.0, bundle.0.display());
     if !root.is_dir() {
         return Err(Failed(format!("{dir} is not a directory")));
     }
     // The companion artifacts are optional: a chaos trial dir carries
-    // captures and incidents, an --obs bundle carries all four. A damaged
-    // one is refused before anything is assembled.
-    let incidents = incidents_if_present(root)?;
+    // captures, incidents, decisions and stacks, an --obs bundle all of
+    // them and more. A damaged one is refused before anything is
+    // assembled.
+    let incidents = bundle.incidents()?;
     // Every capture file in name order: capture ids are per-incident, so
     // the lexicographic tie-break keeps multi-digit ids deterministic.
-    let mut capture_paths: Vec<std::path::PathBuf> = std::fs::read_dir(root)
+    let mut capture_paths: Vec<PathBuf> = std::fs::read_dir(root)
         .map_err(|e| Failed(format!("reading {dir}: {e}")))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
@@ -1263,21 +1233,19 @@ fn cmd_postmortem(args: &[String]) -> Cmd {
         // so the captures still anchor postmortem entries.
         docs.iter()
             .map(|d| {
-                serde_json::from_str(&format!(
-                    "{{\"id\":{},\"capture\":{:?},\"t_start\":{},\"t_end\":{}}}",
-                    d.incident, d.name, d.t0, d.t1
-                ))
-                .unwrap()
+                let mut o = std::collections::BTreeMap::new();
+                o.insert("id".to_string(), serde_json::Value::Number(d.incident as f64));
+                o.insert("capture".to_string(), serde_json::Value::String(d.name.clone()));
+                o.insert("t_start".to_string(), serde_json::Value::Number(d.t0));
+                o.insert("t_end".to_string(), serde_json::Value::Number(d.t1));
+                serde_json::Value::Object(o)
             })
             .collect()
     } else {
         incidents
     };
-    let decisions = decisions_if_present(&root.join("decisions.jsonl"))?;
-    let frames = std::fs::read_to_string(root.join("stacks.jsonl"))
-        .ok()
-        .and_then(|t| obs::FrameSet::parse_stacks_jsonl(&t).ok())
-        .unwrap_or_default();
+    let decisions = bundle.decisions()?;
+    let frames = bundle.read_if_present("stacks.jsonl", obs::FrameSet::parse_stacks_jsonl)?;
     let pm = insight::postmortem::assemble(&docs, &incidents, &decisions, &frames);
     let out = root.join("postmortem.json");
     write_json(&out, &pm)?;

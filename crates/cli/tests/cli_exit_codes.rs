@@ -489,15 +489,16 @@ fn readers_reject_a_truncated_bundle() {
     };
     let without_meta = lines[1..].join("\n") + "\n";
 
-    let damaged_file = |name: &str, file: &str, content: &str| {
+    let damaged_copy = |of: &PathBuf, name: &str, file: &str, content: &str| {
         let dir = tmp_dir(name);
-        for entry in std::fs::read_dir(&whole).expect("list bundle") {
+        for entry in std::fs::read_dir(of).expect("list bundle") {
             let path = entry.expect("bundle entry").path();
             std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
         }
         std::fs::write(dir.join(file), content).expect("write the damaged file");
         dir
     };
+    let damaged_file = |name: &str, file: &str, content: &str| damaged_copy(&whole, name, file, content);
     let damaged = |name: &str, events: &str| damaged_file(name, "events.jsonl", events);
     let commands = |d: &str, cal: &str| -> Vec<Vec<String>> {
         [
@@ -625,6 +626,107 @@ fn readers_reject_a_truncated_bundle() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&whole);
+
+    // So are the profiler's frames and a flight-recorder capture, in a
+    // recorded chaos trial dir (the one kind of bundle that holds
+    // captures without a fault plan of its own): `profile` and
+    // `postmortem` refuse half a `stacks.jsonl`, `postmortem` half a
+    // capture.
+    let chaos = tmp_dir("truncated-chaos");
+    let at = |name: &str| chaos.join(name).to_str().expect("utf-8 temp path").to_string();
+    let (rec, report, score) = (at("rec"), at("chaos.json"), at("watch.json"));
+    let grid = prs(&[
+        "chaos", "--trials", "1", "--seed", "7", "--score-watch", "--record", "--record-out", &rec,
+        "--out", &report, "--watch-out", &score,
+    ]);
+    assert_eq!(grid.status.code(), Some(0), "{}", String::from_utf8_lossy(&grid.stderr));
+    let trial = chaos.join("rec").join("trial-0");
+    for (file, counted, cmds) in [
+        ("stacks.jsonl", "stacks.jsonl", &["profile", "postmortem"][..]),
+        ("capture-0.jsonl", "capture", &["postmortem"][..]),
+    ] {
+        let text = std::fs::read_to_string(trial.join(file)).expect("trial file");
+        let lines: Vec<&str> = text.lines().collect();
+        let total = lines.len() - 1;
+        assert!(total > 2, "{file} holds {total} record(s)");
+        let kept = total / 2;
+        let at_line_boundary = lines[..=kept].join("\n") + "\n";
+        let inside_a_line = text[..at_line_boundary.len() + lines[kept + 1].len() / 2].to_string();
+        for (name, content, says) in [
+            (
+                "boundary",
+                &at_line_boundary,
+                format!("{counted}: the meta line declares {total} record(s) but {kept} were read"),
+            ),
+            ("midline", &inside_a_line, format!("{counted} line {}:", kept + 2)),
+        ] {
+            let dir = damaged_copy(&trial, &format!("truncated-{file}-{name}"), file, content);
+            let d = dir.to_str().expect("utf-8 temp path");
+            for cmd in cmds {
+                let out = prs(&[cmd, d]);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(1), "prs {cmd} on half a {file}: {stderr}");
+                assert!(
+                    stderr.contains(&format!("{file}: {says}")),
+                    "prs {cmd}: stderr should name {file} and say {says:?}, got: {stderr}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&chaos);
+}
+
+/// A bundle is named by its directory or by any file in it: every reader
+/// takes each artifact from that directory by its own name, so naming
+/// `events.jsonl` or `decisions.jsonl` prints what naming the directory
+/// prints.
+#[test]
+fn a_file_argument_names_its_bundle() {
+    let dir = tmp_dir("file-arg");
+    let d = dir.to_str().expect("utf-8 temp path");
+    let run = prs(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", d]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    let cal = dir.join("fit.toml");
+    let cal = cal.to_str().expect("utf-8 temp path");
+    let commands = |b: &str| -> Vec<Vec<String>> {
+        [
+            vec!["top", b, "--frames", "4"],
+            vec!["profile", b],
+            vec!["analyze", b],
+            vec!["watch", b],
+            vec!["trace", "--dir", b, "--flows"],
+            vec!["metrics", "--dir", b],
+            vec!["advise", "--from-trace", b],
+            vec!["calibrate", "--from-trace", b, "--out", cal],
+        ]
+        .iter()
+        .map(|c| c.iter().map(|s| s.to_string()).collect())
+        .collect()
+    };
+    let stdout = |cmd: &[String]| {
+        let args: Vec<&str> = cmd.iter().map(String::as_str).collect();
+        let out = prs(&args);
+        assert_eq!(out.status.code(), Some(0), "prs {cmd:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let by_dir: Vec<Vec<u8>> = commands(d).iter().map(|c| stdout(c)).collect();
+    // The rollup rows' last column is the audit log's misprediction: not
+    // zero throughout once `decisions.jsonl` is the file read for it.
+    let top = String::from_utf8_lossy(&by_dir[0]);
+    let mispredict = top.lines().filter_map(|l| {
+        let cols: Vec<&str> = l.split_whitespace().collect();
+        (cols.len() == 7 && cols[2].ends_with('%')).then(|| cols[6].parse::<f64>().ok())?
+    });
+    assert!(mispredict.fold(0.0, f64::max) > 0.0, "no misprediction in the replay:\n{top}");
+    for file in ["events.jsonl", "decisions.jsonl"] {
+        let f = dir.join(file);
+        let f = f.to_str().expect("utf-8 temp path");
+        for (cmd, want) in commands(f).iter().zip(&by_dir) {
+            assert!(stdout(cmd) == *want, "prs {cmd:?} printed other bytes than for the directory");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every recorded chaos trial that holds captures re-assembles into the
@@ -667,4 +769,32 @@ fn recorded_chaos_trials_reassemble_byte_for_byte() {
     }
     assert_eq!(reassembled, 7, "trials with captures");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without an incident log, `prs postmortem` anchors one skeleton
+/// incident on each capture. A capture name with a control character is
+/// still a name (exit 0); a window bound that overflows to infinity is a
+/// damaged meta line (exit 1). Both used to panic.
+#[test]
+fn postmortem_without_incidents_takes_any_capture_meta_line() {
+    let event = "{\"dur\":0.2,\"iter\":0,\"kind\":\"map\",\"lane\":\"node0-sched\",\"t\":0.1}";
+    let meta = |name: &str, t0: &str| {
+        format!(
+            "{{\"capture\":\"{name}\",\"events\":1,\"folds\":0,\"incident\":0,\
+             \"rollup_period_s\":0.5,\"schema\":\"prs-capture-v1\",\"t0\":{t0},\"t1\":1}}\n{event}\n"
+        )
+    };
+    for (name, capture, code, says) in [
+        ("control-char", meta("capture-0\\u0001", "0"), 0, "incident #0"),
+        ("infinite-t0", meta("capture-0", "1e999"), 1, "capture line 1: meta line: \"t0\" is not finite"),
+    ] {
+        let dir = tmp_dir(&format!("postmortem-{name}"));
+        std::fs::write(dir.join("capture-0.jsonl"), capture).expect("write capture");
+        let out = prs(&["postmortem", dir.to_str().expect("utf-8 temp path")]);
+        let (stdout, stderr) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(code), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stdout.contains(says) || stderr.contains(says), "{name}: want {says:?}, got {stdout}{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

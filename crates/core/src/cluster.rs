@@ -62,12 +62,6 @@ impl ClusterSpec {
         self.nodes.is_empty()
     }
 
-    /// Replaces the overhead model (builder style).
-    pub fn with_overheads(mut self, overheads: OverheadModel) -> Self {
-        self.overheads = overheads;
-        self
-    }
-
     /// Installs a failure scenario (builder style).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -85,12 +79,6 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.nodes[0].name, "Delta");
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn with_overheads_replaces() {
-        let c = ClusterSpec::delta(1).with_overheads(OverheadModel::zero());
-        assert_eq!(c.overheads, OverheadModel::zero());
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl JobMetrics {
         self.total_flops() / self.compute_seconds / nodes / 1e9
     }
 
-    /// Iterations actually executed.
-    pub fn iteration_count(&self) -> usize {
-        self.iterations.len()
-    }
-
     /// Mean per-iteration time.
     pub fn seconds_per_iteration(&self) -> f64 {
         if self.iterations.is_empty() {

@@ -5,7 +5,7 @@
 //!
 //! - [`rng`] — splittable deterministic RNG (SplitMix64) so that every
 //!   experiment is bit-reproducible across runs and thread counts.
-//! - [`matrix`] — dense row-major `f32` matrices plus the GEMV/GEMM/axpy
+//! - [`matrix`] — dense row-major `f32` matrices plus the GEMV/GEMM
 //!   kernels the applications and baselines share.
 //! - [`gaussian`] — Gaussian-mixture generators, including the
 //!   Lymphocytes-shaped stand-in for the paper's Figure-5 data set.

@@ -139,14 +139,6 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
         .sum::<f64>()
 }
 
-/// `y += alpha * x`.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Sequential GEMV: `y = A x`. Reference implementation.
 pub fn gemv_seq(a: &MatrixF32, x: &[f32], y: &mut [f32]) {
     assert_eq!(a.cols(), x.len());
@@ -215,15 +207,6 @@ pub fn gemm_par(a: &MatrixF32, b: &MatrixF32, c: &mut MatrixF32) {
                 }
             }
         });
-}
-
-/// Frobenius norm.
-pub fn frobenius(a: &MatrixF32) -> f64 {
-    a.as_slice()
-        .iter()
-        .map(|&v| v as f64 * v as f64)
-        .sum::<f64>()
-        .sqrt()
 }
 
 #[cfg(test)]
@@ -312,18 +295,5 @@ mod tests {
     fn dot_and_distance() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0]);
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = MatrixF32::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((frobenius(&m) - 5.0).abs() < 1e-12);
     }
 }

@@ -110,23 +110,6 @@ pub fn adjusted_rand_index(a: &[u32], b: &[u32]) -> f64 {
     (sum_cells - expected) / (max_index - expected)
 }
 
-/// Hardens a fuzzy membership matrix (`n × k`, rows summing to ~1) into
-/// argmax labels.
-pub fn harden_membership(membership: &MatrixF32) -> Vec<u32> {
-    let mut labels = Vec::with_capacity(membership.rows());
-    for i in 0..membership.rows() {
-        let row = membership.row(i);
-        let mut best = 0usize;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        labels.push(best as u32);
-    }
-    labels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,12 +167,6 @@ mod tests {
         let b: Vec<u32> = (0..2000).map(|_| rng.next_below(4) as u32).collect();
         let ari = adjusted_rand_index(&a, &b);
         assert!(ari.abs() < 0.05, "ari = {ari}");
-    }
-
-    #[test]
-    fn harden_membership_takes_argmax() {
-        let m = MatrixF32::from_vec(2, 3, vec![0.2, 0.5, 0.3, 0.7, 0.1, 0.2]);
-        assert_eq!(harden_membership(&m), vec![1, 0]);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl CpuPool {
         lane
     }
 
-    /// Cores not currently running a task.
-    pub fn idle_cores(&self) -> u64 {
-        self.cores.available()
-    }
-
     /// Runs one task on one core: blocks for a core, executes the real
     /// `body`, charges the roofline core time for `work`.
     pub fn run_task<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
@@ -142,11 +137,6 @@ impl CpuPool {
     /// Timing-only task.
     pub fn run_task_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
         self.run_task(ctx, work, || ());
-    }
-
-    /// The duration [`CpuPool::run_task`] would charge for `work`.
-    pub fn task_cost(&self, work: &WorkProfile) -> SimTime {
-        cpu_core_time(&self.spec, work)
     }
 }
 
@@ -247,7 +237,7 @@ mod tests {
     #[test]
     fn idle_core_reporting() {
         let p = pool();
-        assert_eq!(p.idle_cores(), 12);
+        assert_eq!(p.cores.available(), 12);
     }
 
     #[test]

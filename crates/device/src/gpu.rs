@@ -314,22 +314,6 @@ impl Gpu {
         s.compute_busy += t.as_secs_f64();
         Ok(result)
     }
-
-    /// Timing-only launch (no host-side body).
-    pub fn launch_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
-        self.launch(ctx, work, || ());
-    }
-
-    /// The duration [`Gpu::launch`] would charge for `work`, without
-    /// running anything.
-    pub fn kernel_cost(&self, work: &WorkProfile) -> SimTime {
-        self.overheads.kernel_launch + gpu_kernel_time(&self.spec, work)
-    }
-
-    /// The duration a transfer of `bytes` would take, without running it.
-    pub fn transfer_cost(&self, bytes: u64) -> SimTime {
-        pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64)
-    }
 }
 
 /// A CUDA-like context guard. Holding one is a precondition for stream
@@ -393,6 +377,18 @@ mod tests {
     use super::*;
     use roofline::profiles::DeviceProfile;
     use simtime::Sim;
+
+    impl Gpu {
+        /// Timing-only launch (no host-side body).
+        fn launch_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
+            self.launch(ctx, work, || ());
+        }
+
+        /// The duration a transfer of `bytes` takes.
+        fn transfer_cost(&self, bytes: u64) -> SimTime {
+            pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64)
+        }
+    }
 
     fn delta_gpu(overheads: OverheadModel) -> Arc<Gpu> {
         let prof = DeviceProfile::delta_node();

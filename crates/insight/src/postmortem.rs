@@ -18,7 +18,8 @@
 //! and in-memory-vs-disk assembly.
 
 use crate::critical::analyze;
-use crate::trace::TraceEvent;
+use crate::trace::{canonical_cmp, TraceEvent};
+use obs::jsonl::{read_lines, EventReader, JsonlError, Line};
 use obs::{DecisionRecord, FrameSet};
 use serde::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,33 +47,57 @@ pub struct CaptureDoc {
     pub folds: Vec<Value>,
 }
 
-/// Parses one capture artifact (see `obs::CAPTURE_SCHEMA`). The meta
-/// line must carry the schema tag; fold lines are recognized by their
-/// `fold` key; every other line is an exact event in the `events.jsonl`
-/// shape.
-pub fn parse_capture_jsonl(text: &str) -> Result<CaptureDoc, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, meta_line) = lines
-        .next()
-        .ok_or_else(|| "capture: empty file".to_string())?;
-    let meta = serde_json::from_str(meta_line).map_err(|e| format!("capture meta: {e}"))?;
-    let meta = meta
-        .as_object()
-        .ok_or_else(|| "capture meta: not an object".to_string())?;
+/// Parses one capture artifact (see `obs::CAPTURE_SCHEMA`) under the
+/// bundle's line rule ([`read_lines`]). The first line is the meta line:
+/// it carries the schema tag, the capture's name and incident, a finite
+/// window and fold period, and declares the `events` and `folds` the file
+/// holds, which together must be the records read. Fold lines are
+/// recognized by their `fold` key; every other line is an exact event in
+/// the `events.jsonl` shape.
+pub fn parse_capture_jsonl(text: &str) -> Result<CaptureDoc, JsonlError> {
+    const FILE: &str = "capture";
+    let mut doc: Option<CaptureDoc> = None;
+    let mut events = EventReader::default();
+    read_lines(FILE, text, |line| {
+        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        let Some(doc) = &mut doc else {
+            let (meta, declared) = capture_meta(&v)?;
+            doc = Some(meta);
+            return Ok(Line::Meta(declared));
+        };
+        if v.as_object().is_some_and(|o| o.contains_key("fold")) {
+            doc.folds.push(v);
+            return Ok(Line::Record);
+        }
+        events.line(line, |e| doc.events.push(e))
+    })?;
+    let mut doc = doc.ok_or_else(|| JsonlError::Line {
+        file: FILE,
+        line: 1,
+        msg: "no meta line".into(),
+    })?;
+    doc.events.sort_by(canonical_cmp);
+    Ok(doc)
+}
+
+/// The meta line of a capture: the document it opens and the record
+/// count it declares.
+fn capture_meta(v: &Value) -> Result<(CaptureDoc, Option<u64>), String> {
+    let meta = v.as_object().ok_or("meta line: not an object")?;
     match meta.get("schema").and_then(Value::as_str) {
         Some(s) if s == obs::CAPTURE_SCHEMA => {}
-        other => return Err(format!("capture meta: schema {other:?}")),
+        other => return Err(format!("meta line: schema {other:?}")),
     }
-    let num = |k: &str| {
-        meta.get(k)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("capture meta: missing {k:?}"))
+    let num = |k: &str| match meta.get(k).and_then(Value::as_f64) {
+        Some(n) if n.is_finite() => Ok(n),
+        Some(_) => Err(format!("meta line: {k:?} is not finite")),
+        None => Err(format!("meta line: missing {k:?}")),
     };
-    let mut doc = CaptureDoc {
+    let doc = CaptureDoc {
         name: meta
             .get("capture")
             .and_then(Value::as_str)
-            .ok_or_else(|| "capture meta: missing \"capture\"".to_string())?
+            .ok_or("meta line: missing \"capture\"")?
             .to_string(),
         incident: num("incident")? as u64,
         t0: num("t0")?,
@@ -81,22 +106,11 @@ pub fn parse_capture_jsonl(text: &str) -> Result<CaptureDoc, String> {
         events: Vec::new(),
         folds: Vec::new(),
     };
-    let mut event_text = String::new();
-    for (lineno, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("capture line {}: {e}", lineno + 1))?;
-        if v.as_object().is_some_and(|o| o.contains_key("fold")) {
-            doc.folds.push(v);
-        } else {
-            event_text.push_str(line);
-            event_text.push('\n');
-        }
-    }
-    doc.events = crate::trace::parse_events_jsonl(&event_text)?;
-    Ok(doc)
+    let declared = ["events", "folds"]
+        .iter()
+        .filter_map(|k| meta.get(*k)?.as_u64())
+        .reduce(u64::saturating_add);
+    Ok((doc, declared))
 }
 
 /// Converts a live `obs::Capture` through its canonical JSONL — the one
@@ -403,6 +417,22 @@ mod tests {
         assert!(!doc.folds.is_empty(), "pre-window history arrives as folds");
         assert!(parse_capture_jsonl("").is_err());
         assert!(parse_capture_jsonl("{\"schema\":\"nope\"}\n").is_err());
+        // The meta line's `events` + `folds` is the record count, and its
+        // window must be finite.
+        let text = cap.to_jsonl();
+        let records = (cap.events.len() + cap.folds.len()) as u64;
+        let cut: String = text.lines().take(records as usize).map(|l| format!("{l}\n")).collect();
+        let err = parse_capture_jsonl(&cut).unwrap_err();
+        assert_eq!(
+            err,
+            JsonlError::Count {
+                file: "capture",
+                declared: records,
+                read: records - 1
+            }
+        );
+        let err = parse_capture_jsonl(&text.replacen("\"t0\":0.5", "\"t0\":1e999", 1)).unwrap_err();
+        assert_eq!(err.to_string(), "capture line 1: meta line: \"t0\" is not finite");
     }
 
     #[test]

@@ -14,77 +14,12 @@
 //! orders references to the bus's own records.
 
 use obs::jsonl::{read_events, JsonlError};
-use obs::{cmp_names, lane_node, Attrs, EventView, Name, Names};
+use obs::{cmp_names, lane_node, Attrs, EventView, Names};
 use std::collections::BTreeMap;
 
-/// One span or point event: interned names and a key-sorted attr vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Start timestamp, virtual seconds.
-    pub t: f64,
-    /// Span length; `None` for point events.
-    pub dur: Option<f64>,
-    /// Timeline name, e.g. `node0-gpu0-compute`.
-    pub lane: Name,
-    /// Event kind, e.g. `kernel`.
-    pub kind: Name,
-    /// Iteration tag, when the emitter scoped the event to one.
-    pub iter: Option<u64>,
-    /// Partition tag.
-    pub part: Option<u64>,
-    /// Block tag.
-    pub block: Option<u64>,
-    /// Free-form numeric attributes (`flops`, `bytes`, `wait_s`, …).
-    pub attrs: Attrs,
-}
-
-impl TraceEvent {
-    /// End timestamp (equals `t` for point events).
-    pub fn end(&self) -> f64 {
-        self.t + self.dur.unwrap_or(0.0)
-    }
-
-    /// Span length, 0 for point events.
-    pub fn duration(&self) -> f64 {
-        self.dur.unwrap_or(0.0)
-    }
-
-    /// Looks up a numeric attribute.
-    pub fn attr(&self, key: &str) -> Option<f64> {
-        self.attrs.get(key)
-    }
-
-    /// Overlap (in seconds) between this span and `[start, end]`.
-    pub fn overlap(&self, start: f64, end: f64) -> f64 {
-        (self.end().min(end) - self.t.max(start)).max(0.0)
-    }
-}
-
-impl EventView for TraceEvent {
-    fn t(&self) -> f64 {
-        self.t
-    }
-    fn dur(&self) -> Option<f64> {
-        self.dur
-    }
-    fn lane(&self) -> &str {
-        &self.lane
-    }
-    fn kind(&self) -> &str {
-        &self.kind
-    }
-    fn iter(&self) -> Option<u64> {
-        self.iter
-    }
-    fn attr(&self, key: &str) -> Option<f64> {
-        TraceEvent::attr(self, key)
-    }
-    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
-        for (k, v) in &self.attrs {
-            f(k, *v);
-        }
-    }
-}
+/// One span or point event: interned names and a key-sorted attr vector
+/// — the record the bundle codec reads, under the analyzer's name.
+pub use obs::jsonl::EventRecord as TraceEvent;
 
 /// One cross-node message flow: a `msg-send` point event paired with its
 /// `msg-recv` through the shared `flow` attribute. The interval
@@ -154,7 +89,7 @@ pub fn pair_flows<E: EventView>(events: &[E]) -> Vec<Flow> {
 
 /// The analyzer's canonical order: `(t, end, lane, kind)`. Names from
 /// one table (or one bus) tie on their address before any byte is read.
-fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
+pub(crate) fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
     a.t()
         .total_cmp(&b.t())
         .then_with(|| a.end().total_cmp(&b.end()))
@@ -213,18 +148,7 @@ pub fn from_bus(bus: &obs::EventBus) -> Vec<TraceEvent> {
 /// a run.
 pub fn parse_events_jsonl(text: &str) -> Result<Vec<TraceEvent>, JsonlError> {
     let mut out = Vec::new();
-    read_events(text, |e| {
-        out.push(TraceEvent {
-            t: e.t,
-            dur: e.dur,
-            lane: e.lane,
-            kind: e.kind,
-            iter: e.iter,
-            part: e.part,
-            block: e.block,
-            attrs: e.attrs,
-        });
-    })?;
+    read_events(text, |e| out.push(e))?;
     out.sort_by(canonical_cmp);
     Ok(out)
 }

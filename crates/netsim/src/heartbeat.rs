@@ -61,11 +61,6 @@ impl HeartbeatMonitor {
         (next_beat * self.interval_secs - at_secs) + self.timeout_secs
     }
 
-    /// Virtual time at which a crash at `at_secs` is declared.
-    pub fn declared_at(&self, at_secs: f64) -> f64 {
-        at_secs + self.detection_delay(at_secs)
-    }
-
     /// Total delay charged for a master crash at `at_secs`: detection plus
     /// standby promotion.
     pub fn master_failover_delay(&self, at_secs: f64) -> f64 {
@@ -85,7 +80,6 @@ mod tests {
         assert!((m.detection_delay(3.25) - 1.25).abs() < 1e-12);
         // Crash just before a beat: the miss is imminent.
         assert!((m.detection_delay(3.9) - 0.6).abs() < 1e-9);
-        assert!((m.declared_at(3.25) - 4.5).abs() < 1e-12);
     }
 
     #[test]

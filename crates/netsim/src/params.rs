@@ -13,12 +13,8 @@ pub struct NetworkParams {
 }
 
 impl NetworkParams {
-    /// A message of `bytes` takes `α + bytes/β` end to end.
-    pub fn message_time(&self, bytes: u64) -> SimTime {
-        self.latency + SimTime::from_secs_f64(bytes as f64 / self.bandwidth)
-    }
-
-    /// The serialization (egress-occupancy) part only: `bytes/β`.
+    /// The serialization (egress-occupancy) time of `bytes`: `bytes/β`.
+    /// A message takes `α` more end to end.
     pub fn wire_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs_f64(bytes as f64 / self.bandwidth)
     }
@@ -30,14 +26,6 @@ impl NetworkParams {
     /// determinism never depends on its value (zero is always safe).
     pub fn conservative_lookahead(&self) -> SimTime {
         self.latency
-    }
-
-    /// Gigabit Ethernet: 50 µs, 125 MB/s.
-    pub fn gigabit_ethernet() -> Self {
-        NetworkParams {
-            latency: SimTime::from_micros(50.0),
-            bandwidth: 125e6,
-        }
     }
 
     /// QDR InfiniBand (the FutureGrid Delta fabric): 2 µs, 4 GB/s.
@@ -67,21 +55,22 @@ mod tests {
             latency: SimTime::from_secs(1),
             bandwidth: 100.0,
         };
-        assert_eq!(p.message_time(200).as_secs_f64(), 3.0);
+        // A message of `bytes` takes `α + bytes/β` end to end.
+        assert_eq!((p.latency + p.wire_time(200)).as_secs_f64(), 3.0);
         assert_eq!(p.wire_time(200).as_secs_f64(), 2.0);
     }
 
     #[test]
     fn ideal_network_is_free() {
         let p = NetworkParams::ideal();
-        assert_eq!(p.message_time(1 << 40), SimTime::ZERO);
+        assert_eq!(p.latency + p.wire_time(1 << 40), SimTime::ZERO);
     }
 
     #[test]
     fn presets_are_ordered_sensibly() {
-        let eth = NetworkParams::gigabit_ethernet();
         let ib = NetworkParams::infiniband_qdr();
-        assert!(ib.latency < eth.latency);
-        assert!(ib.bandwidth > eth.bandwidth);
+        let ideal = NetworkParams::ideal();
+        assert!(ideal.latency < ib.latency);
+        assert!(ideal.bandwidth > ib.bandwidth);
     }
 }

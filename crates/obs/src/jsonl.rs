@@ -1,7 +1,10 @@
 //! The codec for the bundle's line formats (`events.jsonl`,
-//! `stacks.jsonl`, `decisions.jsonl`, capture lines, `trace.json`): one
-//! pull [`Scanner`] that reads a line's bytes straight into the caller's
-//! fields, and one set of writers that format straight into a buffer.
+//! `stacks.jsonl`, `decisions.jsonl`, `incidents.jsonl`, capture files,
+//! `trace.json`): one pull [`Scanner`] that reads a line's bytes straight
+//! into the caller's fields, one reading rule ([`read_lines`]: line
+//! numbers, blank lines, the meta line's record count) that every line
+//! format is read under, and one set of writers that format straight into
+//! a buffer.
 //!
 //! Neither side builds a `serde_json::Value`. These files hold tens of
 //! thousands of lines that every analyzer reads and every observed run
@@ -570,16 +573,70 @@ impl From<JsonlError> for String {
     }
 }
 
+/// What one non-blank line of a bundle file is, as its format's line
+/// parser tells [`read_lines`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Line {
+    /// A meta line (an object carrying `schema`), with the number of
+    /// records it declares, if it declares any.
+    Meta(Option<u64>),
+    /// A record, counted against the meta line.
+    Record,
+    /// A line the format passes over uncounted (an autoscaler line in
+    /// `decisions.jsonl`).
+    Other,
+}
+
+/// The one reading rule of every bundle line format (`events.jsonl`,
+/// `stacks.jsonl`, `decisions.jsonl`, `incidents.jsonl`, capture files).
+/// Lines are numbered from 1 and blank ones skipped; `parse` is handed
+/// every other line, trimmed, keeps what it reads and says what the line
+/// was — or why it is not a line of `file`, which becomes an error naming
+/// the line. The counts the meta lines declare add up, and when any is
+/// declared the file must hold exactly that many records: a bundle cut at
+/// a line boundary must not be read as if it were whole. A file that
+/// declares no count (hand-written fixtures, pre-schema bundles) is read
+/// as it is.
+pub fn read_lines(
+    file: &'static str,
+    text: &str,
+    mut parse: impl FnMut(&str) -> Result<Line, String>,
+) -> Result<(), JsonlError> {
+    let mut declared: Option<u64> = None;
+    let mut read = 0u64;
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let kind = parse(line).map_err(|msg| JsonlError::Line {
+            file,
+            line: i + 1,
+            msg,
+        })?;
+        match kind {
+            Line::Meta(Some(n)) => declared = Some(declared.unwrap_or(0).saturating_add(n)),
+            Line::Meta(None) | Line::Other => {}
+            Line::Record => read += 1,
+        }
+    }
+    match declared {
+        Some(declared) if declared != read => Err(JsonlError::Count {
+            file,
+            declared,
+            read,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Where the numeric members of an event's `attrs` object go. `reset` is
 /// called whenever an `attrs` key starts (a repeated key starts over),
 /// `set` for a numeric member and `unset` for a non-numeric one (which
 /// displaces an earlier numeric value of the same name).
-pub trait AttrSink {
-    /// Forget everything set so far.
+trait AttrSink {
     fn reset(&mut self);
-    /// `key` is `value`.
     fn set(&mut self, key: Cow<'_, str>, value: f64);
-    /// `key` has no numeric value.
     fn unset(&mut self, key: &str);
 }
 
@@ -607,100 +664,12 @@ impl AttrSink for Interning {
 
 /// The sink of readers that do not look at attributes: the `attrs`
 /// object is still validated, nothing is kept.
-#[derive(Default)]
-pub struct NoAttrs;
+struct NoAttrs;
 
 impl AttrSink for NoAttrs {
     fn reset(&mut self) {}
     fn set(&mut self, _: Cow<'_, str>, _: f64) {}
     fn unset(&mut self, _: &str) {}
-}
-
-/// The members of one event line, as present: a member of the wrong type
-/// reads as absent, a repeated member keeps its last occurrence.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventFields<'a> {
-    /// Start time, virtual seconds.
-    pub t: Option<f64>,
-    /// Span duration.
-    pub dur: Option<f64>,
-    /// Lane name.
-    pub lane: Option<Cow<'a, str>>,
-    /// Event kind.
-    pub kind: Option<Cow<'a, str>>,
-    /// Iteration tag.
-    pub iter: Option<u64>,
-    /// Partition tag.
-    pub part: Option<u64>,
-    /// Block tag.
-    pub block: Option<u64>,
-}
-
-/// What one well-formed line of `events.jsonl` is.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventLine<'a> {
-    /// Valid JSON, but not an object.
-    NotObject,
-    /// An object carrying `schema`: the exporter's meta line, with the
-    /// event count it declares, if it declares one.
-    Meta {
-        /// The `events` member.
-        events: Option<u64>,
-    },
-    /// An event.
-    Event(EventFields<'a>),
-}
-
-/// Reads one line of `events.jsonl` (or of a capture file: same event
-/// schema). Unknown members are validated and ignored; `Err` means the
-/// line is not JSON.
-pub fn read_event_line<'a>(
-    line: &'a str,
-    attrs: &mut impl AttrSink,
-) -> Result<EventLine<'a>, ScanError> {
-    let mut sc = Scanner::new(line);
-    if !sc.begin_object() {
-        sc.skip_value()?;
-        sc.end()?;
-        return Ok(EventLine::NotObject);
-    }
-    let mut f = EventFields::default();
-    let mut meta = false;
-    let mut declared = None;
-    while let Some(key) = sc.next_key()? {
-        match key.as_ref() {
-            "t" => f.t = sc.number()?,
-            "dur" => f.dur = sc.number()?,
-            "lane" => f.lane = sc.string()?,
-            "kind" => f.kind = sc.string()?,
-            "iter" => f.iter = sc.number()?.and_then(as_u64),
-            "part" => f.part = sc.number()?.and_then(as_u64),
-            "block" => f.block = sc.number()?.and_then(as_u64),
-            "attrs" => {
-                attrs.reset();
-                if sc.enter_object()? {
-                    while let Some(name) = sc.next_key()? {
-                        match sc.number()? {
-                            Some(v) => attrs.set(name, v),
-                            None => attrs.unset(&name),
-                        }
-                    }
-                }
-            }
-            "schema" => {
-                meta = true;
-                sc.skip_value()?;
-            }
-            "events" => declared = sc.number()?.and_then(as_u64),
-            _ => sc.skip_value()?,
-        }
-    }
-    sc.end()?;
-    Ok(if meta {
-        EventLine::Meta { events: declared }
-    } else {
-        EventLine::Event(f)
-    })
 }
 
 /// One event of a strict [`read_events`] pass: every required member is
@@ -711,107 +680,155 @@ pub struct EventRecord {
     pub t: f64,
     /// Span duration; `None` for point events.
     pub dur: Option<f64>,
-    /// Lane name.
+    /// Lane name, e.g. `node0-gpu0-compute`.
     pub lane: Name,
-    /// Event kind.
+    /// Event kind, e.g. `kernel`.
     pub kind: Name,
-    /// Iteration tag.
+    /// Iteration tag, when the emitter scoped the event to one.
     pub iter: Option<u64>,
     /// Partition tag.
     pub part: Option<u64>,
     /// Block tag.
     pub block: Option<u64>,
-    /// The numeric attributes, key-sorted.
+    /// The numeric attributes (`flops`, `bytes`, `wait_s`, …), key-sorted.
     pub attrs: Attrs,
 }
 
-/// An event line whose required members are all there.
+impl EventRecord {
+    /// End timestamp (equals `t` for point events).
+    pub fn end(&self) -> f64 {
+        self.t + self.dur.unwrap_or(0.0)
+    }
+
+    /// Span length, 0 for point events.
+    pub fn duration(&self) -> f64 {
+        self.dur.unwrap_or(0.0)
+    }
+}
+
+/// An event line whose required members are all there; a member of the
+/// wrong type reads as absent, a repeated member keeps its last value.
 struct CheckedLine<'a> {
     t: f64,
+    dur: Option<f64>,
     lane: Cow<'a, str>,
     kind: Cow<'a, str>,
-    /// The optional members (`t`, `lane` and `kind` moved out).
-    rest: EventFields<'a>,
+    iter: Option<u64>,
+    part: Option<u64>,
+    block: Option<u64>,
 }
 
-/// The strict pass behind [`read_events`] and [`events_horizon`]: hands
-/// `each` every event line, in file order, with that line's attributes
-/// in `sink`.
-fn scan_events<'a, S: AttrSink>(
-    text: &'a str,
+/// One line of `events.jsonl` (or an event line of a capture file: same
+/// schema). An object carrying `schema` is a meta line, declaring the
+/// count in its `events` member; any other object is an event, handed to
+/// `each` with its attributes in `sink`. Unknown members are validated
+/// and ignored. A line that is not a JSON object, or an event without a
+/// numeric `t` and string `lane`/`kind`, is an error.
+fn event_line<S: AttrSink>(
+    line: &str,
     sink: &mut S,
-    mut each: impl FnMut(&mut S, CheckedLine<'a>),
-) -> Result<(), JsonlError> {
-    const FILE: &str = "events.jsonl";
-    let mut declared: Option<u64> = None;
-    let mut read = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    each: impl FnOnce(&mut S, CheckedLine<'_>),
+) -> Result<Line, String> {
+    let mut sc = Scanner::new(line);
+    let (mut t, mut dur, mut lane, mut kind) = (None, None, None, None);
+    let (mut iter, mut part, mut block) = (None, None, None);
+    let mut meta = false;
+    let mut declared = None;
+    sink.reset();
+    let mut scan = || -> Result<bool, ScanError> {
+        if !sc.begin_object() {
+            sc.skip_value()?;
+            sc.end()?;
+            return Ok(false);
         }
-        let bad = |msg: String| JsonlError::Line {
-            file: FILE,
-            line: i + 1,
-            msg,
-        };
-        sink.reset();
-        let mut f = match read_event_line(line, sink).map_err(|e| bad(e.to_string()))? {
-            EventLine::NotObject => return Err(bad("not an object".into())),
-            EventLine::Meta { events } => {
-                if let Some(n) = events {
-                    declared = Some(declared.unwrap_or(0).saturating_add(n));
+        while let Some(key) = sc.next_key()? {
+            match key.as_ref() {
+                "t" => t = sc.number()?,
+                "dur" => dur = sc.number()?,
+                "lane" => lane = sc.string()?,
+                "kind" => kind = sc.string()?,
+                "iter" => iter = sc.number()?.and_then(as_u64),
+                "part" => part = sc.number()?.and_then(as_u64),
+                "block" => block = sc.number()?.and_then(as_u64),
+                "attrs" => {
+                    sink.reset();
+                    if sc.enter_object()? {
+                        while let Some(name) = sc.next_key()? {
+                            match sc.number()? {
+                                Some(v) => sink.set(name, v),
+                                None => sink.unset(&name),
+                            }
+                        }
+                    }
                 }
-                continue;
+                "schema" => {
+                    meta = true;
+                    sc.skip_value()?;
+                }
+                "events" => declared = sc.number()?.and_then(as_u64),
+                _ => sc.skip_value()?,
             }
-            EventLine::Event(f) => f,
-        };
-        let missing = |key: &str| bad(format!("missing {key:?}"));
-        let line = CheckedLine {
-            t: f.t.ok_or_else(|| missing("t"))?,
-            lane: f.lane.take().ok_or_else(|| missing("lane"))?,
-            kind: f.kind.take().ok_or_else(|| missing("kind"))?,
-            rest: f,
-        };
-        each(sink, line);
-        read += 1;
+        }
+        sc.end()?;
+        Ok(true)
+    };
+    if !scan().map_err(|e| e.to_string())? {
+        return Err("not an object".into());
     }
-    match declared {
-        Some(declared) if declared != read => Err(JsonlError::Count {
-            file: FILE,
-            declared,
-            read,
-        }),
-        _ => Ok(()),
+    if meta {
+        return Ok(Line::Meta(declared));
+    }
+    let missing = |key: &str| format!("missing {key:?}");
+    let line = CheckedLine {
+        t: t.ok_or_else(|| missing("t"))?,
+        dur,
+        lane: lane.ok_or_else(|| missing("lane"))?,
+        kind: kind.ok_or_else(|| missing("kind"))?,
+        iter,
+        part,
+        block,
+    };
+    each(sink, line);
+    Ok(Line::Record)
+}
+
+/// The line parser of `events.jsonl`, for [`read_events`] and for the
+/// formats that embed its event lines (a capture file's exact events):
+/// the lines it is handed share one intern table.
+#[derive(Default)]
+pub struct EventReader(Interning);
+
+impl EventReader {
+    /// Reads one line ([`read_lines`] says which), handing an event to
+    /// `each`.
+    pub fn line(&mut self, line: &str, each: impl FnOnce(EventRecord)) -> Result<Line, String> {
+        event_line(line, &mut self.0, |sink, line| {
+            each(EventRecord {
+                t: line.t,
+                dur: line.dur,
+                lane: sink.names.intern(&line.lane),
+                kind: sink.names.intern(&line.kind),
+                iter: line.iter,
+                part: line.part,
+                block: line.block,
+                attrs: std::mem::take(&mut sink.attrs),
+            })
+        })
     }
 }
 
-/// Reads a whole `events.jsonl`, handing each event to `each` in file
-/// order. Blank lines are skipped; a line that is not a JSON object, or
-/// an event without a numeric `t` and string `lane`/`kind`, is an error
-/// naming its line. When the meta line declares an event count, a file
-/// holding a different number of event lines is an error too — a bundle
-/// cut at a line boundary must not be analysed as if it were whole.
-/// Files without a meta line (hand-written fixtures, pre-schema bundles)
-/// are read as they are.
+/// Reads a whole `events.jsonl` under [`read_lines`]' rule, handing each
+/// event to `each` in file order. A line that is not a JSON object, or an
+/// event without a numeric `t` and string `lane`/`kind`, is an error
+/// naming its line, and so is an event count other than the meta line's.
 ///
 /// Lane, kind and attribute keys go through one intern table for the
 /// whole file, so two events naming the same lane — however the file
 /// spells it (`"node0-sched"`, `"\u006eode0-sched"`) — share one
 /// allocation: a read allocates per distinct name, not per event.
 pub fn read_events(text: &str, mut each: impl FnMut(EventRecord)) -> Result<(), JsonlError> {
-    scan_events(text, &mut Interning::default(), |sink, line| {
-        each(EventRecord {
-            t: line.t,
-            dur: line.rest.dur,
-            lane: sink.names.intern(&line.lane),
-            kind: sink.names.intern(&line.kind),
-            iter: line.rest.iter,
-            part: line.rest.part,
-            block: line.rest.block,
-            attrs: std::mem::take(&mut sink.attrs),
-        })
-    })
+    let mut reader = EventReader::default();
+    read_lines("events.jsonl", text, |line| reader.line(line, &mut each))
 }
 
 /// Latest event end in an `events.jsonl` — the sampling horizon — from
@@ -819,8 +836,10 @@ pub fn read_events(text: &str, mut each: impl FnMut(EventRecord)) -> Result<(), 
 /// [`read_events`] rejects.
 pub fn events_horizon(text: &str) -> Result<f64, JsonlError> {
     let mut horizon = 0.0_f64;
-    scan_events(text, &mut NoAttrs, |_, line| {
-        horizon = horizon.max(line.t + line.rest.dur.unwrap_or(0.0));
+    read_lines("events.jsonl", text, |line| {
+        event_line(line, &mut NoAttrs, |_, e| {
+            horizon = horizon.max(e.t + e.dur.unwrap_or(0.0));
+        })
     })?;
     Ok(horizon)
 }

@@ -14,9 +14,8 @@
 //! - live: [`FrameSet::from_stack`] snapshots the `StackCtx` carried by
 //!   [`crate::Obs`], which the runtime's daemons populate as they emit
 //!   their obs spans (`stacks.jsonl` persists this in the bundle);
-//! - offline: `prs profile` reconstructs frames from a bundle's
-//!   `stacks.jsonl`, falling back to the span events in `events.jsonl`
-//!   for bundles recorded before the profiler existed.
+//! - offline: `prs profile` reads them back from a bundle's
+//!   `stacks.jsonl` ([`FrameSet::parse_stacks_jsonl`]).
 //!
 //! Samples are attributed three ways: by **lane class** (cpu / gpu /
 //! net / sched / master / recovery — the same axes as the insight
@@ -25,7 +24,7 @@
 //! at that instant (`setup` before the first stage, `recovery` on the
 //! resilience lane, `control` on the master lane).
 
-use crate::jsonl::{JsonlError, ObjectWriter, ScanError, Scanner};
+use crate::jsonl::{as_u64, read_lines, JsonlError, Line, ObjectWriter, ScanError, Scanner};
 use crate::lane_node;
 use serde::Value;
 use simtime::{StackCtx, StackFrame};
@@ -109,32 +108,24 @@ impl FrameSet {
         out
     }
 
-    /// Parses a `stacks.jsonl` rendering. Lines carrying a `schema` key
-    /// are metadata; every other line must be a frame object.
+    /// Parses a `stacks.jsonl` rendering under [`read_lines`]' rule: a
+    /// line carrying a `schema` key is the meta line (its `frames` member
+    /// the count), every other line must be a frame object.
     pub fn parse_stacks_jsonl(text: &str) -> Result<Self, JsonlError> {
         let mut frames = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let frame = read_frame_line(line).map_err(|msg| JsonlError::Line {
-                file: "stacks.jsonl",
-                line: i + 1,
-                msg,
-            })?;
-            frames.extend(frame);
-        }
+        read_lines("stacks.jsonl", text, |line| frame_line(line, &mut frames))?;
         Ok(FrameSet::from_frames(frames))
     }
 }
 
-/// One line of `stacks.jsonl`: `None` for a meta line (an object
-/// carrying `schema`), otherwise the frame. `Err` says what is wrong:
-/// not JSON, or a member missing (anything but an object lacks them all).
-fn read_frame_line(line: &str) -> Result<Option<StackFrame>, String> {
+/// One line of `stacks.jsonl`: the meta line, or a frame pushed onto
+/// `out`. `Err` says what is wrong: not JSON, or a member missing
+/// (anything but an object lacks them all).
+fn frame_line(line: &str, out: &mut Vec<StackFrame>) -> Result<Line, String> {
     let mut sc = Scanner::new(line);
     let (mut lane, mut frame, mut t0, mut t1) = (None, None, None, None);
     let mut meta = false;
+    let mut declared = None;
     let mut scan = || -> Result<(), ScanError> {
         if !sc.begin_object() {
             sc.skip_value()?;
@@ -150,6 +141,7 @@ fn read_frame_line(line: &str) -> Result<Option<StackFrame>, String> {
                     meta = true;
                     sc.skip_value()?;
                 }
+                "frames" => declared = sc.number()?.and_then(as_u64),
                 _ => sc.skip_value()?,
             }
         }
@@ -157,15 +149,16 @@ fn read_frame_line(line: &str) -> Result<Option<StackFrame>, String> {
     };
     scan().map_err(|e| e.to_string())?;
     if meta {
-        return Ok(None);
+        return Ok(Line::Meta(declared));
     }
     let missing = |key: &str| format!("missing '{key}'");
-    Ok(Some(StackFrame {
+    out.push(StackFrame {
         lane: lane.ok_or_else(|| missing("lane"))?.into(),
         frame: frame.ok_or_else(|| missing("frame"))?.into(),
         t0: t0.ok_or_else(|| missing("t0"))?,
         t1: t1.ok_or_else(|| missing("t1"))?,
-    }))
+    });
+    Ok(Line::Record)
 }
 
 /// The lane's blame class — the same axes the insight layer attributes

@@ -50,16 +50,6 @@ impl SimTime {
         self.0
     }
 
-    /// The value in milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 * 1e3
-    }
-
-    /// The value in microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Saturating subtraction: returns `ZERO` instead of a negative span.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         if self.0 >= rhs.0 {

@@ -51,6 +51,7 @@ pub use slo::{Severity, SloRule, WatchConfig};
 
 #[cfg(test)]
 use obs::RollupEvent;
+use obs::jsonl::{read_lines, JsonlError, Line};
 use obs::{cmp_names, DecisionRecord, EventView, MetricsRegistry};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -215,6 +216,25 @@ impl WatchOutput {
             out.push('\n');
         }
         out
+    }
+
+    /// Reads an `incidents.jsonl` back into its incident rows, kept as the
+    /// JSON objects `insight::postmortem::assemble` joins, under the
+    /// bundle's line rule ([`read_lines`]): every line must be a JSON
+    /// object, and a meta line's `incidents` count must match the rows
+    /// read. Chaos trial dirs write their rows without a meta line.
+    pub fn read_incidents_jsonl(text: &str) -> Result<Vec<Value>, JsonlError> {
+        let mut rows = Vec::new();
+        read_lines("incidents.jsonl", text, |line| {
+            let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+            let o = v.as_object().ok_or("not a JSON object")?;
+            if o.contains_key("schema") {
+                return Ok(Line::Meta(o.get("incidents").and_then(Value::as_u64)));
+            }
+            rows.push(v);
+            Ok(Line::Record)
+        })?;
+        Ok(rows)
     }
 
     /// Registers the `prs_watch_alerts_total` / `prs_watch_incidents_total`
@@ -405,6 +425,32 @@ mod tests {
         assert_eq!(fwd.alerts_jsonl(), bwd.alerts_jsonl());
         assert_eq!(fwd.incidents_jsonl(), bwd.incidents_jsonl());
         assert!(fwd.alerts_jsonl().contains(WATCH_SCHEMA));
+    }
+
+    /// `incidents.jsonl` reads back to the rows it was written from; a file
+    /// missing its last row is refused.
+    #[test]
+    fn incidents_jsonl_reads_back_strictly() {
+        let mut events = Vec::new();
+        for i in 0..20 {
+            let t = i as f64 * 0.1;
+            events.push(ev("node0-cpu-c0", "cpu-task", t, Some(0.15), &[("flops", 1e9)]));
+            events.push(ev("node1-cpu-c0", "cpu-task", t, Some(0.05), &[("flops", 1e9)]));
+        }
+        let out = watch(&events, &[], &WatchConfig::default());
+        let text = out.incidents_jsonl();
+        let rows: Vec<Value> = out.incidents.iter().map(Incident::to_value).collect();
+        assert!(!rows.is_empty());
+        assert_eq!(WatchOutput::read_incidents_jsonl(&text), Ok(rows.clone()));
+        let cut: String = text.lines().take(rows.len()).map(|l| format!("{l}\n")).collect();
+        assert_eq!(
+            WatchOutput::read_incidents_jsonl(&cut),
+            Err(JsonlError::Count {
+                file: "incidents.jsonl",
+                declared: rows.len() as u64,
+                read: rows.len() as u64 - 1,
+            })
+        );
     }
 
     /// Each incident freezes its window and links exactly one capture.

@@ -11,6 +11,7 @@
 //!    critical path walks map → shuffle → reduce → update, and lane
 //!    slack never goes negative.
 
+use prs_core::obs::EventView;
 use prs_core::{
     run_iterative, run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
     JobConfig, Key, Obs, SpmdApp,
