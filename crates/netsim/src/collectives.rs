@@ -1,5 +1,6 @@
 //! MPI-style collectives over the point-to-point layer: binomial-tree
-//! broadcast/reduce, barrier, allreduce, and ring allgather.
+//! broadcast/reduce, barrier, gather/scatter, reduce-scatter, allreduce,
+//! and allgather (a gather plus a broadcast).
 //!
 //! Every rank must call the same collectives in the same order (SPMD); an
 //! internal per-communicator sequence number keeps successive operations'

@@ -8,7 +8,7 @@ use obs::{trace_ctx, Obs, TraceCtx};
 use parking_lot::Mutex;
 use simtime::{Channel, Resource, SimCtx, SimTime};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Traffic class stamped on `msg-send`/`msg-recv` events (`class` attr)
@@ -40,22 +40,32 @@ struct NetObs {
 
 /// An in-flight message. Payloads are type-erased; [`Communicator::recv`]
 /// downcasts back to the concrete type. Every cross-rank message also
-/// carries its causal identity: a unique flow id plus the sender's
-/// [`TraceCtx`], so the receiver can stamp a `msg-recv` event that pairs
-/// with the sender's `msg-send`.
+/// carries what its causal identity is derived from: the sender's
+/// per-source `seq` and a handle to the sender's [`TraceCtx`] in the
+/// network's context log. The receiver recomputes the flow id and span
+/// from them when it stamps the `msg-recv` that pairs with the sender's
+/// `msg-send`, so the header stays 48 bytes.
 struct Message {
-    src: usize,
+    src: u32,
+    /// Index into [`Network::contexts`]; [`UNTRACED`] for self-sends,
+    /// which mint no flow.
+    ctx: u32,
     tag: u64,
     bytes: u64,
-    /// Unique flow id (see [`obs::trace_ctx::flow_id`]); 0 for untracked
-    /// self-sends.
-    flow: u64,
-    /// Span id minted for this transfer under the sender's context.
-    span: u64,
-    /// The sender's causal context at send time.
-    tctx: TraceCtx,
+    /// The sender's per-source message sequence number.
+    seq: u64,
     payload: Box<dyn Any + Send>,
 }
+
+impl Message {
+    /// Does this message answer a receive for `(src, tag)`?
+    fn matches(&self, src: usize, tag: u64) -> bool {
+        self.src as usize == src && self.tag == tag
+    }
+}
+
+/// [`Message::ctx`] of a self-send: a local move, not a flow.
+const UNTRACED: u32 = u32::MAX;
 
 /// The shared fabric: one inbox per rank plus one egress port per rank.
 pub struct Network {
@@ -74,6 +84,10 @@ pub struct Network {
     /// rank's communicator is driven by exactly one simulation process,
     /// so these advance deterministically.
     flow_seq: Vec<AtomicU64>,
+    /// Every context a communicator has installed, in installation order
+    /// (entry 0 is the untraced default). Append-only, so the handle a
+    /// message carries names its sender's context at send time.
+    contexts: Mutex<Vec<TraceCtx>>,
 }
 
 impl Network {
@@ -92,7 +106,13 @@ impl Network {
             obs: Mutex::new(None),
             obs_gen: AtomicU64::new(0),
             flow_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            contexts: Mutex::new(vec![TraceCtx::default()]),
         })
+    }
+
+    /// The context a message's `ctx` handle names.
+    fn context(&self, handle: u32) -> TraceCtx {
+        self.contexts.lock()[handle as usize]
     }
 
     /// Installs fault windows on the fabric. Call before the simulation
@@ -195,7 +215,7 @@ impl Network {
             net: self.clone(),
             rank,
             pending: Mutex::new(Vec::new()),
-            trace: Mutex::new(TraceCtx::default()),
+            ctx: AtomicU32::new(0),
             obs_cache: Mutex::new((0, None)),
         }
     }
@@ -209,9 +229,12 @@ pub struct Communicator {
     pub(crate) rank: usize,
     /// Received-but-unmatched messages (MPI's unexpected-message queue).
     pending: Mutex<Vec<Message>>,
-    /// Causal context stamped on outgoing messages; see
-    /// [`Communicator::set_trace_ctx`].
-    trace: Mutex<TraceCtx>,
+    /// Handle (into [`Network::contexts`]) of the causal context stamped
+    /// on outgoing messages; see [`Communicator::set_trace_ctx`]. Relaxed
+    /// loads and stores suffice: the one process driving this endpoint is
+    /// the only writer, and the entry a handle names is read under the
+    /// log's mutex, which the write of that entry released.
+    ctx: AtomicU32,
     /// Generation-checked cache of the network's obs attachment: the
     /// common path is one relaxed atomic load plus an uncontended
     /// (communicator-local) mutex, and a late `attach_obs` on the
@@ -229,14 +252,13 @@ impl Communicator {
     /// message (until replaced). Workers call this once per iteration
     /// with [`TraceCtx::root`]`(iteration, partition)`, which is enough
     /// to give every transfer deterministic trace/span ids and carry
-    /// iteration/partition tags onto `msg-send`/`msg-recv` events.
+    /// iteration/partition tags onto `msg-send`/`msg-recv` events. Each
+    /// call appends one entry to the network's context log.
     pub fn set_trace_ctx(&self, ctx: TraceCtx) {
-        *self.trace.lock() = ctx;
-    }
-
-    /// The currently installed causal context.
-    pub fn trace_ctx(&self) -> TraceCtx {
-        *self.trace.lock()
+        let mut log = self.net.contexts.lock();
+        let handle = u32::try_from(log.len()).expect("context log outgrew its u32 handles");
+        log.push(ctx);
+        self.ctx.store(handle, Ordering::Relaxed);
     }
 
     /// The network's current obs attachment (generation-cached).
@@ -267,32 +289,28 @@ impl Communicator {
     /// immediately without touching the NIC.
     pub fn send<T: Send + 'static>(&self, ctx: &SimCtx, dst: usize, tag: u64, bytes: u64, value: T) {
         assert!(dst < self.size(), "send to out-of-range rank {dst}");
+        let src = self.rank as u32;
         if dst == self.rank {
-            // Self-sends never touch the NIC and mint no flow (flow 0):
-            // they are local moves, not cross-node causality.
+            // Self-sends never touch the NIC and mint no flow: they are
+            // local moves, not cross-node causality.
             let msg = Message {
-                src: self.rank,
+                src,
+                ctx: UNTRACED,
                 tag,
                 bytes,
-                flow: 0,
-                span: 0,
-                tctx: TraceCtx::default(),
+                seq: 0,
                 payload: Box::new(value),
             };
             self.net.inboxes[dst].send(ctx, msg);
             return;
         }
         let seq = self.net.flow_seq[self.rank].fetch_add(1, Ordering::Relaxed);
-        let tctx = *self.trace.lock();
-        let flow = trace_ctx::flow_id(self.rank as u64, dst as u64, seq);
-        let span = tctx.span_for(seq);
         let msg = Message {
-            src: self.rank,
+            src,
+            ctx: self.ctx.load(Ordering::Relaxed),
             tag,
             bytes,
-            flow,
-            span,
-            tctx,
+            seq,
             payload: Box::new(value),
         };
         let (wire, mut delay, release) =
@@ -310,6 +328,9 @@ impl Communicator {
             // The flow's departure instant: pairs with the receiver's
             // `msg-recv` through the shared `flow` id.
             if let Some(d) = o.obs.bus.event_interned(&o.lanes[self.rank], &o.kind_msg_send, t1) {
+                let tctx = self.net.context(msg.ctx);
+                let flow = trace_ctx::flow_id(src.into(), dst as u64, seq);
+                let span = tctx.span_for(seq);
                 let mut d = d
                     .attr("flow", flow as f64)
                     .attr("bytes", bytes as f64)
@@ -359,11 +380,12 @@ impl Communicator {
         src: usize,
         tag: u64,
     ) -> (T, u64) {
-        // Check the unexpected-message queue first.
+        // Check the unexpected-message queue first. `remove`, not
+        // `swap_remove`: the queue's order is what `recv_any` matches by.
         {
             let mut pending = self.pending.lock();
-            if let Some(pos) = pending.iter().position(|m| m.src == src && m.tag == tag) {
-                let m = pending.swap_remove(pos);
+            if let Some(pos) = pending.iter().position(|m| m.matches(src, tag)) {
+                let m = pending.remove(pos);
                 drop(pending);
                 self.note_recv(ctx, &m);
                 return (downcast_payload(m.payload, src, tag), m.bytes);
@@ -373,7 +395,7 @@ impl Communicator {
             let m = self.net.inboxes[self.rank]
                 .recv(ctx)
                 .expect("network inbox closed while receiving");
-            if m.src == src && m.tag == tag {
+            if m.matches(src, tag) {
                 self.note_recv(ctx, &m);
                 return (downcast_payload(m.payload, src, tag), m.bytes);
             }
@@ -394,7 +416,7 @@ impl Communicator {
                 let m = pending.remove(pos);
                 drop(pending);
                 self.note_recv(ctx, &m);
-                let src = m.src;
+                let src = m.src as usize;
                 return (src, downcast_payload(m.payload, src, tag));
             }
         }
@@ -403,7 +425,7 @@ impl Communicator {
                 .recv(ctx)
                 .expect("network inbox closed while receiving");
             if m.tag == tag {
-                let src = m.src;
+                let src = m.src as usize;
                 self.note_recv(ctx, &m);
                 return (src, downcast_payload(m.payload, src, tag));
             }
@@ -416,22 +438,24 @@ impl Communicator {
     /// was *matched* by a receive — which is when the flow's causal
     /// effect lands on this rank.
     fn note_recv(&self, ctx: &SimCtx, m: &Message) {
-        if m.flow == 0 {
+        if m.ctx == UNTRACED {
             return;
         }
         if let Some(o) = self.net_obs() {
             if let Some(d) = o.obs.bus.event_interned(&o.lanes[self.rank], &o.kind_msg_recv, ctx.now()) {
+                let tctx = self.net.context(m.ctx);
+                let flow = trace_ctx::flow_id(m.src.into(), self.rank as u64, m.seq);
                 let mut d = d
-                    .attr("flow", m.flow as f64)
+                    .attr("flow", flow as f64)
                     .attr("bytes", m.bytes as f64)
-                    .attr("src", m.src as f64)
-                    .attr("span", m.span as f64)
-                    .attr("trace", m.tctx.trace_id as f64)
+                    .attr("src", f64::from(m.src))
+                    .attr("span", tctx.span_for(m.seq) as f64)
+                    .attr("trace", tctx.trace_id as f64)
                     .attr("class", traffic_class(m.tag));
-                if let Some(i) = m.tctx.iteration {
+                if let Some(i) = tctx.iteration {
                     d = d.iteration(i as usize);
                 }
-                if let Some(p) = m.tctx.partition {
+                if let Some(p) = tctx.partition {
                     d = d.partition(p as usize);
                 }
                 d.commit();
@@ -441,17 +465,12 @@ impl Communicator {
 
     /// Non-blocking probe: is a matching message already queued?
     pub fn probe(&self, src: usize, tag: u64) -> bool {
-        if self
-            .pending
-            .lock()
-            .iter()
-            .any(|m| m.src == src && m.tag == tag)
-        {
+        if self.pending.lock().iter().any(|m| m.matches(src, tag)) {
             return true;
         }
         // Drain the inbox into pending without blocking.
         while let Some(m) = self.net.inboxes[self.rank].try_recv() {
-            let hit = m.src == src && m.tag == tag;
+            let hit = m.matches(src, tag);
             self.pending.lock().push(m);
             if hit {
                 return true;
@@ -777,6 +796,80 @@ mod tests {
             .expect("msg-recv recorded");
         assert_eq!(tagged.iteration, Some(3));
         assert_eq!(tagged.partition, Some(1));
+    }
+
+    #[test]
+    fn an_in_flight_message_header_is_at_most_48_bytes() {
+        let size = std::mem::size_of::<Message>();
+        assert!(size <= 48, "{size}");
+    }
+
+    #[test]
+    fn msg_recv_carries_the_context_the_message_was_sent_under() {
+        let mut sim = Sim::new();
+        let net = Network::new("n", 2, params());
+        let o = obs::Obs::recording();
+        net.attach_obs(o.clone());
+        let c0 = net.communicator(0);
+        let c1 = net.communicator(1);
+        sim.spawn("r0", move |ctx| {
+            c0.set_trace_ctx(obs::TraceCtx::root(3, 1));
+            c0.send(ctx, 1, 0, 100, ());
+            // The next context is installed while the message is still in
+            // flight, and a self-send under it stays silent.
+            c0.set_trace_ctx(obs::TraceCtx::root(4, 1));
+            c0.send(ctx, 0, 9, 100, ());
+            c0.recv::<()>(ctx, 0, 9);
+        });
+        sim.spawn("r1", move |ctx| {
+            ctx.hold(SimTime::from_secs(10));
+            c1.recv::<()>(ctx, 0, 0);
+        });
+        sim.run().unwrap();
+        let events = o.bus.events();
+        let one = |kind: &str| {
+            let mut of_kind = events.iter().filter(|e| &*e.kind == kind);
+            let e = of_kind.next().unwrap_or_else(|| panic!("no {kind}"));
+            assert!(of_kind.next().is_none(), "more than one {kind}");
+            e
+        };
+        let attr = |e: &obs::Event, k: &str| e.attrs.iter().find(|(n, _)| *n == k).unwrap().1;
+        let (send, recv) = (one("msg-send"), one("msg-recv"));
+        let sent_under = obs::TraceCtx::root(3, 1);
+        assert_eq!(attr(send, "flow") as u64, trace_ctx::flow_id(0, 1, 0));
+        assert_eq!(attr(send, "span") as u64, sent_under.span_for(0));
+        assert_eq!(attr(send, "trace") as u64, sent_under.trace_id);
+        for k in ["flow", "span", "trace"] {
+            assert_eq!(attr(recv, k), attr(send, k), "{k}");
+        }
+        assert_eq!((recv.iteration, recv.partition), (Some(3), Some(1)));
+        assert_eq!(recv.t, 10.0);
+    }
+
+    #[test]
+    fn recv_keeps_the_unexpected_queue_in_arrival_order() {
+        let mut sim = Sim::new();
+        let net = Network::new("n", 3, NetworkParams::ideal());
+        let [c0, c1, c2] = [0, 1, 2].map(|r| net.communicator(r));
+        sim.spawn("r0", move |ctx| {
+            c0.send(ctx, 2, 7, 8, "X");
+            c0.send(ctx, 2, 5, 8, "Y");
+            ctx.hold(SimTime::from_secs(2));
+            c0.send(ctx, 2, 99, 8, "W");
+        });
+        sim.spawn("r1", move |ctx| {
+            ctx.hold(SimTime::from_secs(1));
+            c1.send(ctx, 2, 5, 8, "Z");
+        });
+        sim.spawn("r2", move |ctx| {
+            // X, Y and Z queue up, in that order, while rank 2 waits for W.
+            assert_eq!(c2.recv::<&str>(ctx, 0, 99), "W");
+            assert_eq!(c2.recv::<&str>(ctx, 0, 7), "X");
+            // Earliest-queued first: Y, then Z.
+            assert_eq!(c2.recv_any::<&str>(ctx, 5), (0, "Y"));
+            assert_eq!(c2.recv_any::<&str>(ctx, 5), (1, "Z"));
+        });
+        sim.run().unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! - [`comm`] — a full-bisection fabric with per-sender egress
 //!   serialization and tagged, typed point-to-point send/receive.
 //! - [`collectives`] — binomial-tree broadcast/reduce, barrier, allreduce,
-//!   ring allgather, all with deterministic (tree-fixed) float combining.
+//!   allgather, all with deterministic (tree-fixed) float combining.
 //! - [`mod@shuffle`] — the MapReduce all-to-all bucket exchange.
 //! - [`faults`] — transient link-disruption windows (jitter, congestion,
 //!   partition) for fault-injection experiments.
@@ -15,7 +15,9 @@
 //!
 //! Nodes are simulation processes in one address space; payloads move by
 //! pointer, while *timing* follows declared wire sizes — exactly what a
-//! reproduction needs for scaling studies without a physical cluster.
+//! reproduction needs for scaling studies without a physical cluster. What
+//! an in-flight message costs the host is its payload plus a 48-byte
+//! header (docs/engine.md, "What an in-flight message costs").
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -49,16 +49,23 @@ struct Plan<T> {
 /// Partitions `items` by owner among `n` ranks, as seen from rank `me`.
 /// The `n`-slot partition table lives only inside this function: kept
 /// across the collective, the tables of 1000 ranks were 24 MB of mostly
-/// empty `Vec` headers.
+/// empty `Vec` headers. Items are counted per owner first, so every batch
+/// is allocated once at its exact size: a batch is in flight until its
+/// owner receives it, and one grown by pushes carried up to its length
+/// again in unused capacity.
 fn plan<T>(n: usize, me: usize, items: Vec<ShuffleItem<T>>) -> Plan<T> {
-    let mut table: Vec<Vec<ShuffleItem<T>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut counts = vec![0usize; n];
+    for item in &items {
+        counts[bucket_owner(item.bucket, n)] += 1;
+    }
+    let senders = (0..n)
+        .map(|dst| u64::from(dst != me && counts[dst] > 0))
+        .collect();
+    let mut table: Vec<Vec<ShuffleItem<T>>> = counts.into_iter().map(Vec::with_capacity).collect();
     for item in items {
         let dst = bucket_owner(item.bucket, n);
         table[dst].push(item);
     }
-    let senders = (0..n)
-        .map(|dst| u64::from(dst != me && !table[dst].is_empty()))
-        .collect();
     let mine = std::mem::take(&mut table[me]);
     let outgoing = (1..n)
         .map(|offset| (me + offset) % n)
@@ -267,6 +274,20 @@ mod tests {
                 proptest::prop_assert_eq!(plan.senders, senders);
                 proptest::prop_assert_eq!(plan.outgoing, sent);
                 proptest::prop_assert_eq!(&got[me], &result);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_batches_are_allocated_at_their_exact_size() {
+        for n in [1, 2, 3, 7, 16] {
+            for me in 0..n {
+                let items = (0..97u64).map(|i| item(i * i % 23, i)).collect();
+                let plan = plan(n, me, items);
+                assert_eq!(plan.mine.capacity(), plan.mine.len());
+                for (dst, _, batch) in &plan.outgoing {
+                    assert_eq!(batch.capacity(), batch.len(), "n {n}, me {me}, dst {dst}");
+                }
             }
         }
     }

@@ -64,8 +64,9 @@ pub fn flow_seq(flow: u64) -> u64 {
     flow & ((1 << FLOW_SEQ_BITS) - 1)
 }
 
-/// The causal context a message is sent under. `Copy`, 4 words — cheap
-/// to stash on a communicator and on every in-flight message.
+/// The causal context a message is sent under. `Copy`, 48 bytes: the
+/// network keeps one per installed context, and an in-flight message
+/// carries only a handle to its sender's.
 ///
 /// The default value is the *untraced* context (ids 0, no tags): sends
 /// made before any context is installed still mint valid flow ids, they

@@ -19,6 +19,10 @@ struct ChanInner<T> {
     waiters: VecDeque<(Pid, u64)>,
     next_ticket: u64,
     closed: bool,
+    /// The name given at construction, for panic messages and block
+    /// reasons. Kept here, once, rather than beside the `Arc`, so a
+    /// delayed delivery captures one pointer and its message.
+    name: Box<str>,
     /// The channel's name as receivers' block reasons carry it.
     label: CachedLabel,
 }
@@ -50,14 +54,12 @@ impl<T> RecvOutcome<T> {
 /// `send_delayed` delivers after a virtual delay (used to model link
 /// latency). `recv` blocks the calling process until a message or close.
 pub struct Channel<T> {
-    name: Arc<str>,
     inner: Arc<Mutex<ChanInner<T>>>,
 }
 
 impl<T> Clone for Channel<T> {
     fn clone(&self) -> Self {
         Channel {
-            name: self.name.clone(),
             inner: self.inner.clone(),
         }
     }
@@ -67,20 +69,15 @@ impl<T: Send + 'static> Channel<T> {
     /// Creates an empty open channel.
     pub fn new(name: &str) -> Self {
         Channel {
-            name: name.into(),
             inner: Arc::new(Mutex::new(ChanInner {
                 queue: VecDeque::new(),
                 waiters: VecDeque::new(),
                 next_ticket: 0,
                 closed: false,
+                name: name.into(),
                 label: CachedLabel::default(),
             })),
         }
-    }
-
-    /// The channel name given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Messages currently buffered.
@@ -97,7 +94,7 @@ impl<T: Send + 'static> Channel<T> {
     pub fn send(&self, ctx: &SimCtx, msg: T) {
         let wake = {
             let mut g = self.inner.lock();
-            assert!(!g.closed, "send on closed channel '{}'", self.name);
+            assert!(!g.closed, "send on closed channel '{}'", g.name);
             g.queue.push_back(msg);
             g.waiters.pop_front()
         };
@@ -113,13 +110,12 @@ impl<T: Send + 'static> Channel<T> {
     /// block — the message is "in flight").
     pub fn send_delayed(&self, ctx: &SimCtx, msg: T, delay: SimTime) {
         let inner = self.inner.clone();
-        let name = self.name.clone();
         ctx.with_kernel(move |ks| {
             let at = ks.now + delay;
             ks.schedule_action(at, move |ks2| {
                 let wake = {
                     let mut g = inner.lock();
-                    assert!(!g.closed, "delayed send on closed channel '{name}'");
+                    assert!(!g.closed, "delayed send on closed channel '{}'", g.name);
                     g.queue.push_back(msg);
                     g.waiters.pop_front()
                 };
@@ -202,7 +198,8 @@ impl<T: Send + 'static> Channel<T> {
     }
 
     fn label(&self, ks: &mut KState) -> Label {
-        self.inner.lock().label.get(ks, &self.name)
+        let g = &mut *self.inner.lock();
+        g.label.get(ks, &g.name)
     }
 
     /// Non-blocking receive.
