@@ -468,6 +468,74 @@ fn gantt_and_traces_are_pinned() {
 const TRACE_PINS: [u64; 4] =
     [0x0841a9ea7afe4772, 0x3e8c041ad3a84000, 0x8178f2ebf6e90086, 0x9ed0eca9ac2d1582];
 
+/// Every file under `dir`, as (path relative to `dir`, bytes), in path
+/// order.
+fn files_under(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).expect("list dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).expect("under dir").to_str().expect("utf-8 path");
+                files.push((rel.to_string(), std::fs::read(&path).expect("read file")));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// `prs chaos --trials 8 --seed 7`'s stdout and every file it writes
+/// (each preceded by its path), byte for byte, in each of its six forms.
+/// Each form runs in a fresh directory with the default output names, so
+/// the paths stdout prints are the same on every machine. Captured on
+/// commit 12aafeb, before the harness became one driver per grid; do not
+/// regenerate them for a host-side change.
+#[test]
+fn chaos_stdout_and_files_are_pinned() {
+    let forms: [&[&str]; 6] = [
+        &[],
+        &["--json"],
+        &["--score-watch"],
+        &["--score-watch", "--record", "--record-out", "D"],
+        &["--churn"],
+        &["--churn", "--json"],
+    ];
+    let mut got = [0u64; 6];
+    for (i, form) in forms.iter().enumerate() {
+        let dir = tmp_dir(&format!("chaos-pin-{i}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_prs"))
+            .current_dir(&dir)
+            .args(["chaos", "--trials", "8", "--seed", "7"])
+            .args(*form)
+            .output()
+            .expect("prs binary runs");
+        assert_eq!(out.status.code(), Some(0), "{form:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let mut bytes = out.stdout;
+        for (path, content) in files_under(&dir) {
+            bytes.extend(format!("{path}\n").into_bytes());
+            bytes.extend(content);
+        }
+        got[i] = fnv1a(&bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(got, CHAOS_PINS, "{got:#018x?}");
+}
+
+/// Plain, `--json`, `--score-watch`, `--score-watch --record`,
+/// `--churn`, `--churn --json`.
+const CHAOS_PINS: [u64; 6] = [
+    0x79c96e365ad44c00,
+    0x20a7ec75a6ad47e8,
+    0x89851a87428636c8,
+    0x19c0ddebc72acd50,
+    0xcbf3e165acf628f8,
+    0x6356a80fe31498d6,
+];
+
 #[test]
 fn readers_reject_a_truncated_bundle() {
     // A bundle cut short must not be analysed as if it were whole, whether
