@@ -17,9 +17,10 @@ use obs::{AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
 use prs_cli::CliError::{self, Failed, Usage};
 use prs_cli::{
-    parse_profile, parse_residency, parse_run, AppKind, ArgSpec, RunOptions, WORDS_PER_CLUSTER,
+    parse_profile, parse_residency, parse_run, AppKind, ArgSpec, Args, RunOptions,
+    WORDS_PER_CLUSTER,
 };
-use prs_core::{run_iterative_observed, run_job_observed, ClusterSpec, JobResult};
+use prs_core::{run_iterative_observed, run_job_observed, ChaosWatch, ClusterSpec, JobResult};
 use prs_data::gaussian::clustering_workload;
 use prs_data::matrix::MatrixF32;
 use prs_data::rng::SplitMix64;
@@ -723,6 +724,10 @@ fn cmd_watch(args: &[String]) -> Cmd {
     let bundle = Bundle::new(&kv.dir(MISSING_BUNDLE)?);
     let cfg = watch_rules(kv.get("rules"))?;
     let events = bundle.events()?;
+    if let Some(path) = kv.get("rules") {
+        let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
+        cfg.check_windows(horizon).map_err(|e| Usage(format!("{path}: {e}")))?;
+    }
     let decisions = bundle.decisions()?;
     let out_dir = &bundle.0;
     let out = watch::watch(&events, &decisions, &cfg);
@@ -738,15 +743,6 @@ fn cmd_watch(args: &[String]) -> Cmd {
             events.len()
         );
         for inc in &out.incidents {
-            let nodes = if inc.nodes.is_empty() {
-                "cluster".to_string()
-            } else {
-                inc.nodes
-                    .iter()
-                    .map(|n| format!("node{n}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
             say!(
                 "  #{} [{}] t={:.6}..{:.6} detect={:.6} {} on {} ({} alert(s), {})",
                 inc.id,
@@ -755,7 +751,7 @@ fn cmd_watch(args: &[String]) -> Cmd {
                 inc.t_end,
                 inc.t_detect,
                 inc.kind.as_str(),
-                nodes,
+                inc.nodes_label(),
                 inc.alerts.len(),
                 inc.blame.as_str()
             );
@@ -945,6 +941,9 @@ fn cmd_diff(args: &[String]) -> Cmd {
     Ok(())
 }
 
+/// The most trials one `prs chaos` grid runs.
+const MAX_TRIALS: usize = 1 << 20;
+
 /// `prs chaos [--trials <n>] [--seed <n>] [--out <file>] [--json]`:
 /// sample seeded fault plans across a cluster/workload grid, run each
 /// through the epoch driver, and assert the recovery invariants
@@ -954,19 +953,69 @@ fn cmd_diff(args: &[String]) -> Cmd {
 /// trial violates an invariant.
 fn cmd_chaos(args: &[String]) -> Cmd {
     const ARGS: ArgSpec = ArgSpec::new(
-        &[
-            "trials",
-            "seed",
-            "engine",
-            "out",
-            "watch-out",
-            "record-out",
-            "rules",
-        ],
+        &["trials", "seed", "engine", "out", "watch-out", "record-out", "rules"],
         &["json", "score-watch", "record", "churn"],
         0,
     );
     let kv = ARGS.parse(args)?;
+    let cfg = chaos_config(&kv)?;
+    chaos_flag_conflicts(&kv)?;
+    let (json, score_watch, record) = (kv.flag("json"), kv.flag("score-watch"), kv.flag("record"));
+    let verdict = |passed: bool| match passed {
+        true => Ok(()),
+        false => Err(Failed(
+            "chaos invariants violated or watch floors missed".into(),
+        )),
+    };
+    if kv.flag("churn") {
+        let out_path = kv.get("out").map_or("churn_report.json", String::as_str);
+        let report = prs_core::run_chaos_churn(&cfg);
+        write_report(out_path, &report.to_json(), json)?;
+        if !json {
+            print_churn_report(&report, out_path);
+        }
+        return verdict(report.all_passed());
+    }
+    let out_path = kv.get("out").map_or("chaos_report.json", String::as_str);
+    let rules = watch_rules(kv.get("rules"))?;
+    let watch = match (record, score_watch) {
+        (true, _) => ChaosWatch::Recorded(&rules),
+        (false, true) => ChaosWatch::Scored(&rules),
+        (false, false) => ChaosWatch::Off,
+    };
+    let (report, score, recordings) = prs_core::run_chaos(&cfg, watch);
+    let record_out = record.then(|| kv.get("record-out").map_or("chaos_records", String::as_str));
+    if let Some(dir) = record_out {
+        write_chaos_recordings(dir, &recordings)?;
+    }
+    write_report(out_path, &report.to_json(), json)?;
+    if !json {
+        print_chaos_report(&report, out_path);
+    }
+    let mut passed = report.all_passed();
+    if let Some(score) = &score {
+        let watch_out = kv.get("watch-out").map_or("watch_score.json", String::as_str);
+        write(watch_out, score.to_json())?;
+        if !json {
+            print_watch_score(score, watch_out);
+        }
+        passed &= score.meets_floors();
+    }
+    if let (Some(dir), false) = (record_out, json) {
+        let captures: usize = recordings.iter().map(|r| r.captures.len()).sum();
+        say!(
+            "recorder: {} trial(s) recorded — {} capture(s) + postmortems written to {dir}/",
+            recordings.len(),
+            captures
+        );
+    }
+    verdict(passed)
+}
+
+/// `prs chaos`'s grid: `--trials`, `--seed` and `--engine`. An empty grid
+/// (it would pass every invariant and floor vacuously) and one above
+/// [`MAX_TRIALS`] are usage errors.
+fn chaos_config(kv: &Args) -> Result<prs_core::ChaosConfig, CliError> {
     let defaults = prs_core::ChaosConfig::default();
     let cfg = prs_core::ChaosConfig {
         trials: kv.parsed("trials", defaults.trials)?,
@@ -979,209 +1028,152 @@ fn cmd_chaos(args: &[String]) -> Cmd {
         },
     };
     if cfg.trials == 0 {
-        // An empty grid would pass every invariant and floor vacuously.
         return Err(Usage("--trials must be at least 1".to_string()));
     }
-    let (json, score_watch) = (kv.flag("json"), kv.flag("score-watch"));
-    let (record, churn) = (kv.flag("record"), kv.flag("churn"));
-    let conflict = if !score_watch && (kv.get("rules").is_some() || kv.get("watch-out").is_some()) {
-        Some("--rules / --watch-out require --score-watch")
-    } else if !record && kv.get("record-out").is_some() {
-        Some("--record-out requires --record")
-    } else if record && !score_watch {
-        Some("--record requires --score-watch (captures are incident-triggered)")
-    } else if churn && (score_watch || record) {
-        Some(
-            "--churn runs the elastic-membership grid and cannot combine with \
-             --score-watch / --record",
-        )
-    } else {
-        None
-    };
-    if let Some(msg) = conflict {
-        return Err(Usage(msg.to_string()));
+    if cfg.trials > MAX_TRIALS {
+        return Err(Usage(format!(
+            "--trials {} is above the limit of {MAX_TRIALS}",
+            cfg.trials
+        )));
     }
-    let default_out = if churn {
-        "churn_report.json"
-    } else {
-        "chaos_report.json"
-    };
-    let out_path = kv.get("out").map_or(default_out, String::as_str);
-    let watch_out = kv
-        .get("watch-out")
-        .map_or("watch_score.json", String::as_str);
-    let record_out = record.then(|| kv.get("record-out").map_or("chaos_records", String::as_str));
-    let verdict = |passed: bool| match passed {
-        true => Ok(()),
-        false => Err(Failed(
-            "chaos invariants violated or watch floors missed".into(),
-        )),
-    };
-    if churn {
-        let report = prs_core::run_chaos_churn(&cfg);
-        let doc = report.to_json();
-        write_json(out_path, &doc)?;
-        if json {
-            say!("{}", serde_json::to_string_pretty(&doc).unwrap());
-        } else {
-            say!(
-                "churn: {} trials (seed {}) — {} scale-out, {} drain, {} evict, {} with crashes, \
-                 {} deadline handoff(s)",
-                report.trials.len(),
-                report.seed,
-                report.scale_out_trials(),
-                report.drain_trials(),
-                report.evict_trials(),
-                report.crash_trials(),
-                report.handoffs_total()
-            );
-            for t in report.trials.iter().filter(|t| !t.passed()) {
-                say!(
-                    "FAIL trial {}: identical={} flows={} ledger={} size={} clock={}",
-                    t.index,
-                    t.result_identical,
-                    t.flow_conserved,
-                    t.ledger_reconciled,
-                    t.size_conserved,
-                    t.clock_monotone
-                );
-            }
-            say!(
-                "{} — report written to {out_path}",
-                if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
-            );
-        }
-        return verdict(report.all_passed());
-    }
-    let rules = watch_rules(kv.get("rules"))?;
-    let (report, score, recordings) = if let Some(dir) = record_out {
-        let (report, score, recordings) =
-            prs_core::run_chaos_recorded(&cfg, &rules, obs::RecorderConfig::enabled());
-        write_chaos_recordings(dir, &recordings)?;
-        (report, Some(score), recordings)
-    } else if score_watch {
-        let (report, score) = prs_core::run_chaos_scored(&cfg, &rules);
-        (report, Some(score), Vec::new())
-    } else {
-        (prs_core::run_chaos(&cfg), None, Vec::new())
-    };
-    let doc = report.to_json();
-    write_json(out_path, &doc)?;
-    if json {
-        say!("{}", serde_json::to_string_pretty(&doc).unwrap());
-    } else {
-        let (launched, won, wasted) = report.speculation_totals();
-        say!(
-            "chaos: {} trials (seed {}) — {} worker-crash, {} master-crash",
-            report.trials.len(),
-            report.seed,
-            report.worker_crash_trials(),
-            report.master_crash_trials()
-        );
-        say!(
-            "speculation: {launched} launched = {won} won + {wasted} wasted ({})",
-            if report.speculation_reconciles() { "reconciles" } else { "MISMATCH" }
-        );
-        for t in report.trials.iter().filter(|t| !t.passed()) {
-            say!(
-                "FAIL trial {}: identical={} flows={} spec={} counters={} clock={}",
-                t.index,
-                t.result_identical,
-                t.flow_conserved,
-                t.speculation_reconciled,
-                t.counters_consistent,
-                t.clock_monotone
-            );
-        }
-        say!(
-            "{} — report written to {out_path}",
-            if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
-        );
-    }
-    let mut passed = report.all_passed();
-    if let Some(score) = &score {
-        write(watch_out, score.to_json())?;
-        if !json {
-            say!(
-                "\nwatch: {} trial(s) scored, {} fault-free alert(s)",
-                score.trials,
-                score.fault_free_alerts
-            );
-            say!(
-                "  {:<14} {:>8} {:>8} {:>9} {:>7} {:>12}",
-                "kind", "injected", "detected", "precision", "recall", "median_ttd_s"
-            );
-            for (kind, k) in &score.kinds {
-                say!(
-                    "  {:<14} {:>8} {:>8} {:>9.3} {:>7.3} {:>12}",
-                    kind.as_str(),
-                    k.injected,
-                    k.detected,
-                    k.precision(),
-                    k.recall(),
-                    k.median_ttd()
-                        .map(|t| format!("{t:.6}"))
-                        .unwrap_or_else(|| "-".to_string())
-                );
-            }
-            say!(
-                "{} (precision floor {}, recall floor {}) — score written to {watch_out}",
-                if score.meets_floors() { "floors met" } else { "FLOORS MISSED" },
-                score.precision_floor,
-                score.recall_floor
-            );
-        }
-        passed &= score.meets_floors();
-    }
-    if let Some(dir) = record_out {
-        let captures: usize = recordings.iter().map(|r| r.captures.len()).sum();
-        if !json {
-            say!(
-                "recorder: {} trial(s) recorded — {} capture(s) + postmortems written to {dir}/",
-                recordings.len(),
-                captures
-            );
-        }
-    }
-    verdict(passed)
+    Ok(cfg)
 }
 
-/// Writes each recorded chaos trial's captures and assembled postmortem
-/// into `<dir>/trial-<index>/`.
+/// The `prs chaos` flags that need another one or exclude each other.
+fn chaos_flag_conflicts(kv: &Args) -> Cmd {
+    let (score_watch, record) = (kv.flag("score-watch"), kv.flag("record"));
+    let conflict = if !score_watch && (kv.get("rules").is_some() || kv.get("watch-out").is_some()) {
+        "--rules / --watch-out require --score-watch"
+    } else if !record && kv.get("record-out").is_some() {
+        "--record-out requires --record"
+    } else if record && !score_watch {
+        "--record requires --score-watch (captures are incident-triggered)"
+    } else if kv.flag("churn") && (score_watch || record) {
+        "--churn runs the elastic-membership grid and cannot combine with \
+         --score-watch / --record"
+    } else {
+        return Ok(());
+    };
+    Err(Usage(conflict.to_string()))
+}
+
+/// Writes a grid report, and prints it too under `--json`.
+fn write_report(path: &str, doc: &serde_json::Value, json: bool) -> Cmd {
+    write_json(path, doc)?;
+    if json {
+        say!("{}", doc.to_json_string_pretty());
+    }
+    Ok(())
+}
+
+/// The fault grid's human-readable summary: coverage, the speculation
+/// ledger, and one line per failed trial.
+fn print_chaos_report(report: &prs_core::ChaosReport, out_path: &str) {
+    let (launched, won, wasted) = report.speculation_totals();
+    say!(
+        "chaos: {} trials (seed {}) — {} worker-crash, {} master-crash",
+        report.trials.len(),
+        report.seed,
+        report.worker_crash_trials(),
+        report.master_crash_trials()
+    );
+    say!(
+        "speculation: {launched} launched = {won} won + {wasted} wasted ({})",
+        if report.speculation_reconciles() { "reconciles" } else { "MISMATCH" }
+    );
+    for t in report.trials.iter().filter(|t| !t.passed()) {
+        say!(
+            "FAIL trial {}: identical={} flows={} spec={} counters={} clock={}",
+            t.index,
+            t.result_identical,
+            t.flow_conserved,
+            t.speculation_reconciled,
+            t.counters_consistent,
+            t.clock_monotone
+        );
+    }
+    say!(
+        "{} — report written to {out_path}",
+        if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
+    );
+}
+
+/// The churn grid's human-readable summary: coverage and one line per
+/// failed trial.
+fn print_churn_report(report: &prs_core::ChurnReport, out_path: &str) {
+    say!(
+        "churn: {} trials (seed {}) — {} scale-out, {} drain, {} evict, {} with crashes, \
+         {} deadline handoff(s)",
+        report.trials.len(),
+        report.seed,
+        report.scale_out_trials(),
+        report.drain_trials(),
+        report.evict_trials(),
+        report.crash_trials(),
+        report.handoffs_total()
+    );
+    for t in report.trials.iter().filter(|t| !t.passed()) {
+        say!(
+            "FAIL trial {}: identical={} flows={} ledger={} size={} clock={}",
+            t.index,
+            t.result_identical,
+            t.flow_conserved,
+            t.ledger_reconciled,
+            t.size_conserved,
+            t.clock_monotone
+        );
+    }
+    say!(
+        "{} — report written to {out_path}",
+        if report.all_passed() { "all invariants hold" } else { "INVARIANT VIOLATIONS" }
+    );
+}
+
+/// The watchdog's score table: precision, recall and median
+/// time-to-detect per fault kind, against the floors.
+fn print_watch_score(score: &watch::WatchScore, watch_out: &str) {
+    say!(
+        "\nwatch: {} trial(s) scored, {} fault-free alert(s)",
+        score.trials,
+        score.fault_free_alerts
+    );
+    say!(
+        "  {:<14} {:>8} {:>8} {:>9} {:>7} {:>12}",
+        "kind", "injected", "detected", "precision", "recall", "median_ttd_s"
+    );
+    for (kind, k) in &score.kinds {
+        say!(
+            "  {:<14} {:>8} {:>8} {:>9.3} {:>7.3} {:>12}",
+            kind.as_str(),
+            k.injected,
+            k.detected,
+            k.precision(),
+            k.recall(),
+            k.median_ttd()
+                .map(|t| format!("{t:.6}"))
+                .unwrap_or_else(|| "-".to_string())
+        );
+    }
+    say!(
+        "{} (precision floor {}, recall floor {}) — score written to {watch_out}",
+        if score.meets_floors() { "floors met" } else { "FLOORS MISSED" },
+        score.precision_floor,
+        score.recall_floor
+    );
+}
+
+/// Writes every recorded chaos trial's directory under `dir`
+/// (`trial-<index>/`, see `TrialRecording::files`).
 fn write_chaos_recordings(dir: &str, recordings: &[prs_core::TrialRecording]) -> Cmd {
-    let root = std::path::Path::new(dir);
     for rec in recordings {
-        let tdir = root.join(format!("trial-{}", rec.index));
-        std::fs::create_dir_all(&tdir)
-            .map_err(|e| Failed(format!("creating {}: {e}", tdir.display())))?;
-        for c in &rec.captures {
-            write(tdir.join(c.file_name()), c.to_jsonl())?;
-        }
-        // Echo the incident rows so `prs postmortem <trial dir>` can
-        // re-assemble the identical document from the artifacts alone.
-        let incidents: Vec<serde_json::Value> = rec
-            .postmortem
-            .as_object()
-            .and_then(|o| o.get("incidents"))
-            .and_then(serde_json::Value::as_array)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|e| e.as_object().and_then(|o| o.get("incident")).cloned())
-                    .collect()
-            })
-            .unwrap_or_default();
-        if !incidents.is_empty() {
-            let mut text = String::new();
-            for inc in &incidents {
-                text.push_str(&inc.to_json_string());
-                text.push('\n');
+        for (path, text) in rec.files() {
+            let path = Path::new(dir).join(path);
+            if let Some(tdir) = path.parent() {
+                std::fs::create_dir_all(tdir)
+                    .map_err(|e| Failed(format!("creating {}: {e}", tdir.display())))?;
             }
-            write(tdir.join("incidents.jsonl"), text)?;
+            write(path, text)?;
         }
-        write(tdir.join("decisions.jsonl"), &rec.decisions_jsonl)?;
-        write(tdir.join("stacks.jsonl"), &rec.stacks_jsonl)?;
-        write_json(tdir.join("postmortem.json"), &rec.postmortem)?;
     }
     Ok(())
 }
@@ -1398,19 +1390,12 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[simtime::StackFrame]) -> C
         // Freeze + capture the window around every incident the watchdog
         // opened, link each incident to its capture, and assemble the
         // machine-readable postmortem alongside the raw captures.
-        let captures = watch::capture_incidents(&mut watched, &obs.recorder);
+        let (captures, pm) =
+            watch::capture_postmortem(&mut watched, &obs.recorder, &decisions, &set);
         for c in &captures {
             write(&c.file_name(), c.to_jsonl())?;
         }
-        let docs: Vec<insight::CaptureDoc> =
-            captures.iter().map(insight::postmortem::capture_doc).collect();
-        let incident_values: Vec<serde_json::Value> =
-            watched.incidents.iter().map(|i| i.to_value()).collect();
-        let pm = insight::postmortem::assemble(&docs, &incident_values, &decisions, &set);
-        write(
-            "postmortem.json",
-            serde_json::to_string_pretty(&pm).unwrap() + "\n",
-        )?;
+        write("postmortem.json", pm.to_json_string_pretty() + "\n")?;
         roll.recorder = Some(obs.recorder.summary());
         obs.recorder.register_metrics(&obs.metrics);
     }

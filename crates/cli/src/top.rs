@@ -71,36 +71,6 @@ fn bar(frac: f64) -> String {
     s
 }
 
-/// Renders one dashboard frame at virtual instant `t`.
-///
-/// Sections: a header with the virtual clock; per-node device-lane
-/// gauges (busy fraction over the trailing `window` seconds); the
-/// cluster rollup table (windowed utilization, queue depth, bytes in
-/// flight, straggler lag); messages currently on the wire; and the
-/// blame verdict of the last iteration that finished by `t`.
-pub fn render_frame(
-    events: &[TraceEvent],
-    decisions: &[DecisionRecord],
-    t: f64,
-    window: f64,
-) -> String {
-    render_frame_with_captures(events, decisions, &BTreeMap::new(), t, window)
-}
-
-/// [`render_frame`] with the bundle's incident→capture links: when the
-/// replayed dir was recorded with `--record`, incidents the flight
-/// recorder captured carry a marker in the alert lane pointing at their
-/// `capture-<id>.jsonl` artifact.
-pub fn render_frame_with_captures(
-    events: &[TraceEvent],
-    decisions: &[DecisionRecord],
-    captures: &BTreeMap<u64, String>,
-    t: f64,
-    window: f64,
-) -> String {
-    Replay::new(events, decisions, captures).frame(t, window)
-}
-
 /// A bundle prepared for replay: what every frame needs and no instant
 /// changes (the horizon, each node's device lanes, whether the run was
 /// elastic) is worked out once, so a multi-frame replay pays per frame
@@ -120,7 +90,9 @@ pub struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    /// Prepares `events` (in any order) for [`Self::frame`].
+    /// Prepares `events` (in any order) for [`Self::frame`]. `captures`
+    /// links a `--record`'ed bundle's incidents to their
+    /// `capture-<id>.jsonl` artifacts.
     pub fn new(
         events: &'a [TraceEvent],
         decisions: &'a [DecisionRecord],
@@ -156,23 +128,45 @@ impl<'a> Replay<'a> {
         self.horizon
     }
 
-    /// The frame at virtual instant `t` (see [`render_frame`]).
+    /// Renders one dashboard frame at virtual instant `t`, each section
+    /// from what an observer at `t` has seen: a header with the virtual
+    /// clock; per-node device-lane gauges (busy fraction over the trailing
+    /// `window` seconds); the cluster rollup table (windowed utilization,
+    /// queue depth, bytes in flight, straggler lag); messages currently on
+    /// the wire; the membership lane of an elastic run; the watchdog's
+    /// alert lane, marking incidents the flight recorder captured; and the
+    /// blame verdict of the last iteration that finished by `t`.
     pub fn frame(&self, t: f64, window: f64) -> String {
-        let (events, decisions) = (self.events, self.decisions);
-        let seen = visible_at(events, t);
+        let seen = visible_at(self.events, t);
         let mut out = String::new();
         let _ = writeln!(
             out,
             "prs top — virtual t = {t:.6}s / horizon {:.6}s  ({} of {} events)",
             self.horizon,
             seen.len(),
-            events.len()
+            self.events.len()
         );
+        self.node_gauges(&mut out, &seen, t, window);
+        self.rollup_table(&mut out, &seen, t);
+        wire(&mut out, &seen);
+        // Only elastic bundles emit the `membership` lane, so
+        // fixed-cluster frames render byte-identically without it.
+        if self.elastic {
+            membership(&mut out, &seen);
+        }
+        self.alert_lane(&mut out, t);
+        blame(&mut out, &seen, t);
+        out
+    }
 
-        // Per-node device gauges over the trailing window.
+    /// Per-node device gauges: busy fraction over the trailing window.
+    fn node_gauges(&self, out: &mut String, seen: &[Seen], t: f64, window: f64) {
+        if self.node_lanes.is_empty() {
+            return;
+        }
         let w0 = (t - window).max(0.0);
         let mut node_busy: BTreeMap<u64, f64> = BTreeMap::new();
-        for e in &seen {
+        for e in seen {
             if !is_device_lane(e.lane()) || e.dur.is_none() {
                 continue;
             }
@@ -180,25 +174,25 @@ impl<'a> Replay<'a> {
                 *node_busy.entry(n).or_insert(0.0) += e.overlap(w0, t);
             }
         }
-        if !self.node_lanes.is_empty() {
-            let _ = writeln!(out, "\nnode lanes (busy over trailing {window:.6}s):");
-            let span = (t - w0).max(1e-12);
-            for (n, lanes) in &self.node_lanes {
-                let busy = node_busy.get(n).copied().unwrap_or(0.0);
-                let frac = busy / (span * *lanes as f64);
-                let _ = writeln!(
-                    out,
-                    "  node{n:<2} [{}] {:>5.1}%  ({} device lanes)",
-                    bar(frac),
-                    frac * 100.0,
-                    lanes
-                );
-            }
+        let _ = writeln!(out, "\nnode lanes (busy over trailing {window:.6}s):");
+        let span = (t - w0).max(1e-12);
+        for (n, lanes) in &self.node_lanes {
+            let busy = node_busy.get(n).copied().unwrap_or(0.0);
+            let frac = busy / (span * *lanes as f64);
+            let _ = writeln!(
+                out,
+                "  node{n:<2} [{}] {:>5.1}%  ({} device lanes)",
+                bar(frac),
+                frac * 100.0,
+                lanes
+            );
         }
+    }
 
-        // Cluster rollup table over everything seen so far.
+    /// The cluster rollup table over everything seen so far.
+    fn rollup_table(&self, out: &mut String, seen: &[Seen], t: f64) {
         let cfg = RollupConfig::auto(t.max(1e-9));
-        let roll = rollup(&seen, decisions, &cfg);
+        let roll = rollup(seen, self.decisions, &cfg);
         let _ = writeln!(
             out,
             "\ncluster rollup (window {:.6}s, {} device lanes, {} nodes):",
@@ -222,54 +216,13 @@ impl<'a> Replay<'a> {
                 w.mispredict
             );
         }
+    }
 
-        // Messages on the wire at t: sends seen whose recv is in the
-        // future. Every flow paired from `seen` was received by `t`.
-        let flows = insight::pair_flows(&seen);
-        let delivered: BTreeSet<u64> = flows.iter().map(|f| f.id).collect();
-        let inflight: Vec<_> = seen
-            .iter()
-            .filter(|e| e.kind() == "msg-send")
-            .filter_map(|e| e.attr("flow").map(|f| (f as u64, e.attr("bytes").unwrap_or(0.0))))
-            .filter(|(id, _)| !delivered.contains(id))
-            .collect();
-        let inflight_bytes: f64 = inflight.iter().map(|(_, b)| b).sum::<f64>().max(0.0);
-        let _ = writeln!(
-            out,
-            "\nwire: {} flow(s) delivered, {} in flight ({inflight_bytes:.0} B)",
-            flows.len(),
-            inflight.len()
-        );
-
-        // Elastic membership lane: cluster size at t plus the transition
-        // ledger seen so far. Only elastic bundles emit the `membership`
-        // lane, so fixed-cluster frames render byte-identically to before.
-        if self.elastic {
-            let memb: Vec<&Seen> = seen.iter().filter(|e| e.lane() == "membership").collect();
-            let size = memb
-                .iter()
-                .filter(|e| e.kind() == "cluster-size")
-                .max_by(|a, b| a.t().total_cmp(&b.t()))
-                .and_then(|e| e.attr("n"));
-            let count = |kind: &str| memb.iter().filter(|e| e.kind() == kind).count();
-            let _ = writeln!(
-                out,
-                "\ncluster size: {}  (joins {}, drains {}, evicts {}, handoffs {})",
-                size.map(|n| format!("{n:.0} node(s)")).unwrap_or_else(|| "?".to_string()),
-                count("join"),
-                count("drain"),
-                count("evict"),
-                count("handoff"),
-            );
-            for e in memb.iter().filter(|e| e.kind() != "cluster-size") {
-                let node = e.attr("node").map(|n| format!(" node{n:.0}")).unwrap_or_default();
-                let _ = writeln!(out, "  t={:.6} {}{}", e.t(), e.kind(), node);
-            }
-        }
-
-        // Alert lane: the watchdog's verdict over everything seen so far.
+    /// The alert lane: the watchdog's verdict over everything seen so far,
+    /// with a marker on each incident the flight recorder captured.
+    fn alert_lane(&self, out: &mut String, t: f64) {
         let ranked = visible_at(self.ranked.iter().copied(), t);
-        let watched = watch::watch(&ranked, decisions, &watch::WatchConfig::default());
+        let watched = watch::watch(&ranked, self.decisions, &watch::WatchConfig::default());
         let firing: Vec<_> = watched
             .incidents
             .iter()
@@ -277,66 +230,107 @@ impl<'a> Replay<'a> {
             .collect();
         if firing.is_empty() {
             let _ = writeln!(out, "\nalerts: none firing");
-        } else {
+            return;
+        }
+        let _ = writeln!(
+            out,
+            "\nalerts: {} alert(s) in {} incident(s):",
+            watched.alerts.len(),
+            firing.len()
+        );
+        for inc in &firing {
+            let marker = self
+                .captures
+                .get(&(inc.id as u64))
+                .map(|c| format!("  * {c}.jsonl"))
+                .unwrap_or_default();
             let _ = writeln!(
                 out,
-                "\nalerts: {} alert(s) in {} incident(s):",
-                watched.alerts.len(),
-                firing.len()
+                "  [{}] #{} {} on {} since t={:.6} ({}){marker}",
+                inc.severity.as_str(),
+                inc.id,
+                inc.kind.as_str(),
+                inc.nodes_label(),
+                inc.t_detect,
+                inc.blame.as_str()
             );
-            for inc in &firing {
-                let nodes = if inc.nodes.is_empty() {
-                    "cluster".to_string()
-                } else {
-                    inc.nodes
-                        .iter()
-                        .map(|n| format!("node{n}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                let marker = self
-                    .captures
-                    .get(&(inc.id as u64))
-                    .map(|c| format!("  * {c}.jsonl"))
-                    .unwrap_or_default();
-                let _ = writeln!(
-                    out,
-                    "  [{}] #{} {} on {} since t={:.6} ({}){marker}",
-                    inc.severity.as_str(),
-                    inc.id,
-                    inc.kind.as_str(),
-                    nodes,
-                    inc.t_detect,
-                    inc.blame.as_str()
-                );
-            }
         }
+    }
+}
 
-        // Blame of the last iteration completed by t.
-        let analysis = insight::analyze_view(&seen);
-        match analysis.iterations.iter().rev().find(|it| it.end <= t) {
-            Some(it) => {
-                let _ = writeln!(
-                    out,
-                    "blame: iter {} -> {} (critical node {}, comm {:.6}s / compute {:.6}s)",
-                    it.index,
-                    it.blame.as_str(),
-                    it.critical_node,
-                    it.comm_secs,
-                    it.compute_secs
-                );
-            }
-            None => {
-                let _ = writeln!(out, "blame: (no iteration completed yet)");
-            }
+/// Messages on the wire: sends seen whose recv is in the future. Every
+/// flow paired from `seen` was received by the frame's instant.
+fn wire(out: &mut String, seen: &[Seen]) {
+    let flows = insight::pair_flows(seen);
+    let delivered: BTreeSet<u64> = flows.iter().map(|f| f.id).collect();
+    let inflight: Vec<_> = seen
+        .iter()
+        .filter(|e| e.kind() == "msg-send")
+        .filter_map(|e| e.attr("flow").map(|f| (f as u64, e.attr("bytes").unwrap_or(0.0))))
+        .filter(|(id, _)| !delivered.contains(id))
+        .collect();
+    let inflight_bytes: f64 = inflight.iter().map(|(_, b)| b).sum::<f64>().max(0.0);
+    let _ = writeln!(
+        out,
+        "\nwire: {} flow(s) delivered, {} in flight ({inflight_bytes:.0} B)",
+        flows.len(),
+        inflight.len()
+    );
+}
+
+/// The elastic membership lane: cluster size at the frame's instant plus
+/// the transition ledger seen so far.
+fn membership(out: &mut String, seen: &[Seen]) {
+    let memb: Vec<&Seen> = seen.iter().filter(|e| e.lane() == "membership").collect();
+    let size = memb
+        .iter()
+        .filter(|e| e.kind() == "cluster-size")
+        .max_by(|a, b| a.t().total_cmp(&b.t()))
+        .and_then(|e| e.attr("n"));
+    let count = |kind: &str| memb.iter().filter(|e| e.kind() == kind).count();
+    let _ = writeln!(
+        out,
+        "\ncluster size: {}  (joins {}, drains {}, evicts {}, handoffs {})",
+        size.map(|n| format!("{n:.0} node(s)")).unwrap_or_else(|| "?".to_string()),
+        count("join"),
+        count("drain"),
+        count("evict"),
+        count("handoff"),
+    );
+    for e in memb.iter().filter(|e| e.kind() != "cluster-size") {
+        let node = e.attr("node").map(|n| format!(" node{n:.0}")).unwrap_or_default();
+        let _ = writeln!(out, "  t={:.6} {}{}", e.t(), e.kind(), node);
+    }
+}
+
+/// The blame verdict of the last iteration completed by `t`.
+fn blame(out: &mut String, seen: &[Seen], t: f64) {
+    let analysis = insight::analyze_view(seen);
+    match analysis.iterations.iter().rev().find(|it| it.end <= t) {
+        Some(it) => {
+            let _ = writeln!(
+                out,
+                "blame: iter {} -> {} (critical node {}, comm {:.6}s / compute {:.6}s)",
+                it.index,
+                it.blame.as_str(),
+                it.critical_node,
+                it.comm_secs,
+                it.compute_secs
+            );
         }
-        out
+        None => {
+            let _ = writeln!(out, "blame: (no iteration completed yet)");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn render_frame(events: &[TraceEvent], decisions: &[DecisionRecord], t: f64, w: f64) -> String {
+        Replay::new(events, decisions, &BTreeMap::new()).frame(t, w)
+    }
 
     fn ev(lane: &str, kind: &str, t: f64, dur: Option<f64>, iter: Option<u64>) -> TraceEvent {
         TraceEvent {
@@ -414,12 +408,10 @@ mod tests {
         }
         let mut captures = BTreeMap::new();
         captures.insert(0, "capture-0".to_string());
-        let frame = render_frame_with_captures(&events, &[], &captures, 2.5, 0.5);
+        let frame = Replay::new(&events, &[], &captures).frame(2.5, 0.5);
         assert!(frame.contains("* capture-0.jsonl"), "{frame}");
-        // Without links the frame is unchanged from the plain renderer.
-        let plain = render_frame_with_captures(&events, &[], &BTreeMap::new(), 2.5, 0.5);
-        assert_eq!(plain, render_frame(&events, &[], 2.5, 0.5));
-        assert!(!plain.contains("capture-0.jsonl"));
+        // Without links the frame carries no marker.
+        assert!(!render_frame(&events, &[], 2.5, 0.5).contains("capture-0.jsonl"));
     }
 
     #[test]

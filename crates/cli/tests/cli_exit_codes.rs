@@ -101,6 +101,28 @@ fn usage_errors_exit_two() {
     let huge = plan("huge.toml", "[[scale_out]]\ncount = 200000000000\nat_s = 0.01\n");
     let max = "[[scale_out]]\ncount = 18446744073709551615\nat_s = 0.01\n";
     let overflow = plan("overflow.toml", &max.repeat(2));
+    // Rule files the watchdog cannot run: a 1e-12 s window used to abort
+    // on a 6.8 TB allocation, a 1e-8 s one to run for minutes, and the
+    // rest were silently accepted.
+    let rule = |name: &str, line: &str| {
+        let head = "[[rule]]\nname = \"r\"\ndetector = \"throughput-drop\"\nclass = \"cluster\"";
+        plan(name, &format!("{head}\n{line}\n"))
+    };
+    let (fine, nan, negative) = (
+        rule("fine.toml", "window_s = 1e-12"),
+        rule("nan.toml", "threshold = nan"),
+        rule("negative.toml", "objective = -1"),
+    );
+    let infinite = rule("inf.toml", "fast_factor = inf");
+    let alpha = rule("alpha.toml", "alpha = 2");
+    // A window the rules allow that would still cut this bundle's 0.2 s
+    // horizon into 200 000 windows.
+    let bundle = dir.join("bundle");
+    std::fs::create_dir_all(&bundle).expect("create bundle");
+    let event = "{\"dur\":0.2,\"kind\":\"cpu-task\",\"lane\":\"node0-cpu-c0\",\"t\":0}\n";
+    std::fs::write(bundle.join("events.jsonl"), event).expect("write events");
+    let bundle = bundle.to_str().expect("utf-8 temp path");
+    let micro = rule("micro.toml", "window_s = 1e-6");
     for cmd in [
         vec!["trace"],
         vec!["trace", "--bogus", "x"],
@@ -121,6 +143,17 @@ fn usage_errors_exit_two() {
         vec!["chaos", "--trials", "0"], // an empty grid passes vacuously
         vec!["chaos", "--trials", "0", "--score-watch"],
         vec!["chaos", "--trials", "0", "--churn"],
+        // These used to abort on a 17.6 TB and a 26.4 TB allocation.
+        vec!["chaos", "--trials", "100000000000"],
+        vec!["chaos", "--churn", "--trials", "100000000000"],
+        vec!["chaos", "--trials", "1048577"],
+        vec!["watch", "/nonexistent/bundle", "--rules", &fine],
+        vec!["watch", "/nonexistent/bundle", "--rules", &nan],
+        vec!["watch", "/nonexistent/bundle", "--rules", &alpha],
+        vec!["watch", bundle, "--rules", &micro],
+        vec!["chaos", "--score-watch", "--rules", &fine],
+        vec!["chaos", "--score-watch", "--rules", &negative],
+        vec!["chaos", "--score-watch", "--rules", &infinite],
         vec!["run", "--record-budget", "0"], // budget must be at least 1
         vec!["run", "--membership", "p.toml", "--app", "gemv"], // elastic needs cmeans
         vec!["run", "--autoscale", "--app", "kmeans"],
@@ -144,6 +177,18 @@ fn usage_errors_exit_two() {
     }
     let stderr = prs(&["bench", "--all"]).stderr;
     assert!(String::from_utf8_lossy(&stderr).contains("error: unknown command 'bench'"));
+    // The refusals name what to change: the limit, the rule file's line.
+    for (cmd, says) in [
+        (vec!["chaos", "--trials", "100000000000"], "above the limit of 1048576".into()),
+        (
+            vec!["chaos", "--score-watch", "--rules", &fine],
+            format!("{fine}: line 5: `window_s` = 1e-12"),
+        ),
+        (vec!["watch", bundle, "--rules", &micro], "into 200000 windows, above the limit".into()),
+    ] {
+        let stderr = String::from_utf8_lossy(&prs(&cmd).stderr).into_owned();
+        assert!(stderr.contains(&says), "prs {}: want {says:?}, got {stderr}", cmd.join(" "));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -513,7 +558,8 @@ fn chaos_stdout_and_files_are_pinned() {
             .args(*form)
             .output()
             .expect("prs binary runs");
-        assert_eq!(out.status.code(), Some(0), "{form:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{form:?}: {stderr}");
         let mut bytes = out.stdout;
         for (path, content) in files_under(&dir) {
             bytes.extend(format!("{path}\n").into_bytes());
@@ -536,15 +582,44 @@ const CHAOS_PINS: [u64; 6] = [
     0x6356a80fe31498d6,
 ];
 
+/// A fresh `--obs` bundle of a small two-node run, in its own directory.
+fn observed_bundle(name: &str) -> PathBuf {
+    let dir = tmp_dir(name);
+    let d = dir.to_str().expect("utf-8 temp path");
+    let run = prs(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", d]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    dir
+}
+
+/// A copy of the directory `of` in which `file` holds `content`.
+fn damaged_copy(of: &PathBuf, name: &str, file: &str, content: &str) -> PathBuf {
+    let dir = tmp_dir(name);
+    for entry in std::fs::read_dir(of).expect("list bundle") {
+        let path = entry.expect("bundle entry").path();
+        std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    std::fs::write(dir.join(file), content).expect("write the damaged file");
+    dir
+}
+
+/// A line file behind a meta line, cut short two ways: half its records
+/// kept, the cut falling exactly between two lines and halfway into the
+/// next one. Returns (records, records kept, boundary cut, mid-line cut).
+fn cuts(text: &str) -> (usize, usize, String, String) {
+    let lines: Vec<&str> = text.lines().collect();
+    let total = lines.len() - 1;
+    let kept = total / 2;
+    let at_line_boundary = lines[..=kept].join("\n") + "\n";
+    let inside_a_line = text[..at_line_boundary.len() + lines[kept + 1].len() / 2].to_string();
+    (total, kept, at_line_boundary, inside_a_line)
+}
+
 #[test]
 fn readers_reject_a_truncated_bundle() {
     // A bundle cut short must not be analysed as if it were whole, whether
     // the cut falls inside a line (bad JSON) or exactly between two lines
     // (every line still parses; only the meta line's count gives it away).
-    let whole = tmp_dir("truncated-whole");
-    let w = whole.to_str().expect("utf-8 temp path");
-    let run = prs(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", w]);
-    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    let whole = observed_bundle("truncated-whole");
     let events = std::fs::read_to_string(whole.join("events.jsonl")).expect("events.jsonl");
     let lines: Vec<&str> = events.lines().collect();
     let total = lines.len() - 1; // minus the meta line
@@ -557,18 +632,10 @@ fn readers_reject_a_truncated_bundle() {
     };
     let without_meta = lines[1..].join("\n") + "\n";
 
-    let damaged_copy = |of: &PathBuf, name: &str, file: &str, content: &str| {
-        let dir = tmp_dir(name);
-        for entry in std::fs::read_dir(of).expect("list bundle") {
-            let path = entry.expect("bundle entry").path();
-            std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
-        }
-        std::fs::write(dir.join(file), content).expect("write the damaged file");
-        dir
-    };
-    let damaged_file = |name: &str, file: &str, content: &str| damaged_copy(&whole, name, file, content);
-    let damaged = |name: &str, events: &str| damaged_file(name, "events.jsonl", events);
-    let commands = |d: &str, cal: &str| -> Vec<Vec<String>> {
+    let run_all = |dir: &PathBuf| -> Vec<(String, Output)> {
+        let d = dir.to_str().expect("utf-8 temp path");
+        let cal = dir.join("fit.toml");
+        let cal = cal.to_str().expect("utf-8 temp path");
         [
             vec!["analyze", d],
             vec!["watch", d],
@@ -577,23 +644,12 @@ fn readers_reject_a_truncated_bundle() {
             vec!["calibrate", "--from-trace", d, "--out", cal],
             vec!["trace", "--dir", d],
         ]
-        .iter()
-        .map(|c| c.iter().map(|s| s.to_string()).collect())
+        .into_iter()
+        .map(|cmd| (cmd.join(" "), prs(&cmd)))
         .collect()
     };
-    let run_all = |dir: &PathBuf| -> Vec<(String, Output)> {
-        let d = dir.to_str().expect("utf-8 temp path");
-        let cal = dir.join("fit.toml");
-        commands(d, cal.to_str().expect("utf-8 temp path"))
-            .into_iter()
-            .map(|cmd| {
-                let args: Vec<&str> = cmd.iter().map(String::as_str).collect();
-                (cmd.join(" "), prs(&args))
-            })
-            .collect()
-    };
 
-    let dir = damaged("truncated-boundary", &at_line_boundary);
+    let dir = damaged_copy(&whole, "truncated-boundary", "events.jsonl", &at_line_boundary);
     for (cmd, out) in run_all(&dir) {
         assert_eq!(out.status.code(), Some(1), "prs {cmd} on half a bundle must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -605,7 +661,7 @@ fn readers_reject_a_truncated_bundle() {
     assert!(!dir.join("fit.toml").exists(), "calibrate wrote a profile from half a run");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let dir = damaged("truncated-midline", &inside_a_line);
+    let dir = damaged_copy(&whole, "truncated-midline", "events.jsonl", &inside_a_line);
     for (cmd, out) in run_all(&dir) {
         assert_eq!(out.status.code(), Some(1), "prs {cmd} on a cut line must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -618,7 +674,7 @@ fn readers_reject_a_truncated_bundle() {
 
     // No meta line, no count to check: hand-written fixtures and
     // pre-schema bundles keep reading.
-    let dir = damaged("truncated-no-meta", &without_meta);
+    let dir = damaged_copy(&whole, "truncated-no-meta", "events.jsonl", &without_meta);
     for (cmd, out) in run_all(&dir) {
         assert_eq!(
             out.status.code(),
@@ -628,17 +684,19 @@ fn readers_reject_a_truncated_bundle() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&whole);
+}
 
-    // The audit log is held to its meta line the same way: the readers
-    // that join decisions to events refuse half a `decisions.jsonl`, and
-    // `watch` leaves the verdict files as the run wrote them.
+/// The audit log is held to its meta line the same way: the readers that
+/// join decisions to events refuse half a `decisions.jsonl`, and `watch`
+/// leaves the verdict files as the run wrote them.
+#[test]
+fn readers_reject_a_truncated_bundle_audit_log() {
+    let whole = observed_bundle("truncated-decisions-whole");
     let decisions = std::fs::read_to_string(whole.join("decisions.jsonl")).expect("decisions.jsonl");
-    let lines: Vec<&str> = decisions.lines().collect();
-    let total = lines.len() - 1;
-    assert!(lines[0].contains(&format!("\"decisions\":{total}")), "meta line: {}", lines[0]);
-    let kept = total / 2;
-    let at_line_boundary = lines[..=kept].join("\n") + "\n";
-    let inside_a_line = decisions[..at_line_boundary.len() + lines[kept + 1].len() / 2].to_string();
+    let (total, kept, at_line_boundary, inside_a_line) = cuts(&decisions);
+    let meta = decisions.lines().next().expect("a meta line");
+    assert!(meta.contains(&format!("\"decisions\":{total}")), "meta line: {meta}");
     let verdicts = |dir: &PathBuf| {
         ["alerts.jsonl", "incidents.jsonl"].map(|f| std::fs::read(dir.join(f)).expect("verdict file"))
     };
@@ -654,7 +712,7 @@ fn readers_reject_a_truncated_bundle() {
             format!("decisions.jsonl line {}:", kept + 2),
         ),
     ] {
-        let dir = damaged_file(name, "decisions.jsonl", content);
+        let dir = damaged_copy(&whole, name, "decisions.jsonl", content);
         let d = dir.to_str().expect("utf-8 temp path");
         for cmd in [vec!["watch", d], vec!["top", d, "--frames", "2"]] {
             let out = prs(&cmd);
@@ -665,9 +723,14 @@ fn readers_reject_a_truncated_bundle() {
         assert_eq!(verdicts(&dir), verdicts(&whole), "{name}: watch rewrote the run's verdict");
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&whole);
+}
 
-    // So is the incident log `top` and `postmortem` read: two rows under a
-    // meta line that declares them, cut the same two ways.
+/// So is the incident log `top` and `postmortem` read: two rows under a
+/// meta line that declares them, cut the same two ways.
+#[test]
+fn readers_reject_a_truncated_bundle_incident_log() {
+    let whole = observed_bundle("truncated-incidents-whole");
     let incidents = std::fs::read_to_string(whole.join("incidents.jsonl")).expect("incidents.jsonl");
     let meta = incidents.lines().next().expect("a meta line");
     assert!(meta.contains("\"incidents\":0"), "meta line: {meta}");
@@ -683,7 +746,7 @@ fn readers_reject_a_truncated_bundle() {
         ),
         ("truncated-incidents-midline", &inside_a_line, "incidents.jsonl line 3:"),
     ] {
-        let dir = damaged_file(name, "incidents.jsonl", content);
+        let dir = damaged_copy(&whole, name, "incidents.jsonl", content);
         let d = dir.to_str().expect("utf-8 temp path");
         for cmd in [vec!["top", d, "--frames", "2"], vec!["postmortem", d]] {
             let out = prs(&cmd);
@@ -694,12 +757,14 @@ fn readers_reject_a_truncated_bundle() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&whole);
+}
 
-    // So are the profiler's frames and a flight-recorder capture, in a
-    // recorded chaos trial dir (the one kind of bundle that holds
-    // captures without a fault plan of its own): `profile` and
-    // `postmortem` refuse half a `stacks.jsonl`, `postmortem` half a
-    // capture.
+/// So are the profiler's frames and a flight-recorder capture, in a
+/// recorded chaos trial dir (the one kind of bundle that holds captures
+/// without a fault plan of its own): `profile` and `postmortem` refuse
+/// half a `stacks.jsonl`, `postmortem` half a capture.
+#[test]
+fn readers_reject_a_truncated_bundle_chaos_trial() {
     let chaos = tmp_dir("truncated-chaos");
     let at = |name: &str| chaos.join(name).to_str().expect("utf-8 temp path").to_string();
     let (rec, report, score) = (at("rec"), at("chaos.json"), at("watch.json"));
@@ -714,12 +779,8 @@ fn readers_reject_a_truncated_bundle() {
         ("capture-0.jsonl", "capture", &["postmortem"][..]),
     ] {
         let text = std::fs::read_to_string(trial.join(file)).expect("trial file");
-        let lines: Vec<&str> = text.lines().collect();
-        let total = lines.len() - 1;
+        let (total, kept, at_line_boundary, inside_a_line) = cuts(&text);
         assert!(total > 2, "{file} holds {total} record(s)");
-        let kept = total / 2;
-        let at_line_boundary = lines[..=kept].join("\n") + "\n";
-        let inside_a_line = text[..at_line_boundary.len() + lines[kept + 1].len() / 2].to_string();
         for (name, content, says) in [
             (
                 "boundary",

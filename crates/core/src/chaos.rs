@@ -24,7 +24,7 @@ use crate::cluster::ClusterSpec;
 use crate::config::JobConfig;
 use crate::epoch::{run_epochs, ElasticOutcome, EpochOptions};
 use crate::faults::{splitmix64, FaultPlan};
-use crate::job::{run_iterative, run_iterative_observed};
+use crate::job::run_iterative_observed;
 use crate::membership::{MembershipCounters, MembershipPlan};
 use crate::metrics::RecoveryCounters;
 use obs::Obs;
@@ -329,60 +329,39 @@ fn watch_bus(obs: &Obs, rules: &WatchConfig) -> watch::WatchOutput {
 /// Slowdown windows below the straggler factor are not expected to be
 /// detectable and are excluded.
 pub fn ground_truth_from_plan(plan: &FaultPlan) -> Vec<GroundTruthFault> {
-    let mut faults = Vec::new();
-    for c in &plan.node_crashes {
-        faults.push(GroundTruthFault {
-            kind: FaultKind::NodeCrash,
-            node: Some(c.node as u64),
-            at_secs: c.at_secs,
-        });
-    }
-    for c in &plan.master_crashes {
-        faults.push(GroundTruthFault {
-            kind: FaultKind::MasterCrash,
-            node: None,
-            at_secs: c.at_secs,
-        });
-    }
-    for s in &plan.cpu_slowdowns {
-        if s.factor >= insight::critical::STRAGGLER_FACTOR {
-            faults.push(GroundTruthFault {
-                kind: FaultKind::CpuSlowdown,
-                node: Some(s.node as u64),
-                at_secs: s.from_secs,
-            });
-        }
-    }
-    for s in &plan.gpu_slowdowns {
-        if s.factor >= insight::critical::STRAGGLER_FACTOR {
-            faults.push(GroundTruthFault {
-                kind: FaultKind::GpuSlowdown,
-                node: Some(s.node as u64),
-                at_secs: s.from_secs,
-            });
-        }
-    }
-    faults
+    let fault = |kind, node: Option<usize>, at_secs| GroundTruthFault {
+        kind,
+        node: node.map(|n| n as u64),
+        at_secs,
+    };
+    let detectable = |factor: f64| factor >= insight::critical::STRAGGLER_FACTOR;
+    let nodes = plan.node_crashes.iter();
+    let masters = plan.master_crashes.iter();
+    let cpus = plan.cpu_slowdowns.iter().filter(|s| detectable(s.factor));
+    let gpus = plan.gpu_slowdowns.iter().filter(|s| detectable(s.factor));
+    (nodes.map(|c| fault(FaultKind::NodeCrash, Some(c.node), c.at_secs)))
+        .chain(masters.map(|c| fault(FaultKind::MasterCrash, None, c.at_secs)))
+        .chain(cpus.map(|s| fault(FaultKind::CpuSlowdown, Some(s.node), s.from_secs)))
+        .chain(gpus.map(|s| fault(FaultKind::GpuSlowdown, Some(s.node), s.from_secs)))
+        .collect()
 }
 
 /// Trims the planned crashes of `kind` down to the `fired` earliest ones,
 /// matching what the runtime's recovery counters confirm actually
-/// happened (a later co-scheduled crash can be outrun by the job
-/// finishing first).
+/// happened. A co-scheduled crash can be outrun: after an earlier
+/// recovery rebases the plan, the job may finish before the rebased
+/// crash instant arrives, so that crash never fires.
 fn retain_fired(truth: &mut Vec<GroundTruthFault>, kind: FaultKind, fired: usize) {
     let mut idx: Vec<usize> = (0..truth.len()).filter(|&i| truth[i].kind == kind).collect();
     idx.sort_by(|&a, &b| truth[a].at_secs.total_cmp(&truth[b].at_secs));
     let dropped: std::collections::BTreeSet<usize> = idx.into_iter().skip(fired).collect();
-    let mut i = 0;
-    truth.retain(|_| {
-        let keep = !dropped.contains(&i);
-        i += 1;
-        keep
-    });
+    let kept = std::mem::take(truth).into_iter().enumerate().filter(|(i, _)| !dropped.contains(i));
+    *truth = kept.map(|(_, fault)| fault).collect();
 }
 
 /// One chaos trial's flight-recorder output: the incident captures, the
-/// assembled postmortem document, and the recorder's memory accounting.
+/// assembled postmortem document, the recorder's memory accounting, and
+/// the files of the trial's directory ([`TrialRecording::files`]).
 #[derive(Debug, Clone)]
 pub struct TrialRecording {
     /// Trial index within the run.
@@ -390,115 +369,213 @@ pub struct TrialRecording {
     /// One capture per incident the watchdog assembled.
     pub captures: Vec<obs::Capture>,
     /// The trial's `postmortem.json` document
-    /// (`insight::postmortem::assemble` over the captures, incidents,
-    /// Eq-(8) audit rows, and profiler frames).
+    /// (`watch::capture_postmortem` over the captures, incidents, Eq-(8)
+    /// audit rows, and profiler frames).
     pub postmortem: Value,
     /// Recorder memory accounting at end of trial.
     pub recorder: obs::RecorderSummary,
-    /// The trial's Eq-(8) audit rows as `decisions.jsonl` text, so a
-    /// written trial dir is a self-contained postmortem input.
-    pub decisions_jsonl: String,
-    /// The trial's profiler frames as `stacks.jsonl` text.
-    pub stacks_jsonl: String,
     /// The chaotic run's total virtual seconds — bit-comparable against
     /// an unrecorded run to prove recording never touches the clock.
     pub total_virtual_secs: f64,
+    // The linked incidents (one line each, no meta line), the Eq-(8)
+    // audit rows and the profiler frames, as the trial dir holds them.
+    incidents_jsonl: String,
+    decisions_jsonl: String,
+    stacks_jsonl: String,
 }
 
-/// Runs the seeded chaos grid (see the module docs). Panics only on
-/// driver errors (an invalid sampled config is a harness bug); invariant
-/// violations are recorded in the report, not panicked on.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    run_chaos_inner(cfg, None, None).0
+impl TrialRecording {
+    /// The files of the trial's directory as (path under the records
+    /// directory, contents), in the order `prs chaos --record` writes
+    /// them: the captures, `incidents.jsonl` when an incident opened,
+    /// `decisions.jsonl` and `stacks.jsonl` (so the directory is a
+    /// self-contained `prs postmortem` input), then `postmortem.json`.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let mut files: Vec<(String, String)> =
+            self.captures.iter().map(|c| (c.file_name(), c.to_jsonl())).collect();
+        if !self.incidents_jsonl.is_empty() {
+            files.push(("incidents.jsonl".into(), self.incidents_jsonl.clone()));
+        }
+        files.push(("decisions.jsonl".into(), self.decisions_jsonl.clone()));
+        files.push(("stacks.jsonl".into(), self.stacks_jsonl.clone()));
+        files.push(("postmortem.json".into(), self.postmortem.to_json_string_pretty() + "\n"));
+        let dir = format!("trial-{}", self.index);
+        files.into_iter().map(|(name, text)| (format!("{dir}/{name}"), text)).collect()
+    }
 }
 
-/// Runs the chaos grid with the health watchdog attached to every trial:
-/// the watchdog subscribes to each chaotic run's event bus, its incidents
-/// are joined against the injected plan, and each trial's fault-free
-/// baseline doubles as the false-positive check. Returns the ordinary
-/// invariant report (byte-identical to [`run_chaos`]'s — the watchdog is
-/// a pure read-side consumer) plus the detection-quality score.
-pub fn run_chaos_scored(cfg: &ChaosConfig, rules: &WatchConfig) -> (ChaosReport, WatchScore) {
-    let (report, score, _) = run_chaos_inner(cfg, Some(rules), None);
-    (report, score.expect("scoring was requested"))
+/// What a fault-grid run attaches to its trials besides the invariants.
+/// The report is byte-identical whichever it is: the watchdog and the
+/// flight recorder only read, and never advance virtual time.
+#[derive(Debug, Clone, Copy)]
+pub enum ChaosWatch<'a> {
+    /// The invariants only.
+    Off,
+    /// The health watchdog with these rules on every trial, its incidents
+    /// joined against the injected plan; each trial's fault-free baseline
+    /// is the false-positive check.
+    Scored(&'a WatchConfig),
+    /// [`ChaosWatch::Scored`], with the flight recorder armed: each trial's
+    /// incidents capture their windows and assemble into a postmortem.
+    Recorded(&'a WatchConfig),
 }
 
-/// Runs the scored chaos grid with the flight recorder armed on every
-/// chaotic run: each trial's incidents freeze and capture their windows
-/// and assemble into a postmortem document. The invariant report and
-/// watch score are byte-identical to [`run_chaos_scored`]'s — recording
-/// is host-side only and never advances virtual time.
-pub fn run_chaos_recorded(
-    cfg: &ChaosConfig,
-    rules: &WatchConfig,
-    recorder: obs::RecorderConfig,
-) -> (ChaosReport, WatchScore, Vec<TrialRecording>) {
-    let (report, score, recordings) = run_chaos_inner(cfg, Some(rules), Some(recorder));
-    (report, score.expect("scoring was requested"), recordings)
+/// A trial's random stream, derived from the root seed and its index;
+/// `salt` keeps one grid's trials from replaying another's draws.
+struct Draws(u64);
+
+impl Draws {
+    fn new(seed: u64, index: usize, salt: u64) -> Self {
+        Draws(seed.wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) ^ salt)
+    }
+
+    fn below(&mut self, m: u64) -> u64 {
+        splitmix64(&mut self.0) % m
+    }
+
+    fn unit(&mut self) -> f64 {
+        (splitmix64(&mut self.0) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn pick(&mut self, pool: &mut Vec<usize>) -> usize {
+        pool.remove(self.below(pool.len() as u64) as usize)
+    }
 }
 
-fn run_chaos_inner(
-    cfg: &ChaosConfig,
-    rules: Option<&WatchConfig>,
-    rec_cfg: Option<obs::RecorderConfig>,
-) -> (ChaosReport, Option<WatchScore>, Vec<TrialRecording>) {
-    let mut trials = Vec::with_capacity(cfg.trials);
-    let mut watched: Vec<TrialWatch> = Vec::new();
-    let mut recordings: Vec<TrialRecording> = Vec::new();
-    for index in 0..cfg.trials {
-        let mut s = cfg
-            .seed
-            .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let draw = |s: &mut u64, m: u64| splitmix64(s) % m;
-        let unit = |s: &mut u64| (splitmix64(s) >> 11) as f64 / (1u64 << 53) as f64;
+/// The job a trial runs, as its grid sampled it.
+struct TrialJob {
+    nodes: usize,
+    items: usize,
+    keys: usize,
+    converge_round: u64,
+    config: JobConfig,
+}
 
-        let nodes = 2 + draw(&mut s, 2) as usize;
-        let items = 64 + 32 * draw(&mut s, 4) as usize;
-        let keys = 3 + draw(&mut s, 3) as usize;
-        let iterations = 4 + draw(&mut s, 3) as usize;
-        let converge_round = if draw(&mut s, 4) == 0 {
-            iterations as u64 - 1
-        } else {
-            0
-        };
-        let dynamic = draw(&mut s, 2) == 1;
-        let checkpoint_interval = 1 + draw(&mut s, 2) as usize;
-        let speculation = draw(&mut s, 3) == 0;
+/// The fault-free fixed-cluster run a trial is judged against; fault and
+/// churn times are fractions of its `span`.
+struct Baseline {
+    outputs: Vec<(Key, u64)>,
+    state: Vec<u8>,
+    span: f64,
+}
 
-        let mut config = if dynamic {
+/// A trial's run through the epoch driver and the verdicts both grids
+/// assert on it: outputs and model state equal the baseline's, flows
+/// balance on the bus, and [`epoch_clock_monotone`].
+struct TrialRun {
+    outcome: ElasticOutcome<u64>,
+    result_identical: bool,
+    flow_conserved: bool,
+    clock_monotone: bool,
+}
+
+impl TrialJob {
+    fn config(dynamic: bool, iterations: usize, engine: simtime::EngineMode) -> JobConfig {
+        if dynamic {
             JobConfig::dynamic(16)
         } else {
             JobConfig::static_analytic()
         }
         .with_iterations(iterations)
-        .with_engine(cfg.engine);
-        if speculation {
-            config = config.with_speculation(1.5 + unit(&mut s));
-        }
+        .with_engine(engine)
+    }
 
-        // Fault-free baseline: the reference outputs, model state, and
-        // the duration crash times are scheduled against. Under scoring
-        // it is also recorded and watched — a healthy run firing any
-        // alert is a false positive. Recording is zero-virtual-time-
-        // overhead, so `span` (and with it the sampled crash times and
-        // the whole report) is identical either way.
-        let baseline_app = Arc::new(ChaosApp::new(items, keys, converge_round));
-        let baseline_obs = rules.map(|_| Obs::recording());
-        let baseline = run_iterative_observed(
-            &ClusterSpec::delta(nodes),
-            baseline_app.clone(),
-            config,
-            baseline_obs.clone().unwrap_or_else(Obs::disabled),
+    fn app(&self) -> Arc<ChaosApp> {
+        Arc::new(ChaosApp::new(self.items, self.keys, self.converge_round))
+    }
+
+    fn baseline(&self, obs: Obs) -> Baseline {
+        let app = self.app();
+        let spec = ClusterSpec::delta(self.nodes);
+        let run = run_iterative_observed(&spec, app.clone(), self.config, obs)
+            .expect("chaos baseline run");
+        Baseline {
+            outputs: run.outputs,
+            state: app.save_state(),
+            span: run.metrics.total_seconds,
+        }
+    }
+
+    /// Runs the trial through the epoch driver, observed into `obs`, and
+    /// judges it against `baseline`.
+    fn run(
+        &self,
+        baseline: &Baseline,
+        checkpoint_interval: usize,
+        faults: FaultPlan,
+        membership: MembershipPlan,
+        obs: &Obs,
+    ) -> TrialRun {
+        let app = self.app();
+        let outcome = run_epochs(
+            &ClusterSpec::delta(self.nodes).with_faults(faults),
+            app.clone(),
+            self.config.with_checkpoint_interval(checkpoint_interval),
+            EpochOptions {
+                membership,
+                autoscale: None,
+                obs: obs.clone(),
+            },
         )
-        .expect("chaos baseline run");
-        let span = baseline.metrics.total_seconds;
+        .expect("chaos trial run");
+        TrialRun {
+            result_identical: outcome.outputs == baseline.outputs
+                && app.save_state() == baseline.state,
+            flow_conserved: flows_conserved(obs),
+            clock_monotone: epoch_clock_monotone(&outcome),
+            outcome,
+        }
+    }
+}
+
+/// Runs the seeded chaos grid (see the module docs) with `watch`
+/// attached to every trial. Returns the invariant report, the
+/// watchdog's detection-quality score (`None` under [`ChaosWatch::Off`])
+/// and, under [`ChaosWatch::Recorded`], one [`TrialRecording`] per
+/// trial. Panics only on driver errors (an invalid sampled config is a
+/// harness bug); invariant violations are recorded in the report, not
+/// panicked on.
+pub fn run_chaos(
+    cfg: &ChaosConfig,
+    watch: ChaosWatch,
+) -> (ChaosReport, Option<WatchScore>, Vec<TrialRecording>) {
+    let rules = match watch {
+        ChaosWatch::Off => None,
+        ChaosWatch::Scored(rules) | ChaosWatch::Recorded(rules) => Some(rules),
+    };
+    let mut trials = Vec::new();
+    let mut watched: Vec<TrialWatch> = Vec::new();
+    let mut recordings: Vec<TrialRecording> = Vec::new();
+    for index in 0..cfg.trials {
+        let mut s = Draws::new(cfg.seed, index, 0);
+        let nodes = 2 + s.below(2) as usize;
+        let items = 64 + 32 * s.below(4) as usize;
+        let keys = 3 + s.below(3) as usize;
+        let iterations = 4 + s.below(3) as usize;
+        let converge_round = if s.below(4) == 0 { iterations as u64 - 1 } else { 0 };
+        let dynamic = s.below(2) == 1;
+        let checkpoint_interval = 1 + s.below(2) as usize;
+        let speculation = s.below(3) == 0;
+        let mut config = TrialJob::config(dynamic, iterations, cfg.engine);
+        if speculation {
+            config = config.with_speculation(1.5 + s.unit());
+        }
+        let job = TrialJob { nodes, items, keys, converge_round, config };
+
+        // Under scoring the baseline is also recorded and watched — a
+        // healthy run firing any alert is a false positive. Recording is
+        // zero-virtual-time-overhead, so `span` (and with it the sampled
+        // crash times and the whole report) is identical either way.
+        let baseline_obs = rules.map(|_| Obs::recording());
+        let baseline = job.baseline(baseline_obs.clone().unwrap_or_else(Obs::disabled));
+        let span = baseline.span;
 
         // Crash coverage: the first two trials force one worker crash and
         // one master crash; later trials sample freely.
         let (want_node, want_master) = match index {
             0 => (true, false),
             1 => (false, true),
-            _ => match draw(&mut s, 4) {
+            _ => match s.below(4) {
                 0 => (true, false),
                 1 => (false, true),
                 2 => (true, true),
@@ -506,103 +583,41 @@ fn run_chaos_inner(
             },
         };
         let mut plan = FaultPlan::seeded(cfg.seed ^ index as u64);
-        let mut node_crashes = 0;
-        let mut master_crashes = 0;
+        let (node_crashes, master_crashes) = (usize::from(want_node), usize::from(want_master));
         if want_node {
-            // Never crash rank 0's *first* position requirement: any rank
-            // may die — the runtime has no irreplaceable worker. Crash
-            // mid-run so at least one boundary precedes and follows it.
-            let victim = draw(&mut s, nodes as u64) as usize;
-            plan = plan.crash_node(victim, (0.25 + 0.4 * unit(&mut s)) * span);
-            node_crashes += 1;
+            // Any rank may die — the runtime has no irreplaceable worker.
+            // Crash mid-run so at least one boundary precedes and follows it.
+            let victim = s.below(nodes as u64) as usize;
+            plan = plan.crash_node(victim, (0.25 + 0.4 * s.unit()) * span);
         }
         if want_master {
-            plan = plan.crash_master((0.3 + 0.4 * unit(&mut s)) * span);
-            master_crashes += 1;
+            plan = plan.crash_master((0.3 + 0.4 * s.unit()) * span);
         }
         if speculation {
             // A straggler window makes the backup volley meaningful on
             // some trials; speculation must stay correct either way.
-            let victim = draw(&mut s, nodes as u64) as usize;
-            plan = plan.slow_cpu(victim, 0.0, span, 2.0 + 2.0 * unit(&mut s));
+            let victim = s.below(nodes as u64) as usize;
+            plan = plan.slow_cpu(victim, 0.0, span, 2.0 + 2.0 * s.unit());
         }
-
         let truth = rules.map(|_| ground_truth_from_plan(&plan));
 
-        let chaotic_config = config.with_checkpoint_interval(checkpoint_interval);
-        let chaotic_app = Arc::new(ChaosApp::new(items, keys, converge_round));
         // Recorded trials shadow the bus rather than trimming it: the
         // flow-conservation invariant and the watchdog's cursor both
         // read the full event history after the run.
-        let obs = match rec_cfg {
-            Some(rc) if rc.is_enabled() => Obs::recording_with_recorder(rc, false),
+        let obs = match watch {
+            ChaosWatch::Recorded(_) => {
+                Obs::recording_with_recorder(obs::RecorderConfig::enabled(), false)
+            }
             _ => Obs::recording(),
         };
-        let outcome = run_epochs(
-            &ClusterSpec::delta(nodes).with_faults(plan),
-            chaotic_app.clone(),
-            chaotic_config,
-            EpochOptions {
-                obs: obs.clone(),
-                ..EpochOptions::default()
-            },
-        )
-        .expect("chaos resilient run");
-
-        let rec = outcome.metrics.recovery;
-        if let (Some(rules), Some(mut truth), Some(baseline_obs)) = (rules, truth, &baseline_obs) {
-            // A co-scheduled crash can be outrun: after an earlier
-            // recovery rebases the plan, the job may finish before the
-            // rebased crash instant ever arrives, so that crash never
-            // fires at runtime and no detector can — or should — see it.
-            // Keep only as many planned crashes as the runtime's own
-            // recovery counters confirm fired, earliest first.
-            retain_fired(&mut truth, FaultKind::NodeCrash, rec.node_crashes as usize);
-            retain_fired(&mut truth, FaultKind::MasterCrash, rec.master_failovers as usize);
-            let mut chaotic = watch_bus(&obs, rules);
-            // The incident→recorder trigger: freeze each incident's
-            // window, emit one capture per incident, and assemble the
-            // trial's postmortem from the captures it just produced.
-            if obs.recorder.is_enabled() {
-                let captures = watch::capture_incidents(&mut chaotic, &obs.recorder);
-                let capture_docs: Vec<insight::CaptureDoc> =
-                    captures.iter().map(insight::postmortem::capture_doc).collect();
-                let incident_values: Vec<Value> =
-                    chaotic.incidents.iter().map(|i| i.to_value()).collect();
-                let frames = obs::FrameSet::from_stack(&obs.stack);
-                let postmortem = insight::postmortem::assemble(
-                    &capture_docs,
-                    &incident_values,
-                    &obs.audit.records(),
-                    &frames,
-                );
-                recordings.push(TrialRecording {
-                    index,
-                    captures,
-                    postmortem,
-                    recorder: obs.recorder.summary(),
-                    decisions_jsonl: obs.audit.to_jsonl(),
-                    stacks_jsonl: frames.to_stacks_jsonl(),
-                    total_virtual_secs: outcome.total_virtual_secs,
-                });
-            }
-            let healthy = watch_bus(baseline_obs, rules);
-            watched.push(TrialWatch {
-                index,
-                faults: truth,
-                chaotic_alerts: chaotic.alerts.len(),
-                fault_free_alerts: healthy.alerts.len(),
-                incidents: chaotic.incidents,
-            });
+        let run = job.run(&baseline, checkpoint_interval, plan, MembershipPlan::default(), &obs);
+        let rec = run.outcome.metrics.recovery;
+        if let (Some(rules), Some(truth), Some(baseline_obs)) = (rules, truth, &baseline_obs) {
+            let (trial, recording) =
+                watch_trial(index, rules, truth, &obs, baseline_obs, &run.outcome);
+            watched.push(trial);
+            recordings.extend(recording);
         }
-        let result_identical = outcome.outputs == baseline.outputs
-            && chaotic_app.save_state() == baseline_app.save_state();
-        let flow_conserved = flows_conserved(&obs);
-        let speculation_reconciled = rec.speculation_reconciles();
-        let counters_consistent = rec.restores == rec.node_crashes + rec.master_failovers
-            && outcome.attempts.len() as u64 == rec.restores + 1;
-        let clock_monotone = epoch_clock_monotone(&outcome);
-
         trials.push(ChaosTrial {
             index,
             nodes,
@@ -614,24 +629,65 @@ fn run_chaos_inner(
             speculation,
             node_crashes,
             master_crashes,
-            epochs: outcome.attempts.len(),
+            epochs: run.outcome.attempts.len(),
             recovery: rec,
-            result_identical,
-            flow_conserved,
-            speculation_reconciled,
-            counters_consistent,
-            clock_monotone,
+            result_identical: run.result_identical,
+            flow_conserved: run.flow_conserved,
+            speculation_reconciled: rec.speculation_reconciles(),
+            counters_consistent: rec.restores == rec.node_crashes + rec.master_failovers
+                && run.outcome.attempts.len() as u64 == rec.restores + 1,
+            clock_monotone: run.clock_monotone,
         });
     }
     let score = rules.map(|_| score_trials(cfg.seed, &watched));
-    (
-        ChaosReport {
-            seed: cfg.seed,
-            trials,
-        },
-        score,
-        recordings,
-    )
+    (ChaosReport { seed: cfg.seed, trials }, score, recordings)
+}
+
+/// Scores one chaotic run: the watchdog's verdict over the run's bus and
+/// over its fault-free baseline's, joined against the plan's ground
+/// truth. When the run's recorder is armed, also captures its incidents
+/// into the trial's [`TrialRecording`].
+fn watch_trial(
+    index: usize,
+    rules: &WatchConfig,
+    mut truth: Vec<GroundTruthFault>,
+    obs: &Obs,
+    baseline_obs: &Obs,
+    outcome: &ElasticOutcome<u64>,
+) -> (TrialWatch, Option<TrialRecording>) {
+    // No detector can — or should — see a crash that never fired.
+    let rec = &outcome.metrics.recovery;
+    retain_fired(&mut truth, FaultKind::NodeCrash, rec.node_crashes as usize);
+    retain_fired(&mut truth, FaultKind::MasterCrash, rec.master_failovers as usize);
+    let mut chaotic = watch_bus(obs, rules);
+    let recording = obs.recorder.is_enabled().then(|| {
+        let frames = obs::FrameSet::from_stack(&obs.stack);
+        let (captures, postmortem) =
+            watch::capture_postmortem(&mut chaotic, &obs.recorder, &obs.audit.records(), &frames);
+        TrialRecording {
+            index,
+            captures,
+            postmortem,
+            recorder: obs.recorder.summary(),
+            total_virtual_secs: outcome.total_virtual_secs,
+            incidents_jsonl: chaotic
+                .incidents
+                .iter()
+                .map(|i| i.to_value().to_json_string() + "\n")
+                .collect(),
+            decisions_jsonl: obs.audit.to_jsonl(),
+            stacks_jsonl: frames.to_stacks_jsonl(),
+        }
+    });
+    let healthy = watch_bus(baseline_obs, rules);
+    let trial = TrialWatch {
+        index,
+        faults: truth,
+        chaotic_alerts: chaotic.alerts.len(),
+        fault_free_alerts: healthy.alerts.len(),
+        incidents: chaotic.incidents,
+    };
+    (trial, recording)
 }
 
 /// The clock invariant both grids assert: epoch base times strictly
@@ -817,41 +873,23 @@ impl ChurnReport {
 /// the checkpoint. Like [`run_chaos`], the report is a pure function of
 /// `(trials, seed)` and invariant violations are recorded, not panicked.
 pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
-    let mut trials = Vec::with_capacity(cfg.trials);
+    let mut trials = Vec::new();
     for index in 0..cfg.trials {
-        // The same derived-seed discipline as the base grid, salted so a
-        // churn trial never replays its fault-grid sibling's draws.
-        let mut s = cfg
-            .seed
-            .wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            ^ 0x6368_7572_6e21_0001;
-        let draw = |s: &mut u64, m: u64| splitmix64(s) % m;
-        let unit = |s: &mut u64| (splitmix64(s) >> 11) as f64 / (1u64 << 53) as f64;
-
+        // Salted so a churn trial never replays its fault-grid sibling's
+        // draws.
+        let mut s = Draws::new(cfg.seed, index, 0x6368_7572_6e21_0001);
         // Trial 0 pins three nodes so a drain and a crash can coexist
         // under the survivor check; later trials sample freely.
-        let nodes = if index == 0 { 3 } else { 2 + draw(&mut s, 2) as usize };
-        let items = 64 + 32 * draw(&mut s, 4) as usize;
-        let keys = 3 + draw(&mut s, 3) as usize;
-        let iterations = 5 + draw(&mut s, 3) as usize;
-        let dynamic = draw(&mut s, 2) == 1;
-        let checkpoint_interval = 1 + draw(&mut s, 2) as usize;
-
-        let config = if dynamic {
-            JobConfig::dynamic(16)
-        } else {
-            JobConfig::static_analytic()
-        }
-        .with_iterations(iterations)
-        .with_engine(cfg.engine);
-
-        // Fixed-cluster fault-free baseline: reference outputs/state,
-        // the span churn times are scheduled against, and the iteration
-        // boundaries trial 0 aims its mid-drain crash between.
-        let baseline_app = Arc::new(ChaosApp::new(items, keys, 0));
-        let baseline = run_iterative(&ClusterSpec::delta(nodes), baseline_app.clone(), config)
-            .expect("churn baseline run");
-        let span = baseline.metrics.total_seconds;
+        let nodes = if index == 0 { 3 } else { 2 + s.below(2) as usize };
+        let items = 64 + 32 * s.below(4) as usize;
+        let keys = 3 + s.below(3) as usize;
+        let iterations = 5 + s.below(3) as usize;
+        let dynamic = s.below(2) == 1;
+        let checkpoint_interval = 1 + s.below(2) as usize;
+        let config = TrialJob::config(dynamic, iterations, cfg.engine);
+        let job = TrialJob { nodes, items, keys, converge_round: 0, config };
+        let baseline = job.baseline(Obs::disabled());
+        let span = baseline.span;
 
         let mut mplan = MembershipPlan::seeded(cfg.seed ^ index as u64);
         let mut plan = FaultPlan::seeded(cfg.seed ^ index as u64);
@@ -859,9 +897,6 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
         let mut master_crashes = 0;
         // Distinct-victim pool: a node leaves at most once per trial.
         let mut pool: Vec<usize> = (0..nodes).collect();
-        let pick = |s: &mut u64, pool: &mut Vec<usize>| -> usize {
-            pool.remove(draw(s, pool.len() as u64) as usize)
-        };
 
         if index == 0 {
             // Forced crash-mid-drain: the node dies at the very instant
@@ -869,34 +904,34 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
             // the graceful-pause check at every boundary, so whatever
             // boundary first reaches the instant sees the crash, cancels
             // the pending drain, and recovers via the checkpoint.
-            let victim = pick(&mut s, &mut pool);
+            let victim = s.pick(&mut pool);
             let at = 0.45 * span;
             mplan = mplan.drain(victim, at, span);
             plan = plan.crash_node(victim, at);
             node_crashes += 1;
         } else {
-            if draw(&mut s, 2) == 0 {
-                mplan = mplan.scale_out(1, (0.2 + 0.3 * unit(&mut s)) * span);
+            if s.below(2) == 0 {
+                mplan = mplan.scale_out(1, (0.2 + 0.3 * s.unit()) * span);
             }
             // At least one initial node must survive every removal, and
             // the driver counts drains, evicts, and crashes against the
             // same survivor budget.
             let mut budget = nodes - 1;
-            if budget > 0 && draw(&mut s, 2) == 0 {
-                let deadline = if draw(&mut s, 4) == 0 { 0.0 } else { span };
-                mplan = mplan.drain(pick(&mut s, &mut pool), (0.25 + 0.35 * unit(&mut s)) * span, deadline);
+            if budget > 0 && s.below(2) == 0 {
+                let deadline = if s.below(4) == 0 { 0.0 } else { span };
+                mplan = mplan.drain(s.pick(&mut pool), (0.25 + 0.35 * s.unit()) * span, deadline);
                 budget -= 1;
             }
-            if budget > 0 && draw(&mut s, 2) == 0 {
-                mplan = mplan.evict(pick(&mut s, &mut pool), (0.3 + 0.4 * unit(&mut s)) * span);
+            if budget > 0 && s.below(2) == 0 {
+                mplan = mplan.evict(s.pick(&mut pool), (0.3 + 0.4 * s.unit()) * span);
                 budget -= 1;
             }
-            if budget > 0 && draw(&mut s, 3) == 0 {
-                plan = plan.crash_node(pick(&mut s, &mut pool), (0.25 + 0.4 * unit(&mut s)) * span);
+            if budget > 0 && s.below(3) == 0 {
+                plan = plan.crash_node(s.pick(&mut pool), (0.25 + 0.4 * s.unit()) * span);
                 node_crashes += 1;
             }
-            if draw(&mut s, 4) == 0 {
-                plan = plan.crash_master((0.3 + 0.4 * unit(&mut s)) * span);
+            if s.below(4) == 0 {
+                plan = plan.crash_master((0.3 + 0.4 * s.unit()) * span);
                 master_crashes += 1;
             }
         }
@@ -904,63 +939,9 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
         let planned_joins = mplan.total_scale_out();
         let planned_drains = mplan.drains.len();
         let planned_evicts = mplan.evicts.len();
-
-        let churn_app = Arc::new(ChaosApp::new(items, keys, 0));
         let obs = Obs::recording();
-        let outcome = run_epochs(
-            &ClusterSpec::delta(nodes).with_faults(plan),
-            churn_app.clone(),
-            config.with_checkpoint_interval(checkpoint_interval),
-            EpochOptions {
-                membership: mplan,
-                obs: obs.clone(),
-                autoscale: None,
-            },
-        )
-        .expect("churn elastic run");
-
-        let mem = outcome.membership;
-        let rec = outcome.metrics.recovery;
-        let disp = |name: &str| -> u64 {
-            outcome
-                .attempts
-                .iter()
-                .filter(|a| a.disposition == name)
-                .count() as u64
-        };
-        let result_identical = outcome.outputs == baseline.outputs
-            && churn_app.save_state() == baseline_app.save_state();
-        let flow_conserved = flows_conserved(&obs);
-        // An event scheduled past the job's (possibly shortened) end
-        // never fires, so the ledger reconciles against dispositions
-        // that actually happened, never against the plan.
-        let ledger_reconciled = mem.drains == disp("drain")
-            && mem.evictions == disp("evict")
-            && mem.handoffs == disp("handoff")
-            && mem.joins == disp("scale-out")
-            && rec.node_crashes == disp("node-crash")
-            && rec.master_failovers == disp("master-failover")
-            && rec.restores == rec.node_crashes + rec.master_failovers + mem.evictions + mem.handoffs
-            && disp("completed") == 1
-            && outcome
-                .attempts
-                .last()
-                .is_some_and(|a| a.disposition == "completed");
-        let expected_size = nodes + mem.joins as usize
-            - (mem.drains + mem.evictions + mem.handoffs + rec.node_crashes) as usize;
-        let size_conserved = outcome
-            .cluster_sizes
-            .last()
-            .is_some_and(|&(_, n)| n == expected_size)
-            && outcome.cluster_sizes.iter().all(|&(_, n)| n >= 1)
-            && outcome.cluster_sizes.len() as u64
-                == 1 + disp("scale-out")
-                    + disp("drain")
-                    + disp("evict")
-                    + disp("handoff")
-                    + disp("node-crash");
-        let clock_monotone = epoch_clock_monotone(&outcome);
-
+        let run = job.run(&baseline, checkpoint_interval, plan, mplan, &obs);
+        let (ledger_reconciled, size_conserved) = churn_ledger(nodes, &run.outcome);
         trials.push(ChurnTrial {
             index,
             nodes,
@@ -974,14 +955,14 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
             planned_evicts,
             node_crashes,
             master_crashes,
-            epochs: outcome.attempts.len(),
-            membership: mem,
-            recovery: rec,
-            result_identical,
-            flow_conserved,
+            epochs: run.outcome.attempts.len(),
+            membership: run.outcome.membership,
+            recovery: run.outcome.metrics.recovery,
+            result_identical: run.result_identical,
+            flow_conserved: run.flow_conserved,
             ledger_reconciled,
             size_conserved,
-            clock_monotone,
+            clock_monotone: run.clock_monotone,
         });
     }
     ChurnReport {
@@ -990,13 +971,56 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
     }
 }
 
+/// The churn grid's own two invariants over an elastic run that started
+/// on `nodes` nodes: the membership ledger reconciles with the epoch
+/// dispositions that fired, and the cluster-size trace conserves node
+/// count.
+fn churn_ledger(nodes: usize, outcome: &ElasticOutcome<u64>) -> (bool, bool) {
+    let mem = &outcome.membership;
+    let rec = &outcome.metrics.recovery;
+    let disp = |name: &str| {
+        let fired = outcome.attempts.iter().filter(|a| a.disposition == name);
+        fired.count() as u64
+    };
+    // An event scheduled past the job's (possibly shortened) end never
+    // fires, so the ledger reconciles against dispositions that actually
+    // happened, never against the plan.
+    let ledger_reconciled = mem.drains == disp("drain")
+        && mem.evictions == disp("evict")
+        && mem.handoffs == disp("handoff")
+        && mem.joins == disp("scale-out")
+        && rec.node_crashes == disp("node-crash")
+        && rec.master_failovers == disp("master-failover")
+        && rec.restores == rec.node_crashes + rec.master_failovers + mem.evictions + mem.handoffs
+        && disp("completed") == 1
+        && outcome
+            .attempts
+            .last()
+            .is_some_and(|a| a.disposition == "completed");
+    let expected_size = nodes + mem.joins as usize
+        - (mem.drains + mem.evictions + mem.handoffs + rec.node_crashes) as usize;
+    let size_conserved = outcome
+        .cluster_sizes
+        .last()
+        .is_some_and(|&(_, n)| n == expected_size)
+        && outcome.cluster_sizes.iter().all(|&(_, n)| n >= 1)
+        && outcome.cluster_sizes.len() as u64
+            == 1 + disp("scale-out")
+                + disp("drain")
+                + disp("evict")
+                + disp("handoff")
+                + disp("node-crash");
+    (ledger_reconciled, size_conserved)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn small_grid_passes_all_invariants() {
-        let report = run_chaos(&ChaosConfig { trials: 4, seed: 11, ..Default::default() });
+        let cfg = ChaosConfig { trials: 4, seed: 11, ..Default::default() };
+        let report = run_chaos(&cfg, ChaosWatch::Off).0;
         assert_eq!(report.trials.len(), 4);
         assert!(report.worker_crash_trials() >= 1);
         assert!(report.master_crash_trials() >= 1);
@@ -1012,14 +1036,15 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let cfg = ChaosConfig { trials: 3, seed: 42, ..Default::default() };
-        let a = run_chaos(&cfg).to_json().to_string();
-        let b = run_chaos(&cfg).to_json().to_string();
+        let a = run_chaos(&cfg, ChaosWatch::Off).0.to_json().to_string();
+        let b = run_chaos(&cfg, ChaosWatch::Off).0.to_json().to_string();
         assert_eq!(a, b);
     }
 
     #[test]
     fn json_report_reconciles_speculation() {
-        let report = run_chaos(&ChaosConfig { trials: 6, seed: 5, ..Default::default() });
+        let cfg = ChaosConfig { trials: 6, seed: 5, ..Default::default() };
+        let report = run_chaos(&cfg, ChaosWatch::Off).0;
         let v = report.to_json();
         assert_eq!(v["speculation_reconciles"], serde_json::json!(true));
         let (l, w, x) = report.speculation_totals();

@@ -3,8 +3,6 @@
 //! two-level scheduler) and the summary of a finished run. The per-node
 //! second level lives in `worker.rs`.
 
-#![warn(clippy::too_many_lines)]
-
 use crate::api::{DeviceClass, IterativeApp, Key, SpmdApp};
 use crate::cluster::ClusterSpec;
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};

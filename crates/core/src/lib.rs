@@ -80,8 +80,8 @@ mod worker;
 
 pub use api::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
 pub use chaos::{
-    ground_truth_from_plan, run_chaos, run_chaos_churn, run_chaos_recorded, run_chaos_scored,
-    ChaosConfig, ChaosReport, ChaosTrial, ChurnReport, ChurnTrial, TrialRecording,
+    ground_truth_from_plan, run_chaos, run_chaos_churn, ChaosConfig, ChaosReport, ChaosTrial,
+    ChaosWatch, ChurnReport, ChurnTrial, TrialRecording,
 };
 pub use cluster::ClusterSpec;
 pub use config::{CalibrationMode, JobConfig, SchedulingMode};

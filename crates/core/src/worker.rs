@@ -4,8 +4,6 @@
 //! and update (§III.A.2, Figures 1 and 2) — with the CPU and GPU device
 //! daemons it feeds beside it.
 
-#![warn(clippy::too_many_lines)]
-
 use crate::api::{DeviceClass, Key, SpmdApp};
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
 use crate::faults::NodeStall;

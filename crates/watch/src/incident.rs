@@ -48,6 +48,16 @@ pub struct Incident {
 }
 
 impl Incident {
+    /// The nodes the incident implicates as operators read them:
+    /// `cluster` when no per-node alert fired, else `node0,node2`.
+    pub fn nodes_label(&self) -> String {
+        if self.nodes.is_empty() {
+            return "cluster".to_string();
+        }
+        let nodes: Vec<String> = self.nodes.iter().map(|n| format!("node{n}")).collect();
+        nodes.join(",")
+    }
+
     /// JSON object for one incident; keys in BTreeMap order.
     pub fn to_value(&self) -> Value {
         let mut m = BTreeMap::new();

@@ -337,7 +337,7 @@ pub fn watch<E: EventView>(
 /// reads the recorder's settled, deterministic retained/fold state, so
 /// the artifacts are byte-identical across engines and repeat runs. When
 /// the recorder is disabled this is a no-op returning no captures.
-pub fn capture_incidents(out: &mut WatchOutput, recorder: &obs::Recorder) -> Vec<obs::Capture> {
+fn capture_incidents(out: &mut WatchOutput, recorder: &obs::Recorder) -> Vec<obs::Capture> {
     if !recorder.is_enabled() {
         return Vec::new();
     }
@@ -355,6 +355,27 @@ pub fn capture_incidents(out: &mut WatchOutput, recorder: &obs::Recorder) -> Vec
         }
     }
     captures
+}
+
+/// The incident→recorder trigger and the postmortem it feeds, in one
+/// step: every incident's window is frozen and captured, and the
+/// incident linked to its capture (`capture_incidents`), then
+/// `insight::postmortem::assemble` joins the captures with the linked
+/// incidents, the run's Eq-(8) audit rows and its profiler frames.
+/// Returns the captures and the `postmortem.json` document. A disabled
+/// recorder captures nothing.
+pub fn capture_postmortem(
+    out: &mut WatchOutput,
+    recorder: &obs::Recorder,
+    decisions: &[DecisionRecord],
+    frames: &obs::FrameSet,
+) -> (Vec<obs::Capture>, Value) {
+    let captures = capture_incidents(out, recorder);
+    let docs: Vec<insight::CaptureDoc> =
+        captures.iter().map(insight::postmortem::capture_doc).collect();
+    let incidents: Vec<Value> = out.incidents.iter().map(Incident::to_value).collect();
+    let postmortem = insight::postmortem::assemble(&docs, &incidents, decisions, frames);
+    (captures, postmortem)
 }
 
 #[cfg(test)]

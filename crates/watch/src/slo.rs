@@ -30,6 +30,15 @@ use crate::detect::{DetectorKind, LaneClass, Signal};
 use crate::{Alert, FaultHint};
 use std::collections::BTreeMap;
 
+/// The finest explicit detector window, virtual seconds: every window is
+/// a rollup bin, so a finer one turns even a short run into millions of
+/// them.
+pub const MIN_WINDOW_S: f64 = 1e-6;
+
+/// The most windows one rule may cut a bundle's horizon into
+/// ([`WatchConfig::check_windows`]).
+const MAX_WINDOWS: f64 = 100_000.0;
+
 /// Alert severity: `Page` wakes an operator, `Ticket` queues for triage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -224,9 +233,13 @@ fn expect_str(v: Scalar, key: &str, lineno: usize) -> Result<String, String> {
     }
 }
 
+/// Every numeric key is a finite, non-negative number.
 fn expect_num(v: Scalar, key: &str, lineno: usize) -> Result<f64, String> {
     match v {
-        Scalar::Num(n) => Ok(n),
+        Scalar::Num(n) if n.is_finite() && n >= 0.0 => Ok(n),
+        Scalar::Num(n) => {
+            Err(format!("line {lineno}: `{key}` wants a finite number >= 0, got {n}"))
+        }
         _ => Err(format!("line {lineno}: `{key}` wants a number")),
     }
 }
@@ -248,8 +261,23 @@ fn set_rule_field(rule: &mut SloRule, key: &str, v: Scalar, lineno: usize) -> Re
         "threshold" => rule.threshold = expect_num(v, key, lineno)?,
         "fast_factor" => rule.fast_factor = expect_num(v, key, lineno)?,
         "min_samples" => rule.min_samples = expect_num(v, key, lineno)?.max(1.0) as usize,
-        "window_s" => rule.window_s = expect_num(v, key, lineno)?,
-        "alpha" => rule.alpha = expect_num(v, key, lineno)?,
+        "window_s" => {
+            let w = expect_num(v, key, lineno)?;
+            if w > 0.0 && w < MIN_WINDOW_S {
+                return Err(format!(
+                    "line {lineno}: `window_s` = {w:e} is below the 1e-6 s minimum \
+                     (0 picks the auto width)"
+                ));
+            }
+            rule.window_s = w;
+        }
+        "alpha" => {
+            let a = expect_num(v, key, lineno)?;
+            if a > 1.0 {
+                return Err(format!("line {lineno}: `alpha` = {a} is outside [0, 1]"));
+            }
+            rule.alpha = a;
+        }
         "severity" => {
             let s = expect_str(v, key, lineno)?;
             rule.severity = Severity::parse(&s)
@@ -319,6 +347,23 @@ impl WatchConfig {
             cfg.rules = rules;
         }
         Ok(cfg)
+    }
+
+    /// Refuses a rule whose own window would cut `horizon` virtual
+    /// seconds into more than 100 000 windows: watching takes time and
+    /// memory in proportion to the windows.
+    pub fn check_windows(&self, horizon: f64) -> Result<(), String> {
+        for r in self.rules.iter().filter(|r| r.enabled && r.window_s > 0.0) {
+            let windows = horizon / r.window_s;
+            if windows > MAX_WINDOWS {
+                return Err(format!(
+                    "rule `{}`: window_s = {} cuts the {horizon:.6} s horizon into {windows:.0} \
+                     windows, above the limit of {MAX_WINDOWS}",
+                    r.name, r.window_s
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -500,6 +545,38 @@ enabled = false
         let cfg = WatchConfig::from_toml("merge_gap_s = 2.0\n").unwrap();
         assert_eq!(cfg.merge_gap_s, 2.0);
         assert_eq!(cfg.rules, WatchConfig::default().rules);
+    }
+
+    #[test]
+    fn toml_refuses_numbers_out_of_range() {
+        let rule = |line: &str| format!("[[rule]]\nname = \"r\"\n{line}\n");
+        for (line, says) in [
+            ("window_s = 1e-12", "below the 1e-6 s minimum"),
+            ("window_s = -1", "finite number >= 0"),
+            ("threshold = nan", "finite number >= 0"),
+            ("objective = inf", "finite number >= 0"),
+            ("min_samples = -3", "finite number >= 0"),
+            ("alpha = 1.5", "outside [0, 1]"),
+        ] {
+            let err = WatchConfig::from_toml(&rule(line)).unwrap_err();
+            assert!(err.starts_with("line 3: ") && err.contains(says), "{line}: {err}");
+        }
+        let err = WatchConfig::from_toml("merge_gap_s = -0.5\n").unwrap_err();
+        assert!(err.starts_with("line 1: "), "{err}");
+        for line in ["window_s = 1e-6", "window_s = 0", "alpha = 0", "alpha = 1"] {
+            assert!(WatchConfig::from_toml(&rule(line)).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_window_may_not_cut_the_horizon_too_fine() {
+        let mut cfg = WatchConfig::from_toml("[[rule]]\nname = \"r\"\nwindow_s = 1e-6\n").unwrap();
+        assert!(cfg.check_windows(0.05).is_ok(), "50 000 windows");
+        let err = cfg.check_windows(0.2).unwrap_err();
+        assert!(err.contains("rule `r`") && err.contains("200000 windows"), "{err}");
+        cfg.rules[0].enabled = false;
+        assert!(cfg.check_windows(0.2).is_ok(), "a disabled rule cuts nothing");
+        assert!(WatchConfig::default().check_windows(1e9).is_ok(), "auto windows scale");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 
 use obs::Obs;
 use prs_core::{
-    run_chaos, run_chaos_churn, run_chaos_scored, run_epochs, run_iterative,
-    run_iterative_observed, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, EngineMode,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MembershipPlan, SpmdApp,
+    run_chaos, run_chaos_churn, run_epochs, run_iterative, run_iterative_observed, ChaosConfig,
+    ChaosWatch, CheckpointableApp, ClusterSpec, DeviceClass, EngineMode, EpochOptions, FaultPlan,
+    IterativeApp, JobConfig, Key, MembershipPlan, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -366,13 +366,8 @@ fn diff_json_byte_identical_across_engines() {
 #[test]
 fn chaos_report_byte_identical_across_engines() {
     let report = |engine: EngineMode| {
-        run_chaos(&ChaosConfig {
-            trials: 6,
-            seed: 7,
-            engine,
-        })
-        .to_json()
-        .to_string()
+        let cfg = ChaosConfig { trials: 6, seed: 7, engine };
+        run_chaos(&cfg, ChaosWatch::Off).0.to_json().to_string()
     };
     let reference = report(EngineMode::LegacyHeap);
     for mode in [EngineMode::Calendar, EngineMode::Parallel] {
@@ -391,23 +386,12 @@ fn chaos_report_byte_identical_across_engines() {
 fn watch_score_byte_identical_across_engines() {
     let rules = watch::WatchConfig::default();
     let scored = |engine: EngineMode| {
-        let (report, score) = run_chaos_scored(
-            &ChaosConfig {
-                trials: 6,
-                seed: 7,
-                engine,
-            },
-            &rules,
-        );
-        (report.to_json().to_string(), score.to_json())
+        let cfg = ChaosConfig { trials: 6, seed: 7, engine };
+        let (report, score, _) = run_chaos(&cfg, ChaosWatch::Scored(&rules));
+        (report.to_json().to_string(), score.map(|s| s.to_json()))
     };
-    let plain = run_chaos(&ChaosConfig {
-        trials: 6,
-        seed: 7,
-        engine: EngineMode::LegacyHeap,
-    })
-    .to_json()
-    .to_string();
+    let cfg = ChaosConfig { trials: 6, seed: 7, engine: EngineMode::LegacyHeap };
+    let plain = run_chaos(&cfg, ChaosWatch::Off).0.to_json().to_string();
     let (ref_report, ref_score) = scored(EngineMode::LegacyHeap);
     assert_eq!(
         ref_report, plain,
@@ -431,15 +415,8 @@ fn watch_score_byte_identical_across_engines() {
 fn recorded_captures_and_postmortems_byte_identical_across_engines() {
     let rules = watch::WatchConfig::default();
     let recorded = |engine: EngineMode| {
-        let (report, score, recordings) = prs_core::run_chaos_recorded(
-            &ChaosConfig {
-                trials: 6,
-                seed: 7,
-                engine,
-            },
-            &rules,
-            obs::RecorderConfig::enabled(),
-        );
+        let cfg = ChaosConfig { trials: 6, seed: 7, engine };
+        let (report, score, recordings) = run_chaos(&cfg, ChaosWatch::Recorded(&rules));
         let mut artifacts = String::new();
         for rec in &recordings {
             for c in &rec.captures {
@@ -450,16 +427,10 @@ fn recorded_captures_and_postmortems_byte_identical_across_engines() {
             artifacts.push_str(&rec.postmortem.to_json_string());
             artifacts.push('\n');
         }
-        (report.to_json().to_string(), score.to_json(), artifacts)
+        (report.to_json().to_string(), score.map(|s| s.to_json()), artifacts)
     };
-    let (plain_report, plain_score) = run_chaos_scored(
-        &ChaosConfig {
-            trials: 6,
-            seed: 7,
-            engine: EngineMode::LegacyHeap,
-        },
-        &rules,
-    );
+    let cfg = ChaosConfig { trials: 6, seed: 7, engine: EngineMode::LegacyHeap };
+    let (plain_report, plain_score, _) = run_chaos(&cfg, ChaosWatch::Scored(&rules));
     let (ref_report, ref_score, ref_artifacts) = recorded(EngineMode::LegacyHeap);
     assert_eq!(
         ref_report,
@@ -468,7 +439,7 @@ fn recorded_captures_and_postmortems_byte_identical_across_engines() {
     );
     assert_eq!(
         ref_score,
-        plain_score.to_json(),
+        plain_score.map(|s| s.to_json()),
         "arming the recorder perturbed watch_score.json"
     );
     assert!(

@@ -19,9 +19,9 @@
 
 use device::{render_ascii, to_chrome_trace};
 use prs_core::{
-    run_chaos, run_chaos_churn, run_chaos_recorded, run_chaos_scored, run_epochs, run_iterative,
-    AutoscalePolicy, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, EpochOptions,
-    FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
+    run_chaos, run_chaos_churn, run_epochs, run_iterative, AutoscalePolicy, ChaosConfig,
+    ChaosWatch, CheckpointableApp, ClusterSpec, DeviceClass, EpochOptions, FaultPlan,
+    IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -271,7 +271,7 @@ fn grid(trials: usize) -> ChaosConfig {
 
 #[test]
 fn chaos_grid() {
-    let report = run_chaos(&grid(32));
+    let (report, _, _) = run_chaos(&grid(32), ChaosWatch::Off);
     assert!(report.all_passed());
     assert_eq!(fnv1a(json_file(&report.to_json()).bytes()), CHAOS_REPORT);
 }
@@ -285,41 +285,20 @@ fn churn_grid() {
 
 #[test]
 fn scored_grid() {
-    let (report, score) = run_chaos_scored(&grid(32), &watch::WatchConfig::default());
+    let rules = watch::WatchConfig::default();
+    let (report, score, _) = run_chaos(&grid(32), ChaosWatch::Scored(&rules));
     assert_eq!(fnv1a(json_file(&report.to_json()).bytes()), CHAOS_REPORT);
-    assert_eq!(fnv1a(score.to_json().bytes()), WATCH_SCORE);
+    assert_eq!(score.map(|s| fnv1a(s.to_json().bytes())), Some(WATCH_SCORE));
 }
 
 /// Every file `prs chaos --score-watch --record` writes, in the order it
 /// writes them, each preceded by its path under the records directory.
 #[test]
 fn recorded_grid() {
-    let (_, _, recordings) = run_chaos_recorded(
-        &grid(32),
-        &watch::WatchConfig::default(),
-        obs::RecorderConfig::enabled(),
-    );
-    let mut files: Vec<(String, String)> = Vec::new();
-    for rec in &recordings {
-        let dir = format!("trial-{}", rec.index);
-        for c in &rec.captures {
-            files.push((format!("{dir}/{}", c.file_name()), c.to_jsonl()));
-        }
-        let incidents: String = rec.postmortem["incidents"]
-            .as_array()
-            .into_iter()
-            .flatten()
-            .filter_map(|e| e.get("incident"))
-            .map(|inc| inc.to_json_string() + "\n")
-            .collect();
-        if !incidents.is_empty() {
-            files.push((format!("{dir}/incidents.jsonl"), incidents));
-        }
-        files.push((format!("{dir}/decisions.jsonl"), rec.decisions_jsonl.clone()));
-        files.push((format!("{dir}/stacks.jsonl"), rec.stacks_jsonl.clone()));
-        files.push((format!("{dir}/postmortem.json"), json_file(&rec.postmortem)));
-    }
-    let bytes = files.iter().flat_map(|(path, text)| format!("{path}\n{text}").into_bytes());
+    let rules = watch::WatchConfig::default();
+    let (_, _, recordings) = run_chaos(&grid(32), ChaosWatch::Recorded(&rules));
+    let files = recordings.iter().flat_map(|rec| rec.files());
+    let bytes = files.flat_map(|(path, text)| format!("{path}\n{text}").into_bytes());
     assert_eq!(fnv1a(bytes), RECORDED_TRIALS);
 }
 

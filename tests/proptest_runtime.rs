@@ -646,4 +646,39 @@ proptest! {
             prop_assert!(plan.total_scale_out() <= MAX_SCALE_OUT_NODES);
         }
     }
+
+    /// `WatchConfig::from_toml` never panics, whatever the lines: it
+    /// returns rules the watchdog can run — every number finite and
+    /// non-negative, `alpha` in [0, 1], a window of 0 (auto) or at least
+    /// 1e-6 s — or an error.
+    #[test]
+    fn watch_toml_never_panics(
+        lines in proptest::collection::vec((0usize..13, 0usize..15), 0..12),
+    ) {
+        const HEADS: [&str; 13] = [
+            "[[rule]]", "[rule]", "merge_gap_s", "name", "detector", "objective", "threshold",
+            "fast_factor", "min_samples", "window_s", "alpha", "enabled", "# note",
+        ];
+        const VALUES: [&str; 15] = [
+            "1", "0", "-1", "0.5", "2", "1e-6", "1e-7", "1e-12", "1e400", "NaN", "inf", "-0",
+            "\"r\"", "\"throughput-drop\"", "true",
+        ];
+        let text: String = lines
+            .iter()
+            .map(|&(h, v)| match HEADS[h] {
+                head if head.starts_with('[') || head.starts_with('#') => format!("{head}\n"),
+                key => format!("{key} = {}\n", VALUES[v]),
+            })
+            .collect();
+        if let Ok(cfg) = watch::WatchConfig::from_toml(&text) {
+            prop_assert!(cfg.merge_gap_s.is_finite() && cfg.merge_gap_s >= 0.0);
+            for r in &cfg.rules {
+                for x in [r.objective, r.threshold, r.fast_factor, r.window_s, r.alpha] {
+                    prop_assert!(x.is_finite() && x >= 0.0, "{r:?}");
+                }
+                prop_assert!(r.alpha <= 1.0, "{r:?}");
+                prop_assert!(r.window_s == 0.0 || r.window_s >= watch::slo::MIN_WINDOW_S, "{r:?}");
+            }
+        }
+    }
 }

@@ -15,13 +15,12 @@
 use obs::rollup::RollupEvent;
 use obs::{Obs, RecorderConfig};
 use prs_core::{
-    ground_truth_from_plan, run_chaos_recorded, run_chaos_scored, run_iterative_observed,
-    ChaosConfig, ClusterSpec, DeviceClass, EngineMode, FaultPlan, IterativeApp, JobConfig, Key,
-    SpmdApp, TrialRecording,
+    ground_truth_from_plan, run_chaos, run_iterative_observed, ChaosConfig, ChaosWatch,
+    ClusterSpec, DeviceClass, EngineMode, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
+    TrialRecording,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
-use serde_json::Value;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,11 +70,16 @@ fn hist() -> Arc<HistApp> {
 
 /// The acceptance grid: 32 scored seed-7 trials with recording armed.
 fn grid(engine: EngineMode) -> (prs_core::ChaosReport, watch::WatchScore, Vec<TrialRecording>) {
-    run_chaos_recorded(
-        &ChaosConfig { trials: 32, seed: 7, engine },
-        &WatchConfig::default(),
-        RecorderConfig::enabled(),
-    )
+    recorded(&ChaosConfig { trials: 32, seed: 7, engine }, &WatchConfig::default())
+}
+
+/// The recorded grid, with the score its watch always yields.
+fn recorded(
+    cfg: &ChaosConfig,
+    rules: &WatchConfig,
+) -> (prs_core::ChaosReport, watch::WatchScore, Vec<TrialRecording>) {
+    let (report, score, recordings) = run_chaos(cfg, ChaosWatch::Recorded(rules));
+    (report, score.expect("a recorded grid is scored"), recordings)
 }
 
 /// Renders everything a recorded trial writes to disk — every capture's
@@ -154,12 +158,12 @@ fn every_scored_incident_links_to_exactly_one_capture() {
 fn recording_never_perturbs_the_grid_and_stays_under_budget() {
     let cfg = ChaosConfig { trials: 8, seed: 7, engine: EngineMode::Calendar };
     let rules = WatchConfig::default();
-    let (plain_report, plain_score) = run_chaos_scored(&cfg, &rules);
-    let (rec_report, rec_score, recordings) = grid_with(&cfg, &rules);
+    let (plain_report, plain_score, _) = run_chaos(&cfg, ChaosWatch::Scored(&rules));
+    let (rec_report, rec_score, recordings) = recorded(&cfg, &rules);
     // The recorder is a pure observer: report and score bytes match the
     // unrecorded grid exactly.
     assert_eq!(rec_report.to_json().to_json_string(), plain_report.to_json().to_json_string());
-    assert_eq!(rec_score.to_json(), plain_score.to_json());
+    assert_eq!(Some(rec_score.to_json()), plain_score.map(|s| s.to_json()));
     let budget = RecorderConfig::enabled().budget;
     for rec in &recordings {
         assert!(
@@ -170,13 +174,6 @@ fn recording_never_perturbs_the_grid_and_stays_under_budget() {
         );
         assert!(rec.total_virtual_secs.is_finite() && rec.total_virtual_secs > 0.0);
     }
-}
-
-fn grid_with(
-    cfg: &ChaosConfig,
-    rules: &WatchConfig,
-) -> (prs_core::ChaosReport, watch::WatchScore, Vec<TrialRecording>) {
-    run_chaos_recorded(cfg, rules, RecorderConfig::enabled())
 }
 
 #[test]
@@ -259,13 +256,10 @@ fn injected_gpu_fault_postmortem_names_the_node_and_kind() {
         .expect("a 4x GPU slowdown must raise a gpu-slowdown incident");
     let incident_id = out.incidents[gpu_incident].id;
 
-    let captures = watch::capture_incidents(&mut out, &obs.recorder);
-    assert_eq!(captures.len(), out.incidents.len());
-    let docs: Vec<insight::CaptureDoc> =
-        captures.iter().map(insight::postmortem::capture_doc).collect();
-    let incident_values: Vec<Value> = out.incidents.iter().map(|i| i.to_value()).collect();
     let frames = obs::FrameSet::from_stack(&obs.stack);
-    let pm = insight::postmortem::assemble(&docs, &incident_values, &obs.audit.records(), &frames);
+    let (captures, pm) =
+        watch::capture_postmortem(&mut out, &obs.recorder, &obs.audit.records(), &frames);
+    assert_eq!(captures.len(), out.incidents.len());
 
     let entry = pm.as_object().unwrap()["incidents"]
         .as_array()

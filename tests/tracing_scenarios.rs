@@ -262,7 +262,8 @@ fn top_snapshot_frame_is_byte_identical_across_seeded_runs() {
         let decisions = obs.audit.records();
         let horizon = events.iter().map(|e| e.end()).fold(0.0, f64::max);
         (
-            prs_cli::top::render_frame(&events, &decisions, horizon * 0.9, horizon / 8.0),
+            prs_cli::top::Replay::new(&events, &decisions, &Default::default())
+                .frame(horizon * 0.9, horizon / 8.0),
             horizon,
         )
     };

@@ -15,8 +15,8 @@
 use obs::rollup::RollupEvent;
 use obs::Obs;
 use prs_core::{
-    run_chaos_scored, run_iterative_observed, ChaosConfig, ClusterSpec, DeviceClass, EngineMode,
-    FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
+    run_chaos, run_iterative_observed, ChaosConfig, ChaosWatch, ClusterSpec, DeviceClass,
+    EngineMode, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -108,14 +108,10 @@ fn injected_cpu_slowdown_becomes_a_straggler_incident() {
 #[test]
 fn chaos_grid_forced_crashes_are_detected_with_zero_false_positives() {
     // Trials 0 and 1 of the grid force a node crash and a master crash.
-    let (_, score) = run_chaos_scored(
-        &ChaosConfig {
-            trials: 2,
-            seed: 7,
-            engine: EngineMode::LegacyHeap,
-        },
-        &WatchConfig::default(),
-    );
+    let cfg = ChaosConfig { trials: 2, seed: 7, engine: EngineMode::LegacyHeap };
+    let rules = WatchConfig::default();
+    let (_, score, _) = run_chaos(&cfg, ChaosWatch::Scored(&rules));
+    let score = score.expect("a scored grid yields a score");
     assert_eq!(score.fault_free_alerts, 0, "baseline runs must stay silent");
     for kind in [FaultKind::NodeCrash, FaultKind::MasterCrash] {
         let ks = score.kinds.get(&kind).expect("kind present");
