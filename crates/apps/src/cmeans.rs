@@ -1,85 +1,43 @@
 //! Fuzzy C-means clustering (paper §IV.A.1, Equations (12)–(14)) as a PRS
 //! application.
 //!
-//! Each map task computes membership-weighted partial center sums for a
-//! block of points; reduce aggregates partials per cluster; the iterative
+//! C-means is the [`Fuzzy`] rule over the shared [`Centers`] app: each
+//! map task computes membership-weighted partial center sums for a block
+//! of points; reduce aggregates partials per cluster; the iterative
 //! update recomputes centers (Equation (14)) until they stop moving.
 //! (The paper's termination criterion is the max membership change; with
 //! centers replicated and memberships recomputed from centers each
 //! iteration, the max center shift is an equivalent, memory-light
 //! criterion — recorded in DESIGN.md.)
 
-use crate::common::{
-    max_center_shift, panel_block_fold, panel_labels, random_centers, CenterPanel, ClusterPartial,
-    PanelScratch,
-};
-use parking_lot::RwLock;
-use prs_core::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
+use crate::centers::{Centers, Rule};
+use crate::common::{random_centers, serial_iterate, BlockSums, CenterPanel, PanelScratch};
 use prs_data::matrix::{sq_dist, MatrixF32};
-use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Work items processed per rayon chunk inside one map task.
-const CHUNK: usize = 2048;
-
-/// Mutable model state, replicated identically on every "node" (shared in
-/// one address space here).
-struct State {
-    centers: MatrixF32,
-    objective: Vec<f64>,
-    last_shift: f64,
-}
-
 /// Fuzzy C-means on the PRS (Equations (12)–(14)).
-pub struct CMeans {
-    points: Arc<MatrixF32>,
-    k: usize,
+pub type CMeans = Centers<Fuzzy>;
+
+/// The C-means rule: every point belongs to every center with its fuzzy
+/// membership (Equation (13)), weighted by its `m`-th power.
+pub struct Fuzzy {
     fuzzifier: f64,
-    epsilon: f64,
-    state: RwLock<State>,
+    exponent: f64,
 }
 
 impl CMeans {
     /// Creates a C-means instance with centers initialized from `k`
     /// distinct random points (deterministic in `seed`).
     pub fn new(points: Arc<MatrixF32>, k: usize, fuzzifier: f64, epsilon: f64, seed: u64) -> Self {
-        assert!(k >= 1 && k < points.rows());
         assert!(fuzzifier > 1.0, "fuzzifier m must exceed 1 (paper: M > 1)");
         assert!(epsilon > 0.0);
         let centers = random_centers(&points, k, seed);
-        CMeans {
-            points,
-            k,
+        let exponent = membership_exponent(fuzzifier);
+        let rule = Fuzzy {
             fuzzifier,
-            epsilon,
-            state: RwLock::new(State {
-                centers,
-                objective: Vec::new(),
-                last_shift: f64::INFINITY,
-            }),
-        }
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Snapshot of the current cluster centers.
-    pub fn centers(&self) -> MatrixF32 {
-        self.state.read().centers.clone()
-    }
-
-    /// The objective J_m (Equation (12)) after each completed iteration.
-    pub fn objective_history(&self) -> Vec<f64> {
-        self.state.read().objective.clone()
-    }
-
-    /// Max center movement in the last update.
-    pub fn last_shift(&self) -> f64 {
-        self.state.read().last_shift
+            exponent,
+        };
+        Centers::with_rule(points, centers, epsilon, rule, ())
     }
 
     /// Fuzzy memberships of `point` against `centers` (Equation (13)).
@@ -89,40 +47,33 @@ impl CMeans {
         fuzzy_memberships(membership_exponent(fuzzifier), &mut s);
         s.u
     }
+}
 
-    /// Hard labels (argmax membership) for a matrix of points.
-    pub fn harden(&self, points: &MatrixF32) -> Vec<u32> {
-        let exponent = membership_exponent(self.fuzzifier);
-        let panel = CenterPanel::new(&self.state.read().centers);
-        panel_labels(&panel, points, |s| {
-            fuzzy_memberships(exponent, s);
-            s.u.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .unwrap()
-        })
+impl Rule for Fuzzy {
+    type Schedule = ();
+    const CHUNK: usize = 2048;
+    // Table 5: C-means arithmetic intensity is 5·M flops/byte.
+    const AI_PER_CENTER: f64 = 5.0;
+    const OBJECTIVE: bool = true;
+
+    /// Adds u^m·x per cluster and the objective term Σ_j u^m d².
+    fn weigh(&self, _: &(), s: &mut PanelScratch, sums: &mut BlockSums) {
+        fuzzy_memberships(self.exponent, s);
+        for (j, (&uij, &d2)) in s.u.iter().zip(&s.d2).enumerate() {
+            let w = uij.powf(self.fuzzifier);
+            sums.add(j, w, &s.xf);
+            sums.objective += w * d2;
+        }
     }
 
-    /// Partial sums for a block: per-cluster Σu^m·x and Σu^m, plus the
-    /// block's objective contribution Σ_i Σ_j u^m d².
-    fn block_partials(&self, range: Range<usize>) -> (Vec<ClusterPartial>, f64) {
-        let m = self.fuzzifier;
-        let exponent = membership_exponent(m);
-        let panel = CenterPanel::new(&self.state.read().centers);
-        panel_block_fold(&self.points, &panel, range, CHUNK, |s, sums, obj| {
-            fuzzy_memberships(exponent, s);
-            for (j, (&uij, &d2)) in s.u.iter().zip(&s.d2).enumerate() {
-                let w = uij.powf(m);
-                sums.add(j, w, &s.xf);
-                *obj += w * d2;
-            }
-        })
-    }
-
-    /// The special key carrying the objective value.
-    fn obj_key(&self) -> Key {
-        self.k as Key
+    /// The largest membership; the last one wins a tie.
+    fn label(&self, s: &mut PanelScratch) -> usize {
+        fuzzy_memberships(self.exponent, s);
+        s.u.iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(j, _)| j)
+            .unwrap()
     }
 }
 
@@ -157,143 +108,6 @@ fn fuzzy_memberships(exponent: f64, s: &mut PanelScratch) {
     }
 }
 
-impl SpmdApp for CMeans {
-    type Inter = ClusterPartial;
-    type Output = ClusterPartial;
-
-    fn num_items(&self) -> usize {
-        self.points.rows()
-    }
-
-    fn item_bytes(&self) -> u64 {
-        4 * self.points.cols() as u64
-    }
-
-    fn workload(&self) -> Workload {
-        // Table 5: C-means arithmetic intensity is 5·M flops/byte; the
-        // event matrix is cached in GPU memory over iterations (resident).
-        Workload::uniform(5.0 * self.k as f64, DataResidency::Resident)
-    }
-
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
-        let (partials, obj) = self.block_partials(range);
-        let mut out: Vec<(Key, ClusterPartial)> = partials
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| (j as Key, p))
-            .collect();
-        let mut obj_partial = ClusterPartial::zero(1);
-        obj_partial.add(obj, &[1.0]);
-        out.push((self.obj_key(), obj_partial));
-        out
-    }
-
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
-        // Same numerics as the CPU flavour (the paper notes CPU and GPU
-        // sources are often identical for such kernels).
-        self.cpu_map(node, range)
-    }
-
-    fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<ClusterPartial>) -> ClusterPartial {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
-        }
-        acc
-    }
-
-    fn combine(&self, _key: Key, values: Vec<ClusterPartial>) -> Vec<ClusterPartial> {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
-        }
-        vec![acc]
-    }
-
-    fn inter_bytes(&self, value: &ClusterPartial) -> u64 {
-        value.wire_bytes()
-    }
-
-    fn output_bytes(&self, value: &ClusterPartial) -> u64 {
-        value.wire_bytes()
-    }
-}
-
-impl IterativeApp for CMeans {
-    fn update(&self, outputs: &[(Key, ClusterPartial)]) -> bool {
-        let mut state = self.state.write();
-        let old = state.centers.clone();
-        let mut new_centers = old.clone();
-        let mut objective = 0.0;
-        for (key, partial) in outputs {
-            let j = *key as usize;
-            if j == self.k {
-                objective = partial.weighted_sum[0];
-            } else if let Some(c) = partial.center() {
-                for (dst, &v) in new_centers.row_mut(j).iter_mut().zip(&c) {
-                    *dst = v as f32;
-                }
-            }
-        }
-        let shift = max_center_shift(&old, &new_centers);
-        state.centers = new_centers;
-        state.objective.push(objective);
-        state.last_shift = shift;
-        shift < self.epsilon
-    }
-}
-
-impl CheckpointableApp for CMeans {
-    // Everything `update` mutates, bit for bit: center coordinates and
-    // the convergence trackers are serialized as raw IEEE-754 bits so a
-    // restored run continues from exactly the checkpointed model.
-    fn save_state(&self) -> Vec<u8> {
-        let st = self.state.read();
-        let mut out = Vec::with_capacity(24 + st.centers.len() * 4 + st.objective.len() * 8);
-        out.extend_from_slice(&(st.centers.rows() as u64).to_le_bytes());
-        out.extend_from_slice(&(st.centers.cols() as u64).to_le_bytes());
-        for v in st.centers.as_slice() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&(st.objective.len() as u64).to_le_bytes());
-        for v in &st.objective {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        out.extend_from_slice(&st.last_shift.to_bits().to_le_bytes());
-        out
-    }
-
-    fn restore_state(&self, bytes: &[u8]) {
-        let mut at = 0usize;
-        let mut take = |n: usize| {
-            let s = &bytes[at..at + n];
-            at += n;
-            s
-        };
-        let u64_of = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
-        let rows = u64_of(take(8)) as usize;
-        let cols = u64_of(take(8)) as usize;
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(f32::from_bits(u32::from_le_bytes(
-                take(4).try_into().expect("4 bytes"),
-            )));
-        }
-        let n_obj = u64_of(take(8)) as usize;
-        let mut objective = Vec::with_capacity(n_obj);
-        for _ in 0..n_obj {
-            objective.push(f64::from_bits(u64_of(take(8))));
-        }
-        let last_shift = f64::from_bits(u64_of(take(8)));
-        assert_eq!(at, bytes.len(), "trailing bytes in cmeans checkpoint");
-        *self.state.write() = State {
-            centers: MatrixF32::from_vec(rows, cols, data),
-            objective,
-            last_shift,
-        };
-    }
-}
-
 /// Equation (13) the naive way — one `sq_dist` per center, one `Vec` per
 /// point. Deliberately *not* the center panel: `serial_cmeans` is the
 /// independent formulation the panel is checked against.
@@ -323,41 +137,25 @@ pub fn serial_cmeans(
     seed: u64,
     max_iters: usize,
 ) -> (MatrixF32, Vec<f64>) {
-    let d = points.cols();
-    let mut centers = random_centers(points, k, seed);
-    let mut history = Vec::new();
-    for _ in 0..max_iters {
-        let mut partials = vec![ClusterPartial::zero(d); k];
-        let mut obj = 0.0;
-        for i in 0..points.rows() {
-            let x = points.row(i);
-            let u = serial_memberships(&centers, fuzzifier, x);
-            for (j, &uij) in u.iter().enumerate() {
-                let w = uij.powf(fuzzifier);
-                partials[j].add(w, x);
-                obj += w * sq_dist(x, centers.row(j));
-            }
+    let centers = random_centers(points, k, seed);
+    serial_iterate(points, centers, epsilon, max_iters, |centers, x, partials, obj| {
+        let u = serial_memberships(centers, fuzzifier, x);
+        for (j, &uij) in u.iter().enumerate() {
+            let w = uij.powf(fuzzifier);
+            partials[j].add(w, x);
+            *obj += w * sq_dist(x, centers.row(j));
         }
-        let old = centers.clone();
-        for (j, p) in partials.iter().enumerate() {
-            if let Some(c) = p.center() {
-                for (dst, &v) in centers.row_mut(j).iter_mut().zip(&c) {
-                    *dst = v as f32;
-                }
-            }
-        }
-        history.push(obj);
-        if max_center_shift(&old, &centers) < epsilon {
-            break;
-        }
-    }
-    (centers, history)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::centers::tests::{assert_checkpoint_round_trips, step};
+    use crate::common::ClusterPartial;
+    use prs_core::{DeviceClass, IterativeApp, Key, SpmdApp};
     use prs_data::gaussian::MixtureSpec;
+    use roofline::model::DataResidency;
 
     fn well_separated(n: usize) -> Arc<MatrixF32> {
         let spec = MixtureSpec::ring(3, 2, 50.0, 1.0);
@@ -368,15 +166,10 @@ mod tests {
     fn checkpoint_state_round_trips_bit_for_bit() {
         let pts = well_separated(60);
         let app = CMeans::new(pts.clone(), 3, 2.0, 1e-4, 9);
-        // Mutate the state with one real update so every field is
-        // non-trivial, then round-trip through the checkpoint codec.
-        app.update(&[(0, ClusterPartial::zero(2)), (3, ClusterPartial::zero(2))]);
-        let bytes = app.save_state();
-        let fresh = CMeans::new(pts, 3, 2.0, 1e-4, 1);
-        fresh.restore_state(&bytes);
-        assert_eq!(fresh.save_state(), bytes);
-        assert_eq!(fresh.centers().as_slice(), app.centers().as_slice());
-        assert_eq!(fresh.objective_history(), app.objective_history());
+        // Two real updates, so every field is non-trivial.
+        step(&app);
+        step(&app);
+        assert_checkpoint_round_trips(&app, CMeans::new(pts, 3, 2.0, 1e-4, 1));
     }
 
     /// `fuzzy_memberships` skips `powf` when the exponent is exactly 1
@@ -507,14 +300,14 @@ mod tests {
         assert!(!converged, "one step from random init should not converge");
         assert_eq!(app.objective_history().len(), 1);
         assert!(app.objective_history()[0] > 0.0);
-        assert!(app.last_shift().is_finite());
+        assert_ne!(app.centers(), CMeans::new(pts, 3, 2.0, 1e-6, 3).centers());
     }
 
     #[test]
     fn harden_labels_are_valid() {
         let pts = well_separated(200);
         let app = CMeans::new(pts.clone(), 3, 2.0, 1e-4, 5);
-        let labels = app.harden(&pts);
+        let labels = app.labels(&pts);
         assert_eq!(labels.len(), 200);
         assert!(labels.iter().all(|&l| l < 3));
     }

@@ -115,15 +115,16 @@ pub(crate) struct CenterPanel {
 /// whole dimension loop.
 const LANES: usize = 4;
 
-/// Per-chunk scratch of a [`CenterPanel`]: the widened point, its squared
+/// Per-chunk scratch of the center panel: the widened point, its squared
 /// distance to every center, and one `k`-long buffer for whatever weights
-/// the app derives from the distances.
-pub(crate) struct PanelScratch {
+/// a [`Rule`](crate::centers::Rule) derives from the distances. Public in
+/// name only, because the sealed `Rule` takes it; opaque outside this crate.
+pub struct PanelScratch {
     /// The current point, widened to `f64`; length `d`.
     pub(crate) xf: Vec<f64>,
     /// Squared distance to each center; length `k`.
     pub(crate) d2: Vec<f64>,
-    /// App-defined weights (memberships, responsibilities); length `k`.
+    /// Rule-defined weights (memberships, responsibilities); length `k`.
     pub(crate) u: Vec<f64>,
 }
 
@@ -184,11 +185,14 @@ impl CenterPanel {
 }
 
 /// The `k` per-cluster accumulators of one map task as one flat `k × d`
-/// block; the same arithmetic as `k` [`ClusterPartial`]s.
-pub(crate) struct BlockSums {
+/// block — the same arithmetic as `k` [`ClusterPartial`]s — and the
+/// block's objective. Opaque outside this crate, like [`PanelScratch`].
+pub struct BlockSums {
     d: usize,
     sums: Vec<f64>,
     weights: Vec<f64>,
+    /// The block's objective (J_m, SSE); zero for a rule without one.
+    pub(crate) objective: f64,
 }
 
 impl BlockSums {
@@ -198,6 +202,7 @@ impl BlockSums {
             d,
             sums: vec![0.0; k * d],
             weights: vec![0.0; k],
+            objective: 0.0,
         }
     }
 
@@ -220,6 +225,7 @@ impl BlockSums {
         for (a, b) in self.weights.iter_mut().zip(&other.weights) {
             *a += b;
         }
+        self.objective += other.objective;
     }
 
     /// One [`ClusterPartial`] per cluster, in cluster order.
@@ -234,59 +240,6 @@ impl BlockSums {
             })
             .collect()
     }
-}
-
-/// The map task of a center-based app: per-cluster partial sums over
-/// `range` plus one scalar objective. `point` is called once per input
-/// point, in index order within a chunk, with `s.xf` / `s.d2` already
-/// filled; it adds the point's contribution to the sums and the
-/// objective. Chunks of `chunk` points are merged in index order.
-pub(crate) fn panel_block_fold<F>(
-    points: &MatrixF32,
-    panel: &CenterPanel,
-    range: Range<usize>,
-    chunk: usize,
-    point: F,
-) -> (Vec<ClusterPartial>, f64)
-where
-    F: Fn(&mut PanelScratch, &mut BlockSums, &mut f64) + Send + Sync,
-{
-    let (k, d) = (panel.k, panel.d);
-    let (sums, objective) = par_block_fold(
-        range,
-        chunk,
-        |chunk| {
-            let mut s = panel.scratch();
-            let mut sums = BlockSums::zero(k, d);
-            let mut objective = 0.0;
-            for i in chunk {
-                panel.sq_dists(points.row(i), &mut s);
-                point(&mut s, &mut sums, &mut objective);
-            }
-            (sums, objective)
-        },
-        (BlockSums::zero(k, d), 0.0),
-        |(mut acc, aobj), (part, pobj)| {
-            acc.merge(&part);
-            (acc, aobj + pobj)
-        },
-    );
-    (sums.into_partials(), objective)
-}
-
-/// Hard labels for every row of `points`: `pick` sees the scratch with
-/// `s.d2` filled and returns the row's cluster.
-pub(crate) fn panel_labels<F>(panel: &CenterPanel, points: &MatrixF32, mut pick: F) -> Vec<u32>
-where
-    F: FnMut(&mut PanelScratch) -> usize,
-{
-    let mut s = panel.scratch();
-    (0..points.rows())
-        .map(|i| {
-            panel.sq_dists(points.row(i), &mut s);
-            pick(&mut s) as u32
-        })
-        .collect()
 }
 
 /// Picks `k` distinct random rows of `points` as initial centers
@@ -321,6 +274,40 @@ pub fn max_center_shift(old: &MatrixF32, new: &MatrixF32) -> f64 {
         .zip(new.as_slice())
         .map(|(&a, &b)| (a as f64 - b as f64).abs())
         .fold(0.0, f64::max)
+}
+
+/// The serial oracles' loop, one thread and no runtime: `add_point` adds
+/// one point to the per-cluster partials and the objective against the
+/// current centers; the centers move to the partial means until they
+/// shift by less than `epsilon`. Returns them and each iteration's objective.
+pub(crate) fn serial_iterate(
+    points: &MatrixF32,
+    mut centers: MatrixF32,
+    epsilon: f64,
+    max_iters: usize,
+    add_point: impl Fn(&MatrixF32, &[f32], &mut [ClusterPartial], &mut f64),
+) -> (MatrixF32, Vec<f64>) {
+    let mut history = Vec::new();
+    for _ in 0..max_iters {
+        let mut partials = vec![ClusterPartial::zero(points.cols()); centers.rows()];
+        let mut objective = 0.0;
+        for i in 0..points.rows() {
+            add_point(&centers, points.row(i), &mut partials, &mut objective);
+        }
+        let old = centers.clone();
+        for (j, p) in partials.iter().enumerate() {
+            if let Some(c) = p.center() {
+                for (dst, &v) in centers.row_mut(j).iter_mut().zip(&c) {
+                    *dst = v as f32;
+                }
+            }
+        }
+        history.push(objective);
+        if max_center_shift(&old, &centers) < epsilon {
+            break;
+        }
+    }
+    (centers, history)
 }
 
 #[cfg(test)]

@@ -10,41 +10,35 @@
 //! structure instead of a random initialization — DA has no seed
 //! sensitivity, which is exactly why it wins on quality.
 
-use crate::common::{
-    max_center_shift, panel_block_fold, panel_labels, CenterPanel, ClusterPartial, PanelScratch,
-};
-use parking_lot::RwLock;
-use prs_core::{DeviceClass, IterativeApp, Key, SpmdApp};
+use crate::centers::{Centers, Rule};
+use crate::common::{BlockSums, CenterPanel, PanelScratch};
 use prs_data::matrix::MatrixF32;
-use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
 use std::sync::Arc;
 
-const CHUNK: usize = 4096;
+/// Deterministic-annealing K-means on the PRS.
+pub type DaKmeans = Centers<Annealing>;
 
-struct State {
-    centers: MatrixF32,
+/// The DA rule: soft responsibilities at the current temperature, and a
+/// cooling schedule in place of a plain shift test.
+pub struct Annealing {
+    cooling: f64,
+    t_min: f64,
+}
+
+/// Where DA is on its cooling schedule.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnnealState {
     temperature: f64,
     phase: Phase,
     iterations_at_t: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Phase {
+    #[default]
     Annealing,
     Converging,
     Done,
-}
-
-/// Deterministic-annealing K-means on the PRS.
-pub struct DaKmeans {
-    points: Arc<MatrixF32>,
-    k: usize,
-    cooling: f64,
-    t_min: f64,
-    epsilon: f64,
-    state: RwLock<State>,
 }
 
 impl DaKmeans {
@@ -52,7 +46,6 @@ impl DaKmeans {
     /// perturbed infinitesimally so they can split as `T` cools — no
     /// random initialization.
     pub fn new(points: Arc<MatrixF32>, k: usize, cooling: f64, epsilon: f64) -> Self {
-        assert!(k >= 1 && k < points.rows());
         assert!((0.0..1.0).contains(&cooling) && cooling > 0.5, "cooling in (0.5, 1)");
         let d = points.cols();
         let n = points.rows();
@@ -86,34 +79,20 @@ impl DaKmeans {
                 centers.set(j, c, (m + eps) as f32);
             }
         }
-        DaKmeans {
-            points,
-            k,
+        let rule = Annealing {
             cooling,
             t_min: (var * 1e-4).max(1e-9),
-            epsilon,
-            state: RwLock::new(State {
-                centers,
-                temperature: 2.0 * var,
-                phase: Phase::Annealing,
-                iterations_at_t: 0,
-            }),
-        }
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Current centers.
-    pub fn centers(&self) -> MatrixF32 {
-        self.state.read().centers.clone()
+        };
+        let schedule = AnnealState {
+            temperature: 2.0 * var,
+            ..AnnealState::default()
+        };
+        Centers::with_rule(points, centers, epsilon, rule, schedule)
     }
 
     /// Current annealing temperature.
     pub fn temperature(&self) -> f64 {
-        self.state.read().temperature
+        self.schedule().temperature
     }
 
     /// Soft DA responsibilities of `point` at temperature `t`. A
@@ -123,34 +102,71 @@ impl DaKmeans {
         soft_responsibilities(t, &mut s);
         s.u
     }
+}
 
-    /// Hard labels under the final centers.
-    pub fn labels(&self, points: &MatrixF32) -> Vec<u32> {
-        let panel = CenterPanel::new(&self.state.read().centers);
-        panel_labels(&panel, points, |s| {
-            let d2 = &s.d2;
-            (0..d2.len())
-                .min_by(|&a, &b| d2[a].total_cmp(&d2[b]))
-                .unwrap()
-        })
+impl Rule for Annealing {
+    type Schedule = AnnealState;
+    const CHUNK: usize = 4096;
+    // Same distance+exp structure as C-means: ~5 flops per center per byte.
+    const AI_PER_CENTER: f64 = 5.0;
+    // DA carries no objective through the map.
+    const OBJECTIVE: bool = false;
+
+    fn weigh(&self, at: &AnnealState, s: &mut PanelScratch, sums: &mut BlockSums) {
+        soft_responsibilities(at.temperature, s);
+        for (j, &w) in s.u.iter().enumerate() {
+            if w > 1e-12 {
+                sums.add(j, w, &s.xf);
+            }
+        }
     }
 
-    fn block_partials(&self, range: Range<usize>) -> Vec<ClusterPartial> {
-        let (panel, t) = {
-            let s = self.state.read();
-            (CenterPanel::new(&s.centers), s.temperature)
-        };
-        // DA carries no objective through the map; the fold's scalar
-        // stays zero.
-        let (partials, _) = panel_block_fold(&self.points, &panel, range, CHUNK, |s, sums, _| {
-            soft_responsibilities(t, s);
-            for (j, &w) in s.u.iter().enumerate() {
-                if w > 1e-12 {
-                    sums.add(j, w, &s.xf);
+    fn label(&self, s: &mut PanelScratch) -> usize {
+        let d2 = &s.d2;
+        (0..d2.len())
+            .min_by(|&a, &b| d2[a].total_cmp(&d2[b]))
+            .unwrap()
+    }
+
+    fn converged(&self, at: &mut AnnealState, shift: f64, epsilon: f64) -> bool {
+        at.iterations_at_t += 1;
+        match at.phase {
+            Phase::Annealing => {
+                // Cool once the fixed point at this temperature settles
+                // (or after a handful of sweeps).
+                if shift < epsilon * 10.0 || at.iterations_at_t >= 4 {
+                    at.temperature *= self.cooling;
+                    at.iterations_at_t = 0;
+                    if at.temperature < self.t_min {
+                        at.phase = Phase::Converging;
+                    }
+                }
+                false
+            }
+            Phase::Converging => {
+                if shift < epsilon {
+                    at.phase = Phase::Done;
+                    true
+                } else {
+                    false
                 }
             }
-        });
-        partials
+            Phase::Done => true,
+        }
+    }
+
+    fn save_schedule(at: &AnnealState, out: &mut Vec<u8>) {
+        out.extend(at.temperature.to_bits().to_le_bytes());
+        out.push(at.phase as u8);
+        out.extend((at.iterations_at_t as u64).to_le_bytes());
+    }
+
+    fn restore_schedule(mut next: impl FnMut(usize) -> u64) -> AnnealState {
+        AnnealState {
+            temperature: f64::from_bits(next(8)),
+            phase: [Phase::Annealing, Phase::Converging, Phase::Done][next(1) as usize],
+            iterations_at_t: next(8) as usize,
+        }
     }
 }
 
@@ -167,109 +183,12 @@ fn soft_responsibilities(t: f64, s: &mut PanelScratch) {
     }
 }
 
-impl SpmdApp for DaKmeans {
-    type Inter = ClusterPartial;
-    type Output = ClusterPartial;
-
-    fn num_items(&self) -> usize {
-        self.points.rows()
-    }
-
-    fn item_bytes(&self) -> u64 {
-        4 * self.points.cols() as u64
-    }
-
-    fn workload(&self) -> Workload {
-        // Same distance+exp structure as C-means: ~5 flops per center per
-        // byte, resident across annealing iterations.
-        Workload::uniform(5.0 * self.k as f64, DataResidency::Resident)
-    }
-
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
-        self.block_partials(range)
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| (j as Key, p))
-            .collect()
-    }
-
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
-        self.cpu_map(node, range)
-    }
-
-    fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<ClusterPartial>) -> ClusterPartial {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
-        }
-        acc
-    }
-
-    fn combine(&self, _key: Key, values: Vec<ClusterPartial>) -> Vec<ClusterPartial> {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
-        }
-        vec![acc]
-    }
-
-    fn inter_bytes(&self, value: &ClusterPartial) -> u64 {
-        value.wire_bytes()
-    }
-
-    fn output_bytes(&self, value: &ClusterPartial) -> u64 {
-        value.wire_bytes()
-    }
-}
-
-impl IterativeApp for DaKmeans {
-    fn update(&self, outputs: &[(Key, ClusterPartial)]) -> bool {
-        let mut state = self.state.write();
-        let old = state.centers.clone();
-        let mut new_centers = old.clone();
-        for (key, partial) in outputs {
-            let j = *key as usize;
-            if j < self.k {
-                if let Some(c) = partial.center() {
-                    for (dst, &v) in new_centers.row_mut(j).iter_mut().zip(&c) {
-                        *dst = v as f32;
-                    }
-                }
-            }
-        }
-        let shift = max_center_shift(&old, &new_centers);
-        state.centers = new_centers;
-        state.iterations_at_t += 1;
-
-        match state.phase {
-            Phase::Annealing => {
-                // Cool once the fixed point at this temperature settles
-                // (or after a handful of sweeps).
-                if shift < self.epsilon * 10.0 || state.iterations_at_t >= 4 {
-                    state.temperature *= self.cooling;
-                    state.iterations_at_t = 0;
-                    if state.temperature < self.t_min {
-                        state.phase = Phase::Converging;
-                    }
-                }
-                false
-            }
-            Phase::Converging => {
-                if shift < self.epsilon {
-                    state.phase = Phase::Done;
-                    true
-                } else {
-                    false
-                }
-            }
-            Phase::Done => true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::centers::tests::{assert_checkpoint_round_trips, step};
+    use crate::common::ClusterPartial;
+    use prs_core::{CheckpointableApp, DeviceClass, IterativeApp, Key, SpmdApp};
     use prs_data::gaussian::MixtureSpec;
 
     fn ring(n: usize) -> Arc<MatrixF32> {
@@ -302,6 +221,28 @@ mod tests {
         // Hot: nearly uniform. Cold: crisp.
         assert!((hot[0] - 0.5).abs() < 0.05, "{hot:?}");
         assert!(cold[0] > 0.999, "{cold:?}");
+    }
+
+    /// Mid-anneal: the temperature has dropped and the sweep counter
+    /// at this temperature is non-zero, so the schedule bytes matter.
+    #[test]
+    fn checkpoint_state_round_trips_mid_anneal() {
+        let pts = ring(300);
+        let app = DaKmeans::new(pts.clone(), 3, 0.8, 1e-3);
+        let t0 = app.temperature();
+        while app.temperature() == t0 || app.schedule().iterations_at_t == 0 {
+            step(&app);
+        }
+        assert_eq!(app.schedule().phase, Phase::Annealing);
+        let fresh = DaKmeans::new(pts, 3, 0.8, 1e-3);
+        assert_checkpoint_round_trips(&app, fresh);
+        // A restored run continues exactly as the original does.
+        let restored = DaKmeans::new(ring(300), 3, 0.8, 1e-3);
+        restored.restore_state(&app.save_state());
+        for _ in 0..30 {
+            assert_eq!(step(&app), step(&restored));
+        }
+        assert_eq!(restored.save_state(), app.save_state());
     }
 
     #[test]

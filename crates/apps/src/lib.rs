@@ -3,6 +3,8 @@
 //! Real numerical implementations (not timing stubs) of every application
 //! the paper evaluates or discusses:
 //!
+//! - [`centers`] — [`Centers`], the one center-based clustering app:
+//!   C-means, K-means and DA below are each a [`centers::Rule`] over it.
 //! - [`cmeans`] — fuzzy C-means (Equations (12)–(14)), iterative, resident.
 //! - [`kmeans`] — K-means, the Figure-5 comparison point.
 //! - [`gmm`] — Gaussian mixtures by EM with full covariances (Equation
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod centers;
 pub mod cmeans;
 pub mod common;
 pub mod dakmeans;
@@ -37,6 +40,7 @@ pub mod kmeans;
 pub mod spmv;
 pub mod wordcount;
 
+pub use centers::Centers;
 pub use cmeans::{serial_cmeans, CMeans};
 pub use dakmeans::DaKmeans;
 pub use dgemm::Dgemm;

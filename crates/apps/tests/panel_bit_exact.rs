@@ -318,7 +318,7 @@ proptest! {
             let want = naive_cmeans_map(&pts, &centers, fuzzifier, case.range.clone());
             assert_same_bits(&app.cpu_map(0, case.range.clone()), &want)?;
             assert_same_bits(&app.gpu_map(1, case.range.clone()), &want)?;
-            prop_assert_eq!(app.harden(&pts), naive_harden(&centers, fuzzifier, &pts));
+            prop_assert_eq!(app.labels(&pts), naive_harden(&centers, fuzzifier, &pts));
             for probe in case.probes().map(|i| pts.row(i)) {
                 prop_assert_eq!(
                     bits(&CMeans::memberships(&centers, fuzzifier, probe)),

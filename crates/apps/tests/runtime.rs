@@ -121,7 +121,7 @@ fn kmeans_on_prs_recovers_clusters() {
         seen[l as usize] = true;
     }
     assert!(seen.iter().all(|&s| s), "all clusters populated");
-    assert!(app.sse_history().len() >= 2);
+    assert!(app.objective_history().len() >= 2);
 }
 
 #[test]

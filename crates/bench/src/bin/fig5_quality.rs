@@ -4,10 +4,10 @@
 //! text reports: average width over clusters, and cluster overlap with
 //! the reference labeling.
 
-use prs_apps::{CMeans, DaKmeans, KMeans};
+use prs_apps::centers::Rule;
+use prs_apps::{CMeans, Centers, DaKmeans, KMeans};
 use prs_bench::{print_table, write_json};
 use prs_core::{run_iterative, ClusterSpec, JobConfig};
-use prs_data::matrix::MatrixF32;
 use prs_data::pca;
 use prs_data::quality::{adjusted_rand_index, average_width, overlap_with_reference};
 use serde::Serialize;
@@ -35,42 +35,24 @@ struct Fig5Output {
 /// objective, like the paper ("the initial centers ... were picked up
 /// randomly, and we choose the best clustering results among several
 /// runs").
-fn best_cmeans(points: &Arc<MatrixF32>, k: usize, seeds: &[u64]) -> (Arc<CMeans>, usize) {
+fn best_of_seeds<R: Rule>(
+    seeds: &[u64],
+    make: impl Fn(u64) -> Centers<R>,
+) -> (Arc<Centers<R>>, usize) {
     let spec = ClusterSpec::delta(2);
-    let mut best: Option<(Arc<CMeans>, usize, f64)> = None;
+    let mut best: Option<(Arc<Centers<R>>, usize, f64)> = None;
     for &seed in seeds {
-        let app = Arc::new(CMeans::new(points.clone(), k, 1.6, 1e-2, seed));
+        let app = Arc::new(make(seed));
         let result = run_iterative(
             &spec,
             app.clone(),
             JobConfig::static_analytic().with_iterations(60),
         )
-        .expect("cmeans run");
+        .expect("clustering run");
         let obj = *app.objective_history().last().unwrap();
         let iters = result.metrics.iterations.len();
         if best.as_ref().map(|(_, _, b)| obj < *b).unwrap_or(true) {
             best = Some((app, iters, obj));
-        }
-    }
-    let (app, iters, _) = best.unwrap();
-    (app, iters)
-}
-
-fn best_kmeans(points: &Arc<MatrixF32>, k: usize, seeds: &[u64]) -> (Arc<KMeans>, usize) {
-    let spec = ClusterSpec::delta(2);
-    let mut best: Option<(Arc<KMeans>, usize, f64)> = None;
-    for &seed in seeds {
-        let app = Arc::new(KMeans::new(points.clone(), k, 1e-2, seed));
-        let result = run_iterative(
-            &spec,
-            app.clone(),
-            JobConfig::static_analytic().with_iterations(60),
-        )
-        .expect("kmeans run");
-        let sse = *app.sse_history().last().unwrap();
-        let iters = result.metrics.iterations.len();
-        if best.as_ref().map(|(_, _, b)| sse < *b).unwrap_or(true) {
-            best = Some((app, iters, sse));
         }
     }
     let (app, iters, _) = best.unwrap();
@@ -84,9 +66,11 @@ fn main() {
     let seeds = [3u64, 17, 29];
 
     eprintln!("fig5: clustering with C-means ...");
-    let (cm, cm_iters) = best_cmeans(&points, k, &seeds);
+    let (cm, cm_iters) = best_of_seeds(&seeds, |seed| {
+        CMeans::new(points.clone(), k, 1.6, 1e-2, seed)
+    });
     eprintln!("fig5: clustering with K-means ...");
-    let (km, km_iters) = best_kmeans(&points, k, &seeds);
+    let (km, km_iters) = best_of_seeds(&seeds, |seed| KMeans::new(points.clone(), k, 1e-2, seed));
     eprintln!("fig5: clustering with deterministic annealing ...");
     let da = Arc::new(DaKmeans::new(points.clone(), k, 0.85, 1e-2));
     let da_result = run_iterative(
@@ -97,7 +81,7 @@ fn main() {
     .expect("da run");
     let da_iters = da_result.metrics.iterations.len();
 
-    let cm_labels = cm.harden(&points);
+    let cm_labels = cm.labels(&points);
     let km_labels = km.labels(&points);
     let da_labels = da.labels(&points);
 

@@ -50,7 +50,10 @@ impl AppKind {
             "dgemm" => AppKind::Dgemm,
             "wordcount" => AppKind::Wordcount,
             "fft" => AppKind::Fft,
-            other => return Err(format!("unknown app '{other}' (try: cmeans, kmeans, gmm, da, gemv, spmv, dgemm, wordcount, fft)")),
+            other => {
+                let names = Self::names().join(", ");
+                return Err(format!("unknown app '{other}' (try: {names})"));
+            }
         })
     }
 
@@ -453,6 +456,15 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_app_error_names_every_app() {
+        let err = AppKind::parse("nope").unwrap_err();
+        for name in AppKind::names() {
+            assert!(err.contains(name), "{name} missing from: {err}");
+            assert!(AppKind::parse(name).is_ok(), "{name} does not parse");
+        }
     }
 
     #[test]

@@ -1417,9 +1417,8 @@ type RunOutcome = Result<(prs_core::JobMetrics, String, String), String>;
 
 /// Builds the requested app, runs it (with the given observability
 /// bundle attached), and summarizes app-specific results. C-means goes
-/// through the epoch driver when it is given a membership plan, the
-/// autoscaler or a checkpoint interval; a fresh in-memory store carries
-/// the checkpoints across epochs.
+/// through the epoch driver when it is given a membership plan or the
+/// autoscaler.
 fn dispatch(
     opts: &RunOptions,
     spec: &ClusterSpec,
@@ -1441,7 +1440,7 @@ fn dispatch(
             let pts = Arc::new(clustering_workload(n, d, k, seed).points);
             let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, seed));
             let final_jm = || app.objective_history().last().copied().unwrap_or(0.0);
-            if churn.is_none() && !opts.autoscale && opts.config.checkpoint_interval_iters == 0 {
+            if churn.is_none() && !opts.autoscale {
                 let r = run_iterative_observed(spec, app.clone(), opts.config, obs).map_err(err)?;
                 return Ok((
                     metrics(r),
@@ -1477,7 +1476,7 @@ fn dispatch(
             let pts = Arc::new(clustering_workload(n, d, k, seed).points);
             let app = Arc::new(KMeans::new(pts, k, 1e-3, seed));
             let r = run_iterative_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let sse = app.sse_history().last().copied().unwrap_or(0.0);
+            let sse = app.objective_history().last().copied().unwrap_or(0.0);
             Ok((metrics(r), "K-means".into(), format!("final SSE = {sse:.4e}")))
         }
         AppKind::Gmm => {

@@ -44,7 +44,7 @@ fn main() {
     )
     .expect("clustering job");
 
-    let labels = app.harden(&points);
+    let labels = app.labels(&points);
     println!("\nconverged after {} iterations", result.metrics.iterations.len());
     println!(
         "  objective J_m        : {:.3e} -> {:.3e}",

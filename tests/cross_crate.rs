@@ -189,7 +189,7 @@ fn clustering_numerics_are_pinned_across_commits() {
 
     let app = Arc::new(KMeans::new(pts.clone(), 8, 1e-12, 17));
     run_iterative(&cluster, app.clone(), three()).unwrap();
-    assert_eq!(bits(&app.sse_history()), PINNED_KMEANS_SSE);
+    assert_eq!(bits(&app.objective_history()), PINNED_KMEANS_SSE);
     assert_eq!(center_hash(&app.centers()), PINNED_KMEANS_CENTERS);
 
     // Sixty sweeps take DA well down its cooling schedule, where most

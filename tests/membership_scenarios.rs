@@ -3,11 +3,13 @@
 //! composition with the fault plan, the autoscaler's audited decisions,
 //! and the empty-plan bit-identity contract with the fixed-cluster path.
 
+use prs_apps::{CMeans, DaKmeans, KMeans};
 use prs_core::{
     run_epochs, run_iterative, run_iterative_observed, AutoscalePolicy, CheckpointableApp,
     ClusterSpec, DeviceClass, EpochOptions, FaultPlan, IterativeApp, JobConfig, Key,
     MembershipPlan, Obs, SpmdApp,
 };
+use prs_data::gaussian::clustering_workload;
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
 use std::ops::Range;
@@ -112,19 +114,33 @@ impl MetricsExt for prs_core::JobMetrics {
 /// Without checkpointing every artifact is byte-identical; with it the
 /// clock, outputs, model state and decision audit still are, and the bus
 /// and metrics differ only by the `checkpoint` records themselves (all
-/// checked on commit 7493b67 against `run_resilient_observed`).
+/// checked on commit 7493b67 against `run_resilient_observed`). Held for
+/// the state-chained fixture and for the three center-based clustering
+/// apps, whose checkpoint codec is the one `Centers` implementation.
 #[test]
 fn empty_plan_is_bit_identical_to_fixed_cluster() {
+    assert_empty_plan_identity(|| chain(40_000, 8));
+    let pts = Arc::new(clustering_workload(6_000, 8, 4, 3).points);
+    assert_empty_plan_identity(|| Arc::new(CMeans::new(pts.clone(), 4, 2.0, 1e-12, 3)));
+    assert_empty_plan_identity(|| Arc::new(KMeans::new(pts.clone(), 4, 1e-12, 3)));
+    assert_empty_plan_identity(|| Arc::new(DaKmeans::new(pts.clone(), 4, 0.8, 1e-3)));
+}
+
+fn assert_empty_plan_identity<A>(make: impl Fn() -> Arc<A>)
+where
+    A: CheckpointableApp,
+    A::Output: PartialEq + std::fmt::Debug,
+{
     let spec = ClusterSpec::delta(2);
     for checkpointing in [false, true] {
         let mut config = JobConfig::static_analytic().with_iterations(3);
         if checkpointing {
             config = config.with_checkpoint_interval(1);
         }
-        let (obs_a, a_app) = (Obs::recording(), chain(40_000, 8));
+        let (obs_a, a_app) = (Obs::recording(), make());
         let a = run_iterative_observed(&spec, a_app.clone(), config, obs_a.clone()).unwrap();
 
-        let (obs_b, b_app) = (Obs::recording(), chain(40_000, 8));
+        let (obs_b, b_app) = (Obs::recording(), make());
         let opts = EpochOptions { obs: obs_b.clone(), ..EpochOptions::default() };
         let b = run_epochs(&spec, b_app.clone(), config, opts).unwrap();
 
