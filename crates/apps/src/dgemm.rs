@@ -22,8 +22,8 @@ pub struct CBlock {
 
 /// `C = A·B` on the PRS, decomposed by rows of `A`.
 pub struct Dgemm {
-    a: Arc<MatrixF32>,
-    b: Arc<MatrixF32>,
+    pub(crate) a: Arc<MatrixF32>,
+    pub(crate) b: Arc<MatrixF32>,
 }
 
 impl Dgemm {

@@ -65,7 +65,7 @@ pub fn fft_inplace(signal: &mut [f32]) {
 /// Batched FFT over `batch` signals of length `len` each, on the PRS.
 pub struct BatchFft {
     signals: Arc<Vec<Vec<f32>>>,
-    len: usize,
+    pub(crate) len: usize,
 }
 
 impl BatchFft {

@@ -22,12 +22,17 @@
 //! - [`spmv`] — CSR sparse matrix-vector multiply: the Figure-4 low band
 //!   with *irregular* per-row work.
 //!
+//! [`catalog`] is the table of all nine as `prs run` builds them: name,
+//! summary label, accepted shapes, `build(shape, seed)`, driver class
+//! (one-pass, iterative or checkpointable) and summary line.
+//!
 //! Each app provides both `cpu_map` and `gpu_map` flavours (paper
 //! Table 1) and a serial reference implementation for ground truth.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod catalog;
 pub mod centers;
 pub mod cmeans;
 pub mod common;

@@ -116,8 +116,8 @@ pub struct SpmvBlock {
 
 /// `y = A x` with CSR `A`, on the PRS.
 pub struct Spmv {
-    a: Arc<CsrMatrix>,
-    x: Arc<Vec<f32>>,
+    pub(crate) a: Arc<CsrMatrix>,
+    pub(crate) x: Arc<Vec<f32>>,
 }
 
 impl Spmv {

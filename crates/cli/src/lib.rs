@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use prs_apps::catalog::{self, DriverClass, Entry, Shape};
 use prs_core::{CalibrationMode, EngineMode, JobConfig, Obs, SchedulingMode};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
@@ -14,60 +15,11 @@ use std::collections::BTreeMap;
 
 pub mod top;
 
-/// Which application to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppKind {
-    /// Fuzzy C-means clustering.
-    Cmeans,
-    /// K-means clustering.
-    Kmeans,
-    /// Gaussian mixture EM.
-    Gmm,
-    /// Deterministic-annealing clustering.
-    Da,
-    /// Matrix-vector multiply.
-    Gemv,
-    /// Sparse matrix-vector multiply (CSR).
-    Spmv,
-    /// Matrix-matrix multiply.
-    Dgemm,
-    /// Word count.
-    Wordcount,
-    /// Batched FFT.
-    Fft,
-}
-
-impl AppKind {
-    /// Parses an application name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "cmeans" => AppKind::Cmeans,
-            "kmeans" => AppKind::Kmeans,
-            "gmm" => AppKind::Gmm,
-            "da" => AppKind::Da,
-            "gemv" => AppKind::Gemv,
-            "spmv" => AppKind::Spmv,
-            "dgemm" => AppKind::Dgemm,
-            "wordcount" => AppKind::Wordcount,
-            "fft" => AppKind::Fft,
-            other => {
-                let names = Self::names().join(", ");
-                return Err(format!("unknown app '{other}' (try: {names})"));
-            }
-        })
-    }
-
-    /// All names, for help text.
-    pub fn names() -> &'static [&'static str] {
-        &["cmeans", "kmeans", "gmm", "da", "gemv", "spmv", "dgemm", "wordcount", "fft"]
-    }
-}
-
 /// Parsed `prs run` options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Application to run.
-    pub app: AppKind,
+    pub app: &'static Entry,
     /// Cluster size.
     pub nodes: usize,
     /// Node profile name (`delta` or `bigred2`).
@@ -77,12 +29,8 @@ pub struct RunOptions {
     pub profile_file: Option<String>,
     /// Scheduling and runtime knobs.
     pub config: JobConfig,
-    /// Input records (points / rows / tokens / signals).
-    pub points: usize,
-    /// Dimensions (clustering apps) or columns (linear algebra).
-    pub dims: usize,
-    /// Clusters / mixture components.
-    pub clusters: usize,
+    /// Workload shape: `--points`, `--dims`, `--clusters`.
+    pub shape: Shape,
     /// RNG seed.
     pub seed: u64,
     /// Print the execution Gantt chart.
@@ -126,14 +74,12 @@ impl RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            app: AppKind::Cmeans,
+            app: &catalog::CATALOG[0],
             nodes: 2,
             profile: "delta".to_string(),
             profile_file: None,
             config: JobConfig::static_analytic().with_iterations(10),
-            points: 50_000,
-            dims: 32,
-            clusters: 8,
+            shape: Shape { points: 50_000, dims: 32, clusters: 8 },
             seed: 42,
             timeline: false,
             trace_out: None,
@@ -360,15 +306,12 @@ const RUN_ARGS: ArgSpec = ArgSpec::new(
     0,
 );
 
-/// Vocabulary words `--app wordcount` generates per `--clusters`.
-pub const WORDS_PER_CLUSTER: u32 = 100;
-
 /// Parses the full `prs run` argument tail.
 pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     let kv = RUN_ARGS.parse(args)?;
     let mut opts = RunOptions::default();
     if let Some(app) = kv.get("app") {
-        opts.app = AppKind::parse(app)?;
+        opts.app = catalog::find(app)?;
     }
     opts.nodes = kv.parsed("nodes", opts.nodes)?;
     if opts.nodes == 0 {
@@ -394,33 +337,12 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     opts.config.gpus_per_node = kv.parsed("gpus", opts.config.gpus_per_node)?;
     opts.config.gpu_streams = kv.parsed("streams", opts.config.gpu_streams)?;
     opts.config.blocks_per_core = kv.parsed("blocks-per-core", opts.config.blocks_per_core)?;
-    opts.points = kv.parsed("points", opts.points)?;
-    opts.dims = kv.parsed("dims", opts.dims)?;
-    opts.clusters = kv.parsed("clusters", opts.clusters)?;
+    let shape = &mut opts.shape;
+    shape.points = kv.parsed("points", shape.points)?;
+    shape.dims = kv.parsed("dims", shape.dims)?;
+    shape.clusters = kv.parsed("clusters", shape.clusters)?;
     opts.seed = kv.parsed("seed", opts.seed)?;
-    // The clustering apps seed their model from the data and need more
-    // points than clusters; their constructors assert it.
-    let clustering = matches!(
-        opts.app,
-        AppKind::Cmeans | AppKind::Kmeans | AppKind::Gmm | AppKind::Da
-    );
-    let k = opts.clusters.max(1);
-    if clustering && k >= opts.points {
-        return Err(format!(
-            "--clusters {k} needs at least {} points, got --points {}",
-            k + 1,
-            opts.points
-        ));
-    }
-    // Word count reads --clusters as hundreds of words of a `u32`
-    // vocabulary; past this the product wrapped to some other size.
-    let most = (u32::MAX / WORDS_PER_CLUSTER) as usize;
-    if opts.app == AppKind::Wordcount && k > most {
-        return Err(format!(
-            "--clusters {k} is too many for --app wordcount: at most {most} \
-             ({WORDS_PER_CLUSTER} vocabulary words each)"
-        ));
-    }
+    (opts.app.check)(opts.shape)?;
     opts.timeline = kv.flag("timeline");
     opts.json = kv.flag("json");
     opts.trace_out = kv.get("trace").cloned();
@@ -428,12 +350,15 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     opts.membership = kv.get("membership").cloned();
     opts.autoscale = kv.flag("autoscale");
     // The elastic driver checkpoints and rebases the running app across
-    // epochs; only checkpointable iterative apps qualify (C-means today).
-    if (opts.membership.is_some() || opts.autoscale) && opts.app != AppKind::Cmeans {
-        return Err(
-            "--membership / --autoscale require a checkpointable iterative app (--app cmeans)"
-                .to_string(),
-        );
+    // epochs.
+    let elastic = opts.membership.is_some() || opts.autoscale;
+    if elastic && opts.app.class() != DriverClass::Checkpointable {
+        let apps = catalog::names(Some(DriverClass::Checkpointable)).join(", ");
+        return Err(format!(
+            "--membership / --autoscale require a checkpointable iterative app, not --app {} \
+             (try: {apps})",
+            opts.app.name
+        ));
     }
     if kv.flag("record") || kv.get("record-window").is_some() || kv.get("record-budget").is_some() {
         let mut rec = obs::RecorderConfig::enabled();
@@ -460,10 +385,9 @@ mod tests {
 
     #[test]
     fn unknown_app_error_names_every_app() {
-        let err = AppKind::parse("nope").unwrap_err();
-        for name in AppKind::names() {
-            assert!(err.contains(name), "{name} missing from: {err}");
-            assert!(AppKind::parse(name).is_ok(), "{name} does not parse");
+        let err = parse_run(&argv("--app nope")).unwrap_err();
+        for entry in &catalog::CATALOG {
+            assert!(err.contains(entry.name), "{} missing from: {err}", entry.name);
         }
     }
 
@@ -508,16 +432,16 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(opts.trace_out.as_deref(), Some("/tmp/t.json"));
-        assert_eq!(opts.app, AppKind::Gmm);
+        assert_eq!(opts.app.name, "gmm");
         assert_eq!(opts.nodes, 8);
-        assert_eq!(opts.points, 1000);
+        assert_eq!(opts.shape.points, 1000);
         assert!(opts.timeline);
         assert!(matches!(
             opts.config.scheduling,
             SchedulingMode::Dynamic { block_items: 50 }
         ));
         // Untouched defaults survive.
-        assert_eq!(opts.dims, 32);
+        assert_eq!(opts.shape.dims, 32);
         assert_eq!(opts.config.gpus_per_node, 1);
     }
 
@@ -570,9 +494,14 @@ mod tests {
         let plain = parse_run(&argv("--app cmeans")).unwrap();
         assert_eq!(plain.membership, None);
         assert!(!plain.autoscale);
-        // Elastic runs need a checkpointable iterative app.
+        // Elastic runs need a checkpointable iterative app, and the error
+        // names them.
         assert!(parse_run(&argv("--app gemv --membership p.toml")).is_err());
-        assert!(parse_run(&argv("--app kmeans --autoscale")).is_err());
+        let gmm = parse_run(&argv("--app gmm --autoscale")).unwrap_err();
+        assert!(gmm.contains("not --app gmm (try: cmeans, kmeans, da)"), "{gmm}");
+        for app in ["kmeans", "da"] {
+            assert!(parse_run(&argv(&format!("--app {app} --autoscale"))).is_ok(), "{app}");
+        }
     }
 
     #[test]
@@ -593,6 +522,11 @@ mod tests {
         assert!(wrapped.contains("--clusters 42949673"), "{wrapped}");
         assert!(wrapped.contains("at most 42949672"), "{wrapped}");
         assert!(parse_run(&argv("--app gemv --clusters 50000000")).is_ok());
+        // GMM and DGEMM have no arithmetic intensity at zero dimensions.
+        let gmm = parse_run(&argv("--app gmm --dims 0 --points 100 --clusters 2")).unwrap_err();
+        assert!(gmm.contains("--dims 0 leaves the app no arithmetic intensity"), "{gmm}");
+        assert!(parse_run(&argv("--app dgemm --dims 0")).is_err());
+        assert!(parse_run(&argv("--app cmeans --dims 0")).is_ok());
     }
 
     #[test]
@@ -637,10 +571,11 @@ mod tests {
 
     #[test]
     fn app_names_round_trip() {
-        for name in AppKind::names() {
-            assert!(AppKind::parse(name).is_ok(), "{name}");
+        for entry in &catalog::CATALOG {
+            let opts = parse_run(&argv(&format!("--app {}", entry.name))).unwrap();
+            assert!(std::ptr::eq(opts.app, entry));
         }
-        assert!(AppKind::parse("nonsense").is_err());
+        assert!(parse_run(&argv("--app nonsense")).is_err());
     }
 
     #[test]

@@ -14,20 +14,13 @@
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
 use obs::rollup::{rollup, RollupConfig};
 use obs::{AuditLog, EventView, MetricsRegistry, Obs};
-use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
+use prs_apps::catalog::{self, DriverClass, Drive, Ran};
 use prs_cli::CliError::{self, Failed, Usage};
-use prs_cli::{
-    parse_profile, parse_residency, parse_run, AppKind, ArgSpec, Args, RunOptions,
-    WORDS_PER_CLUSTER,
-};
-use prs_core::{run_iterative_observed, run_job_observed, ChaosWatch, ClusterSpec, JobResult};
-use prs_data::gaussian::clustering_workload;
-use prs_data::matrix::MatrixF32;
-use prs_data::rng::SplitMix64;
+use prs_cli::{parse_profile, parse_residency, parse_run, ArgSpec, Args, RunOptions};
+use prs_core::{ChaosWatch, ClusterSpec};
 use roofline::model::DataResidency;
 use roofline::schedule::{split_multi_gpu, Workload};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Prints to stdout, exiting quietly when the pipe is closed (`prs | head`
 /// must not panic).
@@ -291,7 +284,8 @@ RUN OPTIONS (defaults in parentheses):
   --record-budget <n>         max resident recorder events ({rec_budget})
   --membership <toml>         run through the elastic driver with this
                               membership plan (scale-out / drain / evict
-                              events in virtual time; app must be cmeans,
+                              events in virtual time; the app must be
+                              checkpointable: {elastic};
                               see docs/elasticity.md)
   --autoscale                 attach the hysteresis autoscaler (default
                               policy); composes with --membership
@@ -315,7 +309,8 @@ CALIBRATE OPTIONS:
                               (default: print to stdout)
   --profile <delta|bigred2>   seed profile for the EWMA fit (delta)
   --alpha <a>                 EWMA smoothing factor in [0,1] ({alpha})",
-        apps = AppKind::names().join("|"),
+        apps = catalog::names(None).join("|"),
+        elastic = catalog::names(Some(DriverClass::Checkpointable)).join(", "),
         alpha = insight::DEFAULT_ALPHA,
         rec_window = obs::RecorderConfig::enabled().window,
         rec_budget = obs::RecorderConfig::enabled().budget
@@ -370,8 +365,9 @@ fn cmd_sweep(args: &[String]) -> Cmd {
     for i in 0..=10 {
         let p = i as f64 / 10.0;
         opts.config.scheduling = prs_core::SchedulingMode::Static { p_override: Some(p) };
-        let (m, _, _) = dispatch(&opts, &spec, None, Obs::disabled())
-            .map_err(|e| Failed(format!("at p = {p}: {e}")))?;
+        let m = dispatch(&opts, &spec, None, Obs::disabled())
+            .map_err(|e| Failed(format!("at p = {p}: {e}")))?
+            .metrics;
         let t = m.compute_seconds;
         say!("  p = {:>3.0}%  ->  {:10.3} ms", p * 100.0, t * 1e3);
         if t < best.0 {
@@ -380,7 +376,8 @@ fn cmd_sweep(args: &[String]) -> Cmd {
     }
     // Analytic prediction for the same app: rebuild once in static mode.
     opts.config.scheduling = prs_core::SchedulingMode::Static { p_override: None };
-    let (m, label, _) = dispatch(&opts, &spec, None, Obs::disabled()).map_err(Failed)?;
+    let Ran { metrics: m, label, .. } =
+        dispatch(&opts, &spec, None, Obs::disabled()).map_err(Failed)?;
     let p_eq8 = m.cpu_fraction.unwrap_or(f64::NAN);
     say!(
         "\n{label}: empirical optimum p = {:.0}% ({:.3} ms); Equation (8) says {:.1}% ({:.3} ms)",
@@ -1276,14 +1273,14 @@ fn cmd_run(args: &[String]) -> Cmd {
 
     let rec_cfg = opts.config.recorder;
     let obs = opts.obs();
-    let (result, label, extra) =
+    let Ran { metrics: result, label, summary: extra } =
         dispatch(&opts, &spec, churn.as_ref(), obs.clone()).map_err(Failed)?;
 
     if opts.json {
         let doc = serde_json::json!({
             "app": label,
             "nodes": opts.nodes,
-            "points": opts.points,
+            "points": opts.shape.points,
             "iterations": result.iterations.len(),
             "setup_seconds": result.setup_seconds,
             "compute_seconds": result.compute_seconds,
@@ -1413,153 +1410,23 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[simtime::StackFrame]) -> C
     Ok(())
 }
 
-type RunOutcome = Result<(prs_core::JobMetrics, String, String), String>;
-
-/// Builds the requested app, runs it (with the given observability
-/// bundle attached), and summarizes app-specific results. C-means goes
-/// through the epoch driver when it is given a membership plan or the
-/// autoscaler.
+/// Builds the requested app from the catalog and runs it under its
+/// driver, with the given observability bundle attached; a membership plan
+/// or the autoscaler sends it through the elastic epoch driver.
 fn dispatch(
     opts: &RunOptions,
     spec: &ClusterSpec,
     churn: Option<&prs_core::MembershipPlan>,
     obs: Obs,
-) -> RunOutcome {
-    let seed = opts.seed;
-    let n = opts.points;
-    let d = opts.dims;
-    let k = opts.clusters.max(1);
-    let err = |e: prs_core::JobError| e.to_string();
-
-    fn metrics<O>(r: JobResult<O>) -> prs_core::JobMetrics {
-        r.metrics
-    }
-
-    match opts.app {
-        AppKind::Cmeans => {
-            let pts = Arc::new(clustering_workload(n, d, k, seed).points);
-            let app = Arc::new(CMeans::new(pts, k, 2.0, 1e-3, seed));
-            let final_jm = || app.objective_history().last().copied().unwrap_or(0.0);
-            if churn.is_none() && !opts.autoscale {
-                let r = run_iterative_observed(spec, app.clone(), opts.config, obs).map_err(err)?;
-                return Ok((
-                    metrics(r),
-                    "C-means".into(),
-                    format!("final J_m = {:.4e}", final_jm()),
-                ));
-            }
-            let epochs = prs_core::EpochOptions {
-                membership: churn.cloned().unwrap_or_default(),
-                autoscale: opts.autoscale.then(prs_core::AutoscalePolicy::default),
-                obs,
-            };
-            let out = prs_core::run_epochs(spec, app.clone(), opts.config, epochs).map_err(err)?;
-            let m = &out.membership;
-            let extra = format!(
-                "elastic: {} epoch(s), {} -> {} node(s), joins={} (retries={}) drains={} \
-                 evicts={} handoffs={} grow={} shrink={}; final J_m = {:.4e}",
-                out.attempts.len(),
-                spec.len(),
-                out.cluster_sizes.last().map_or(spec.len(), |&(_, n)| n),
-                m.joins,
-                m.join_retries,
-                m.drains,
-                m.evictions,
-                m.handoffs,
-                m.grow_decisions,
-                m.shrink_decisions,
-                final_jm(),
-            );
-            Ok((out.metrics, "C-means (elastic)".into(), extra))
-        }
-        AppKind::Kmeans => {
-            let pts = Arc::new(clustering_workload(n, d, k, seed).points);
-            let app = Arc::new(KMeans::new(pts, k, 1e-3, seed));
-            let r = run_iterative_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let sse = app.objective_history().last().copied().unwrap_or(0.0);
-            Ok((metrics(r), "K-means".into(), format!("final SSE = {sse:.4e}")))
-        }
-        AppKind::Gmm => {
-            let pts = Arc::new(clustering_workload(n, d, k, seed).points);
-            let app = Arc::new(Gmm::new(pts, k, 1e-6, seed));
-            let r = run_iterative_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let ll = app.log_likelihood_history().last().copied().unwrap_or(0.0);
-            Ok((metrics(r), "GMM".into(), format!("final logL = {ll:.4e}")))
-        }
-        AppKind::Da => {
-            let pts = Arc::new(clustering_workload(n, d, k, seed).points);
-            let app = Arc::new(DaKmeans::new(pts, k, 0.85, 1e-3));
-            let r = run_iterative_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            Ok((
-                metrics(r),
-                "DA clustering".into(),
-                format!("final T = {:.4e}", app.temperature()),
-            ))
-        }
-        AppKind::Gemv => {
-            let mut rng = SplitMix64::new(seed);
-            let a = Arc::new(MatrixF32::from_fn(n, d, |_, _| rng.next_f32() - 0.5));
-            let x: Arc<Vec<f32>> = Arc::new((0..d).map(|_| rng.next_f32()).collect());
-            let app = Arc::new(Gemv::new(a, x));
-            let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let y = app.assemble(&r.outputs);
-            Ok((
-                metrics(r),
-                "GEMV".into(),
-                format!("|y| = {} elements", y.len()),
-            ))
-        }
-        AppKind::Spmv => {
-            let m = Arc::new(CsrMatrix::synthetic(n, d.max(1), 8, seed));
-            let mut rng = SplitMix64::new(seed ^ 1);
-            let x: Arc<Vec<f32>> = Arc::new((0..d.max(1)).map(|_| rng.next_f32()).collect());
-            let expect = m.spmv_ref(&x);
-            let app = Arc::new(Spmv::new(m, x));
-            let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let y = app.assemble(&r.outputs);
-            let ok = y
-                .iter()
-                .zip(&expect)
-                .all(|(a, b)| (a - b).abs() <= 1e-4 * b.abs().max(1.0));
-            Ok((
-                metrics(r),
-                "SpMV".into(),
-                format!("reference check: {}", if ok { "ok" } else { "FAILED" }),
-            ))
-        }
-        AppKind::Dgemm => {
-            let mut rng = SplitMix64::new(seed);
-            let a = Arc::new(MatrixF32::from_fn(n, d, |_, _| rng.next_f32() - 0.5));
-            let b = Arc::new(MatrixF32::from_fn(d, d, |_, _| rng.next_f32() - 0.5));
-            let app = Arc::new(Dgemm::new(a, b));
-            let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            Ok((
-                metrics(r),
-                "DGEMM".into(),
-                format!("C is {n} x {d}"),
-            ))
-        }
-        AppKind::Wordcount => {
-            let app = Arc::new(WordCount::synthetic(n, k as u32 * WORDS_PER_CLUSTER, seed));
-            let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            Ok((
-                metrics(r),
-                "WordCount".into(),
-                format!("vocab = {}", app.vocab()),
-            ))
-        }
-        AppKind::Fft => {
-            let len = d.next_power_of_two().max(64);
-            let app = Arc::new(BatchFft::synthetic(n.max(1), len, seed));
-            let expected = len as f64 * app.total_time_energy();
-            let r = run_job_observed(spec, app.clone(), opts.config, obs.clone()).map_err(err)?;
-            let spectral: f64 = r.outputs.iter().map(|(_, e)| e).sum();
-            let ok = (spectral - expected).abs() < 1e-6 * expected.abs().max(1.0);
-            Ok((
-                metrics(r),
-                "BatchFFT".into(),
-                format!("Parseval check: {}", if ok { "ok" } else { "FAILED" }),
-            ))
-        }
-    }
+) -> Result<Ran, String> {
+    let drive = if churn.is_none() && !opts.autoscale {
+        Drive::Plain(obs)
+    } else {
+        Drive::Elastic(prs_core::EpochOptions {
+            membership: churn.cloned().unwrap_or_default(),
+            autoscale: opts.autoscale.then(prs_core::AutoscalePolicy::default),
+            obs,
+        })
+    };
+    opts.app.run(opts.shape, opts.seed, spec, opts.config, drive).map_err(|e| e.to_string())
 }

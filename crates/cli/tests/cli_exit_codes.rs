@@ -3,6 +3,7 @@
 //! never print a half-empty report with exit 0. Runs the real binary via
 //! `CARGO_BIN_EXE_prs`.
 
+use prs_apps::catalog::{self, DriverClass, CATALOG};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -155,8 +156,13 @@ fn usage_errors_exit_two() {
         vec!["chaos", "--score-watch", "--rules", &negative],
         vec!["chaos", "--score-watch", "--rules", &infinite],
         vec!["run", "--record-budget", "0"], // budget must be at least 1
-        vec!["run", "--membership", "p.toml", "--app", "gemv"], // elastic needs cmeans
-        vec!["run", "--autoscale", "--app", "kmeans"],
+        // Elastic runs need a checkpointable app.
+        vec!["run", "--membership", "p.toml", "--app", "gemv"],
+        vec!["run", "--autoscale", "--app", "gmm"],
+        // No arithmetic intensity at zero dimensions: these used to panic.
+        vec!["run", "--app", "gmm", "--dims", "0", "--points", "100", "--clusters", "2"],
+        vec!["run", "--app", "dgemm", "--dims", "0"],
+        vec!["sweep", "--app", "gmm", "--dims", "0", "--points", "100", "--clusters", "2"],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
         vec!["run", "--membership", &huge],     // more nodes than can be simulated
         vec!["run", "--membership", &overflow], // total overflows usize
@@ -185,6 +191,8 @@ fn usage_errors_exit_two() {
             format!("{fine}: line 5: `window_s` = 1e-12"),
         ),
         (vec!["watch", bundle, "--rules", &micro], "into 200000 windows, above the limit".into()),
+        (vec!["run", "--app", "gmm", "--membership", "p.toml"], "(try: cmeans, kmeans, da)".into()),
+        (vec!["run", "--app", "dgemm", "--dims", "0"], "--dims 0 leaves the app no arithmetic intensity".into()),
     ] {
         let stderr = String::from_utf8_lossy(&prs(&cmd).stderr).into_owned();
         assert!(stderr.contains(&says), "prs {}: want {says:?}, got {stderr}", cmd.join(" "));
@@ -366,36 +374,54 @@ fn recorded_run_feeds_the_postmortem_reader() {
 
 #[test]
 fn membership_run_writes_audited_decisions() {
-    // A drain plan through the real binary: the run succeeds, reports the
-    // elastic epoch count, and the --obs bundle's decision audit carries
-    // the membership scale lines.
-    let dir = tmp_dir("membership");
-    let plan = dir.join("plan.toml");
-    std::fs::write(&plan, "seed = 11\n\n[[drain]]\nnode = 1\nat_s = 0.05\ndeadline_s = 10.0\n")
-        .expect("write plan");
-    let d = dir.to_str().expect("utf-8 temp path");
-    let out = prs(&[
-        "run", "--nodes", "2", "--points", "20000", "--iterations", "3",
-        "--membership", plan.to_str().expect("utf-8 plan path"), "--obs", d,
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("elastic:"), "run summary lacks the elastic line: {stdout}");
-    let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events.jsonl");
-    assert!(
-        events.contains("\"membership\""),
-        "event bus lacks the membership lane:\n{events}"
-    );
-    let metrics = std::fs::read_to_string(dir.join("metrics.prom")).expect("metrics.prom");
-    assert!(
-        metrics.contains("prs_membership_total"),
-        "membership counters missing from metrics.prom"
-    );
-    // A malformed plan is a usage error, caught before any run starts.
-    std::fs::write(&plan, "[[drain]]\nnode = 1\nwhen = 0.5\n").expect("rewrite plan");
-    let bad = prs(&["run", "--membership", plan.to_str().expect("utf-8 plan path")]);
-    assert_eq!(bad.status.code(), Some(2), "malformed plan must exit 2");
-    let _ = std::fs::remove_dir_all(&dir);
+    // A drain plan through the real binary, for every checkpointable app:
+    // the run succeeds, reports the elastic epoch count, and the --obs
+    // bundle's decision audit carries the membership scale lines.
+    for app in catalog::names(Some(DriverClass::Checkpointable)) {
+        let dir = tmp_dir(&format!("membership-{app}"));
+        let plan = dir.join("plan.toml");
+        std::fs::write(&plan, "seed = 11\n\n[[drain]]\nnode = 1\nat_s = 0.05\ndeadline_s = 10.0\n")
+            .expect("write plan");
+        let d = dir.to_str().expect("utf-8 temp path");
+        let out = prs(&[
+            "run", "--app", app, "--nodes", "2", "--points", "20000", "--iterations", "3",
+            "--membership", plan.to_str().expect("utf-8 plan path"), "--obs", d,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{app}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("elastic:"), "{app}: run summary lacks the elastic line: {stdout}");
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events.jsonl");
+        assert!(
+            events.contains("\"membership\""),
+            "{app}: event bus lacks the membership lane:\n{events}"
+        );
+        let metrics = std::fs::read_to_string(dir.join("metrics.prom")).expect("metrics.prom");
+        assert!(
+            metrics.contains("prs_membership_total"),
+            "{app}: membership counters missing from metrics.prom"
+        );
+        // A malformed plan is a usage error, caught before any run starts.
+        std::fs::write(&plan, "[[drain]]\nnode = 1\nwhen = 0.5\n").expect("rewrite plan");
+        let bad = prs(&["run", "--app", app, "--membership", plan.to_str().expect("utf-8 plan path")]);
+        assert_eq!(bad.status.code(), Some(2), "{app}: malformed plan must exit 2");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every catalog app runs through `prs run --json` at a tiny shape, and
+/// its document names the app by the entry's label.
+#[test]
+fn every_app_runs_under_its_label() {
+    for entry in &CATALOG {
+        let out = prs(&[
+            "run", "--app", entry.name, "--json", "--profile", "micro", "--points", "300",
+            "--dims", "4", "--clusters", "2", "--iterations", "2",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--app {}: {stderr}", entry.name);
+        let doc = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("JSON");
+        assert_eq!(doc["app"].as_str(), Some(entry.label), "--app {}", entry.name);
+    }
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! each hashing the clock, the engine's event and hand-off counts, the
 //! outputs, every iteration's `StageTimes`, the split and task counters,
 //! the recovery counters and the four rendered artifacts — plus the
-//! per-iteration stage seconds of the nine `--app`s on four micro nodes.
+//! per-iteration stage seconds of the nine `--app`s on four micro nodes,
+//! each built and driven by its `prs_apps::catalog` entry as `prs run`
+//! does.
 //! The constants were captured on commit b044449, while the scheduler
 //! was still the single `worker_body` function; a refactor of the
 //! scheduler must leave every one alone. Do not regenerate them for a
@@ -17,13 +19,11 @@
 
 use device::{render_ascii, to_chrome_trace};
 use obs::{FrameSet, Obs, RecorderConfig};
-use prs_apps::{BatchFft, CMeans, CsrMatrix, DaKmeans, Dgemm, Gemv, Gmm, KMeans, Spmv, WordCount};
+use prs_apps::catalog::{Drive, Shape, CATALOG};
 use prs_core::{
-    run_iterative_observed, run_job_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
-    JobConfig, JobError, JobMetrics, JobResult, Key, SpmdApp,
+    run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig,
+    JobMetrics, JobResult, Key, SpmdApp,
 };
-use prs_data::gaussian::clustering_workload;
-use prs_data::{MatrixF32, SplitMix64};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::Workload;
@@ -398,51 +398,27 @@ fn bounded_recorder_pump() {
     assert_eq!(pin, BOUNDED_RECORDER);
 }
 
-/// The stage pin and the timeline pin of one run.
-fn stage_pin<O>(r: Result<JobResult<O>, JobError>) -> (u64, u64) {
-    let m = r.expect("job runs").metrics;
-    (fnv_words(stage_bits(&m).chain([m.total_seconds.to_bits()])), timeline_pin(&m))
-}
-
-fn micro4() -> ClusterSpec {
-    ClusterSpec::homogeneous(4, DeviceProfile::micro_node(), netsim::NetworkParams::infiniband_qdr())
-}
-
-fn iterate<A: IterativeApp>(app: A) -> (u64, u64) {
-    let config = JobConfig::static_analytic().with_iterations(3);
-    stage_pin(run_iterative_observed(&micro4(), Arc::new(app), config, stack_only()))
-}
-
-fn once<A: SpmdApp>(app: A) -> (u64, u64) {
-    let config = JobConfig::static_analytic();
-    stage_pin(run_job_observed(&micro4(), Arc::new(app), config, stack_only()))
-}
-
-/// Per-iteration stage seconds (as bits) and the clock of each `--app`,
-/// built the way `prs run` builds it, at a small size on four micro nodes,
-/// and the Gantt chart and Chrome trace of each run.
+/// Per-iteration stage seconds (as bits) and the clock of each catalog
+/// app, run the way `prs run` runs it — three iterations at most, at a
+/// small shape on four micro nodes — and the Gantt chart and Chrome trace
+/// of each run.
 #[test]
 fn stage_times_of_the_nine_apps() {
-    let (n, d, k, seed) = (4000usize, 8usize, 3usize, 42u64);
-    let points = || Arc::new(clustering_workload(n, d, k, seed).points);
-    let mut rng = SplitMix64::new(seed);
-    let a = Arc::new(MatrixF32::from_fn(n, d, |_, _| rng.next_f32() - 0.5));
-    let x: Arc<Vec<f32>> = Arc::new((0..d).map(|_| rng.next_f32()).collect());
-    let b = Arc::new(MatrixF32::from_fn(d, d, |_, _| rng.next_f32() - 0.5));
-    let csr = Arc::new(CsrMatrix::synthetic(n, d, 8, seed));
-    let (stages, timelines): (Vec<u64>, Vec<u64>) = [
-        iterate(CMeans::new(points(), k, 2.0, 1e-3, seed)),
-        iterate(KMeans::new(points(), k, 1e-3, seed)),
-        iterate(Gmm::new(points(), k, 1e-6, seed)),
-        iterate(DaKmeans::new(points(), k, 0.85, 1e-3)),
-        once(Gemv::new(a.clone(), x.clone())),
-        once(Spmv::new(csr, x)),
-        once(Dgemm::new(a, b)),
-        once(WordCount::synthetic(n, 300, seed)),
-        once(BatchFft::synthetic(n, 64, seed)),
-    ]
-    .into_iter()
-    .unzip();
+    let shape = Shape { points: 4000, dims: 8, clusters: 3 };
+    let spec = ClusterSpec::homogeneous(
+        4,
+        DeviceProfile::micro_node(),
+        netsim::NetworkParams::infiniband_qdr(),
+    );
+    let config = JobConfig::static_analytic().with_iterations(3);
+    let (stages, timelines): (Vec<u64>, Vec<u64>) = CATALOG
+        .iter()
+        .map(|app| {
+            let ran = app.run(shape, 42, &spec, config, Drive::Plain(stack_only()));
+            let m = ran.expect("job runs").metrics;
+            (fnv_words(stage_bits(&m).chain([m.total_seconds.to_bits()])), timeline_pin(&m))
+        })
+        .unzip();
     assert_eq!(stages, NINE_APPS, "{stages:#018x?}");
     assert_eq!(timelines, NINE_APPS_TIMELINE, "{timelines:#018x?}");
 }
