@@ -124,6 +124,23 @@ fn usage_errors_exit_two() {
     std::fs::write(bundle.join("events.jsonl"), event).expect("write events");
     let bundle = bundle.to_str().expect("utf-8 temp path");
     let micro = rule("micro.toml", "window_s = 1e-6");
+    // Calibration profiles with a number no device has: the first four
+    // used to panic (exit 101, or 1 for the NaN), the last to be accepted.
+    let fitted = {
+        let delta = roofline::profiles::DeviceProfile::delta_node();
+        let mut cal = insight::calibrate::CalibrationProfile::new(delta, 0.3);
+        cal.observe_net_bw(4e9);
+        insight::profile_toml::to_toml(&cal)
+    };
+    let profile = |key: &str, value: &str| {
+        let at = fitted.find(&format!("\n{key} = ")).expect("key written") + 1;
+        let end = at + fitted[at..].find('\n').expect("line ends");
+        let text = format!("{}{key} = {value}{}", &fitted[..at], &fitted[end..]);
+        plan(&format!("{key}.toml"), &text)
+    };
+    let no_flops = profile("peak_flops", "0.0");
+    let (no_cores, negative_bw) = (profile("cores", "0"), profile("dram_bw", "-5.0"));
+    let (nan_pcie, no_network) = (profile("pcie_eff_bw", "nan"), profile("bandwidth", "0.0"));
     for cmd in [
         vec!["trace"],
         vec!["trace", "--bogus", "x"],
@@ -163,6 +180,12 @@ fn usage_errors_exit_two() {
         vec!["run", "--app", "gmm", "--dims", "0", "--points", "100", "--clusters", "2"],
         vec!["run", "--app", "dgemm", "--dims", "0"],
         vec!["sweep", "--app", "gmm", "--dims", "0", "--points", "100", "--clusters", "2"],
+        vec!["run", "--profile-file", &no_flops],
+        vec!["advise", "--ai", "500", "--residency", "resident", "--profile-file", &no_flops],
+        vec!["run", "--profile-file", &no_cores],
+        vec!["run", "--profile-file", &negative_bw],
+        vec!["run", "--profile-file", &nan_pcie],
+        vec!["run", "--profile-file", &no_network],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
         vec!["run", "--membership", &huge],     // more nodes than can be simulated
         vec!["run", "--membership", &overflow], // total overflows usize
@@ -193,6 +216,8 @@ fn usage_errors_exit_two() {
         (vec!["watch", bundle, "--rules", &micro], "into 200000 windows, above the limit".into()),
         (vec!["run", "--app", "gmm", "--membership", "p.toml"], "(try: cmeans, kmeans, da)".into()),
         (vec!["run", "--app", "dgemm", "--dims", "0"], "--dims 0 leaves the app no arithmetic intensity".into()),
+        (vec!["run", "--profile-file", &no_flops], format!("{no_flops}: key \"peak_flops\"")),
+        (vec!["run", "--profile-file", &nan_pcie], "key \"pcie_eff_bw\": NaN".into()),
     ] {
         let stderr = String::from_utf8_lossy(&prs(&cmd).stderr).into_owned();
         assert!(stderr.contains(&says), "prs {}: want {says:?}, got {stderr}", cmd.join(" "));

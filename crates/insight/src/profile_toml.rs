@@ -129,6 +129,30 @@ fn get<'a>(kv: &'a [(String, TomlValue)], key: &str) -> Result<&'a TomlValue, St
         .ok_or_else(|| format!("missing key {key:?}"))
 }
 
+/// The most CPU cores a node may have: each is a simulated process, and
+/// the cluster's processes must fit in the address space.
+const MAX_CPU_CORES: u32 = 4096;
+
+/// A rate or a bandwidth, per second: finite and at least 1.
+fn rate(kv: &[(String, TomlValue)], key: &str) -> Result<f64, String> {
+    let v = get(kv, key)?.as_f64(key)?;
+    if v.is_finite() && v >= 1.0 {
+        Ok(v)
+    } else {
+        Err(format!("key {key:?}: {v:?} is not a finite rate of at least 1 per second"))
+    }
+}
+
+/// A core count from 1 to `max`.
+fn cores(kv: &[(String, TomlValue)], max: u32) -> Result<u32, String> {
+    let v = get(kv, "cores")?.as_f64("cores")?;
+    if (1.0..=f64::from(max)).contains(&v) {
+        Ok(v as u32)
+    } else {
+        Err(format!("key \"cores\": {v:?} is not a count from 1 to {max}"))
+    }
+}
+
 fn parse_doc(text: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     // Which bucket `key = value` lines currently land in.
@@ -175,11 +199,11 @@ fn parse_doc(text: &str) -> Result<Doc, String> {
 fn parse_gpu(kv: &[(String, TomlValue)]) -> Result<GpuSpec, String> {
     Ok(GpuSpec {
         model: get(kv, "model")?.as_str("model")?.to_string(),
-        cores: get(kv, "cores")?.as_f64("cores")? as u32,
-        peak_flops: get(kv, "peak_flops")?.as_f64("peak_flops")?,
-        dram_bw: get(kv, "dram_bw")?.as_f64("dram_bw")?,
-        pcie_peak_bw: get(kv, "pcie_peak_bw")?.as_f64("pcie_peak_bw")?,
-        pcie_eff_bw: get(kv, "pcie_eff_bw")?.as_f64("pcie_eff_bw")?,
+        cores: cores(kv, u32::MAX)?,
+        peak_flops: rate(kv, "peak_flops")?,
+        dram_bw: rate(kv, "dram_bw")?,
+        pcie_peak_bw: rate(kv, "pcie_peak_bw")?,
+        pcie_eff_bw: rate(kv, "pcie_eff_bw")?,
         mem_bytes: get(kv, "mem_bytes")?.as_f64("mem_bytes")? as u64,
         hw_queues: get(kv, "hw_queues")?.as_f64("hw_queues")? as u32,
     })
@@ -204,9 +228,9 @@ pub fn parse_toml(text: &str) -> Result<CalibrationProfile, String> {
         .ok_or("missing [profile.cpu] section")?;
     let cpu = CpuSpec {
         model: get(cpu_kv, "model")?.as_str("model")?.to_string(),
-        cores: get(cpu_kv, "cores")?.as_f64("cores")? as u32,
-        peak_flops: get(cpu_kv, "peak_flops")?.as_f64("peak_flops")?,
-        dram_bw: get(cpu_kv, "dram_bw")?.as_f64("dram_bw")?,
+        cores: cores(cpu_kv, MAX_CPU_CORES)?,
+        peak_flops: rate(cpu_kv, "peak_flops")?,
+        dram_bw: rate(cpu_kv, "dram_bw")?,
         mem_bytes: get(cpu_kv, "mem_bytes")?.as_f64("mem_bytes")? as u64,
     };
     let gpus = doc
@@ -229,7 +253,7 @@ pub fn parse_toml(text: &str) -> Result<CalibrationProfile, String> {
         None => SampleCounts::default(),
     };
     let net_bw = match doc.section("network") {
-        Some(kv) => Some(get(kv, "bandwidth")?.as_f64("bandwidth")?),
+        Some(kv) => Some(rate(kv, "bandwidth")?),
         None => None,
     };
     Ok(CalibrationProfile::from_parts(fitted, alpha, samples, net_bw))
@@ -264,6 +288,29 @@ mod tests {
         assert!(parse_toml("schema = \"other\"\nalpha = 0.3\n").is_err());
         assert!(parse_toml("what even is this").is_err());
         assert!(parse_toml("schema = \"prs-calibration-v1\"\nalpha = 2.0\n").is_err());
+    }
+
+    #[test]
+    fn rates_and_core_counts_must_be_in_range() {
+        let text = to_toml(&CalibrationProfile::new(DeviceProfile::delta_node(), 0.3));
+        let with = |key: &str, value: &str| {
+            let at = text.find(&format!("\n{key} = ")).expect("key written") + 1;
+            let end = at + text[at..].find('\n').expect("line ends");
+            format!("{}{key} = {value}{}", &text[..at], &text[end..])
+        };
+        assert!(parse_toml(&with("cores", "1")).is_ok());
+        assert!(parse_toml(&with("cores", "4096")).is_ok());
+        assert!(parse_toml(&with("cores", "4097")).unwrap_err().contains("from 1 to 4096"));
+        for key in ["peak_flops", "dram_bw", "pcie_peak_bw", "pcie_eff_bw", "cores"] {
+            for value in ["0.0", "-5.0", "0.5", "5e-324", "nan", "inf", "-inf", "1e400"] {
+                let err = parse_toml(&with(key, value)).expect_err(value);
+                assert!(err.contains(&format!("key {key:?}")), "{key} = {value}: {err}");
+            }
+        }
+        let mut cal = CalibrationProfile::new(DeviceProfile::delta_node(), 0.3);
+        cal.observe_net_bw(3.2e9);
+        let text = to_toml(&cal).replace("bandwidth = 3200000000.0", "bandwidth = 0.0");
+        assert!(parse_toml(&text).unwrap_err().contains("\"bandwidth\""));
     }
 
     #[test]

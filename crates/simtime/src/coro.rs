@@ -5,13 +5,17 @@
 //! lives in this module.
 //!
 //! Stacks are carved out of [`Chunk`] mappings, [`CHUNK_STACKS`] to a
-//! chunk: one `mmap` and one `munmap` per chunk, and per stack one
-//! `mprotect` that opens it up and leaves the page below it `PROT_NONE`.
-//! A finished context's stack goes to the next `spawn`; chunks go back to
-//! the OS when the table drops. The guard pages keep the mappings at two
-//! per stack, so `vm.max_map_count` (65 530 by default) still ends a run
-//! near 32 k live processes — as an error from `spawn`, like a refused
-//! `mmap` under an address-space limit.
+//! chunk: one `mmap` per chunk, and per stack one `mprotect` that opens it
+//! up and leaves the page below it `PROT_NONE`. A finished context's stack
+//! goes to the next `spawn`. When the table drops, its chunks go to the
+//! thread's pool, opened stacks and guard pages as they are, after one
+//! `madvise(MADV_DONTNEED)` each gives their pages back to the OS; the
+//! next table on the thread takes a pooled chunk before it maps one, and
+//! reopens none of its stacks. A pooled chunk is unmapped when its
+//! thread exits. The guard pages keep the mappings at two per stack, so
+//! `vm.max_map_count` (65 530 by default) still ends a run near 32 k live
+//! processes — as an error from `spawn`, like a refused `mmap` under an
+//! address-space limit.
 //!
 //! [`Contexts`] is the whole interface: `spawn` seeds a stack so that its
 //! first activation enters the body, `switch_to` suspends the running
@@ -25,7 +29,7 @@
 //! `Sync` nor handed out except by reference to the running body, so safe
 //! code has no way to break it.
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
@@ -48,10 +52,12 @@ const CHUNK_STACKS: usize = 64;
 const PROT_NONE: i32 = 0;
 const PROT_READ_WRITE: i32 = 1 | 2;
 const MAP_PRIVATE_ANON_NORESERVE: i32 = 0x02 | 0x20 | 0x4000;
+const MADV_DONTNEED: i32 = 4;
 
 extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
+    fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
     fn munmap(addr: *mut u8, len: usize) -> i32;
 }
 
@@ -99,11 +105,15 @@ unsafe extern "C" fn enter() {
     std::arch::naked_asm!("mov rdi, r12", "jmp {base}", base = sym base)
 }
 
-/// One `PROT_NONE` mapping of [`CHUNK_STACKS`] slots, the first `carved`
-/// of which have had their stack made writable.
+/// One `PROT_NONE` mapping of [`CHUNK_STACKS`] slots. The first `opened`
+/// have had their stack made writable, and the first `used` of those are
+/// handed out to the table that holds the chunk.
 struct Chunk {
     base: *mut u8,
-    carved: usize,
+    opened: usize,
+    used: usize,
+    #[cfg(test)]
+    id: u64,
 }
 
 impl Chunk {
@@ -122,39 +132,91 @@ impl Chunk {
         if base as isize == -1 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Chunk { base, carved: 0 })
+        #[cfg(test)]
+        MAPPED_CHUNKS.with(|n| n.set(n.get() + 1));
+        Ok(Chunk {
+            base,
+            opened: 0,
+            used: 0,
+            #[cfg(test)]
+            id: NEXT_CHUNK_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+        })
     }
 
-    /// Opens up the stack of the next slot, which must exist; the slot's
-    /// guard page stays as mapped.
-    fn carve(&mut self) -> io::Result<Stack> {
-        assert!(self.carved < CHUNK_STACKS, "the chunk is used up");
-        // SAFETY: slot `carved` lies inside the mapping, and so does the
+    /// Hands out the stack of the next slot, which must exist, opening it
+    /// up first unless an earlier table did; the slot's guard page stays
+    /// as mapped.
+    fn take(&mut self) -> io::Result<Stack> {
+        assert!(self.used < CHUNK_STACKS, "the chunk is used up");
+        // SAFETY: slot `used` lies inside the mapping, and so does the
         // range the `mprotect` covers: the slot less its guard page.
         let slot = unsafe {
-            let slot = self.base.add(self.carved * SLOT_BYTES);
-            if mprotect(slot.add(GUARD_BYTES), STACK_BYTES, PROT_READ_WRITE) != 0 {
-                return Err(io::Error::last_os_error());
+            let slot = self.base.add(self.used * SLOT_BYTES);
+            if self.used == self.opened {
+                if mprotect(slot.add(GUARD_BYTES), STACK_BYTES, PROT_READ_WRITE) != 0 {
+                    return Err(io::Error::last_os_error());
+                }
+                self.opened += 1;
             }
             slot
         };
-        self.carved += 1;
+        self.used += 1;
         #[cfg(test)]
         LIVE_STACKS.with(|n| n.set(n.get() + 1));
         Ok(Stack(slot))
+    }
+
+    /// Readies a dropped table's chunk for the pool: the pages of its
+    /// opened stacks go back to the OS, and its slots to the next table.
+    /// `None` if the pages could not be dropped (the chunk is unmapped).
+    fn clear(mut self) -> Option<Chunk> {
+        #[cfg(test)]
+        let _ = LIVE_STACKS.try_with(|n| n.set(n.get() - self.used as isize));
+        self.used = 0;
+        // SAFETY: the range is the chunk's opened slots, inside the
+        // mapping, and nobody stands on it: the table that held the chunk
+        // is dropping, which the root does only once no context of it can
+        // run again (see `Drop for Chunk`). The pages read as zeros when
+        // touched next, as in a fresh mapping.
+        let dropped = unsafe { madvise(self.base, self.opened * SLOT_BYTES, MADV_DONTNEED) };
+        (dropped == 0).then_some(self)
     }
 }
 
 impl Drop for Chunk {
     fn drop(&mut self) {
         #[cfg(test)]
-        LIVE_STACKS.with(|n| n.set(n.get() - self.carved as isize));
+        {
+            let _ = LIVE_STACKS.try_with(|n| n.set(n.get() - self.used as isize));
+            let _ = MAPPED_CHUNKS.try_with(|n| n.set(n.get() - 1));
+            if let Ok(mut unmapped) = UNMAPPED_CHUNKS.lock() {
+                unmapped.push(self.id);
+            }
+        }
         // SAFETY: the mapping is ours, whole, and nobody stands on it: a
-        // chunk goes with its table, which the root drops — `Sim::run`
-        // keeps the table alive past the last context it unwinds — and the
-        // contexts left on these stacks will never be resumed.
+        // chunk is held by one table or by its thread's pool, never both.
+        // The root drops a table — `Sim::run` keeps it alive past the last
+        // context it unwinds — and the contexts left on its stacks will
+        // never be resumed; a pooled chunk has no context on it at all.
         unsafe { munmap(self.base, CHUNK_STACKS * SLOT_BYTES) };
     }
+}
+
+thread_local! {
+    /// Chunks of this thread's dropped tables, their pages given back, for
+    /// the next table to take; unmapped when the thread exits.
+    static POOL: RefCell<Vec<Chunk>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Sends a dropped table's chunks to this thread's pool, first chunk on
+/// top, so a table of the same shape takes them back in order. Unmaps
+/// them instead while the thread is tearing down its pool.
+fn pool(chunks: Vec<Chunk>) {
+    let mut chunks = Some(chunks);
+    let _ = POOL.try_with(|pool| {
+        let chunks = chunks.take().into_iter().flatten().rev();
+        pool.borrow_mut().extend(chunks.filter_map(Chunk::clear));
+    });
 }
 
 /// A slot of a [`Chunk`]: guard page at the bottom, `STACK_BYTES` above it.
@@ -182,14 +244,26 @@ impl Stack {
 
 #[cfg(test)]
 thread_local! {
-    /// Stacks carved minus stacks unmapped by this thread.
+    /// Stacks handed out to tables on this thread, minus those given back
+    /// with their chunk.
     static LIVE_STACKS: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
-    /// Chunks a table on this thread may map before the mapper reports
-    /// `ENOMEM`, standing in for the OS limits.
+    /// Chunks mapped minus chunks unmapped by this thread.
+    static MAPPED_CHUNKS: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+    /// Chunks a table on this thread may hold — mapped or taken from the
+    /// pool — before taking one more reports `ENOMEM`, standing in for
+    /// the OS limits.
     static CHUNK_CAP: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
 }
 
-/// Runs `f` with this thread's tables capped at `chunks` chunk mappings.
+/// Names every chunk mapped, so a test can tell its own from another
+/// thread's at the same address.
+#[cfg(test)]
+static NEXT_CHUNK_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// The ids of the chunks unmapped so far, by any thread.
+#[cfg(test)]
+static UNMAPPED_CHUNKS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
+/// Runs `f` with this thread's tables capped at `chunks` chunks.
 #[cfg(test)]
 pub(crate) fn with_chunk_cap<R>(chunks: usize, f: impl FnOnce() -> R) -> R {
     let before = CHUNK_CAP.with(|c| c.replace(chunks));
@@ -198,11 +272,17 @@ pub(crate) fn with_chunk_cap<R>(chunks: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Stacks currently mapped, as seen from the calling thread: exact for a
+/// Stacks held by tables, as seen from the calling thread: exact for a
 /// test that builds, runs and drops its simulations on one thread.
 #[cfg(test)]
 pub(crate) fn live_stacks() -> isize {
     LIVE_STACKS.with(|n| n.get())
+}
+
+/// Chunks this thread has mapped and not unmapped, pooled ones included.
+#[cfg(test)]
+pub(crate) fn mapped_chunks() -> isize {
+    MAPPED_CHUNKS.with(|n| n.get())
 }
 
 /// A coroutine body: runs on its own stack and returns the context to
@@ -240,7 +320,7 @@ struct Inner {
     /// Stacks of finished contexts, for the next `spawn`.
     idle: Vec<Stack>,
     /// Every stack above points into one of these; only the last can have
-    /// slots left to carve.
+    /// slots left to hand out.
     chunks: Vec<Chunk>,
     unwinding: bool,
 }
@@ -345,22 +425,32 @@ impl Contexts {
     }
 }
 
+impl Drop for Inner {
+    fn drop(&mut self) {
+        pool(std::mem::take(&mut self.chunks));
+    }
+}
+
 impl Inner {
-    /// An idle stack, or one carved from the last chunk, or the first of a
-    /// new chunk.
+    /// An idle stack, or the next of the last chunk, or the first of a
+    /// pooled chunk or else a new one.
     fn take_stack(&mut self) -> io::Result<Stack> {
         self.idle.extend(self.zombie.take());
         if let Some(stack) = self.idle.pop() {
             return Ok(stack);
         }
-        if self.chunks.last().is_none_or(|c| c.carved == CHUNK_STACKS) {
+        if self.chunks.last().is_none_or(|c| c.used == CHUNK_STACKS) {
             #[cfg(test)]
             if self.chunks.len() >= CHUNK_CAP.with(|c| c.get()) {
                 return Err(io::Error::from_raw_os_error(12)); // ENOMEM
             }
-            self.chunks.push(Chunk::map()?);
+            let pooled = POOL.try_with(|pool| pool.borrow_mut().pop());
+            self.chunks.push(match pooled.ok().flatten() {
+                Some(chunk) => chunk,
+                None => Chunk::map()?,
+            });
         }
-        self.chunks.last_mut().expect("pushed if absent").carve()
+        self.chunks.last_mut().expect("pushed if absent").take()
     }
 
     /// Takes the saved stack pointer of `next`, which must be suspended,
@@ -533,35 +623,45 @@ mod tests {
     }
 
     #[test]
-    fn a_finished_stack_is_reused_and_all_are_unmapped_with_the_table() {
-        let table = Arc::new(Contexts::new());
-        let first = spawn(&table, |_| None);
-        assert_eq!(live_stacks(), 1);
-        let _ = table.switch_to(Some(first));
-        // Finished, but nobody has had a chance to take the stack yet.
-        assert_eq!(live_stacks(), 1);
-        let runs = Arc::new(AtomicU64::new(0));
-        let r = runs.clone();
-        let second = spawn(&table, move |_| {
-            r.fetch_add(1, Relaxed);
-            None
-        });
-        assert_eq!(
-            live_stacks(),
-            1,
-            "the second context stands on the first's stack"
-        );
-        let third = spawn(&table, |_| None);
-        assert_eq!(live_stacks(), 2);
-        let _ = table.switch_to(Some(second));
-        let _ = table.switch_to(Some(third));
-        assert_eq!(runs.load(Relaxed), 1);
-        drop(table);
-        assert_eq!(live_stacks(), 0);
+    fn a_finished_stack_is_reused_and_all_are_unmapped_when_the_thread_ends() {
+        // The pool is the thread's, so the table gets a thread of its own.
+        let ids = std::thread::spawn(|| {
+            let table = Arc::new(Contexts::new());
+            let first = spawn(&table, |_| None);
+            assert_eq!(live_stacks(), 1);
+            let _ = table.switch_to(Some(first));
+            // Finished, but nobody has had a chance to take the stack yet.
+            assert_eq!(live_stacks(), 1);
+            let runs = Arc::new(AtomicU64::new(0));
+            let r = runs.clone();
+            let second = spawn(&table, move |_| {
+                r.fetch_add(1, Relaxed);
+                None
+            });
+            assert_eq!(
+                live_stacks(),
+                1,
+                "the second context stands on the first's stack"
+            );
+            let third = spawn(&table, |_| None);
+            assert_eq!(live_stacks(), 2);
+            let _ = table.switch_to(Some(second));
+            let _ = table.switch_to(Some(third));
+            assert_eq!(runs.load(Relaxed), 1);
+            let ids = chunk_ids(&table);
+            drop(table);
+            // Given back, and pooled rather than unmapped.
+            assert_eq!((live_stacks(), mapped_chunks()), (0, 1));
+            ids
+        })
+        .join()
+        .expect("the thread's checks pass");
+        let unmapped = UNMAPPED_CHUNKS.lock().expect("unpoisoned");
+        assert!(ids.iter().all(|id| unmapped.contains(id)), "{ids:?}");
     }
 
     /// The bottom of every live context's stack (the address just above
-    /// its guard page), and the number of chunks mapped.
+    /// its guard page), and the number of chunks held.
     fn stack_bottoms(table: &Contexts) -> (Vec<usize>, usize) {
         // SAFETY: the test holds the token: no context is running.
         let inner = unsafe { &*table.0.get() };
@@ -572,20 +672,49 @@ mod tests {
         (bottoms, inner.chunks.len())
     }
 
+    /// The ids of the chunks a table holds.
+    fn chunk_ids(table: &Contexts) -> Vec<u64> {
+        // SAFETY: as in `stack_bottoms`.
+        let inner = unsafe { &*table.0.get() };
+        inner.chunks.iter().map(|chunk| chunk.id).collect()
+    }
+
+    /// Where the mapping holding `addr` starts, its permissions, and the
+    /// field lines under it (in `/proc/self/smaps`; none in `maps`).
+    fn mapping_lines(maps: &str, addr: usize) -> (usize, &str, Vec<&str>) {
+        fn header(line: &str) -> Option<(std::ops::Range<usize>, &str)> {
+            let (range, rest) = line.split_once(' ')?;
+            let (start, end) = range.split_once('-')?;
+            let start = usize::from_str_radix(start, 16).ok()?;
+            let end = usize::from_str_radix(end, 16).ok()?;
+            Some((start..end, rest.split(' ').next().unwrap_or("")))
+        }
+        let mut lines = maps.lines();
+        while let Some(line) = lines.next() {
+            if let Some((range, perms)) = header(line).filter(|(r, _)| r.contains(&addr)) {
+                let fields = lines.take_while(|l| header(l).is_none());
+                return (range.start, perms, fields.collect());
+            }
+        }
+        panic!("{addr:#x} is not mapped")
+    }
+
     /// The permissions of the mapping holding `addr`, and where that
     /// mapping starts, from `/proc/self/maps`.
     fn mapping_at(maps: &str, addr: usize) -> (usize, &str) {
-        maps.lines()
-            .find_map(|line| {
-                let (range, rest) = line.split_once(' ')?;
-                let (start, end) = range.split_once('-')?;
-                let start = usize::from_str_radix(start, 16).ok()?;
-                let end = usize::from_str_radix(end, 16).ok()?;
-                (start..end)
-                    .contains(&addr)
-                    .then(|| (start, rest.split(' ').next().unwrap_or("")))
-            })
-            .unwrap_or_else(|| panic!("{addr:#x} is not mapped"))
+        let (start, perms, _) = mapping_lines(maps, addr);
+        (start, perms)
+    }
+
+    /// Checks that every stack is its own read-write mapping, and the page
+    /// directly below it is not accessible.
+    fn assert_guarded(bottoms: &[usize]) {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("Linux");
+        for &bottom in bottoms {
+            assert_eq!(mapping_at(&maps, bottom), (bottom, "rw-p"));
+            assert_eq!(mapping_at(&maps, bottom + STACK_BYTES - 1).1, "rw-p");
+            assert_eq!(mapping_at(&maps, bottom - 1).1, "---p");
+        }
     }
 
     #[test]
@@ -595,15 +724,7 @@ mod tests {
         let first: Vec<usize> = (0..N).map(|_| spawn(&table, |_| None)).collect();
         let (bottoms, chunks) = stack_bottoms(&table);
         assert_eq!((live_stacks(), bottoms.len(), chunks), (N as isize, N, 3));
-
-        // Every stack is its own read-write mapping, and the page directly
-        // below it is not accessible.
-        let maps = std::fs::read_to_string("/proc/self/maps").expect("Linux");
-        for &bottom in &bottoms {
-            assert_eq!(mapping_at(&maps, bottom), (bottom, "rw-p"));
-            assert_eq!(mapping_at(&maps, bottom + STACK_BYTES - 1).1, "rw-p");
-            assert_eq!(mapping_at(&maps, bottom - 1).1, "---p");
-        }
+        assert_guarded(&bottoms);
 
         // Finished stacks go round: a second generation maps nothing new.
         for c in first {
@@ -623,11 +744,54 @@ mod tests {
             let _ = table.switch_to(Some(c));
         }
         drop(table);
-        assert_eq!(live_stacks(), 0);
+        assert_eq!((live_stacks(), mapped_chunks()), (0, 3));
+
+        // A second table takes the pooled chunks back in order: the same
+        // stacks at the same addresses, each still over its guard page.
+        let table = Arc::new(Contexts::new());
+        let third: Vec<usize> = (0..N).map(|_| spawn(&table, |_| None)).collect();
+        let (reused, chunks) = stack_bottoms(&table);
+        assert_eq!((live_stacks(), chunks, mapped_chunks()), (N as isize, 3, 3));
+        assert_eq!(reused, bottoms);
+        assert_guarded(&reused);
+        for c in third {
+            let _ = table.switch_to(Some(c));
+        }
+    }
+
+    #[test]
+    fn a_pooled_chunk_keeps_no_page_resident() {
+        /// The resident kilobytes of the mapping holding `addr`.
+        fn rss_kb(addr: usize) -> u64 {
+            let smaps = std::fs::read_to_string("/proc/self/smaps").expect("Linux");
+            let (_, _, fields) = mapping_lines(&smaps, addr);
+            let rss = fields.iter().find_map(|f| f.strip_prefix("Rss:"));
+            let kb = rss.and_then(|r| r.trim().strip_suffix("kB"));
+            kb.and_then(|kb| kb.trim().parse().ok()).expect("an Rss line")
+        }
+        let table = Arc::new(Contexts::new());
+        let all: Vec<usize> = (0..3).map(|_| spawn(&table, |_| None)).collect();
+        let (bottoms, _) = stack_bottoms(&table);
+        for c in all {
+            let _ = table.switch_to(Some(c));
+        }
+        let top_page = |bottom: usize| bottom + STACK_BYTES - 1;
+        assert!(bottoms.iter().all(|&b| rss_kb(top_page(b)) > 0), "run on");
+        drop(table);
+        for &bottom in &bottoms {
+            assert_eq!(rss_kb(top_page(bottom)), 0, "{bottom:#x}");
+        }
     }
 
     #[test]
     fn a_refused_chunk_is_an_error_that_leaves_the_table_usable() {
+        // Two chunks in the pool: the cap counts the ones a table takes.
+        let table = Contexts::new();
+        for _ in 0..2 * CHUNK_STACKS {
+            assert!(table.spawn(Box::new(|| None)).is_ok());
+        }
+        drop(table);
+        assert_eq!((live_stacks(), mapped_chunks()), (0, 2));
         with_chunk_cap(1, || {
             let table = Arc::new(Contexts::new());
             let all: Vec<usize> = (0..CHUNK_STACKS).map(|_| spawn(&table, |_| None)).collect();
@@ -639,7 +803,7 @@ mod tests {
             }));
             assert_eq!(refused.map_err(|e| e.raw_os_error()), Err(Some(12)));
             assert_eq!(dropped.load(Relaxed), 1, "the body went with the refusal");
-            assert_eq!(live_stacks(), CHUNK_STACKS as isize);
+            assert_eq!((live_stacks(), mapped_chunks()), (CHUNK_STACKS as isize, 2));
             // A stack that comes free serves the next spawn.
             let _ = table.switch_to(Some(all[0]));
             let next = spawn(&table, |_| None);
@@ -719,5 +883,43 @@ mod tests {
             ctx.hold(SimTime::from_secs(1));
         });
         assert_eq!(outer.run().unwrap().end_time, SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn a_nested_simulation_pools_its_chunks_for_the_outer_one() {
+        // The inner table drops mid-run; the outer one outgrows its chunk
+        // on the inner's, while the suspended outer processes keep theirs.
+        use crate::{Sim, SimTime};
+        let mut outer = Sim::new();
+        outer.spawn("keeper", |ctx| {
+            let kept: Vec<u64> = black_box((0..100).collect());
+            ctx.hold(SimTime::from_secs(3));
+            assert_eq!(kept.iter().sum::<u64>(), 4950);
+        });
+        let total = Arc::new(AtomicU64::new(0));
+        let sum = total.clone();
+        outer.spawn("nester", move |ctx| {
+            ctx.hold(SimTime::from_secs(1));
+            let mapped = mapped_chunks();
+            let mut inner = Sim::new();
+            for i in 0..2 * CHUNK_STACKS as u64 {
+                inner.spawn(&format!("inner{i}"), move |c| c.hold(SimTime::from_secs(i)));
+            }
+            let report = inner.run().expect("the inner run");
+            assert_eq!(report.end_time, SimTime::from_secs(2 * CHUNK_STACKS as u64 - 1));
+            assert_eq!(mapped_chunks(), mapped + 2, "pooled, not unmapped");
+            for i in 0..2 * CHUNK_STACKS as u64 {
+                let sum = sum.clone();
+                ctx.spawn(&format!("child{i}"), move |c| {
+                    let i = black_box(i);
+                    c.hold(SimTime::from_secs(1));
+                    sum.fetch_add(i, Relaxed);
+                });
+            }
+            assert_eq!(mapped_chunks(), mapped + 2, "the children took the pooled chunks");
+        });
+        assert_eq!(outer.run().unwrap().end_time, SimTime::from_secs(3));
+        let n = 2 * CHUNK_STACKS as u64;
+        assert_eq!(total.load(Relaxed), n * (n - 1) / 2);
     }
 }

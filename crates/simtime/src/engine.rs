@@ -682,7 +682,7 @@ impl SimCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coro::live_stacks;
+    use crate::coro::{live_stacks, mapped_chunks};
     use crate::watchdog::within_deadline;
     use crate::Channel;
 
@@ -782,7 +782,41 @@ mod tests {
     }
 
     #[test]
-    fn a_refused_stack_ends_the_run_with_an_error_and_nothing_mapped() {
+    fn back_to_back_simulations_on_one_thread_report_alike() {
+        // The second run stands on the first's pooled stacks.
+        /// A hundred processes passing tokens through a channel, with a
+        /// timer and a late spawn.
+        fn job() -> Sim {
+            let mut sim = Sim::new();
+            let ch: Channel<u64> = Channel::new("tokens");
+            for i in 0..100u64 {
+                let ch = ch.clone();
+                sim.spawn(&format!("p{i}"), move |ctx| {
+                    ctx.hold(SimTime::from_millis((i % 7) as f64));
+                    if i % 2 == 0 {
+                        ch.send(ctx, i);
+                    } else {
+                        ch.recv(ctx);
+                        ctx.spawn("late", |c| c.hold(SimTime::from_secs(1)));
+                    }
+                });
+            }
+            sim.schedule(SimTime::from_millis(3.5), |_| {});
+            sim
+        }
+        within_deadline(|| {
+            let first = job().run().unwrap();
+            let mapped = mapped_chunks();
+            let second = job().run().unwrap();
+            assert_eq!(mapped_chunks(), mapped, "no chunk mapped for the second run");
+            let key = |r: &SimReport| (r.end_time, r.events_processed, r.handoffs, r.inline_resumes);
+            assert_eq!(key(&first), key(&second));
+            assert!(first.handoffs > 0);
+        });
+    }
+
+    #[test]
+    fn a_refused_stack_ends_the_run_with_an_error_and_no_stack_held() {
         use crate::coro::with_chunk_cap;
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         /// What `run` must say when the `refused`th spawn found no stack.

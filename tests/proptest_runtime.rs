@@ -9,6 +9,8 @@ use prs_core::{
     EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MembershipPlan,
     SpmdApp, MAX_SCALE_OUT_NODES,
 };
+use prs_apps::CMeans;
+use prs_data::gaussian::MixtureSpec;
 use proptest::prelude::*;
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -679,6 +681,51 @@ proptest! {
                 prop_assert!(r.alpha <= 1.0, "{r:?}");
                 prop_assert!(r.window_s == 0.0 || r.window_s >= watch::slo::MIN_WINDOW_S, "{r:?}");
             }
+        }
+    }
+
+    /// `profile_toml::parse_toml` never panics, whatever is done to a
+    /// fitted profile's values and lines, and every profile it accepts
+    /// runs a C-means iteration on two nodes to a result or an error —
+    /// never a panic.
+    #[test]
+    fn profile_toml_never_panics(
+        edits in proptest::collection::vec((0usize..64, 0usize..20, 0usize..3), 0..6),
+    ) {
+        const VALUES: [&str; 20] = [
+            "0", "0.0", "-0", "-5.0", "0.5", "1", "2", "4096", "4097", "1e12", "5e-324",
+            "1e-300", "1e300", "1e400", "nan", "inf", "-inf", "\"x\"", "", "= =",
+        ];
+        let mut cal = insight::calibrate::CalibrationProfile::new(
+            roofline::profiles::DeviceProfile::delta_node(),
+            0.3,
+        );
+        cal.observe_net_bw(3.2e9);
+        let mut lines: Vec<String> =
+            insight::profile_toml::to_toml(&cal).lines().map(String::from).collect();
+        for (i, v, op) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let i = i % lines.len();
+            match op {
+                0 => {
+                    if let Some((key, _)) = lines[i].split_once(" = ") {
+                        lines[i] = format!("{key} = {}", VALUES[v]);
+                    }
+                }
+                1 => drop(lines.remove(i)),
+                _ => lines.insert(i, lines[i].clone()),
+            }
+        }
+        if let Ok(cal) = insight::profile_toml::parse_toml(&lines.join("\n")) {
+            let mut network = netsim::NetworkParams::infiniband_qdr();
+            network.bandwidth = cal.net_bw.unwrap_or(network.bandwidth);
+            let spec = ClusterSpec::homogeneous(2, cal.profile().clone(), network);
+            let points = prs_data::generate(&MixtureSpec::ring(3, 2, 10.0, 1.0), 60, 3).points;
+            let app = Arc::new(CMeans::new(Arc::new(points), 3, 2.0, 1e-12, 5));
+            // A refusal (say, no GPU memory for the resident share) is fine.
+            let _ = run_iterative(&spec, app, JobConfig::static_analytic().with_iterations(1));
         }
     }
 }
