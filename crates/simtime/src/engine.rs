@@ -807,6 +807,7 @@ mod tests {
         within_deadline(|| {
             let first = job().run().unwrap();
             let mapped = mapped_chunks();
+            assert!(mapped > 0, "the first run's chunks are pooled, not unmapped");
             let second = job().run().unwrap();
             assert_eq!(mapped_chunks(), mapped, "no chunk mapped for the second run");
             let key = |r: &SimReport| (r.end_time, r.events_processed, r.handoffs, r.inline_resumes);
