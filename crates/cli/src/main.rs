@@ -365,6 +365,8 @@ fn cmd_sweep(args: &[String]) -> Cmd {
     for i in 0..=10 {
         let p = i as f64 / 10.0;
         opts.config.scheduling = prs_core::SchedulingMode::Static { p_override: Some(p) };
+        prs_core::check_config(&spec, &opts.config)
+            .map_err(|e| Usage(format!("at p = {p}: {e}")))?;
         let m = dispatch(&opts, &spec, None, Obs::disabled())
             .map_err(|e| Failed(format!("at p = {p}: {e}")))?
             .metrics;
@@ -1261,6 +1263,8 @@ fn load_profile(
 fn cmd_run(args: &[String]) -> Cmd {
     let opts = run_options(args)?;
     let spec = cluster(&opts)?;
+    // A flag the job refuses is a bad argument, like one the parser does.
+    prs_core::check_config(&spec, &opts.config).map_err(|e| Usage(e.to_string()))?;
     // A churn plan is loaded up front so a bad plan file fails like any
     // other argument error, before the cluster spins up.
     let churn = match &opts.membership {

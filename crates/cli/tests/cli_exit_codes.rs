@@ -186,6 +186,18 @@ fn usage_errors_exit_two() {
         vec!["run", "--profile-file", &negative_bw],
         vec!["run", "--profile-file", &nan_pcie],
         vec!["run", "--profile-file", &no_network],
+        // Values the job itself refuses: these used to exit 1 as a job
+        // that ran and failed.
+        vec!["run", "--streams", "0"],
+        vec!["run", "--iterations", "0"],
+        vec!["run", "--gpus", "0"],
+        vec!["run", "--blocks-per-core", "0"],
+        vec!["run", "--profile", "delta", "--gpus", "3"], // the profile has 2
+        vec!["sweep", "--streams", "0"],
+        vec!["sweep", "--iterations", "0"],
+        vec!["sweep", "--gpus", "0"],
+        vec!["sweep", "--blocks-per-core", "0"],
+        vec!["sweep", "--profile", "delta", "--gpus", "3"],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
         vec!["run", "--membership", &huge],     // more nodes than can be simulated
         vec!["run", "--membership", &overflow], // total overflows usize
@@ -218,6 +230,14 @@ fn usage_errors_exit_two() {
         (vec!["run", "--app", "dgemm", "--dims", "0"], "--dims 0 leaves the app no arithmetic intensity".into()),
         (vec!["run", "--profile-file", &no_flops], format!("{no_flops}: key \"peak_flops\"")),
         (vec!["run", "--profile-file", &nan_pcie], "key \"pcie_eff_bw\": NaN".into()),
+        (
+            vec!["run", "--streams", "0"],
+            "error: invalid job config: gpu_streams must be >= 1".into(),
+        ),
+        (
+            vec!["sweep", "--profile", "delta", "--gpus", "3"],
+            "error: at p = 0: invalid job config: scheduling mode needs 3 GPU(s)".into(),
+        ),
     ] {
         let stderr = String::from_utf8_lossy(&prs(&cmd).stderr).into_owned();
         assert!(stderr.contains(&says), "prs {}: want {says:?}, got {stderr}", cmd.join(" "));
@@ -311,8 +331,10 @@ fn a_resident_share_that_does_not_fit_gpu_memory_is_an_error_line_and_exit_one()
 #[test]
 fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
     // 1.5 GB of address space holds some 1400 one-MiB stacks; the job
-    // wants 5001. This used to be a panic in `coro.rs` (exit 101) that,
-    // with a backtrace asked for, never exited at all — hence the watchdog.
+    // wants 2001, one per node's sub-task scheduler and the master's (its
+    // device daemons are stackless tasks). This used to be a panic in
+    // `coro.rs` (exit 101) that, with a backtrace asked for, never exited
+    // at all — hence the watchdog.
     use std::process::Stdio;
     use std::time::{Duration, Instant};
     let limited = |script: &str| {
@@ -329,7 +351,7 @@ fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
         return;
     }
     let mut child = limited(
-        "exec \"$0\" run --app cmeans --nodes 1000 --profile micro \
+        "exec \"$0\" run --app cmeans --nodes 2000 --profile micro \
          --points 27000 --dims 8 --clusters 8 --iterations 1",
     )
     .spawn()

@@ -602,6 +602,7 @@ pub fn run_epochs<A: CheckpointableApp>(
     let mut attempts: Vec<ElasticEpoch> = Vec::new();
     let mut sim_events: u64 = 0;
     let mut sim_handoffs: u64 = 0;
+    let mut sim_switches: u64 = 0;
 
     for epoch in 0..max_epochs {
         let armed = st.arm(&config, autoscale.as_ref());
@@ -628,6 +629,7 @@ pub fn run_epochs<A: CheckpointableApp>(
         st.recovery = st.recovery.merged(&m.recovery);
         sim_events += m.sim_events;
         sim_handoffs += m.sim_handoffs;
+        sim_switches += m.sim_switches;
         let iters_run = m.iterations.len() as u64;
         let mut entry = ElasticEpoch {
             epoch,
@@ -672,6 +674,7 @@ pub fn run_epochs<A: CheckpointableApp>(
                     metrics.total_seconds = boundary;
                     metrics.sim_events = sim_events;
                     metrics.sim_handoffs = sim_handoffs;
+                    metrics.sim_switches = sim_switches;
                     return Ok(ElasticOutcome {
                         outputs: result.outputs,
                         metrics,

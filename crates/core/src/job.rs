@@ -236,6 +236,19 @@ fn partition_plan(
 }
 
 fn validate<A: SpmdApp>(spec: &ClusterSpec, app: &A, config: &JobConfig) -> Result<(), JobError> {
+    check_config(spec, config)?;
+    if app.num_items() == 0 {
+        return Err(JobError::InvalidConfig("application has no input".into()));
+    }
+    check_resident_fit(spec, app, config)
+}
+
+/// The checks every job makes of its configuration against its cluster
+/// before it starts, leaving out those that need the application's input
+/// (an empty input, a resident share larger than GPU memory). A front end
+/// calls it to tell a bad argument from a job that ran and failed: every
+/// error it returns is one a run of the same `config` on `spec` returns.
+pub fn check_config(spec: &ClusterSpec, config: &JobConfig) -> Result<(), JobError> {
     if spec.is_empty() {
         return Err(JobError::InvalidConfig("cluster has no nodes".into()));
     }
@@ -256,9 +269,6 @@ fn validate<A: SpmdApp>(spec: &ClusterSpec, app: &A, config: &JobConfig) -> Resu
                 bad.gpus.len()
             )));
         }
-    }
-    if app.num_items() == 0 {
-        return Err(JobError::InvalidConfig("application has no input".into()));
     }
     if config.partitions_per_node == 0 {
         return Err(JobError::InvalidConfig(
@@ -345,7 +355,7 @@ fn validate<A: SpmdApp>(spec: &ClusterSpec, app: &A, config: &JobConfig) -> Resu
             )));
         }
     }
-    check_resident_fit(spec, app, config)
+    Ok(())
 }
 
 /// A `Resident` workload cached in GPU memory puts a copy of the node's
@@ -631,9 +641,9 @@ fn spawn_node<A: SpmdApp>(
 
     if !matches!(config.scheduling, SchedulingMode::GpuOnly) {
         for core in 0..ports.node.cpu.spec.cores {
-            let (job, ports) = (job.clone(), ports.clone());
-            sim.spawn_on(1 + rank, &format!("n{rank}-cpu{core}"), move |ctx| {
-                cpu_poller(ctx, job.app.as_ref(), &ports);
+            let (app, ports) = (job.app.clone(), ports.clone());
+            sim.spawn_task_on(1 + rank, &format!("n{rank}-cpu{core}"), move |ctx| {
+                cpu_poller(ctx, app, ports)
             });
         }
     }
@@ -641,8 +651,8 @@ fn spawn_node<A: SpmdApp>(
         for g in 0..config.gpus_per_node {
             for stream in 0..config.gpu_streams {
                 let (job, ports) = (job.clone(), ports.clone());
-                sim.spawn_on(1 + rank, &format!("n{rank}-gpu{g}-s{stream}"), move |ctx| {
-                    gpu_stream_worker(ctx, &job, &ports, g);
+                sim.spawn_task_on(1 + rank, &format!("n{rank}-gpu{g}-s{stream}"), move |ctx| {
+                    gpu_stream_worker(ctx, job, ports, g)
                 });
             }
         }
@@ -688,6 +698,7 @@ fn summarize<A: SpmdApp>(
         total_seconds: report.end_time.as_secs_f64(),
         sim_events: report.events_processed,
         sim_handoffs: report.handoffs,
+        sim_switches: report.switches,
         setup_seconds: reports.iter().map(|r| r.setup_end).fold(0.0, f64::max),
         compute_seconds: iterations.iter().map(|s| s.total()).sum(),
         iterations,

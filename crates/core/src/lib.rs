@@ -91,7 +91,8 @@ pub use faults::{
     NodeStall,
 };
 pub use job::{
-    run_iterative, run_iterative_observed, run_job, run_job_observed, JobError, JobResult,
+    check_config, run_iterative, run_iterative_observed, run_job, run_job_observed, JobError,
+    JobResult,
 };
 pub use epoch::{run_epochs, ElasticEpoch, ElasticOutcome, EpochOptions};
 pub use membership::{

@@ -133,6 +133,11 @@ pub struct JobMetrics {
     /// `sim_events` on the 1000-node job. Engine-independent and summed
     /// across epochs like `sim_events`.
     pub sim_handoffs: u64,
+    /// Of those hand-offs, the ones that switched stacks: the ones whose
+    /// target is a stackful process (`simtime::SimReport::switches`) —
+    /// the node's sub-task scheduler or the master, not a device daemon.
+    /// Summed across epochs like `sim_events`.
+    pub sim_switches: u64,
     /// One-off setup time (partitioning messages, resident-data staging) —
     /// excluded from iteration time like the paper's "one-off overhead".
     pub setup_seconds: f64,

@@ -2,7 +2,9 @@
 //! ([`Worker`]) written as the paper's superstep — configure, map on both
 //! device classes, combine and copy back, shuffle, reduce, global gather
 //! and update (§III.A.2, Figures 1 and 2) — with the CPU and GPU device
-//! daemons it feeds beside it.
+//! daemons it feeds beside it. The sub-task scheduler is a stackful
+//! process written in blocking style; the daemons, each a loop around one
+//! queue, are stackless simulation tasks (`simtime::Sim::spawn_task`).
 
 use crate::api::{DeviceClass, Key, SpmdApp};
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
@@ -20,6 +22,7 @@ use roofline::profiles::DeviceProfile;
 use roofline::schedule::{device_time, split_multi_gpu, Workload};
 use simtime::{Channel, RecvOutcome, SimCtx, SimTime};
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -201,9 +204,10 @@ pub(crate) fn record_recovery(
 
 /// A CPU daemon: one per core (the paper's "one mapper or reducer on each
 /// CPU core"), polling the node's CPU queue until it closes.
-pub(crate) fn cpu_poller<A: SpmdApp>(ctx: &SimCtx, app: &A, ports: &NodePorts<A>) {
+pub(crate) async fn cpu_poller<A: SpmdApp>(ctx: SimCtx, app: Arc<A>, ports: Arc<NodePorts<A>>) {
+    let (ctx, app) = (&ctx, app.as_ref());
     let (node, device) = (&ports.node, DeviceClass::Cpu);
-    while let Some(task) = ports.cpu_q.recv(ctx) {
+    while let Some(task) = ports.cpu_q.recv_async(ctx).await {
         let result = match task {
             // A queued copy whose race is already decided is skipped
             // without touching the device (checking the board costs no
@@ -219,7 +223,8 @@ pub(crate) fn cpu_poller<A: SpmdApp>(ctx: &SimCtx, app: &A, ports: &NodePorts<A>
                 let work = app.map_work(range.len());
                 let pairs = node
                     .cpu
-                    .run_task(ctx, &work, || app.cpu_map(node.rank, range.clone()));
+                    .run_task_async(ctx, &work, || app.cpu_map(node.rank, range.clone()))
+                    .await;
                 TaskResult::Map {
                     id,
                     device,
@@ -231,7 +236,8 @@ pub(crate) fn cpu_poller<A: SpmdApp>(ctx: &SimCtx, app: &A, ports: &NodePorts<A>
                 let work = app.reduce_work(values.len());
                 let output = node
                     .cpu
-                    .run_task(ctx, &work, || app.reduce(device, key, values));
+                    .run_task_async(ctx, &work, || app.reduce(device, key, values))
+                    .await;
                 TaskResult::Reduce { key, output }
             }
         };
@@ -243,12 +249,13 @@ pub(crate) fn cpu_poller<A: SpmdApp>(ctx: &SimCtx, app: &A, ports: &NodePorts<A>
 /// `gpu_streams`). Graceful degradation: the first task its dead card
 /// cannot finish goes straight back to the sub-task scheduler, with the
 /// virtual seconds of kernel work the crash cost, and the daemon exits.
-pub(crate) fn gpu_stream_worker<A: SpmdApp>(
-    ctx: &SimCtx,
-    job: &JobShared<A>,
-    ports: &NodePorts<A>,
+pub(crate) async fn gpu_stream_worker<A: SpmdApp>(
+    ctx: SimCtx,
+    job: Arc<JobShared<A>>,
+    ports: Arc<NodePorts<A>>,
     gpu_index: usize,
 ) {
+    let ctx = &ctx;
     let (app, gpu, device) = (
         job.app.as_ref(),
         &ports.node.gpus[gpu_index],
@@ -257,13 +264,17 @@ pub(crate) fn gpu_stream_worker<A: SpmdApp>(
     // The funneled design: one context for the daemon's whole life,
     // created during job setup (the worker waits for readiness before the
     // timed iterations start).
-    let _daemon_context = (!job.config.context_per_task).then(|| gpu.create_context(ctx));
+    let _daemon_context = if job.config.context_per_task {
+        None
+    } else {
+        Some(gpu.create_context_async(ctx).await)
+    };
     let staged = app.workload().residency == DataResidency::Staged;
     ports.ready.send(ctx, ());
-    while let Some(task) = ports.gpu_q.recv(ctx) {
+    while let Some(task) = ports.gpu_q.recv_async(ctx).await {
         let crashed = gpu.is_crashed(ctx.now());
         if !crashed && job.config.context_per_task {
-            let _per_task = gpu.create_context(ctx);
+            let _per_task = gpu.create_context_async(ctx).await;
         }
         // The task is only borrowed while it runs, so an interrupted one
         // goes back intact.
@@ -278,10 +289,12 @@ pub(crate) fn gpu_stream_worker<A: SpmdApp>(
                 speculative,
             } => {
                 if staged {
-                    gpu.transfer_h2d(ctx, range.len() as u64 * app.item_bytes());
+                    gpu.transfer_h2d_async(ctx, range.len() as u64 * app.item_bytes())
+                        .await;
                 }
                 let work = app.map_work(range.len());
-                gpu.try_launch(ctx, &work, || app.gpu_map(ports.node.rank, range.clone()))
+                gpu.try_launch_async(ctx, &work, || app.gpu_map(ports.node.rank, range.clone()))
+                    .await
                     .map(|pairs| TaskResult::Map {
                         id,
                         device,
@@ -292,7 +305,8 @@ pub(crate) fn gpu_stream_worker<A: SpmdApp>(
             }
             Task::Reduce { key, ref values } => {
                 let work = app.reduce_work(values.len());
-                gpu.try_launch(ctx, &work, || app.reduce(device, key, values.clone()))
+                gpu.try_launch_async(ctx, &work, || app.reduce(device, key, values.clone()))
+                    .await
                     .map(|output| TaskResult::Reduce { key, output })
                     .map_err(|dead| dead.lost)
             }
@@ -695,18 +709,18 @@ impl<A: SpmdApp> Worker<A> {
         record_recovery(ctx.now(), &job.recovery, &job.obs, &self.sched_lane, action);
     }
 
-    /// Runs `transfer` against every engaged GPU at once — one child
-    /// process per card, named `{name}-gpu{g}` — and waits for all of them.
-    fn on_each_gpu(
+    /// Runs `transfer` against every engaged GPU at once — one child task
+    /// per card, named `{name}-gpu{g}` — and waits for all of them.
+    fn on_each_gpu<Fut: Future<Output = ()> + 'static>(
         &self,
         ctx: &SimCtx,
         name: &str,
-        transfer: impl Fn(&Gpu, &SimCtx) + Copy + Send + 'static,
+        transfer: impl FnOnce(Arc<Gpu>, SimCtx) -> Fut + Copy + Send + 'static,
     ) {
         let handles: Vec<_> = (0..self.job.config.gpus_per_node)
             .map(|g| {
                 let gpu = self.ports.node.gpus[g].clone();
-                ctx.spawn(&format!("{name}-gpu{g}"), move |cctx| transfer(&gpu, cctx))
+                ctx.spawn_task(&format!("{name}-gpu{g}"), move |cctx| transfer(gpu, cctx))
             })
             .collect();
         ctx.join_all(&handles);
@@ -733,13 +747,13 @@ impl<A: SpmdApp> Worker<A> {
         // (each card needs its own copy); staging proceeds in parallel.
         if config.cache_resident_data && self.keeps_resident_copy() {
             let my_bytes = self.my_bytes;
-            self.on_each_gpu(ctx, "stage", move |gpu, cctx| {
+            self.on_each_gpu(ctx, "stage", move |gpu, cctx| async move {
                 // `validate` refuses a home share that does not fit; only
                 // partitions reassigned onto this node can overflow here.
                 gpu.memory
                     .alloc(my_bytes)
                     .expect("resident working set must fit in GPU memory");
-                gpu.transfer_h2d(cctx, my_bytes);
+                gpu.transfer_h2d_async(&cctx, my_bytes).await;
             });
         }
         self.coll().barrier(ctx);
@@ -803,8 +817,8 @@ impl<A: SpmdApp> Worker<A> {
         let config = &self.job.config;
         if !config.cache_resident_data && self.keeps_resident_copy() {
             let my_bytes = self.my_bytes;
-            self.on_each_gpu(ctx, "restage", move |gpu, cctx| {
-                gpu.transfer_h2d(cctx, my_bytes)
+            self.on_each_gpu(ctx, "restage", move |gpu, cctx| async move {
+                gpu.transfer_h2d_async(&cctx, my_bytes).await
             });
         }
         // A crashed GPU is excluded from the static split, so the
@@ -1186,8 +1200,8 @@ impl<A: SpmdApp> Worker<A> {
         if !gpu_pairs.is_empty() {
             let inter_bytes: u64 = gpu_pairs.iter().map(|(_, v)| app.inter_bytes(v)).sum();
             let share = inter_bytes / self.job.config.gpus_per_node as u64;
-            self.on_each_gpu(ctx, "d2h", move |gpu, cctx| {
-                gpu.transfer_d2h(cctx, share.max(1))
+            self.on_each_gpu(ctx, "d2h", move |gpu, cctx| async move {
+                gpu.transfer_d2h_async(&cctx, share.max(1)).await
             });
         }
     }

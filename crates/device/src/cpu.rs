@@ -99,9 +99,20 @@ impl CpuPool {
 
     /// Runs one task on one core: blocks for a core, executes the real
     /// `body`, charges the roofline core time for `work`.
+    /// [`SimCtx::wait`] on [`CpuPool::run_task_async`].
     pub fn run_task<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
+        ctx.wait(self.run_task_async(ctx, work, body))
+    }
+
+    /// The future behind [`CpuPool::run_task`], for a task to await.
+    pub async fn run_task_async<R>(
+        &self,
+        ctx: &SimCtx,
+        work: &WorkProfile,
+        body: impl FnOnce() -> R,
+    ) -> R {
         let t_queued = ctx.now();
-        self.cores.acquire(ctx, 1);
+        self.cores.acquire_async(ctx, 1).await;
         let result = body();
         let t0 = ctx.now();
         let factor = SlowdownWindow::factor_at(&self.slowdowns.lock(), t0);
@@ -111,7 +122,7 @@ impl CpuPool {
         } else {
             SimTime::from_secs_f64(base.as_secs_f64() * factor)
         };
-        ctx.hold(t);
+        ctx.sleep(t).await;
         let t_end = ctx.now();
         if let Some(obs) = self.obs.lock().as_ref() {
             let lane = self.claim_lane(t0.as_secs_f64(), t_end.as_secs_f64());

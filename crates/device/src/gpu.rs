@@ -172,8 +172,14 @@ impl Gpu {
     /// Creates a GPU context, paying the creation cost in virtual time.
     /// The paper funnels all GPU access through one daemon precisely to
     /// avoid paying this per task (§III.C.3).
+    /// [`SimCtx::wait`] on [`Gpu::create_context_async`].
     pub fn create_context(self: &Arc<Self>, ctx: &SimCtx) -> GpuContext {
-        ctx.hold(self.overheads.context_create);
+        ctx.wait(self.create_context_async(ctx))
+    }
+
+    /// The future behind [`Gpu::create_context`], for a task to await.
+    pub async fn create_context_async(self: &Arc<Self>, ctx: &SimCtx) -> GpuContext {
+        ctx.sleep(self.overheads.context_create).await;
         self.stats.lock().contexts += 1;
         GpuContext {
             gpu: self.clone(),
@@ -182,11 +188,17 @@ impl Gpu {
     }
 
     /// Transfers `bytes` host→device on the H2D DMA engine.
+    /// [`SimCtx::wait`] on [`Gpu::transfer_h2d_async`].
     pub fn transfer_h2d(&self, ctx: &SimCtx, bytes: u64) {
+        ctx.wait(self.transfer_h2d_async(ctx, bytes));
+    }
+
+    /// The future behind [`Gpu::transfer_h2d`], for a task to await.
+    pub async fn transfer_h2d_async(&self, ctx: &SimCtx, bytes: u64) {
         let t = pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64);
-        self.copy_h2d.acquire(ctx, 1);
+        self.copy_h2d.acquire_async(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(t);
+        ctx.sleep(t).await;
         let t1 = ctx.now();
         self.record_obs_transfer(&self.lanes.copy_in, &self.lanes.kind_h2d, "h2d", bytes, t0, t1);
         self.copy_h2d.release(ctx, 1);
@@ -220,13 +232,19 @@ impl Gpu {
 
     /// Transfers `bytes` device→host: on Kepler-class parts this uses the
     /// second DMA engine and overlaps H2D traffic; on Fermi both
-    /// directions share one engine.
+    /// directions share one engine. [`SimCtx::wait`] on
+    /// [`Gpu::transfer_d2h_async`].
     pub fn transfer_d2h(&self, ctx: &SimCtx, bytes: u64) {
+        ctx.wait(self.transfer_d2h_async(ctx, bytes));
+    }
+
+    /// The future behind [`Gpu::transfer_d2h`], for a task to await.
+    pub async fn transfer_d2h_async(&self, ctx: &SimCtx, bytes: u64) {
         let t = pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64);
         let engine = self.copy_d2h.as_ref().unwrap_or(&self.copy_h2d);
-        engine.acquire(ctx, 1);
+        engine.acquire_async(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(t);
+        ctx.sleep(t).await;
         let t1 = ctx.now();
         self.record_obs_transfer(&self.lanes.copy_out, &self.lanes.kind_d2h, "d2h", bytes, t0, t1);
         engine.release(ctx, 1);
@@ -238,9 +256,21 @@ impl Gpu {
     /// Launches a kernel described by `work`, blocking until completion.
     /// `body` executes the kernel's real host-side computation while the
     /// compute engine is held. Panics if the device has crashed — fault
-    /// aware callers use [`Gpu::try_launch`].
+    /// aware callers use [`Gpu::try_launch`]. [`SimCtx::wait`] on
+    /// [`Gpu::launch_async`].
     pub fn launch<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
-        self.try_launch(ctx, work, body)
+        ctx.wait(self.launch_async(ctx, work, body))
+    }
+
+    /// The future behind [`Gpu::launch`], for a task to await.
+    pub async fn launch_async<R>(
+        &self,
+        ctx: &SimCtx,
+        work: &WorkProfile,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        self.try_launch_async(ctx, work, body)
+            .await
             .unwrap_or_else(|_| panic!("kernel launched on crashed GPU '{}'", self.name))
     }
 
@@ -249,7 +279,18 @@ impl Gpu {
     /// inside the kernel's execution window). On a mid-kernel crash the
     /// caller is charged the virtual time up to the crash — work lost, not
     /// results — and `body` is never considered to have produced output.
+    /// [`SimCtx::wait`] on [`Gpu::try_launch_async`].
     pub fn try_launch<R>(
+        &self,
+        ctx: &SimCtx,
+        work: &WorkProfile,
+        body: impl FnOnce() -> R,
+    ) -> Result<R, GpuCrashed> {
+        ctx.wait(self.try_launch_async(ctx, work, body))
+    }
+
+    /// The future behind [`Gpu::try_launch`], for a task to await.
+    pub async fn try_launch_async<R>(
         &self,
         ctx: &SimCtx,
         work: &WorkProfile,
@@ -259,7 +300,7 @@ impl Gpu {
             return Err(GpuCrashed { lost: SimTime::ZERO });
         }
         let t_queued = ctx.now();
-        self.compute.acquire(ctx, 1);
+        self.compute.acquire_async(ctx, 1).await;
         let t0 = ctx.now();
         if self.is_crashed(t0) {
             self.compute.release(ctx, 1);
@@ -276,7 +317,7 @@ impl Gpu {
             if t0 + t > at {
                 // Dies mid-kernel: burn the time up to the crash, then fail.
                 let lost = if at > t0 { at - t0 } else { SimTime::ZERO };
-                ctx.hold(lost);
+                ctx.sleep(lost).await;
                 let t1 = ctx.now();
                 if let Some(o) = self.obs.lock().as_ref() {
                     if let Some(d) =
@@ -292,7 +333,7 @@ impl Gpu {
             }
         }
         let result = body();
-        ctx.hold(t);
+        ctx.sleep(t).await;
         let t1 = ctx.now();
         if let Some(o) = self.obs.lock().as_ref() {
             let wait = t0.saturating_sub(t_queued).as_secs_f64();
@@ -352,7 +393,20 @@ pub struct Stream<'a> {
 impl Stream<'_> {
     /// Runs one block through the stream: optional input transfer, kernel
     /// (with real host-side `body`), optional output transfer.
+    /// [`SimCtx::wait`] on [`Stream::run_block_async`].
     pub fn run_block<R>(
+        &self,
+        ctx: &SimCtx,
+        h2d_bytes: u64,
+        work: &WorkProfile,
+        d2h_bytes: u64,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        ctx.wait(self.run_block_async(ctx, h2d_bytes, work, d2h_bytes, body))
+    }
+
+    /// The future behind [`Stream::run_block`], for a task to await.
+    pub async fn run_block_async<R>(
         &self,
         ctx: &SimCtx,
         h2d_bytes: u64,
@@ -362,11 +416,11 @@ impl Stream<'_> {
     ) -> R {
         let gpu = self.context.gpu();
         if h2d_bytes > 0 {
-            gpu.transfer_h2d(ctx, h2d_bytes);
+            gpu.transfer_h2d_async(ctx, h2d_bytes).await;
         }
-        let r = gpu.launch(ctx, work, body);
+        let r = gpu.launch_async(ctx, work, body).await;
         if d2h_bytes > 0 {
-            gpu.transfer_d2h(ctx, d2h_bytes);
+            gpu.transfer_d2h_async(ctx, d2h_bytes).await;
         }
         r
     }

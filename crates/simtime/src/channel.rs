@@ -52,7 +52,8 @@ impl<T> RecvOutcome<T> {
 ///
 /// `send` is non-blocking and delivers at the current virtual time;
 /// `send_delayed` delivers after a virtual delay (used to model link
-/// latency). `recv` blocks the calling process until a message or close.
+/// latency). `recv` blocks the calling process until a message or close;
+/// a task awaits `recv_async` instead.
 pub struct Channel<T> {
     inner: Arc<Mutex<ChanInner<T>>>,
 }
@@ -128,8 +129,14 @@ impl<T: Send + 'static> Channel<T> {
     }
 
     /// Blocks until a message is available; returns `None` once the channel
-    /// is closed *and* drained.
+    /// is closed *and* drained. [`SimCtx::wait`] on [`Channel::recv_async`].
     pub fn recv(&self, ctx: &SimCtx) -> Option<T> {
+        ctx.wait(self.recv_async(ctx))
+    }
+
+    /// The next message, or `None` once the channel is closed *and*
+    /// drained: the future behind [`Channel::recv`].
+    pub async fn recv_async(&self, ctx: &SimCtx) -> Option<T> {
         loop {
             {
                 let mut g = self.inner.lock();
@@ -143,18 +150,25 @@ impl<T: Send + 'static> Channel<T> {
                 g.next_ticket += 1;
                 g.waiters.push_back((ctx.pid(), ticket));
             }
-            ctx.block(|ks| BlockReason::Recv(self.label(ks)));
+            ctx.block(|ks| BlockReason::Recv(self.label(ks))).await;
         }
     }
 
     /// Blocks until a message, close, or the absolute virtual-time
-    /// `deadline`, whichever comes first.
+    /// `deadline`, whichever comes first. [`SimCtx::wait`] on
+    /// [`Channel::recv_deadline_async`].
+    pub fn recv_deadline(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
+        ctx.wait(self.recv_deadline_async(ctx, deadline))
+    }
+
+    /// A message, close, or the absolute virtual-time `deadline`,
+    /// whichever comes first: the future behind [`Channel::recv_deadline`].
     ///
     /// The timeout is implemented as a kernel action keyed by a per-wait
     /// ticket: if the receiver was already woken by a delivery (or close)
     /// the ticket is gone and the action is a no-op, so no stale wake can
     /// reach a process that has moved on.
-    pub fn recv_deadline(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
+    pub async fn recv_deadline_async(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
         loop {
             let now = ctx.now();
             let ticket = {
@@ -193,7 +207,8 @@ impl<T: Send + 'static> Channel<T> {
                     }
                 });
                 BlockReason::RecvDeadline(self.label(ks), deadline)
-            });
+            })
+            .await;
         }
     }
 

@@ -21,7 +21,9 @@
 //! first activation enters the body, `switch_to` suspends the running
 //! context and resumes another (`None` is the root: the caller of
 //! `Sim::run`), a body's return value names the context that runs once it
-//! is over, and `unwind_all` ends the still-suspended ones.
+//! is over, and `unwind_all` ends the still-suspended ones. A slot may
+//! instead hold a stackless [`Task`] (`spawn_task`): it is never switched
+//! to, only taken out, polled by whoever runs the event loop and put back.
 //!
 //! The invariant every `unsafe` block leans on is the engine's execution
 //! token: one context runs at a time, and only the running one calls in
@@ -30,8 +32,10 @@
 //! code has no way to break it.
 
 use std::cell::{RefCell, UnsafeCell};
+use std::future::Future;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::ptr;
 
 /// Usable bytes per stack. Processes are shallow (a closure and a few
@@ -289,6 +293,18 @@ pub(crate) fn mapped_chunks() -> isize {
 /// resume once it is over (`None`: the root).
 pub(crate) type Body = Box<dyn FnOnce() -> Option<usize> + Send>;
 
+/// A started task: polled until it completes.
+pub(crate) type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A stackless context. Until its first activation it is a `Send` closure
+/// that builds the future; from then on, the future.
+pub(crate) enum Task {
+    /// Builds the future on the first activation.
+    Unstarted(Box<dyn FnOnce() -> TaskFuture + Send>),
+    /// Polled on each activation after the first.
+    Started(TaskFuture),
+}
+
 /// Why [`Contexts::switch_to`] returned.
 #[derive(Debug, PartialEq)]
 #[must_use]
@@ -307,6 +323,9 @@ struct Slot {
     body: Option<Body>,
     /// Moved to `zombie` when the body returns.
     stack: Option<Stack>,
+    /// A task's, out of the slot while it is polled; every other field
+    /// of a task's slot stays empty.
+    task: Option<Task>,
 }
 
 struct Inner {
@@ -333,12 +352,15 @@ type Table = UnsafeCell<Inner>;
 pub(crate) struct Contexts(Box<Table>);
 
 // SAFETY: a suspended context and the chunk it lives in are plain memory,
-// and a body that has not started is a `Send` closure, so the table may
-// move between threads while nothing runs (tests build a `Sim` on one
-// thread and run it on another).
+// and a body or task that has not started is a `Send` closure, so the
+// table may move between threads while nothing runs (tests build a `Sim`
+// on one thread and run it on another).
 // Once `switch_to` has started a context, the table is only touched by the
 // token holder on the one thread inside `Sim::run` (module docs), which is
-// what lets `&Contexts` be shared with every process.
+// what lets `&Contexts` be shared with every process. A started task's
+// future, which need not be `Send`, is likewise only built, polled and
+// dropped on that thread, and `unwind_all` drops every task before
+// `Sim::run` returns.
 unsafe impl Send for Contexts {}
 // SAFETY: as above.
 unsafe impl Sync for Contexts {}
@@ -356,22 +378,57 @@ impl Contexts {
         })))
     }
 
+    /// Runs `f` on the table; `f` neither calls back into the table nor
+    /// drops anything that could.
+    fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        // SAFETY: the token holder has exclusive access, and the borrow
+        // lives only as long as `f`, which never re-enters the table.
+        f(unsafe { &mut *self.0.get() })
+    }
+
     /// Adds a context that will run `body` when first switched to, on a
     /// recycled stack if one is idle. Returns its index, or the error of
     /// the `mmap` or `mprotect` that refused a new stack — in which case
     /// `body` is dropped and the table is as it was.
     pub(crate) fn spawn(&self, body: Body) -> io::Result<usize> {
-        // SAFETY: the token holder has exclusive access, and no reference
-        // into the table outlives a call.
-        let inner = unsafe { &mut *self.0.get() };
-        let stack = inner.take_stack()?;
-        let sp = stack.seed(&*self.0);
-        inner.slots.push(Slot {
-            sp,
-            body: Some(body),
-            stack: Some(stack),
-        });
-        Ok(inner.slots.len() - 1)
+        let table: *const Table = &*self.0;
+        let stack = self.with_inner(Inner::take_stack)?;
+        let sp = stack.seed(table);
+        Ok(self.with_inner(|inner| {
+            inner.slots.push(Slot {
+                sp,
+                body: Some(body),
+                stack: Some(stack),
+                task: None,
+            });
+            inner.slots.len() - 1
+        }))
+    }
+
+    /// Adds a stackless context that `build` turns into a future on its
+    /// first activation. Returns its index.
+    pub(crate) fn spawn_task(&self, build: Box<dyn FnOnce() -> TaskFuture + Send>) -> usize {
+        self.with_inner(|inner| {
+            inner.slots.push(Slot {
+                sp: ptr::null_mut(),
+                body: None,
+                stack: None,
+                task: Some(Task::Unstarted(build)),
+            });
+            inner.slots.len() - 1
+        })
+    }
+
+    /// Takes context `i`'s task out for polling; `None` for a stackful
+    /// context (or a task that is gone).
+    pub(crate) fn take_task(&self, i: usize) -> Option<Task> {
+        self.with_inner(|inner| inner.slots[i].task.take())
+    }
+
+    /// Puts back the future of the task taken out of context `i`.
+    pub(crate) fn put_task(&self, i: usize, future: TaskFuture) {
+        let taken = self.with_inner(|inner| inner.slots[i].task.replace(Task::Started(future)));
+        assert!(taken.is_none(), "context {i} held a task while it was polled");
     }
 
     /// Suspends the running context and resumes `next`; returns when some
@@ -404,24 +461,30 @@ impl Contexts {
 
     /// Ends every started, still-suspended context: each is resumed with
     /// [`Resumed::Unwind`], unwinds to its body, and its body's return
-    /// brings the root back. Root only. Bodies that never started are
-    /// dropped with the table.
+    /// brings the root back. Then drops every task, started or not, after
+    /// taking it out of the table. Root only. Bodies that never started
+    /// are dropped with the table.
     pub(crate) fn unwind_all(&self) {
         let mut i = 0;
         loop {
-            // SAFETY: exclusive access as in `spawn`; the borrow ends
-            // before the `switch_to`.
-            let inner = unsafe { &mut *self.0.get() };
-            assert!(inner.current.is_none(), "only the root ends the others");
-            inner.unwinding = true;
-            let Some(slot) = inner.slots.get(i) else {
-                return;
-            };
-            if slot.body.is_none() && !slot.sp.is_null() {
-                let _ = self.switch_to(Some(i));
+            let suspended = self.with_inner(|inner| {
+                assert!(inner.current.is_none(), "only the root ends the others");
+                inner.unwinding = true;
+                let slot = inner.slots.get(i)?;
+                Some(slot.body.is_none() && !slot.sp.is_null())
+            });
+            match suspended {
+                Some(true) => {
+                    let _ = self.switch_to(Some(i));
+                }
+                Some(false) => {}
+                None => break,
             }
             i += 1;
         }
+        let tasks: Vec<Task> =
+            self.with_inner(|inner| inner.slots.iter_mut().filter_map(|s| s.task.take()).collect());
+        drop(tasks);
     }
 }
 

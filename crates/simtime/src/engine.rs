@@ -2,15 +2,25 @@
 //! and the in-process context handle ([`SimCtx`]).
 //!
 //! There is one OS thread — the caller of [`Sim::run`] — and no engine
-//! context. Every process is a coroutine on a stack of its own
-//! ([`crate::coro`]), and the event loop ([`dispatch`]) runs on whichever
-//! context holds the execution token: a process that blocks pops events
-//! itself, runs kernel actions and timers inline, keeps going when the next
-//! wake is its own, and otherwise switches straight to the woken process.
-//! The caller of [`Sim::run`] is the root context: it switches to the first
-//! process and is resumed once, at the terminal condition.
+//! context. A process is either a coroutine on a stack of its own
+//! ([`crate::coro`]), written in blocking style against `&SimCtx`, or a
+//! stackless *task*: a future the event loop polls. The event loop
+//! ([`dispatch`]) runs on whichever context holds the execution token: a
+//! process that blocks pops events itself, runs kernel actions and timers
+//! inline, polls a task whose wake fires right there, keeps going when the
+//! next wake is its own, and otherwise switches straight to the woken
+//! process. The caller of [`Sim::run`] is the root context: it switches to
+//! the first stackful process and is resumed once, at the terminal
+//! condition.
+//!
+//! Every blocking primitive is one future ([`SimCtx::sleep`],
+//! [`SimCtx::join_async`], [`crate::Channel::recv_async`],
+//! [`crate::Resource::acquire_async`], ...), and all of them block at one
+//! point, `SimCtx::block`. A task `.await`s the future, which returns
+//! `Pending` there; a stackful process calls the blocking method,
+//! [`SimCtx::wait`] on the same future, and blocks there in place.
 
-use crate::coro::{Body, Resumed};
+use crate::coro::{Body, Resumed, Task, TaskFuture};
 use crate::kernel::{
     BlockReason, EventPayload, KState, Kernel, Outcome, Pid, ProcEntry, ProcState, Queues, Shard,
     TraceEvent,
@@ -19,9 +29,12 @@ use crate::time::SimTime;
 use parking_lot::MutexGuard;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::future::Future;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// Payload used to unwind blocked processes when the simulation ends.
 struct Shutdown;
@@ -138,10 +151,10 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
-    /// The operating system refused the stack of a new process: the
-    /// address-space limit (`ulimit -v`) or the mapping-count limit
+    /// The operating system refused the stack of a new stackful process:
+    /// the address-space limit (`ulimit -v`) or the mapping-count limit
     /// (`vm.max_map_count`; a stack and its guard page are two mappings)
-    /// is used up. The run ends at that spawn.
+    /// is used up. The run ends at that spawn. Tasks need no stack.
     StackExhausted {
         /// Processes spawned before the one that got no stack.
         processes: usize,
@@ -195,15 +208,22 @@ pub struct SimReport {
     pub end_time: SimTime,
     /// Total events processed by the engine loop.
     pub events_processed: u64,
-    /// Wakes that moved the execution token from one process to another —
-    /// one user-space context switch each. A pure function of the event
-    /// order, so identical across [`EngineMode`]s and across runs. The
-    /// start of the first process from [`Sim::run`] and the return to it
-    /// at the end are not counted.
+    /// Wakes delivered to another process than the one whose wake fired
+    /// before — the one running the event loop, or the task it polled
+    /// last. A pure function of the event order, so identical across
+    /// [`EngineMode`]s and across runs, and the same whether the processes
+    /// are stackful or tasks. The first wake, delivered by [`Sim::run`],
+    /// is not counted.
     pub handoffs: u64,
-    /// Wakes whose target was the very process running the event loop: it
-    /// carried on with no switch at all.
+    /// Wakes whose target was that same process: it carried on with no
+    /// switch at all.
     pub inline_resumes: u64,
+    /// Stack switches actually made from one process's context to
+    /// another's: the hand-offs whose target is stackful, less those a
+    /// task's poll absorbed. Equal to `handoffs` when no process is a
+    /// task. The start of the first stackful process from [`Sim::run`] and
+    /// the return to it at the end are not counted.
+    pub switches: u64,
     /// Trace records, if tracing was enabled via [`Sim::enable_trace`].
     pub trace: Vec<TraceEvent>,
 }
@@ -234,8 +254,10 @@ impl ProcHandle {
 /// in scheduling order — under every [`EngineMode`], including the sharded
 /// parallel stepper.
 ///
-/// A process has 1 MiB of stack, committed as it is touched, above a guard
-/// page; overflowing it kills the program with a plain `SIGSEGV`.
+/// A stackful process has 1 MiB of stack, committed as it is touched,
+/// above a guard page; overflowing it kills the program with a plain
+/// `SIGSEGV`. A task ([`Sim::spawn_task`]) has no stack: it runs on the
+/// stack of whichever context polls it.
 ///
 /// ```
 /// use simtime::{Sim, SimTime};
@@ -311,6 +333,31 @@ impl Sim {
         })
     }
 
+    /// Spawns a root task: a stackless process whose future `f` builds
+    /// from its handle when the task first runs, at the current virtual
+    /// time once [`Sim::run`] is called. It is registered, numbered,
+    /// started, joined and reported exactly as a process from
+    /// [`Sim::spawn`] is; it blocks by `.await`ing the async primitives
+    /// ([`SimCtx::sleep`], [`crate::Channel::recv_async`], ...), never by
+    /// their blocking forms. Lands on shard 0.
+    pub fn spawn_task<F, Fut>(&mut self, name: &str, f: F) -> ProcHandle
+    where
+        F: FnOnce(SimCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        self.spawn_task_on(0, name, f)
+    }
+
+    /// [`Sim::spawn_task`] with an explicit shard placement hint (see
+    /// [`Sim::spawn_on`]).
+    pub fn spawn_task_on<F, Fut>(&mut self, shard: usize, name: &str, f: F) -> ProcHandle
+    where
+        F: FnOnce(SimCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        spawn_task(&self.kernel, shard as Shard, name, f)
+    }
+
     /// Schedules a lightweight timer `after` the current virtual time.
     ///
     /// Timers run inline on whichever process holds the execution token
@@ -354,7 +401,7 @@ impl Sim {
         let ks = kernel.state.lock();
         // A root spawn that got no stack has settled the outcome already.
         if ks.outcome.is_none() {
-            if let Baton::Passed(first) = dispatch(ks, None) {
+            if let Baton::Passed(first) = dispatch(kernel, ks, None) {
                 let _ = kernel.contexts.switch_to(first);
             }
         } else {
@@ -362,8 +409,8 @@ impl Sim {
         }
         let outcome = kernel.state.lock().outcome.take();
         // Whatever the outcome, no process outlives `run`: each blocked
-        // one unwinds to its base, and the never-started are dropped with
-        // the kernel.
+        // one unwinds to its base, every task is dropped, and the
+        // never-started processes are dropped with the kernel.
         kernel.contexts.unwind_all();
         outcome
             .expect("the token came back without an outcome")
@@ -383,17 +430,26 @@ enum Baton {
 }
 
 /// The event loop, run by whoever holds the execution token: `me` is the
-/// blocking (or finishing) process, or `None` for `Sim::run`.
+/// blocking (or finishing) stackful process, or `None` for `Sim::run`.
 ///
-/// Pops events in `(time, seq)` order under the caller's one kernel lock.
-/// Actions run inline. A wake for `me` returns [`Baton::Kept`] — no
-/// switch; a wake for another process passes the token straight to it. On a
+/// Pops events in `(time, seq)` order under the caller's kernel lock.
+/// Actions run inline. A task's wake polls the task inline, with the lock
+/// released. A wake for `me` returns [`Baton::Kept`] — no switch; a wake
+/// for another stackful process passes the token straight to it. On a
 /// terminal condition (checked in the order panic, event limit, done,
 /// deadlock) the outcome is stored and the token goes back to `Sim::run`.
 /// Who pops an event never influences which event is popped, so the event
 /// order is that of the queue alone.
-fn dispatch(mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
+fn dispatch<'k>(kernel: &'k Kernel, mut ks: MutexGuard<'k, KState>, me: Option<Pid>) -> Baton {
+    let to_root = match me {
+        None => Baton::Kept,
+        Some(_) => Baton::Passed(None),
+    };
     let outcome: Outcome = loop {
+        // Stored already when a task's spawn found no stack.
+        if ks.outcome.is_some() {
+            return to_root;
+        }
         if let Some((process, message)) = ks.panic_info.take() {
             break Ok(Err(SimError::ProcessPanicked { process, message }));
         }
@@ -405,13 +461,33 @@ fn dispatch(mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
                 if ks.procs[pid].state == ProcState::Finished {
                     continue;
                 }
-                debug_assert_eq!(ks.procs[pid].state, ProcState::Blocked);
-                ks.procs[pid].state = ProcState::Running;
+                ks.resume(pid);
+                if let Some(task) = kernel.contexts.take_task(pid) {
+                    // The task runs as a process does, without the lock; a
+                    // finished or broken one's future is dropped there too.
+                    drop(ks);
+                    let polled = poll_task(task);
+                    ks = kernel.state.lock();
+                    match polled {
+                        Ok(Polled::Pending(future)) => {
+                            kernel.contexts.put_task(pid, future);
+                            if ks.procs[pid].state == ProcState::Running {
+                                ks.finish(pid, Some(PENDING_WITHOUT_WAKE.to_string()));
+                            }
+                        }
+                        Ok(Polled::Ready) => ks.finish(pid, None),
+                        // Unwound at a spawn that found no stack: the
+                        // outcome is stored, and the task is as gone as a
+                        // process unwound at shutdown.
+                        Err(payload) if payload.is::<Shutdown>() => {}
+                        Err(payload) => ks.finish(pid, Some(panic_message(payload.as_ref()))),
+                    }
+                    continue;
+                }
                 if me == Some(pid) {
-                    ks.inline_resumes += 1;
                     return Baton::Kept;
                 }
-                ks.handoffs += u64::from(me.is_some());
+                ks.switches += u64::from(me.is_some());
                 return Baton::Passed(Some(pid));
             }
             Some((_, EventPayload::Action(slot))) => {
@@ -429,6 +505,7 @@ fn dispatch(mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
                     events_processed: ks.events_processed,
                     handoffs: ks.handoffs,
                     inline_resumes: ks.inline_resumes,
+                    switches: ks.switches,
                     trace: ks.take_trace(),
                 }));
             }
@@ -441,10 +518,35 @@ fn dispatch(mut ks: MutexGuard<'_, KState>, me: Option<Pid>) -> Baton {
         }
     };
     ks.outcome = Some(outcome);
-    match me {
-        None => Baton::Kept,
-        Some(_) => Baton::Passed(None),
-    }
+    to_root
+}
+
+/// What a future that returned `Pending` without arranging a wake through
+/// a simulation primitive is told: nothing would ever resume it.
+const PENDING_WITHOUT_WAKE: &str =
+    "a process future returned Pending without blocking on a simtime primitive";
+
+/// How one poll of a task came out.
+enum Polled {
+    /// Blocked: the future, to be put back until its wake fires.
+    Pending(TaskFuture),
+    /// Finished; the future is dropped.
+    Ready,
+}
+
+/// Builds a task's future on its first activation, and polls it once.
+/// `Err` carries the payload of a panic in either, the future dropped.
+fn poll_task(task: Task) -> std::thread::Result<Polled> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut future = match task {
+            Task::Unstarted(build) => build(),
+            Task::Started(future) => future,
+        };
+        match future.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(()) => Polled::Ready,
+            Poll::Pending => Polled::Pending(future),
+        }
+    }))
 }
 
 /// Handle passed to [`Sim::schedule`] timer callbacks: read the clock and
@@ -488,14 +590,7 @@ where
     // and through it itself — alive.
     let weak = Arc::downgrade(kernel);
     let body: Body = Box::new(move || {
-        let ctx = SimCtx {
-            kernel: weak
-                .upgrade()
-                .expect("a process only starts inside Sim::run"),
-            pid,
-            shard,
-            not_sync: PhantomData,
-        };
+        let ctx = SimCtx::started(&weak, pid, shard, false);
         match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
             Ok(()) => finishing(&ctx, None),
             // Unwound by `Sim::run` on its way out: back to it.
@@ -513,8 +608,29 @@ where
             return None;
         }
     };
-    assert_eq!(slot, pid, "contexts and processes are numbered alike");
+    Some(register(&mut ks, slot, shard, name))
+}
 
+/// Registers a task exactly as [`spawn_process`] registers a process; its
+/// future is built when its start wake fires.
+fn spawn_task<F, Fut>(kernel: &Arc<Kernel>, shard: Shard, name: &str, f: F) -> ProcHandle
+where
+    F: FnOnce(SimCtx) -> Fut + Send + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    let mut ks = kernel.state.lock();
+    let pid = ks.procs.len();
+    // Weakly held until the start, as a process body holds it.
+    let weak = Arc::downgrade(kernel);
+    let slot = kernel.contexts.spawn_task(Box::new(move || -> TaskFuture {
+        Box::pin(f(SimCtx::started(&weak, pid, shard, true)))
+    }));
+    register(&mut ks, slot, shard, name)
+}
+
+/// Enters a spawned context as process `pid` and schedules its start.
+fn register(ks: &mut KState, pid: Pid, shard: Shard, name: &str) -> ProcHandle {
+    assert_eq!(pid, ks.procs.len(), "contexts and processes are numbered alike");
     let label = ks.intern(name);
     ks.procs.push(ProcEntry {
         name: name.to_string(),
@@ -527,11 +643,10 @@ where
     ks.live += 1;
     let now = ks.now;
     ks.schedule_wake(now, pid);
-
-    Some(ProcHandle {
+    ProcHandle {
         pid,
         name: name.to_string(),
-    })
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -549,26 +664,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// is left for good.
 fn finishing(ctx: &SimCtx, panic_msg: Option<String>) -> Option<Pid> {
     let mut ks = ctx.kernel.state.lock();
-    let now = ks.now;
-    let entry = &mut ks.procs[ctx.pid];
-    entry.state = ProcState::Finished;
-    let waiters = std::mem::take(&mut entry.join_waiters);
-    ks.live -= 1;
-    for w in waiters {
-        ks.schedule_wake(now, w);
-    }
-    if let Some(msg) = panic_msg {
-        let name = ks.procs[ctx.pid].name.clone();
-        ks.panic_info = Some((name, msg));
-    }
-    match dispatch(ks, Some(ctx.pid)) {
+    ks.finish(ctx.pid, panic_msg);
+    match dispatch(&ctx.kernel, ks, Some(ctx.pid)) {
         Baton::Passed(next) => next,
         Baton::Kept => unreachable!("a finished process is never woken"),
     }
 }
 
-/// The in-process handle: every process closure receives `&SimCtx` and uses
-/// it for all interaction with virtual time and the scheduler.
+/// The in-process handle: a stackful process closure receives `&SimCtx`,
+/// a task's closure the `SimCtx` itself, and each uses it for all
+/// interaction with virtual time and the scheduler.
 ///
 /// Not `Sync`: only the process itself, on the thread inside [`Sim::run`],
 /// may block through it.
@@ -576,22 +681,44 @@ pub struct SimCtx {
     kernel: Arc<Kernel>,
     pid: Pid,
     shard: Shard,
+    /// Whether this process is a task, which must `.await` and never
+    /// [`SimCtx::wait`].
+    task: bool,
     not_sync: PhantomData<Cell<()>>,
 }
 
 impl SimCtx {
+    /// The handle of process `pid`, made when it first runs.
+    fn started(kernel: &std::sync::Weak<Kernel>, pid: Pid, shard: Shard, task: bool) -> Self {
+        SimCtx {
+            kernel: kernel.upgrade().expect("a process only starts inside Sim::run"),
+            pid,
+            shard,
+            task,
+            not_sync: PhantomData,
+        }
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.kernel.state.lock().now
     }
 
     /// Advances this process's virtual time by `dt`, letting other events
-    /// fire in between.
+    /// fire in between. [`SimCtx::wait`] on [`SimCtx::sleep`].
     pub fn hold(&self, dt: SimTime) {
-        let mut ks = self.kernel.state.lock();
-        let at = ks.now + dt;
-        ks.schedule_wake(at, self.pid);
-        self.park(ks, BlockReason::HoldUntil(at));
+        self.wait(self.sleep(dt));
+    }
+
+    /// Advances this process's virtual time by `dt`: the future behind
+    /// [`SimCtx::hold`].
+    pub async fn sleep(&self, dt: SimTime) {
+        self.block(|ks| {
+            let at = ks.now + dt;
+            ks.schedule_wake(at, self.pid);
+            BlockReason::HoldUntil(at)
+        })
+        .await;
     }
 
     /// Spawns a child process starting at the current virtual time, on the
@@ -610,28 +737,71 @@ impl SimCtx {
     {
         // Without a stack for the child the run is over, its outcome
         // stored: this process leaves as one unwound at shutdown does,
-        // straight back to `Sim::run`.
+        // straight back to `Sim::run` (a task, to the loop that polls it).
         spawn_process(&self.kernel, shard as Shard, name, f)
             .unwrap_or_else(|| panic::resume_unwind(Box::new(Shutdown)))
     }
 
+    /// Spawns a child task (see [`Sim::spawn_task`]) starting at the
+    /// current virtual time, on the parent's shard.
+    pub fn spawn_task<F, Fut>(&self, name: &str, f: F) -> ProcHandle
+    where
+        F: FnOnce(SimCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        spawn_task(&self.kernel, self.shard, name, f)
+    }
+
     /// Blocks until the process behind `handle` finishes. Returns
-    /// immediately if it already has.
+    /// immediately if it already has. [`SimCtx::wait`] on
+    /// [`SimCtx::join_async`].
     pub fn join(&self, handle: &ProcHandle) {
-        let mut ks = self.kernel.state.lock();
-        let target = &mut ks.procs[handle.pid];
-        if target.state == ProcState::Finished {
-            return;
-        }
-        target.join_waiters.push(self.pid);
-        let reason = BlockReason::Join(target.label);
-        self.park(ks, reason);
+        self.wait(self.join_async(handle));
+    }
+
+    /// Completes once the process behind `handle` has finished: the future
+    /// behind [`SimCtx::join`].
+    pub async fn join_async(&self, handle: &ProcHandle) {
+        let reason = {
+            let mut ks = self.kernel.state.lock();
+            let target = &mut ks.procs[handle.pid];
+            if target.state == ProcState::Finished {
+                return;
+            }
+            target.join_waiters.push(self.pid);
+            BlockReason::Join(target.label)
+        };
+        self.block(|_| reason).await;
     }
 
     /// Joins every handle in `handles`, in order.
     pub fn join_all(&self, handles: &[ProcHandle]) {
         for h in handles {
             self.join(h);
+        }
+    }
+
+    /// Runs `future` to completion in this stackful process. Every
+    /// blocking method of the crate is this over its async form; other
+    /// code uses it to call an `async` body from blocking code. In a
+    /// stackful process the simulation primitives never return `Pending`:
+    /// each blocks the process where it stands, so one poll runs the
+    /// future to the end.
+    ///
+    /// # Panics
+    ///
+    /// In a task, which has no stack to block on: `.await` the future
+    /// instead. And when `future` is `Pending` anyway, having waited on
+    /// something other than a simulation primitive, which no wake would
+    /// ever resume.
+    pub fn wait<F: Future>(&self, future: F) -> F::Output {
+        assert!(
+            !self.task,
+            "SimCtx::wait called in a task, which cannot block: `.await` the future instead"
+        );
+        match pin!(future).poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(out) => out,
+            Poll::Pending => panic!("{PENDING_WITHOUT_WAKE}"),
         }
     }
 
@@ -651,26 +821,43 @@ impl SimCtx {
         f(&mut ks)
     }
 
-    /// Blocks this process until its next wake. `arm` runs in the same
-    /// kernel critical section as the handoff and returns why the process
-    /// blocks; it (or the caller, beforehand) must have arranged for a
-    /// future wake: a scheduled event, a resource grant, a channel
-    /// delivery, or a join notification.
-    pub(crate) fn block(&self, arm: impl FnOnce(&mut KState) -> BlockReason) {
+    /// Blocks this process until its next wake: the one point where every
+    /// primitive blocks. `arm` runs in one kernel critical section with
+    /// recording the block, and returns why the process blocks; it (or
+    /// the caller, beforehand) must have arranged for a future wake: a
+    /// scheduled event, a resource grant, a channel delivery, or a join
+    /// notification. A stackful process runs the event loop in that same
+    /// critical section and comes back woken; a task returns `Pending`
+    /// once, and the loop that polls it finds its wake.
+    pub(crate) async fn block(&self, arm: impl FnOnce(&mut KState) -> BlockReason) {
         let mut ks = self.kernel.state.lock();
         let reason = arm(&mut ks);
-        self.park(ks, reason);
-    }
-
-    /// Records the block reason, then runs the event loop in this process
-    /// until the token either comes straight back (own wake next) or goes
-    /// elsewhere — in which case this process is suspended until it is
-    /// woken, or until the run ends and it is unwound.
-    fn park(&self, mut ks: MutexGuard<'_, KState>, reason: BlockReason) {
         let entry = &mut ks.procs[self.pid];
         entry.block_reason = reason;
         entry.state = ProcState::Blocked;
-        if let Baton::Passed(next) = dispatch(ks, Some(self.pid)) {
+        if self.task {
+            drop(ks);
+            // Pending once; the wake just armed is what polls it again.
+            let mut armed = true;
+            std::future::poll_fn(|_| {
+                if std::mem::take(&mut armed) {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await;
+        } else {
+            self.park(ks);
+        }
+    }
+
+    /// Runs the event loop in this blocked stackful process until the
+    /// token either comes straight back (own wake next) or goes elsewhere
+    /// — in which case this process is suspended until it is woken, or
+    /// until the run ends and it is unwound.
+    fn park(&self, ks: MutexGuard<'_, KState>) {
+        if let Baton::Passed(next) = dispatch(&self.kernel, ks, Some(self.pid)) {
             if self.kernel.contexts.switch_to(next) == Resumed::Unwind {
                 // Not a panic anyone should hear about: no hook.
                 panic::resume_unwind(Box::new(Shutdown));
@@ -722,6 +909,29 @@ mod tests {
         sim.spawn("quick", |_| {});
         sim.spawn("last", last);
         sim
+    }
+
+    #[test]
+    fn only_stackful_processes_hold_stacks() {
+        within_deadline(|| {
+            let mut sim = Sim::new();
+            for i in 0..10 {
+                sim.spawn(&format!("p{i}"), move |ctx| ctx.hold(SimTime::from_secs(i)));
+            }
+            for i in 0..20 {
+                sim.spawn_task(&format!("t{i}"), move |ctx| async move {
+                    let child = ctx.spawn_task("child", |c| async move {
+                        c.sleep(SimTime::from_secs(1)).await;
+                    });
+                    ctx.join_async(&child).await;
+                    ctx.sleep(SimTime::from_secs(i)).await;
+                });
+            }
+            assert_eq!(live_stacks(), 10);
+            let report = sim.run().unwrap();
+            assert_eq!(report.end_time, SimTime::from_secs(20));
+            assert_eq!(live_stacks(), 0);
+        });
     }
 
     #[test]
@@ -872,6 +1082,25 @@ mod tests {
                 let children = children.load(Relaxed);
                 assert!(children > 0, "some children got a stack");
                 assert_exhausted(result, (roots + children) as usize);
+
+                // The same from a task: it is dropped where it stands, and
+                // the run ends the same way. Tasks take no stack, so they
+                // count among the processes but not the stacks.
+                let children = Arc::new(AtomicU64::new(0));
+                let c = children.clone();
+                let mut sim = with_bystanders(|_| {});
+                sim.spawn_task("spawner", move |ctx| async move {
+                    ctx.sleep(SimTime::from_secs(1)).await;
+                    loop {
+                        ctx.spawn("child", |ctx| ctx.hold(SimTime::from_secs(9)));
+                        c.fetch_add(1, Relaxed);
+                    }
+                });
+                let roots = live_stacks() as u64;
+                let result = sim.run();
+                let children = children.load(Relaxed);
+                assert!(children > 0, "some children got a stack");
+                assert_exhausted(result, (roots + 1 + children) as usize);
             });
             // The cap is gone with the closure.
             let mut sim = Sim::new();

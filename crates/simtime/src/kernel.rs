@@ -417,10 +417,16 @@ pub(crate) struct KState {
     pub trace: Option<Vec<RawTrace>>,
     pub events_processed: u64,
     pub event_limit: Option<u64>,
-    /// Wakes delivered by one process switching to another.
+    /// The process whose wake fired last: the one running, or the one
+    /// whose block or finish is running the event loop. `None` until the
+    /// first wake.
+    pub running: Option<Pid>,
+    /// Wakes delivered to another process than `running`.
     pub handoffs: u64,
-    /// Wakes whose target was the dispatching process itself.
+    /// Wakes whose target was `running` itself.
     pub inline_resumes: u64,
+    /// Stack switches made from one process's context to another's.
+    pub switches: u64,
     pub panic_info: Option<(String, String)>,
     /// Set once, by whoever detects the terminal condition.
     pub outcome: Option<Outcome>,
@@ -445,8 +451,10 @@ impl KState {
             trace: None,
             events_processed: 0,
             event_limit: None,
+            running: None,
             handoffs: 0,
             inline_resumes: 0,
+            switches: 0,
             panic_info: None,
             outcome: None,
             cur_shard: 0,
@@ -502,6 +510,34 @@ impl KState {
             }
         };
         Some((time, payload))
+    }
+
+    /// Marks `pid` running because its wake fired, and counts the wake as
+    /// a hand-off or an inline resume.
+    pub fn resume(&mut self, pid: Pid) {
+        debug_assert_eq!(self.procs[pid].state, ProcState::Blocked);
+        self.procs[pid].state = ProcState::Running;
+        match self.running.replace(pid) {
+            Some(prev) if prev == pid => self.inline_resumes += 1,
+            Some(_) => self.handoffs += 1,
+            None => {}
+        }
+    }
+
+    /// Marks `pid` finished and wakes its joiners; a panic message makes
+    /// the run end with `pid` named as the panicking process.
+    pub fn finish(&mut self, pid: Pid, panic_msg: Option<String>) {
+        let now = self.now;
+        let entry = &mut self.procs[pid];
+        entry.state = ProcState::Finished;
+        let waiters = std::mem::take(&mut entry.join_waiters);
+        self.live -= 1;
+        for w in waiters {
+            self.schedule_wake(now, w);
+        }
+        if let Some(msg) = panic_msg {
+            self.panic_info = Some((self.procs[pid].name.clone(), msg));
+        }
     }
 
     /// Removes the fired action from the arena.

@@ -61,7 +61,14 @@ impl Resource {
     }
 
     /// Acquires `amount` units, blocking in FIFO order until granted.
+    /// [`SimCtx::wait`] on [`Resource::acquire_async`].
     pub fn acquire(&self, ctx: &SimCtx, amount: u64) {
+        ctx.wait(self.acquire_async(ctx, amount));
+    }
+
+    /// Completes once `amount` units are granted, in FIFO order: the
+    /// future behind [`Resource::acquire`].
+    pub async fn acquire_async(&self, ctx: &SimCtx, amount: u64) {
         let must_wait = {
             let mut g = self.inner.lock();
             assert!(
@@ -84,7 +91,8 @@ impl Resource {
             ctx.block(|ks| {
                 let label = self.inner.lock().label.get(ks, &self.name);
                 BlockReason::Acquire(amount, label)
-            });
+            })
+            .await;
         }
     }
 

@@ -7,7 +7,8 @@
 mod watchdog;
 
 use simtime::{
-    Channel, EngineConfig, EngineMode, Resource, Sim, SimError, SimReport, SimTime, TraceEvent,
+    Channel, EngineConfig, EngineMode, ProcHandle, Resource, Sim, SimCtx, SimError, SimReport,
+    SimTime, TraceEvent,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use watchdog::within_deadline;
@@ -29,12 +30,41 @@ const STEPS: usize = 12;
 const CONSUMERS: usize = 6;
 const SHARDS: usize = 8;
 
+/// Whether the `i`th process spawned is a task.
+type Choice = fn(u64) -> bool;
+
+/// Spawns root process `body` as a task, or as a stackful process that
+/// [`SimCtx::wait`]s on it: the same program either way.
+fn spawn_root<F>(sim: &mut Sim, task: bool, shard: usize, name: &str, body: F)
+where
+    F: AsyncFnOnce(&SimCtx) + Send + 'static,
+{
+    if task {
+        sim.spawn_task_on(shard, name, move |ctx| async move { body(&ctx).await });
+    } else {
+        sim.spawn_on(shard, name, move |ctx| ctx.wait(body(ctx)));
+    }
+}
+
+/// [`spawn_root`] for a child of the running process.
+fn spawn_child<F>(ctx: &SimCtx, task: bool, name: &str, body: F) -> ProcHandle
+where
+    F: AsyncFnOnce(&SimCtx) + Send + 'static,
+{
+    if task {
+        ctx.spawn_task(name, move |ctx| async move { body(&ctx).await })
+    } else {
+        ctx.spawn(name, move |ctx| ctx.wait(body(ctx)))
+    }
+}
+
 /// 240 scripted processes, 6 queue consumers and a closer, mixing every
 /// way a process can block or be woken: timed and zero-length `hold`,
 /// `send`, `send_delayed`, `recv`, `recv_deadline`, contended
 /// `Resource::acquire`, and `spawn` + `join` of children that finish at
-/// once or after a hold.
-fn stress_program(mode: EngineMode) -> SimReport {
+/// once or after a hold. `task(i)` says whether the `i`th process spawned
+/// (children count after the roots) is a task rather than stackful.
+fn stress_program(mode: EngineMode, task: Choice) -> SimReport {
     let mut sim = Sim::with_config(EngineConfig {
         mode,
         shards: SHARDS,
@@ -50,50 +80,61 @@ fn stress_program(mode: EngineMode) -> SimReport {
 
     for c in 0..CONSUMERS {
         let work = work.clone();
-        sim.spawn_on(c % SHARDS, &format!("consumer{c}"), move |ctx| {
-            while let Some(item) = work.recv(ctx) {
-                ctx.hold(SimTime::from_nanos((item % 700) as f64));
+        let name = format!("consumer{c}");
+        spawn_root(&mut sim, task(c as u64), c % SHARDS, &name, async move |ctx| {
+            while let Some(item) = work.recv_async(ctx).await {
+                ctx.sleep(SimTime::from_nanos((item % 700) as f64)).await;
                 ctx.trace(format!("ate {item}"));
             }
         });
     }
     {
         let (work, done) = (work.clone(), done.clone());
-        sim.spawn("closer", move |ctx| {
+        spawn_root(&mut sim, task(CONSUMERS as u64), 0, "closer", async move |ctx| {
             for _ in 0..PROCS {
-                done.recv(ctx).expect("`done` is never closed");
+                done.recv_async(ctx).await.expect("`done` is never closed");
             }
             work.close(ctx);
         });
     }
     for i in 0..PROCS {
         let (slots, ring, work, done) = (slots.clone(), ring.clone(), work.clone(), done.clone());
-        sim.spawn_on(i % SHARDS, &format!("w{i}"), move |ctx| {
+        let me = (CONSUMERS + 1 + i) as u64;
+        spawn_root(&mut sim, task(me), i % SHARDS, &format!("w{i}"), async move |ctx| {
             for step in 0..STEPS {
                 let h = mix(i as u64, step as u64);
                 let peer = &ring[(i + 1 + (h >> 8) as usize % (PROCS - 1)) % PROCS];
                 let gap = SimTime::from_nanos((1 + (h >> 16) % 2_000) as f64);
                 match h % 8 {
-                    0 => ctx.hold(gap),
-                    1 => ctx.hold(SimTime::ZERO),
+                    0 => ctx.sleep(gap).await,
+                    1 => ctx.sleep(SimTime::ZERO).await,
                     2 => peer.send(ctx, h),
                     3 => peer.send_delayed(ctx, h, gap),
                     4 => {
-                        let got = ring[i].recv_deadline(ctx, ctx.now() + gap);
+                        let deadline = ctx.now() + gap;
+                        let got = ring[i].recv_deadline_async(ctx, deadline).await;
                         ctx.trace(format!("{got:?}"));
                     }
                     5 => {
                         let units = 1 + (h >> 40) % 2;
-                        slots.acquire(ctx, units);
-                        ctx.hold(gap);
+                        slots.acquire_async(ctx, units).await;
+                        ctx.sleep(gap).await;
                         slots.release(ctx, units);
                     }
                     6 => work.send(ctx, h),
                     _ => {
-                        let quick = ctx.spawn(&format!("w{i}q{step}"), |_| {});
-                        let slow = ctx.spawn(&format!("w{i}s{step}"), move |c| c.hold(gap));
-                        ctx.join(&slow);
-                        ctx.join(&quick); // finished long ago
+                        // Children are numbered after every root.
+                        let child = (PROCS + CONSUMERS + 1) as u64 + mix(me, step as u64) % 1024;
+                        let quick =
+                            spawn_child(ctx, task(child), &format!("w{i}q{step}"), async |_| {});
+                        let slow = spawn_child(
+                            ctx,
+                            task(child + 1),
+                            &format!("w{i}s{step}"),
+                            async move |c| c.sleep(gap).await,
+                        );
+                        ctx.join_async(&slow).await;
+                        ctx.join_async(&quick).await; // finished long ago
                     }
                 }
                 ctx.trace(format!("step {step}"));
@@ -116,18 +157,56 @@ fn summary(r: SimReport) -> Summary {
     )
 }
 
+/// Every process stackful.
+fn all_stackful(_: u64) -> bool {
+    false
+}
+
 #[test]
 fn mixed_stress_is_identical_across_engines_and_repeats() {
     within_deadline(|| {
-        let reference = summary(stress_program(EngineMode::LegacyHeap));
+        let report = stress_program(EngineMode::LegacyHeap, all_stackful);
+        assert_eq!(report.switches, report.handoffs, "every hand-off is a switch");
+        let reference = summary(report);
         assert!(reference.1 > (PROCS * STEPS) as u64, "the program ran");
         assert!(reference.2 > 0 && reference.3 > 0, "both wake paths ran");
         for round in 0..3 {
             for mode in EngineMode::ALL {
                 assert!(
-                    summary(stress_program(mode)) == reference,
+                    summary(stress_program(mode, all_stackful)) == reference,
                     "{mode} diverged from the reference in round {round}"
                 );
+            }
+        }
+    });
+}
+
+#[test]
+fn tasks_leave_the_stress_program_as_it_was_but_for_switches() {
+    // Which processes are tasks is a function of a seed. A wake to a task
+    // counts as the same wake to a stackful process would, so everything
+    // but the stack switches matches the all-stackful run, trace included.
+    within_deadline(|| {
+        let reference = summary(stress_program(EngineMode::LegacyHeap, all_stackful));
+        let choices: [(&str, Choice); 4] = [
+            ("seed 1", |i| mix(1, i).is_multiple_of(2)),
+            ("seed 2", |i| mix(2, i).is_multiple_of(2)),
+            ("seed 3, mostly tasks", |i| !mix(3, i).is_multiple_of(4)),
+            ("all tasks", |_| true),
+        ];
+        for (seed, task) in choices {
+            for mode in EngineMode::ALL {
+                let report = stress_program(mode, task);
+                assert!(
+                    report.switches < report.handoffs,
+                    "{seed}, {mode}: {} switches for {} hand-offs",
+                    report.switches,
+                    report.handoffs
+                );
+                if seed == "all tasks" {
+                    assert_eq!(report.switches, 0, "{mode}: nothing to switch to");
+                }
+                assert!(summary(report) == reference, "{seed} diverged under {mode}");
             }
         }
     });
@@ -280,4 +359,230 @@ fn panicking_timer_panics_out_of_run_from_either_thread() {
         });
     }
     assert_eq!(run_panics(sim), "timer boom (process thread)");
+}
+
+#[test]
+fn a_stackful_process_ping_pongs_with_a_task_without_switching() {
+    // Each message still hands off — the counters do not care which side
+    // is a task — but the task is polled on the pinger's stack, so no
+    // stack is ever switched to after the first.
+    const ROUNDS: u64 = 40;
+    for mode in EngineMode::ALL {
+        let report = within_deadline(move || {
+            let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
+            let ping: Channel<u64> = Channel::new("ping");
+            let pong: Channel<u64> = Channel::new("pong");
+            let (tx, rx) = (ping.clone(), pong.clone());
+            sim.spawn("pinger", move |ctx| {
+                for i in 0..ROUNDS {
+                    tx.send(ctx, i);
+                    assert_eq!(rx.recv(ctx), Some(i));
+                }
+            });
+            sim.spawn_task("ponger", move |ctx| async move {
+                for _ in 0..ROUNDS {
+                    let i = ping.recv_async(&ctx).await.expect("open");
+                    pong.send(&ctx, i);
+                }
+            });
+            sim.run().unwrap()
+        });
+        let counts = (report.handoffs, report.inline_resumes, report.switches);
+        assert_eq!(counts, (2 * ROUNDS, 0, 0), "{mode}");
+    }
+}
+
+#[test]
+fn a_process_joins_a_task_and_a_task_joins_a_process() {
+    let report = within_deadline(|| {
+        let mut sim = Sim::new();
+        sim.spawn("parent", |ctx| {
+            let child = ctx.spawn_task("task-child", |c| async move {
+                c.sleep(SimTime::from_secs(3)).await;
+                // A task may spawn a stackful child and join it in turn.
+                let grandchild = c.spawn("grandchild", |g| g.hold(SimTime::from_secs(2)));
+                c.join_async(&grandchild).await;
+                assert_eq!(c.now(), SimTime::from_secs(5));
+            });
+            ctx.join(&child);
+            assert_eq!(ctx.now(), SimTime::from_secs(5));
+            ctx.join(&child); // finished: returns at once
+            assert_eq!(ctx.now(), SimTime::from_secs(5));
+        });
+        sim.run().unwrap()
+    });
+    assert_eq!(report.end_time, SimTime::from_secs(5));
+}
+
+#[test]
+fn zero_sleep_task_spinner_resumes_inline_and_trips_the_event_limit() {
+    // The task form of the `hold(0)` spinner counts exactly as the
+    // stackful one does, and switches stacks not at all.
+    let report = within_deadline(|| {
+        let mut sim = Sim::new();
+        let ch: Channel<u8> = Channel::new("go");
+        let rx = ch.clone();
+        sim.spawn("bystander", move |ctx| {
+            rx.recv(ctx);
+        });
+        sim.spawn_task("spinner", move |ctx| async move {
+            for _ in 0..1000 {
+                ctx.sleep(SimTime::ZERO).await;
+            }
+            ch.send(&ctx, 1);
+        });
+        sim.run().unwrap()
+    });
+    assert_eq!((report.handoffs, report.inline_resumes), (2, 1000));
+    assert_eq!(report.events_processed, 2 + 1000 + 1);
+    assert_eq!(report.switches, 0);
+
+    let err = within_deadline(|| {
+        let mut sim = Sim::new();
+        sim.set_event_limit(500);
+        let never: Channel<u8> = Channel::new("never");
+        sim.spawn("spin-by", move |ctx| {
+            never.recv(ctx);
+        });
+        sim.spawn_task("spin-er", |ctx| async move {
+            loop {
+                ctx.sleep(SimTime::ZERO).await;
+            }
+        });
+        sim.run().unwrap_err()
+    });
+    assert!(matches!(err, SimError::EventLimitExceeded { limit: 500 }));
+}
+
+#[test]
+fn a_panicking_task_is_reported_by_name() {
+    let err = within_deadline(|| {
+        let mut sim = Sim::new();
+        for i in 0..5 {
+            let never: Channel<u8> = Channel::new("never");
+            sim.spawn(&format!("tp-idle{i}"), move |ctx| {
+                never.recv(ctx);
+            });
+        }
+        sim.spawn_task("tp-bad", |ctx| async move {
+            ctx.sleep(SimTime::from_secs(1)).await;
+            panic!("task boom");
+        });
+        sim.run().unwrap_err()
+    });
+    match err {
+        SimError::ProcessPanicked { process, message } => {
+            assert_eq!((process.as_str(), message.as_str()), ("tp-bad", "task boom"));
+        }
+        other => panic!("expected a task panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_deadlock_lists_a_blocked_task_with_its_reason() {
+    for mode in EngineMode::ALL {
+        let err = within_deadline(move || {
+            let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
+            let (a, b): (Channel<u8>, Channel<u8>) =
+                (Channel::new("never-a"), Channel::new("never-b"));
+            sim.spawn("dl-proc", move |ctx| {
+                a.recv(ctx);
+            });
+            sim.spawn_task("dl-task", move |ctx| async move {
+                b.recv_async(&ctx).await;
+            });
+            let slots = Resource::new("dl-slots", 1);
+            sim.spawn_task("dl-holder", move |ctx| async move {
+                slots.acquire_async(&ctx, 1).await;
+                slots.acquire_async(&ctx, 1).await;
+            });
+            sim.run().unwrap_err()
+        });
+        match err {
+            SimError::Deadlock { blocked, .. } => assert_eq!(
+                blocked,
+                vec![
+                    ("dl-proc".to_string(), "recv on 'never-a'".to_string()),
+                    ("dl-task".to_string(), "recv on 'never-b'".to_string()),
+                    ("dl-holder".to_string(), "acquire 1 of 'dl-slots'".to_string()),
+                ],
+                "{mode}"
+            ),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_sim_holding_unstarted_tasks_drops_without_running_them() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
+    let ran = Arc::new(AtomicU64::new(0));
+    let mut sim = Sim::new();
+    for i in 0..10 {
+        let ran = ran.clone();
+        sim.spawn_task(&format!("unborn{i}"), move |_| {
+            ran.fetch_add(1, Relaxed);
+            async {}
+        });
+    }
+    assert_eq!(Arc::strong_count(&ran), 11);
+    drop(sim);
+    assert_eq!((ran.load(Relaxed), Arc::strong_count(&ran)), (0, 1));
+}
+
+#[test]
+fn a_run_drops_every_task_it_started_before_returning() {
+    use std::sync::Arc;
+    let held = Arc::new(());
+    let h = held.clone();
+    let err = within_deadline(move || {
+        let mut sim = Sim::new();
+        let never: Channel<u8> = Channel::new("never");
+        sim.spawn_task("keeper", move |ctx| async move {
+            let _held = h;
+            never.recv_async(&ctx).await;
+        });
+        sim.run().unwrap_err()
+    });
+    assert!(matches!(err, SimError::Deadlock { .. }));
+    assert_eq!(Arc::strong_count(&held), 1);
+}
+
+#[test]
+fn waiting_in_a_task_panics_and_says_to_await() {
+    let err = within_deadline(|| {
+        let mut sim = Sim::new();
+        sim.spawn_task("blocker", |ctx| async move {
+            ctx.hold(SimTime::from_secs(1));
+        });
+        sim.run().unwrap_err()
+    });
+    match err {
+        SimError::ProcessPanicked { process, message } => {
+            assert_eq!(process, "blocker");
+            assert!(message.contains("`.await`"), "{message}");
+        }
+        other => panic!("expected a panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_future_pending_without_a_wake_is_an_error_not_a_hang() {
+    for task in [false, true] {
+        let err = within_deadline(move || {
+            let mut sim = Sim::new();
+            spawn_root(&mut sim, task, 0, "stray", async |_| {
+                std::future::pending::<()>().await;
+            });
+            sim.run().unwrap_err()
+        });
+        match err {
+            SimError::ProcessPanicked { process, message } => {
+                assert_eq!(process, "stray");
+                assert!(message.contains("without blocking"), "task {task}: {message}");
+            }
+            other => panic!("expected a panic, got {other:?}"),
+        }
+    }
 }
