@@ -13,7 +13,7 @@
 
 use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
 use obs::rollup::{rollup, RollupConfig};
-use obs::{AuditLog, EventView, MetricsRegistry, Obs};
+use obs::{kinds, AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::catalog::{self, DriverClass, Drive, Ran};
 use prs_cli::CliError::{self, Failed, Usage};
 use prs_cli::{parse_profile, parse_residency, parse_run, ArgSpec, Args, RunOptions};
@@ -545,7 +545,11 @@ fn cmd_trace(args: &[String]) -> Cmd {
         entry.1 += dur;
         if matches!(
             &*e.kind,
-            "retry" | "reassign" | "gpu-crash" | "gpu-daemon-down" | "block-requeued"
+            kinds::RETRY
+                | kinds::REASSIGN
+                | kinds::GPU_CRASH
+                | kinds::GPU_DAEMON_DOWN
+                | kinds::BLOCK_REQUEUED
         ) {
             recovery.push(e);
         }

@@ -9,7 +9,7 @@
 
 use insight::TraceEvent;
 use obs::rollup::{rollup, RollupConfig};
-use obs::{is_device_lane, lane_node, DecisionRecord, EventView};
+use obs::{is_device_lane, kinds, lane_node, DecisionRecord, EventView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -265,7 +265,7 @@ fn wire(out: &mut String, seen: &[Seen]) {
     let delivered: BTreeSet<u64> = flows.iter().map(|f| f.id).collect();
     let inflight: Vec<_> = seen
         .iter()
-        .filter(|e| e.kind() == "msg-send")
+        .filter(|e| e.kind() == kinds::MSG_SEND)
         .filter_map(|e| e.attr("flow").map(|f| (f as u64, e.attr("bytes").unwrap_or(0.0))))
         .filter(|(id, _)| !delivered.contains(id))
         .collect();
@@ -284,20 +284,17 @@ fn membership(out: &mut String, seen: &[Seen]) {
     let memb: Vec<&Seen> = seen.iter().filter(|e| e.lane() == "membership").collect();
     let size = memb
         .iter()
-        .filter(|e| e.kind() == "cluster-size")
+        .filter(|e| e.kind() == kinds::CLUSTER_SIZE)
         .max_by(|a, b| a.t().total_cmp(&b.t()))
         .and_then(|e| e.attr("n"));
     let count = |kind: &str| memb.iter().filter(|e| e.kind() == kind).count();
+    let [joins, drains, evicts, handoffs] = kinds::MEMBERSHIP.map(count);
     let _ = writeln!(
         out,
-        "\ncluster size: {}  (joins {}, drains {}, evicts {}, handoffs {})",
+        "\ncluster size: {}  (joins {joins}, drains {drains}, evicts {evicts}, handoffs {handoffs})",
         size.map(|n| format!("{n:.0} node(s)")).unwrap_or_else(|| "?".to_string()),
-        count("join"),
-        count("drain"),
-        count("evict"),
-        count("handoff"),
     );
-    for e in memb.iter().filter(|e| e.kind() != "cluster-size") {
+    for e in memb.iter().filter(|e| e.kind() != kinds::CLUSTER_SIZE) {
         let node = e.attr("node").map(|n| format!(" node{n:.0}")).unwrap_or_default();
         let _ = writeln!(out, "  t={:.6} {}{}", e.t(), e.kind(), node);
     }

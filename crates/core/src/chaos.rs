@@ -27,7 +27,7 @@ use crate::faults::{splitmix64, FaultPlan};
 use crate::job::run_iterative_observed;
 use crate::membership::{MembershipCounters, MembershipPlan};
 use crate::metrics::RecoveryCounters;
-use obs::Obs;
+use obs::{kinds, Obs};
 use watch::{score_trials, FaultKind, GroundTruthFault, TrialWatch, WatchConfig, WatchScore};
 use parking_lot::RwLock;
 use roofline::model::DataResidency;
@@ -302,12 +302,15 @@ impl CheckpointableApp for ChaosApp {
 /// Per-flow send/recv balance over the recorded event bus: conservation
 /// means every control-plane and shuffle message that was sent also
 /// arrived (crashes abort at iteration boundaries, never mid-message).
+/// Panics on a kind [`kinds::ALL`] does not name: that is a producer
+/// bug, not a trial verdict.
 fn flows_conserved(obs: &Obs) -> bool {
     let mut balance: BTreeMap<u64, i64> = BTreeMap::new();
     for ev in obs.bus.events() {
+        assert!(kinds::ALL.contains(&&*ev.kind), "unnamed event kind {:?}", ev.kind);
         let delta = match &*ev.kind {
-            "msg-send" => 1,
-            "msg-recv" => -1,
+            kinds::MSG_SEND => 1,
+            kinds::MSG_RECV => -1,
             _ => continue,
         };
         if let Some(&(_, flow)) = ev.attrs.iter().find(|(name, _)| *name == "flow") {
@@ -985,12 +988,12 @@ fn churn_ledger(nodes: usize, outcome: &ElasticOutcome<u64>) -> (bool, bool) {
     // An event scheduled past the job's (possibly shortened) end never
     // fires, so the ledger reconciles against dispositions that actually
     // happened, never against the plan.
-    let ledger_reconciled = mem.drains == disp("drain")
-        && mem.evictions == disp("evict")
-        && mem.handoffs == disp("handoff")
+    let ledger_reconciled = mem.drains == disp(kinds::DRAIN)
+        && mem.evictions == disp(kinds::EVICT)
+        && mem.handoffs == disp(kinds::HANDOFF)
         && mem.joins == disp("scale-out")
-        && rec.node_crashes == disp("node-crash")
-        && rec.master_failovers == disp("master-failover")
+        && rec.node_crashes == disp(kinds::NODE_CRASH)
+        && rec.master_failovers == disp(kinds::MASTER_FAILOVER)
         && rec.restores == rec.node_crashes + rec.master_failovers + mem.evictions + mem.handoffs
         && disp("completed") == 1
         && outcome
@@ -1006,10 +1009,10 @@ fn churn_ledger(nodes: usize, outcome: &ElasticOutcome<u64>) -> (bool, bool) {
         && outcome.cluster_sizes.iter().all(|&(_, n)| n >= 1)
         && outcome.cluster_sizes.len() as u64
             == 1 + disp("scale-out")
-                + disp("drain")
-                + disp("evict")
-                + disp("handoff")
-                + disp("node-crash");
+                + disp(kinds::DRAIN)
+                + disp(kinds::EVICT)
+                + disp(kinds::HANDOFF)
+                + disp(kinds::NODE_CRASH);
     (ledger_reconciled, size_conserved)
 }
 

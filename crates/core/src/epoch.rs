@@ -23,7 +23,7 @@ use crate::job::{run_with_update, Checkpoint, CheckpointHooks, JobError, RunHook
 use crate::membership::{AutoscalePolicy, MembershipCounters, MembershipEvent, MembershipPlan};
 use crate::metrics::{JobMetrics, RecoveryCounters};
 use netsim::HeartbeatMonitor;
-use obs::Obs;
+use obs::{kinds, Obs};
 use parking_lot::Mutex;
 use roofline::DeviceProfile;
 use serde_json::json;
@@ -301,7 +301,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
         self.cluster_sizes.push((at, n));
         if self.elastic {
             let now = SimTime::from_secs_f64(at);
-            if let Some(d) = self.obs.bus.event("membership", "cluster-size", now) {
+            if let Some(d) = self.obs.bus.event("membership", kinds::CLUSTER_SIZE, now) {
                 d.attr("n", n as f64).commit();
             }
             self.obs
@@ -344,7 +344,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
         if waited > 0.0 {
             self.obs.stack.frame(
                 "membership",
-                "join",
+                kinds::JOIN,
                 SimTime::from_secs_f64(boundary),
                 SimTime::from_secs_f64(complete),
             );
@@ -352,7 +352,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
         for _ in 0..count {
             self.profiles.push(self.spec.nodes[0].clone());
             self.node_ids.push(self.next_id);
-            self.membership_event("join", self.next_id, complete);
+            self.membership_event(kinds::JOIN, self.next_id, complete);
             self.next_id += 1;
         }
         self.resized(complete);
@@ -374,22 +374,22 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
             (MembershipEvent::Drain(d), false) => {
                 if self.remove_node(d.node, "drain")? {
                     self.membership.drains += 1;
-                    self.departed("drain", d.node, boundary);
+                    self.departed(kinds::DRAIN, d.node, boundary);
                 }
-                ("drain", boundary)
+                (kinds::DRAIN, boundary)
             }
             (MembershipEvent::Drain(d), true) => {
                 self.remove_node(d.node, "drain")?;
                 self.membership.handoffs += 1;
-                self.departed("handoff", d.node, boundary);
-                ("handoff", boundary)
+                self.departed(kinds::HANDOFF, d.node, boundary);
+                (kinds::HANDOFF, boundary)
             }
             (MembershipEvent::Evict(e), true) => {
                 self.remove_node(e.node, "eviction")?;
                 self.faults = self.faults.without_node(e.node);
                 self.membership.evictions += 1;
-                self.departed("evict", e.node, boundary);
-                ("evict", boundary)
+                self.departed(kinds::EVICT, e.node, boundary);
+                (kinds::EVICT, boundary)
             }
             (MembershipEvent::ScaleOut(s), false) => ("scale-out", self.join(s.count, end_local)?),
             (ev, _) => {
@@ -410,11 +410,11 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
         let at = self.base_secs + crash.at_secs();
         let (delay, kind, action) = match crash {
             CrashEvent::Node { .. } => {
-                (self.monitor.detection_delay(at), "node-crash", "node_crash")
+                (self.monitor.detection_delay(at), kinds::NODE_CRASH, "node_crash")
             }
             CrashEvent::Master { .. } => (
                 self.monitor.master_failover_delay(at),
-                "master-failover",
+                kinds::MASTER_FAILOVER,
                 "master_failover",
             ),
         };
@@ -452,7 +452,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
             }
             .commit();
         }
-        if let Some(d) = self.obs.bus.event("resilience", "restore", now) {
+        if let Some(d) = self.obs.bus.event("resilience", kinds::RESTORE, now) {
             d.attr("iteration", self.base_iteration as f64)
                 .attr("resume_s", resume_secs)
                 .commit();
@@ -534,7 +534,7 @@ impl<A: CheckpointableApp> Epochs<'_, A> {
                 self.remove_node(id, "shrink")?;
                 self.membership.drains += 1;
                 self.membership.shrink_decisions += 1;
-                self.departed("drain", id, boundary);
+                self.departed(kinds::DRAIN, id, boundary);
                 self.shrink_run = 0;
                 self.cooldown = policy.cooldown_evals;
                 boundary

@@ -15,7 +15,7 @@ use crate::worker::{
 };
 use device::{CompletionBoard, FatNode};
 use netsim::Network;
-use obs::{trace_ctx, Obs};
+use obs::{kinds, trace_ctx, Obs};
 use parking_lot::Mutex;
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
@@ -535,7 +535,7 @@ fn master_body<A: SpmdApp>(
             ctx.hold(spec.overheads.task_dispatch);
             let range = part.clone();
             ctrl[target].send_delayed(ctx, CtrlMsg::Partition { id, range }, latency);
-            if let Some(d) = obs.bus.event("master", "assign", ctx.now()) {
+            if let Some(d) = obs.bus.event("master", kinds::ASSIGN, ctx.now()) {
                 d.partition(id as usize)
                     .attr("target", target as f64)
                     .attr("items", part.len() as f64)
@@ -545,7 +545,7 @@ fn master_body<A: SpmdApp>(
             // its sched lane. The attempt id is unique per send, so
             // retries/reassignments each get their own flow and
             // conservation holds exactly.
-            if let Some(d) = obs.bus.event("master", "msg-send", ctx.now()) {
+            if let Some(d) = obs.bus.event("master", kinds::MSG_SEND, ctx.now()) {
                 let flow = trace_ctx::flow_id(trace_ctx::CONTROL_RANK, target as u64, id);
                 d.partition(id as usize)
                     .attr("flow", flow as f64)

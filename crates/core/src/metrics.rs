@@ -160,7 +160,7 @@ pub struct JobMetrics {
     pub cpu_map_tasks: u64,
     /// Map tasks executed on the GPU.
     pub gpu_map_tasks: u64,
-    /// Device busy intervals: the frames of the [`device::DEVICE_KINDS`]
+    /// Device busy intervals: the frames of the [`obs::kinds::DEVICE`] kinds
     /// this run recorded on its `Obs`'s profiler stack, sorted by lane,
     /// start and end — empty when the stack does not record. Render with
     /// [`device::render_ascii`] or [`device::to_chrome_trace`].

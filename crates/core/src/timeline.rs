@@ -2,15 +2,15 @@
 //! intervals one run's devices recorded, read back from the profiler
 //! stack they share with every other lane.
 
-use device::DEVICE_KINDS;
+use obs::kinds::DEVICE;
 use simtime::{StackCtx, StackFrame};
 
-/// The frames of the [`DEVICE_KINDS`] that `stack` gained since its
+/// The frames of the [`DEVICE`] kinds that `stack` gained since its
 /// length was `mark`, sorted by `(lane, start, end)` — a canonical order
 /// independent of how the device daemons interleaved their appends.
 pub(crate) fn device_timeline(stack: &StackCtx, mark: usize) -> Vec<StackFrame> {
     let mut frames: Vec<StackFrame> = stack.with_frames_since(mark, |frames| {
-        frames.iter().filter(|f| DEVICE_KINDS.contains(&&*f.frame)).cloned().collect()
+        frames.iter().filter(|f| DEVICE.contains(&&*f.frame)).cloned().collect()
     });
     frames.sort_by(|a, b| {
         a.lane

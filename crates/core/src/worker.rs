@@ -15,7 +15,7 @@ use crate::task::{split_fixed, split_range, Task, TaskResult};
 use device::{CompletionBoard, FatNode, Gpu};
 use insight::CalibrationProfile;
 use netsim::{shuffle, CollectiveSeq, Collectives, Communicator, ShuffleItem};
-use obs::{trace_ctx, DecisionId, DecisionRecord, Obs, TraceCtx};
+use obs::{kinds, trace_ctx, DecisionId, DecisionRecord, Obs, TraceCtx};
 use parking_lot::Mutex;
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
@@ -149,29 +149,29 @@ impl RecoveryAction {
                 attempt,
             } => {
                 let attrs = vec![("target", n(target)), ("attempt", f64::from(attempt))];
-                ("retry", Some(partition), attrs)
+                (kinds::RETRY, Some(partition), attrs)
             }
             Reassign {
                 partition,
                 from,
                 to,
             } => (
-                "reassign",
+                kinds::REASSIGN,
                 Some(partition),
                 vec![("from", n(from)), ("to", n(to))],
             ),
-            GpuCrash { gpu } => ("gpu-crash", None, vec![("gpu", n(gpu))]),
+            GpuCrash { gpu } => (kinds::GPU_CRASH, None, vec![("gpu", n(gpu))]),
             GpuDaemonDown { gpu, lost_secs } => (
-                "gpu-daemon-down",
+                kinds::GPU_DAEMON_DOWN,
                 None,
                 vec![("gpu", n(gpu)), ("lost_s", lost_secs)],
             ),
-            BlockRequeued { gpu } => ("block-requeued", None, vec![("gpu", n(gpu))]),
-            SpecLaunch { task } => ("spec-launch", None, vec![("task", task as f64)]),
-            SpecWin { task } => ("spec-win", None, vec![("task", task as f64)]),
-            SpecWasted { task } => ("spec-wasted", None, vec![("task", task as f64)]),
+            BlockRequeued { gpu } => (kinds::BLOCK_REQUEUED, None, vec![("gpu", n(gpu))]),
+            SpecLaunch { task } => (kinds::SPEC_LAUNCH, None, vec![("task", task as f64)]),
+            SpecWin { task } => (kinds::SPEC_WIN, None, vec![("task", task as f64)]),
+            SpecWasted { task } => (kinds::SPEC_WASTED, None, vec![("task", task as f64)]),
             CheckpointWritten { iteration } => {
-                ("checkpoint", None, vec![("iteration", iteration as f64)])
+                (kinds::CHECKPOINT, None, vec![("iteration", iteration as f64)])
             }
         }
     }
@@ -382,7 +382,7 @@ fn split_part(part: &Range<usize>, p: f64) -> (Range<usize>, Range<usize>) {
     (part.start..cut, cut..part.end)
 }
 
-/// The four timed stages of an iteration.
+/// The four timed stages of an iteration, in [`kinds::STAGES`] order.
 #[derive(Clone, Copy)]
 enum Stage {
     Map,
@@ -390,13 +390,6 @@ enum Stage {
     Reduce,
     Update,
 }
-
-const STAGES: [(Stage, &str); 4] = [
-    (Stage::Map, "map"),
-    (Stage::Shuffle, "shuffle"),
-    (Stage::Reduce, "reduce"),
-    (Stage::Update, "update"),
-];
 
 /// One iteration's five timed boundaries — its start and the end of each
 /// [`Stage`] — and the only producer of what is derived from them: the
@@ -439,8 +432,8 @@ impl StageClock {
         }
         let [t0, .., t_end] = self.marks;
         obs.stack.frame(lane, "iteration", t0, t_end);
-        for (stage, kind) in STAGES {
-            let (start, end) = (self.marks[stage as usize], self.marks[stage as usize + 1]);
+        for (i, kind) in kinds::STAGES.into_iter().enumerate() {
+            let (start, end) = (self.marks[i], self.marks[i + 1]);
             if let Some(d) = obs.bus.span(lane, kind, start, end) {
                 d.iteration(iter).commit();
             }
@@ -581,7 +574,7 @@ impl<A: SpmdApp> Worker<A> {
             stalls,
             sched_lane: job.obs.bus.intern(&format!("node{}-sched", node.rank)),
             rank_label: node.rank.to_string(),
-            queue_sample: job.obs.bus.intern("queue-sample"),
+            queue_sample: job.obs.bus.intern(kinds::QUEUE_SAMPLE),
             workload,
             p,
             calib,
@@ -774,7 +767,7 @@ impl<A: SpmdApp> Worker<A> {
                     // The master's control-plane flow lands here; pair its
                     // `msg-send` at the instant the assignment is matched.
                     let bus = &self.job.obs.bus;
-                    if let Some(d) = bus.event(&self.sched_lane, "msg-recv", ctx.now()) {
+                    if let Some(d) = bus.event(&self.sched_lane, kinds::MSG_RECV, ctx.now()) {
                         let src = trace_ctx::CONTROL_RANK;
                         d.partition(id as usize)
                             .attr("flow", trace_ctx::flow_id(src, self.rank as u64, id) as f64)

@@ -4,7 +4,6 @@
 
 use crate::cost::{cpu_core_time, WorkProfile};
 use crate::faults::SlowdownWindow;
-use crate::timeline::DEVICE_KINDS;
 use obs::Obs;
 use parking_lot::Mutex;
 use roofline::profiles::CpuSpec;
@@ -44,13 +43,12 @@ pub struct CpuPool {
 impl CpuPool {
     /// Creates the pool with `spec.cores` schedulable cores.
     pub fn new(name: &str, spec: CpuSpec) -> Arc<Self> {
-        let [cpu_task, ..] = DEVICE_KINDS;
         Arc::new(CpuPool {
             cores: Resource::new(&format!("{name}-cores"), spec.cores as u64),
             spec,
             stats: Mutex::new(CpuStats::default()),
             name: name.into(),
-            kind_task: Arc::from(cpu_task),
+            kind_task: Arc::from(obs::kinds::CPU_TASK),
             obs: Mutex::new(None),
             lane_slots: Mutex::new(Vec::new()),
             slowdowns: Mutex::new(Vec::new()),

@@ -9,7 +9,6 @@
 use crate::cost::{gpu_kernel_time, pcie_transfer_time, OverheadModel, WorkProfile};
 use crate::faults::{GpuCrashed, SlowdownWindow};
 use crate::memory::MemorySpace;
-use crate::timeline::DEVICE_KINDS;
 use obs::Obs;
 use parking_lot::Mutex;
 use roofline::profiles::GpuSpec;
@@ -96,7 +95,7 @@ impl Gpu {
         } else {
             copy_in.clone()
         };
-        let [_, kernel, crashed, h2d, d2h] = DEVICE_KINDS.map(Arc::<str>::from);
+        let [_, kernel, crashed, h2d, d2h] = obs::kinds::DEVICE.map(Arc::<str>::from);
         Arc::new(Gpu {
             name: name.into(),
             lanes: RecordingLanes {
@@ -200,7 +199,7 @@ impl Gpu {
         let t0 = ctx.now();
         ctx.sleep(t).await;
         let t1 = ctx.now();
-        self.record_obs_transfer(&self.lanes.copy_in, &self.lanes.kind_h2d, "h2d", bytes, t0, t1);
+        self.record_obs_transfer(&self.lanes.copy_in, &self.lanes.kind_h2d, bytes, t0, t1);
         self.copy_h2d.release(ctx, 1);
         let mut s = self.stats.lock();
         s.bytes_h2d += bytes;
@@ -212,7 +211,6 @@ impl Gpu {
         &self,
         lane: &Arc<str>,
         kind: &Arc<str>,
-        dir: &'static str,
         bytes: u64,
         t0: SimTime,
         t1: SimTime,
@@ -224,7 +222,7 @@ impl Gpu {
             o.stack.frame_interned(lane, kind, t0, t1);
             o.metrics.counter_add(
                 "prs_bytes_moved_total",
-                &[("device", &self.name), ("dir", dir)],
+                &[("device", &self.name), ("dir", kind)],
                 bytes as f64,
             );
         }
@@ -246,7 +244,7 @@ impl Gpu {
         let t0 = ctx.now();
         ctx.sleep(t).await;
         let t1 = ctx.now();
-        self.record_obs_transfer(&self.lanes.copy_out, &self.lanes.kind_d2h, "d2h", bytes, t0, t1);
+        self.record_obs_transfer(&self.lanes.copy_out, &self.lanes.kind_d2h, bytes, t0, t1);
         engine.release(ctx, 1);
         let mut s = self.stats.lock();
         s.bytes_d2h += bytes;

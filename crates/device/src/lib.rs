@@ -45,9 +45,7 @@ pub use race::CompletionBoard;
 pub use gpu::{Gpu, GpuContext, Stream};
 pub use memory::{MemorySpace, OutOfMemory, Region};
 pub use node::FatNode;
-pub use timeline::{
-    render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow, DEVICE_KINDS,
-};
+pub use timeline::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
 
 #[cfg(test)]
 mod proptests {

@@ -1,19 +1,15 @@
 //! Drawing device busy time: the devices record each kernel, transfer
 //! and CPU task as a profiler stack frame ([`simtime::StackCtx`]) under
-//! one of the [`DEVICE_KINDS`], and [`render_ascii`] draws those frames as
+//! one of the [`obs::kinds::DEVICE`] kinds, and [`render_ascii`] draws those frames as
 //! the classic runtime-paper Gantt chart — the quickest way to see
 //! whether transfers overlap compute and whether the CPU and GPU finish
 //! together (Equation (4)'s balance, visually). [`to_chrome_trace`]
 //! writes the same frames for a trace viewer.
 
 use obs::jsonl::{write_f64, write_str};
+use obs::kinds;
 use simtime::StackFrame;
 use std::collections::BTreeMap;
-
-/// The frame names a device records its busy time under: a CPU task, a
-/// GPU kernel, a kernel cut short by a GPU crash, and the two PCI-E
-/// directions. These frames, and only these, make a job's timeline.
-pub const DEVICE_KINDS: [&str; 5] = ["cpu-task", "kernel", "crashed-kernel", "h2d", "d2h"];
 
 /// The overlapping start-sorted neighbour pairs per lane (sharing an
 /// endpoint is not an overlap) — empty iff no two frames on any lane
@@ -52,8 +48,8 @@ pub fn render_ascii(frames: &[StackFrame], width: usize) -> String {
     let name_w = lanes.iter().map(|l| l.len()).max().unwrap_or(4).max(4);
 
     let glyph = |kind: &str| match kind {
-        "h2d" => '>',
-        "d2h" => '<',
+        kinds::H2D => '>',
+        kinds::D2H => '<',
         _ => '#',
     };
 

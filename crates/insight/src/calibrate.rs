@@ -17,7 +17,7 @@
 //! byte rate. The ridge is re-derived from the *current fitted* values,
 //! so the classification itself converges with the fit.
 
-use obs::EventView;
+use obs::{kinds, EventView};
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::{split_multi_gpu, SplitDecision, Workload};
 
@@ -199,26 +199,26 @@ pub fn fit_from_events<E: EventView>(
             continue;
         };
         match e.kind() {
-            "cpu-task" => {
+            kinds::CPU_TASK => {
                 if let (Some(flops), Some(bytes)) = (e.attr("flops"), e.attr("bytes")) {
                     if bytes > 0.0 {
                         cal.observe_cpu_rate(flops / bytes, flops / dur * cores);
                     }
                 }
             }
-            "kernel" => {
+            kinds::KERNEL => {
                 if let (Some(flops), Some(bytes)) = (e.attr("flops"), e.attr("bytes")) {
                     if bytes > 0.0 {
                         cal.observe_gpu_rate(flops / bytes, flops / dur);
                     }
                 }
             }
-            "h2d" | "d2h" => {
+            kinds::H2D | kinds::D2H => {
                 if let Some(bytes) = e.attr("bytes") {
                     cal.observe_pcie_bw(bytes / dur);
                 }
             }
-            "net-send" => {
+            kinds::NET_SEND => {
                 if let Some(bytes) = e.attr("bytes") {
                     cal.observe_net_bw(bytes / dur);
                 }

@@ -11,29 +11,9 @@
 //! device class whose last block arrives last.
 
 use crate::trace::{pair_flows, Flow, TraceEvent};
+use obs::kinds::{self, STAGES};
 use obs::EventView;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Barrier-ordered stages of one iteration, in execution order.
-pub const STAGES: [&str; 4] = ["map", "shuffle", "reduce", "update"];
-
-/// Event kinds that mark fault handling in flight. Speculation and
-/// crash-recovery kinds count here too — `checkpoint` does not (writing
-/// one is bookkeeping on a healthy run, not a recovery action).
-pub const RECOVERY_KINDS: [&str; 12] = [
-    "gpu-crash",
-    "gpu-daemon-down",
-    "block-requeued",
-    "crashed-kernel",
-    "retry",
-    "reassign",
-    "spec-launch",
-    "spec-win",
-    "spec-wasted",
-    "node-crash",
-    "master-failover",
-    "restore",
-];
 
 /// A node's map window is a straggler when it exceeds the cluster median
 /// by this factor.
@@ -247,7 +227,7 @@ pub fn analyze_view<E: EventView>(events: &[E]) -> Analysis {
                 .unwrap();
             stages.insert(STAGES[s].to_string(), s_end - s_start);
             let mut lane = format!("node{crit_node}-sched");
-            if STAGES[s] == "map" {
+            if STAGES[s] == kinds::MAP {
                 if let Some(l) = last_device_lane(events, crit_node, s_start, s_end) {
                     lane = l;
                 }
@@ -261,22 +241,22 @@ pub fn analyze_view<E: EventView>(events: &[E]) -> Analysis {
             });
         }
 
-        let map_seg = path.iter().find(|p| p.stage == "map");
+        let map_seg = path.iter().find(|p| p.stage == kinds::MAP);
         let critical_node = map_seg.map(|p| p.node).unwrap_or(0);
 
         // Recovery events inside the window (tagged or by containment).
         let recovery_events = events
             .iter()
-            .filter(|e| RECOVERY_KINDS.contains(&e.kind()))
+            .filter(|e| kinds::is_blamed(e.kind()))
             .filter(|e| {
                 e.iter() == Some(iter) || (e.iter().is_none() && e.t() >= start && e.t() <= end)
             })
             .count() as u64;
 
-        let comm_secs = stages.get("shuffle").copied().unwrap_or(0.0)
-            + stages.get("update").copied().unwrap_or(0.0);
-        let compute_secs = stages.get("map").copied().unwrap_or(0.0)
-            + stages.get("reduce").copied().unwrap_or(0.0);
+        let comm_secs = stages.get(kinds::SHUFFLE).copied().unwrap_or(0.0)
+            + stages.get(kinds::UPDATE).copied().unwrap_or(0.0);
+        let compute_secs = stages.get(kinds::MAP).copied().unwrap_or(0.0)
+            + stages.get(kinds::REDUCE).copied().unwrap_or(0.0);
 
         // Inbound in-flight seconds overlapping each node's map window:
         // the flow-edge evidence that a long map window was spent

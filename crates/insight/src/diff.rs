@@ -18,11 +18,10 @@ use std::collections::BTreeMap;
 
 use crate::critical::{analyze, Analysis, IterationAnalysis};
 use crate::trace::TraceEvent;
+use obs::kinds::STAGES;
 
 /// Schema tag stamped into `diff.json`.
 pub const DIFF_SCHEMA: &str = "prs-diff-v1";
-
-const STAGES: [&str; 4] = ["map", "shuffle", "reduce", "update"];
 
 /// One aligned per-iteration per-stage contribution to the makespan
 /// delta.
@@ -309,7 +308,7 @@ fn diff_with_hints(
         delta: cand.trace_end - base.trace_end,
         ..Diff::default()
     };
-    for phase in ["setup", "map", "shuffle", "reduce", "update", "recovery", "other"] {
+    for phase in ["setup", "recovery", "other"].into_iter().chain(STAGES) {
         out.by_phase.insert(phase.to_string(), 0.0);
     }
 

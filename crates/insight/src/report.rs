@@ -7,6 +7,7 @@
 //! directly.
 
 use crate::critical::{Analysis, IterationAnalysis};
+use obs::kinds;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 
@@ -121,12 +122,12 @@ pub fn summary_table(a: &Analysis) -> String {
         "iter", "total ms", "map ms", "comm ms", "reduce ms", "node", "blame"
     );
     for it in &a.iterations {
-        let map = it.stages.get("map").copied().unwrap_or(0.0);
-        let reduce = it.stages.get("reduce").copied().unwrap_or(0.0);
+        let map = it.stages.get(kinds::MAP).copied().unwrap_or(0.0);
+        let reduce = it.stages.get(kinds::REDUCE).copied().unwrap_or(0.0);
         let lane = it
             .path
             .iter()
-            .find(|p| p.stage == "map")
+            .find(|p| p.stage == kinds::MAP)
             .map(|p| p.lane.as_str())
             .unwrap_or("-");
         let _ = writeln!(

@@ -14,7 +14,7 @@
 //! orders references to the bus's own records.
 
 use obs::jsonl::{read_events, JsonlError};
-use obs::{cmp_names, lane_node, Attrs, EventView, Names};
+use obs::{cmp_names, kinds, lane_node, Attrs, EventView, Names};
 use std::collections::BTreeMap;
 
 /// One span or point event: interned names and a key-sorted attr vector
@@ -61,13 +61,13 @@ impl Flow {
 pub fn pair_flows<E: EventView>(events: &[E]) -> Vec<Flow> {
     use std::collections::VecDeque;
     let mut sends: BTreeMap<u64, VecDeque<&E>> = BTreeMap::new();
-    for e in events.iter().filter(|e| e.kind() == "msg-send") {
+    for e in events.iter().filter(|e| e.kind() == kinds::MSG_SEND) {
         if let Some(flow) = e.attr("flow") {
             sends.entry(flow as u64).or_default().push_back(e);
         }
     }
     let mut out = Vec::new();
-    for e in events.iter().filter(|e| e.kind() == "msg-recv") {
+    for e in events.iter().filter(|e| e.kind() == kinds::MSG_RECV) {
         let Some(flow) = e.attr("flow") else { continue };
         let Some(q) = sends.get_mut(&(flow as u64)) else { continue };
         let Some(s) = q.pop_front() else { continue };

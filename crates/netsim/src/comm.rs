@@ -4,7 +4,7 @@
 
 use crate::faults::LinkDisruption;
 use crate::params::NetworkParams;
-use obs::{trace_ctx, Obs, TraceCtx};
+use obs::{kinds, trace_ctx, Obs, TraceCtx};
 use parking_lot::Mutex;
 use simtime::{Channel, Resource, SimCtx, SimTime};
 use std::any::Any;
@@ -138,9 +138,9 @@ impl Network {
         let lanes = (0..self.size())
             .map(|r| obs.bus.intern(&format!("net-rank{r}")))
             .collect();
-        let kind_send = obs.bus.intern("net-send");
-        let kind_msg_send = obs.bus.intern("msg-send");
-        let kind_msg_recv = obs.bus.intern("msg-recv");
+        let kind_send = obs.bus.intern(kinds::NET_SEND);
+        let kind_msg_send = obs.bus.intern(kinds::MSG_SEND);
+        let kind_msg_recv = obs.bus.intern(kinds::MSG_RECV);
         *self.obs.lock() = Some(Arc::new(NetObs {
             obs,
             lanes,

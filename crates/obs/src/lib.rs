@@ -33,6 +33,7 @@
 pub mod audit;
 pub mod bus;
 pub mod jsonl;
+pub mod kinds;
 pub mod metrics;
 pub mod name;
 pub mod profile;

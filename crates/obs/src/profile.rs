@@ -25,6 +25,7 @@
 //! resilience lane, `control` on the master lane).
 
 use crate::jsonl::{as_u64, read_lines, JsonlError, Line, ObjectWriter, ScanError, Scanner};
+use crate::kinds::STAGES;
 use crate::lane_node;
 use serde::Value;
 use simtime::{StackCtx, StackFrame};
@@ -36,9 +37,6 @@ pub const PROFILE_SCHEMA: &str = "prs-profile-v1";
 pub const STACKS_SCHEMA: &str = "prs-stacks-v1";
 /// Default sampling period: 100 virtual microseconds.
 pub const DEFAULT_PERIOD_S: f64 = 1e-4;
-
-/// The iteration stage names, innermost phase axis of the profile.
-const STAGES: [&str; 4] = ["map", "shuffle", "reduce", "update"];
 
 /// A canonically ordered set of profiler frames.
 #[derive(Clone, Debug, Default)]

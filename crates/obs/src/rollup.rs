@@ -20,6 +20,7 @@ use crate::audit::DecisionRecord;
 use crate::bus::Event;
 use crate::is_device_lane;
 use crate::jsonl::EventRecord;
+use crate::kinds;
 use crate::metrics::MetricsRegistry;
 use crate::name::Name;
 use serde::Value;
@@ -262,29 +263,8 @@ pub struct Window {
     pub decisions: usize,
     /// Events starting in this window.
     pub events: usize,
-    /// Recovery-path events (retries, reassignments, crashes, restores,
-    /// speculation launches/outcomes) starting in this window.
+    /// Events of [`kinds::is_rollup_recovery`] starting in this window.
     pub recovery: usize,
-}
-
-/// True for event kinds emitted by the recovery machinery — the same
-/// family `prs analyze` blames on the resilience lane.
-fn is_recovery_kind(kind: &str) -> bool {
-    matches!(
-        kind,
-        "retry"
-            | "reassign"
-            | "gpu-crash"
-            | "gpu-daemon-down"
-            | "block-requeued"
-            | "spec-launch"
-            | "spec-win"
-            | "spec-wasted"
-            | "node-crash"
-            | "master-failover"
-            | "restore"
-            | "checkpoint"
-    )
 }
 
 /// The full rollup: config echo plus one [`Window`] per slot.
@@ -303,10 +283,6 @@ pub struct Rollup {
     /// Flight-recorder memory accounting, when the run recorded
     /// (rendered as a `recorder` block line after the meta line).
     pub recorder: Option<crate::recorder::RecorderSummary>,
-}
-
-fn is_device_busy_kind(kind: &str) -> bool {
-    kind == "cpu-task" || kind == "kernel"
 }
 
 /// Worker node index of a `node{r}-...` lane (not of a `net-rank{r}` one).
@@ -379,11 +355,11 @@ pub fn rollup<E: EventView>(
     for e in events {
         if let Some(k) = win_of(e.t()) {
             windows[k].events += 1;
-            if is_recovery_kind(e.kind()) {
+            if kinds::is_rollup_recovery(e.kind()) {
                 windows[k].recovery += 1;
             }
         }
-        if e.dur().is_some() && is_device_lane(e.lane()) && is_device_busy_kind(e.kind()) {
+        if e.dur().is_some() && is_device_lane(e.lane()) && kinds::is_busy(e.kind()) {
             device_lanes.insert(e.lane(), ());
             let node = node_of_lane(e.lane());
             for (k, win) in windows.iter().enumerate() {
@@ -397,14 +373,14 @@ pub fn rollup<E: EventView>(
             }
         }
         match e.kind() {
-            "queue-sample" => {
+            kinds::QUEUE_SAMPLE => {
                 if let (Some(k), Some(d)) = (win_of(e.t()), e.attr("depth")) {
                     if d > windows[k].queue_depth_peak {
                         windows[k].queue_depth_peak = d;
                     }
                 }
             }
-            "msg-send" => {
+            kinds::MSG_SEND => {
                 if let Some(flow) = e.attr("flow") {
                     let bytes = e.attr("bytes").unwrap_or(0.0);
                     flow_send.insert(flow as u64, (e.t(), bytes));
@@ -413,12 +389,12 @@ pub fn rollup<E: EventView>(
                     }
                 }
             }
-            "msg-recv" => {
+            kinds::MSG_RECV => {
                 if let Some(flow) = e.attr("flow") {
                     flow_recv.insert(flow as u64, e.t());
                 }
             }
-            "map" => {
+            kinds::MAP => {
                 if let (Some(it), Some(n)) = (e.iter(), node_of_lane(e.lane())) {
                     if e.lane().ends_with("-sched") {
                         let entry = map_end.entry((it, n)).or_insert(f64::NEG_INFINITY);

@@ -38,7 +38,7 @@ use crate::slo::SloRule;
 #[cfg(test)]
 use obs::rollup::RollupEvent;
 use obs::rollup::{rollup, RollupConfig};
-use obs::{lane_node as node_of_lane, EventView};
+use obs::{kinds, lane_node as node_of_lane, EventView};
 use obs::DecisionRecord;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -150,21 +150,6 @@ pub struct Signal {
     pub value: f64,
 }
 
-/// Event kinds that count toward a recovery storm. `checkpoint` is
-/// healthy bookkeeping and the speculation kinds fire on healthy runs
-/// too, so neither may page an operator.
-const STORM_KINDS: [&str; 9] = [
-    "retry",
-    "reassign",
-    "gpu-crash",
-    "gpu-daemon-down",
-    "block-requeued",
-    "crashed-kernel",
-    "node-crash",
-    "master-failover",
-    "restore",
-];
-
 #[cfg(test)]
 fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
@@ -234,21 +219,16 @@ pub(crate) fn signals_for_rule<E: EventView>(
     }
 }
 
-/// Membership-lane transition kinds that count toward a flap. The
-/// `cluster-size` gauge event rides along with every transition and is
-/// excluded so a single drain is one count, not two.
-const FLAP_KINDS: [&str; 4] = ["join", "drain", "evict", "handoff"];
-
-/// Membership flap: count of membership-lane transitions per fixed
-/// window (same bucketing as [`recovery_storm`]). The lane is only
-/// emitted by the elastic driver, so the detector is silent on every
-/// fixed-cluster bundle.
+/// Membership flap: count of membership-lane transitions
+/// ([`kinds::MEMBERSHIP`]) per fixed window (same bucketing as
+/// [`recovery_storm`]). The lane is only emitted by the elastic driver,
+/// so the detector is silent on every fixed-cluster bundle.
 fn membership_flap<E: EventView>(
     events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
     let w = rule_window(rule, horizon);
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
-        if e.lane() != "membership" || !FLAP_KINDS.contains(&e.kind()) {
+        if e.lane() != "membership" || !kinds::MEMBERSHIP.contains(&e.kind()) {
             continue;
         }
         let k = (e.t() / w) as usize;
@@ -277,8 +257,8 @@ fn drift_samples<E: EventView>(
     class: LaneClass,
 ) -> impl Iterator<Item = (u64, f64, f64)> + '_ {
     let want_kind = match class {
-        LaneClass::Gpu => "kernel",
-        _ => "cpu-task",
+        LaneClass::Gpu => kinds::KERNEL,
+        _ => kinds::CPU_TASK,
     };
     events.iter().filter_map(move |e| {
         if e.kind() != want_kind {
@@ -401,8 +381,8 @@ fn heartbeat_gap<E: EventView>(events: &[E]) -> Vec<Signal> {
         .iter()
         .filter_map(|e| {
             let (class, node) = match e.kind() {
-                "node-crash" => (LaneClass::Node, e.attr("node").map(|n| n as u64)),
-                "master-failover" => (LaneClass::Master, None),
+                kinds::NODE_CRASH => (LaneClass::Node, e.attr("node").map(|n| n as u64)),
+                kinds::MASTER_FAILOVER => (LaneClass::Master, None),
                 _ => return None,
             };
             let at = e.attr("at_s").unwrap_or(e.t());
@@ -417,13 +397,13 @@ fn heartbeat_gap<E: EventView>(events: &[E]) -> Vec<Signal> {
         .collect()
 }
 
-/// Recovery storm: count of [`STORM_KINDS`] events per fixed window.
+/// Recovery storm: count of [`kinds::FAULT`] events per fixed window.
 fn recovery_storm<E: EventView>(
     events: &[E], horizon: f64, rule: &SloRule) -> Vec<Signal> {
     let w = rule_window(rule, horizon);
     let mut buckets: BTreeMap<usize, (usize, f64)> = BTreeMap::new();
     for e in events {
-        if !STORM_KINDS.contains(&e.kind()) {
+        if !kinds::FAULT.contains(&e.kind()) {
             continue;
         }
         let k = (e.t() / w) as usize;
@@ -511,7 +491,7 @@ fn regime_shift<E: EventView>(
     // (iteration, node) → latest sched-lane map-span end.
     let mut map_end: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     for e in events {
-        if e.kind() == "map" && e.lane().ends_with("-sched") {
+        if e.kind() == kinds::MAP && e.lane().ends_with("-sched") {
             if let (Some(it), Some(n)) = (e.iter(), node_of_lane(e.lane())) {
                 let entry = map_end.entry((it, n)).or_insert(f64::NEG_INFINITY);
                 if e.end() > *entry {

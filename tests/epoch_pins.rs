@@ -34,6 +34,7 @@ use prs_core::{
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
@@ -380,6 +381,34 @@ fn autoscale_grow() {
 #[test]
 fn gpu_crash_and_stall() {
     assert_eq!(pin(&scenario::gpu_crash_and_stall()), GPU_CRASH_AND_STALL);
+}
+
+/// The event vocabulary is closed and live: the kinds the scenarios put
+/// on their buses are exactly the kinds `obs::kinds` names, so no
+/// producer emits an unnamed kind and no named kind is dead. The fault
+/// suite checks the first half on each of its runs, and the chaos and
+/// churn harness on every trial of the seed-7 grids below.
+#[test]
+fn every_emitted_kind_is_named_and_every_named_kind_is_emitted() {
+    let scenarios = [
+        scenario::worker_crash,
+        scenario::master_crash,
+        scenario::crash_with_speculation,
+        scenario::drain,
+        scenario::blown_deadline_handoff,
+        scenario::evict,
+        scenario::scale_out,
+        scenario::crash_mid_drain,
+        scenario::autoscale_grow,
+        scenario::gpu_crash_and_stall,
+    ];
+    let mut emitted = BTreeSet::new();
+    for scenario in scenarios {
+        let (obs, _) = scenario().run();
+        emitted.extend(obs.bus.events().iter().map(|e| e.kind.to_string()));
+    }
+    let named: BTreeSet<String> = obs::kinds::ALL.iter().map(|k| k.to_string()).collect();
+    assert_eq!(emitted, named);
 }
 
 /// A JSON document as `prs` writes it: pretty, with a final newline.

@@ -4,7 +4,8 @@
 //! *accounting* (the recovery counters match the injected plan exactly,
 //! and the same seed replays to the same metrics). Every run also records
 //! its device timeline and checks that no two busy intervals on one device
-//! lane overlap.
+//! lane overlap, and that every event kind on its bus is one
+//! `obs::kinds` names.
 
 use prs_core::{
     run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, DeviceClass,
@@ -12,7 +13,7 @@ use prs_core::{
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
-use simtime::{StackCtx, StackFrame};
+use simtime::StackFrame;
 use std::ops::Range;
 use std::sync::{Arc, RwLock};
 
@@ -61,15 +62,6 @@ fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
     Arc::new(HistApp { n, k, ai, residency })
 }
 
-/// An `Obs` that records the profiler's stack frames — which carry the
-/// device timeline — and nothing else.
-fn stack_only() -> Obs {
-    Obs {
-        stack: StackCtx::recording(),
-        ..Obs::disabled()
-    }
-}
-
 /// Device engines are exclusive resources, so no two busy intervals on one
 /// lane may overlap, whatever the faults did (sharing an endpoint is not an
 /// overlap); a hit is a recording bug. `timeline` is sorted by lane, start.
@@ -85,14 +77,24 @@ fn assert_lanes_exclusive(timeline: &[StackFrame]) {
     }
 }
 
-/// `run_iterative` with the device timeline recorded and its lanes checked.
+/// Every kind a run put on its bus is in the vocabulary.
+fn assert_kinds_named(obs: &Obs) {
+    for e in obs.bus.events() {
+        assert!(obs::kinds::ALL.contains(&&*e.kind), "unnamed event kind {:?}", e.kind);
+    }
+}
+
+/// `run_iterative` with every sink recording, its device lanes and its
+/// event kinds checked.
 fn run<A: IterativeApp>(
     spec: &ClusterSpec,
     app: Arc<A>,
     config: JobConfig,
 ) -> Result<JobResult<A::Output>, JobError> {
-    let r = run_iterative_observed(spec, app, config, stack_only())?;
+    let obs = Obs::recording();
+    let r = run_iterative_observed(spec, app, config, obs.clone())?;
     assert_lanes_exclusive(&r.metrics.timeline);
+    assert_kinds_named(&obs);
     Ok(r)
 }
 
@@ -337,12 +339,14 @@ fn worker_crash_resumes_from_checkpoint_bit_identical() {
     let spec =
         ClusterSpec::delta(3).with_faults(FaultPlan::seeded(6).crash_node(2, crash_at));
     let app = chain(60_000, 8);
+    let obs = Obs::recording();
     let opts = EpochOptions {
-        obs: stack_only(),
+        obs: obs.clone(),
         ..Default::default()
     };
     let outcome = run_epochs(&spec, app.clone(), config, opts).unwrap();
     assert_lanes_exclusive(&outcome.metrics.timeline);
+    assert_kinds_named(&obs);
 
     assert_eq!(
         outcome.outputs, clean.outputs,
@@ -384,12 +388,14 @@ fn master_crash_resumes_from_checkpoint_bit_identical() {
         clean.metrics.setup_seconds + it[0].total() + it[1].total() + 0.5 * it[2].total();
     let spec = ClusterSpec::delta(2).with_faults(FaultPlan::seeded(7).crash_master(crash_at));
     let app = chain(60_000, 8);
+    let obs = Obs::recording();
     let opts = EpochOptions {
-        obs: stack_only(),
+        obs: obs.clone(),
         ..Default::default()
     };
     let outcome = run_epochs(&spec, app, config, opts).unwrap();
     assert_lanes_exclusive(&outcome.metrics.timeline);
+    assert_kinds_named(&obs);
 
     assert_eq!(outcome.outputs, clean.outputs);
     let r = &outcome.metrics.recovery;
