@@ -543,14 +543,7 @@ fn cmd_trace(args: &[String]) -> Cmd {
         let entry = by_kind.entry(&e.kind).or_insert((0, 0.0));
         entry.0 += 1;
         entry.1 += dur;
-        if matches!(
-            &*e.kind,
-            kinds::RETRY
-                | kinds::REASSIGN
-                | kinds::GPU_CRASH
-                | kinds::GPU_DAEMON_DOWN
-                | kinds::BLOCK_REQUEUED
-        ) {
+        if kinds::FAULT.contains(&&*e.kind) {
             recovery.push(e);
         }
     }

@@ -883,6 +883,33 @@ fn readers_reject_a_truncated_bundle_chaos_trial() {
 /// takes each artifact from that directory by its own name, so naming
 /// `events.jsonl` or `decisions.jsonl` prints what naming the directory
 /// prints.
+/// `prs trace`'s recovery log lists the whole fault family: a bundle
+/// whose only faults are a node crash, a master failover, their restores
+/// and a cut-short kernel is not a fault-free run.
+#[test]
+fn trace_lists_crashes_failovers_and_restores() {
+    let dir = tmp_dir("trace-crash");
+    let events = [
+        r#"{"kind":"map","lane":"node0-sched","t":0,"dur":0.5,"iter":0}"#,
+        r#"{"attrs":{"lost_s":0.1},"kind":"crashed-kernel","lane":"node0-gpu0-compute","t":0.2,"dur":0.1}"#,
+        r#"{"attrs":{"at_s":0.3,"node":1},"kind":"node-crash","lane":"resilience","t":0.4}"#,
+        r#"{"attrs":{"iteration":0,"resume_s":0},"kind":"restore","lane":"resilience","t":0.4}"#,
+        r#"{"attrs":{"at_s":0.5},"kind":"master-failover","lane":"resilience","t":0.7}"#,
+        r#"{"attrs":{"iteration":0,"resume_s":0},"kind":"restore","lane":"resilience","t":0.7}"#,
+    ];
+    let body: String = events.iter().map(|e| format!("{e}\n")).collect();
+    let meta = format!("{{\"events\":{},\"schema\":\"prs-events-v1\"}}\n", events.len());
+    std::fs::write(dir.join("events.jsonl"), meta + &body).unwrap();
+    let out = prs(&["trace", "--dir", dir.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!stdout.contains("fault-free"), "{stdout}");
+    assert!(stdout.contains("\n5 recovery event(s):\n"), "{stdout}");
+    for kind in ["crashed-kernel", "node-crash", "restore", "master-failover"] {
+        assert!(stdout.contains(&format!(" {kind:<16} on ")), "{kind} missing:\n{stdout}");
+    }
+}
+
 #[test]
 fn a_file_argument_names_its_bundle() {
     let dir = tmp_dir("file-arg");
