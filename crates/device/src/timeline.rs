@@ -1,10 +1,10 @@
 //! Drawing device busy time: the devices record each kernel, transfer
 //! and CPU task as a profiler stack frame ([`simtime::StackCtx`]) under
-//! one of the [`obs::kinds::DEVICE`] kinds, and [`render_ascii`] draws those frames as
-//! the classic runtime-paper Gantt chart — the quickest way to see
-//! whether transfers overlap compute and whether the CPU and GPU finish
-//! together (Equation (4)'s balance, visually). [`to_chrome_trace`]
-//! writes the same frames for a trace viewer.
+//! one of the [`obs::kinds::DEVICE`] kinds, and [`render_ascii`] draws
+//! those frames as the classic runtime-paper Gantt chart — the quickest
+//! way to see whether transfers overlap compute and whether the CPU and
+//! GPU finish together (Equation (4)'s balance, visually).
+//! [`to_chrome_trace`] writes the same frames for a trace viewer.
 
 use obs::jsonl::{write_f64, write_str};
 use obs::kinds;
