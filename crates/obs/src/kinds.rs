@@ -25,7 +25,7 @@ pub const SHUFFLE: &str = "shuffle";
 pub const REDUCE: &str = "reduce";
 /// The update stage (span).
 pub const UPDATE: &str = "update";
-/// A dynamic-mode block-queue depth sample.
+/// A block queue's depth, sampled as a block is queued.
 pub const QUEUE_SAMPLE: &str = "queue-sample";
 /// The master handing a partition to a node.
 pub const ASSIGN: &str = "assign";
@@ -41,7 +41,7 @@ pub const RETRY: &str = "retry";
 pub const REASSIGN: &str = "reassign";
 /// A node's GPU died.
 pub const GPU_CRASH: &str = "gpu-crash";
-/// A GPU's stream daemon stopped taking blocks.
+/// A GPU stream daemon found its GPU dead.
 pub const GPU_DAEMON_DOWN: &str = "gpu-daemon-down";
 /// A block in flight on a dead GPU went back to the queue.
 pub const BLOCK_REQUEUED: &str = "block-requeued";
