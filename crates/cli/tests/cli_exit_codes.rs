@@ -586,6 +586,47 @@ fn gantt_and_traces_are_pinned() {
 const TRACE_PINS: [u64; 4] =
     [0x0841a9ea7afe4772, 0x3e8c041ad3a84000, 0x8178f2ebf6e90086, 0x9ed0eca9ac2d1582];
 
+/// Every file of a `--record --obs` bundle (each preceded by its path),
+/// byte for byte: a plain two-node run and the drain-plan elastic run of
+/// `gantt_and_traces_are_pinned`. The flight recorder's retained set
+/// shows in `metrics.prom` (`prs_recorder_*`) and in any capture. The
+/// constants were captured on commit a85f347, while the recorder still
+/// copied every event out of the bus; do not regenerate them for a
+/// host-side change.
+#[test]
+fn recorded_bundles_are_pinned() {
+    let dir = tmp_dir("record-pins");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let ok = |args: &[&str]| {
+        let out = prs(args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+    let plain = path("plain");
+    ok(&["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--record", "--obs", &plain]);
+    let plan = path("plan.toml");
+    std::fs::write(&plan, "seed = 11\n\n[[drain]]\nnode = 1\nat_s = 0.05\ndeadline_s = 10.0\n")
+        .expect("write plan");
+    let elastic = path("elastic");
+    ok(&[
+        "run", "--nodes", "2", "--points", "20000", "--iterations", "3", "--membership", &plan,
+        "--record", "--obs", &elastic,
+    ]);
+    let bundle = |d: &str| {
+        let mut bytes = Vec::new();
+        for (path, content) in files_under(std::path::Path::new(d)) {
+            bytes.extend(format!("{path}\n").into_bytes());
+            bytes.extend(content);
+        }
+        fnv1a(&bytes)
+    };
+    let got = [bundle(&plain), bundle(&elastic)];
+    assert_eq!(got, RECORD_PINS, "{got:#018x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The plain `--record` bundle, the elastic `--record` bundle.
+const RECORD_PINS: [u64; 2] = [0xa77424a83c53d2d6, 0x21cb3955c8924468];
+
 /// Every file under `dir`, as (path relative to `dir`, bytes), in path
 /// order.
 fn files_under(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
