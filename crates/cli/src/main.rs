@@ -1397,7 +1397,10 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[simtime::StackFrame]) -> C
         roll.recorder = Some(obs.recorder.summary());
         obs.recorder.register_metrics(&obs.metrics);
     }
-    write("events.jsonl", obs.bus.to_jsonl())?;
+    let events = dir.join("events.jsonl");
+    let failed = |e: std::io::Error| Failed(format!("writing {}: {e}", events.display()));
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&events).map_err(failed)?);
+    obs.bus.write_jsonl(&mut out).and_then(|()| std::io::Write::flush(&mut out)).map_err(failed)?;
     write("metrics.prom", obs.metrics.to_prometheus())?;
     write("decisions.jsonl", obs.audit.to_jsonl())?;
     write("rollup.jsonl", roll.to_jsonl())?;

@@ -306,17 +306,19 @@ impl CheckpointableApp for ChaosApp {
 /// bug, not a trial verdict.
 fn flows_conserved(obs: &Obs) -> bool {
     let mut balance: BTreeMap<u64, i64> = BTreeMap::new();
-    for ev in obs.bus.events() {
-        assert!(kinds::ALL.contains(&&*ev.kind), "unnamed event kind {:?}", ev.kind);
-        let delta = match &*ev.kind {
-            kinds::MSG_SEND => 1,
-            kinds::MSG_RECV => -1,
-            _ => continue,
-        };
-        if let Some(&(_, flow)) = ev.attrs.iter().find(|(name, _)| *name == "flow") {
-            *balance.entry(flow as u64).or_insert(0) += delta;
+    obs.bus.with_events(|events| {
+        for ev in events {
+            assert!(kinds::ALL.contains(&&*ev.kind), "unnamed event kind {:?}", ev.kind);
+            let delta = match &*ev.kind {
+                kinds::MSG_SEND => 1,
+                kinds::MSG_RECV => -1,
+                _ => continue,
+            };
+            if let Some(&(_, flow)) = ev.attrs.iter().find(|(name, _)| *name == "flow") {
+                *balance.entry(flow as u64).or_insert(0) += delta;
+            }
         }
-    }
+    });
     balance.values().all(|&b| b == 0)
 }
 

@@ -70,7 +70,9 @@ pub struct RecoveryCounters {
     /// Checkpoints serialized by the master after global reduces.
     pub checkpoints_written: u64,
     /// Recovery epochs that restored state from a checkpoint (or from the
-    /// initial model state when no checkpoint existed yet).
+    /// initial model state when no checkpoint existed yet). Evict and
+    /// handoff rollbacks bump it too but emit no `restore` event: only
+    /// crashes and master failovers put one on the bus.
     pub restores: u64,
 }
 

@@ -1293,19 +1293,20 @@ impl<A: SpmdApp> Worker<A> {
     ) -> (Outputs<A>, Verdict) {
         let app = self.job.app.as_ref();
         let out_bytes: u64 = outputs.iter().map(|(_, o)| app.output_bytes(o)).sum();
-        let gathered = self.coll().allgather(ctx, out_bytes.max(1), outputs);
-        // Every rank takes part in the exchange, but only rank 0 reads its
-        // result (for the update, and as the job's outputs): the others
-        // let theirs go unassembled — now, not after blocking in the
-        // broadcast below with every other rank's copy still around.
+        // Timed as an allgather — a gather, then a broadcast of the
+        // assembled vector — but only rank 0 reads the outputs (for the
+        // update, and as the job's outputs), so the broadcast carries `()`:
+        // a copy of the n-slot vector in each of its n - 1 messages would
+        // hold n² slots at once.
+        let gathered = self.coll().gather(ctx, 0, out_bytes.max(1), outputs);
+        let all_bytes = out_bytes.max(1) * self.comm.size() as u64;
+        self.coll().bcast(ctx, 0, all_bytes, gathered.is_some().then_some(()));
         let mut global: Outputs<A> = Vec::new();
         let mut verdict = None;
-        if self.rank == 0 {
+        if let Some(gathered) = gathered {
             global.extend(gathered.into_iter().flatten());
             global.sort_by_key(|(k, _)| *k);
             verdict = Some(self.decide(ctx, iter, &global));
-        } else {
-            drop(gathered);
         }
         let verdict = self.coll().bcast(ctx, 0, 1, verdict);
         (global, verdict)

@@ -1,6 +1,6 @@
 //! MPI-style collectives over the point-to-point layer: binomial-tree
-//! broadcast/reduce, barrier, gather/scatter, reduce-scatter, allreduce,
-//! and allgather (a gather plus a broadcast).
+//! broadcast/reduce, barrier, gather/scatter, allreduce, and allgather (a
+//! gather plus a broadcast).
 //!
 //! Every rank must call the same collectives in the same order (SPMD); an
 //! internal per-communicator sequence number keeps successive operations'
@@ -229,35 +229,6 @@ impl Collectives<'_> {
         }
     }
 
-    /// Reduce-scatter: element-wise reduction of per-rank vectors (length
-    /// = size), each rank receiving the reduced element for its own index.
-    /// Implemented as reduce-to-0 + scatter; returns this rank's element.
-    pub fn reduce_scatter<T: Clone + Send + 'static>(
-        &self,
-        ctx: &SimCtx,
-        bytes_each: u64,
-        values: Vec<T>,
-        combine: impl Fn(T, T) -> T + Copy,
-    ) -> T {
-        let n = self.comm.size();
-        assert_eq!(values.len(), n, "reduce_scatter needs one value per rank");
-        let op = self.seq.next();
-        let reduced = self.reduce_inner(
-            ctx,
-            0,
-            bytes_each * n as u64,
-            values,
-            |a, b| {
-                a.into_iter()
-                    .zip(b)
-                    .map(|(x, y)| combine(x, y))
-                    .collect::<Vec<T>>()
-            },
-            op,
-        );
-        self.scatter(ctx, 0, bytes_each, reduced)
-    }
-
     /// Allgather: every rank contributes `value` (wire size `bytes_each`)
     /// and receives the full vector indexed by rank. Gather-to-0 then
     /// binomial broadcast of the assembled vector — O(n) messages and
@@ -382,20 +353,6 @@ mod tests {
             });
             let expect: Vec<usize> = (0..n).map(|r| r * 10).collect();
             assert_eq!(got, expect, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_gives_each_rank_its_element() {
-        for n in [1, 2, 4, 6] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
-                // Rank r contributes the vector [r, r, ...]; element-wise
-                // sum is n(n-1)/2 everywhere.
-                let values = vec![rank as u64; n];
-                coll.reduce_scatter(ctx, 8, values, |a, b| a + b)
-            });
-            let expect = (n as u64 * (n as u64 - 1)) / 2;
-            assert!(got.iter().all(|&v| v == expect), "n = {n}: {got:?}");
         }
     }
 

@@ -6,11 +6,16 @@
 //! strings are interned to `Arc<str>` (one allocation per *distinct*
 //! name, not per event) and the event vector sits behind a single
 //! `parking_lot` mutex taken only when the bus is enabled.
+//!
+//! Each committed event is one shared allocation (`Arc<Event>`): every
+//! reader — the flight recorder, subscriptions, the rollup and watchdog
+//! views — holds a pointer to the bus's record, never a copy of it.
 
 use crate::jsonl::{CanonicalLines, ObjectWriter};
 use parking_lot::Mutex;
 use simtime::SimTime;
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::Arc;
 
 /// Schema tag on the `events.jsonl` meta line (the first line of a
@@ -48,7 +53,7 @@ pub struct Event {
 /// events instead of the full history. Cursor positions handed out by
 /// [`EventBus::subscribe`] are absolute and stay valid across trims.
 struct Log {
-    events: Vec<Event>,
+    events: Vec<Arc<Event>>,
     base: usize,
 }
 
@@ -206,19 +211,21 @@ impl EventBus {
     }
 
     /// Snapshot of all *resident* events, in append order. Equal to the
-    /// full history unless [`Self::trim_to`] ran.
-    pub fn events(&self) -> Vec<Event> {
+    /// full history unless [`Self::trim_to`] ran. The events themselves
+    /// are shared with the bus, not copied.
+    pub fn events(&self) -> Vec<Arc<Event>> {
         self.inner
             .as_ref()
             .map_or_else(Vec::new, |i| i.log.lock().events.clone())
     }
 
     /// Drops resident events with absolute index below `cursor` — the
-    /// flight recorder calls this after ingesting a prefix so the bus
-    /// never holds events twice. Later subscribers simply see the trimmed
-    /// prefix as already consumed; exports ([`Self::to_jsonl`]) cover the
-    /// resident suffix only, which is why the CLI only trims when no full
-    /// `events.jsonl` export was requested.
+    /// flight recorder calls this after ingesting a prefix, so the
+    /// recorder's pointer becomes the event's only owner. Later
+    /// subscribers simply see the trimmed prefix as already consumed;
+    /// exports ([`Self::to_jsonl`]) cover the resident suffix only, which
+    /// is why the CLI only trims when no full `events.jsonl` export was
+    /// requested.
     pub fn trim_to(&self, cursor: usize) {
         if let Some(inner) = &self.inner {
             let mut log = inner.log.lock();
@@ -242,11 +249,12 @@ impl EventBus {
         }
     }
 
-    /// Snapshot of the events appended at or after index `cursor`, in
-    /// append order, plus the new cursor position. The append order is
-    /// itself deterministic for a deterministic run, so consumers that
-    /// canonically re-sort (as the watchdog does) are engine-independent.
-    pub fn events_since(&self, cursor: usize) -> (Vec<Event>, usize) {
+    /// The events appended at or after index `cursor`, in append order
+    /// and shared with the bus, plus the new cursor position. The append
+    /// order is itself deterministic for a deterministic run, so consumers
+    /// that canonically re-sort (as the watchdog does) are
+    /// engine-independent.
+    pub fn events_since(&self, cursor: usize) -> (Vec<Arc<Event>>, usize) {
         match &self.inner {
             Some(inner) => {
                 let log = inner.log.lock();
@@ -261,28 +269,37 @@ impl EventBus {
     /// Runs `f` over the *resident* events, in append order, without
     /// copying them (the log stays locked while `f` runs, so `f` must
     /// not emit). Empty when disabled.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+    pub fn with_events<R>(&self, f: impl FnOnce(&[Arc<Event>]) -> R) -> R {
         match &self.inner {
             Some(inner) => f(&inner.log.lock().events),
             None => f(&[]),
         }
     }
 
-    /// Canonical JSONL export: one JSON object per line, lines sorted
-    /// by `(t, rendered bytes)` so two runs that record the same set of
-    /// events — in any append order — produce byte-identical output.
-    pub fn to_jsonl(&self) -> String {
-        let lines = self.with_events(|events| CanonicalLines::render(events));
-        let mut out = String::new();
+    /// Canonical JSONL export, written to `out`: a meta line, then one
+    /// JSON object per line, sorted by `(t, rendered bytes)` so two runs
+    /// that record the same set of events — in any append order —
+    /// produce byte-identical output. The lines go out straight from
+    /// their one rendering buffer; nothing else holds the export.
+    pub fn write_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
+        let lines = self.with_events(|events| CanonicalLines::render(events.iter().map(Arc::as_ref)));
         if !lines.is_empty() {
-            let mut meta = ObjectWriter::begin(&mut out);
-            meta.num("events", lines.len() as f64);
-            meta.str("schema", EVENTS_SCHEMA);
-            meta.end();
-            out.push('\n');
+            let mut meta = String::new();
+            let mut o = ObjectWriter::begin(&mut meta);
+            o.num("events", lines.len() as f64);
+            o.str("schema", EVENTS_SCHEMA);
+            o.end();
+            meta.push('\n');
+            out.write_all(meta.as_bytes())?;
         }
-        lines.append_to(&mut out);
-        out
+        lines.write_to(out)
+    }
+
+    /// [`Self::write_jsonl`] into a string.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("event lines are UTF-8")
     }
 }
 
@@ -301,7 +318,7 @@ pub struct Subscription {
 impl Subscription {
     /// Returns the events appended since the last poll (or since
     /// [`EventBus::subscribe`]) and advances the cursor past them.
-    pub fn poll(&mut self) -> Vec<Event> {
+    pub fn poll(&mut self) -> Vec<Arc<Event>> {
         let (events, cursor) = self.bus.events_since(self.cursor);
         self.cursor = cursor;
         events
@@ -349,7 +366,7 @@ impl EventDraft<'_> {
 
     /// Records the event on the bus.
     pub fn commit(self) {
-        self.inner.log.lock().events.push(self.ev);
+        self.inner.log.lock().events.push(Arc::new(self.ev));
     }
 }
 
@@ -445,6 +462,36 @@ mod tests {
         bus.trim_to(100);
         assert_eq!(bus.resident_len(), 0);
         assert_eq!(bus.len(), 7);
+    }
+
+    #[test]
+    fn write_jsonl_into_a_vec_equals_to_jsonl() {
+        let bus = EventBus::recording();
+        let mut empty = Vec::new();
+        bus.write_jsonl(&mut empty).unwrap();
+        assert!(empty.is_empty(), "an empty bus exports nothing, not even the meta line");
+        for (t, kind) in [(2.0, "b"), (1.0, "a"), (1.0, "c")] {
+            bus.span("l", kind, SimTime::from_secs_f64(t), SimTime::from_secs_f64(t + 0.5))
+                .unwrap()
+                .attr("bytes", t)
+                .commit();
+        }
+        let mut out = Vec::new();
+        bus.write_jsonl(&mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), bus.to_jsonl());
+        assert_eq!(bus.to_jsonl().lines().count(), 4, "meta line plus three events");
+    }
+
+    #[test]
+    fn readers_share_the_committed_event() {
+        let bus = EventBus::recording();
+        bus.event("l", "k", SimTime::ZERO).unwrap().commit();
+        let (since, _) = bus.events_since(0);
+        let snapshot = bus.events();
+        bus.with_events(|events| {
+            assert!(Arc::ptr_eq(&events[0], &since[0]));
+            assert!(Arc::ptr_eq(&events[0], &snapshot[0]));
+        });
     }
 
     #[test]

@@ -203,6 +203,15 @@ impl CanonicalLines {
             out.push('\n');
         }
     }
+
+    /// Writes every line, newline-terminated, in canonical order.
+    pub(crate) fn write_to(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
+        for (_, range, _) in &self.order {
+            out.write_all(self.buf[range.clone()].as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------- reader

@@ -223,7 +223,9 @@ pub struct RecorderSummary {
     pub folded: u64,
     /// High-water mark of resident exact events.
     pub peak_retained: usize,
-    /// Estimated resident bytes (events plus fold bins).
+    /// Estimated resident bytes (events plus fold bins). Each retained
+    /// event counts its full size, also while a shadow recorder shares
+    /// it with the bus.
     pub bytes: u64,
     /// Distinct fold bins.
     pub fold_bins: usize,
@@ -278,8 +280,9 @@ fn event_bytes(e: &Event) -> u64 {
 struct RecorderState {
     /// Absolute bus cursor already ingested.
     cursor: usize,
-    /// Exact retained events (unsorted; canonically sorted on demand).
-    retained: Vec<Event>,
+    /// Exact retained events (unsorted; canonically sorted on demand),
+    /// shared with the bus until a bounded recorder trims it.
+    retained: Vec<Arc<Event>>,
     /// Fold bins keyed `(lane, kind, bin)` — BTreeMap for deterministic
     /// iteration.
     folds: BTreeMap<(String, String, u64), FoldBin>,
@@ -341,7 +344,8 @@ impl Recorder {
 
     /// A recorder that shadows the bus without trimming it — the full
     /// event history stays resident for an `--obs` export while captures
-    /// still come from the recorder's bounded view.
+    /// still come from the recorder's bounded view. What it retains are
+    /// pointers to the bus's own events, not copies.
     pub fn shadow(cfg: RecorderConfig) -> Self {
         Self::with_mode(cfg, false)
     }
@@ -430,7 +434,7 @@ impl Recorder {
             |e: &Event| frozen.iter().any(|(f0, f1)| e.t + e.dur.unwrap_or(0.0) >= *f0 && e.t <= *f1);
         // Time-based: everything strictly below the horizon folds.
         let horizon = st.horizon.min(stable_before);
-        let mut evicted: Vec<Event> = Vec::new();
+        let mut evicted: Vec<Arc<Event>> = Vec::new();
         st.retained.retain(|e| {
             if e.t < horizon && !protected(e) {
                 evicted.push(e.clone());
@@ -446,7 +450,7 @@ impl Recorder {
             let stable: Vec<usize> = (0..st.retained.len())
                 .filter(|&i| st.retained[i].t < stable_before && !protected(&st.retained[i]))
                 .collect();
-            let oldest_first = CanonicalLines::render(stable.iter().map(|&i| &st.retained[i]));
+            let oldest_first = CanonicalLines::render(stable.iter().map(|&i| &*st.retained[i]));
             let excess = st.retained.len() - cfg.budget;
             let mut drop_idx: Vec<usize> =
                 oldest_first.positions().take(excess).map(|p| stable[p]).collect();
@@ -500,7 +504,7 @@ impl Recorder {
             .retained
             .iter()
             .filter(|e| e.t + e.dur.unwrap_or(0.0) >= t0 && e.t <= t1)
-            .cloned()
+            .map(|e| Event::clone(e))
             .collect();
         let folds: Vec<FoldBin> = st
             .folds
@@ -534,7 +538,7 @@ impl Recorder {
             return RecorderSummary::default();
         };
         let st = inner.state.lock();
-        let event_bytes_total: u64 = st.retained.iter().map(event_bytes).sum();
+        let event_bytes_total: u64 = st.retained.iter().map(|e| event_bytes(e)).sum();
         let fold_bytes: u64 = st
             .folds
             .values()
@@ -616,6 +620,28 @@ mod tests {
         let folds: u64 = rec.captures().iter().map(|c| c.folds.len() as u64).sum();
         assert_eq!(folds, 0);
         assert!(s.bytes > 0);
+    }
+
+    #[test]
+    fn shadow_mode_shares_the_bus_events_and_bounded_mode_owns_them() {
+        let retained = |rec: &Recorder| rec.inner.as_ref().unwrap().state.lock().retained.clone();
+        let bus = EventBus::recording();
+        fill(&bus, 10);
+        let rec = Recorder::shadow(cfg(1e9, 100));
+        rec.pump(&bus, 1.0, 0.0);
+        let held = retained(&rec);
+        bus.with_events(|events| {
+            assert_eq!(held.len(), events.len());
+            assert!(held.iter().zip(events).all(|(r, e)| Arc::ptr_eq(r, e)), "no copies");
+        });
+        let bus = EventBus::recording();
+        fill(&bus, 10);
+        let rec = Recorder::bounded(cfg(1e9, 100));
+        rec.pump(&bus, 1.0, 0.0);
+        let held = retained(&rec);
+        assert_eq!(held.len(), 10);
+        // This snapshot and the recorder's own pointer: the bus let go.
+        assert!(held.iter().all(|e| Arc::strong_count(e) == 2));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::metrics::MetricsRegistry;
 use crate::name::Name;
 use serde::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Schema tag stamped into the `rollup.jsonl` meta line.
 pub const ROLLUP_SCHEMA: &str = "prs-rollup-v1";
@@ -61,6 +62,32 @@ pub trait EventView {
 }
 
 impl<E: EventView + ?Sized> EventView for &E {
+    fn t(&self) -> f64 {
+        (**self).t()
+    }
+    fn dur(&self) -> Option<f64> {
+        (**self).dur()
+    }
+    fn lane(&self) -> &str {
+        (**self).lane()
+    }
+    fn kind(&self) -> &str {
+        (**self).kind()
+    }
+    fn iter(&self) -> Option<u64> {
+        (**self).iter()
+    }
+    fn attr(&self, key: &str) -> Option<f64> {
+        (**self).attr(key)
+    }
+    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
+        (**self).each_attr(f)
+    }
+}
+
+/// The bus hands out its records shared (`Arc<Event>`); a shared record
+/// is read in place, like a borrowed one.
+impl<E: EventView + ?Sized> EventView for Arc<E> {
     fn t(&self) -> f64 {
         (**self).t()
     }

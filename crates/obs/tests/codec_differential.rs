@@ -148,10 +148,10 @@ fn event_value(e: &Event) -> Value {
     Value::Object(m)
 }
 
-fn oracle_events_jsonl(events: &[Event]) -> String {
+fn oracle_events_jsonl<E: std::borrow::Borrow<Event>>(events: &[E]) -> String {
     let mut lines: Vec<(f64, String)> = events
         .iter()
-        .map(|e| (e.t, event_value(e).to_json_string()))
+        .map(|e| (e.borrow().t, event_value(e.borrow()).to_json_string()))
         .collect();
     lines.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
     let mut out = String::new();

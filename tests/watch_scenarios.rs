@@ -70,7 +70,7 @@ fn hist() -> Arc<HistApp> {
 fn watch_run(spec: &ClusterSpec, config: JobConfig, rules: &WatchConfig) -> watch::WatchOutput {
     let obs = Obs::recording();
     run_iterative_observed(spec, hist(), config, obs.clone()).expect("run completes");
-    let events: Vec<RollupEvent> = obs.bus.events().iter().map(Into::into).collect();
+    let events: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
     watch::watch(&events, &obs.audit.records(), rules)
 }
 
@@ -167,8 +167,8 @@ fn online_subscription_sees_the_full_stream() {
         bare.metrics.total_seconds.to_bits(),
         "watching must not advance virtual time"
     );
-    let polled: Vec<RollupEvent> = sub.poll().iter().map(Into::into).collect();
-    let full: Vec<RollupEvent> = obs.bus.events().iter().map(Into::into).collect();
+    let polled: Vec<RollupEvent> = sub.poll().iter().map(|e| e.as_ref().into()).collect();
+    let full: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
     assert_eq!(polled.len(), full.len());
     let rules = WatchConfig::default();
     let a = watch::watch(&polled, &obs.audit.records(), &rules);
