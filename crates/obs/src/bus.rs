@@ -282,7 +282,8 @@ impl EventBus {
     /// produce byte-identical output. The lines go out straight from
     /// their one rendering buffer; nothing else holds the export.
     pub fn write_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        let lines = self.with_events(|events| CanonicalLines::render(events.iter().map(Arc::as_ref)));
+        let lines =
+            self.with_events(|events| CanonicalLines::render(events.iter().map(Arc::as_ref)));
         if !lines.is_empty() {
             let mut meta = String::new();
             let mut o = ObjectWriter::begin(&mut meta);

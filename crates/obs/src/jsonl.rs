@@ -195,15 +195,6 @@ impl CanonicalLines {
         self.order.iter().map(|(_, _, i)| *i)
     }
 
-    /// Appends every line, newline-terminated, in canonical order.
-    pub(crate) fn append_to(&self, out: &mut String) {
-        out.reserve(self.buf.len() + self.order.len());
-        for (_, range, _) in &self.order {
-            out.push_str(&self.buf[range.clone()]);
-            out.push('\n');
-        }
-    }
-
     /// Writes every line, newline-terminated, in canonical order.
     pub(crate) fn write_to(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
         for (_, range, _) in &self.order {

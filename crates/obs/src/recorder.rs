@@ -208,8 +208,10 @@ impl Capture {
             out.push_str(&l);
             out.push('\n');
         }
-        CanonicalLines::render(&self.events).append_to(&mut out);
-        out
+        let mut out = out.into_bytes();
+        let lines = CanonicalLines::render(&self.events);
+        lines.write_to(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("event lines are UTF-8")
     }
 }
 
