@@ -627,6 +627,50 @@ fn recorded_bundles_are_pinned() {
 /// The plain `--record` bundle, the elastic `--record` bundle.
 const RECORD_PINS: [u64; 2] = [0xa77424a83c53d2d6, 0x21cb3955c8924468];
 
+/// The `--json` stdout of three product jobs, and every file of the two
+/// `--obs --record` bundles: the 1000-node micro c-means job of the
+/// `scale` benchmark workload, a 64-node wordcount job (its shuffle
+/// drains `recv_any`'s pending queue) and a 128-node dynamic c-means
+/// job. The constants were captured on commit 663b035, while each node's
+/// sub-task scheduler and the master were stackful coroutines; do not
+/// regenerate them for a process-model change.
+#[test]
+fn product_runs_are_pinned() {
+    let dir = tmp_dir("product-pins");
+    let json = |args: &[&str]| {
+        let out = prs(args);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let recorded = |name: &str, args: &[&str]| {
+        let obs = dir.join(name).to_str().expect("utf-8 temp path").to_string();
+        let mut bytes = json(&[args, &["--json", "--obs", &obs, "--record"]].concat());
+        for (path, content) in files_under(std::path::Path::new(&obs)) {
+            bytes.extend(format!("{path}\n").into_bytes());
+            bytes.extend(content);
+        }
+        fnv1a(&bytes)
+    };
+    let scale = json(&[
+        "run", "--app", "cmeans", "--nodes", "1000", "--profile", "micro", "--points", "27000",
+        "--dims", "8", "--clusters", "8", "--iterations", "1", "--seed", "7", "--json",
+    ]);
+    let got = [
+        fnv1a(&scale),
+        recorded("wordcount", &["run", "--app", "wordcount", "--nodes", "64"]),
+        recorded(
+            "dynamic",
+            &["run", "--app", "cmeans", "--nodes", "128", "--mode", "dynamic:100", "--iterations", "3"],
+        ),
+    ];
+    assert_eq!(got, PRODUCT_PINS, "{got:#018x?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The 1000-node job's stdout; the wordcount stdout and bundle; the
+/// dynamic c-means stdout and bundle.
+const PRODUCT_PINS: [u64; 3] = [0xec7f7755b33cb5a4, 0xb9387e27c869419d, 0x1926e2a62ebc32c0];
+
 /// Every file under `dir`, as (path relative to `dir`, bytes), in path
 /// order.
 fn files_under(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
