@@ -191,11 +191,11 @@ impl<R: Rule> SpmdApp for Centers<R> {
 
     fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
         let (partials, objective) = self.block_partials(range);
-        let mut out: Vec<(Key, ClusterPartial)> = partials
-            .into_iter()
-            .enumerate()
-            .map(|(j, p)| (j as Key, p))
-            .collect();
+        // Sized for the objective too: a block's output stays alive until
+        // its node drains the map stage, and a push past a collected
+        // `Vec`'s length would double it.
+        let mut out = Vec::with_capacity(partials.len() + usize::from(R::OBJECTIVE));
+        out.extend(partials.into_iter().enumerate().map(|(j, p)| (j as Key, p)));
         if R::OBJECTIVE {
             let mut p = ClusterPartial::zero(1);
             p.add(objective, &[1.0]);

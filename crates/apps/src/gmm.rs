@@ -316,11 +316,9 @@ impl SpmdApp for Gmm {
 
     fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, GmmPartial)> {
         let (stats, ll) = self.block_stats(range);
-        let mut out: Vec<(Key, GmmPartial)> = stats
-            .into_iter()
-            .enumerate()
-            .map(|(c, s)| (c as Key, s))
-            .collect();
+        // Sized for the log-likelihood entry too, as `Centers::cpu_map` is.
+        let mut out = Vec::with_capacity(stats.len() + 1);
+        out.extend(stats.into_iter().enumerate().map(|(c, s)| (c as Key, s)));
         let mut llp = GmmPartial::zero(1);
         llp.weight = ll;
         out.push((self.obj_key(), llp));

@@ -329,12 +329,17 @@ fn a_resident_share_that_does_not_fit_gpu_memory_is_an_error_line_and_exit_one()
 }
 
 #[test]
-fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
-    // 1.5 GB of address space holds some 1400 one-MiB stacks; the job
-    // wants 2001, one per node's sub-task scheduler and the master's (its
-    // device daemons are stackless tasks). This used to be a panic in
-    // `coro.rs` (exit 101) that, with a backtrace asked for, never exited
-    // at all — hence the watchdog.
+fn a_two_thousand_node_job_runs_under_a_tight_ulimit() {
+    // 1.5 GB of address space holds some 1400 one-MiB stacks. This job's
+    // 2001 product processes, one sub-task scheduler per node and the
+    // master, each had one, and the run used to end in one `error:` line
+    // naming the limits, exit 1. Every product process is now a task with
+    // no stack, so the same job under the same limit runs to the end.
+    // Running out of stacks stays a typed error for the stackful
+    // processes that remain (`simtime`'s
+    // `a_refused_stack_ends_the_run_with_an_error_and_no_stack_held`).
+    // The watchdog stays: this used to be a panic in `coro.rs` that, with
+    // a backtrace asked for, never exited at all.
     use std::process::Stdio;
     use std::time::{Duration, Instant};
     let limited = |script: &str| {
@@ -369,14 +374,8 @@ fn running_out_of_process_stacks_is_an_error_line_and_exit_one() {
     };
     let out = child.wait_with_output().expect("collect stderr");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
-    let lines: Vec<&str> = stderr.lines().collect();
-    assert!(
-        matches!(lines[..], [line] if line.starts_with("error: ")
-            && line.contains("address space")
-            && line.contains("vm.max_map_count")),
-        "one `error:` line naming the limits, got: {stderr}"
-    );
+    assert_eq!(status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "a clean run prints nothing on stderr, got: {stderr}");
 }
 
 #[test]

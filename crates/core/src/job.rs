@@ -481,9 +481,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     let acks: Channel<(usize, u64)> = Channel::new("acks");
     {
         let (job, spec, ctrl, acks) = (job.clone(), spec.clone(), ctrl.clone(), acks.clone());
-        sim.spawn("master", move |ctx| {
-            master_body(ctx, &job, &spec, &ctrl, &acks)
-        });
+        sim.spawn_task("master", move |ctx| master_body(ctx, job, spec, ctrl, acks));
     }
     for (rank, ctrl) in ctrl.into_iter().enumerate() {
         spawn_node(&mut sim, rank, &cluster, &job, ctrl, acks.clone());
@@ -506,13 +504,14 @@ pub(crate) fn run_with_update<A: SpmdApp>(
 /// misses the deadline is retried `max_partition_retries` times, then
 /// the partition is reassigned round-robin to the next node — the
 /// paper's master augmented with straggler resilience.
-fn master_body<A: SpmdApp>(
-    ctx: &SimCtx,
-    job: &JobShared<A>,
-    spec: &ClusterSpec,
-    ctrl: &[Channel<CtrlMsg>],
-    acks: &Channel<(usize, u64)>,
+async fn master_body<A: SpmdApp>(
+    ctx: SimCtx,
+    job: Arc<JobShared<A>>,
+    spec: ClusterSpec,
+    ctrl: Vec<Channel<CtrlMsg>>,
+    acks: Channel<(usize, u64)>,
 ) {
+    let (ctx, job, acks) = (&ctx, job.as_ref(), &acks);
     let (config, obs, latency) = (&job.config, &job.obs, spec.network.latency);
     let recover = |action| record_recovery(ctx.now(), &job.recovery, obs, "master", action);
     let plan = partition_plan(
@@ -532,7 +531,7 @@ fn master_body<A: SpmdApp>(
         loop {
             let id = next_id;
             next_id += 1;
-            ctx.hold(spec.overheads.task_dispatch);
+            ctx.sleep(spec.overheads.task_dispatch).await;
             let range = part.clone();
             ctrl[target].send_delayed(ctx, CtrlMsg::Partition { id, range }, latency);
             if let Some(d) = obs.bus.event("master", kinds::ASSIGN, ctx.now()) {
@@ -557,7 +556,7 @@ fn master_body<A: SpmdApp>(
             // its retry budget twice; at that point the master waits
             // unconditionally — termination beats detection.
             let patience = timeout.filter(|_| hops < 2 * n);
-            if await_ack(ctx, acks, id, patience.map(|t| ctx.now() + t)) {
+            if await_ack(ctx, acks, id, patience.map(|t| ctx.now() + t)).await {
                 confirmed[target].push(id);
                 break;
             }
@@ -593,7 +592,7 @@ fn master_body<A: SpmdApp>(
 /// Waits for the acknowledgement of attempt `id` — until `deadline`, or
 /// for as long as the channel stays open without one — skipping stale
 /// acks of abandoned attempts. False when none came.
-fn await_ack(
+async fn await_ack(
     ctx: &SimCtx,
     acks: &Channel<(usize, u64)>,
     id: u64,
@@ -601,8 +600,8 @@ fn await_ack(
 ) -> bool {
     loop {
         let ack = match deadline {
-            None => acks.recv(ctx),
-            Some(deadline) => acks.recv_deadline(ctx, deadline).msg(),
+            None => acks.recv_async(ctx).await,
+            Some(deadline) => acks.recv_deadline_async(ctx, deadline).await.msg(),
         };
         match ack {
             Some((_, aid)) if aid == id => return true,
@@ -661,9 +660,7 @@ fn spawn_node<A: SpmdApp>(
     let comm = cluster.network.communicator(rank);
     let stalls = cluster.faults.stalls_for(rank);
     let worker = Worker::new(rank, job.clone(), ports, comm, ctrl, acks, stalls);
-    sim.spawn_on(1 + rank, &format!("n{rank}-worker"), move |ctx| {
-        worker.run(ctx)
-    });
+    sim.spawn_task_on(1 + rank, &format!("n{rank}-worker"), move |ctx| worker.run(ctx));
 }
 
 /// Folds what the nodes reported into the job's result: per-iteration

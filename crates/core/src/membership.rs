@@ -21,11 +21,11 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The most nodes one plan may admit in total. Every simulated node is
-/// five coroutine stacks and the process table tops out near 32k
-/// (`docs/engine.md`), so a larger total cannot be simulated — and a
-/// count read from a plan file must be bounded before a cluster is sized
-/// from it.
+/// The most nodes one plan may admit in total. A count read from a plan
+/// file must be bounded before a cluster is sized from it: every node
+/// costs its processes' futures, its device state and its share of every
+/// collective, and each epoch of an elastic run builds the whole cluster
+/// again. This bound is far past any elastic experiment here.
 pub const MAX_SCALE_OUT_NODES: usize = 4096;
 
 /// Admit `count` new nodes at a fixed virtual time. The new nodes clone

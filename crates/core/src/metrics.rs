@@ -136,9 +136,10 @@ pub struct JobMetrics {
     /// across epochs like `sim_events`.
     pub sim_handoffs: u64,
     /// Of those hand-offs, the ones that switched stacks: the ones whose
-    /// target is a stackful process (`simtime::SimReport::switches`) —
-    /// the node's sub-task scheduler or the master, not a device daemon.
-    /// Summed across epochs like `sim_events`.
+    /// target is a stackful process (`simtime::SimReport::switches`).
+    /// Every process of a job is a task, so this is 0;
+    /// `tests/engine_determinism.rs` pins it there. Summed across epochs
+    /// like `sim_events`.
     pub sim_switches: u64,
     /// One-off setup time (partitioning messages, resident-data staging) —
     /// excluded from iteration time like the paper's "one-off overhead".

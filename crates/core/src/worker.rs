@@ -2,9 +2,10 @@
 //! ([`Worker`]) written as the paper's superstep — configure, map on both
 //! device classes, combine and copy back, shuffle, reduce, global gather
 //! and update (§III.A.2, Figures 1 and 2) — with the CPU and GPU device
-//! daemons it feeds beside it. The sub-task scheduler is a stackful
-//! process written in blocking style; the daemons, each a loop around one
-//! queue, are stackless simulation tasks (`simtime::Sim::spawn_task`).
+//! daemons it feeds beside it. The sub-task scheduler and the daemons are
+//! stackless simulation tasks (`simtime::Sim::spawn_task`): the
+//! scheduler's superstep is one `async` body that `.await`s only at its
+//! stage boundaries, and each daemon is a loop around one queue.
 
 use crate::api::{DeviceClass, Key, SpmdApp};
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
@@ -14,7 +15,7 @@ use crate::metrics::{RecoveryCounters, StageTimes};
 use crate::task::{split_fixed, split_range, Task, TaskResult};
 use device::{CompletionBoard, FatNode, Gpu};
 use insight::CalibrationProfile;
-use netsim::{shuffle, CollectiveSeq, Collectives, Communicator, ShuffleItem};
+use netsim::{shuffle_async, CollectiveSeq, Collectives, Communicator, ShuffleItem};
 use obs::{kinds, trace_ctx, DecisionId, DecisionRecord, Obs, TraceCtx};
 use parking_lot::Mutex;
 use roofline::model::DataResidency;
@@ -341,12 +342,10 @@ fn key_runs<V>(sorted: impl IntoIterator<Item = (Key, V)>) -> impl Iterator<Item
 }
 
 /// Groups pairs by key and applies the combiner, "sorted in memory" like
-/// the paper's intermediates. The sort is stable, and it is the cached-key
-/// one because that sorts `(key, position)`s on the heap: `sort_by_key`'s
-/// 4 KiB stack scratch is one more page touched on every worker's
-/// coroutine stack (4 MiB of a 1000-node run's 53).
+/// the paper's intermediates. The sort is stable, so each key's values
+/// reach the combiner in the order the map stage produced them.
 fn combine_pairs<A: SpmdApp>(app: &A, mut pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
-    pairs.sort_by_cached_key(|(k, _)| *k);
+    pairs.sort_by_key(|(k, _)| *k);
     key_runs(pairs)
         .flat_map(|(k, vals)| app.combine(k, vals).into_iter().map(move |v| (k, v)))
         .collect()
@@ -602,8 +601,9 @@ impl<A: SpmdApp> Worker<A> {
     /// The superstep machine: set up once, then iterate map → combine →
     /// shuffle → reduce → gather and decide until rank 0's verdict (or the
     /// iteration cap) ends the attempt.
-    pub(crate) fn run(mut self, ctx: &SimCtx) {
-        self.setup(ctx);
+    pub(crate) async fn run(mut self, ctx: SimCtx) {
+        let ctx = &ctx;
+        self.setup(ctx).await;
         let max_iterations = self.job.config.max_iterations;
         let mut final_outputs = None;
         let (mut interrupted, mut paused) = (false, false);
@@ -616,19 +616,19 @@ impl<A: SpmdApp> Worker<A> {
             self.comm
                 .set_trace_ctx(TraceCtx::root(iter as u64, self.root_part));
 
-            self.plan_split(ctx, iter);
-            let mut mapped = self.map(ctx, t0);
-            self.combine_and_copy_back(ctx, &mut mapped);
+            self.plan_split(ctx, iter).await;
+            let mut mapped = self.map(ctx, t0).await;
+            self.combine_and_copy_back(ctx, &mut mapped).await;
             clock.end(Stage::Map, ctx.now());
             self.observe_map(&mapped, t0, ctx.now());
 
-            let arrived = self.shuffle(ctx, mapped);
+            let arrived = self.shuffle(ctx, mapped).await;
             clock.end(Stage::Shuffle, ctx.now());
 
-            let outputs = self.reduce(ctx, arrived);
+            let outputs = self.reduce(ctx, arrived).await;
             clock.end(Stage::Reduce, ctx.now());
 
-            let (global, verdict) = self.gather_and_decide(ctx, iter, outputs);
+            let (global, verdict) = self.gather_and_decide(ctx, iter, outputs).await;
             clock.end(Stage::Update, ctx.now());
 
             // An aborted attempt stops here: the iteration is not recorded
@@ -704,7 +704,7 @@ impl<A: SpmdApp> Worker<A> {
 
     /// Runs `transfer` against every engaged GPU at once — one child task
     /// per card, named `{name}-gpu{g}` — and waits for all of them.
-    fn on_each_gpu<Fut: Future<Output = ()> + 'static>(
+    async fn on_each_gpu<Fut: Future<Output = ()> + 'static>(
         &self,
         ctx: &SimCtx,
         name: &str,
@@ -716,14 +716,14 @@ impl<A: SpmdApp> Worker<A> {
                 ctx.spawn_task(&format!("{name}-gpu{g}"), move |cctx| transfer(gpu, cctx))
             })
             .collect();
-        ctx.join_all(&handles);
+        ctx.join_all_async(&handles).await;
     }
 
     /// Job configuration: take the master's partition assignments, wait
     /// for the GPU daemons, stage resident data, and line up with the
     /// other nodes.
-    fn setup(&mut self, ctx: &SimCtx) {
-        self.receive_assignments(ctx);
+    async fn setup(&mut self, ctx: &SimCtx) {
+        self.receive_assignments(ctx).await;
         self.my_items = self.partitions.iter().map(|r| r.len()).sum();
         self.my_bytes = self.my_items as u64 * self.job.app.item_bytes();
         let config = &self.job.config;
@@ -731,7 +731,7 @@ impl<A: SpmdApp> Worker<A> {
         // the one-off context cost stays out of the timed iterations.
         if self.uses_gpu() {
             for _ in 0..config.gpus_per_node * config.gpu_streams {
-                self.ports.ready.recv(ctx).expect("gpu daemon readiness");
+                self.ports.ready.recv_async(ctx).await.expect("gpu daemon readiness");
             }
         }
         // Resident data: stage the node's whole share once, outside the
@@ -747,9 +747,10 @@ impl<A: SpmdApp> Worker<A> {
                     .alloc(my_bytes)
                     .expect("resident working set must fit in GPU memory");
                 gpu.transfer_h2d_async(&cctx, my_bytes).await;
-            });
+            })
+            .await;
         }
-        self.coll().barrier(ctx);
+        self.coll().barrier_async(ctx).await;
         self.report.setup_end = ctx.now().as_secs_f64();
     }
 
@@ -758,11 +759,11 @@ impl<A: SpmdApp> Worker<A> {
     /// looks from the master), and keeps only the assignments the master
     /// finally confirms: anything else was reassigned to another node
     /// after we missed the deadline.
-    fn receive_assignments(&mut self, ctx: &SimCtx) {
+    async fn receive_assignments(&mut self, ctx: &SimCtx) {
         let latency = self.comm.params().latency;
         let mut assigned: BTreeMap<u64, Range<usize>> = BTreeMap::new();
         loop {
-            match self.ctrl.recv(ctx) {
+            match self.ctrl.recv_async(ctx).await {
                 Some(CtrlMsg::Partition { id, range }) => {
                     // The master's control-plane flow lands here; pair its
                     // `msg-send` at the instant the assignment is matched.
@@ -782,7 +783,7 @@ impl<A: SpmdApp> Worker<A> {
                         .map(|s| s.ack_delay_secs)
                         .sum();
                     if delay > 0.0 {
-                        ctx.hold(SimTime::from_secs_f64(delay));
+                        ctx.sleep(SimTime::from_secs_f64(delay)).await;
                     }
                     self.acks.send_delayed(ctx, (self.rank, id), latency);
                     assigned.insert(id, range);
@@ -806,13 +807,14 @@ impl<A: SpmdApp> Worker<A> {
     /// Surviving-device census, the split it implies, and the audit row
     /// that records both. Un-cached resident data is re-staged first
     /// (ablation A4), inside the timed map stage.
-    fn plan_split(&mut self, ctx: &SimCtx, iter: usize) {
+    async fn plan_split(&mut self, ctx: &SimCtx, iter: usize) {
         let config = &self.job.config;
         if !config.cache_resident_data && self.keeps_resident_copy() {
             let my_bytes = self.my_bytes;
             self.on_each_gpu(ctx, "restage", move |gpu, cctx| async move {
                 gpu.transfer_h2d_async(&cctx, my_bytes).await
-            });
+            })
+            .await;
         }
         // A crashed GPU is excluded from the static split, so the
         // remaining devices absorb its share — the per-node scheduler's
@@ -957,7 +959,7 @@ impl<A: SpmdApp> Worker<A> {
 
     /// MAP: second-level scheduling of blocks onto device daemons, then
     /// the drain that resolves every race before the combiner runs.
-    fn map(&mut self, ctx: &SimCtx, t0: SimTime) -> Mapped<A::Inter> {
+    async fn map(&mut self, ctx: &SimCtx, t0: SimTime) -> Mapped<A::Inter> {
         let config = self.job.config;
         let first_id = self.next_task_id;
         let claimed_before: u64 = self.report.map_tasks.iter().sum();
@@ -968,26 +970,26 @@ impl<A: SpmdApp> Worker<A> {
             match config.scheduling {
                 SchedulingMode::Dynamic { block_items } => {
                     for block in split_fixed(part, block_items) {
-                        self.dispatch_map(ctx, block, DeviceClass::Cpu);
+                        self.dispatch_map(ctx, block, DeviceClass::Cpu).await;
                     }
                 }
                 _ => {
                     let (cpu_range, gpu_range) = split_part(&part, self.split.p_eff);
                     if !cpu_range.is_empty() {
                         for block in split_range(cpu_range, cpu_blocks) {
-                            self.dispatch_map(ctx, block, DeviceClass::Cpu);
+                            self.dispatch_map(ctx, block, DeviceClass::Cpu).await;
                         }
                     }
                     if !gpu_range.is_empty() {
                         for block in split_range(gpu_range, config.gpu_blocks_per_partition) {
-                            self.dispatch_map(ctx, block, DeviceClass::Gpu);
+                            self.dispatch_map(ctx, block, DeviceClass::Gpu).await;
                         }
                     }
                 }
             }
         }
         let primaries = self.next_task_id - first_id;
-        let mapped = self.drain_map(ctx, primaries, self.speculation_deadline(t0));
+        let mapped = self.drain_map(ctx, primaries, self.speculation_deadline(t0)).await;
         debug_assert_eq!(
             self.report.map_tasks.iter().sum::<u64>() - claimed_before,
             primaries,
@@ -1002,13 +1004,13 @@ impl<A: SpmdApp> Worker<A> {
 
     /// Sends one primary map block to the queue serving `class`, keeping a
     /// high-water mark of the second-level queue backlog as it goes.
-    fn dispatch_map(&mut self, ctx: &SimCtx, block: Range<usize>, class: DeviceClass) {
+    async fn dispatch_map(&mut self, ctx: &SimCtx, block: Range<usize>, class: DeviceClass) {
         let id = self.next_task_id;
         self.next_task_id += 1;
         if self.job.config.speculation_lag_multiplier.is_some() {
             self.outstanding.insert(id, (block.clone(), class));
         }
-        ctx.hold(self.ports.node.overheads.task_dispatch);
+        ctx.sleep(self.ports.node.overheads.task_dispatch).await;
         let queue = self.queue_for(class);
         queue.send(
             ctx,
@@ -1055,7 +1057,7 @@ impl<A: SpmdApp> Worker<A> {
     /// Collects map results until every dispatched copy — primary or
     /// backup — has reported exactly one `Map` or `Cancelled`, firing the
     /// backup volley if `volley_at` passes with primaries still out.
-    fn drain_map(
+    async fn drain_map(
         &mut self,
         ctx: &SimCtx,
         primaries: u64,
@@ -1070,17 +1072,17 @@ impl<A: SpmdApp> Worker<A> {
         while seen < expected {
             let outcome = match volley_at {
                 Some(deadline) if !self.outstanding.is_empty() => {
-                    match self.ports.results.recv_deadline(ctx, deadline) {
+                    match self.ports.results.recv_deadline_async(ctx, deadline).await {
                         RecvOutcome::Msg(r) => Some(r),
                         RecvOutcome::Closed => None,
                         RecvOutcome::TimedOut => {
                             volley_at = None;
-                            expected += self.launch_backups(ctx);
+                            expected += self.launch_backups(ctx).await;
                             continue;
                         }
                     }
                 }
-                _ => self.ports.results.recv(ctx),
+                _ => self.ports.results.recv_async(ctx).await,
             };
             match outcome.expect("results channel open") {
                 TaskResult::Map {
@@ -1112,7 +1114,9 @@ impl<A: SpmdApp> Worker<A> {
                         self.recover(ctx, RecoveryAction::SpecWasted { task: id });
                     }
                 }
-                TaskResult::GpuDown { gpu, task, lost } => self.gpu_down(ctx, gpu, task, lost),
+                TaskResult::GpuDown { gpu, task, lost } => {
+                    self.gpu_down(ctx, gpu, task, lost).await;
+                }
                 TaskResult::Reduce { .. } => unreachable!("no reduce tasks dispatched yet"),
             }
         }
@@ -1121,13 +1125,13 @@ impl<A: SpmdApp> Worker<A> {
 
     /// The backup volley: one speculative copy of every outstanding
     /// primary, on the opposite device class. Returns how many it sent.
-    fn launch_backups(&self, ctx: &SimCtx) -> u64 {
+    async fn launch_backups(&self, ctx: &SimCtx) -> u64 {
         for (&id, (range, class)) in &self.outstanding {
             let opposite = match class {
                 DeviceClass::Cpu => DeviceClass::Gpu,
                 DeviceClass::Gpu => DeviceClass::Cpu,
             };
-            ctx.hold(self.ports.node.overheads.task_dispatch);
+            ctx.sleep(self.ports.node.overheads.task_dispatch).await;
             let backup = Task::Map {
                 id,
                 range: range.clone(),
@@ -1148,7 +1152,13 @@ impl<A: SpmdApp> Worker<A> {
     /// survive, the simulation deadlocks and `run_job` reports
     /// [`crate::JobError::Sim`] — there is no device left that could make
     /// progress.
-    fn gpu_down(&mut self, ctx: &SimCtx, gpu: usize, task: Option<Task<A::Inter>>, lost: f64) {
+    async fn gpu_down(
+        &mut self,
+        ctx: &SimCtx,
+        gpu: usize,
+        task: Option<Task<A::Inter>>,
+        lost: f64,
+    ) {
         // First report from this GPU's daemons: the card itself died.
         let first_down = self.alive[gpu] == self.job.config.gpu_streams;
         self.recover(
@@ -1170,7 +1180,7 @@ impl<A: SpmdApp> Worker<A> {
         let split_queues = matches!(self.job.config.scheduling, SchedulingMode::Static { .. });
         if split_queues && self.alive.iter().all(|&s| s == 0) {
             // recv_deadline at `now` is a non-blocking drain of the backlog.
-            while let RecvOutcome::Msg(t) = self.ports.gpu_q.recv_deadline(ctx, ctx.now()) {
+            while let RecvOutcome::Msg(t) = self.ports.gpu_q.recv_deadline_async(ctx, ctx.now()).await {
                 self.recover(ctx, RecoveryAction::BlockRequeued { gpu });
                 survivors.send(ctx, t);
             }
@@ -1182,7 +1192,7 @@ impl<A: SpmdApp> Worker<A> {
     /// sort/merge of intermediates; then "the intermediate data located in
     /// GPU memory will be copied/sorted to/in CPU memory after all map
     /// tasks on local node are done."
-    fn combine_and_copy_back(&self, ctx: &SimCtx, mapped: &mut Mapped<A::Inter>) {
+    async fn combine_and_copy_back(&self, ctx: &SimCtx, mapped: &mut Mapped<A::Inter>) {
         let app = self.job.app.as_ref();
         if self.job.config.use_combiner {
             for side in mapped.iter_mut() {
@@ -1195,7 +1205,8 @@ impl<A: SpmdApp> Worker<A> {
             let share = inter_bytes / self.job.config.gpus_per_node as u64;
             self.on_each_gpu(ctx, "d2h", move |gpu, cctx| async move {
                 gpu.transfer_d2h_async(&cctx, share.max(1)).await
-            });
+            })
+            .await;
         }
     }
 
@@ -1232,7 +1243,11 @@ impl<A: SpmdApp> Worker<A> {
     }
 
     /// SHUFFLE: every pair travels to the node owning its key's bucket.
-    fn shuffle(&self, ctx: &SimCtx, mapped: Mapped<A::Inter>) -> Vec<ShuffleItem<(Key, A::Inter)>> {
+    async fn shuffle(
+        &self,
+        ctx: &SimCtx,
+        mapped: Mapped<A::Inter>,
+    ) -> Vec<ShuffleItem<(Key, A::Inter)>> {
         let app = self.job.app.as_ref();
         let [cpu, gpu] = mapped;
         let pairs = cpu.pairs.into_iter().chain(gpu.pairs);
@@ -1243,11 +1258,15 @@ impl<A: SpmdApp> Worker<A> {
                 value: (k, v),
             })
             .collect();
-        shuffle(&self.comm, &self.seq, ctx, items)
+        shuffle_async(&self.comm, &self.seq, ctx, items).await
     }
 
     /// REDUCE: one task per key on the configured reduce device.
-    fn reduce(&mut self, ctx: &SimCtx, arrived: Vec<ShuffleItem<(Key, A::Inter)>>) -> Outputs<A> {
+    async fn reduce(
+        &mut self,
+        ctx: &SimCtx,
+        arrived: Vec<ShuffleItem<(Key, A::Inter)>>,
+    ) -> Outputs<A> {
         // The shuffle returns its items grouped: bucket (here the key)
         // ascending, stable source order inside one.
         debug_assert!(arrived.is_sorted_by_key(|item| item.bucket));
@@ -1264,14 +1283,16 @@ impl<A: SpmdApp> Worker<A> {
                         .expect("comparator defined for all values")
                 });
             }
-            ctx.hold(self.ports.node.overheads.task_dispatch);
+            ctx.sleep(self.ports.node.overheads.task_dispatch).await;
             queue.send(ctx, Task::Reduce { key, values });
         }
         let mut outputs: Outputs<A> = Vec::with_capacity(n_reduces);
         while outputs.len() < n_reduces {
-            match self.ports.results.recv(ctx).expect("results channel open") {
+            match self.ports.results.recv_async(ctx).await.expect("results channel open") {
                 TaskResult::Reduce { key, output } => outputs.push((key, output)),
-                TaskResult::GpuDown { gpu, task, lost } => self.gpu_down(ctx, gpu, task, lost),
+                TaskResult::GpuDown { gpu, task, lost } => {
+                    self.gpu_down(ctx, gpu, task, lost).await;
+                }
                 TaskResult::Map { .. } => unreachable!("map stage already drained"),
                 TaskResult::Cancelled { .. } => {
                     unreachable!("every map race is resolved before reduce dispatch")
@@ -1285,7 +1306,7 @@ impl<A: SpmdApp> Worker<A> {
     /// GLOBAL GATHER + UPDATE: every rank contributes its outputs, rank 0
     /// decides the iteration's fate, and the verdict is broadcast so
     /// replicated app state is written exactly once per iteration.
-    fn gather_and_decide(
+    async fn gather_and_decide(
         &mut self,
         ctx: &SimCtx,
         iter: usize,
@@ -1298,9 +1319,11 @@ impl<A: SpmdApp> Worker<A> {
         // update, and as the job's outputs), so the broadcast carries `()`:
         // a copy of the n-slot vector in each of its n - 1 messages would
         // hold n² slots at once.
-        let gathered = self.coll().gather(ctx, 0, out_bytes.max(1), outputs);
+        let gathered = self.coll().gather_async(ctx, 0, out_bytes.max(1), outputs).await;
         let all_bytes = out_bytes.max(1) * self.comm.size() as u64;
-        self.coll().bcast(ctx, 0, all_bytes, gathered.is_some().then_some(()));
+        self.coll()
+            .bcast_async(ctx, 0, all_bytes, gathered.is_some().then_some(()))
+            .await;
         let mut global: Outputs<A> = Vec::new();
         let mut verdict = None;
         if let Some(gathered) = gathered {
@@ -1308,7 +1331,7 @@ impl<A: SpmdApp> Worker<A> {
             global.sort_by_key(|(k, _)| *k);
             verdict = Some(self.decide(ctx, iter, &global));
         }
-        let verdict = self.coll().bcast(ctx, 0, 1, verdict);
+        let verdict = self.coll().bcast_async(ctx, 0, 1, verdict).await;
         (global, verdict)
     }
 

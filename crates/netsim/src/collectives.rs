@@ -52,7 +52,8 @@ impl Communicator {
 
 impl Collectives<'_> {
     /// Broadcast `value` (wire size `bytes`) from `root` to every rank,
-    /// binomial tree: O(log n) rounds.
+    /// binomial tree: O(log n) rounds. [`SimCtx::wait`] on
+    /// [`Collectives::bcast_async`].
     pub fn bcast<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
@@ -60,11 +61,22 @@ impl Collectives<'_> {
         bytes: u64,
         value: Option<T>,
     ) -> T {
-        let op = self.seq.next();
-        self.bcast_inner(ctx, root, bytes, value, op)
+        ctx.wait(self.bcast_async(ctx, root, bytes, value))
     }
 
-    fn bcast_inner<T: Clone + Send + 'static>(
+    /// The future behind [`Collectives::bcast`].
+    pub async fn bcast_async<T: Clone + Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        root: usize,
+        bytes: u64,
+        value: Option<T>,
+    ) -> T {
+        let op = self.seq.next();
+        self.bcast_inner(ctx, root, bytes, value, op).await
+    }
+
+    async fn bcast_inner<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -85,7 +97,7 @@ impl Collectives<'_> {
         while mask < n {
             if relative & mask != 0 {
                 let src = (relative - mask + root) % n;
-                current = Some(self.comm.recv::<T>(ctx, src, tag(op, 0)));
+                current = Some(self.comm.recv_async::<T>(ctx, src, tag(op, 0)).await);
                 break;
             }
             mask <<= 1;
@@ -95,7 +107,7 @@ impl Collectives<'_> {
         while mask > 0 {
             if relative + mask < n {
                 let dst = (relative + mask + root) % n;
-                self.comm.send(ctx, dst, tag(op, 0), bytes, v.clone());
+                self.comm.send_async(ctx, dst, tag(op, 0), bytes, v.clone()).await;
             }
             mask >>= 1;
         }
@@ -105,7 +117,8 @@ impl Collectives<'_> {
     /// Reduce every rank's `value` to `root` with the associative
     /// `combine`, binomial tree. Returns `Some(total)` on the root, `None`
     /// elsewhere. Combine order is fixed by the tree, so floating-point
-    /// results are deterministic.
+    /// results are deterministic. [`SimCtx::wait`] on
+    /// [`Collectives::reduce_async`].
     pub fn reduce<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
@@ -114,11 +127,23 @@ impl Collectives<'_> {
         value: T,
         combine: impl Fn(T, T) -> T,
     ) -> Option<T> {
-        let op = self.seq.next();
-        self.reduce_inner(ctx, root, bytes, value, combine, op)
+        ctx.wait(self.reduce_async(ctx, root, bytes, value, combine))
     }
 
-    fn reduce_inner<T: Send + 'static>(
+    /// The future behind [`Collectives::reduce`].
+    pub async fn reduce_async<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        root: usize,
+        bytes: u64,
+        value: T,
+        combine: impl Fn(T, T) -> T,
+    ) -> Option<T> {
+        let op = self.seq.next();
+        self.reduce_inner(ctx, root, bytes, value, combine, op).await
+    }
+
+    async fn reduce_inner<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -137,13 +162,13 @@ impl Collectives<'_> {
                 let child_rel = relative | mask;
                 if child_rel < n {
                     let src = (child_rel + root) % n;
-                    let part = self.comm.recv::<T>(ctx, src, tag(op, 1));
+                    let part = self.comm.recv_async::<T>(ctx, src, tag(op, 1)).await;
                     acc = combine(acc, part);
                 }
             } else {
                 let parent_rel = relative & !mask;
                 let dst = (parent_rel + root) % n;
-                self.comm.send(ctx, dst, tag(op, 1), bytes, acc);
+                self.comm.send_async(ctx, dst, tag(op, 1), bytes, acc).await;
                 return None;
             }
             mask <<= 1;
@@ -152,6 +177,7 @@ impl Collectives<'_> {
     }
 
     /// Reduce-then-broadcast allreduce; every rank returns the total.
+    /// [`SimCtx::wait`] on [`Collectives::allreduce_async`].
     pub fn allreduce<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
@@ -159,21 +185,50 @@ impl Collectives<'_> {
         value: T,
         combine: impl Fn(T, T) -> T,
     ) -> T {
+        ctx.wait(self.allreduce_async(ctx, bytes, value, combine))
+    }
+
+    /// The future behind [`Collectives::allreduce`].
+    pub async fn allreduce_async<T: Clone + Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        bytes: u64,
+        value: T,
+        combine: impl Fn(T, T) -> T,
+    ) -> T {
         let op = self.seq.next();
-        let reduced = self.reduce_inner(ctx, 0, bytes, value, combine, op);
-        self.bcast_inner(ctx, 0, bytes, reduced, op + (1 << 32))
+        let reduced = self.reduce_inner(ctx, 0, bytes, value, combine, op).await;
+        self.bcast_inner(ctx, 0, bytes, reduced, op + (1 << 32)).await
     }
 
     /// Synchronizes all ranks: nobody returns until everybody has entered.
+    /// [`SimCtx::wait`] on [`Collectives::barrier_async`].
     pub fn barrier(&self, ctx: &SimCtx) {
+        ctx.wait(self.barrier_async(ctx));
+    }
+
+    /// The future behind [`Collectives::barrier`].
+    pub async fn barrier_async(&self, ctx: &SimCtx) {
         // A zero-byte allreduce of unit.
-        self.allreduce(ctx, 0, (), |(), ()| ());
+        self.allreduce_async(ctx, 0, (), |(), ()| ()).await;
     }
 
     /// Gather to `root`: every rank contributes `value`; the root returns
     /// `Some(vec)` indexed by rank, others `None`. Flat (non-tree) — fine
-    /// for small payloads, O(n) messages into the root.
+    /// for small payloads, O(n) messages into the root. [`SimCtx::wait`] on
+    /// [`Collectives::gather_async`].
     pub fn gather<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        root: usize,
+        bytes_each: u64,
+        value: T,
+    ) -> Option<Vec<T>> {
+        ctx.wait(self.gather_async(ctx, root, bytes_each, value))
+    }
+
+    /// The future behind [`Collectives::gather`].
+    pub async fn gather_async<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -187,18 +242,30 @@ impl Collectives<'_> {
             let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
             slots[root] = Some(value);
             for src in (0..n).filter(|&s| s != root) {
-                slots[src] = Some(self.comm.recv::<T>(ctx, src, tag(op, 2)));
+                slots[src] = Some(self.comm.recv_async::<T>(ctx, src, tag(op, 2)).await);
             }
             Some(slots.into_iter().map(|s| s.unwrap()).collect())
         } else {
-            self.comm.send(ctx, root, tag(op, 2), bytes_each, value);
+            self.comm.send_async(ctx, root, tag(op, 2), bytes_each, value).await;
             None
         }
     }
 
     /// Scatter from `root`: the root supplies one value per rank
     /// (`Some(values)`, length = size); every rank returns its own slot.
+    /// [`SimCtx::wait`] on [`Collectives::scatter_async`].
     pub fn scatter<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        root: usize,
+        bytes_each: u64,
+        values: Option<Vec<T>>,
+    ) -> T {
+        ctx.wait(self.scatter_async(ctx, root, bytes_each, values))
+    }
+
+    /// The future behind [`Collectives::scatter`].
+    pub async fn scatter_async<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -219,13 +286,13 @@ impl Collectives<'_> {
                 if dst == rank {
                     mine = Some(v);
                 } else {
-                    self.comm.send(ctx, dst, tag(op, 3), bytes_each, v);
+                    self.comm.send_async(ctx, dst, tag(op, 3), bytes_each, v).await;
                 }
             }
             mine.expect("root keeps its own slot")
         } else {
             assert!(values.is_none(), "non-root ranks pass None to scatter");
-            self.comm.recv::<T>(ctx, root, tag(op, 3))
+            self.comm.recv_async::<T>(ctx, root, tag(op, 3)).await
         }
     }
 
@@ -233,16 +300,27 @@ impl Collectives<'_> {
     /// and receives the full vector indexed by rank. Gather-to-0 then
     /// binomial broadcast of the assembled vector — O(n) messages and
     /// O(log n) latency rounds, where the textbook ring's O(n²) messages
-    /// dominate engine time on 1000-rank jobs.
+    /// dominate engine time on 1000-rank jobs. [`SimCtx::wait`] on
+    /// [`Collectives::allgather_async`].
     pub fn allgather<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         bytes_each: u64,
         value: T,
     ) -> Vec<T> {
+        ctx.wait(self.allgather_async(ctx, bytes_each, value))
+    }
+
+    /// The future behind [`Collectives::allgather`].
+    pub async fn allgather_async<T: Clone + Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        bytes_each: u64,
+        value: T,
+    ) -> Vec<T> {
         let n = self.comm.size();
-        let gathered = self.gather(ctx, 0, bytes_each, value);
-        self.bcast(ctx, 0, bytes_each * n as u64, gathered)
+        let gathered = self.gather_async(ctx, 0, bytes_each, value).await;
+        self.bcast_async(ctx, 0, bytes_each * n as u64, gathered).await
     }
 }
 

@@ -286,8 +286,21 @@ impl Communicator {
     /// The sender blocks for the egress-serialization time `bytes/β`
     /// (messages from one rank share its NIC), then the message arrives at
     /// `dst` after the additional link latency α. Self-sends deliver
-    /// immediately without touching the NIC.
+    /// immediately without touching the NIC. [`SimCtx::wait`] on
+    /// [`Communicator::send_async`].
     pub fn send<T: Send + 'static>(&self, ctx: &SimCtx, dst: usize, tag: u64, bytes: u64, value: T) {
+        ctx.wait(self.send_async(ctx, dst, tag, bytes, value));
+    }
+
+    /// The future behind [`Communicator::send`].
+    pub async fn send_async<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        dst: usize,
+        tag: u64,
+        bytes: u64,
+        value: T,
+    ) {
         assert!(dst < self.size(), "send to out-of-range rank {dst}");
         let src = self.rank as u32;
         if dst == self.rank {
@@ -316,9 +329,9 @@ impl Communicator {
         let (wire, mut delay, release) =
             self.net.disruption_effects(self.rank, dst, ctx.now(), bytes);
         let egress = &self.net.egress[self.rank];
-        egress.acquire(ctx, 1);
+        egress.acquire_async(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(wire);
+        ctx.sleep(wire).await;
         let t1 = ctx.now();
         if let Some(o) = self.net_obs() {
             if let Some(d) = o.obs.bus.span_interned(&o.lanes[self.rank], &o.kind_send, t0, t1) {
@@ -367,14 +380,31 @@ impl Communicator {
 
     /// Blocks until a message from `src` with `tag` arrives; returns its
     /// payload. Panics if the payload type does not match `T` (a protocol
-    /// error, not a recoverable condition).
+    /// error, not a recoverable condition). [`SimCtx::wait`] on
+    /// [`Communicator::recv_async`].
     pub fn recv<T: Send + 'static>(&self, ctx: &SimCtx, src: usize, tag: u64) -> T {
-        self.recv_with_bytes(ctx, src, tag).0
+        ctx.wait(self.recv_async(ctx, src, tag))
+    }
+
+    /// The future behind [`Communicator::recv`].
+    pub async fn recv_async<T: Send + 'static>(&self, ctx: &SimCtx, src: usize, tag: u64) -> T {
+        self.recv_with_bytes_async(ctx, src, tag).await.0
     }
 
     /// Like [`Communicator::recv`], additionally returning the declared
-    /// wire size.
+    /// wire size. [`SimCtx::wait`] on
+    /// [`Communicator::recv_with_bytes_async`].
     pub fn recv_with_bytes<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        src: usize,
+        tag: u64,
+    ) -> (T, u64) {
+        ctx.wait(self.recv_with_bytes_async(ctx, src, tag))
+    }
+
+    /// The future behind [`Communicator::recv_with_bytes`].
+    pub async fn recv_with_bytes_async<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         src: usize,
@@ -393,7 +423,8 @@ impl Communicator {
         }
         loop {
             let m = self.net.inboxes[self.rank]
-                .recv(ctx)
+                .recv_async(ctx)
+                .await
                 .expect("network inbox closed while receiving");
             if m.matches(src, tag) {
                 self.note_recv(ctx, &m);
@@ -408,8 +439,13 @@ impl Communicator {
     /// first, which under the engine's `(time, seq)` pop contract is
     /// identical across runs and engine modes. Used by the sparse shuffle,
     /// where the receiver knows how many batches are coming but not from
-    /// whom.
+    /// whom. [`SimCtx::wait`] on [`Communicator::recv_any_async`].
     pub fn recv_any<T: Send + 'static>(&self, ctx: &SimCtx, tag: u64) -> (usize, T) {
+        ctx.wait(self.recv_any_async(ctx, tag))
+    }
+
+    /// The future behind [`Communicator::recv_any`].
+    pub async fn recv_any_async<T: Send + 'static>(&self, ctx: &SimCtx, tag: u64) -> (usize, T) {
         {
             let mut pending = self.pending.lock();
             if let Some(pos) = pending.iter().position(|m| m.tag == tag) {
@@ -422,7 +458,8 @@ impl Communicator {
         }
         loop {
             let m = self.net.inboxes[self.rank]
-                .recv(ctx)
+                .recv_async(ctx)
+                .await
                 .expect("network inbox closed while receiving");
             if m.tag == tag {
                 let src = m.src as usize;

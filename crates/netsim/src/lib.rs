@@ -34,7 +34,7 @@ pub use comm::{Communicator, Network};
 pub use faults::LinkDisruption;
 pub use heartbeat::HeartbeatMonitor;
 pub use params::NetworkParams;
-pub use shuffle::{bucket_owner, shuffle, ShuffleItem};
+pub use shuffle::{bucket_owner, shuffle, shuffle_async, ShuffleItem};
 
 #[cfg(test)]
 mod proptests {

@@ -98,8 +98,18 @@ fn plan<T>(n: usize, me: usize, items: Vec<ShuffleItem<T>>) -> Plan<T> {
 /// messages instead of the dense all-to-all's O(n²) — the difference
 /// between minutes and seconds of engine time at 1000 ranks. Results are
 /// deterministic regardless: received batches are re-sorted by source
-/// rank before grouping.
+/// rank before grouping. [`SimCtx::wait`] on [`shuffle_async`].
 pub fn shuffle<T: Send + 'static>(
+    comm: &Communicator,
+    seq: &CollectiveSeq,
+    ctx: &SimCtx,
+    items: Vec<ShuffleItem<T>>,
+) -> Vec<ShuffleItem<T>> {
+    ctx.wait(shuffle_async(comm, seq, ctx, items))
+}
+
+/// The future behind [`shuffle`].
+pub async fn shuffle_async<T: Send + 'static>(
     comm: &Communicator,
     seq: &CollectiveSeq,
     ctx: &SimCtx,
@@ -123,7 +133,7 @@ pub fn shuffle<T: Send + 'static>(
     // control plane — but carried sparse.
     let n = comm.size();
     let coll = comm.collectives(seq);
-    let total = coll.reduce(ctx, 0, 8 * n as u64, senders, merge_counts);
+    let total = coll.reduce_async(ctx, 0, 8 * n as u64, senders, merge_counts).await;
     let dense = total.map(|total| {
         let mut dense = vec![0u64; n];
         for (dst, count) in total {
@@ -131,10 +141,10 @@ pub fn shuffle<T: Send + 'static>(
         }
         dense
     });
-    let incoming = coll.scatter(ctx, 0, 8, dense);
+    let incoming = coll.scatter_async(ctx, 0, 8, dense).await;
 
     for (dst, bytes, batch) in outgoing {
-        comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch);
+        comm.send_async(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch).await;
     }
 
     // Receive exactly the announced number of batches, from whichever
@@ -142,7 +152,8 @@ pub fn shuffle<T: Send + 'static>(
     let mut received: Vec<(usize, Vec<ShuffleItem<T>>)> = Vec::with_capacity(incoming as usize + 1);
     received.push((me, mine));
     for _ in 0..incoming {
-        let (src, batch) = comm.recv_any::<Vec<ShuffleItem<T>>>(ctx, SHUFFLE_TAG_BASE | op);
+        let (src, batch) =
+            comm.recv_any_async::<Vec<ShuffleItem<T>>>(ctx, SHUFFLE_TAG_BASE | op).await;
         received.push((src, batch));
     }
     received.sort_by_key(|(src, _)| *src);
@@ -185,7 +196,7 @@ mod tests {
     use crate::comm::Network;
     use crate::params::NetworkParams;
     use parking_lot::Mutex;
-    use simtime::Sim;
+    use simtime::{Sim, SimTime};
     use std::sync::Arc;
 
     fn run_shuffle(
@@ -277,6 +288,58 @@ mod tests {
         }
         sim.run().unwrap();
         Arc::try_unwrap(results).ok().unwrap().into_inner()
+    }
+
+    /// One SPMD round — a shuffle, an allgather of what each rank got, an
+    /// allreduce and a barrier over a fabric with real latency — with
+    /// each rank a stackful process or a task as `task(rank)` says. The
+    /// ranks' results, and the end time and counters of the run.
+    fn spmd_round(
+        n: usize,
+        task: impl Fn(usize) -> bool,
+    ) -> (Vec<(Vec<u64>, u64)>, SimTime, [u64; 3]) {
+        async fn body(comm: &Communicator, ctx: &SimCtx) -> (Vec<u64>, u64) {
+            let seq = CollectiveSeq::new();
+            let me = comm.rank() as u64;
+            let items = (0..3 + me).map(|v| item(v * 7 % 5, me * 100 + v)).collect();
+            let got = shuffle_async(comm, &seq, ctx, items).await;
+            let coll = comm.collectives(&seq);
+            let sizes = coll.allgather_async(ctx, 8, got.len() as u64).await;
+            let total = coll.allreduce_async(ctx, 8, me, |a, b| a + b).await;
+            coll.barrier_async(ctx).await;
+            let mut out: Vec<u64> = got.into_iter().map(|i| i.value).collect();
+            out.extend(sizes);
+            (out, total)
+        }
+        let mut sim = Sim::new();
+        let net = Network::new("n", n, NetworkParams::infiniband_qdr());
+        let results = Arc::new(Mutex::new(vec![(Vec::new(), 0); n]));
+        for rank in 0..n {
+            let (comm, results) = (net.communicator(rank), results.clone());
+            if task(rank) {
+                sim.spawn_task(&format!("rank{rank}"), move |ctx| async move {
+                    let out = body(&comm, &ctx).await;
+                    results.lock()[rank] = out;
+                });
+            } else {
+                sim.spawn(&format!("rank{rank}"), move |ctx| {
+                    let out = ctx.wait(body(&comm, ctx));
+                    results.lock()[rank] = out;
+                });
+            }
+        }
+        let r = sim.run().unwrap();
+        let counts = [r.events_processed, r.handoffs, r.inline_resumes];
+        (Arc::try_unwrap(results).ok().unwrap().into_inner(), r.end_time, counts)
+    }
+
+    #[test]
+    fn ranks_as_tasks_run_the_same_round_as_stackful_ranks() {
+        for n in [1, 2, 5, 8] {
+            let stackful = spmd_round(n, |_| false);
+            assert_eq!(spmd_round(n, |_| true), stackful, "n = {n}, every rank a task");
+            assert_eq!(spmd_round(n, |r| r % 2 == 0), stackful, "n = {n}, mixed");
+        }
     }
 
     proptest::proptest! {

@@ -774,10 +774,17 @@ impl SimCtx {
         self.block(|_| reason).await;
     }
 
-    /// Joins every handle in `handles`, in order.
+    /// Joins every handle in `handles`, in order. [`SimCtx::wait`] on
+    /// [`SimCtx::join_all_async`].
     pub fn join_all(&self, handles: &[ProcHandle]) {
+        self.wait(self.join_all_async(handles));
+    }
+
+    /// Completes once every process behind `handles` has finished, joining
+    /// them in order: the future behind [`SimCtx::join_all`].
+    pub async fn join_all_async(&self, handles: &[ProcHandle]) {
         for h in handles {
-            self.join(h);
+            self.join_async(h).await;
         }
     }
 
@@ -1030,8 +1037,17 @@ mod tests {
     fn a_refused_stack_ends_the_run_with_an_error_and_no_stack_held() {
         use crate::coro::with_chunk_cap;
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-        /// What `run` must say when the `refused`th spawn found no stack.
+        /// What `run` must say when the `refused`th spawn found no stack:
+        /// the typed error, whose message names both limits a user can
+        /// raise.
         fn assert_exhausted(result: Result<SimReport, SimError>, refused: usize) {
+            let message = result.as_ref().map_or_else(ToString::to_string, |_| String::new());
+            assert!(
+                message.contains("ulimit -v")
+                    && message.contains("vm.max_map_count")
+                    && message.contains("address space"),
+                "{message}"
+            );
             match result {
                 Err(SimError::StackExhausted { processes, source }) => {
                     assert_eq!(processes, refused);
@@ -1057,14 +1073,8 @@ mod tests {
                     }
                     spawned += 1;
                 }
-                let result = sim.run();
-                let message = result.as_ref().unwrap_err().to_string();
-                assert_exhausted(result, spawned as usize);
+                assert_exhausted(sim.run(), spawned as usize);
                 assert_eq!(ran.load(Relaxed), 0);
-                assert!(
-                    message.contains("vm.max_map_count") && message.contains("address space"),
-                    "{message}"
-                );
 
                 // A `ctx.spawn` mid-run: the spawner does not come back from
                 // it, and the blocked bystanders are unwound as ever.
