@@ -1114,9 +1114,7 @@ impl<A: SpmdApp> Worker<A> {
                         self.recover(ctx, RecoveryAction::SpecWasted { task: id });
                     }
                 }
-                TaskResult::GpuDown { gpu, task, lost } => {
-                    self.gpu_down(ctx, gpu, task, lost).await;
-                }
+                TaskResult::GpuDown { gpu, task, lost } => self.gpu_down(ctx, gpu, task, lost),
                 TaskResult::Reduce { .. } => unreachable!("no reduce tasks dispatched yet"),
             }
         }
@@ -1152,13 +1150,7 @@ impl<A: SpmdApp> Worker<A> {
     /// survive, the simulation deadlocks and `run_job` reports
     /// [`crate::JobError::Sim`] — there is no device left that could make
     /// progress.
-    async fn gpu_down(
-        &mut self,
-        ctx: &SimCtx,
-        gpu: usize,
-        task: Option<Task<A::Inter>>,
-        lost: f64,
-    ) {
+    fn gpu_down(&mut self, ctx: &SimCtx, gpu: usize, task: Option<Task<A::Inter>>, lost: f64) {
         // First report from this GPU's daemons: the card itself died.
         let first_down = self.alive[gpu] == self.job.config.gpu_streams;
         self.recover(
@@ -1179,8 +1171,8 @@ impl<A: SpmdApp> Worker<A> {
         }
         let split_queues = matches!(self.job.config.scheduling, SchedulingMode::Static { .. });
         if split_queues && self.alive.iter().all(|&s| s == 0) {
-            // recv_deadline at `now` is a non-blocking drain of the backlog.
-            while let RecvOutcome::Msg(t) = self.ports.gpu_q.recv_deadline_async(ctx, ctx.now()).await {
+            // Drain the backlog as it stands, without blocking.
+            while let Some(t) = self.ports.gpu_q.try_recv() {
                 self.recover(ctx, RecoveryAction::BlockRequeued { gpu });
                 survivors.send(ctx, t);
             }
@@ -1290,9 +1282,7 @@ impl<A: SpmdApp> Worker<A> {
         while outputs.len() < n_reduces {
             match self.ports.results.recv_async(ctx).await.expect("results channel open") {
                 TaskResult::Reduce { key, output } => outputs.push((key, output)),
-                TaskResult::GpuDown { gpu, task, lost } => {
-                    self.gpu_down(ctx, gpu, task, lost).await;
-                }
+                TaskResult::GpuDown { gpu, task, lost } => self.gpu_down(ctx, gpu, task, lost),
                 TaskResult::Map { .. } => unreachable!("map stage already drained"),
                 TaskResult::Cancelled { .. } => {
                     unreachable!("every map race is resolved before reduce dispatch")
