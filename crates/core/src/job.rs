@@ -29,8 +29,7 @@ use std::sync::Arc;
 pub enum JobError {
     /// The configuration is inconsistent with the cluster or application.
     InvalidConfig(String),
-    /// The underlying simulation failed (deadlock, panic, event limit, no
-    /// stack left for a simulated process).
+    /// The underlying simulation failed (deadlock, panic, event limit).
     Sim(SimError),
 }
 
