@@ -290,14 +290,15 @@ mod tests {
         Arc::try_unwrap(results).ok().unwrap().into_inner()
     }
 
+    /// Each rank's values and total; the run's end time; its events,
+    /// hand-offs and inline resumes.
+    type Round = (Vec<(Vec<u64>, u64)>, SimTime, [u64; 3]);
+
     /// One SPMD round — a shuffle, an allgather of what each rank got, an
     /// allreduce and a barrier over a fabric with real latency — with
     /// each rank a stackful process or a task as `task(rank)` says. The
     /// ranks' results, and the end time and counters of the run.
-    fn spmd_round(
-        n: usize,
-        task: impl Fn(usize) -> bool,
-    ) -> (Vec<(Vec<u64>, u64)>, SimTime, [u64; 3]) {
+    fn spmd_round(n: usize, task: impl Fn(usize) -> bool) -> Round {
         async fn body(comm: &Communicator, ctx: &SimCtx) -> (Vec<u64>, u64) {
             let seq = CollectiveSeq::new();
             let me = comm.rank() as u64;
