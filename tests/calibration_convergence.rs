@@ -11,53 +11,11 @@
 //! profile would have produced, while the un-faulted node stays at the
 //! configured split.
 
-use prs_core::{
-    run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig, Key,
-    Obs, SpmdApp,
-};
+use prs_core::{run_iterative_observed, ClusterSpec, FaultPlan, JobConfig, Obs};
+use prs_suite::hist;
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::{split_multi_gpu, Workload};
-use std::ops::Range;
-use std::sync::Arc;
-
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, DataResidency::Resident)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
 
 const ITERS: usize = 8;
 
@@ -75,7 +33,7 @@ fn run_with(alpha: Option<f64>) -> (f64, Vec<Vec<(f64, f64)>>) {
     let obs = Obs::recording();
     let result = run_iterative_observed(
         &spec,
-        Arc::new(HistApp { n: 400_000, k: 16, ai: 500.0 }),
+        hist(400_000, 16, 500.0, DataResidency::Resident),
         config,
         obs.clone(),
     )

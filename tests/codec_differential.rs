@@ -14,57 +14,17 @@
 use insight::TraceEvent;
 use obs::rollup::{rollup, RollupConfig, RollupEvent};
 use obs::{AuditLog, DecisionRecord, EventView, FrameSet, JsonlError, Name};
-use prs_core::{
-    run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig, Key, Obs,
-    SpmdApp,
-};
+use prs_core::{run_iterative_observed, ClusterSpec, FaultPlan, JobConfig, Obs};
+use prs_suite::hist;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
 use serde_json::Value;
 use simtime::StackFrame;
 use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::Arc;
-
-struct HistApp {
-    n: usize,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(200.0, DataResidency::Resident)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % 8, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
 
 fn record(spec: &ClusterSpec, config: JobConfig) -> Obs {
     let obs = Obs::recording();
-    run_iterative_observed(spec, Arc::new(HistApp { n: 160_000 }), config, obs.clone()).unwrap();
+    let app = hist(160_000, 8, 200.0, DataResidency::Resident);
+    run_iterative_observed(spec, app, config, obs.clone()).unwrap();
     obs
 }
 

@@ -8,6 +8,7 @@ use prs_baselines::run_mpi_gpu;
 use prs_core::{run_iterative, run_job, CheckpointableApp, ClusterSpec, JobConfig, JobError};
 use prs_data::gaussian::{clustering_workload, MixtureSpec};
 use prs_data::matrix::MatrixF32;
+use prs_suite::fnv1a;
 use std::sync::Arc;
 
 fn ring_points(n: usize) -> Arc<MatrixF32> {
@@ -149,12 +150,6 @@ fn dynamic_mode_uses_both_device_classes() {
     let result = run_job(&ClusterSpec::delta(1), app, JobConfig::dynamic(2000)).unwrap();
     assert!(result.metrics.cpu_map_tasks > 0, "CPU got tasks");
     assert!(result.metrics.gpu_map_tasks > 0, "GPU got tasks");
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn center_hash(centers: &MatrixF32) -> u64 {

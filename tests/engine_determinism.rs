@@ -26,73 +26,14 @@
 use obs::Obs;
 use prs_core::{
     run_chaos, run_chaos_churn, run_epochs, run_iterative, run_iterative_observed, ChaosConfig,
-    ChaosWatch, CheckpointableApp, ClusterSpec, DeviceClass, EngineMode, EpochOptions, FaultPlan,
-    IterativeApp, JobConfig, Key, MembershipPlan, SpmdApp,
+    ChaosWatch, ClusterSpec, EngineMode, EpochOptions, FaultPlan, JobConfig, Key, MembershipPlan,
 };
+use prs_suite::HistApp;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Deterministic value histogram (same shape as the fault-scenario
-/// suite): device- and partitioning-independent outputs, so any
-/// divergence between engines is a real ordering bug, not float noise.
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-    residency: DataResidency,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
-
-// The histogram app carries no mutable model state, so checkpoints are
-// empty — which makes it ideal for the elastic property: any divergence
-// is the driver's, not the app's.
-impl CheckpointableApp for HistApp {
-    fn save_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn restore_state(&self, _bytes: &[u8]) {}
-}
-
 fn hist() -> Arc<HistApp> {
-    Arc::new(HistApp {
-        n: 120_000,
-        k: 10,
-        ai: 100.0,
-        residency: DataResidency::Staged,
-    })
+    prs_suite::hist(120_000, 10, 100.0, DataResidency::Staged)
 }
 
 /// The seeded scenarios of the fault/tracing suites, plus a clean run, as

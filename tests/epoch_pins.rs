@@ -28,87 +28,16 @@ use device::{render_ascii, to_chrome_trace};
 use obs::rollup::{rollup, RollupConfig};
 use obs::EventView;
 use prs_core::{
-    run_chaos, run_chaos_churn, run_epochs, run_iterative, run_iterative_observed, AutoscalePolicy, ChaosConfig,
-    ChaosWatch, CheckpointableApp, ClusterSpec, DeviceClass, ElasticOutcome, EpochOptions,
-    FaultPlan, IterativeApp, JobConfig, JobMetrics, Key, MembershipPlan, Obs, SpmdApp,
+    run_chaos, run_chaos_churn, run_epochs, run_iterative, run_iterative_observed, AutoscalePolicy,
+    ChaosConfig, ChaosWatch, ClusterSpec, ElasticOutcome, EpochOptions, FaultPlan, JobConfig,
+    JobMetrics, MembershipPlan, Obs,
 };
-use roofline::model::DataResidency;
-use roofline::schedule::Workload;
+use prs_suite::{fnv1a, ChainApp};
 use std::collections::BTreeSet;
-use std::ops::Range;
-use std::sync::{Arc, RwLock};
-
-/// State-chained histogram (the fault and membership suites' fixture):
-/// map output depends on the model state carried across iterations, so a
-/// wrong restore or a lost update changes the final outputs.
-struct ChainApp {
-    n: usize,
-    k: u64,
-    state: RwLock<u64>,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl SpmdApp for ChainApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(50.0, DataResidency::Staged)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        let acc = *self.state.read().unwrap();
-        range.map(|i| (i as u64 % self.k, mix(i as u64 ^ acc))).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().fold(0u64, |a, b| a.wrapping_add(*b))
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().fold(0u64, |a, b| a.wrapping_add(*b))]
-    }
-}
-
-impl IterativeApp for ChainApp {
-    fn update(&self, outputs: &[(Key, u64)]) -> bool {
-        let mut s = self.state.write().unwrap();
-        for (k, v) in outputs {
-            *s = mix(*s ^ k.wrapping_add(v.rotate_left(7)));
-        }
-        false
-    }
-}
-
-impl CheckpointableApp for ChainApp {
-    fn save_state(&self) -> Vec<u8> {
-        self.state.read().unwrap().to_le_bytes().to_vec()
-    }
-    fn restore_state(&self, bytes: &[u8]) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        *self.state.write().unwrap() = u64::from_le_bytes(buf);
-    }
-}
+use std::sync::Arc;
 
 fn chain() -> Arc<ChainApp> {
-    Arc::new(ChainApp { n: 60_000, k: 8, state: RwLock::new(0x9e37_79b9_7f4a_7c15) })
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    prs_suite::chain(60_000, 8)
 }
 
 /// What one scenario pins. `clock` is `total_virtual_secs.to_bits()`

@@ -8,59 +8,13 @@
 //! `obs::kinds` names.
 
 use prs_core::{
-    run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, DeviceClass,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, JobError, JobResult, Key, Obs, SpmdApp,
+    run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, EpochOptions, FaultPlan,
+    IterativeApp, JobConfig, JobError, JobResult, Obs,
 };
+use prs_suite::{chain, hist};
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
 use simtime::StackFrame;
-use std::ops::Range;
-use std::sync::{Arc, RwLock};
-
-/// Deterministic value histogram: device- and partitioning-independent
-/// integer outputs, so any divergence under faults is a real bug.
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-    residency: DataResidency,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false // run to the configured iteration cap
-    }
-}
-
-fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
-    Arc::new(HistApp { n, k, ai, residency })
-}
+use std::sync::Arc;
 
 /// Device engines are exclusive resources, so no two busy intervals on one
 /// lane may overlap, whatever the faults did (sharing an endpoint is not an
@@ -247,76 +201,6 @@ fn dynamic_mode_survives_gpu_crash() {
     assert_eq!(faulty.outputs, clean.outputs);
     assert_eq!(faulty.metrics.recovery.gpu_daemon_crashes, 1);
     assert!(faulty.metrics.compute_seconds >= clean.metrics.compute_seconds);
-}
-
-/// An iterative app whose map output depends on the model state carried
-/// from the previous iteration: a botched checkpoint restore corrupts
-/// every later iteration, so final-output equality pins the entire
-/// recovery path, not just the last reduce. The reduce is an
-/// order-insensitive wrapping sum, so recovered runs must match the
-/// fault-free run bit for bit.
-struct ChainApp {
-    n: usize,
-    k: u64,
-    state: RwLock<u64>,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl SpmdApp for ChainApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(50.0, DataResidency::Staged)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        let acc = *self.state.read().unwrap();
-        range.map(|i| (i as u64 % self.k, mix(i as u64 ^ acc))).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().fold(0u64, |a, b| a.wrapping_add(*b))
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().fold(0u64, |a, b| a.wrapping_add(*b))]
-    }
-}
-
-impl IterativeApp for ChainApp {
-    fn update(&self, outputs: &[(Key, u64)]) -> bool {
-        let mut s = self.state.write().unwrap();
-        for (k, v) in outputs {
-            *s = mix(*s ^ k.wrapping_add(v.rotate_left(7)));
-        }
-        false // run to the configured iteration cap
-    }
-}
-
-impl CheckpointableApp for ChainApp {
-    fn save_state(&self) -> Vec<u8> {
-        self.state.read().unwrap().to_le_bytes().to_vec()
-    }
-    fn restore_state(&self, bytes: &[u8]) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        *self.state.write().unwrap() = u64::from_le_bytes(buf);
-    }
-}
-
-fn chain(n: usize, k: u64) -> Arc<ChainApp> {
-    Arc::new(ChainApp { n, k, state: RwLock::new(0x9e37_79b9_7f4a_7c15) })
 }
 
 /// A whole worker node dies mid-run: the resilient driver restores the

@@ -12,58 +12,9 @@
 //!    slack never goes negative.
 
 use prs_core::obs::EventView;
-use prs_core::{
-    run_iterative, run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
-    JobConfig, Key, Obs, SpmdApp,
-};
+use prs_core::{run_iterative, run_iterative_observed, ClusterSpec, FaultPlan, JobConfig, Obs};
+use prs_suite::hist;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
-use std::sync::Arc;
-
-/// Deterministic value histogram (same shape as the obs-scenario suite).
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-    residency: DataResidency,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
-
-fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
-    Arc::new(HistApp { n, k, ai, residency })
-}
 
 /// Runs the seeded GPU-crash scenario and returns the recorded bus.
 fn crash_scenario() -> Obs {

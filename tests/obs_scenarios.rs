@@ -10,59 +10,9 @@
 //! 3. *Zero virtual overhead* — recording never advances virtual time,
 //!    so an instrumented run's clock is bit-identical to a bare one.
 
-use prs_core::{
-    run_iterative, run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp,
-    JobConfig, Key, Obs, SpmdApp,
-};
+use prs_core::{run_iterative, run_iterative_observed, ClusterSpec, FaultPlan, JobConfig, Obs};
+use prs_suite::hist;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
-use std::sync::Arc;
-
-/// Deterministic value histogram (same shape as the fault-scenario
-/// suite): device- and partitioning-independent outputs.
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-    residency: DataResidency,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
-
-fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
-    Arc::new(HistApp { n, k, ai, residency })
-}
 
 fn count_kind(obs: &Obs, kind: &str) -> u64 {
     obs.bus.events().iter().filter(|e| &*e.kind == kind).count() as u64

@@ -11,65 +11,13 @@
 //!    (`resilience`) with non-zero virtual-time samples.
 
 use obs::Obs;
-use prs_core::{
-    run_epochs, run_iterative_observed, CheckpointableApp, ClusterSpec, DeviceClass,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
-};
+use prs_core::{run_epochs, run_iterative_observed, ClusterSpec, EpochOptions, FaultPlan, JobConfig};
+use prs_suite::HistApp;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Deterministic value histogram (same shape as the determinism suite):
-/// outputs are device- and partitioning-independent, and the app is
-/// stateless, so checkpointing it is trivial.
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, DataResidency::Staged)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
-
-impl CheckpointableApp for HistApp {
-    fn save_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-    fn restore_state(&self, _bytes: &[u8]) {}
-}
-
 fn hist() -> Arc<HistApp> {
-    Arc::new(HistApp { n: 120_000, k: 10, ai: 100.0 })
+    prs_suite::hist(120_000, 10, 100.0, DataResidency::Staged)
 }
 
 /// Runs one observed scenario and renders the profiler artifacts.

@@ -5,50 +5,20 @@
 
 use prs_bench::SyntheticApp;
 use prs_core::{
-    run_epochs, run_iterative, run_job, CheckpointableApp, ClusterSpec, DeviceClass,
-    EpochOptions, FaultPlan, IterativeApp, JobConfig, Key, MembershipPlan,
-    SpmdApp, MAX_SCALE_OUT_NODES,
+    run_epochs, run_iterative, run_job, CheckpointableApp, ClusterSpec, EpochOptions, FaultPlan,
+    JobConfig, Key, MembershipPlan, MAX_SCALE_OUT_NODES,
 };
 use prs_apps::CMeans;
 use prs_data::gaussian::MixtureSpec;
+use prs_suite::{ChainApp, HistApp};
 use proptest::prelude::*;
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
-use std::ops::Range;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// Deterministic value histogram used as the correctness oracle.
-struct HistApp {
-    n: usize,
-    k: u64,
-    residency: DataResidency,
-    ai: f64,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        16
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
+/// The correctness oracle: the kit's histogram over 16-byte items.
+fn hist(n: usize, k: u64, ai: f64, residency: DataResidency) -> Arc<HistApp> {
+    Arc::new(HistApp { item_bytes: 16, ..HistApp::new(n, k, ai, residency) })
 }
 
 fn serial_histogram(n: usize, k: u64) -> Vec<(Key, u64)> {
@@ -110,74 +80,9 @@ fn arb_fault_plan(nodes: usize) -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-/// A state-chained iterative app for the crash-recovery property: map
-/// outputs depend on the model state folded from all previous
-/// iterations, so a recovery that restores the wrong checkpoint (or
-/// replays an update twice) diverges and stays diverged. The reduce is
-/// an order-insensitive wrapping sum, so the recovered run must be
-/// bit-identical to the fault-free one.
-struct ChainApp {
-    n: usize,
-    k: u64,
-    state: RwLock<u64>,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl SpmdApp for ChainApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(40.0, DataResidency::Staged)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        let acc = *self.state.read().unwrap();
-        range.map(|i| (i as u64 % self.k, mix(i as u64 ^ acc))).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().fold(0u64, |a, b| a.wrapping_add(*b))
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().fold(0u64, |a, b| a.wrapping_add(*b))]
-    }
-}
-
-impl IterativeApp for ChainApp {
-    fn update(&self, outputs: &[(Key, u64)]) -> bool {
-        let mut s = self.state.write().unwrap();
-        for (k, v) in outputs {
-            *s = mix(*s ^ k.wrapping_add(v.rotate_left(7)));
-        }
-        false
-    }
-}
-
-impl CheckpointableApp for ChainApp {
-    fn save_state(&self) -> Vec<u8> {
-        self.state.read().unwrap().to_le_bytes().to_vec()
-    }
-    fn restore_state(&self, bytes: &[u8]) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        *self.state.write().unwrap() = u64::from_le_bytes(buf);
-    }
-}
-
+/// The crash-recovery property's chained app, at intensity 40.
 fn chain(n: usize, k: u64) -> Arc<ChainApp> {
-    Arc::new(ChainApp { n, k, state: RwLock::new(0x9e37_79b9_7f4a_7c15) })
+    Arc::new(ChainApp::new(n, k, 40.0))
 }
 
 proptest! {
@@ -262,7 +167,7 @@ proptest! {
         if let Some(t) = timeout {
             config = config.with_partition_timeout(t, 1);
         }
-        let app = || Arc::new(HistApp { n, k, residency: DataResidency::Staged, ai });
+        let app = || hist(n, k, ai, DataResidency::Staged);
         let clean = run_job(&ClusterSpec::delta(nodes), app(), config).unwrap();
         let spec = ClusterSpec::delta(nodes).with_faults(plan);
         let faulty = run_job(&spec, app(), config).unwrap();
@@ -281,7 +186,7 @@ proptest! {
         ai in 0.5..2000.0f64,
         config in arb_config(),
     ) {
-        let app = Arc::new(HistApp { n, k, residency, ai });
+        let app = hist(n, k, ai, residency);
         let result = run_job(&ClusterSpec::delta(nodes), app, config).unwrap();
         prop_assert_eq!(result.outputs, serial_histogram(n, k));
         let m = result.metrics;

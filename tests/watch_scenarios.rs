@@ -15,55 +15,16 @@
 use obs::rollup::RollupEvent;
 use obs::Obs;
 use prs_core::{
-    run_chaos, run_iterative_observed, ChaosConfig, ChaosWatch, ClusterSpec, DeviceClass,
-    EngineMode, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
+    run_chaos, run_iterative_observed, ChaosConfig, ChaosWatch, ClusterSpec, EngineMode, FaultPlan,
+    JobConfig,
 };
+use prs_suite::HistApp;
 use roofline::model::DataResidency;
-use roofline::schedule::Workload;
-use std::ops::Range;
 use std::sync::Arc;
 use watch::{FaultKind, WatchConfig};
 
-/// Deterministic value histogram (same shape as the fault suite).
-struct HistApp {
-    n: usize,
-    k: u64,
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(100.0, DataResidency::Staged)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        v.iter().sum()
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false
-    }
-}
-
 fn hist() -> Arc<HistApp> {
-    Arc::new(HistApp { n: 120_000, k: 10 })
+    prs_suite::hist(120_000, 10, 100.0, DataResidency::Staged)
 }
 
 /// Runs one observed job and feeds the recorded trace to the watchdog.

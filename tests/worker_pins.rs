@@ -21,100 +21,16 @@ use device::{render_ascii, to_chrome_trace};
 use obs::{FrameSet, Obs, RecorderConfig};
 use prs_apps::catalog::{Drive, Shape, CATALOG};
 use prs_core::{
-    run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig,
-    JobMetrics, JobResult, Key, SpmdApp,
+    run_iterative_observed, ClusterSpec, DeviceClass, FaultPlan, JobConfig, JobMetrics, JobResult,
 };
+use prs_suite::{fnv1a, fnv_words, HistApp};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
-use roofline::schedule::Workload;
 use simtime::StackCtx;
-use std::cmp::Ordering;
-use std::ops::Range;
 use std::sync::Arc;
 
-/// The fault suites' value histogram, with two switches: `ordered` makes
-/// the app define `compare()` and reduce order-sensitively (so an unsorted
-/// bucket changes the output), and `reduce_flops` makes one reduce task
-/// long enough for a fault to land inside it.
-struct HistApp {
-    n: usize,
-    k: u64,
-    ai: f64,
-    residency: DataResidency,
-    ordered: bool,
-    reduce_flops: f64,
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-impl SpmdApp for HistApp {
-    type Inter = u64;
-    type Output = u64;
-    fn num_items(&self) -> usize {
-        self.n
-    }
-    fn item_bytes(&self) -> u64 {
-        64
-    }
-    fn workload(&self) -> Workload {
-        Workload::uniform(self.ai, self.residency)
-    }
-    fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        if self.ordered {
-            // Few blocks' worth of distinct values per key, no combiner.
-            range.step_by(997).map(|i| (i as u64 % self.k, mix(i as u64) % 1000)).collect()
-        } else {
-            range.map(|i| ((i as u64 * 2654435761) % self.k, 1)).collect()
-        }
-    }
-    fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-        self.cpu_map(node, range)
-    }
-    fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
-        if self.ordered {
-            v.iter().fold(0u64, |h, x| h.rotate_left(5) ^ x)
-        } else {
-            v.iter().sum()
-        }
-    }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        if self.ordered {
-            v
-        } else {
-            vec![v.iter().sum()]
-        }
-    }
-    fn compare(&self, a: &u64, b: &u64) -> Option<Ordering> {
-        self.ordered.then(|| a.cmp(b))
-    }
-    fn reduce_work(&self, n_values: usize) -> device::WorkProfile {
-        let bytes = n_values as f64 * 64.0;
-        device::WorkProfile { flops: 2.0 * bytes + self.reduce_flops, dram_bytes: bytes }
-    }
-}
-
-impl IterativeApp for HistApp {
-    fn update(&self, _outputs: &[(Key, u64)]) -> bool {
-        false // run to the configured iteration cap
-    }
-}
-
 fn hist(residency: DataResidency) -> HistApp {
-    HistApp { n: 120_000, k: 10, ai: 100.0, residency, ordered: false, reduce_flops: 0.0 }
-}
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
+    HistApp::new(120_000, 10, 100.0, residency)
 }
 
 /// What one scenario pins. `clock` is `total_seconds.to_bits()` itself;
