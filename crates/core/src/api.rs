@@ -138,15 +138,30 @@ pub trait CheckpointableApp: IterativeApp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use roofline::model::DataResidency;
+    use std::sync::Arc;
 
-    /// A minimal app used across the runtime's unit tests: counts items
-    /// per modulo class.
-    pub struct ModCount {
-        pub n: usize,
-        pub k: u64,
+    /// The runtime's unit-test app: a histogram of item values modulo
+    /// `k`, which exercises map, combine, shuffle and reduce with
+    /// verifiable output.
+    pub(crate) struct ModCount {
+        pub(crate) n: usize,
+        pub(crate) k: u64,
+        pub(crate) ai: f64,
+        pub(crate) residency: DataResidency,
+    }
+
+    impl ModCount {
+        /// Staged, at intensity 2.
+        pub(crate) fn new(n: usize, k: u64) -> Arc<Self> {
+            Arc::new(ModCount { n, k, ai: 2.0, residency: DataResidency::Staged })
+        }
+
+        pub(crate) fn resident(n: usize, k: u64, ai: f64) -> Arc<Self> {
+            Arc::new(ModCount { n, k, ai, residency: DataResidency::Resident })
+        }
     }
 
     impl SpmdApp for ModCount {
@@ -160,7 +175,7 @@ mod tests {
             8
         }
         fn workload(&self) -> Workload {
-            Workload::uniform(1.0, DataResidency::Staged)
+            Workload::uniform(self.ai, self.residency)
         }
         fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
             range.map(|i| (i as u64 % self.k, 1)).collect()
@@ -176,9 +191,14 @@ mod tests {
         }
     }
 
+    /// 100 items over 4 keys, staged at intensity 1.
+    fn app() -> ModCount {
+        ModCount { n: 100, k: 4, ai: 1.0, residency: DataResidency::Staged }
+    }
+
     #[test]
     fn default_map_work_uses_workload_intensity() {
-        let app = ModCount { n: 100, k: 4 };
+        let app = app();
         let w = app.map_work(10);
         assert_eq!(w.dram_bytes, 80.0);
         assert_eq!(w.flops, 80.0);
@@ -187,7 +207,7 @@ mod tests {
 
     #[test]
     fn default_sizes_are_reasonable() {
-        let app = ModCount { n: 100, k: 4 };
+        let app = app();
         assert_eq!(app.inter_bytes(&1), 64);
         assert_eq!(app.output_bytes(&1), 64);
         let rw = app.reduce_work(10);
@@ -196,7 +216,7 @@ mod tests {
 
     #[test]
     fn combiner_compresses() {
-        let app = ModCount { n: 100, k: 4 };
+        let app = app();
         let combined = app.combine(0, vec![1, 1, 1]);
         assert_eq!(combined, vec![3]);
     }

@@ -106,67 +106,12 @@ pub use obs;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::tests::ModCount;
     use parking_lot::RwLock;
     use roofline::model::DataResidency;
     use roofline::schedule::Workload;
     use std::ops::Range;
     use std::sync::Arc;
-
-    /// Histogram of item values modulo `k` — exercises map, combine,
-    /// shuffle and reduce with verifiable output.
-    struct ModCount {
-        n: usize,
-        k: u64,
-        residency: DataResidency,
-        ai: f64,
-    }
-
-    impl ModCount {
-        fn new(n: usize, k: u64) -> Arc<Self> {
-            Arc::new(ModCount {
-                n,
-                k,
-                residency: DataResidency::Staged,
-                ai: 2.0,
-            })
-        }
-
-        fn resident(n: usize, k: u64, ai: f64) -> Arc<Self> {
-            Arc::new(ModCount {
-                n,
-                k,
-                residency: DataResidency::Resident,
-                ai,
-            })
-        }
-    }
-
-    impl SpmdApp for ModCount {
-        type Inter = u64;
-        type Output = u64;
-
-        fn num_items(&self) -> usize {
-            self.n
-        }
-        fn item_bytes(&self) -> u64 {
-            8
-        }
-        fn workload(&self) -> Workload {
-            Workload::uniform(self.ai, self.residency)
-        }
-        fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-            range.map(|i| (i as u64 % self.k, 1)).collect()
-        }
-        fn gpu_map(&self, node: usize, range: Range<usize>) -> Vec<(Key, u64)> {
-            self.cpu_map(node, range)
-        }
-        fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<u64>) -> u64 {
-            values.iter().sum()
-        }
-        fn combine(&self, _key: Key, values: Vec<u64>) -> Vec<u64> {
-            vec![values.iter().sum()]
-        }
-    }
 
     fn expected_counts(n: usize, k: u64) -> Vec<(Key, u64)> {
         (0..k)
