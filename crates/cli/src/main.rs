@@ -818,6 +818,12 @@ fn cmd_top(args: &[String]) -> Cmd {
     if frames == 0 {
         return Err(Usage("--frames must be at least 1".to_string()));
     }
+    if let Some(w) = window.filter(|w| !(w.is_finite() && *w > 0.0)) {
+        return Err(Usage(format!("--window {w}: must be a finite number greater than 0")));
+    }
+    if let Some(t) = snapshot.filter(|t| !t.is_finite()) {
+        return Err(Usage(format!("--snapshot {t}: must be a finite number")));
+    }
     let bundle = Bundle::new(&dir);
     let events = bundle.events()?;
     let decisions = bundle.decisions()?;
@@ -871,6 +877,10 @@ fn load_frame_set(bundle: &Bundle) -> Result<(obs::FrameSet, f64), CliError> {
     Ok((set, horizon))
 }
 
+/// The most lane-instants `prs profile` samples (≈ 6 ns each, so about
+/// 6 s).
+const MAX_LANE_INSTANTS: f64 = 1e9;
+
 /// `prs profile <dir> [--folded] [--top <n>] [--period <s>]`: fold the
 /// recorded stack frames at a fixed virtual sampling period and print
 /// the per-phase / per-node / hot-frame summary (or the collapsed-stack
@@ -881,10 +891,17 @@ fn cmd_profile(args: &[String]) -> Cmd {
     let dir = kv.dir(MISSING_BUNDLE)?;
     let top: usize = kv.parsed("top", 10)?;
     let period: f64 = kv.parsed("period", obs::profile::DEFAULT_PERIOD_S)?;
-    if period <= 0.0 {
-        return Err(Usage(format!("--period {period}: must be positive")));
+    if !(period.is_finite() && period > 0.0) {
+        return Err(Usage(format!("--period {period}: must be a finite number greater than 0")));
     }
     let (set, horizon) = load_frame_set(&Bundle::new(&dir))?;
+    let work = obs::profile::lane_instants(&set, horizon, period);
+    if work > MAX_LANE_INSTANTS {
+        return Err(Usage(format!(
+            "--period {period:e}: {work:.3e} lane-instants (instants × lanes), above the limit of \
+             {MAX_LANE_INSTANTS:.0e}"
+        )));
+    }
     let prof = obs::profile(&set, horizon, period);
     if kv.flag("folded") {
         say!("{}", prof.to_folded().trim_end());

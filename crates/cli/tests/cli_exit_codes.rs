@@ -4,7 +4,7 @@
 //! `CARGO_BIN_EXE_prs`.
 
 use prs_apps::catalog::{self, DriverClass, CATALOG};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn prs(args: &[&str]) -> Output {
@@ -25,6 +25,14 @@ fn tmp_dir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// Records a two-node c-means `--obs` bundle at `dir`; returns its path.
+fn record_bundle(dir: &Path) -> String {
+    let d = dir.to_str().expect("utf-8 temp path").to_string();
+    let run = ["run", "--nodes", "2", "--points", "20000", "--iterations", "2", "--obs", &d];
+    assert!(prs(&run).status.success(), "the bundle records");
+    d
 }
 
 #[test]
@@ -124,6 +132,9 @@ fn usage_errors_exit_two() {
     std::fs::write(bundle.join("events.jsonl"), event).expect("write events");
     let bundle = bundle.to_str().expect("utf-8 temp path");
     let micro = rule("micro.toml", "window_s = 1e-6");
+    // A recorded bundle: `profile --period nan`/`inf` used to panic, `1e-300`
+    // to run forever, and `top --window nan` printed "busy over trailing NaNs".
+    let recorded = record_bundle(&dir.join("recorded"));
     // Calibration profiles with a number no device has: the first four
     // used to panic (exit 101, or 1 for the NaN), the last to be accepted.
     let fitted = {
@@ -149,6 +160,15 @@ fn usage_errors_exit_two() {
         vec!["profile"],                     // missing bundle dir
         vec!["profile", "x", "--bogus", "y"],
         vec!["profile", "x", "--period", "0"], // period must be positive
+        vec!["profile", &recorded, "--period", "nan"],
+        vec!["profile", &recorded, "--period", "inf"],
+        vec!["profile", &recorded, "--period", "1e-300"], // saturated the instant count
+        vec!["profile", &recorded, "--period", "1e-10"], // 8.7e9 lane-instants
+        vec!["top", &recorded, "--window", "nan"],
+        vec!["top", &recorded, "--window", "0"],
+        vec!["top", &recorded, "--window", "inf"],
+        vec!["top", &recorded, "--snapshot", "nan"],
+        vec!["top", &recorded, "--snapshot", "inf"],
         vec!["diff"],                        // needs exactly two bundles
         vec!["diff", "only-one"],
         vec!["diff", "a", "b", "--bogus"],
@@ -221,6 +241,10 @@ fn usage_errors_exit_two() {
     // The refusals name what to change: the limit, the rule file's line.
     for (cmd, says) in [
         (vec!["chaos", "--trials", "100000000000"], "above the limit of 1048576".into()),
+        (vec!["profile", &recorded, "--period", "nan"], "--period NaN: must be a finite number".into()),
+        (vec!["profile", &recorded, "--period", "1e-300"], "above the limit of 1e9".into()),
+        (vec!["top", &recorded, "--window", "0"], "--window 0: must be a finite number greater".into()),
+        (vec!["top", &recorded, "--snapshot", "inf"], "--snapshot inf: must be a finite".into()),
         (
             vec!["chaos", "--score-watch", "--rules", &fine],
             format!("{fine}: line 5: `window_s` = 1e-12"),

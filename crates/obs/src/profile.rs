@@ -29,7 +29,7 @@ use crate::kinds::STAGES;
 use crate::lane_node;
 use serde::Value;
 use simtime::{StackCtx, StackFrame};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema tag embedded in `profile.json`.
 pub const PROFILE_SCHEMA: &str = "prs-profile-v1";
@@ -223,6 +223,19 @@ pub struct Profile {
     pub frames: BTreeMap<String, FrameProfile>,
 }
 
+/// How many instants `(k + 0.5) · period_s` fall below `horizon_s`.
+fn sample_instants(horizon_s: f64, period_s: f64) -> f64 {
+    (horizon_s / period_s - 0.5).ceil().max(0.0)
+}
+
+/// The work [`profile`] of `set` does at `period_s`: every lane is
+/// sampled at every instant. An `f64`, so an absurdly short period
+/// yields a count to refuse instead of saturating `u64`.
+pub fn lane_instants(set: &FrameSet, horizon_s: f64, period_s: f64) -> f64 {
+    let lanes: BTreeSet<&str> = set.frames.iter().map(|f| &*f.lane).collect();
+    sample_instants(horizon_s.max(set.horizon()), period_s) * lanes.len() as f64
+}
+
 /// Samples `set` at instants `(k + 0.5) · period_s` for `k = 0, 1, ...`
 /// strictly below `horizon_s`, folding each lane's live frame stack.
 pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
@@ -231,7 +244,7 @@ pub fn profile(set: &FrameSet, horizon_s: f64, period_s: f64) -> Profile {
         "sampling period must be positive, got {period_s}"
     );
     let horizon_s = horizon_s.max(set.horizon());
-    let instants = ((horizon_s / period_s - 0.5).ceil().max(0.0)) as u64;
+    let instants = sample_instants(horizon_s, period_s) as u64;
 
     // Group frames per lane, preserving canonical (containment) order.
     let mut by_lane: BTreeMap<&str, Vec<&StackFrame>> = BTreeMap::new();
