@@ -1,14 +1,23 @@
 //! # simtime — deterministic process-oriented discrete-event simulation
 //!
 //! The substrate every simulated component of `hetero-prs` runs on:
-//! a virtual clock, an event queue, and *processes* — plain closures written
-//! in blocking style, multiplexed one-at-a-time so that runs are fully
-//! deterministic (events at equal times fire in scheduling order).
+//! a virtual clock, an event queue, and *processes*, multiplexed
+//! one-at-a-time so that runs are fully deterministic (events at equal
+//! times fire in scheduling order). A process is one of two kinds:
+//!
+//! - a **task** — an `async` body with no stack of its own
+//!   ([`Sim::spawn_task`], [`SimCtx::spawn_task`]). Every process of a
+//!   `prs` job is one: the master, each node's sub-task scheduler, the
+//!   device daemons and the transfer children.
+//! - a **stackful** process — a plain closure written in blocking style
+//!   ([`Sim::spawn`], [`SimCtx::spawn`]), run on a coroutine stack. It
+//!   remains only for tests, baselines and probes.
 //!
 //! Building blocks:
 //!
 //! - [`Sim`] / [`SimCtx`] — engine and per-process handle ([`SimCtx::hold`]
-//!   advances time, [`SimCtx::spawn`]/[`SimCtx::join`] manage processes).
+//!   and [`SimCtx::sleep`] advance time, [`SimCtx::spawn`]/[`SimCtx::join`]
+//!   manage processes).
 //! - [`Resource`] — FIFO counted resource (GPU engines, cores, links).
 //! - [`Channel`] — MPMC message channel with optional delivery latency.
 //! - [`SimTime`] — virtual instants/durations in seconds.
