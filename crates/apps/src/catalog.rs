@@ -14,6 +14,7 @@ use prs_core::{
 };
 use prs_data::gaussian::clustering_workload;
 use prs_data::{MatrixF32, SplitMix64};
+use std::fmt::{self, Debug, Write};
 use std::sync::Arc;
 
 /// `prs run`'s `--points`, `--dims` and `--clusters`.
@@ -55,6 +56,10 @@ pub struct Ran {
     pub label: String,
     /// The summary line; `elastic: <ledger>; <summary>` under the epoch driver.
     pub summary: String,
+    /// 64-bit FNV-1a over the `Debug` rendering of the final outputs. A
+    /// float's `Debug` form reads back to the same bits, so equal digests
+    /// mean bit-equal outputs.
+    pub digest: u64,
 }
 
 /// One app.
@@ -70,7 +75,7 @@ pub struct Entry {
 }
 
 type Check = fn(Shape) -> Result<(), String>;
-type Done = Result<(JobMetrics, String), JobError>;
+type Done = Result<(JobMetrics, String, u64), JobError>;
 type Summary<A> = fn(&A, &[(Key, <A as SpmdApp>::Output)]) -> String;
 
 /// An entry's job: builds the app and hands it to the driver of its class.
@@ -115,7 +120,7 @@ impl Entry {
             Drive::Plain(_) => self.label.to_string(),
             Drive::Elastic(_) => format!("{} (elastic)", self.label),
         };
-        let (metrics, summary) = match (&self.job, drive) {
+        let (metrics, summary, digest) = match (&self.job, drive) {
             (Job::Checkpointable(job), d) => job(shape, seed, Checkpointable(spec, config, d)),
             (Job::Iterative(job), Drive::Plain(o)) => job(shape, seed, Iterative(spec, config, o)),
             (Job::OnePass(job), Drive::Plain(o)) => job(shape, seed, OnePass(spec, config, o)),
@@ -124,7 +129,7 @@ impl Entry {
                 return Err(JobError::InvalidConfig(msg));
             }
         }?;
-        Ok(Ran { metrics, label, summary })
+        Ok(Ran { metrics, label, summary, digest })
     }
 }
 
@@ -197,23 +202,23 @@ pub fn names(class: Option<DriverClass>) -> Vec<&'static str> {
 }
 
 impl OnePass<'_> {
-    fn run<A: SpmdApp>(self, app: A, summary: Summary<A>) -> Done {
+    fn run<A: SpmdApp<Output: Debug>>(self, app: A, summary: Summary<A>) -> Done {
         let app = Arc::new(app);
         let r = run_job_observed(self.0, app.clone(), self.1, self.2)?;
-        Ok((r.metrics, summary(&app, &r.outputs)))
+        Ok((r.metrics, summary(&app, &r.outputs), digest(&r.outputs)))
     }
 }
 
 impl Iterative<'_> {
-    fn run<A: IterativeApp>(self, app: A, summary: Summary<A>) -> Done {
+    fn run<A: IterativeApp<Output: Debug>>(self, app: A, summary: Summary<A>) -> Done {
         let app = Arc::new(app);
         let r = run_iterative_observed(self.0, app.clone(), self.1, self.2)?;
-        Ok((r.metrics, summary(&app, &r.outputs)))
+        Ok((r.metrics, summary(&app, &r.outputs), digest(&r.outputs)))
     }
 }
 
 impl Checkpointable<'_> {
-    fn run<A: CheckpointableApp>(self, app: A, summary: Summary<A>) -> Done {
+    fn run<A: CheckpointableApp<Output: Debug>>(self, app: A, summary: Summary<A>) -> Done {
         let Checkpointable(spec, config, drive) = self;
         let epochs = match drive {
             Drive::Plain(obs) => return Iterative(spec, config, obs).run(app, summary),
@@ -237,8 +242,25 @@ impl Checkpointable<'_> {
             m.shrink_decisions,
             summary(&app, &out.outputs),
         );
-        Ok((out.metrics, line))
+        Ok((out.metrics, line, digest(&out.outputs)))
     }
+}
+
+/// 64-bit FNV-1a over what `{:?}` writes for `outputs`, hashed as it is
+/// written rather than kept.
+fn digest(outputs: &impl Debug) -> u64 {
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(h, "{outputs:?}").expect("hashing never fails");
+    h.0
 }
 
 /// The clustering apps seed their model from the data, so they need more

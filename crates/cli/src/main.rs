@@ -1291,7 +1291,7 @@ fn cmd_run(args: &[String]) -> Cmd {
 
     let rec_cfg = opts.config.recorder;
     let obs = opts.obs();
-    let Ran { metrics: result, label, summary: extra } =
+    let Ran { metrics: result, label, summary: extra, .. } =
         dispatch(&opts, &spec, churn.as_ref(), obs.clone()).map_err(Failed)?;
 
     if opts.json {

@@ -9,7 +9,8 @@
 //! the recovery counters and the four rendered artifacts — plus the
 //! per-iteration stage seconds of the nine `--app`s on four micro nodes,
 //! each built and driven by its `prs_apps::catalog` entry as `prs run`
-//! does.
+//! does, and their final outputs bit for bit with the combiner on and
+//! off.
 //! The constants were captured on commit b044449, while the scheduler
 //! was still the single `worker_body` function; a refactor of the
 //! scheduler must leave every one alone. Do not regenerate them for a
@@ -339,6 +340,32 @@ fn stage_times_of_the_nine_apps() {
     assert_eq!(timelines, NINE_APPS_TIMELINE, "{timelines:#018x?}");
 }
 
+/// The final outputs of each catalog app, bit for bit (`Ran::digest`),
+/// with the combiner on and off: two iterations on four micro nodes at
+/// `p = 0.5`, so every partition maps as eight CPU blocks and four GPU
+/// blocks.
+#[test]
+fn outputs_of_the_nine_apps() {
+    let shape = Shape { points: 4000, dims: 8, clusters: 3 };
+    let spec = ClusterSpec::homogeneous(
+        4,
+        DeviceProfile::micro_node(),
+        netsim::NetworkParams::infiniband_qdr(),
+    );
+    let on = JobConfig::static_with_p(0.5).with_iterations(2);
+    let off = JobConfig { use_combiner: false, ..on };
+    let digests: Vec<[u64; 2]> = CATALOG
+        .iter()
+        .map(|app| {
+            [on, off].map(|config| {
+                let ran = app.run(shape, 42, &spec, config, Drive::Plain(Obs::disabled()));
+                ran.expect("job runs").digest
+            })
+        })
+        .collect();
+    assert_eq!(digests, NINE_APPS_OUTPUTS, "{digests:#018x?}");
+}
+
 const STATIC_EQ8: Pin = Pin {
     clock: 0x3fb325b95f498c03,
     sim: 0x0d6ebf174ddeb2d9,
@@ -590,4 +617,17 @@ const NINE_APPS_TIMELINE: [u64; 9] = [
     0xc48b788f35223653,
     0x43372b53399801d1,
     0x9911cd920ed9bb01,
+];
+/// The output digests of the same nine apps at `p = 0.5`, combiner on
+/// and off.
+const NINE_APPS_OUTPUTS: [[u64; 2]; 9] = [
+    [0x4e698cc402cf5d30, 0x53218f9860bdb8c4], // cmeans
+    [0x6c8bfdd3c61e7783, 0x8ffe740e1e057743], // kmeans
+    [0x409c9eb57668ba80, 0x075510730989865d], // gmm
+    [0xddd1923ea50d88b6, 0x300997e477daf37d], // da
+    [0xf96063126d3a6a5a, 0xf96063126d3a6a5a], // gemv
+    [0xdb02d390ff0b6a6d, 0xdb02d390ff0b6a6d], // spmv
+    [0x6c574b2d8b905303, 0x6c574b2d8b905303], // dgemm
+    [0x94318f7474935bae, 0x94318f7474935bae], // wordcount
+    [0x43299f0d883b390d, 0xd8a539f7ea73a683], // fft
 ];
