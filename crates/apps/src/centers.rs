@@ -192,8 +192,8 @@ impl<R: Rule> SpmdApp for Centers<R> {
     fn cpu_map(&self, _node: usize, range: Range<usize>) -> Vec<(Key, ClusterPartial)> {
         let (partials, objective) = self.block_partials(range);
         // Sized for the objective too: a block's output stays alive until
-        // its node drains the map stage, and a push past a collected
-        // `Vec`'s length would double it.
+        // its node folds it into the running partials, and a push past a
+        // collected `Vec`'s length would double it.
         let mut out = Vec::with_capacity(partials.len() + usize::from(R::OBJECTIVE));
         out.extend(partials.into_iter().enumerate().map(|(j, p)| (j as Key, p)));
         if R::OBJECTIVE {
@@ -211,9 +211,11 @@ impl<R: Rule> SpmdApp for Centers<R> {
     }
 
     fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<ClusterPartial>) -> ClusterPartial {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
+        // The first value is the accumulator, moved out rather than cloned.
+        let mut values = values.into_iter();
+        let mut acc = values.next().expect("a key is reduced with at least one value");
+        for v in values {
+            acc.merge(&v);
         }
         acc
     }

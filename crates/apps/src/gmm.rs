@@ -330,19 +330,17 @@ impl SpmdApp for Gmm {
     }
 
     fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<GmmPartial>) -> GmmPartial {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
+        // The first value is the accumulator, moved out rather than cloned.
+        let mut values = values.into_iter();
+        let mut acc = values.next().expect("a key is reduced with at least one value");
+        for v in values {
+            acc.merge(&v);
         }
         acc
     }
 
-    fn combine(&self, _key: Key, values: Vec<GmmPartial>) -> Vec<GmmPartial> {
-        let mut acc = values[0].clone();
-        for v in &values[1..] {
-            acc.merge(v);
-        }
-        vec![acc]
+    fn combine(&self, key: Key, values: Vec<GmmPartial>) -> Vec<GmmPartial> {
+        vec![self.reduce(DeviceClass::Cpu, key, values)]
     }
 
     fn inter_bytes(&self, value: &GmmPartial) -> u64 {

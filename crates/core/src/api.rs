@@ -58,6 +58,19 @@ pub trait SpmdApp: Send + Sync + 'static {
 
     /// Optional combiner, applied node-locally per device before the
     /// shuffle (default: pass-through).
+    ///
+    /// The runtime folds each map block into a device class's running
+    /// partials as the block lands, and calls `combine` only on keys that
+    /// then hold more than one value. That equals combining all of the
+    /// class's pairs at once because every combiner keeps this law, bit
+    /// for bit, for any `xs` with at least one value and any `ys`:
+    ///
+    /// - `combine(k, combine(k, xs) ++ ys) == combine(k, xs ++ ys)`
+    /// - `combine(k, [v]) == [v]`
+    ///
+    /// A left fold that starts from the first value keeps it: the
+    /// default, a sum, a merge into `values[0]`. Values reach `combine` in
+    /// arrival order, earlier partials first.
     fn combine(&self, _key: Key, values: Vec<Self::Inter>) -> Vec<Self::Inter> {
         values
     }

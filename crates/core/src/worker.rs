@@ -2,10 +2,13 @@
 //! ([`Worker`]) written as the paper's superstep — configure, map on both
 //! device classes, combine and copy back, shuffle, reduce, global gather
 //! and update (§III.A.2, Figures 1 and 2) — with the CPU and GPU device
-//! daemons it feeds beside it. The sub-task scheduler and the daemons are
-//! stackless simulation tasks (`simtime::Sim::spawn_task`): the
-//! scheduler's superstep is one `async` body that `.await`s only at its
-//! stage boundaries, and each daemon is a loop around one queue.
+//! daemons it feeds beside it. The combiner runs as each map block lands:
+//! the block is folded into its device class's running partials, so a
+//! node holds those partials and the block in hand, not its whole map
+//! output. The sub-task scheduler and the daemons are stackless
+//! simulation tasks (`simtime::Sim::spawn_task`): the scheduler's
+//! superstep is one `async` body that `.await`s only at its stage
+//! boundaries, and each daemon is a loop around one queue.
 
 use crate::api::{DeviceClass, Key, SpmdApp};
 use crate::config::{CalibrationMode, JobConfig, SchedulingMode};
@@ -341,14 +344,39 @@ fn key_runs<V>(sorted: impl IntoIterator<Item = (Key, V)>) -> impl Iterator<Item
     })
 }
 
-/// Groups pairs by key and applies the combiner, "sorted in memory" like
-/// the paper's intermediates. The sort is stable, so each key's values
-/// reach the combiner in the order the map stage produced them.
-fn combine_pairs<A: SpmdApp>(app: &A, mut pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
-    pairs.sort_by_key(|(k, _)| *k);
-    key_runs(pairs)
-        .flat_map(|(k, vals)| app.combine(k, vals).into_iter().map(move |v| (k, v)))
-        .collect()
+/// Folds one landed map block into a device class's running partials,
+/// which stay sorted by key ("sorted in memory" like the paper's
+/// intermediates). The block is sorted stably by key and merged after the
+/// partials — on a tie the partials come first — and the combiner runs
+/// only on the keys that then hold more than one value. By the combiner
+/// law ([`SpmdApp::combine`]) the partials after the last block are what
+/// combining all the class's pairs at once, in arrival order, gives.
+fn fold_block<A: SpmdApp>(
+    app: &A,
+    partials: &mut Vec<(Key, A::Inter)>,
+    mut block: Vec<(Key, A::Inter)>,
+) {
+    block.sort_by_key(|(k, _)| *k);
+    let capacity = partials.len().max(block.len());
+    let held = std::mem::replace(partials, Vec::with_capacity(capacity));
+    let (mut held, mut block) = (held.into_iter().peekable(), block.into_iter().peekable());
+    let mut merged = std::iter::from_fn(|| match (held.peek(), block.peek()) {
+        (Some((a, _)), Some((b, _))) if b < a => block.next(),
+        (Some(_), _) => held.next(),
+        (None, _) => block.next(),
+    })
+    .peekable();
+    while let Some((key, first)) = merged.next() {
+        let Some((_, second)) = merged.next_if(|(k, _)| *k == key) else {
+            partials.push((key, first));
+            continue;
+        };
+        let mut values = vec![first, second];
+        while let Some((_, v)) = merged.next_if(|(k, _)| *k == key) {
+            values.push(v);
+        }
+        partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
+    }
 }
 
 /// Which of a node's two task queues.
@@ -470,9 +498,10 @@ struct Split {
     decision: Option<DecisionId>,
 }
 
-/// One device class's share of a map stage: the pairs it emitted and when
-/// its last block landed (the observed per-device map completion time of
-/// the decision audit).
+/// One device class's share of a map stage: the pairs it emitted — its
+/// running partials when the combiner is on — and when its last block
+/// landed (the observed per-device map completion time of the decision
+/// audit).
 struct Side<I> {
     pairs: Vec<(Key, I)>,
     last_end: Option<SimTime>,
@@ -617,8 +646,8 @@ impl<A: SpmdApp> Worker<A> {
                 .set_trace_ctx(TraceCtx::root(iter as u64, self.root_part));
 
             self.plan_split(ctx, iter).await;
-            let mut mapped = self.map(ctx, t0).await;
-            self.combine_and_copy_back(ctx, &mut mapped).await;
+            let mapped = self.map(ctx, t0).await;
+            self.copy_back(ctx, &mapped).await;
             clock.end(Stage::Map, ctx.now());
             self.observe_map(&mapped, t0, ctx.now());
 
@@ -958,7 +987,8 @@ impl<A: SpmdApp> Worker<A> {
     }
 
     /// MAP: second-level scheduling of blocks onto device daemons, then
-    /// the drain that resolves every race before the combiner runs.
+    /// the drain that resolves every race and combines each winning block
+    /// as it lands.
     async fn map(&mut self, ctx: &SimCtx, t0: SimTime) -> Mapped<A::Inter> {
         let config = self.job.config;
         let first_id = self.next_task_id;
@@ -1056,7 +1086,10 @@ impl<A: SpmdApp> Worker<A> {
 
     /// Collects map results until every dispatched copy — primary or
     /// backup — has reported exactly one `Map` or `Cancelled`, firing the
-    /// backup volley if `volley_at` passes with primaries still out.
+    /// backup volley if `volley_at` passes with primaries still out. With
+    /// the combiner on, each winning block is folded into its class's
+    /// partials as it lands ([`fold_block`]); off, its pairs are appended
+    /// in arrival order.
     async fn drain_map(
         &mut self,
         ctx: &SimCtx,
@@ -1095,8 +1128,13 @@ impl<A: SpmdApp> Worker<A> {
                     if self.ports.board.claim(id) {
                         self.outstanding.remove(&id);
                         self.report.map_tasks[device as usize] += 1;
-                        mapped[device as usize].pairs.extend(pairs);
-                        mapped[device as usize].last_end = Some(ctx.now());
+                        let side = &mut mapped[device as usize];
+                        if self.job.config.use_combiner {
+                            fold_block(self.job.app.as_ref(), &mut side.pairs, pairs);
+                        } else {
+                            side.pairs.extend(pairs);
+                        }
+                        side.last_end = Some(ctx.now());
                         if speculative {
                             self.recover(ctx, RecoveryAction::SpecWin { task: id });
                         }
@@ -1179,18 +1217,14 @@ impl<A: SpmdApp> Worker<A> {
         }
     }
 
-    /// The combiner runs device-locally (in GPU memory for GPU output),
-    /// *before* the device-to-host copy, like the paper's in-GPU
-    /// sort/merge of intermediates; then "the intermediate data located in
-    /// GPU memory will be copied/sorted to/in CPU memory after all map
-    /// tasks on local node are done."
-    async fn combine_and_copy_back(&self, ctx: &SimCtx, mapped: &mut Mapped<A::Inter>) {
+    /// The copy back: "the intermediate data located in GPU memory will be
+    /// copied/sorted to/in CPU memory after all map tasks on local node are
+    /// done." The combiner has already run device-locally (in GPU memory
+    /// for GPU output), as each block landed, *before* this copy — like the
+    /// paper's in-GPU sort/merge of intermediates — so with the combiner on,
+    /// what crosses PCI-E is the GPU side's partials.
+    async fn copy_back(&self, ctx: &SimCtx, mapped: &Mapped<A::Inter>) {
         let app = self.job.app.as_ref();
-        if self.job.config.use_combiner {
-            for side in mapped.iter_mut() {
-                side.pairs = combine_pairs(app, std::mem::take(&mut side.pairs));
-            }
-        }
         let gpu_pairs = &mapped[DeviceClass::Gpu as usize].pairs;
         if !gpu_pairs.is_empty() {
             let inter_bytes: u64 = gpu_pairs.iter().map(|(_, v)| app.inter_bytes(v)).sum();
@@ -1399,6 +1433,17 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    /// Groups pairs by key and applies the combiner once per key, over
+    /// the whole list: what the map stage did before it folded each block
+    /// as it landed, and the oracle [`fold_block`] is held to. The sort is
+    /// stable, so each key's values reach the combiner in list order.
+    fn combine_pairs<A: SpmdApp>(app: &A, mut pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
+        pairs.sort_by_key(|(k, _)| *k);
+        key_runs(pairs)
+            .flat_map(|(k, vals)| app.combine(k, vals).into_iter().map(move |v| (k, v)))
+            .collect()
+    }
+
     /// The grouping both stages used before they sorted: every pair
     /// inserted, in list order, into a map of per-key vectors.
     fn group_by_btree<V>(pairs: Vec<(Key, V)>) -> Vec<(Key, Vec<V>)> {
@@ -1441,6 +1486,46 @@ mod tests {
             self.calls.lock().push((key, values.clone()));
             let keep = (key as usize % 3).min(values.len());
             values[..keep].to_vec()
+        }
+    }
+
+    /// Three combiners that keep the combiner law ([`SpmdApp::combine`]),
+    /// chosen by key: `key % 3 == 0` passes its values through (the
+    /// default), `1` sums them, `2` keeps the first two. Passing through
+    /// and keeping a prefix show any reordering inside a key; keeping two
+    /// leaves a key more than one value.
+    struct Lawful;
+
+    impl SpmdApp for Lawful {
+        type Inter = u32;
+        type Output = u32;
+        fn num_items(&self) -> usize {
+            0
+        }
+        fn item_bytes(&self) -> u64 {
+            4
+        }
+        fn workload(&self) -> Workload {
+            Workload::uniform(1.0, DataResidency::Staged)
+        }
+        fn cpu_map(&self, _node: usize, _range: Range<usize>) -> Vec<(Key, u32)> {
+            Vec::new()
+        }
+        fn gpu_map(&self, _node: usize, _range: Range<usize>) -> Vec<(Key, u32)> {
+            Vec::new()
+        }
+        fn reduce(&self, _d: DeviceClass, _key: Key, _values: Vec<u32>) -> u32 {
+            0
+        }
+        fn combine(&self, key: Key, mut values: Vec<u32>) -> Vec<u32> {
+            match key % 3 {
+                0 => values,
+                1 => vec![values.iter().fold(0u32, |a, v| a.wrapping_add(*v))],
+                _ => {
+                    values.truncate(2);
+                    values
+                }
+            }
         }
     }
 
@@ -1562,6 +1647,23 @@ mod tests {
             }
             prop_assert_eq!(got, want);
             prop_assert_eq!(&*sorted.calls.lock(), &*btree.calls.lock());
+        }
+
+        #[test]
+        fn folding_blocks_as_they_land_is_combining_the_whole_list(
+            pairs in arb_pairs(),
+            cuts in vec(0usize..300, 0..12),
+        ) {
+            // Blocks cut at the sorted cut points, folded in list order.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
+            cuts.sort_unstable();
+            cuts.push(pairs.len());
+            let (mut partials, mut start) = (Vec::new(), 0);
+            for cut in cuts {
+                fold_block(&Lawful, &mut partials, pairs[start..cut].to_vec());
+                start = cut;
+            }
+            prop_assert_eq!(partials, combine_pairs(&Lawful, pairs));
         }
 
         #[test]

@@ -95,9 +95,12 @@ impl CpuPool {
         lane
     }
 
-    /// Runs one task on one core: blocks for a core, executes the real
-    /// `body`, charges the roofline core time for `work`.
-    /// [`SimCtx::wait`] on [`CpuPool::run_task_async`].
+    /// Runs one task on one core: blocks for a core, charges the roofline
+    /// core time for `work`, then executes the real `body`, at the end of
+    /// the charged interval (a `body` reading `ctx.now()` sees that end),
+    /// so its output exists only from the task's end on. Virtual time
+    /// does not depend on `body`. [`SimCtx::wait`] on
+    /// [`CpuPool::run_task_async`].
     pub fn run_task<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
         ctx.wait(self.run_task_async(ctx, work, body))
     }
@@ -111,7 +114,6 @@ impl CpuPool {
     ) -> R {
         let t_queued = ctx.now();
         self.cores.acquire_async(ctx, 1).await;
-        let result = body();
         let t0 = ctx.now();
         let factor = SlowdownWindow::factor_at(&self.slowdowns.lock(), t0);
         let base = cpu_core_time(&self.spec, work);
@@ -121,6 +123,7 @@ impl CpuPool {
             SimTime::from_secs_f64(base.as_secs_f64() * factor)
         };
         ctx.sleep(t).await;
+        let result = body();
         let t_end = ctx.now();
         if let Some(obs) = self.obs.lock().as_ref() {
             let lane = self.claim_lane(t0.as_secs_f64(), t_end.as_secs_f64());
@@ -219,6 +222,20 @@ mod tests {
             let w = WorkProfile::from_intensity(1e6, 1.0);
             let v = p2.run_task(ctx, &w, || 41 + 1);
             assert_eq!(v, 42);
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
+    fn body_runs_at_the_end_of_the_charged_interval() {
+        let p = pool();
+        let mut sim = Sim::new();
+        let p2 = p.clone();
+        sim.spawn("t", move |ctx| {
+            let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9); // 1 s
+            let seen = p2.run_task(ctx, &w, || ctx.now());
+            assert_eq!(seen, SimTime::from_secs(1));
+            assert_eq!(ctx.now(), seen);
         });
         sim.run().unwrap();
     }

@@ -252,10 +252,11 @@ impl Gpu {
     }
 
     /// Launches a kernel described by `work`, blocking until completion.
-    /// `body` executes the kernel's real host-side computation while the
-    /// compute engine is held. Panics if the device has crashed — fault
-    /// aware callers use [`Gpu::try_launch`]. [`SimCtx::wait`] on
-    /// [`Gpu::launch_async`].
+    /// `body` executes the kernel's real host-side computation at the end
+    /// of the charged kernel time, while the compute engine is still held
+    /// (a `body` reading `ctx.now()` sees that end). Panics if the device
+    /// has crashed — fault aware callers use [`Gpu::try_launch`].
+    /// [`SimCtx::wait`] on [`Gpu::launch_async`].
     pub fn launch<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
         ctx.wait(self.launch_async(ctx, work, body))
     }
@@ -276,7 +277,9 @@ impl Gpu {
     /// is already dead or dies mid-kernel (the armed crash time falls
     /// inside the kernel's execution window). On a mid-kernel crash the
     /// caller is charged the virtual time up to the crash — work lost, not
-    /// results — and `body` is never considered to have produced output.
+    /// results — and `body` never runs. A kernel that completes runs
+    /// `body` at the end of its charged time, so its output exists only
+    /// from the kernel's end on; virtual time does not depend on `body`.
     /// [`SimCtx::wait`] on [`Gpu::try_launch_async`].
     pub fn try_launch<R>(
         &self,
@@ -330,8 +333,8 @@ impl Gpu {
                 return Err(GpuCrashed { lost });
             }
         }
-        let result = body();
         ctx.sleep(t).await;
+        let result = body();
         let t1 = ctx.now();
         if let Some(o) = self.obs.lock().as_ref() {
             let wait = t0.saturating_sub(t_queued).as_secs_f64();
@@ -572,6 +575,29 @@ mod tests {
         sim.run().unwrap();
         // The interrupted kernel is not counted as completed.
         assert_eq!(gpu.stats().kernels, 0);
+    }
+
+    #[test]
+    fn body_runs_at_the_kernels_end_and_never_on_a_crash() {
+        let gpu = delta_gpu(OverheadModel::zero());
+        gpu.set_crash_at(Some(SimTime::from_secs_f64(1.5)));
+        let mut sim = Sim::new();
+        let g = gpu.clone();
+        let calls = Arc::new(Mutex::new(0u32));
+        let c = calls.clone();
+        sim.spawn("k", move |ctx| {
+            let w = WorkProfile::from_intensity(1030e9, 1e9); // 1 s kernel
+            let seen = g.try_launch(ctx, &w, || ctx.now()).unwrap();
+            assert_eq!(seen, SimTime::from_secs(1));
+            // The second kernel would end at 2 s; the card dies at 1.5 s.
+            let err = g.try_launch(ctx, &w, || *c.lock() += 1).unwrap_err();
+            assert_eq!(err.lost, SimTime::from_secs_f64(0.5));
+            let err = g.try_launch(ctx, &w, || *c.lock() += 1).unwrap_err();
+            assert_eq!(err.lost, SimTime::ZERO);
+        });
+        sim.run().unwrap();
+        assert_eq!(*calls.lock(), 0, "a crashed launch never runs its body");
+        assert_eq!(gpu.stats().kernels, 1);
     }
 
     #[test]
