@@ -359,23 +359,26 @@ fn fold_block<A: SpmdApp>(
     block.sort_by_key(|(k, _)| *k);
     let capacity = partials.len().max(block.len());
     let held = std::mem::replace(partials, Vec::with_capacity(capacity));
-    let (mut held, mut block) = (held.into_iter().peekable(), block.into_iter().peekable());
-    let mut merged = std::iter::from_fn(|| match (held.peek(), block.peek()) {
-        (Some((a, _)), Some((b, _))) if b < a => block.next(),
-        (Some(_), _) => held.next(),
-        (None, _) => block.next(),
-    })
-    .peekable();
-    while let Some((key, first)) = merged.next() {
-        let Some((_, second)) = merged.next_if(|(k, _)| *k == key) else {
-            partials.push((key, first));
-            continue;
-        };
-        let mut values = vec![first, second];
-        while let Some((_, v)) = merged.next_if(|(k, _)| *k == key) {
-            values.push(v);
+    let (mut held, mut block) = (held.into_iter(), block.into_iter());
+    // How many of the pairs left in `rest` lead with `key`.
+    let lead = |rest: &[(Key, A::Inter)], key: Key| {
+        rest.iter().take_while(|(k, _)| *k == key).count()
+    };
+    let first_key = |rest: &[(Key, A::Inter)]| rest.first().map(|(k, _)| *k);
+    // Each turn takes every value of the smallest key left on either side.
+    while let Some(key) = [first_key(held.as_slice()), first_key(block.as_slice())]
+        .into_iter()
+        .flatten()
+        .min()
+    {
+        let (a, b) = (lead(held.as_slice(), key), lead(block.as_slice(), key));
+        let run = held.by_ref().take(a).chain(block.by_ref().take(b));
+        if a + b == 1 {
+            partials.extend(run);
+        } else {
+            let values = run.map(|(_, v)| v).collect();
+            partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
         }
-        partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
     }
 }
 
