@@ -364,21 +364,24 @@ fn fold_block<A: SpmdApp>(
     let lead = |rest: &[(Key, A::Inter)], key: Key| {
         rest.iter().take_while(|(k, _)| *k == key).count()
     };
-    let first_key = |rest: &[(Key, A::Inter)]| rest.first().map(|(k, _)| *k);
-    // Each turn takes every value of the smallest key left on either side.
-    while let Some(key) = [first_key(held.as_slice()), first_key(block.as_slice())]
-        .into_iter()
-        .flatten()
-        .min()
-    {
-        let (a, b) = (lead(held.as_slice(), key), lead(block.as_slice(), key));
-        let run = held.by_ref().take(a).chain(block.by_ref().take(b));
-        if a + b == 1 {
-            partials.extend(run);
-        } else {
-            let values = run.map(|(_, v)| v).collect();
-            partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
+    loop {
+        // The smaller head of the two; the partials' on a tie.
+        let next = match (held.as_slice().first(), block.as_slice().first()) {
+            (Some((h, _)), Some((b, _))) if b < h => block.next(),
+            (Some(_), _) => held.next(),
+            (None, _) => block.next(),
+        };
+        let Some((key, first)) = next else { break };
+        let (more_held, more_block) = (lead(held.as_slice(), key), lead(block.as_slice(), key));
+        if more_held + more_block == 0 {
+            partials.push((key, first));
+            continue;
         }
+        let mut values = Vec::with_capacity(1 + more_held + more_block);
+        values.push(first);
+        values.extend(held.by_ref().take(more_held).map(|(_, v)| v));
+        values.extend(block.by_ref().take(more_block).map(|(_, v)| v));
+        partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
     }
 }
 
