@@ -211,7 +211,6 @@ impl<R: Rule> SpmdApp for Centers<R> {
     }
 
     fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<ClusterPartial>) -> ClusterPartial {
-        // The first value is the accumulator, moved out rather than cloned.
         let mut values = values.into_iter();
         let mut acc = values.next().expect("a key is reduced with at least one value");
         for v in values {

@@ -330,7 +330,6 @@ impl SpmdApp for Gmm {
     }
 
     fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<GmmPartial>) -> GmmPartial {
-        // The first value is the accumulator, moved out rather than cloned.
         let mut values = values.into_iter();
         let mut acc = values.next().expect("a key is reduced with at least one value");
         for v in values {
