@@ -610,12 +610,18 @@ const TRACE_PINS: [u64; 4] =
     [0x0841a9ea7afe4772, 0x3e8c041ad3a84000, 0x8178f2ebf6e90086, 0x9ed0eca9ac2d1582];
 
 /// Every file of a `--record --obs` bundle (each preceded by its path),
-/// byte for byte: a plain two-node run and the drain-plan elastic run of
-/// `gantt_and_traces_are_pinned`. The flight recorder's retained set
-/// shows in `metrics.prom` (`prs_recorder_*`) and in any capture. The
-/// constants were captured on commit a85f347, while the recorder still
-/// copied every event out of the bus; do not regenerate them for a
-/// host-side change.
+/// byte for byte: a plain two-node run, the drain-plan elastic run of
+/// `gantt_and_traces_are_pinned`, and a 16-node dynamic run, whose
+/// event log is full of equal-`t` ties. The flight recorder's retained
+/// set shows in `metrics.prom` (`prs_recorder_*`) and in any capture. The
+/// first two constants were captured on commit a85f347, while the
+/// recorder still copied every event out of the bus, the third on commit
+/// 1f6d20b, while every event was a heap object of its own; do not
+/// regenerate them for a host-side change.
+///
+/// The same dynamic run with `--record` alone trims the bus as the
+/// recorder ingests it and reports its retained set on stderr; that line
+/// is pinned at the default budget and at one small enough to evict.
 #[test]
 fn recorded_bundles_are_pinned() {
     let dir = tmp_dir("record-pins");
@@ -634,6 +640,9 @@ fn recorded_bundles_are_pinned() {
         "run", "--nodes", "2", "--points", "20000", "--iterations", "3", "--membership", &plan,
         "--record", "--obs", &elastic,
     ]);
+    let dynamic = ["run", "--nodes", "16", "--mode", "dynamic:100", "--record"];
+    let ties = path("ties");
+    ok(&[&dynamic[..], &["--obs", &ties]].concat());
     let bundle = |d: &str| {
         let mut bytes = Vec::new();
         for (path, content) in files_under(std::path::Path::new(d)) {
@@ -642,13 +651,30 @@ fn recorded_bundles_are_pinned() {
         }
         fnv1a(&bytes)
     };
-    let got = [bundle(&plain), bundle(&elastic)];
+    let got = [bundle(&plain), bundle(&elastic), bundle(&ties)];
     assert_eq!(got, RECORD_PINS, "{got:#018x?}");
+    let stderr = |extra: &[&str]| {
+        let out = prs(&[&dynamic[..], extra].concat());
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    assert_eq!(stderr(&[]), RECORD_LINES[0]);
+    assert_eq!(stderr(&["--record-budget", "2048", "--record-window", "0.001"]), RECORD_LINES[1]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The plain `--record` bundle, the elastic `--record` bundle.
-const RECORD_PINS: [u64; 2] = [0xa77424a83c53d2d6, 0x21cb3955c8924468];
+/// The plain `--record` bundle, the elastic `--record` bundle, the
+/// 16-node dynamic `--record` bundle.
+const RECORD_PINS: [u64; 3] = [0xa77424a83c53d2d6, 0x21cb3955c8924468, 0xda0cbd4f8143eec7];
+
+/// The 16-node dynamic run's stderr under `--record` alone: default
+/// budget, then a 2048-event budget with a 1 ms window.
+const RECORD_LINES: [&str; 2] = [
+    "flight recorder: 17632 event(s) retained (peak 17632), 0 folded into 0 rollup bin(s), \
+     ~3603056 B resident\n",
+    "flight recorder: 2048 event(s) retained (peak 6912), 15584 folded into 354 rollup bin(s), \
+     ~468206 B resident\n",
+];
 
 /// The `--json` stdout of three product jobs, and every file of the two
 /// `--obs --record` bundles: the 1000-node micro c-means job of the
