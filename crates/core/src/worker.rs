@@ -348,18 +348,24 @@ fn key_runs<V>(sorted: impl IntoIterator<Item = (Key, V)>) -> impl Iterator<Item
 /// which stay sorted by key ("sorted in memory" like the paper's
 /// intermediates). The block is sorted stably by key and merged after the
 /// partials — on a tie the partials come first — and the combiner runs
-/// only on the keys that then hold more than one value. By the combiner
-/// law ([`SpmdApp::combine`]) the partials after the last block are what
+/// only on the keys the block adds a value to that then hold more than
+/// one. A held run the block does not touch is already combined (the law
+/// with `ys = []`), so it moves through as it is. By the combiner law
+/// ([`SpmdApp::combine`]) the partials after the last block are what
 /// combining all the class's pairs at once, in arrival order, gives.
+///
+/// The merge writes into `scratch`, which is empty on entry and on exit:
+/// the two buffers swap, so a class's blocks reuse their allocations.
 fn fold_block<A: SpmdApp>(
     app: &A,
     partials: &mut Vec<(Key, A::Inter)>,
+    scratch: &mut Vec<(Key, A::Inter)>,
     mut block: Vec<(Key, A::Inter)>,
 ) {
     block.sort_by_key(|(k, _)| *k);
-    let capacity = partials.len().max(block.len());
-    let held = std::mem::replace(partials, Vec::with_capacity(capacity));
-    let (mut held, mut block) = (held.into_iter(), block.into_iter());
+    std::mem::swap(partials, scratch);
+    partials.reserve(scratch.len().max(block.len()));
+    let (mut held, mut block) = (scratch.drain(..), block.into_iter());
     // How many of the pairs left in `rest` lead with `key`.
     let lead = |rest: &[(Key, A::Inter)], key: Key| {
         rest.iter().take_while(|(k, _)| *k == key).count()
@@ -373,8 +379,9 @@ fn fold_block<A: SpmdApp>(
         };
         let Some((key, first)) = next else { break };
         let (more_held, more_block) = (lead(held.as_slice(), key), lead(block.as_slice(), key));
-        if more_held + more_block == 0 {
+        if more_block == 0 {
             partials.push((key, first));
+            partials.extend(held.by_ref().take(more_held));
             continue;
         }
         let mut values = Vec::with_capacity(1 + more_held + more_block);
@@ -510,6 +517,8 @@ struct Split {
 /// audit).
 struct Side<I> {
     pairs: Vec<(Key, I)>,
+    /// [`fold_block`]'s merge buffer, empty between blocks.
+    scratch: Vec<(Key, I)>,
     last_end: Option<SimTime>,
 }
 
@@ -1104,6 +1113,7 @@ impl<A: SpmdApp> Worker<A> {
     ) -> Mapped<A::Inter> {
         let mut mapped = [(); 2].map(|()| Side {
             pairs: Vec::new(),
+            scratch: Vec::new(),
             last_end: None,
         });
         let mut seen = 0u64;
@@ -1136,7 +1146,7 @@ impl<A: SpmdApp> Worker<A> {
                         self.report.map_tasks[device as usize] += 1;
                         let side = &mut mapped[device as usize];
                         if self.job.config.use_combiner {
-                            fold_block(self.job.app.as_ref(), &mut side.pairs, pairs);
+                            fold_block(self.job.app.as_ref(), &mut side.pairs, &mut side.scratch, pairs);
                         } else {
                             side.pairs.extend(pairs);
                         }
@@ -1642,6 +1652,55 @@ mod tests {
         }
     }
 
+    /// The trait's default combiner, counting its calls.
+    #[derive(Default)]
+    struct PassThrough {
+        calls: Mutex<usize>,
+    }
+
+    impl SpmdApp for PassThrough {
+        type Inter = u32;
+        type Output = u32;
+        fn num_items(&self) -> usize {
+            0
+        }
+        fn item_bytes(&self) -> u64 {
+            4
+        }
+        fn workload(&self) -> Workload {
+            Workload::uniform(1.0, DataResidency::Staged)
+        }
+        fn cpu_map(&self, _node: usize, _range: Range<usize>) -> Vec<(Key, u32)> {
+            Vec::new()
+        }
+        fn gpu_map(&self, _node: usize, _range: Range<usize>) -> Vec<(Key, u32)> {
+            Vec::new()
+        }
+        fn reduce(&self, _d: DeviceClass, _key: Key, _values: Vec<u32>) -> u32 {
+            0
+        }
+        fn combine(&self, _key: Key, values: Vec<u32>) -> Vec<u32> {
+            *self.calls.lock() += 1;
+            values
+        }
+    }
+
+    #[test]
+    fn a_held_run_the_block_does_not_touch_is_not_combined_again() {
+        let app = PassThrough::default();
+        let (mut partials, mut scratch) = (Vec::new(), Vec::new());
+        // The first block leaves key 1 a run of two values; no later block
+        // adds to it.
+        for block in [vec![(1, 10), (1, 11)], vec![(2, 20)], vec![(3, 30)], vec![(0, 0)]] {
+            fold_block(&app, &mut partials, &mut scratch, block);
+        }
+        assert_eq!(partials, [(0, 0), (1, 10), (1, 11), (2, 20), (3, 30)]);
+        assert_eq!(*app.calls.lock(), 1, "only the block that made the run combines it");
+        fold_block(&app, &mut partials, &mut scratch, vec![(1, 12)]);
+        assert_eq!(*app.calls.lock(), 2, "a block that adds to the run combines it");
+        assert_eq!(partials[1..4], [(1, 10), (1, 11), (1, 12)]);
+    }
+
     proptest! {
         #[test]
         fn combine_pairs_calls_the_combiner_as_the_btree_grouping_did(pairs in arb_pairs()) {
@@ -1664,9 +1723,10 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
             cuts.sort_unstable();
             cuts.push(pairs.len());
-            let (mut partials, mut start) = (Vec::new(), 0);
+            let (mut partials, mut scratch, mut start) = (Vec::new(), Vec::new(), 0);
             for cut in cuts {
-                fold_block(&Lawful, &mut partials, pairs[start..cut].to_vec());
+                fold_block(&Lawful, &mut partials, &mut scratch, pairs[start..cut].to_vec());
+                prop_assert!(scratch.is_empty());
                 start = cut;
             }
             prop_assert_eq!(partials, combine_pairs(&Lawful, pairs));
