@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use device::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
+use device::{render_ascii, to_chrome_trace, write_chrome_trace_with_flows, FlowArrow};
 use obs::rollup::{rollup, RollupConfig};
 use obs::{kinds, AuditLog, EventView, MetricsRegistry, Obs};
 use prs_apps::catalog::{self, DriverClass, Drive, Ran};
@@ -79,6 +79,18 @@ fn read(path: impl AsRef<Path>) -> Result<String, CliError> {
 fn write(path: impl AsRef<Path>, content: impl AsRef<[u8]>) -> Cmd {
     let path = path.as_ref();
     std::fs::write(path, content).map_err(|e| Failed(format!("writing {}: {e}", path.display())))
+}
+
+/// Streams a file through a `BufWriter`: `render` writes it piece by
+/// piece, so no whole-file buffer is built.
+fn write_with(
+    path: impl AsRef<Path>,
+    render: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
+) -> Cmd {
+    let path = path.as_ref();
+    let failed = |e: std::io::Error| Failed(format!("writing {}: {e}", path.display()));
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(failed)?);
+    render(&mut out).and_then(|()| std::io::Write::flush(&mut out)).map_err(failed)
 }
 
 /// Writes a JSON document, pretty-printed with a final newline.
@@ -1414,18 +1426,18 @@ fn write_obs_bundle(dir: &str, obs: &Obs, timeline: &[simtime::StackFrame]) -> C
         roll.recorder = Some(obs.recorder.summary());
         obs.recorder.register_metrics(&obs.metrics);
     }
-    let events = dir.join("events.jsonl");
-    let failed = |e: std::io::Error| Failed(format!("writing {}: {e}", events.display()));
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&events).map_err(failed)?);
-    obs.bus.write_jsonl(&mut out).and_then(|()| std::io::Write::flush(&mut out)).map_err(failed)?;
+    write_with(dir.join("events.jsonl"), |out| obs.bus.write_jsonl(out))?;
     write("metrics.prom", obs.metrics.to_prometheus())?;
     write("decisions.jsonl", obs.audit.to_jsonl())?;
     write("rollup.jsonl", roll.to_jsonl())?;
     write("alerts.jsonl", watched.alerts_jsonl())?;
     write("incidents.jsonl", watched.incidents_jsonl())?;
-    write("trace.json", to_chrome_trace_with_flows(timeline, &flow_arrows(&flows)))?;
+    let arrows = flow_arrows(&flows);
+    write_with(dir.join("trace.json"), |out| {
+        write_chrome_trace_with_flows(timeline, &arrows, out)
+    })?;
     let prof = obs::profile(&set, horizon, obs::profile::DEFAULT_PERIOD_S);
-    write("stacks.jsonl", set.to_stacks_jsonl())?;
+    write_with(dir.join("stacks.jsonl"), |out| set.write_stacks_jsonl(out))?;
     write("profile.folded", prof.to_folded())?;
     write("profile.json", prof.to_json())?;
     Ok(())

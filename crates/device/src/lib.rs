@@ -45,7 +45,9 @@ pub use race::CompletionBoard;
 pub use gpu::{Gpu, GpuContext, Stream};
 pub use memory::{MemorySpace, OutOfMemory, Region};
 pub use node::FatNode;
-pub use timeline::{render_ascii, to_chrome_trace, to_chrome_trace_with_flows, FlowArrow};
+pub use timeline::{
+    render_ascii, to_chrome_trace, to_chrome_trace_with_flows, write_chrome_trace_with_flows, FlowArrow,
+};
 
 #[cfg(test)]
 mod proptests {

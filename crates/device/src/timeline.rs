@@ -10,6 +10,7 @@ use obs::jsonl::{write_f64, write_str};
 use obs::kinds;
 use simtime::StackFrame;
 use std::collections::BTreeMap;
+use std::io;
 
 /// The overlapping start-sorted neighbour pairs per lane (sharing an
 /// endpoint is not an overlap) — empty iff no two frames on any lane
@@ -111,6 +112,18 @@ pub fn to_chrome_trace(frames: &[StackFrame]) -> String {
 /// 1 µs `X` slice so viewers have geometry to attach the arrow to.
 /// Flow lanes that carry no frames still get thread names.
 pub fn to_chrome_trace_with_flows(frames: &[StackFrame], flows: &[FlowArrow]) -> String {
+    let mut out = Vec::new();
+    write_chrome_trace_with_flows(frames, flows, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("trace events are UTF-8")
+}
+
+/// [`to_chrome_trace_with_flows`], written to `out` one event at a time:
+/// nothing holds more of the document than the event being formatted.
+pub fn write_chrome_trace_with_flows(
+    frames: &[StackFrame],
+    flows: &[FlowArrow],
+    out: &mut dyn io::Write,
+) -> io::Result<()> {
     /// Thread ids in order of first appearance.
     #[derive(Default)]
     struct Lanes<'a> {
@@ -127,53 +140,69 @@ pub fn to_chrome_trace_with_flows(frames: &[StackFrame], flows: &[FlowArrow]) ->
     }
     let mut lanes = Lanes::default();
 
-    let mut w = TraceWriter::default();
+    let mut w = TraceWriter {
+        out,
+        buf: String::new(),
+        started: false,
+    };
     for f in frames {
         let tid = lanes.tid(&f.lane);
-        w.slice(&f.frame, f.t0 * 1e6, (f.t1 - f.t0) * 1e6, tid);
+        w.slice(&f.frame, f.t0 * 1e6, (f.t1 - f.t0) * 1e6, tid)?;
     }
     for f in flows {
         let src = lanes.tid(f.src_lane.as_str());
         let dst = lanes.tid(f.dst_lane.as_str());
         let (send_us, recv_us) = (f.send_t * 1e6, f.recv_t * 1e6);
         // Anchor slices: the arrow endpoints need enclosing slices.
-        w.slice(&f.name, send_us, 1.0, src);
-        w.slice(&f.name, recv_us, 1.0, dst);
-        w.flow_end(None, f.id, &f.name, "s", src, send_us);
-        w.flow_end(Some("e"), f.id, &f.name, "f", dst, recv_us);
+        w.slice(&f.name, send_us, 1.0, src)?;
+        w.slice(&f.name, recv_us, 1.0, dst)?;
+        w.flow_end(None, f.id, &f.name, "s", src, send_us)?;
+        w.flow_end(Some("e"), f.id, &f.name, "f", dst, recv_us)?;
     }
     for (tid, lane) in lanes.names.iter().enumerate() {
-        w.thread_name(lane, tid);
+        w.thread_name(lane, tid)?;
     }
     w.finish()
 }
 
-/// Formats the pretty-printed `{"traceEvents": [...]}` document straight
-/// into one buffer — what `serde_json::to_string_pretty` renders for the
-/// same events (two-space indent, members in key order), without a
-/// `Value` per frame. Numbers and strings go through the bundle
-/// codec's formatters.
-#[derive(Default)]
-struct TraceWriter {
-    out: String,
+/// Formats the pretty-printed `{"traceEvents": [...]}` document event by
+/// event — what `serde_json::to_string_pretty` renders for the same
+/// events (two-space indent, members in key order), without a `Value`
+/// per frame. Numbers and strings go through the bundle codec's
+/// formatters.
+struct TraceWriter<'w> {
+    out: &'w mut dyn io::Write,
+    /// The event being formatted.
+    buf: String,
+    /// Whether an event has been written.
+    started: bool,
 }
 
-impl TraceWriter {
+impl TraceWriter<'_> {
     fn open(&mut self) {
-        self.out.push_str(if self.out.is_empty() {
-            "{\n  \"traceEvents\": [\n    {"
-        } else {
+        self.buf.push_str(if self.started {
             ",\n    {"
+        } else {
+            "{\n  \"traceEvents\": [\n    {"
         });
+        self.started = true;
+    }
+
+    /// Closes the event and writes it out.
+    fn close(&mut self) -> io::Result<()> {
+        self.buf.push_str("\n    }");
+        self.out.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
     }
 
     /// One member of the event object being written; `first` members
     /// carry no separating comma.
     fn member(&mut self, first: bool, key: &str) -> &mut String {
-        self.out.push_str(if first { "\n      \"" } else { ",\n      \"" });
-        self.out.push_str(key);
-        self.out.push_str("\": ");
-        &mut self.out
+        self.buf.push_str(if first { "\n      \"" } else { ",\n      \"" });
+        self.buf.push_str(key);
+        self.buf.push_str("\": ");
+        &mut self.buf
     }
 
     fn tail(&mut self, name: &str, ph: &str, tid: usize) {
@@ -184,17 +213,25 @@ impl TraceWriter {
     }
 
     /// A complete (`X`) event.
-    fn slice(&mut self, name: &str, ts: f64, dur: f64, tid: usize) {
+    fn slice(&mut self, name: &str, ts: f64, dur: f64, tid: usize) -> io::Result<()> {
         self.open();
         write_f64(self.member(true, "dur"), dur);
         self.tail(name, "X", tid);
         write_f64(self.member(false, "ts"), ts);
-        self.out.push_str("\n    }");
+        self.close()
     }
 
     /// One half of a flow arrow (`ph` `s` or `f`; the finish binds with
     /// `bp`).
-    fn flow_end(&mut self, bp: Option<&str>, id: u64, name: &str, ph: &str, tid: usize, ts: f64) {
+    fn flow_end(
+        &mut self,
+        bp: Option<&str>,
+        id: u64,
+        name: &str,
+        ph: &str,
+        tid: usize,
+        ts: f64,
+    ) -> io::Result<()> {
         self.open();
         if let Some(bp) = bp {
             write_str(self.member(true, "bp"), bp);
@@ -203,25 +240,25 @@ impl TraceWriter {
         write_f64(self.member(false, "id"), id as f64);
         self.tail(name, ph, tid);
         write_f64(self.member(false, "ts"), ts);
-        self.out.push_str("\n    }");
+        self.close()
     }
 
     /// Thread-name metadata for one lane.
-    fn thread_name(&mut self, lane: &str, tid: usize) {
+    fn thread_name(&mut self, lane: &str, tid: usize) -> io::Result<()> {
         self.open();
         self.member(true, "args").push_str("{\n        \"name\": ");
-        write_str(&mut self.out, lane);
-        self.out.push_str("\n      }");
+        write_str(&mut self.buf, lane);
+        self.buf.push_str("\n      }");
         self.tail("thread_name", "M", tid);
-        self.out.push_str("\n    }");
+        self.close()
     }
 
-    fn finish(mut self) -> String {
-        if self.out.is_empty() {
-            return "{\n  \"traceEvents\": []\n}".to_string();
-        }
-        self.out.push_str("\n  ]\n}");
-        self.out
+    fn finish(self) -> io::Result<()> {
+        self.out.write_all(if self.started {
+            b"\n  ]\n}"
+        } else {
+            b"{\n  \"traceEvents\": []\n}"
+        })
     }
 }
 

@@ -30,6 +30,7 @@ use crate::lane_node;
 use serde::Value;
 use simtime::{StackCtx, StackFrame};
 use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 
 /// Schema tag embedded in `profile.json`.
 pub const PROFILE_SCHEMA: &str = "prs-profile-v1";
@@ -85,25 +86,35 @@ impl FrameSet {
     /// then one line per frame in canonical order. Empty sets render
     /// nothing (matching the other exporters' disabled behavior).
     pub fn to_stacks_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_stacks_jsonl(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("frame lines are UTF-8")
+    }
+
+    /// [`Self::to_stacks_jsonl`], written to `out` one line at a time.
+    pub fn write_stacks_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
         if self.frames.is_empty() {
-            return String::new();
+            return Ok(());
         }
-        let mut out = String::new();
-        let mut meta = ObjectWriter::begin(&mut out);
+        let mut line = String::new();
+        let mut meta = ObjectWriter::begin(&mut line);
         meta.num("frames", self.frames.len() as f64);
         meta.str("schema", STACKS_SCHEMA);
         meta.end();
-        out.push('\n');
+        line.push('\n');
+        out.write_all(line.as_bytes())?;
         for f in &self.frames {
-            let mut o = ObjectWriter::begin(&mut out);
+            line.clear();
+            let mut o = ObjectWriter::begin(&mut line);
             o.str("frame", &f.frame);
             o.str("lane", &f.lane);
             o.num("t0", f.t0);
             o.num("t1", f.t1);
             o.end();
-            out.push('\n');
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
         }
-        out
+        Ok(())
     }
 
     /// Parses a `stacks.jsonl` rendering under [`read_lines`]' rule: a
