@@ -323,12 +323,12 @@ fn wordcount_job_is_pinned_across_commits() {
                 let r = run_job_observed(&spec, app.clone(), config, obs.clone())
                     .expect("job runs");
                 let (msgs, wire) = obs.bus.with_events(|events| {
-                    let sends = events.iter().filter(|e| &*e.kind == "msg-send");
+                    let sends = events.iter().filter(|e| e.kind() == "msg-send");
                     // The master's control messages carry no `bytes`.
                     let bytes = sends
                         .clone()
-                        .flat_map(|e| e.attrs.iter().find(|(k, _)| *k == "bytes"))
-                        .map(|(_, b)| *b as u64);
+                        .flat_map(|e| e.attrs().find(|(k, _)| *k == "bytes"))
+                        .map(|(_, b)| b as u64);
                     (sends.count() as u64, bytes.sum::<u64>())
                 });
                 let words = r

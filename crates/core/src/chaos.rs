@@ -306,15 +306,16 @@ impl CheckpointableApp for ChaosApp {
 /// bug, not a trial verdict.
 fn flows_conserved(obs: &Obs) -> bool {
     let mut balance: BTreeMap<u64, i64> = BTreeMap::new();
-    obs.bus.with_events(|events| {
-        for ev in events {
-            assert!(kinds::ALL.contains(&&*ev.kind), "unnamed event kind {:?}", ev.kind);
-            let delta = match &*ev.kind {
+    obs.bus.with_events(|log| {
+        for ev in log {
+            let kind = ev.kind();
+            assert!(kinds::ALL.contains(&kind), "unnamed event kind {kind:?}");
+            let delta = match kind {
                 kinds::MSG_SEND => 1,
                 kinds::MSG_RECV => -1,
                 _ => continue,
             };
-            if let Some(&(_, flow)) = ev.attrs.iter().find(|(name, _)| *name == "flow") {
+            if let Some((_, flow)) = ev.attrs().find(|(name, _)| *name == "flow") {
                 *balance.entry(flow as u64).or_insert(0) += delta;
             }
         }
@@ -327,7 +328,7 @@ fn flows_conserved(obs: &Obs) -> bool {
 /// records.
 fn watch_bus(obs: &Obs, rules: &WatchConfig) -> watch::WatchOutput {
     let decisions = obs.audit.records();
-    obs.bus.with_events(|events| watch::watch(events, &decisions, rules))
+    obs.bus.with_events(|log| watch::watch(&log.iter().collect::<Vec<_>>(), &decisions, rules))
 }
 
 /// Extracts the watchdog-scoreable ground truth from a fault plan.

@@ -97,14 +97,19 @@ pub(crate) fn canonical_cmp<E: EventView>(a: &E, b: &E) -> std::cmp::Ordering {
         .then_with(|| cmp_names(a.kind(), b.kind()))
 }
 
-/// References to `events` in the analyzer's canonical order (stable, so
-/// full ties keep their input order) — what [`from_bus`] and
-/// [`parse_events_jsonl`] sort their copies into, without the copies.
-/// Over a live bus (`bus.with_events(|e| canonical_view(e))`) every
-/// [`EventView`] consumer reads the bus's own records.
-pub fn canonical_view<E: EventView>(events: &[E]) -> Vec<&E> {
-    let mut view: Vec<&E> = events.iter().collect();
-    view.sort_by(|a, b| canonical_cmp(*a, *b));
+/// `events` (references into a slice, or a log's records) in the
+/// analyzer's canonical order (stable, so full ties keep their input
+/// order) — what [`from_bus`] and [`parse_events_jsonl`] sort their copies
+/// into, without the copies. Over a live bus
+/// (`bus.with_events(|log| canonical_view(log))`) every [`EventView`]
+/// consumer reads the bus's own records.
+pub fn canonical_view<I>(events: I) -> Vec<I::Item>
+where
+    I: IntoIterator,
+    I::Item: EventView,
+{
+    let mut view: Vec<I::Item> = events.into_iter().collect();
+    view.sort_by(|a, b| canonical_cmp(a, b));
     view
 }
 
@@ -112,22 +117,21 @@ pub fn canonical_view<E: EventView>(events: &[E]) -> Vec<&E> {
 /// kind share the bus's `Arc`s; attribute keys are interned once each.
 pub fn from_bus(bus: &obs::EventBus) -> Vec<TraceEvent> {
     let mut names = Names::default();
-    let mut out: Vec<TraceEvent> = bus.with_events(|events| {
-        events
-            .iter()
+    let mut out: Vec<TraceEvent> = bus.with_events(|log| {
+        log.iter()
             .map(|e| {
                 let mut attrs = Attrs::new();
-                for &(k, v) in &e.attrs {
+                for (k, v) in e.attrs() {
                     attrs.set_with(k, v, || names.intern(k));
                 }
                 TraceEvent {
-                    t: e.t,
-                    dur: e.dur,
-                    lane: names.adopt(&e.lane),
-                    kind: names.adopt(&e.kind),
-                    iter: e.iteration,
-                    part: e.partition,
-                    block: e.block,
+                    t: e.t(),
+                    dur: e.dur(),
+                    lane: names.adopt(e.lane_arc()),
+                    kind: names.adopt(e.kind_arc()),
+                    iter: e.iteration(),
+                    part: e.partition(),
+                    block: e.block(),
                     attrs,
                 }
             })

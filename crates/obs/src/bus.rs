@@ -2,19 +2,18 @@
 //! timestamps, keyed by iteration / partition / block / device lane.
 //!
 //! Hot paths (CPU pollers, GPU stream workers, the comm layer) emit one
-//! event per task or transfer, so recording must be cheap: lane and kind
-//! strings are interned to `Arc<str>` (one allocation per *distinct*
-//! name, not per event) and the event vector sits behind a single
-//! `parking_lot` mutex taken only when the bus is enabled.
-//!
-//! Each committed event is one shared allocation (`Arc<Event>`): every
-//! reader — the flight recorder, subscriptions, the rollup and watchdog
-//! views — holds a pointer to the bus's record, never a copy of it.
+//! event per task or transfer, so recording must be cheap: an event is a
+//! fixed-size record appended to the bus's [`EventLog`] arena under a
+//! single `parking_lot` mutex, taken only when the bus is enabled. Lane
+//! and kind strings are interned to ids (one allocation per *distinct*
+//! name, not per event), and so are the `&'static str` attribute keys.
+//! No event is a heap object of its own: readers — the flight recorder,
+//! the rollup and watchdog views, the exporters — read the records in
+//! place through [`EventBus::with_events`].
 
-use crate::jsonl::{CanonicalLines, ObjectWriter};
+use crate::log::{EventLog, Fields};
 use parking_lot::Mutex;
 use simtime::SimTime;
-use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
@@ -23,8 +22,10 @@ use std::sync::Arc;
 /// `schema` key.
 pub const EVENTS_SCHEMA: &str = "prs-events-v1";
 
-/// One structured event. `dur` distinguishes spans (busy intervals)
-/// from point events (a retry firing, a daemon dying).
+/// One structured event, owned. `dur` distinguishes spans (busy
+/// intervals) from point events (a retry firing, a daemon dying). The bus
+/// stores events as compact records; this is the form a snapshot
+/// ([`EventBus::events`]) or a hand-built stream takes.
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Start time, virtual seconds.
@@ -46,40 +47,41 @@ pub struct Event {
     pub attrs: Vec<(&'static str, f64)>,
 }
 
-/// The event log behind one bus: a vector of the *resident* events plus
-/// the absolute index of its first entry. `base` stays 0 for ordinary
-/// recording; the flight recorder advances it via [`EventBus::trim_to`]
-/// after ingesting a prefix, so a recorder-mode run holds O(budget)
-/// events instead of the full history. Cursor positions handed out by
-/// [`EventBus::subscribe`] are absolute and stay valid across trims.
-struct Log {
-    events: Vec<Arc<Event>>,
-    base: usize,
-}
-
-struct BusInner {
-    log: Mutex<Log>,
-    interned: Mutex<BTreeMap<String, Arc<str>>>,
-}
-
 /// A shared, cheaply clonable event sink. The default value is
 /// *disabled*: every emit call returns `None` without locking.
+///
+/// The log holds the *resident* events. The flight recorder drops a
+/// prefix of it via [`EventBus::trim_to`] after ingesting it, so a
+/// recorder-mode run holds O(budget) events instead of the full history;
+/// cursor positions ([`EventBus::len`], [`EventBus::subscribe`]) are
+/// absolute and stay valid across trims.
 #[derive(Clone, Default)]
 pub struct EventBus {
-    inner: Option<Arc<BusInner>>,
+    inner: Option<Arc<Mutex<EventLog>>>,
+}
+
+/// A lane or kind as an emitter hands it over: text the bus looks up, or
+/// a handle it has seen before (found by address).
+#[derive(Clone, Copy)]
+enum NameArg<'a> {
+    Text(&'a str),
+    Shared(&'a Arc<str>),
+}
+
+impl NameArg<'_> {
+    fn id(self, log: &mut EventLog) -> u32 {
+        match self {
+            NameArg::Text(s) => log.name_id(s),
+            NameArg::Shared(a) => log.name_id_of(a),
+        }
+    }
 }
 
 impl EventBus {
     /// A live bus that records events.
     pub fn recording() -> Self {
         Self {
-            inner: Some(Arc::new(BusInner {
-                log: Mutex::new(Log {
-                    events: Vec::new(),
-                    base: 0,
-                }),
-                interned: Mutex::new(BTreeMap::new()),
-            })),
+            inner: Some(Arc::new(Mutex::new(EventLog::new()))),
         }
     }
 
@@ -95,114 +97,95 @@ impl EventBus {
 
     /// Interns a lane/kind name: one allocation the first time a name
     /// is seen, `Arc` clones afterwards. Callers on hot paths should
-    /// intern once up front and pass the `Arc<str>` to [`Self::span_interned`].
-    /// Returns an owned `Arc<str>` even when the bus is disabled so
-    /// device setup code can intern unconditionally.
+    /// intern once up front and pass the `Arc<str>` to [`Self::span_interned`],
+    /// which finds it by address. Returns an owned `Arc<str>` even when
+    /// the bus is disabled so device setup code can intern unconditionally.
     pub fn intern(&self, name: &str) -> Arc<str> {
         match &self.inner {
             Some(inner) => {
-                let mut table = inner.interned.lock();
-                if let Some(a) = table.get(name) {
-                    return a.clone();
-                }
-                let a: Arc<str> = Arc::from(name);
-                table.insert(name.to_string(), a.clone());
-                a
+                let mut log = inner.lock();
+                let id = log.name_id(name);
+                log.name(id).clone()
             }
             None => Arc::from(name),
         }
     }
 
-    /// Starts a point event draft at time `t`. Returns `None` when
-    /// disabled; call [`EventDraft::commit`] to record.
-    pub fn event(&self, lane: &str, kind: &str, t: SimTime) -> Option<EventDraft<'_>> {
-        self.inner.as_ref().map(|inner| EventDraft {
-            inner,
-            ev: Event {
+    fn draft<'a>(
+        &'a self,
+        lane: NameArg<'a>,
+        kind: NameArg<'a>,
+        t: SimTime,
+        end: Option<SimTime>,
+    ) -> Option<EventDraft<'a>> {
+        self.inner.as_deref().map(|log| EventDraft {
+            log,
+            lane,
+            kind,
+            fields: Fields {
                 t: t.as_secs_f64(),
-                dur: None,
-                lane: self.intern(lane),
-                kind: self.intern(kind),
+                dur: end.map(|end| end.as_secs_f64() - t.as_secs_f64()),
                 iteration: None,
                 partition: None,
                 block: None,
-                attrs: Vec::new(),
             },
+            attrs: DraftAttrs::default(),
         })
     }
 
+    /// Starts a point event draft at time `t`. Returns `None` when
+    /// disabled; call [`EventDraft::commit`] to record.
+    pub fn event<'a>(&'a self, lane: &'a str, kind: &'a str, t: SimTime) -> Option<EventDraft<'a>> {
+        self.draft(NameArg::Text(lane), NameArg::Text(kind), t, None)
+    }
+
     /// Starts a span draft covering `[start, end]` in virtual seconds.
-    pub fn span(&self, lane: &str, kind: &str, start: SimTime, end: SimTime) -> Option<EventDraft<'_>> {
-        self.event(lane, kind, start).map(|d| {
-            let mut d = d;
-            d.ev.dur = Some(end.as_secs_f64() - start.as_secs_f64());
-            d
-        })
+    pub fn span<'a>(
+        &'a self,
+        lane: &'a str,
+        kind: &'a str,
+        start: SimTime,
+        end: SimTime,
+    ) -> Option<EventDraft<'a>> {
+        self.draft(NameArg::Text(lane), NameArg::Text(kind), start, Some(end))
     }
 
     /// Point-event emit with pre-interned lane and kind — the
     /// counterpart of [`Self::span_interned`] for hot paths that stamp
     /// instants (message departures/arrivals, queue samples).
-    pub fn event_interned(
-        &self,
-        lane: &Arc<str>,
-        kind: &Arc<str>,
+    pub fn event_interned<'a>(
+        &'a self,
+        lane: &'a Arc<str>,
+        kind: &'a Arc<str>,
         t: SimTime,
-    ) -> Option<EventDraft<'_>> {
-        self.inner.as_ref().map(|inner| EventDraft {
-            inner,
-            ev: Event {
-                t: t.as_secs_f64(),
-                dur: None,
-                lane: lane.clone(),
-                kind: kind.clone(),
-                iteration: None,
-                partition: None,
-                block: None,
-                attrs: Vec::new(),
-            },
-        })
+    ) -> Option<EventDraft<'a>> {
+        self.draft(NameArg::Shared(lane), NameArg::Shared(kind), t, None)
     }
 
-    /// Span emit with pre-interned lane and kind — zero string work on
-    /// the hot path beyond two `Arc` clones.
-    pub fn span_interned(
-        &self,
-        lane: &Arc<str>,
-        kind: &Arc<str>,
+    /// Span emit with pre-interned lane and kind — no string work on the
+    /// hot path: the names are found by address when the event commits.
+    pub fn span_interned<'a>(
+        &'a self,
+        lane: &'a Arc<str>,
+        kind: &'a Arc<str>,
         start: SimTime,
         end: SimTime,
-    ) -> Option<EventDraft<'_>> {
-        self.inner.as_ref().map(|inner| EventDraft {
-            inner,
-            ev: Event {
-                t: start.as_secs_f64(),
-                dur: Some(end.as_secs_f64() - start.as_secs_f64()),
-                lane: lane.clone(),
-                kind: kind.clone(),
-                iteration: None,
-                partition: None,
-                block: None,
-                attrs: Vec::new(),
-            },
-        })
+    ) -> Option<EventDraft<'a>> {
+        self.draft(NameArg::Shared(lane), NameArg::Shared(kind), start, Some(end))
     }
 
     /// Number of events appended so far (0 when disabled). This counts
     /// *all* appends, including any trimmed away by the flight recorder,
     /// so it keeps serving as the absolute cursor space.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| {
-            let log = i.log.lock();
-            log.base + log.events.len()
-        })
+        self.inner.as_ref().map_or(0, |log| log.lock().end())
     }
 
     /// Number of events currently resident in the log — `len()` minus
     /// whatever [`Self::trim_to`] dropped. This is the quantity the
     /// recorder's O(budget) memory contract bounds.
     pub fn resident_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.log.lock().events.len())
+        self.inner.as_ref().map_or(0, |log| log.lock().len())
     }
 
     /// True when no events have been recorded (always true when disabled).
@@ -210,31 +193,22 @@ impl EventBus {
         self.len() == 0
     }
 
-    /// Snapshot of all *resident* events, in append order. Equal to the
-    /// full history unless [`Self::trim_to`] ran. The events themselves
-    /// are shared with the bus, not copied.
-    pub fn events(&self) -> Vec<Arc<Event>> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.log.lock().events.clone())
+    /// Owned copies of all *resident* events, in append order. Equal to
+    /// the full history unless [`Self::trim_to`] ran. Each copy is an
+    /// allocation; aggregations read in place with [`Self::with_events`].
+    pub fn events(&self) -> Vec<Event> {
+        self.with_events(|log| log.iter().map(|e| e.to_event()).collect())
     }
 
     /// Drops resident events with absolute index below `cursor` — the
-    /// flight recorder calls this after ingesting a prefix, so the
-    /// recorder's pointer becomes the event's only owner. Later
-    /// subscribers simply see the trimmed prefix as already consumed;
-    /// exports ([`Self::to_jsonl`]) cover the resident suffix only, which
-    /// is why the CLI only trims when no full `events.jsonl` export was
-    /// requested.
+    /// flight recorder calls this after ingesting a prefix, and the
+    /// arena gives the prefix's chunks back. Later subscribers simply see
+    /// the trimmed prefix as already consumed; exports ([`Self::to_jsonl`])
+    /// cover the resident suffix only, which is why the CLI only trims
+    /// when no full `events.jsonl` export was requested.
     pub fn trim_to(&self, cursor: usize) {
-        if let Some(inner) = &self.inner {
-            let mut log = inner.log.lock();
-            let upto = cursor.min(log.base + log.events.len());
-            if upto > log.base {
-                let n = upto - log.base;
-                log.events.drain(..n);
-                log.base = upto;
-            }
+        if let Some(log) = &self.inner {
+            log.lock().drop_below(cursor);
         }
     }
 
@@ -249,51 +223,42 @@ impl EventBus {
         }
     }
 
-    /// The events appended at or after index `cursor`, in append order
-    /// and shared with the bus, plus the new cursor position. The append
-    /// order is itself deterministic for a deterministic run, so consumers
-    /// that canonically re-sort (as the watchdog does) are
-    /// engine-independent.
-    pub fn events_since(&self, cursor: usize) -> (Vec<Arc<Event>>, usize) {
+    /// Owned copies of the events appended at or after index `cursor`, in
+    /// append order, plus the new cursor position. The append order is
+    /// itself deterministic for a deterministic run, so consumers that
+    /// canonically re-sort (as the watchdog does) are engine-independent.
+    pub fn events_since(&self, cursor: usize) -> (Vec<Event>, usize) {
+        self.with_log(|log| {
+            let end = log.end();
+            let from = cursor.clamp(end - log.len(), end);
+            ((from..end).map(|i| log.at(i).to_event()).collect(), end)
+        })
+        .unwrap_or_default()
+    }
+
+    /// Runs `f` over the *resident* events, in append order, reading the
+    /// log's records in place (the log stays locked while `f` runs, so
+    /// `f` must not emit). Empty when disabled.
+    pub fn with_events<R>(&self, f: impl FnOnce(&EventLog) -> R) -> R {
         match &self.inner {
-            Some(inner) => {
-                let log = inner.log.lock();
-                let end = log.base + log.events.len();
-                let start = cursor.clamp(log.base, end) - log.base;
-                (log.events[start..].to_vec(), end)
-            }
-            None => (Vec::new(), 0),
+            Some(log) => f(&log.lock()),
+            None => f(&EventLog::new()),
         }
     }
 
-    /// Runs `f` over the *resident* events, in append order, without
-    /// copying them (the log stays locked while `f` runs, so `f` must
-    /// not emit). Empty when disabled.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[Arc<Event>]) -> R) -> R {
-        match &self.inner {
-            Some(inner) => f(&inner.log.lock().events),
-            None => f(&[]),
-        }
+    /// Runs `f` on the locked log; `None` when disabled.
+    pub(crate) fn with_log<R>(&self, f: impl FnOnce(&mut EventLog) -> R) -> Option<R> {
+        self.inner.as_ref().map(|log| f(&mut log.lock()))
     }
 
     /// Canonical JSONL export, written to `out`: a meta line, then one
     /// JSON object per line, sorted by `(t, rendered bytes)` so two runs
     /// that record the same set of events — in any append order —
-    /// produce byte-identical output. The lines go out straight from
-    /// their one rendering buffer; nothing else holds the export.
+    /// produce byte-identical output. Lines are rendered one equal-`t`
+    /// group at a time into one reused buffer, so the export holds no
+    /// more than its largest group.
     pub fn write_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        let lines =
-            self.with_events(|events| CanonicalLines::render(events.iter().map(Arc::as_ref)));
-        if !lines.is_empty() {
-            let mut meta = String::new();
-            let mut o = ObjectWriter::begin(&mut meta);
-            o.num("events", lines.len() as f64);
-            o.str("schema", EVENTS_SCHEMA);
-            o.end();
-            meta.push('\n');
-            out.write_all(meta.as_bytes())?;
-        }
-        lines.write_to(out)
+        self.with_events(|log| log.write_jsonl(out))
     }
 
     /// [`Self::write_jsonl`] into a string.
@@ -307,7 +272,7 @@ impl EventBus {
 /// A streaming cursor over an [`EventBus`]: each [`poll`] drains the
 /// events appended since the previous poll. Used by online consumers
 /// (the health watchdog) that want to observe a run incrementally
-/// without re-reading the full event vector.
+/// without re-reading the full event log.
 ///
 /// [`poll`]: Subscription::poll
 #[derive(Clone)]
@@ -317,9 +282,10 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Returns the events appended since the last poll (or since
-    /// [`EventBus::subscribe`]) and advances the cursor past them.
-    pub fn poll(&mut self) -> Vec<Arc<Event>> {
+    /// Returns owned copies of the events appended since the last poll
+    /// (or since [`EventBus::subscribe`]) and advances the cursor past
+    /// them.
+    pub fn poll(&mut self) -> Vec<Event> {
         let (events, cursor) = self.bus.events_since(self.cursor);
         self.cursor = cursor;
         events
@@ -331,43 +297,76 @@ impl Subscription {
     }
 }
 
+/// Attributes a draft holds before it commits: inline up to the most any
+/// emitter attaches, so a draft allocates nothing; more spill to the heap
+/// rather than being dropped.
+#[derive(Default)]
+struct DraftAttrs {
+    inline: [(&'static str, f64); DraftAttrs::INLINE],
+    len: usize,
+    spill: Vec<(&'static str, f64)>,
+}
+
+impl DraftAttrs {
+    const INLINE: usize = 8;
+
+    fn push(&mut self, kv: (&'static str, f64)) {
+        if self.len < Self::INLINE {
+            self.inline[self.len] = kv;
+            self.len += 1;
+        } else {
+            self.spill.push(kv);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.inline[..self.len].iter().chain(&self.spill).copied()
+    }
+}
+
 /// Builder for one event: chain the optional keys, then [`commit`].
 ///
 /// [`commit`]: EventDraft::commit
 #[must_use = "an uncommitted event draft records nothing"]
 pub struct EventDraft<'a> {
-    inner: &'a BusInner,
-    ev: Event,
+    log: &'a Mutex<EventLog>,
+    lane: NameArg<'a>,
+    kind: NameArg<'a>,
+    fields: Fields,
+    attrs: DraftAttrs,
 }
 
 impl EventDraft<'_> {
     /// Tags the event with an outer iteration index.
     pub fn iteration(mut self, i: usize) -> Self {
-        self.ev.iteration = Some(i as u64);
+        self.fields.iteration = Some(i as u64);
         self
     }
 
     /// Tags the event with a master partition id.
     pub fn partition(mut self, p: usize) -> Self {
-        self.ev.partition = Some(p as u64);
+        self.fields.partition = Some(p as u64);
         self
     }
 
     /// Tags the event with a worker block index.
     pub fn block(mut self, b: usize) -> Self {
-        self.ev.block = Some(b as u64);
+        self.fields.block = Some(b as u64);
         self
     }
 
     /// Attaches a numeric attribute.
     pub fn attr(mut self, key: &'static str, value: f64) -> Self {
-        self.ev.attrs.push((key, value));
+        self.attrs.push((key, value));
         self
     }
 
     /// Records the event on the bus.
     pub fn commit(self) {
-        self.inner.log.lock().events.push(Arc::new(self.ev));
+        let mut log = self.log.lock();
+        let lane = self.lane.id(&mut log);
+        let kind = self.kind.id(&mut log);
+        log.push(self.fields, lane, kind, self.attrs.iter());
     }
 }
 
@@ -486,12 +485,45 @@ mod tests {
     #[test]
     fn readers_share_the_committed_event() {
         let bus = EventBus::recording();
-        bus.event("l", "k", SimTime::ZERO).unwrap().commit();
+        let lane = bus.intern("l");
+        bus.event("l", "k", SimTime::ZERO).unwrap().attr("a", 1.0).commit();
         let (since, _) = bus.events_since(0);
         let snapshot = bus.events();
-        bus.with_events(|events| {
-            assert!(Arc::ptr_eq(&events[0], &since[0]));
-            assert!(Arc::ptr_eq(&events[0], &snapshot[0]));
+        bus.with_events(|log| {
+            let e = log.get(0);
+            assert!(Arc::ptr_eq(e.lane_arc(), &lane), "the record names the bus's own lane");
+            assert!(Arc::ptr_eq(&since[0].lane, &lane), "a copy shares the name");
+            assert!(Arc::ptr_eq(&snapshot[0].kind, e.kind_arc()));
+            assert_eq!(e.attr("a"), Some(1.0));
+        });
+    }
+
+    #[test]
+    fn a_draft_keeps_every_attribute_past_its_inline_room() {
+        let bus = EventBus::recording();
+        let keys = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"];
+        let mut draft = bus.event("l", "k", SimTime::ZERO).unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            draft = draft.attr(k, i as f64);
+        }
+        draft.commit();
+        let attrs = &bus.events()[0].attrs;
+        assert_eq!(attrs.len(), keys.len());
+        assert!(attrs.iter().zip(keys).enumerate().all(|(i, (&(k, v), want))| k == want && v == i as f64));
+    }
+
+    #[test]
+    fn interned_handles_brought_by_emitters_name_one_lane() {
+        let bus = EventBus::recording();
+        let own: Arc<str> = Arc::from("node0-cpu-c0");
+        let kind = bus.intern("cpu-task");
+        bus.span_interned(&own, &kind, SimTime::ZERO, SimTime::from_secs(1)).unwrap().commit();
+        bus.span("node0-cpu-c0", "cpu-task", SimTime::from_secs(1), SimTime::from_secs(2))
+            .unwrap()
+            .commit();
+        bus.with_events(|log| {
+            assert!(Arc::ptr_eq(log.get(0).lane_arc(), log.get(1).lane_arc()));
+            assert!(Arc::ptr_eq(log.get(1).lane_arc(), &own), "the first handle seen");
         });
     }
 

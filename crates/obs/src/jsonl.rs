@@ -15,7 +15,7 @@
 //! is checked against: it accepts exactly the lines `serde_json::from_str`
 //! accepts and writes exactly the bytes `Value::to_json_string` writes.
 
-use crate::bus::Event;
+use crate::log::EventRef;
 use crate::name::{Attrs, Name, Names};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -110,13 +110,16 @@ impl<'a> ObjectWriter<'a> {
 
 /// Walks `attrs` the way an event line lists them: ascending key order,
 /// a repeated key seen once with its last value.
-pub(crate) fn each_attr_sorted(attrs: &[(&'static str, f64)], mut f: impl FnMut(&str, f64)) {
+pub(crate) fn each_attr_sorted<'k>(
+    attrs: impl Iterator<Item = (&'k str, f64)> + Clone,
+    mut f: impl FnMut(&str, f64),
+) {
     // Selection by ascending key: a handful of entries per event, so
     // quadratic beats allocating a sorted copy.
     let mut prev: Option<&str> = None;
     loop {
         let mut next: Option<(&str, f64)> = None;
-        for &(k, v) in attrs {
+        for (k, v) in attrs.clone() {
             if prev.is_some_and(|p| k <= p) {
                 continue;
             }
@@ -132,48 +135,91 @@ pub(crate) fn each_attr_sorted(attrs: &[(&'static str, f64)], mut f: impl FnMut(
 
 /// Appends the `events.jsonl` line of `e` (no newline). `attrs` render as
 /// a sorted object in which a repeated key keeps its last value.
-pub fn write_event(out: &mut String, e: &Event) {
+pub fn write_event(out: &mut String, e: EventRef<'_>) {
     let mut o = ObjectWriter::begin(out);
-    if !e.attrs.is_empty() {
+    if e.attr_count() > 0 {
         let mut a = ObjectWriter::begin(o.key("attrs"));
-        each_attr_sorted(&e.attrs, |k, v| a.num(k, v));
+        each_attr_sorted(e.attrs(), |k, v| a.num(k, v));
         a.end();
     }
-    if let Some(b) = e.block {
+    if let Some(b) = e.block() {
         o.num("block", b as f64);
     }
-    if let Some(d) = e.dur {
+    if let Some(d) = e.dur() {
         o.num("dur", d);
     }
-    if let Some(i) = e.iteration {
+    if let Some(i) = e.iteration() {
         o.num("iter", i as f64);
     }
-    o.str("kind", &e.kind);
-    o.str("lane", &e.lane);
-    if let Some(p) = e.partition {
+    o.str("kind", e.kind());
+    o.str("lane", e.lane());
+    if let Some(p) = e.partition() {
         o.num("part", p as f64);
     }
-    o.num("t", e.t);
+    o.num("t", e.t());
     o.end();
 }
 
+/// Walks `n` events in the canonical order of `events.jsonl`, of capture
+/// files and of the recorder's budget eviction — `(t, rendered line)`,
+/// full ties in input order — handing `each` every event's input position
+/// and line. Positions are sorted by `t` alone; each equal-`t` group is
+/// then rendered into one reused buffer and sorted by its bytes, so
+/// nothing holds more than the largest group's lines. `each` may stop the
+/// walk by returning an error, which is passed on.
+pub(crate) fn each_canonical<'e, E>(
+    n: usize,
+    event: impl Fn(usize) -> EventRef<'e>,
+    mut each: impl FnMut(usize, &str) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut order: Vec<u32> =
+        (0..u32::try_from(n).expect("fewer than 2^32 events in one export")).collect();
+    let t = |p: u32| event(p as usize).t();
+    order.sort_by(|&a, &b| t(a).total_cmp(&t(b)));
+    let mut buf = String::new();
+    let mut group: Vec<(std::ops::Range<usize>, u32)> = Vec::new();
+    let mut rest = &order[..];
+    while let Some(&head) = rest.first() {
+        let t0 = t(head);
+        let len = rest.iter().take_while(|&&p| t(p).total_cmp(&t0).is_eq()).count();
+        let (ties, tail) = rest.split_at(len);
+        rest = tail;
+        buf.clear();
+        group.clear();
+        for &p in ties {
+            let start = buf.len();
+            write_event(&mut buf, event(p as usize));
+            group.push((start..buf.len(), p));
+        }
+        if group.len() > 1 {
+            group.sort_by(|a, b| buf[a.0.clone()].cmp(&buf[b.0.clone()]));
+        }
+        for (range, p) in &group {
+            each(*p as usize, &buf[range.clone()])?;
+        }
+    }
+    Ok(())
+}
+
 /// Event lines rendered into one buffer and ordered canonically by
-/// `(t, rendered bytes)` — the order of `events.jsonl`, of capture files
-/// and of the recorder's budget eviction.
+/// `(t, rendered bytes)`: the oracle [`each_canonical`] is checked
+/// against.
+#[cfg(test)]
 pub(crate) struct CanonicalLines {
     buf: String,
     /// `(t, byte range in buf, position in the input)`, sorted.
     order: Vec<(f64, std::ops::Range<usize>, usize)>,
 }
 
+#[cfg(test)]
 impl CanonicalLines {
-    pub(crate) fn render<'e>(events: impl IntoIterator<Item = &'e Event>) -> Self {
+    pub(crate) fn render<'e>(events: impl IntoIterator<Item = EventRef<'e>>) -> Self {
         let mut buf = String::new();
         let mut order = Vec::new();
         for (i, e) in events.into_iter().enumerate() {
             let start = buf.len();
             write_event(&mut buf, e);
-            order.push((e.t, start..buf.len(), i));
+            order.push((e.t(), start..buf.len(), i));
         }
         order.sort_by(|a, b| {
             a.0.total_cmp(&b.0)
@@ -182,26 +228,9 @@ impl CanonicalLines {
         CanonicalLines { buf, order }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Input positions in canonical order.
-    pub(crate) fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().map(|(_, _, i)| *i)
-    }
-
-    /// Writes every line, newline-terminated, in canonical order.
-    pub(crate) fn write_to(&self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
-        for (_, range, _) in &self.order {
-            out.write_all(self.buf[range.clone()].as_bytes())?;
-            out.write_all(b"\n")?;
-        }
-        Ok(())
+    /// `(input position, line)` in canonical order.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = (usize, &str)> + '_ {
+        self.order.iter().map(|(_, range, i)| (*i, &self.buf[range.clone()]))
     }
 }
 
@@ -842,4 +871,98 @@ pub fn events_horizon(text: &str) -> Result<f64, JsonlError> {
         })
     })?;
     Ok(horizon)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bus::Event;
+    use crate::log::EventLog;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// Start times full of ties: both zeros, subnormals, repeats.
+    const TIMES: [f64; 8] = [0.0, -0.0, 5e-324, 2.5e-310, 1.0, 1.0, 0.1 + 0.2, 0.3];
+    const KEYS: [&str; 5] = ["bytes", "flops", "a", "bytes", ""];
+    const VALUES: [f64; 6] = [0.0, -0.0, 5e-324, 1.0, 1e15, f64::MAX];
+
+    type Spec = (usize, usize, usize, usize, Vec<(usize, usize)>);
+
+    fn log_of(specs: &[Spec], big: bool) -> EventLog {
+        let mut log = EventLog::new();
+        for (t, lane, kind, dur, attrs) in specs {
+            log.push_event(&Event {
+                t: TIMES[*t],
+                dur: [None, Some(0.0), Some(1.5)][*dur],
+                lane: Arc::from(format!("node{lane}-cpu-c0")),
+                kind: Arc::from(["map", "kernel", "msg-send"][*kind]),
+                iteration: (*lane == 1).then_some(*kind as u64),
+                partition: None,
+                block: (*dur == 2).then_some(u64::MAX),
+                attrs: attrs.iter().map(|&(k, v)| (KEYS[k], VALUES[v])).collect(),
+            });
+        }
+        if big {
+            let keys: Vec<&'static str> =
+                (0..300).map(|i| &*Box::leak(format!("k{:03}", 299 - i).into_boxed_str())).collect();
+            log.push_event(&Event {
+                t: 1.0,
+                dur: None,
+                lane: Arc::from("node0-cpu-c0"),
+                kind: Arc::from("map"),
+                iteration: None,
+                partition: None,
+                block: None,
+                attrs: keys.iter().enumerate().map(|(i, k)| (*k, i as f64)).collect(),
+            });
+        }
+        log
+    }
+
+    fn streamed(log: &EventLog) -> Vec<(usize, String)> {
+        let mut out = Vec::new();
+        each_canonical(log.len(), |p| log.get(p), |p, line| {
+            out.push((p, line.to_string()));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn the_streamed_export_is_the_render_all_export(
+            specs in vec((0usize..8, 0usize..4, 0usize..3, 0usize..3, vec((0usize..5, 0usize..6), 0..5)), 0..120),
+            big in any::<bool>(),
+        ) {
+            let log = log_of(&specs, big);
+            let oracle = CanonicalLines::render(log.iter());
+            let want: Vec<(usize, String)> =
+                oracle.lines().map(|(p, line)| (p, line.to_string())).collect();
+            prop_assert_eq!(streamed(&log), want.clone());
+            let mut bytes = Vec::new();
+            log.write_lines(&mut bytes).unwrap();
+            let lines: String = want.iter().map(|(_, line)| format!("{line}\n")).collect();
+            prop_assert_eq!(String::from_utf8(bytes).unwrap(), lines);
+            if big {
+                let (_, line) = want.iter().find(|(p, _)| *p == specs.len()).unwrap();
+                prop_assert!((0..300).all(|i| line.contains(&format!("\"k{i:03}\":{}", 299 - i))));
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_stops_where_the_caller_says() {
+        let specs: Vec<Spec> = (0..50).map(|i| (i % 8, i % 4, i % 3, i % 3, vec![(i % 5, 0)])).collect();
+        let log = log_of(&specs, false);
+        let mut seen = Vec::new();
+        let stopped = each_canonical(log.len(), |p| log.get(p), |p, _| {
+            seen.push(p);
+            if seen.len() == 7 { Err("enough") } else { Ok(()) }
+        });
+        assert_eq!(stopped, Err("enough"));
+        let all: Vec<usize> = streamed(&log).into_iter().map(|(p, _)| p).collect();
+        assert_eq!(seen, all[..7]);
+    }
 }

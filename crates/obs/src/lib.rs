@@ -34,6 +34,7 @@ pub mod audit;
 pub mod bus;
 pub mod jsonl;
 pub mod kinds;
+pub mod log;
 pub mod metrics;
 pub mod name;
 pub mod profile;
@@ -43,6 +44,7 @@ pub mod trace_ctx;
 
 pub use audit::{AuditLog, DecisionId, DecisionRecord, DECISIONS_SCHEMA};
 pub use bus::{Event, EventBus, EventDraft, Subscription, EVENTS_SCHEMA};
+pub use log::{EventLog, EventRef};
 pub use metrics::{MetricsRegistry, METRICS_SCHEMA};
 pub use name::{cmp_names, Attrs, Name, Names};
 pub use profile::{profile, FrameSet, Profile, PROFILE_SCHEMA, STACKS_SCHEMA};

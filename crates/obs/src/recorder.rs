@@ -37,8 +37,9 @@
 //! virtual clock is bit-identical to an unrecorded one
 //! (`tests/recorder_scenarios.rs` asserts the bits).
 
-use crate::bus::{Event, EventBus};
-use crate::jsonl::CanonicalLines;
+use crate::bus::EventBus;
+use crate::jsonl::each_canonical;
+use crate::log::{EventLog, EventRef};
 use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use serde::Value;
@@ -158,8 +159,8 @@ pub struct Capture {
     pub t0: f64,
     /// Window end, virtual seconds.
     pub t1: f64,
-    /// Exact events inside the window, canonically ordered.
-    pub events: Vec<Event>,
+    /// Exact events inside the window (written canonically ordered).
+    pub events: EventLog,
     /// Fold bins overlapping the window (aggregate-only history).
     pub folds: Vec<FoldBin>,
     /// Fold-bin width the recorder used, echoed for self-containment.
@@ -209,8 +210,7 @@ impl Capture {
             out.push('\n');
         }
         let mut out = out.into_bytes();
-        let lines = CanonicalLines::render(&self.events);
-        lines.write_to(&mut out).expect("writing to a Vec cannot fail");
+        self.events.write_lines(&mut out).expect("writing to a Vec cannot fail");
         String::from_utf8(out).expect("event lines are UTF-8")
     }
 }
@@ -225,9 +225,10 @@ pub struct RecorderSummary {
     pub folded: u64,
     /// High-water mark of resident exact events.
     pub peak_retained: usize,
-    /// Estimated resident bytes (events plus fold bins). Each retained
-    /// event counts its full size, also while a shadow recorder shares
-    /// it with the bus.
+    /// Estimated resident bytes: [`EVENT_BYTES`] and [`ATTR_BYTES`] per
+    /// retained event and attribute, plus the fold bins. Each retained
+    /// event counts in full, also while a shadow recorder shares it with
+    /// the bus.
     pub bytes: u64,
     /// Distinct fold bins.
     pub fold_bins: usize,
@@ -273,18 +274,34 @@ impl RecorderSummary {
     }
 }
 
-/// Rough resident size of one event: the struct plus its attribute
-/// payload (lane/kind are interned `Arc`s, charged once elsewhere).
-fn event_bytes(e: &Event) -> u64 {
-    (std::mem::size_of::<Event>() + e.attrs.len() * std::mem::size_of::<(&str, f64)>()) as u64
+/// What [`RecorderSummary::bytes`] charges for one retained event.
+///
+/// This and [`ATTR_BYTES`] are an accounting unit, not a measurement: the
+/// size an event had while it was a heap object of its own (128 B) holding
+/// its attributes as `(&str, f64)` pairs (24 B each). They stay fixed so
+/// that `prs_recorder_bytes`, the rollup's `recorder.bytes` and the
+/// `--record` stderr line do not move with the storage layout; what the
+/// log really holds is [`EventLog::heap_bytes`].
+pub const EVENT_BYTES: u64 = 128;
+
+/// What [`RecorderSummary::bytes`] charges for each attribute of a
+/// retained event (see [`EVENT_BYTES`]).
+pub const ATTR_BYTES: u64 = 24;
+
+fn event_bytes(e: EventRef<'_>) -> u64 {
+    EVENT_BYTES + e.attr_count() as u64 * ATTR_BYTES
 }
 
-struct RecorderState {
-    /// Absolute bus cursor already ingested.
-    cursor: usize,
-    /// Exact retained events (unsorted; canonically sorted on demand),
-    /// shared with the bus until a bounded recorder trims it.
-    retained: Vec<Arc<Event>>,
+fn end(e: EventRef<'_>) -> f64 {
+    e.t() + e.dur().unwrap_or(0.0)
+}
+
+/// The retention bookkeeping, apart from the events it indexes.
+struct Held {
+    /// Absolute indices of the exact retained events (unsorted;
+    /// canonically sorted on demand): into the bus's log for a shadow
+    /// recorder, into its own copy for a bounded one.
+    retained: Vec<usize>,
     /// Fold bins keyed `(lane, kind, bin)` — BTreeMap for deterministic
     /// iteration.
     folds: BTreeMap<(String, String, u64), FoldBin>,
@@ -292,10 +309,22 @@ struct RecorderState {
     horizon: f64,
     /// Windows protected from eviction (`freeze`), as `(t0, t1)`.
     frozen: Vec<(f64, f64)>,
-    /// Captures emitted so far.
-    captures: Vec<Capture>,
     folded: u64,
     peak_retained: usize,
+}
+
+struct RecorderState {
+    /// Absolute bus cursor already ingested.
+    cursor: usize,
+    /// The bus pumped last: a shadow recorder's retained events live in
+    /// its log.
+    bus: EventBus,
+    /// A bounded recorder's copies of the events it retains (empty for a
+    /// shadow recorder).
+    own: EventLog,
+    held: Held,
+    /// Captures emitted so far.
+    captures: Vec<Capture>,
 }
 
 struct RecorderInner {
@@ -304,6 +333,129 @@ struct RecorderInner {
     /// runs) or leave it resident (a full `--obs` export also wants it).
     trim_bus: bool,
     state: Mutex<RecorderState>,
+}
+
+impl RecorderInner {
+    /// Runs `f` over the log the retained indices point into.
+    fn read<R>(&self, st: &mut RecorderState, f: impl FnOnce(&EventLog, &mut Held) -> R) -> R {
+        let RecorderState { bus, own, held, .. } = st;
+        if self.trim_bus {
+            f(own, held)
+        } else {
+            bus.with_events(|log| f(log, held))
+        }
+    }
+
+    /// Takes in everything the bus appended since the last pump: a shadow
+    /// recorder notes the indices, a bounded one copies the records and
+    /// trims them off the bus.
+    fn ingest(&self, st: &mut RecorderState, bus: &EventBus) {
+        st.bus = bus.clone();
+        let RecorderState { cursor, own, held, .. } = st;
+        bus.with_log(|log| {
+            let end = log.end();
+            let from = (*cursor).clamp(end - log.len(), end);
+            if self.trim_bus {
+                for i in from..end {
+                    held.retained.push(own.end());
+                    own.copy(log.at(i));
+                }
+                log.drop_below(end);
+            } else {
+                held.retained.extend(from..end);
+            }
+            *cursor = end;
+        });
+        held.peak_retained = held.peak_retained.max(held.retained.len());
+    }
+
+    /// Evicts (see [`Held::evict`]); a bounded recorder then compacts its
+    /// copy down to what it still retains.
+    fn evict(&self, st: &mut RecorderState, stable_before: f64) {
+        let cfg = self.cfg;
+        self.read(st, |log, held| held.evict(log, &cfg, stable_before));
+        let RecorderState { own, held, .. } = st;
+        if self.trim_bus && held.retained.len() < own.len() {
+            let mut sorted = held.retained.clone();
+            sorted.sort_unstable();
+            own.retain_only(&sorted);
+            let first = own.end() - own.len();
+            for i in &mut held.retained {
+                *i = first + sorted.binary_search(i).expect("a retained index");
+            }
+        }
+    }
+}
+
+impl Held {
+    /// Folds every eligible retained event: below the horizon, or —
+    /// oldest first in canonical order — until the stable resident count
+    /// fits the budget. `stable_before` bounds what eviction may touch.
+    fn evict(&mut self, log: &EventLog, cfg: &RecorderConfig, stable_before: f64) {
+        let frozen = &self.frozen;
+        let protected = |e: EventRef<'_>| frozen.iter().any(|(f0, f1)| end(e) >= *f0 && e.t() <= *f1);
+        // Time-based: everything strictly below the horizon folds.
+        let horizon = self.horizon.min(stable_before);
+        let mut evicted: Vec<usize> = Vec::new();
+        self.retained.retain(|&i| {
+            let e = log.at(i);
+            if e.t() < horizon && !protected(e) {
+                evicted.push(i);
+                false
+            } else {
+                true
+            }
+        });
+        // Budget-based: fold the canonically oldest stable events until
+        // resident count fits. Only events below the stability watermark
+        // participate, so the choice is identical under every engine.
+        if self.retained.len() > cfg.budget {
+            let retained = &self.retained;
+            let stable: Vec<usize> = (0..retained.len())
+                .filter(|&k| {
+                    let e = log.at(retained[k]);
+                    e.t() < stable_before && !protected(e)
+                })
+                .collect();
+            let excess = retained.len() - cfg.budget;
+            let mut drop_idx: Vec<usize> = Vec::with_capacity(excess.min(stable.len()));
+            // The walk stops (an `Err`) once `excess` are chosen.
+            let _ = each_canonical(stable.len(), |p| log.at(retained[stable[p]]), |p, _| {
+                drop_idx.push(stable[p]);
+                if drop_idx.len() == excess {
+                    Err(())
+                } else {
+                    Ok(())
+                }
+            });
+            drop_idx.sort_unstable_by(|a, b| b.cmp(a));
+            for k in drop_idx {
+                evicted.push(self.retained.swap_remove(k));
+            }
+        }
+        let period = cfg.rollup_period.max(1e-12);
+        for i in evicted {
+            let e = log.at(i);
+            self.folded += 1;
+            let bin = (e.t() / period).floor().max(0.0) as u64;
+            let entry = self
+                .folds
+                .entry((e.lane().to_string(), e.kind().to_string(), bin))
+                .or_insert_with(|| FoldBin {
+                    lane: e.lane().to_string(),
+                    kind: e.kind().to_string(),
+                    bin,
+                    count: 0,
+                    dur: 0.0,
+                    t_min: f64::INFINITY,
+                    t_max: f64::NEG_INFINITY,
+                });
+            entry.count += 1;
+            entry.dur += e.dur().unwrap_or(0.0);
+            entry.t_min = entry.t_min.min(e.t());
+            entry.t_max = entry.t_max.max(end(e));
+        }
+    }
 }
 
 /// The shared flight-recorder handle. Like every sink in this crate the
@@ -325,21 +477,26 @@ impl Recorder {
                 trim_bus,
                 state: Mutex::new(RecorderState {
                     cursor: 0,
-                    retained: Vec::new(),
-                    folds: BTreeMap::new(),
-                    horizon: 0.0,
-                    frozen: Vec::new(),
+                    bus: EventBus::disabled(),
+                    own: EventLog::new(),
+                    held: Held {
+                        retained: Vec::new(),
+                        folds: BTreeMap::new(),
+                        horizon: 0.0,
+                        frozen: Vec::new(),
+                        folded: 0,
+                        peak_retained: 0,
+                    },
                     captures: Vec::new(),
-                    folded: 0,
-                    peak_retained: 0,
                 }),
             })),
         }
     }
 
-    /// A recorder that *owns* retention: each pump trims the ingested
-    /// prefix off the bus, so a `--record`-only run holds O(budget)
-    /// events total. Use when no full `events.jsonl` export is wanted.
+    /// A recorder that *owns* retention: each pump copies the ingested
+    /// records into the recorder's own log and trims them off the bus, so
+    /// a `--record`-only run holds O(budget) events total. Use when no
+    /// full `events.jsonl` export is wanted.
     pub fn bounded(cfg: RecorderConfig) -> Self {
         Self::with_mode(cfg, true)
     }
@@ -347,7 +504,7 @@ impl Recorder {
     /// A recorder that shadows the bus without trimming it — the full
     /// event history stays resident for an `--obs` export while captures
     /// still come from the recorder's bounded view. What it retains are
-    /// pointers to the bus's own events, not copies.
+    /// indices of the bus's own records, not copies.
     pub fn shadow(cfg: RecorderConfig) -> Self {
         Self::with_mode(cfg, false)
     }
@@ -381,20 +538,12 @@ impl Recorder {
     pub fn pump(&self, bus: &EventBus, now: f64, stable_before: f64) {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.state.lock();
-        let (fresh, cursor) = bus.events_since(st.cursor);
-        st.cursor = cursor;
-        st.retained.extend(fresh);
-        if st.retained.len() > st.peak_retained {
-            st.peak_retained = st.retained.len();
-        }
-        if inner.trim_bus {
-            bus.trim_to(cursor);
-        }
+        inner.ingest(&mut st, bus);
         let horizon = (now - inner.cfg.window).min(stable_before);
-        if horizon > st.horizon {
-            st.horizon = horizon;
+        if horizon > st.held.horizon {
+            st.held.horizon = horizon;
         }
-        Self::evict(&mut st, &inner.cfg, stable_before);
+        inner.evict(&mut st, stable_before);
     }
 
     /// Final pump after the simulation completed: every event is
@@ -402,87 +551,17 @@ impl Recorder {
     /// the budget binds exactly.
     pub fn settle(&self, bus: &EventBus) {
         let Some(inner) = &self.inner else { return };
-        let now = {
-            // End-of-run horizon: the latest event end the recorder saw.
-            let mut st = inner.state.lock();
-            let (fresh, cursor) = bus.events_since(st.cursor);
-            st.cursor = cursor;
-            st.retained.extend(fresh);
-            if st.retained.len() > st.peak_retained {
-                st.peak_retained = st.retained.len();
-            }
-            if inner.trim_bus {
-                bus.trim_to(cursor);
-            }
-            st.retained
-                .iter()
-                .map(|e| e.t + e.dur.unwrap_or(0.0))
-                .fold(st.horizon, f64::max)
-        };
         let mut st = inner.state.lock();
-        let horizon = now - inner.cfg.window;
-        if horizon > st.horizon {
-            st.horizon = horizon;
-        }
-        Self::evict(&mut st, &inner.cfg, f64::INFINITY);
-    }
-
-    /// Folds every eligible retained event: below the horizon, or —
-    /// oldest first in canonical order — until the stable resident count
-    /// fits the budget. `stable_before` bounds what eviction may touch.
-    fn evict(st: &mut RecorderState, cfg: &RecorderConfig, stable_before: f64) {
-        let frozen = st.frozen.clone();
-        let protected =
-            |e: &Event| frozen.iter().any(|(f0, f1)| e.t + e.dur.unwrap_or(0.0) >= *f0 && e.t <= *f1);
-        // Time-based: everything strictly below the horizon folds.
-        let horizon = st.horizon.min(stable_before);
-        let mut evicted: Vec<Arc<Event>> = Vec::new();
-        st.retained.retain(|e| {
-            if e.t < horizon && !protected(e) {
-                evicted.push(e.clone());
-                false
-            } else {
-                true
-            }
+        inner.ingest(&mut st, bus);
+        // End-of-run horizon: the latest event end the recorder saw.
+        let now = inner.read(&mut st, |log, held| {
+            held.retained.iter().map(|&i| end(log.at(i))).fold(held.horizon, f64::max)
         });
-        // Budget-based: fold the canonically oldest stable events until
-        // resident count fits. Only events below the stability watermark
-        // participate, so the choice is identical under every engine.
-        if st.retained.len() > cfg.budget {
-            let stable: Vec<usize> = (0..st.retained.len())
-                .filter(|&i| st.retained[i].t < stable_before && !protected(&st.retained[i]))
-                .collect();
-            let oldest_first = CanonicalLines::render(stable.iter().map(|&i| &*st.retained[i]));
-            let excess = st.retained.len() - cfg.budget;
-            let mut drop_idx: Vec<usize> =
-                oldest_first.positions().take(excess).map(|p| stable[p]).collect();
-            drop_idx.sort_unstable_by(|a, b| b.cmp(a));
-            for i in drop_idx {
-                evicted.push(st.retained.swap_remove(i));
-            }
+        let horizon = now - inner.cfg.window;
+        if horizon > st.held.horizon {
+            st.held.horizon = horizon;
         }
-        let period = cfg.rollup_period.max(1e-12);
-        for e in evicted {
-            st.folded += 1;
-            let bin = (e.t / period).floor().max(0.0) as u64;
-            let end = e.t + e.dur.unwrap_or(0.0);
-            let entry = st
-                .folds
-                .entry((e.lane.to_string(), e.kind.to_string(), bin))
-                .or_insert_with(|| FoldBin {
-                    lane: e.lane.to_string(),
-                    kind: e.kind.to_string(),
-                    bin,
-                    count: 0,
-                    dur: 0.0,
-                    t_min: f64::INFINITY,
-                    t_max: f64::NEG_INFINITY,
-                });
-            entry.count += 1;
-            entry.dur += e.dur.unwrap_or(0.0);
-            entry.t_min = entry.t_min.min(e.t);
-            entry.t_max = entry.t_max.max(end);
-        }
+        inner.evict(&mut st, f64::INFINITY);
     }
 
     /// Protects `[t0, t1]` from future eviction — the trigger hook the
@@ -490,7 +569,7 @@ impl Recorder {
     /// (pre-roll and post-roll) survives until it is captured.
     pub fn freeze(&self, t0: f64, t1: f64) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().frozen.push((t0, t1));
+            inner.state.lock().held.frozen.push((t0, t1));
         }
     }
 
@@ -502,13 +581,18 @@ impl Recorder {
         let inner = self.inner.as_ref()?;
         let mut st = inner.state.lock();
         let period = inner.cfg.rollup_period.max(1e-12);
-        let events: Vec<Event> = st
-            .retained
-            .iter()
-            .filter(|e| e.t + e.dur.unwrap_or(0.0) >= t0 && e.t <= t1)
-            .map(|e| Event::clone(e))
-            .collect();
+        let events = inner.read(&mut st, |log, held| {
+            let mut events = EventLog::new();
+            for &i in &held.retained {
+                let e = log.at(i);
+                if end(e) >= t0 && e.t() <= t1 {
+                    events.copy(e);
+                }
+            }
+            events
+        });
         let folds: Vec<FoldBin> = st
+            .held
             .folds
             .values()
             .filter(|f| (f.bin + 1) as f64 * period >= t0 && f.bin as f64 * period <= t1)
@@ -539,19 +623,22 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return RecorderSummary::default();
         };
-        let st = inner.state.lock();
-        let event_bytes_total: u64 = st.retained.iter().map(|e| event_bytes(e)).sum();
-        let fold_bytes: u64 = st
+        let mut st = inner.state.lock();
+        let event_bytes_total: u64 = inner.read(&mut st, |log, held| {
+            held.retained.iter().map(|&i| event_bytes(log.at(i))).sum()
+        });
+        let held = &st.held;
+        let fold_bytes: u64 = held
             .folds
             .values()
             .map(|f| (std::mem::size_of::<FoldBin>() + f.lane.len() + f.kind.len()) as u64)
             .sum();
         RecorderSummary {
-            retained: st.retained.len(),
-            folded: st.folded,
-            peak_retained: st.peak_retained,
+            retained: held.retained.len(),
+            folded: held.folded,
+            peak_retained: held.peak_retained,
             bytes: event_bytes_total + fold_bytes,
-            fold_bins: st.folds.len(),
+            fold_bins: held.folds.len(),
             captures: st.captures.len(),
             window: inner.cfg.window,
             budget: inner.cfg.budget,
@@ -626,24 +713,75 @@ mod tests {
 
     #[test]
     fn shadow_mode_shares_the_bus_events_and_bounded_mode_owns_them() {
-        let retained = |rec: &Recorder| rec.inner.as_ref().unwrap().state.lock().retained.clone();
+        let held = |rec: &Recorder| {
+            let st = rec.inner.as_ref().unwrap().state.lock();
+            (st.held.retained.clone(), st.own.len())
+        };
         let bus = EventBus::recording();
         fill(&bus, 10);
         let rec = Recorder::shadow(cfg(1e9, 100));
         rec.pump(&bus, 1.0, 0.0);
-        let held = retained(&rec);
-        bus.with_events(|events| {
-            assert_eq!(held.len(), events.len());
-            assert!(held.iter().zip(events).all(|(r, e)| Arc::ptr_eq(r, e)), "no copies");
-        });
+        assert_eq!(held(&rec), ((0..10).collect(), 0), "bus indices, no copies");
+        assert_eq!(bus.resident_len(), 10);
         let bus = EventBus::recording();
         fill(&bus, 10);
         let rec = Recorder::bounded(cfg(1e9, 100));
         rec.pump(&bus, 1.0, 0.0);
-        let held = retained(&rec);
-        assert_eq!(held.len(), 10);
-        // This snapshot and the recorder's own pointer: the bus let go.
-        assert!(held.iter().all(|e| Arc::strong_count(e) == 2));
+        assert_eq!(held(&rec), ((0..10).collect(), 10), "the recorder's own copies");
+        assert_eq!(bus.resident_len(), 0, "the bus let go");
+    }
+
+    #[test]
+    fn bounded_and_shadow_recorders_agree_and_a_bounded_one_compacts() {
+        let run = |rec: Recorder| {
+            let bus = EventBus::recording();
+            for i in 0..400u64 {
+                bus.span(
+                    &format!("node{}-cpu-c0", i % 3),
+                    "cpu-task",
+                    SimTime::from_secs_f64((i / 4) as f64 * 0.05),
+                    SimTime::from_secs_f64((i / 4) as f64 * 0.05 + 0.01 * (i % 5) as f64),
+                )
+                .unwrap()
+                .attr("bytes", i as f64)
+                .attr("flops", (i % 7) as f64)
+                .commit();
+                if i % 50 == 49 {
+                    let now = (i / 4) as f64 * 0.05;
+                    rec.pump(&bus, now, now - 0.3);
+                }
+                if i == 200 {
+                    rec.freeze(0.5, 0.9);
+                }
+            }
+            rec.settle(&bus);
+            let own = rec.inner.as_ref().unwrap().state.lock().own.len();
+            let c = rec.capture(1, 0.0, 1e9).unwrap();
+            (c.to_jsonl(), rec.summary(), own)
+        };
+        let (shadow, shadow_sum, shadow_own) = run(Recorder::shadow(cfg(1.0, 64)));
+        let (bounded, bounded_sum, bounded_own) = run(Recorder::bounded(cfg(1.0, 64)));
+        assert!(shadow_sum.folded > 0 && shadow_sum.retained <= 64);
+        assert_eq!(shadow, bounded);
+        assert_eq!(shadow_sum, bounded_sum);
+        assert_eq!(shadow_own, 0);
+        assert_eq!(bounded_own, bounded_sum.retained, "the copy holds only what is retained");
+    }
+
+    #[test]
+    fn recorder_bytes_are_counted_in_fixed_units() {
+        assert_eq!((EVENT_BYTES, ATTR_BYTES), (128, 24));
+        let bus = EventBus::recording();
+        bus.event("l", "k", SimTime::ZERO)
+            .unwrap()
+            .attr("a", 1.0)
+            .attr("b", 2.0)
+            .attr("a", 3.0)
+            .commit();
+        bus.event("l", "k", SimTime::from_secs(1)).unwrap().commit();
+        let rec = Recorder::bounded(cfg(1e9, 100));
+        rec.pump(&bus, 1.0, 0.0);
+        assert_eq!(rec.summary().bytes, 2 * 128 + 3 * 24, "every attribute, repeats included");
     }
 
     #[test]
@@ -713,7 +851,7 @@ mod tests {
         rec.pump(&bus, 10.0, 10.0); // would fold t < 9.5 — except the freeze
         let c = rec.capture(3, 1.6, 2.4).unwrap();
         assert!(
-            c.events.iter().all(|e| e.t + e.dur.unwrap_or(0.0) >= 1.6 && e.t <= 2.4),
+            c.events.iter().all(|e| e.t() + e.dur().unwrap_or(0.0) >= 1.6 && e.t() <= 2.4),
             "capture is window-scoped"
         );
         assert!(!c.events.is_empty(), "frozen events survived the later pump");

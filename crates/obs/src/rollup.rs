@@ -25,7 +25,6 @@ use crate::metrics::MetricsRegistry;
 use crate::name::Name;
 use serde::Value;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Schema tag stamped into the `rollup.jsonl` meta line.
 pub const ROLLUP_SCHEMA: &str = "prs-rollup-v1";
@@ -62,32 +61,6 @@ pub trait EventView {
 }
 
 impl<E: EventView + ?Sized> EventView for &E {
-    fn t(&self) -> f64 {
-        (**self).t()
-    }
-    fn dur(&self) -> Option<f64> {
-        (**self).dur()
-    }
-    fn lane(&self) -> &str {
-        (**self).lane()
-    }
-    fn kind(&self) -> &str {
-        (**self).kind()
-    }
-    fn iter(&self) -> Option<u64> {
-        (**self).iter()
-    }
-    fn attr(&self, key: &str) -> Option<f64> {
-        (**self).attr(key)
-    }
-    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
-        (**self).each_attr(f)
-    }
-}
-
-/// The bus hands out its records shared (`Arc<Event>`); a shared record
-/// is read in place, like a borrowed one.
-impl<E: EventView + ?Sized> EventView for Arc<E> {
     fn t(&self) -> f64 {
         (**self).t()
     }
@@ -180,10 +153,9 @@ impl From<&Event> for RollupEvent {
     }
 }
 
-/// The bus's own record is a view: nothing is copied to aggregate a live
-/// run. Attributes read as the event's `events.jsonl` line lists them —
-/// ascending key order, the last value of a repeated key — so a bus and
-/// its export look the same to every consumer.
+/// An owned event reads like the bus record it was copied from
+/// ([`crate::EventRef`]): attributes as the event's `events.jsonl` line
+/// lists them — ascending key order, the last value of a repeated key.
 impl EventView for Event {
     fn t(&self) -> f64 {
         self.t
@@ -204,7 +176,7 @@ impl EventView for Event {
         self.attrs.iter().rfind(|(k, _)| *k == key).map(|(_, v)| *v)
     }
     fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
-        crate::jsonl::each_attr_sorted(&self.attrs, f)
+        crate::jsonl::each_attr_sorted(self.attrs.iter().copied(), f)
     }
 }
 

@@ -273,7 +273,7 @@ fn a_load_allocates_one_string_per_distinct_name() {
         obs.bus.with_events(|events| {
             let mut adopted: BTreeMap<&str, bool> = BTreeMap::new();
             for e in events {
-                for arc in [&e.lane, &e.kind] {
+                for arc in [e.lane_arc(), e.kind_arc()] {
                     *adopted.entry(arc).or_default() |= names[&**arc].shares(arc);
                 }
             }

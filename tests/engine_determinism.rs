@@ -107,7 +107,7 @@ fn run_under(spec: &ClusterSpec, config: JobConfig, mode: EngineMode) -> RunArti
     let result = run_iterative_observed(spec, hist(), config.with_engine(mode), obs.clone())
         .expect("scenario must complete under every engine");
     let roll_events: Vec<obs::rollup::RollupEvent> =
-        obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+        obs.bus.events().iter().map(obs::rollup::RollupEvent::from).collect();
     let watched = watch::watch(&roll_events, &obs.audit.records(), &watch::WatchConfig::default());
     let set = obs::FrameSet::from_stack(&obs.stack);
     let horizon = insight::from_bus(&obs.bus)
@@ -472,7 +472,7 @@ fn run_elastic_under(mode: EngineMode) -> (RunArtifacts, String, String) {
     )
     .expect("churn scenario must complete under every engine");
     let roll_events: Vec<obs::rollup::RollupEvent> =
-        obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+        obs.bus.events().iter().map(obs::rollup::RollupEvent::from).collect();
     let watched = watch::watch(&roll_events, &obs.audit.records(), &watch::WatchConfig::default());
     let set = obs::FrameSet::from_stack(&obs.stack);
     let horizon = insight::from_bus(&obs.bus)

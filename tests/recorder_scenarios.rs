@@ -207,7 +207,7 @@ fn injected_gpu_fault_postmortem_names_the_node_and_kind() {
     )
     .expect("run completes");
 
-    let events: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+    let events: Vec<RollupEvent> = obs.bus.events().iter().map(RollupEvent::from).collect();
     let mut out = watch::watch(&events, &obs.audit.records(), &WatchConfig::default());
     let gpu_incident = out
         .incidents

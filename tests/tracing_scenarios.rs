@@ -140,7 +140,7 @@ fn every_msg_recv_pairs_with_exactly_one_msg_send() {
 }
 
 fn rollup_of(obs: &Obs) -> obs::rollup::Rollup {
-    let events: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+    let events: Vec<RollupEvent> = obs.bus.events().iter().map(RollupEvent::from).collect();
     let horizon = events.iter().map(RollupEvent::end).fold(0.0, f64::max);
     rollup(
         &events,

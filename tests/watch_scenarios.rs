@@ -31,7 +31,7 @@ fn hist() -> Arc<HistApp> {
 fn watch_run(spec: &ClusterSpec, config: JobConfig, rules: &WatchConfig) -> watch::WatchOutput {
     let obs = Obs::recording();
     run_iterative_observed(spec, hist(), config, obs.clone()).expect("run completes");
-    let events: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+    let events: Vec<RollupEvent> = obs.bus.events().iter().map(RollupEvent::from).collect();
     watch::watch(&events, &obs.audit.records(), rules)
 }
 
@@ -128,8 +128,8 @@ fn online_subscription_sees_the_full_stream() {
         bare.metrics.total_seconds.to_bits(),
         "watching must not advance virtual time"
     );
-    let polled: Vec<RollupEvent> = sub.poll().iter().map(|e| e.as_ref().into()).collect();
-    let full: Vec<RollupEvent> = obs.bus.events().iter().map(|e| e.as_ref().into()).collect();
+    let polled: Vec<RollupEvent> = sub.poll().iter().map(RollupEvent::from).collect();
+    let full: Vec<RollupEvent> = obs.bus.events().iter().map(RollupEvent::from).collect();
     assert_eq!(polled.len(), full.len());
     let rules = WatchConfig::default();
     let a = watch::watch(&polled, &obs.audit.records(), &rules);
