@@ -2,13 +2,13 @@
 //! an append-only arena, its attributes a span of a side arena, its
 //! names ids into tables the log interns.
 //!
-//! An observed 128-node run records tens of thousands of events. As one
-//! heap object each (plus an attribute `Vec`) they cost about 268 B apiece
-//! before allocator headers, and the freed objects of a trimmed log stay
-//! resident as small-chunk garbage. Here an event costs its 56-byte record
-//! plus 12 bytes per attribute, both arenas grow a fixed-size chunk at a
-//! time (growth never copies and never leaves 2× slack), and a trimmed
-//! prefix gives whole chunks back.
+//! An observed 128-node run records tens of thousands of events, so the
+//! unit of storage decides what the log costs. An event here costs its
+//! 56-byte record plus 12 bytes per attribute and no allocation of its
+//! own. Both arenas grow a fixed-size chunk at a time, so growth never
+//! copies and never leaves 2× slack, and a trimmed prefix gives whole
+//! chunks back, where small per-event objects would stay resident in the
+//! allocator after they were freed.
 
 use crate::bus::{Event, EVENTS_SCHEMA};
 use crate::jsonl::{each_canonical, ObjectWriter};
@@ -138,7 +138,8 @@ const HAS_BLOCK: u32 = 1 << 28;
 /// Most attributes one event can carry.
 const MAX_ATTRS: usize = (HAS_BLOCK - 1) as usize;
 
-// Two cache lines hold a record and its attributes for a typical event.
+// An event with three attributes stays within 96 bytes, chunk slack
+// included, only while a record takes at most 56.
 const _: () = assert!(std::mem::size_of::<Record>() <= 56);
 
 /// A hasher for addresses: one multiply, which spreads the aligned
@@ -347,7 +348,10 @@ impl EventLog {
             self.attr_values.push(v);
         }
         let n = self.attr_keys.end - start;
-        assert!(n <= MAX_ATTRS, "an event carries at most {MAX_ATTRS} attributes, not {n}");
+        assert!(
+            n <= MAX_ATTRS,
+            "an event carries at most {MAX_ATTRS} attributes, not {n}"
+        );
         assert!(
             self.attr_keys.end - self.attr_keys.base < u32::MAX as usize,
             "fewer than 2^32 resident attributes"
@@ -394,10 +398,14 @@ impl EventLog {
     /// The resident events' lines alone, newline-terminated, in canonical
     /// order.
     pub fn write_lines(&self, out: &mut dyn io::Write) -> io::Result<()> {
-        each_canonical(self.len(), |p| self.at(self.first + p), |_, line| {
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")
-        })
+        each_canonical(
+            self.len(),
+            |p| self.at(self.first + p),
+            |_, line| {
+                out.write_all(line.as_bytes())?;
+                out.write_all(b"\n")
+            },
+        )
     }
 
     /// Absolute index one past the newest event.
@@ -560,8 +568,12 @@ impl<'a> EventRef<'a> {
     pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&'static str, f64)> + Clone + 'a {
         let log = self.log;
         let start = log.attr_start(self.rec);
-        (start..start + self.attr_count())
-            .map(move |i| (*log.keys.get(*log.attr_keys.get(i)), *log.attr_values.get(i)))
+        (start..start + self.attr_count()).map(move |i| {
+            (
+                *log.keys.get(*log.attr_keys.get(i)),
+                *log.attr_values.get(i),
+            )
+        })
     }
 
     /// The attribute named `key`; a repeated key reads as its last value.
@@ -666,16 +678,24 @@ mod tests {
             assert_eq!(format!("{:?}", got.to_event()), format!("{want:?}"));
         }
         let last = log.get(2);
-        assert_eq!(last.attr("k"), Some(2.0), "a repeated key reads its last value");
+        assert_eq!(
+            last.attr("k"),
+            Some(2.0),
+            "a repeated key reads its last value"
+        );
         assert_eq!(last.attr("missing"), None);
     }
 
     #[test]
     fn an_event_keeps_every_one_of_its_attributes() {
-        let keys: Vec<&'static str> =
-            (0..300).map(|i| &*Box::leak(format!("k{i}").into_boxed_str())).collect();
-        let attrs: Vec<(&'static str, f64)> =
-            keys.iter().enumerate().map(|(i, k)| (*k, i as f64)).collect();
+        let keys: Vec<&'static str> = (0..300)
+            .map(|i| &*Box::leak(format!("k{i}").into_boxed_str()))
+            .collect();
+        let attrs: Vec<(&'static str, f64)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (*k, i as f64))
+            .collect();
         let mut log = EventLog::new();
         // Start the big event just short of a chunk boundary.
         for _ in 0..ATTRS_PER_CHUNK - 7 {
@@ -696,8 +716,15 @@ mod tests {
         let before = log.heap_bytes();
         log.drop_below(4000);
         assert_eq!(log.len(), 1000);
-        assert!(log.heap_bytes() < before / 2, "{} of {before}", log.heap_bytes());
-        assert!(log.iter().enumerate().all(|(i, e)| e.attr("a") == Some((4000 + i) as f64)));
+        assert!(
+            log.heap_bytes() < before / 2,
+            "{} of {before}",
+            log.heap_bytes()
+        );
+        assert!(log
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.attr("a") == Some((4000 + i) as f64)));
         log.drop_below(10_000);
         assert!(log.is_empty());
         log.push_event(&event(9.0, "l", &[("a", 9.0)]));
@@ -732,7 +759,10 @@ mod tests {
         let id = log.name_id_of(&a);
         assert_eq!(log.name_id_of(&b), id);
         assert_eq!(log.name_id("node0-cpu-c0"), id);
-        assert!(Arc::ptr_eq(log.name(id), &a), "the first handle seen is the log's");
+        assert!(
+            Arc::ptr_eq(log.name(id), &a),
+            "the first handle seen is the log's"
+        );
     }
 
     #[test]
@@ -741,7 +771,11 @@ mod tests {
         let n = 41_135;
         for i in 0..n {
             let attrs: &[(&'static str, f64)] = &[("bytes", 1.0), ("flops", 2.0), ("wait_s", 3.0)];
-            log.push_event(&event(i as f64, &format!("node{}-cpu-c{}", i % 128, i % 4), attrs));
+            log.push_event(&event(
+                i as f64,
+                &format!("node{}-cpu-c{}", i % 128, i % 4),
+                attrs,
+            ));
         }
         let per_event = log.heap_bytes() as f64 / n as f64;
         assert!(per_event <= 96.0, "{per_event:.1} B per event");
