@@ -353,19 +353,15 @@ fn key_runs<V>(sorted: impl IntoIterator<Item = (Key, V)>) -> impl Iterator<Item
 /// with `ys = []`), so it moves through as it is. By the combiner law
 /// ([`SpmdApp::combine`]) the partials after the last block are what
 /// combining all the class's pairs at once, in arrival order, gives.
-///
-/// The merge writes into `scratch`, which is empty on entry and on exit:
-/// the two buffers swap, so a class's blocks reuse their allocations.
 fn fold_block<A: SpmdApp>(
     app: &A,
     partials: &mut Vec<(Key, A::Inter)>,
-    scratch: &mut Vec<(Key, A::Inter)>,
     mut block: Vec<(Key, A::Inter)>,
 ) {
     block.sort_by_key(|(k, _)| *k);
-    std::mem::swap(partials, scratch);
-    partials.reserve(scratch.len().max(block.len()));
-    let (mut held, mut block) = (scratch.drain(..), block.into_iter());
+    let capacity = partials.len().max(block.len());
+    let held = std::mem::replace(partials, Vec::with_capacity(capacity));
+    let (mut held, mut block) = (held.into_iter(), block.into_iter());
     // How many of the pairs left in `rest` lead with `key`.
     let lead = |rest: &[(Key, A::Inter)], key: Key| {
         rest.iter().take_while(|(k, _)| *k == key).count()
@@ -517,8 +513,6 @@ struct Split {
 /// audit).
 struct Side<I> {
     pairs: Vec<(Key, I)>,
-    /// [`fold_block`]'s merge buffer, empty between blocks.
-    scratch: Vec<(Key, I)>,
     last_end: Option<SimTime>,
 }
 
@@ -1113,7 +1107,6 @@ impl<A: SpmdApp> Worker<A> {
     ) -> Mapped<A::Inter> {
         let mut mapped = [(); 2].map(|()| Side {
             pairs: Vec::new(),
-            scratch: Vec::new(),
             last_end: None,
         });
         let mut seen = 0u64;
@@ -1146,7 +1139,7 @@ impl<A: SpmdApp> Worker<A> {
                         self.report.map_tasks[device as usize] += 1;
                         let side = &mut mapped[device as usize];
                         if self.job.config.use_combiner {
-                            fold_block(self.job.app.as_ref(), &mut side.pairs, &mut side.scratch, pairs);
+                            fold_block(self.job.app.as_ref(), &mut side.pairs, pairs);
                         } else {
                             side.pairs.extend(pairs);
                         }
@@ -1688,15 +1681,15 @@ mod tests {
     #[test]
     fn a_held_run_the_block_does_not_touch_is_not_combined_again() {
         let app = PassThrough::default();
-        let (mut partials, mut scratch) = (Vec::new(), Vec::new());
+        let mut partials = Vec::new();
         // The first block leaves key 1 a run of two values; no later block
         // adds to it.
         for block in [vec![(1, 10), (1, 11)], vec![(2, 20)], vec![(3, 30)], vec![(0, 0)]] {
-            fold_block(&app, &mut partials, &mut scratch, block);
+            fold_block(&app, &mut partials, block);
         }
         assert_eq!(partials, [(0, 0), (1, 10), (1, 11), (2, 20), (3, 30)]);
         assert_eq!(*app.calls.lock(), 1, "only the block that made the run combines it");
-        fold_block(&app, &mut partials, &mut scratch, vec![(1, 12)]);
+        fold_block(&app, &mut partials, vec![(1, 12)]);
         assert_eq!(*app.calls.lock(), 2, "a block that adds to the run combines it");
         assert_eq!(partials[1..4], [(1, 10), (1, 11), (1, 12)]);
     }
@@ -1723,10 +1716,9 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
             cuts.sort_unstable();
             cuts.push(pairs.len());
-            let (mut partials, mut scratch, mut start) = (Vec::new(), Vec::new(), 0);
+            let (mut partials, mut start) = (Vec::new(), 0);
             for cut in cuts {
-                fold_block(&Lawful, &mut partials, &mut scratch, pairs[start..cut].to_vec());
-                prop_assert!(scratch.is_empty());
+                fold_block(&Lawful, &mut partials, pairs[start..cut].to_vec());
                 start = cut;
             }
             prop_assert_eq!(partials, combine_pairs(&Lawful, pairs));
