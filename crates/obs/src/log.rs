@@ -26,32 +26,16 @@ const ATTRS_PER_CHUNK: usize = 4096;
 
 /// Append-only storage in chunks of `N` elements, addressed by absolute
 /// index. Growth allocates one more chunk of exactly `N` and moves
-/// nothing; a prefix is given back a whole chunk at a time.
+/// nothing; a prefix is given back a whole chunk at a time. Only the last
+/// chunk may hold less than `N`, by capacity too once shrunk (a copy is
+/// shrunk): it grows back to `N` in one step when it next fills.
+#[derive(Clone)]
 struct Chunked<T, const N: usize> {
     chunks: VecDeque<Vec<T>>,
     /// Absolute index of `chunks[0][0]`.
     base: usize,
     /// Absolute index one past the last element.
     end: usize,
-}
-
-/// A copy's chunks are full-size too, so it grows like the original.
-impl<T: Copy, const N: usize> Clone for Chunked<T, N> {
-    fn clone(&self) -> Self {
-        Chunked {
-            chunks: self
-                .chunks
-                .iter()
-                .map(|c| {
-                    let mut copy = Vec::with_capacity(N);
-                    copy.extend_from_slice(c);
-                    copy
-                })
-                .collect(),
-            base: self.base,
-            end: self.end,
-        }
-    }
 }
 
 impl<T, const N: usize> Default for Chunked<T, N> {
@@ -66,11 +50,27 @@ impl<T, const N: usize> Default for Chunked<T, N> {
 
 impl<T: Copy, const N: usize> Chunked<T, N> {
     fn push(&mut self, v: T) {
-        if self.end - self.base == self.chunks.len() * N {
-            self.chunks.push_back(Vec::with_capacity(N));
+        match self.chunks.back_mut() {
+            Some(last) if last.len() < N => {
+                if last.len() == last.capacity() {
+                    last.reserve_exact(N - last.len());
+                }
+                last.push(v);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(N);
+                chunk.push(v);
+                self.chunks.push_back(chunk);
+            }
         }
-        self.chunks.back_mut().expect("a chunk with room").push(v);
         self.end += 1;
+    }
+
+    /// Gives back the last chunk's spare capacity.
+    fn shrink_to_fit(&mut self) {
+        if let Some(last) = self.chunks.back_mut() {
+            last.shrink_to_fit();
+        }
     }
 
     fn get(&self, i: usize) -> &T {
@@ -106,7 +106,7 @@ impl<T: Copy, const N: usize> Chunked<T, N> {
 
     /// Bytes the chunks hold, spare capacity included.
     fn heap_bytes(&self) -> usize {
-        self.chunks.len() * N * std::mem::size_of::<T>()
+        self.chunks.iter().map(|c| c.capacity() * std::mem::size_of::<T>()).sum()
     }
 }
 
@@ -288,6 +288,14 @@ impl EventLog {
     /// included. The name tables add one entry per distinct name.
     pub fn heap_bytes(&self) -> usize {
         self.records.heap_bytes() + self.attr_keys.heap_bytes() + self.attr_values.heap_bytes()
+    }
+
+    /// Gives back the spare capacity of both arenas' last chunks: for a
+    /// log that is done growing, such as a capture's.
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+        self.attr_keys.shrink_to_fit();
+        self.attr_values.shrink_to_fit();
     }
 
     /// Appends an owned event, interning its names.
@@ -745,10 +753,30 @@ mod tests {
         log.retain_only(&keep);
         assert_eq!(owned(&log), want);
         assert!(log.heap_bytes() < before);
+        let mut copy = log.clone();
+        copy.shrink_to_fit();
+        assert_eq!(owned(&copy), want);
+        assert!(copy.heap_bytes() < log.heap_bytes());
         log.push_event(&event(1.0, "l0", &[("z", 3.0)]));
         assert_eq!(log.get(log.len() - 1).attr("z"), Some(3.0));
         log.retain_only(&[]);
         assert!(log.is_empty());
+    }
+
+    #[test]
+    fn a_shrunk_log_holds_exactly_its_events_and_grows_back_to_whole_chunks() {
+        let record = std::mem::size_of::<Record>();
+        let mut log = EventLog::new();
+        for i in 0..3 {
+            log.push_event(&event(i as f64, "l", &[("a", 1.0), ("b", 2.0)]));
+        }
+        log.shrink_to_fit();
+        assert_eq!(log.heap_bytes(), 3 * record + 6 * 12);
+        for i in 0..2000 {
+            log.push_event(&event(i as f64, "l", &[("a", i as f64)]));
+        }
+        assert!(log.iter().skip(3).enumerate().all(|(i, e)| e.attr("a") == Some(i as f64)));
+        assert_eq!(log.heap_bytes(), 2 * RECORDS_PER_CHUNK * record + ATTRS_PER_CHUNK * 12);
     }
 
     #[test]

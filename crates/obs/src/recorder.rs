@@ -589,6 +589,7 @@ impl Recorder {
                     events.copy(e);
                 }
             }
+            events.shrink_to_fit();
             events
         });
         let folds: Vec<FoldBin> = st

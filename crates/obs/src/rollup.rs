@@ -153,33 +153,6 @@ impl From<&Event> for RollupEvent {
     }
 }
 
-/// An owned event reads like the bus record it was copied from
-/// ([`crate::EventRef`]): attributes as the event's `events.jsonl` line
-/// lists them — ascending key order, the last value of a repeated key.
-impl EventView for Event {
-    fn t(&self) -> f64 {
-        self.t
-    }
-    fn dur(&self) -> Option<f64> {
-        self.dur
-    }
-    fn lane(&self) -> &str {
-        &self.lane
-    }
-    fn kind(&self) -> &str {
-        &self.kind
-    }
-    fn iter(&self) -> Option<u64> {
-        self.iteration
-    }
-    fn attr(&self, key: &str) -> Option<f64> {
-        self.attrs.iter().rfind(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-    fn each_attr(&self, f: &mut dyn FnMut(&str, f64)) {
-        crate::jsonl::each_attr_sorted(self.attrs.iter().copied(), f)
-    }
-}
-
 /// A strictly read `events.jsonl` line is a view too, in file order.
 impl EventView for EventRecord {
     fn t(&self) -> f64 {
