@@ -109,7 +109,7 @@ where
     I::Item: EventView,
 {
     let mut view: Vec<I::Item> = events.into_iter().collect();
-    view.sort_by(|a, b| canonical_cmp(a, b));
+    view.sort_by(canonical_cmp);
     view
 }
 

@@ -106,7 +106,10 @@ impl<T: Copy, const N: usize> Chunked<T, N> {
 
     /// Bytes the chunks hold, spare capacity included.
     fn heap_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.capacity() * std::mem::size_of::<T>()).sum()
+        self.chunks
+            .iter()
+            .map(|c| c.capacity() * std::mem::size_of::<T>())
+            .sum()
     }
 }
 
@@ -775,8 +778,15 @@ mod tests {
         for i in 0..2000 {
             log.push_event(&event(i as f64, "l", &[("a", i as f64)]));
         }
-        assert!(log.iter().skip(3).enumerate().all(|(i, e)| e.attr("a") == Some(i as f64)));
-        assert_eq!(log.heap_bytes(), 2 * RECORDS_PER_CHUNK * record + ATTRS_PER_CHUNK * 12);
+        assert!(log
+            .iter()
+            .skip(3)
+            .enumerate()
+            .all(|(i, e)| e.attr("a") == Some(i as f64)));
+        assert_eq!(
+            log.heap_bytes(),
+            2 * RECORDS_PER_CHUNK * record + ATTRS_PER_CHUNK * 12
+        );
     }
 
     #[test]
