@@ -676,13 +676,15 @@ const RECORD_LINES: [&str; 2] = [
      ~468206 B resident\n",
 ];
 
-/// The `--json` stdout of three product jobs, and every file of the two
+/// The `--json` stdout of four product jobs, and every file of the two
 /// `--obs --record` bundles: the 1000-node micro c-means job of the
-/// `scale` benchmark workload, a 64-node wordcount job (its shuffle
+/// `scale` benchmark workload, the 256-node wordcount job of the
+/// `shuffle` workload at seed 42, a 64-node wordcount job (its shuffle
 /// drains `recv_any`'s pending queue) and a 128-node dynamic c-means
 /// job. The constants were captured on commit 663b035, while each node's
-/// sub-task scheduler and the master were stackful coroutines; do not
-/// regenerate them for a process-model change.
+/// sub-task scheduler and the master were stackful coroutines, the
+/// 256-node one on commit be1f02b; do not regenerate them for a
+/// process-model or memory-layout change.
 #[test]
 fn product_runs_are_pinned() {
     let dir = tmp_dir("product-pins");
@@ -704,8 +706,14 @@ fn product_runs_are_pinned() {
         "run", "--app", "cmeans", "--nodes", "1000", "--profile", "micro", "--points", "27000",
         "--dims", "8", "--clusters", "8", "--iterations", "1", "--seed", "7", "--json",
     ]);
+    let shuffle = json(&[
+        "run", "--app", "wordcount", "--nodes", "256", "--profile", "micro", "--points", "1000000",
+        "--dims", "32", "--clusters", "8", "--iterations", "1", "--streams", "1", "--mode", "static",
+        "--seed", "42", "--json",
+    ]);
     let got = [
         fnv1a(&scale),
+        fnv1a(&shuffle),
         recorded("wordcount", &["run", "--app", "wordcount", "--nodes", "64"]),
         recorded(
             "dynamic",
@@ -716,9 +724,10 @@ fn product_runs_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The 1000-node job's stdout; the wordcount stdout and bundle; the
-/// dynamic c-means stdout and bundle.
-const PRODUCT_PINS: [u64; 3] = [0xec7f7755b33cb5a4, 0xb9387e27c869419d, 0x1926e2a62ebc32c0];
+/// The 1000-node job's stdout; the 256-node wordcount stdout; the 64-node
+/// wordcount stdout and bundle; the dynamic c-means stdout and bundle.
+const PRODUCT_PINS: [u64; 4] =
+    [0xec7f7755b33cb5a4, 0xb851c930d49ad699, 0xb9387e27c869419d, 0x1926e2a62ebc32c0];
 
 /// Every file under `dir`, as (path relative to `dir`, bytes), in path
 /// order.
