@@ -12,7 +12,7 @@ use prs_core::{
     run_epochs, run_iterative_observed, run_job_observed, CheckpointableApp, ClusterSpec,
     EpochOptions, IterativeApp, JobConfig, JobError, JobMetrics, Key, Obs, SpmdApp,
 };
-use prs_data::gaussian::clustering_workload;
+use prs_data::gaussian::clustering_points;
 use prs_data::{MatrixF32, SplitMix64};
 use std::fmt::{self, Debug, Write};
 use std::sync::Arc;
@@ -302,7 +302,7 @@ fn k(s: Shape) -> usize {
 }
 
 fn points(s: Shape, seed: u64) -> Arc<MatrixF32> {
-    Arc::new(clustering_workload(s.points, s.dims, k(s), seed).points)
+    Arc::new(clustering_points(s.points, s.dims, k(s), seed))
 }
 
 fn last(history: Vec<f64>) -> f64 {

@@ -344,6 +344,14 @@ fn key_runs<V>(sorted: impl IntoIterator<Item = (Key, V)>) -> impl Iterator<Item
     })
 }
 
+/// The reduce stage's `(key, values)` runs of what the shuffle delivered:
+/// items grouped by bucket (the key) ascending, stable source order inside
+/// one.
+fn bucket_runs<V>(arrived: Vec<ShuffleItem<V>>) -> impl Iterator<Item = (Key, Vec<V>)> {
+    debug_assert!(arrived.is_sorted_by_key(|item| item.bucket));
+    key_runs(arrived.into_iter().map(|item| (item.bucket, item.value)))
+}
+
 /// Folds one landed map block into a device class's running partials,
 /// which stay sorted by key ("sorted in memory" like the paper's
 /// intermediates). The block is sorted stably by key and merged after the
@@ -1278,11 +1286,8 @@ impl<A: SpmdApp> Worker<A> {
     }
 
     /// SHUFFLE: every pair travels to the node owning its key's bucket.
-    async fn shuffle(
-        &self,
-        ctx: &SimCtx,
-        mapped: Mapped<A::Inter>,
-    ) -> Vec<ShuffleItem<(Key, A::Inter)>> {
+    /// The bucket is the key itself, so an item carries it once.
+    async fn shuffle(&self, ctx: &SimCtx, mapped: Mapped<A::Inter>) -> Vec<ShuffleItem<A::Inter>> {
         let app = self.job.app.as_ref();
         let [cpu, gpu] = mapped;
         let pairs = cpu.pairs.into_iter().chain(gpu.pairs);
@@ -1290,7 +1295,7 @@ impl<A: SpmdApp> Worker<A> {
             .map(|(k, v)| ShuffleItem {
                 bucket: k,
                 bytes: app.inter_bytes(&v),
-                value: (k, v),
+                value: v,
             })
             .collect();
         shuffle_async(&self.comm, &self.seq, ctx, items).await
@@ -1300,15 +1305,12 @@ impl<A: SpmdApp> Worker<A> {
     async fn reduce(
         &mut self,
         ctx: &SimCtx,
-        arrived: Vec<ShuffleItem<(Key, A::Inter)>>,
+        arrived: Vec<ShuffleItem<A::Inter>>,
     ) -> Outputs<A> {
-        // The shuffle returns its items grouped: bucket (here the key)
-        // ascending, stable source order inside one.
-        debug_assert!(arrived.is_sorted_by_key(|item| item.bucket));
         let app = self.job.app.as_ref();
         let queue = self.queue_for(self.job.config.reduce_device);
         let mut n_reduces = 0usize;
-        for (key, mut values) in key_runs(arrived.into_iter().map(|item| item.value)) {
+        for (key, mut values) in bucket_runs(arrived) {
             n_reduces += 1;
             // Table 1's compare(): give reducers sorted values when the
             // app defines an order.
@@ -1726,11 +1728,15 @@ mod tests {
 
         #[test]
         fn reduce_runs_are_the_btree_buckets(pairs in arb_pairs()) {
-            // What `shuffle` hands the reduce stage: stably sorted by bucket.
-            let mut arrived = pairs;
-            arrived.sort_by_key(|(k, _)| *k);
-            let runs: Vec<(Key, Vec<u32>)> = key_runs(arrived.clone()).collect();
-            prop_assert_eq!(runs, group_by_btree(arrived));
+            // What `shuffle` hands the reduce stage: `(bucket, value)` items
+            // stably sorted by bucket.
+            let mut arrived: Vec<ShuffleItem<u32>> = pairs
+                .iter()
+                .map(|&(bucket, value)| ShuffleItem { bucket, bytes: 4, value })
+                .collect();
+            arrived.sort_by_key(|item| item.bucket);
+            let runs: Vec<(Key, Vec<u32>)> = bucket_runs(arrived).collect();
+            prop_assert_eq!(runs, group_by_btree(pairs));
         }
 
         #[test]

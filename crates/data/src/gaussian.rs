@@ -88,12 +88,23 @@ pub struct Dataset {
 
 /// Samples `n` points from `spec` with the given seed.
 pub fn generate(spec: &MixtureSpec, n: usize, seed: u64) -> Dataset {
+    let mut labels = Vec::with_capacity(n);
+    let points = sample(spec, n, seed, |k| labels.push(k));
+    Dataset {
+        points,
+        labels,
+        spec: spec.clone(),
+    }
+}
+
+/// The points [`generate`] draws, each point's component handed to
+/// `label` as it is drawn.
+fn sample(spec: &MixtureSpec, n: usize, seed: u64, mut label: impl FnMut(u32)) -> MatrixF32 {
     spec.validate();
     let d = spec.dims();
     let weights = WeightTable::new(spec.components.iter().map(|c| c.weight).collect());
     let mut rng = SplitMix64::new(seed);
     let mut points = MatrixF32::zeros(n, d);
-    let mut labels = Vec::with_capacity(n);
     for i in 0..n {
         let k = rng.next_in(&weights);
         let c = &spec.components[k];
@@ -101,13 +112,9 @@ pub fn generate(spec: &MixtureSpec, n: usize, seed: u64) -> Dataset {
         for (j, slot) in row.iter_mut().enumerate() {
             *slot = (c.mean[j] + c.stddev[j] * rng.next_normal()) as f32;
         }
-        labels.push(k as u32);
+        label(k as u32);
     }
-    Dataset {
-        points,
-        labels,
-        spec: spec.clone(),
-    }
+    points
 }
 
 /// The Figure-5 stand-in: 20054 points, 4 dimensions, 5 clusters with
@@ -150,6 +157,17 @@ pub fn lymphocytes_like(seed: u64) -> Dataset {
 /// drawn from `k` moderately separated clusters (what the paper's C-means
 /// timing runs use: e.g. 200k-800k points, D=100, K=10).
 pub fn clustering_workload(n: usize, d: usize, k: usize, seed: u64) -> Dataset {
+    generate(&clustering_spec(d, k, seed), n, seed)
+}
+
+/// [`clustering_workload`]'s points alone, bit for bit, without the
+/// ground-truth labels a timing run would drop.
+pub fn clustering_points(n: usize, d: usize, k: usize, seed: u64) -> MatrixF32 {
+    sample(&clustering_spec(d, k, seed), n, seed, |_| {})
+}
+
+/// The mixture [`clustering_workload`] draws from.
+fn clustering_spec(d: usize, k: usize, seed: u64) -> MixtureSpec {
     let mut rng = SplitMix64::new(seed ^ 0xC1u64);
     let components = (0..k)
         .map(|_| {
@@ -161,7 +179,7 @@ pub fn clustering_workload(n: usize, d: usize, k: usize, seed: u64) -> Dataset {
             }
         })
         .collect();
-    generate(&MixtureSpec { components }, n, seed)
+    MixtureSpec { components }
 }
 
 #[cfg(test)]
@@ -197,6 +215,17 @@ mod tests {
     }
 
     const PINNED_CLUSTERING_5000_8_4_SEED42: u64 = 0x6217_82d5_1323_e455;
+
+    #[test]
+    fn clustering_points_are_the_workload_points_bit_for_bit() {
+        for (n, d, k, seed) in [(5000, 8, 4, 42), (777, 3, 1, 0), (1, 100, 10, 7), (0, 4, 2, 9)] {
+            let want = clustering_workload(n, d, k, seed).points;
+            let got = clustering_points(n, d, k, seed);
+            assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            let bits = |m: &MatrixF32| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n {n}, d {d}, k {k}, seed {seed}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -303,8 +303,9 @@ struct Held {
     /// recorder, into its own copy for a bounded one.
     retained: Vec<usize>,
     /// Fold bins keyed `(lane, kind, bin)` — BTreeMap for deterministic
-    /// iteration.
-    folds: BTreeMap<(String, String, u64), FoldBin>,
+    /// iteration. The names are the log's shared handles, so folding into
+    /// a bin that exists allocates nothing.
+    folds: BTreeMap<(Arc<str>, Arc<str>, u64), FoldBin>,
     /// Monotone eviction horizon: events below it were folded.
     horizon: f64,
     /// Windows protected from eviction (`freeze`), as `(t0, t1)`.
@@ -440,7 +441,7 @@ impl Held {
             let bin = (e.t() / period).floor().max(0.0) as u64;
             let entry = self
                 .folds
-                .entry((e.lane().to_string(), e.kind().to_string(), bin))
+                .entry((e.lane_arc().clone(), e.kind_arc().clone(), bin))
                 .or_insert_with(|| FoldBin {
                     lane: e.lane().to_string(),
                     kind: e.kind().to_string(),

@@ -4,7 +4,7 @@
 //! queues, request/reply protocols, and the network layer.
 
 use crate::engine::SimCtx;
-use crate::kernel::{BlockReason, CachedLabel, KState, Label, Pid};
+use crate::kernel::{BlockReason, DeliveryTarget, KState, KernelCache, Label, Pid, Slab};
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -20,11 +20,41 @@ struct ChanInner<T> {
     next_ticket: u64,
     closed: bool,
     /// The name given at construction, for panic messages and block
-    /// reasons. Kept here, once, rather than beside the `Arc`, so a
-    /// delayed delivery captures one pointer and its message.
+    /// reasons.
     name: Box<str>,
-    /// The channel's name as receivers' block reasons carry it.
-    label: CachedLabel,
+    /// The channel's label (what receivers' block reasons carry) and its
+    /// delivery target in the kernel it was last used in.
+    kernel: KernelCache,
+    /// Messages sent with a delay and not delivered yet, if there are
+    /// any. The calendar event that delivers one names this channel and
+    /// the message's slot, so a message in flight costs its slot and a
+    /// 24-B calendar entry.
+    in_flight: Option<Box<Slab<T>>>,
+}
+
+impl<T: Send> DeliveryTarget for Mutex<ChanInner<T>> {
+    fn deliver(&self, slot: u32) -> Option<Pid> {
+        let mut g = self.lock();
+        let slab = g.in_flight.as_mut().expect("a delivery's message is in flight");
+        // A burst's slab goes once the burst has landed: a shuffle's
+        // batches are all in flight at once, and slabs kept at that
+        // high-water mark would hold the memory its receivers need next.
+        let msg = if slab.live() > 1 {
+            slab.take(slot)
+        } else {
+            g.in_flight.take().expect("seen above").into_last(slot)
+        };
+        assert!(!g.closed, "delayed send on closed channel '{}'", g.name);
+        g.queue.push_back(msg);
+        g.waiters.pop_front().map(|(pid, _)| pid)
+    }
+
+    fn abandon(&self, kernel: u64) {
+        let mut g = self.lock();
+        if g.kernel.is_under(kernel) {
+            g.in_flight = None;
+        }
+    }
 }
 
 /// Result of a [`Channel::recv_deadline`] call.
@@ -76,7 +106,8 @@ impl<T: Send + 'static> Channel<T> {
                 next_ticket: 0,
                 closed: false,
                 name: name.into(),
-                label: CachedLabel::default(),
+                kernel: KernelCache::default(),
+                in_flight: None,
             })),
         }
     }
@@ -108,23 +139,18 @@ impl<T: Send + 'static> Channel<T> {
     }
 
     /// Delivers `msg` after `delay` of virtual time (the sender does not
-    /// block — the message is "in flight").
+    /// block — the message is "in flight"). The message waits in the
+    /// channel's in-flight slab, and the event that delivers it names the
+    /// channel and its slot: no closure and no action slot per message.
     pub fn send_delayed(&self, ctx: &SimCtx, msg: T, delay: SimTime) {
-        let inner = self.inner.clone();
-        ctx.with_kernel(move |ks| {
+        ctx.with_kernel(|ks| {
             let at = ks.now + delay;
-            ks.schedule_action(at, move |ks2| {
-                let wake = {
-                    let mut g = inner.lock();
-                    assert!(!g.closed, "delayed send on closed channel '{}'", g.name);
-                    g.queue.push_back(msg);
-                    g.waiters.pop_front()
-                };
-                if let Some((pid, _)) = wake {
-                    let now = ks2.now;
-                    ks2.schedule_wake(now, pid);
-                }
-            });
+            let (target, slot) = {
+                let g = &mut *self.inner.lock();
+                let target = g.kernel.target(ks, || self.inner.clone());
+                (target, g.in_flight.get_or_insert_default().insert(msg))
+            };
+            ks.schedule_delivery(at, target, slot);
         });
     }
 
@@ -214,7 +240,7 @@ impl<T: Send + 'static> Channel<T> {
 
     fn label(&self, ks: &mut KState) -> Label {
         let g = &mut *self.inner.lock();
-        g.label.get(ks, &g.name)
+        g.kernel.label(ks, &g.name)
     }
 
     /// Non-blocking receive.
@@ -326,6 +352,180 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::from_millis(10.0));
         });
         sim.run().unwrap();
+    }
+
+    /// Every engine mode, the parallel one on three shards with a
+    /// lookahead window that spans a burst of instants.
+    fn engines() -> [crate::EngineConfig; 3] {
+        use crate::{EngineConfig, EngineMode};
+        [
+            EngineConfig::for_mode(EngineMode::LegacyHeap),
+            EngineConfig::for_mode(EngineMode::Calendar),
+            EngineConfig {
+                mode: EngineMode::Parallel,
+                shards: 3,
+                lookahead: SimTime::from_millis(1.5),
+            },
+        ]
+    }
+
+    /// How many kernel actions this process's kernel ever held at once.
+    fn action_slots(ctx: &SimCtx) -> usize {
+        ctx.with_kernel(|ks| ks.actions.slots())
+    }
+
+    #[test]
+    fn delayed_sends_take_no_action_slot() {
+        const N: u32 = 64;
+        for config in engines() {
+            let mut sim = Sim::with_config(config);
+            let ch: Channel<u32> = Channel::new("link");
+            let tx = ch.clone();
+            sim.spawn("sender", move |ctx| {
+                // Delays of 1..=4 ms, so deliveries tie in fours at each
+                // instant and arrive out of send order.
+                for i in 0..N {
+                    tx.send_delayed(ctx, i, SimTime::from_millis(f64::from(4 - i % 4)));
+                }
+            });
+            let rx = ch.clone();
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let got2 = got.clone();
+            sim.spawn("receiver", move |ctx| {
+                for _ in 0..N {
+                    let m = rx.recv(ctx).expect("open");
+                    got2.lock().push((ctx.now(), m));
+                }
+                assert_eq!(action_slots(ctx), 0, "{:?}", config.mode);
+            });
+            sim.run().unwrap();
+            // Ascending `(time, seq)`: by delay, then in send order.
+            let mut want: Vec<(SimTime, u32)> =
+                (0..N).map(|i| (SimTime::from_millis(f64::from(4 - i % 4)), i)).collect();
+            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(*got.lock(), want, "{:?}", config.mode);
+        }
+    }
+
+    /// The delayed send as a boxed kernel action, as it was before it
+    /// became a typed event: the reference for the scenario below.
+    fn send_delayed_boxed(ch: &Channel<u32>, ctx: &SimCtx, msg: u32, delay: SimTime) {
+        let inner = ch.inner.clone();
+        ctx.with_kernel(move |ks| {
+            let at = ks.now + delay;
+            ks.schedule_action(at, move |ks2| {
+                let wake = {
+                    let mut g = inner.lock();
+                    g.queue.push_back(msg);
+                    g.waiters.pop_front()
+                };
+                if let Some((pid, _)) = wake {
+                    let now = ks2.now;
+                    ks2.schedule_wake(now, pid);
+                }
+            });
+        });
+    }
+
+    /// Six deliveries, three timers and a `recv_deadline` timeout, all at
+    /// one instant `T`, their `seq`s interleaved: the log of what the
+    /// timers and the receiver saw, the run's counters, and the most
+    /// kernel actions held at once.
+    fn one_instant(config: crate::EngineConfig, boxed: bool) -> (Vec<String>, [u64; 3], usize) {
+        let t = SimTime::from_secs(1);
+        let mut sim = Sim::with_config(config);
+        let (ch, quiet) = (Channel::<u32>::new("ch"), Channel::<u32>::new("quiet"));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let probe = |name: &'static str| {
+            let (ch, log) = (ch.clone(), log.clone());
+            move |tm: &mut crate::Timers| {
+                log.lock().push(format!("{name} at {} sees {}", tm.now(), ch.len()));
+            }
+        };
+        // `seq` 0: the first event at `T`.
+        sim.schedule(t, probe("timer0"));
+        // At 0.5 s it schedules a probe at `T` whose `seq` follows every
+        // event of instant 0.
+        let (half, late) = (SimTime::from_millis(500.0), probe("late"));
+        sim.schedule(half, move |tm| tm.schedule(half, late));
+        let tx = ch.clone();
+        sim.spawn("tx", move |ctx| {
+            let send = |m| {
+                if boxed {
+                    send_delayed_boxed(&tx, ctx, m, t);
+                } else {
+                    tx.send_delayed(ctx, m, t);
+                }
+            };
+            (0..3).for_each(send);
+            // Lets `rx` block (its timeout's `seq` comes next) and the
+            // zero-delay timer schedule its probe before the second burst.
+            ctx.hold(SimTime::ZERO);
+            (3..6).for_each(send);
+        });
+        let (rx, rx_quiet, rx_log) = (ch.clone(), quiet.clone(), log.clone());
+        let slots = Arc::new(Mutex::new(0));
+        let rx_slots = slots.clone();
+        sim.spawn("rx", move |ctx| {
+            let out = rx_quiet.recv_deadline(ctx, t);
+            rx_log.lock().push(format!("rx {out:?} at {} sees {}", ctx.now(), rx.len()));
+            while let Some(m) = rx.try_recv() {
+                rx_log.lock().push(format!("rx got {m}"));
+            }
+            *rx_slots.lock() = action_slots(ctx);
+        });
+        let mid = probe("mid");
+        sim.schedule(SimTime::ZERO, move |tm| tm.schedule(t, mid));
+        let r = sim.run().unwrap();
+        assert_eq!(r.end_time, t);
+        let log = log.lock().clone();
+        let slots = *slots.lock();
+        (log, [r.events_processed, r.handoffs, r.inline_resumes], slots)
+    }
+
+    #[test]
+    fn deliveries_timers_and_a_timeout_at_one_instant_fire_in_seq_order() {
+        let want: Vec<String> = [
+            "timer0 at 1.000000s sees 0",
+            "mid at 1.000000s sees 3",
+            "late at 1.000000s sees 6",
+            "rx TimedOut at 1.000000s sees 6",
+            "rx got 0",
+            "rx got 1",
+            "rx got 2",
+            "rx got 3",
+            "rx got 4",
+            "rx got 5",
+        ]
+        .map(String::from)
+        .to_vec();
+        for config in engines() {
+            let (log, counts, slots) = one_instant(config, false);
+            assert_eq!(log, want, "{:?}", config.mode);
+            let (boxed_log, boxed_counts, boxed_slots) = one_instant(config, true);
+            assert_eq!((log, counts), (boxed_log, boxed_counts), "{:?}", config.mode);
+            // The timers and the timeout hold actions; the six deliveries
+            // add none; as closures, all six were in the arena at once.
+            assert!(slots <= 4 && boxed_slots >= slots + 6, "{slots} {boxed_slots}");
+        }
+    }
+
+    #[test]
+    fn a_message_in_flight_when_the_run_ends_is_dropped_with_it() {
+        let ch: Channel<Arc<()>> = Channel::new("kept");
+        let token = Arc::new(());
+        let mut sim = Sim::new();
+        let (tx, msg) = (ch.clone(), token.clone());
+        sim.spawn("sender", move |ctx| {
+            tx.send_delayed(ctx, msg, SimTime::from_secs(5));
+            ctx.hold(SimTime::from_secs(1));
+        });
+        // The sender's start and its hold's wake: the run stops before
+        // the delivery fires.
+        sim.set_event_limit(1);
+        assert!(sim.run().is_err());
+        assert_eq!(Arc::strong_count(&token), 1, "the channel outlives the run");
+        assert!(ch.is_empty());
     }
 
     #[test]

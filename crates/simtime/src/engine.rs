@@ -22,7 +22,7 @@
 
 use crate::coro::{Body, Resumed, Task, TaskFuture};
 use crate::kernel::{
-    BlockReason, EventPayload, KState, Kernel, Outcome, Pid, ProcEntry, ProcState, Queues, Shard,
+    BlockReason, Fire, KState, Kernel, Outcome, Pid, ProcEntry, ProcState, Queues, Shard,
     TraceEvent,
 };
 use crate::time::SimTime;
@@ -457,7 +457,7 @@ fn dispatch<'k>(kernel: &'k Kernel, mut ks: MutexGuard<'k, KState>, me: Option<P
             break Ok(Err(SimError::EventLimitExceeded { limit }));
         }
         match ks.pop_event() {
-            Some((_, EventPayload::Wake(pid))) => {
+            Some((_, Fire::Wake(pid))) => {
                 if ks.procs[pid].state == ProcState::Finished {
                     continue;
                 }
@@ -490,12 +490,19 @@ fn dispatch<'k>(kernel: &'k Kernel, mut ks: MutexGuard<'k, KState>, me: Option<P
                 ks.switches += u64::from(me.is_some());
                 return Baton::Passed(Some(pid));
             }
-            Some((_, EventPayload::Action(slot))) => {
+            Some((_, Fire::Action(slot))) => {
                 let f = ks.take_action(slot);
                 // Caught here so the panic is neither blamed on the process
                 // that happens to run the loop nor allowed to skip the
                 // shutdown of everyone else.
                 if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ks))) {
+                    break Err(payload);
+                }
+            }
+            Some((_, Fire::Deliver(target, slot))) => {
+                // A delivery to a closed channel panics as an action would.
+                let delivered = panic::catch_unwind(AssertUnwindSafe(|| ks.deliver(target, slot)));
+                if let Err(payload) = delivered {
                     break Err(payload);
                 }
             }

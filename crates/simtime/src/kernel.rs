@@ -30,49 +30,140 @@ pub(crate) type Label = u32;
 /// affects event ordering.
 pub(crate) type Shard = u32;
 
-/// What an event does when it fires. Kept `Copy`-small so queue entries are
-/// cheap to move during bucket sweeps and window merges; the boxed action
-/// closures live in the arena, referenced by slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EventPayload {
+/// What an event does when it fires, packed into one `u64` so a calendar
+/// entry is 24 B: the high half names a process or a channel, the low half
+/// a slot, and [`EventPayload::NONE`] in a half leaves it unnamed. A wake
+/// is `(pid, NONE)`, a kernel action `(NONE, arena slot)`, and a delayed
+/// channel delivery `(channel, in-flight slot)`, the channel being the
+/// kernel's index of the channel's delivery target. Boxed action closures
+/// live in the arena, delayed messages in their channel's in-flight slab.
+#[derive(Clone, Copy)]
+pub(crate) struct EventPayload(u64);
+
+/// An [`EventPayload`] unpacked: what the event loop does with it.
+#[derive(Clone, Copy)]
+pub(crate) enum Fire {
     /// Transfer control to a blocked process.
     Wake(Pid),
     /// Run the kernel action stored in the arena slot.
     Action(u32),
+    /// Move the message in a channel's in-flight slot into its queue: the
+    /// channel's index among the kernel's delivery targets, and the slot.
+    Deliver(u32, u32),
 }
 
-/// Boxed kernel action (delayed channel deliveries, timeouts, timers).
+const _: () = assert!(std::mem::size_of::<EventPayload>() == 8);
+
+impl EventPayload {
+    /// The half that names nothing; no pid, channel or slot takes it.
+    const NONE: u32 = u32::MAX;
+
+    fn pack(hi: u32, lo: u32) -> Self {
+        EventPayload(u64::from(hi) << 32 | u64::from(lo))
+    }
+
+    /// A half that names something: below [`EventPayload::NONE`].
+    fn half(i: usize) -> u32 {
+        u32::try_from(i)
+            .ok()
+            .filter(|&h| h != Self::NONE)
+            .expect("fewer than 2^32 - 1 processes, channels and slots")
+    }
+
+    pub fn wake(pid: Pid) -> Self {
+        Self::pack(Self::half(pid), Self::NONE)
+    }
+
+    pub fn action(slot: u32) -> Self {
+        Self::pack(Self::NONE, Self::half(slot as usize))
+    }
+
+    pub fn deliver(target: u32, slot: u32) -> Self {
+        Self::pack(Self::half(target as usize), Self::half(slot as usize))
+    }
+
+    pub fn fire(self) -> Fire {
+        match ((self.0 >> 32) as u32, self.0 as u32) {
+            (pid, Self::NONE) => Fire::Wake(pid as Pid),
+            (Self::NONE, slot) => Fire::Action(slot),
+            (target, slot) => Fire::Deliver(target, slot),
+        }
+    }
+}
+
+/// Boxed kernel action (timeouts, timers).
 pub(crate) type Action = Box<dyn FnOnce(&mut KState) + Send>;
 
-/// Slab of pending action closures with a free list, so steady-state
-/// scheduling reuses slots instead of growing.
-#[derive(Default)]
-pub(crate) struct ActionArena {
-    slots: Vec<Option<(Shard, Action)>>,
+/// Values parked under `u32` slots, with a free list, so steady-state
+/// traffic reuses slots instead of growing: the kernel's pending action
+/// closures, and each channel's in-flight messages.
+pub(crate) struct Slab<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
 
-impl ActionArena {
-    fn insert(&mut self, shard: Shard, f: Action) -> u32 {
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some((shard, f));
+                self.slots[i as usize] = Some(value);
                 i
             }
             None => {
-                self.slots.push(Some((shard, f)));
-                (self.slots.len() - 1) as u32
+                self.slots.push(Some(value));
+                EventPayload::half(self.slots.len() - 1)
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> (Shard, Action) {
-        let v = self.slots[slot as usize]
-            .take()
-            .expect("action slot fired twice");
+    pub fn get(&self, slot: u32) -> &T {
+        self.slots[slot as usize].as_ref().expect("a live slot")
+    }
+
+    pub fn take(&mut self, slot: u32) -> T {
+        let v = self.slots[slot as usize].take().expect("slot taken twice");
         self.free.push(slot);
         v
     }
+
+    /// Values live.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The value under `slot`, the last one live: [`Slab::take`] without
+    /// keeping the slots.
+    pub fn into_last(mut self, slot: u32) -> T {
+        debug_assert_eq!(self.live(), 1);
+        self.slots[slot as usize].take().expect("a live slot")
+    }
+
+    /// Slots ever used: the high-water mark of live values.
+    #[cfg(test)]
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// A channel's side of a delayed delivery: [`Fire::Deliver`] names one of
+/// these by its index in [`KState::targets`].
+pub(crate) trait DeliveryTarget: Send + Sync {
+    /// Moves the message in flight under `slot` into the channel's queue,
+    /// and returns the receiver to wake, if one was waiting.
+    fn deliver(&self, slot: u32) -> Option<Pid>;
+
+    /// Drops the messages kernel `kernel` still has in flight: its run is
+    /// over. A channel that has sent in a later kernel since keeps them.
+    fn abandon(&self, kernel: u64);
 }
 
 /// Deduplicating string table. Labels identify channels, resources, and
@@ -100,26 +191,67 @@ impl Interner {
     }
 }
 
-/// The label of one name under the kernel it was last needed in. Interning
-/// hashes the name, and a channel or resource has processes block on it
-/// thousands of times in a run, so each keeps one of these next to its
-/// name. Keyed by kernel because nothing ties a channel to one simulation.
-#[derive(Default)]
-pub(crate) struct CachedLabel(Option<(u64, Label)>);
+/// What a channel or resource keeps of the kernel it was last used in:
+/// its name's label there (interning hashes the name, and processes block
+/// on one channel or resource thousands of times in a run) and, for a
+/// channel, its index among that kernel's delivery targets. Keyed by
+/// kernel because nothing ties a channel to one simulation. `u64::MAX`
+/// names no kernel and [`EventPayload::NONE`] no label or target yet, so
+/// the cache is 16 bytes.
+pub(crate) struct KernelCache {
+    kernel: u64,
+    label: Label,
+    target: u32,
+}
 
-impl CachedLabel {
-    /// `name`'s label in `ks`, interned on first use there.
-    pub fn get(&mut self, ks: &mut KState, name: &str) -> Label {
-        match self.0 {
-            Some((kernel, label)) if kernel == ks.id => label,
-            _ => {
-                let label = ks.intern(name);
-                self.0 = Some((ks.id, label));
-                label
-            }
+impl Default for KernelCache {
+    fn default() -> Self {
+        KernelCache {
+            kernel: u64::MAX,
+            label: EventPayload::NONE,
+            target: EventPayload::NONE,
         }
     }
 }
+
+impl KernelCache {
+    /// The cache for kernel `ks`, emptied if it held another kernel's.
+    fn under(&mut self, ks: &KState) -> &mut Self {
+        if self.kernel != ks.id {
+            *self = KernelCache {
+                kernel: ks.id,
+                ..KernelCache::default()
+            };
+        }
+        self
+    }
+
+    /// Whether the cache holds kernel `kernel`'s values.
+    pub fn is_under(&self, kernel: u64) -> bool {
+        self.kernel == kernel
+    }
+
+    /// `name`'s label in `ks`, interned on first use there.
+    pub fn label(&mut self, ks: &mut KState, name: &str) -> Label {
+        let c = self.under(ks);
+        if c.label == EventPayload::NONE {
+            c.label = ks.intern(name);
+        }
+        c.label
+    }
+
+    /// The channel's delivery-target index in `ks`, registering `target`
+    /// on first use there.
+    pub fn target(&mut self, ks: &mut KState, target: impl FnOnce() -> Arc<dyn DeliveryTarget>) -> u32 {
+        let c = self.under(ks);
+        if c.target == EventPayload::NONE {
+            c.target = ks.add_target(target());
+        }
+        c.target
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<KernelCache>() == 16);
 
 /// Why a process is parked, stored without allocating. Rendered to the
 /// exact human-readable strings deadlock reports always used.
@@ -205,6 +337,8 @@ pub(crate) struct HeapEv {
     pub seq: u64,
     pub payload: EventPayload,
 }
+
+const _: () = assert!(std::mem::size_of::<HeapEv>() == 24);
 
 impl PartialEq for HeapEv {
     fn eq(&self, other: &Self) -> bool {
@@ -405,12 +539,15 @@ pub(crate) type Outcome = Result<Result<SimReport, SimError>, Box<dyn Any + Send
 /// uncontended; it exists to satisfy the type system and to make the
 /// handoff points explicit. It is never held across a context switch.
 pub(crate) struct KState {
-    /// Unique in this program: what a [`CachedLabel`] is good for.
+    /// Unique in this program: what a [`KernelCache`] is good for.
     pub id: u64,
     pub now: SimTime,
     pub seq: u64,
     pub queue: Queues,
-    pub actions: ActionArena,
+    pub actions: Slab<(Shard, Action)>,
+    /// The channels this kernel has delayed messages for, by the index a
+    /// [`Fire::Deliver`] names.
+    pub targets: Vec<Arc<dyn DeliveryTarget>>,
     pub labels: Interner,
     pub procs: Vec<ProcEntry>,
     pub live: usize,
@@ -444,7 +581,8 @@ impl KState {
             now: SimTime::ZERO,
             seq: 0,
             queue,
-            actions: ActionArena::default(),
+            actions: Slab::default(),
+            targets: Vec::new(),
             labels: Interner::default(),
             procs: Vec::new(),
             live: 0,
@@ -478,7 +616,7 @@ impl KState {
         debug_assert!(at >= self.now, "cannot schedule in the past");
         let seq = self.next_seq();
         let shard = self.procs[pid].shard;
-        self.queue.push(at, seq, EventPayload::Wake(pid), shard);
+        self.queue.push(at, seq, EventPayload::wake(pid), shard);
     }
 
     /// Schedules a kernel action at absolute time `at`, on the shard of the
@@ -490,26 +628,51 @@ impl KState {
         debug_assert!(at >= self.now, "cannot schedule in the past");
         let seq = self.next_seq();
         let shard = self.cur_shard;
-        let slot = self.actions.insert(shard, Box::new(f));
-        self.queue.push(at, seq, EventPayload::Action(slot), shard);
+        let slot = self.actions.insert((shard, Box::new(f)));
+        self.queue.push(at, seq, EventPayload::action(slot), shard);
+    }
+
+    /// Schedules the delivery of the message in flight under `slot` of
+    /// delivery target `target` at absolute time `at`, on the shard of the
+    /// event currently firing. Takes the next `seq`, as an action would.
+    pub fn schedule_delivery(&mut self, at: SimTime, target: u32, slot: u32) {
+        debug_assert!(at >= self.now, "cannot schedule in the past");
+        let seq = self.next_seq();
+        let shard = self.cur_shard;
+        self.queue.push(at, seq, EventPayload::deliver(target, slot), shard);
+    }
+
+    /// Registers a channel's delivery target; [`Fire::Deliver`] names it
+    /// by the index returned.
+    pub fn add_target(&mut self, target: Arc<dyn DeliveryTarget>) -> u32 {
+        self.targets.push(target);
+        EventPayload::half(self.targets.len() - 1)
+    }
+
+    /// Fires a delivery: the message joins its channel's queue and a
+    /// waiting receiver is woken now.
+    pub fn deliver(&mut self, target: u32, slot: u32) {
+        if let Some(pid) = self.targets[target as usize].deliver(slot) {
+            let now = self.now;
+            self.schedule_wake(now, pid);
+        }
     }
 
     /// Pops the next event in global `(time, seq)` order, advancing `now`
-    /// and the fired-event counter.
-    pub fn pop_event(&mut self) -> Option<(SimTime, EventPayload)> {
+    /// and the fired-event counter. A delivery leaves `cur_shard` as it
+    /// is: it only schedules a wake, which lands on the woken process's
+    /// shard.
+    pub fn pop_event(&mut self) -> Option<(SimTime, Fire)> {
         let (time, _seq, payload) = self.queue.pop()?;
         self.now = time;
         self.events_processed += 1;
-        self.cur_shard = match payload {
-            EventPayload::Wake(pid) => self.procs[pid].shard,
-            EventPayload::Action(slot) => {
-                self.actions.slots[slot as usize]
-                    .as_ref()
-                    .expect("pending action")
-                    .0
-            }
-        };
-        Some((time, payload))
+        let fire = payload.fire();
+        match fire {
+            Fire::Wake(pid) => self.cur_shard = self.procs[pid].shard,
+            Fire::Action(slot) => self.cur_shard = self.actions.get(slot).0,
+            Fire::Deliver(..) => {}
+        }
+        Some((time, fire))
     }
 
     /// Marks `pid` running because its wake fired, and counts the wake as
@@ -579,6 +742,15 @@ impl KState {
     }
 }
 
+impl Drop for KState {
+    /// Messages still in flight die with the run, as pending actions do.
+    fn drop(&mut self) {
+        for target in &self.targets {
+            target.abandon(self.id);
+        }
+    }
+}
+
 /// Shared kernel: the state, and the execution contexts — `Sim::run`'s and
 /// one per process, indexed by [`Pid`] — outside the lock, because a
 /// context is switched away from and back to with the lock released.
@@ -630,7 +802,7 @@ mod tests {
             ks.schedule_wake(SimTime::from_secs_f64(1.0), 2);
             let pops: Vec<Pid> = std::iter::from_fn(|| {
                 ks.pop_event().map(|(_, p)| match p {
-                    EventPayload::Wake(pid) => pid,
+                    Fire::Wake(pid) => pid,
                     _ => unreachable!(),
                 })
             })
@@ -688,7 +860,7 @@ mod tests {
         let times = [3.0, 1.0, 1.0, 4.0, 0.5, 2.5, 2.5, 0.5];
         for (i, &t) in times.iter().enumerate() {
             let time = SimTime::from_secs_f64(t);
-            let payload = EventPayload::Wake(i);
+            let payload = EventPayload::wake(i);
             sharded.push(time, i as u64, payload, (i % 3) as Shard);
             heap.push(HeapEv {
                 time,
@@ -711,13 +883,13 @@ mod tests {
         // Open a window, then push events inside and past it; pops must
         // still come out globally (time, seq)-sorted.
         let mut q = ShardedQueue::new(2, SimTime::from_secs(10));
-        q.push(SimTime::from_secs(1), 0, EventPayload::Wake(0), 0);
-        q.push(SimTime::from_secs(5), 1, EventPayload::Wake(1), 1);
+        q.push(SimTime::from_secs(1), 0, EventPayload::wake(0), 0);
+        q.push(SimTime::from_secs(5), 1, EventPayload::wake(1), 1);
         assert_eq!(q.pop().map(|(t, s, _)| (t, s)), Some((SimTime::from_secs(1), 0)));
         // Window is [1, 11]; these land in the intra heap / shard split.
-        q.push(SimTime::from_secs(3), 2, EventPayload::Wake(2), 0);
-        q.push(SimTime::from_secs(11), 3, EventPayload::Wake(3), 1);
-        q.push(SimTime::from_secs(20), 4, EventPayload::Wake(4), 0);
+        q.push(SimTime::from_secs(3), 2, EventPayload::wake(2), 0);
+        q.push(SimTime::from_secs(11), 3, EventPayload::wake(3), 1);
+        q.push(SimTime::from_secs(20), 4, EventPayload::wake(4), 0);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, s, _)| s)).collect();
         assert_eq!(order, vec![2, 1, 3, 4]);
     }

@@ -3,7 +3,7 @@
 //! GPU compute engines, copy engines, CPU cores, and network links.
 
 use crate::engine::SimCtx;
-use crate::kernel::{BlockReason, CachedLabel, Pid};
+use crate::kernel::{BlockReason, KernelCache, Pid};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ struct ResInner {
     available: u64,
     waiters: VecDeque<(Pid, u64)>,
     /// The resource's name as waiters' block reasons carry it.
-    label: CachedLabel,
+    label: KernelCache,
 }
 
 /// A capacity-limited resource. `acquire(n)` blocks until `n` units are
@@ -35,7 +35,7 @@ impl Resource {
                 capacity,
                 available: capacity,
                 waiters: VecDeque::new(),
-                label: CachedLabel::default(),
+                label: KernelCache::default(),
             })),
         }
     }
@@ -89,7 +89,7 @@ impl Resource {
             // The corresponding `release` deducts our units and schedules our
             // wake; on resume the grant has already been made.
             ctx.block(|ks| {
-                let label = self.inner.lock().label.get(ks, &self.name);
+                let label = self.inner.lock().label.label(ks, &self.name);
                 BlockReason::Acquire(amount, label)
             })
             .await;
