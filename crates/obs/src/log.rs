@@ -1,4 +1,4 @@
-//! The event log's storage: every event is one fixed-size [`Record`] in
+//! The event log's storage: every event is one fixed-size `Record` in
 //! an append-only arena, its attributes a span of a side arena, its
 //! names ids into tables the log interns.
 //!
@@ -391,7 +391,7 @@ impl EventLog {
 
     /// The resident events as `events.jsonl`: a meta line carrying the
     /// count, then one line per event in canonical order (see
-    /// [`crate::jsonl::each_canonical`]). An empty log writes nothing.
+    /// `jsonl::each_canonical`). An empty log writes nothing.
     pub fn write_jsonl(&self, out: &mut dyn io::Write) -> io::Result<()> {
         if self.is_empty() {
             return Ok(());
