@@ -219,8 +219,14 @@ impl<R: Rule> SpmdApp for Centers<R> {
         acc
     }
 
-    fn combine(&self, key: Key, values: Vec<ClusterPartial>) -> Vec<ClusterPartial> {
-        vec![self.reduce(DeviceClass::Cpu, key, values)]
+    fn combine_into(
+        &self,
+        _key: Key,
+        acc: &mut ClusterPartial,
+        next: ClusterPartial,
+    ) -> Option<ClusterPartial> {
+        acc.merge(&next);
+        None
     }
 
     fn inter_bytes(&self, value: &ClusterPartial) -> u64 {

@@ -145,8 +145,9 @@ impl SpmdApp for BatchFft {
         values.iter().sum()
     }
 
-    fn combine(&self, _key: Key, values: Vec<f64>) -> Vec<f64> {
-        vec![values.iter().sum()]
+    fn combine_into(&self, _key: Key, acc: &mut f64, next: f64) -> Option<f64> {
+        *acc += next;
+        None
     }
 
     fn inter_bytes(&self, _v: &f64) -> u64 {

@@ -338,8 +338,14 @@ impl SpmdApp for Gmm {
         acc
     }
 
-    fn combine(&self, key: Key, values: Vec<GmmPartial>) -> Vec<GmmPartial> {
-        vec![self.reduce(DeviceClass::Cpu, key, values)]
+    fn combine_into(
+        &self,
+        _key: Key,
+        acc: &mut GmmPartial,
+        next: GmmPartial,
+    ) -> Option<GmmPartial> {
+        acc.merge(&next);
+        None
     }
 
     fn inter_bytes(&self, value: &GmmPartial) -> u64 {

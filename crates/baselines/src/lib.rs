@@ -259,16 +259,17 @@ fn split_even(range: Range<usize>, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-fn combine_local<A: IterativeApp>(app: &A, pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
-    let mut grouped: BTreeMap<Key, Vec<A::Inter>> = BTreeMap::new();
-    for (k, v) in pairs {
-        grouped.entry(k).or_default().push(v);
-    }
-    let mut out = Vec::new();
-    for (k, vals) in grouped {
-        for v in app.combine(k, vals) {
-            out.push((k, v));
-        }
+/// Combines node-locally: the pairs stably sorted by key, each key's
+/// values folded with [`prs_core::SpmdApp::combine_into`] in list order.
+fn combine_local<A: IterativeApp>(app: &A, mut pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
+    pairs.sort_by_key(|(k, _)| *k);
+    let mut out: Vec<(Key, A::Inter)> = Vec::with_capacity(pairs.len());
+    for (key, next) in pairs {
+        let kept = match out.last_mut() {
+            Some((k, acc)) if *k == key => app.combine_into(key, acc, next),
+            _ => Some(next),
+        };
+        out.extend(kept.map(|v| (key, v)));
     }
     out
 }

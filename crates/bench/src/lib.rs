@@ -59,8 +59,8 @@ impl SpmdApp for SyntheticApp {
         self.cpu_map(node, range)
     }
     fn reduce(&self, _d: DeviceClass, _k: Key, _v: Vec<()>) {}
-    fn combine(&self, _k: Key, _v: Vec<()>) -> Vec<()> {
-        vec![()]
+    fn combine_into(&self, _k: Key, _acc: &mut (), _next: ()) -> Option<()> {
+        None
     }
     fn inter_bytes(&self, _v: &()) -> u64 {
         self.value_bytes

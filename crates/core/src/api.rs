@@ -56,23 +56,40 @@ pub trait SpmdApp: Send + Sync + 'static {
     /// a GPU reduce; apps for which that matters can branch on `device`.)
     fn reduce(&self, device: DeviceClass, key: Key, values: Vec<Self::Inter>) -> Self::Output;
 
-    /// Optional combiner, applied node-locally per device before the
-    /// shuffle (default: pass-through).
+    /// Optional combiner (paper Table 1's `combine()`), applied
+    /// node-locally per device class before the shuffle: folds `next`, a
+    /// value of `key`, into `acc`, the key's last held value. Returns
+    /// `None` when `next` is folded in, or `Some(next)` to keep `next`
+    /// beside `acc` (then `acc` is left as it was). Default: `Some(next)`,
+    /// pass-through.
     ///
-    /// The runtime folds each map block into a device class's running
-    /// partials as the block lands, and calls `combine` only on keys that
-    /// then hold more than one value. That equals combining all of the
-    /// class's pairs at once because every combiner keeps this law, bit
-    /// for bit, for any `xs` with at least one value and any `ys`:
-    ///
-    /// - `combine(k, combine(k, xs) ++ ys) == combine(k, xs ++ ys)`
-    /// - `combine(k, [v]) == [v]`
-    ///
-    /// A left fold that starts from the first value keeps it: the
-    /// default, a sum, a merge into `values[0]`. Values reach `combine` in
-    /// arrival order, earlier partials first.
-    fn combine(&self, _key: Key, values: Vec<Self::Inter>) -> Vec<Self::Inter> {
-        values
+    /// The law: the runtime combines a key's values as a left fold in
+    /// arrival order, earlier partials first, always into the last value
+    /// it kept. It folds each map block as the block lands, so what it
+    /// holds after the last block is what one fold over all of the class's
+    /// pairs gives, for any combiner.
+    fn combine_into(
+        &self,
+        _key: Key,
+        _acc: &mut Self::Inter,
+        next: Self::Inter,
+    ) -> Option<Self::Inter> {
+        Some(next)
+    }
+
+    /// The fold of [`SpmdApp::combine_into`] over `values`, in order:
+    /// pass-through returns `values` as they are, a combiner that folds
+    /// every value returns one. Derived; the runtime never calls it.
+    fn combine(&self, key: Key, values: Vec<Self::Inter>) -> Vec<Self::Inter> {
+        let mut kept: Vec<Self::Inter> = Vec::with_capacity(values.len());
+        for next in values {
+            let next = match kept.last_mut() {
+                Some(acc) => self.combine_into(key, acc, next),
+                None => Some(next),
+            };
+            kept.extend(next);
+        }
+        kept
     }
 
     /// Optional value comparator (paper Table 1's `compare()`): when
@@ -199,8 +216,9 @@ pub(crate) mod tests {
         fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<u64>) -> u64 {
             values.iter().sum()
         }
-        fn combine(&self, _key: Key, values: Vec<u64>) -> Vec<u64> {
-            vec![values.iter().sum()]
+        fn combine_into(&self, _key: Key, acc: &mut u64, next: u64) -> Option<u64> {
+            *acc += next;
+            None
         }
     }
 

@@ -355,45 +355,34 @@ fn bucket_runs<V>(arrived: Vec<ShuffleItem<V>>) -> impl Iterator<Item = (Key, Ve
 /// Folds one landed map block into a device class's running partials,
 /// which stay sorted by key ("sorted in memory" like the paper's
 /// intermediates). The block is sorted stably by key and merged after the
-/// partials — on a tie the partials come first — and the combiner runs
-/// only on the keys the block adds a value to that then hold more than
-/// one. A held run the block does not touch is already combined (the law
-/// with `ys = []`), so it moves through as it is. By the combiner law
-/// ([`SpmdApp::combine`]) the partials after the last block are what
-/// combining all the class's pairs at once, in arrival order, gives.
+/// partials — on a tie the partials come first. With `combine`, a block
+/// value whose key the partials already hold goes to
+/// [`SpmdApp::combine_into`] with the last value kept for that key; held
+/// partials move through as they are, already folded. So the partials
+/// after the last block are the left fold of each key's values in
+/// arrival order, and without `combine`, the class's pairs stably sorted
+/// by key.
 fn fold_block<A: SpmdApp>(
     app: &A,
+    combine: bool,
     partials: &mut Vec<(Key, A::Inter)>,
     mut block: Vec<(Key, A::Inter)>,
 ) {
     block.sort_by_key(|(k, _)| *k);
     let capacity = partials.len().max(block.len());
     let held = std::mem::replace(partials, Vec::with_capacity(capacity));
-    let (mut held, mut block) = (held.into_iter(), block.into_iter());
-    // How many of the pairs left in `rest` lead with `key`.
-    let lead = |rest: &[(Key, A::Inter)], key: Key| {
-        rest.iter().take_while(|(k, _)| *k == key).count()
-    };
-    loop {
-        // The smaller head of the two; the partials' on a tie.
-        let next = match (held.as_slice().first(), block.as_slice().first()) {
-            (Some((h, _)), Some((b, _))) if b < h => block.next(),
-            (Some(_), _) => held.next(),
-            (None, _) => block.next(),
-        };
-        let Some((key, first)) = next else { break };
-        let (more_held, more_block) = (lead(held.as_slice(), key), lead(block.as_slice(), key));
-        if more_block == 0 {
-            partials.push((key, first));
-            partials.extend(held.by_ref().take(more_held));
-            continue;
+    let mut held = held.into_iter().peekable();
+    for (key, next) in block {
+        while let Some(pair) = held.next_if(|(k, _)| *k <= key) {
+            partials.push(pair);
         }
-        let mut values = Vec::with_capacity(1 + more_held + more_block);
-        values.push(first);
-        values.extend(held.by_ref().take(more_held).map(|(_, v)| v));
-        values.extend(block.by_ref().take(more_block).map(|(_, v)| v));
-        partials.extend(app.combine(key, values).into_iter().map(|v| (key, v)));
+        let kept = match partials.last_mut() {
+            Some((k, acc)) if combine && *k == key => app.combine_into(key, acc, next),
+            _ => Some(next),
+        };
+        partials.extend(kept.map(|v| (key, v)));
     }
+    partials.extend(held);
 }
 
 /// Which of a node's two task queues.
@@ -515,10 +504,10 @@ struct Split {
     decision: Option<DecisionId>,
 }
 
-/// One device class's share of a map stage: the pairs it emitted — its
-/// running partials when the combiner is on — and when its last block
-/// landed (the observed per-device map completion time of the decision
-/// audit).
+/// One device class's share of a map stage: the pairs it emitted, as its
+/// running partials (sorted by key, combined when the combiner is on),
+/// and when its last block landed (the observed per-device map
+/// completion time of the decision audit).
 struct Side<I> {
     pairs: Vec<(Key, I)>,
     last_end: Option<SimTime>,
@@ -1103,10 +1092,9 @@ impl<A: SpmdApp> Worker<A> {
 
     /// Collects map results until every dispatched copy — primary or
     /// backup — has reported exactly one `Map` or `Cancelled`, firing the
-    /// backup volley if `volley_at` passes with primaries still out. With
-    /// the combiner on, each winning block is folded into its class's
-    /// partials as it lands ([`fold_block`]); off, its pairs are appended
-    /// in arrival order.
+    /// backup volley if `volley_at` passes with primaries still out. Each
+    /// winning block is folded into its class's partials as it lands
+    /// ([`fold_block`]), combined only when the combiner is on.
     async fn drain_map(
         &mut self,
         ctx: &SimCtx,
@@ -1146,11 +1134,8 @@ impl<A: SpmdApp> Worker<A> {
                         self.outstanding.remove(&id);
                         self.report.map_tasks[device as usize] += 1;
                         let side = &mut mapped[device as usize];
-                        if self.job.config.use_combiner {
-                            fold_block(self.job.app.as_ref(), &mut side.pairs, pairs);
-                        } else {
-                            side.pairs.extend(pairs);
-                        }
+                        let combine = self.job.config.use_combiner;
+                        fold_block(self.job.app.as_ref(), combine, &mut side.pairs, pairs);
                         side.last_end = Some(ctx.now());
                         if speculative {
                             self.recover(ctx, RecoveryAction::SpecWin { task: id });
@@ -1444,10 +1429,10 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// Groups pairs by key and applies the combiner once per key, over
-    /// the whole list: what the map stage did before it folded each block
-    /// as it landed, and the oracle [`fold_block`] is held to. The sort is
-    /// stable, so each key's values reach the combiner in list order.
+    /// Groups pairs by key and folds each key's values with the
+    /// combiner's `Vec` form ([`SpmdApp::combine`]), over the whole list:
+    /// the oracle [`fold_block`] is held to. The sort is stable, so each
+    /// key's values reach the combiner in list order.
     fn combine_pairs<A: SpmdApp>(app: &A, mut pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, A::Inter)> {
         pairs.sort_by_key(|(k, _)| *k);
         key_runs(pairs)
@@ -1465,11 +1450,11 @@ mod tests {
         grouped.into_iter().collect()
     }
 
-    /// Records every `combine` call — key and values in the order given —
-    /// and answers with a prefix of them, so the output's order shows too.
+    /// [`Lawful`], recording every `combine_into` call — key, held value
+    /// and next value — in the order made.
     #[derive(Default)]
     struct Recorder {
-        calls: Mutex<Vec<(Key, Vec<u32>)>>,
+        calls: Mutex<Vec<(Key, u32, u32)>>,
     }
 
     impl SpmdApp for Recorder {
@@ -1493,18 +1478,17 @@ mod tests {
         fn reduce(&self, _d: DeviceClass, _key: Key, _values: Vec<u32>) -> u32 {
             0
         }
-        fn combine(&self, key: Key, values: Vec<u32>) -> Vec<u32> {
-            self.calls.lock().push((key, values.clone()));
-            let keep = (key as usize % 3).min(values.len());
-            values[..keep].to_vec()
+        fn combine_into(&self, key: Key, acc: &mut u32, next: u32) -> Option<u32> {
+            self.calls.lock().push((key, *acc, next));
+            Lawful.combine_into(key, acc, next)
         }
     }
 
-    /// Three combiners that keep the combiner law ([`SpmdApp::combine`]),
-    /// chosen by key: `key % 3 == 0` passes its values through (the
-    /// default), `1` sums them, `2` keeps the first two. Passing through
-    /// and keeping a prefix show any reordering inside a key; keeping two
-    /// leaves a key more than one value.
+    /// Three pairwise combiners, chosen by key: `key % 3 == 0` passes its
+    /// values through (the default), `1` sums them, wrapping, and `2`
+    /// keeps `next` beside `acc` when their parities differ and drops it
+    /// otherwise. Passing through and keeping some values show any
+    /// reordering inside a key, and leave a key more than one value.
     struct Lawful;
 
     impl SpmdApp for Lawful {
@@ -1528,14 +1512,14 @@ mod tests {
         fn reduce(&self, _d: DeviceClass, _key: Key, _values: Vec<u32>) -> u32 {
             0
         }
-        fn combine(&self, key: Key, mut values: Vec<u32>) -> Vec<u32> {
+        fn combine_into(&self, key: Key, acc: &mut u32, next: u32) -> Option<u32> {
             match key % 3 {
-                0 => values,
-                1 => vec![values.iter().fold(0u32, |a, v| a.wrapping_add(*v))],
-                _ => {
-                    values.truncate(2);
-                    values
+                0 => Some(next),
+                1 => {
+                    *acc = acc.wrapping_add(next);
+                    None
                 }
+                _ => (*acc % 2 != next % 2).then_some(next),
             }
         }
     }
@@ -1647,7 +1631,7 @@ mod tests {
         }
     }
 
-    /// The trait's default combiner, counting its calls.
+    /// The trait's default combiner, counting its `combine_into` calls.
     #[derive(Default)]
     struct PassThrough {
         calls: Mutex<usize>,
@@ -1674,10 +1658,29 @@ mod tests {
         fn reduce(&self, _d: DeviceClass, _key: Key, _values: Vec<u32>) -> u32 {
             0
         }
-        fn combine(&self, _key: Key, values: Vec<u32>) -> Vec<u32> {
+        fn combine_into(&self, _key: Key, _acc: &mut u32, next: u32) -> Option<u32> {
             *self.calls.lock() += 1;
-            values
+            Some(next)
         }
+    }
+
+    /// `pairs` cut into blocks at the sorted `cuts` and folded in list
+    /// order into empty partials.
+    fn fold_blocks<A: SpmdApp<Inter = u32>>(
+        app: &A,
+        combine: bool,
+        pairs: &[(Key, u32)],
+        cuts: Vec<usize>,
+    ) -> Vec<(Key, u32)> {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
+        cuts.sort_unstable();
+        cuts.push(pairs.len());
+        let (mut partials, mut start) = (Vec::new(), 0);
+        for cut in cuts {
+            fold_block(app, combine, &mut partials, pairs[start..cut].to_vec());
+            start = cut;
+        }
+        partials
     }
 
     #[test]
@@ -1687,11 +1690,11 @@ mod tests {
         // The first block leaves key 1 a run of two values; no later block
         // adds to it.
         for block in [vec![(1, 10), (1, 11)], vec![(2, 20)], vec![(3, 30)], vec![(0, 0)]] {
-            fold_block(&app, &mut partials, block);
+            fold_block(&app, true, &mut partials, block);
         }
         assert_eq!(partials, [(0, 0), (1, 10), (1, 11), (2, 20), (3, 30)]);
         assert_eq!(*app.calls.lock(), 1, "only the block that made the run combines it");
-        fold_block(&app, &mut partials, vec![(1, 12)]);
+        fold_block(&app, true, &mut partials, vec![(1, 12)]);
         assert_eq!(*app.calls.lock(), 2, "a block that adds to the run combines it");
         assert_eq!(partials[1..4], [(1, 10), (1, 11), (1, 12)]);
     }
@@ -1714,16 +1717,21 @@ mod tests {
             pairs in arb_pairs(),
             cuts in vec(0usize..300, 0..12),
         ) {
-            // Blocks cut at the sorted cut points, folded in list order.
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(pairs.len())).collect();
-            cuts.sort_unstable();
-            cuts.push(pairs.len());
-            let (mut partials, mut start) = (Vec::new(), 0);
-            for cut in cuts {
-                fold_block(&Lawful, &mut partials, pairs[start..cut].to_vec());
-                start = cut;
-            }
+            let partials = fold_blocks(&Lawful, true, &pairs, cuts);
             prop_assert_eq!(partials, combine_pairs(&Lawful, pairs));
+        }
+
+        #[test]
+        fn folding_without_the_combiner_is_a_stable_sort_by_key(
+            pairs in arb_pairs(),
+            cuts in vec(0usize..300, 0..12),
+        ) {
+            let app = Recorder::default();
+            let partials = fold_blocks(&app, false, &pairs, cuts);
+            let mut sorted = pairs;
+            sorted.sort_by_key(|(k, _)| *k);
+            prop_assert_eq!(partials, sorted);
+            prop_assert!(app.calls.lock().is_empty(), "the combiner is never called");
         }
 
         #[test]

@@ -115,12 +115,12 @@ impl SpmdApp for HistApp {
             v.iter().sum()
         }
     }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
+    fn combine_into(&self, _k: Key, acc: &mut u64, next: u64) -> Option<u64> {
         if self.ordered {
-            v
-        } else {
-            vec![v.iter().sum()]
+            return Some(next);
         }
+        *acc += next;
+        None
     }
     fn compare(&self, a: &u64, b: &u64) -> Option<Ordering> {
         self.ordered.then(|| a.cmp(b))
@@ -195,8 +195,9 @@ impl SpmdApp for ChainApp {
     fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
         v.iter().fold(0u64, |a, b| a.wrapping_add(*b))
     }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().fold(0u64, |a, b| a.wrapping_add(*b))]
+    fn combine_into(&self, _k: Key, acc: &mut u64, next: u64) -> Option<u64> {
+        *acc = acc.wrapping_add(next);
+        None
     }
 }
 

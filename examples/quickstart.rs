@@ -56,8 +56,9 @@ impl SpmdApp for ByteHistogram {
         values.iter().sum()
     }
 
-    fn combine(&self, _key: Key, values: Vec<u64>) -> Vec<u64> {
-        vec![values.iter().sum()]
+    fn combine_into(&self, _key: Key, acc: &mut u64, next: u64) -> Option<u64> {
+        *acc += next;
+        None
     }
 }
 

@@ -43,8 +43,9 @@ impl SpmdApp for Balanced {
     fn reduce(&self, _d: DeviceClass, _k: Key, v: Vec<u64>) -> u64 {
         v.iter().sum()
     }
-    fn combine(&self, _k: Key, v: Vec<u64>) -> Vec<u64> {
-        vec![v.iter().sum()]
+    fn combine_into(&self, _k: Key, acc: &mut u64, next: u64) -> Option<u64> {
+        *acc += next;
+        None
     }
 }
 

@@ -47,7 +47,7 @@ impl Drop for Counted {
 }
 
 /// Every block emits one value for each of `keys` keys: how many items
-/// it mapped. The combiner adds into its first value, making none.
+/// it mapped. The combiner adds into the held value, making none.
 struct EveryKey {
     n: usize,
     keys: u64,
@@ -77,15 +77,9 @@ impl SpmdApp for EveryKey {
     fn reduce(&self, _d: DeviceClass, _key: Key, values: Vec<Counted>) -> u64 {
         values.iter().map(|c| c.0).sum()
     }
-    fn combine(&self, _key: Key, values: Vec<Counted>) -> Vec<Counted> {
-        let mut values = values.into_iter();
-        let Some(mut acc) = values.next() else {
-            return Vec::new();
-        };
-        for v in values {
-            acc.0 += v.0;
-        }
-        vec![acc]
+    fn combine_into(&self, _key: Key, acc: &mut Counted, next: Counted) -> Option<Counted> {
+        acc.0 += next.0;
+        None
     }
 }
 
