@@ -57,17 +57,12 @@ pub trait SpmdApp: Send + Sync + 'static {
     fn reduce(&self, device: DeviceClass, key: Key, values: Vec<Self::Inter>) -> Self::Output;
 
     /// Optional combiner (paper Table 1's `combine()`), applied
-    /// node-locally per device class before the shuffle: folds `next`, a
-    /// value of `key`, into `acc`, the key's last held value. Returns
-    /// `None` when `next` is folded in, or `Some(next)` to keep `next`
-    /// beside `acc` (then `acc` is left as it was). Default: `Some(next)`,
-    /// pass-through.
+    /// node-locally per device class before the shuffle: folds `next`
+    /// into `acc`, the last value kept for `key`, and returns `None`, or
+    /// returns `Some(next)` to keep `next` beside an untouched `acc`.
+    /// Default: `Some(next)`, pass-through.
     ///
-    /// The law: the runtime combines a key's values as a left fold in
-    /// arrival order, earlier partials first, always into the last value
-    /// it kept. It folds each map block as the block lands, so what it
-    /// holds after the last block is what one fold over all of the class's
-    /// pairs gives, for any combiner.
+    /// The law: a left fold in arrival order.
     fn combine_into(
         &self,
         _key: Key,

@@ -64,7 +64,10 @@ pub struct JobConfig {
     /// GPU blocks a sub-partition is cut into (≥ streams to keep the
     /// pipeline full).
     pub gpu_blocks_per_partition: usize,
-    /// Apply the app's combiner before the shuffle.
+    /// Fold each key's map values with the app's combiner
+    /// ([`crate::api::SpmdApp::combine_into`]) as each block lands, before
+    /// the shuffle. Off, the blocks are merged into key order all the
+    /// same, and the combiner is never called.
     pub use_combiner: bool,
     /// Device class that runs reduce tasks.
     pub reduce_device: DeviceClass,
