@@ -445,8 +445,9 @@ fn recorded_run_feeds_the_postmortem_reader() {
 #[test]
 fn membership_run_writes_audited_decisions() {
     // A drain plan through the real binary, for every checkpointable app:
-    // the run succeeds, reports the elastic epoch count, and the --obs
-    // bundle's decision audit carries the membership scale lines.
+    // the run succeeds, reports the elastic epoch count, the --obs
+    // bundle's decision audit carries the membership scale lines, and
+    // `top` replays the cluster size. The autoscaler runs too.
     for app in catalog::names(Some(DriverClass::Checkpointable)) {
         let dir = tmp_dir(&format!("membership-{app}"));
         let plan = dir.join("plan.toml");
@@ -470,6 +471,14 @@ fn membership_run_writes_audited_decisions() {
             metrics.contains("prs_membership_total"),
             "{app}: membership counters missing from metrics.prom"
         );
+        let top = prs(&["top", d, "--snapshot", "0.2"]);
+        assert_eq!(top.status.code(), Some(0), "{app}: {}", String::from_utf8_lossy(&top.stderr));
+        let top = String::from_utf8_lossy(&top.stdout);
+        assert!(top.contains("cluster size:"), "{app}: top snapshot lacks the cluster size:\n{top}");
+        let auto = prs(&[
+            "run", "--app", app, "--nodes", "2", "--points", "20000", "--iterations", "4", "--autoscale",
+        ]);
+        assert_eq!(auto.status.code(), Some(0), "{app} --autoscale: {}", String::from_utf8_lossy(&auto.stderr));
         // A malformed plan is a usage error, caught before any run starts.
         std::fs::write(&plan, "[[drain]]\nnode = 1\nwhen = 0.5\n").expect("rewrite plan");
         let bad = prs(&["run", "--app", app, "--membership", plan.to_str().expect("utf-8 plan path")]);
@@ -531,14 +540,21 @@ fn end_to_end_run_then_watch_succeeds() {
     ] {
         assert!(dir.join(artifact).is_file(), "{artifact} missing from the bundle");
     }
+    for artifact in ["stacks.jsonl", "profile.folded", "profile.json"] {
+        let len = std::fs::metadata(dir.join(artifact)).map_or(0, |m| m.len());
+        assert!(len > 0, "{artifact} is empty");
+    }
     // The profiler and the differ both accept the bundle they just wrote.
-    let profile = prs(&["profile", d]);
-    assert_eq!(
-        profile.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&profile.stderr)
-    );
+    for args in [&["profile", d][..], &["profile", d, "--folded"]] {
+        let profile = prs(args);
+        assert_eq!(
+            profile.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&profile.stderr)
+        );
+        assert!(!profile.stdout.is_empty(), "prs {args:?} printed nothing");
+    }
     let selfdiff = prs(&["diff", d, d]);
     assert_eq!(
         selfdiff.status.code(),
@@ -546,7 +562,8 @@ fn end_to_end_run_then_watch_succeeds() {
         "{}",
         String::from_utf8_lossy(&selfdiff.stderr)
     );
-    assert!(dir.join("diff.json").is_file(), "diff.json written into the candidate bundle");
+    let diff = std::fs::read_to_string(dir.join("diff.json")).expect("diff.json written into the candidate bundle");
+    assert!(diff.contains("\"schema\": \"prs-diff-v1\""), "diff.json schema:\n{diff}");
     let watchdog = prs(&["watch", d]);
     assert_eq!(
         watchdog.status.code(),
@@ -1071,6 +1088,7 @@ fn a_file_argument_names_its_bundle() {
             vec!["metrics", "--dir", b],
             vec!["advise", "--from-trace", b],
             vec!["calibrate", "--from-trace", b, "--out", cal],
+            vec!["top", b, "--snapshot", "0.05"],
         ]
         .iter()
         .map(|c| c.iter().map(|s| s.to_string()).collect())
@@ -1091,6 +1109,15 @@ fn a_file_argument_names_its_bundle() {
         (cols.len() == 7 && cols[2].ends_with('%')).then(|| cols[6].parse::<f64>().ok())?
     });
     assert!(mispredict.fold(0.0, f64::max) > 0.0, "no misprediction in the replay:\n{top}");
+    // The trace links sends to receives with flow arrows, and the rollup
+    // reaches the metrics.
+    let read = |file: &str| std::fs::read_to_string(dir.join(file)).expect("bundle file");
+    let trace = read("trace.json");
+    for arrow in ["\"ph\": \"s\"", "\"ph\": \"f\""] {
+        assert!(trace.contains(arrow), "trace.json has no {arrow} flow event");
+    }
+    assert!(!read("rollup.jsonl").is_empty(), "rollup.jsonl is empty");
+    assert!(read("metrics.prom").contains("prs_rollup_device_util_mean"), "no rollup gauge");
     for file in ["events.jsonl", "decisions.jsonl"] {
         let f = dir.join(file);
         let f = f.to_str().expect("utf-8 temp path");
@@ -1170,3 +1197,68 @@ fn postmortem_without_incidents_takes_any_capture_meta_line() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Record with `--calibrate online`, analyze, fit a profile with
+/// `prs calibrate`, and feed the fitted file back to `run` and `advise`.
+#[test]
+fn online_calibration_round_trips_through_a_profile_file() {
+    let dir = tmp_dir("calibrate-round-trip");
+    let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    let (obs, fitted) = (at("obs"), at("fitted.toml"));
+    let run = ["run", "--app", "cmeans", "--nodes", "2", "--points", "20000"];
+    for cmd in [
+        [&run[..], &["--iterations", "4", "--calibrate", "online", "--obs", &obs]].concat(),
+        vec!["analyze", &obs],
+        vec!["calibrate", "--from-trace", &obs, "-o", &fitted],
+        [&run[..], &["--iterations", "2", "--profile-file", &fitted]].concat(),
+        vec!["advise", "--ai", "500", "--residency", "resident", "--profile-file", &fitted],
+    ] {
+        let out = prs(&cmd);
+        assert_eq!(out.status.code(), Some(0), "prs {cmd:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    for file in ["obs/report.json", "obs/critical_path.json", "fitted.toml"] {
+        let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+        assert!(len > 0, "{file} missing or empty");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `prs chaos`'s default grids at seed 7 (32 trials scored by the
+/// watchdog, 16 churn trials) under the calendar and the parallel
+/// engine: every invariant holds, speculation reconciles, the watchdog
+/// meets its floors without alerting on a fault-free trial, and each
+/// report is byte for byte the one `epoch_pins::{chaos_grid,
+/// churn_grid}` pins for the in-process grid.
+#[test]
+fn chaos_grids_pass_and_hold_their_pins_under_both_engines() {
+    for engine in ["calendar", "parallel"] {
+        let dir = tmp_dir(&format!("grids-{engine}"));
+        let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+        let (chaos, score, churn) = (at("chaos.json"), at("watch.json"), at("churn.json"));
+        let grid = ["chaos", "--seed", "7", "--engine", engine];
+        for cmd in [
+            [&grid[..], &["--trials", "32", "--score-watch", "--out", &chaos, "--watch-out", &score]].concat(),
+            [&grid[..], &["--churn", "--trials", "16", "--out", &churn]].concat(),
+        ] {
+            let out = prs(&cmd);
+            assert_eq!(out.status.code(), Some(0), "prs {cmd:?}: {}", String::from_utf8_lossy(&out.stderr));
+        }
+        let read = |path: &str| std::fs::read_to_string(path).expect("report written");
+        let (chaos, score, churn) = (read(&chaos), read(&score), read(&churn));
+        for (doc, line) in [
+            (&chaos, "\"all_passed\": true"),
+            (&chaos, "\"speculation_reconciles\": true"),
+            (&churn, "\"all_passed\": true"),
+            (&score, "\"meets_floors\": true"),
+            (&score, "\"fault_free_alerts\": 0"),
+        ] {
+            assert!(doc.contains(line), "{engine}: a report lacks {line}");
+        }
+        assert_eq!([fnv1a(chaos.as_bytes()), fnv1a(churn.as_bytes())], GRID_PINS, "{engine}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `chaos_report.json` and `churn_report.json` at the defaults: the
+/// values of `epoch_pins`' `CHAOS_REPORT` and `CHURN_REPORT`.
+const GRID_PINS: [u64; 2] = [0x72a9c3573b0b15b3, 0xd881d89ba027dcc0];

@@ -30,6 +30,7 @@
 //! iteration from the running fit) lives in `prs-core`, built on
 //! [`CalibrationProfile`].
 
+#![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod calibrate;

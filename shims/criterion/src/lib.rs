@@ -8,13 +8,8 @@
 //! exercise the bench code paths and give a rough number offline.
 
 use std::fmt;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::Instant;
-
-/// Re-export so `criterion::black_box` keeps working.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// Identifier for a bench case.
 #[derive(Debug, Clone)]
@@ -51,10 +46,10 @@ pub struct Bencher {
 impl Bencher {
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         // One warmup pass, then timed passes.
-        std_black_box(f());
+        black_box(f());
         let start = Instant::now();
         for _ in 0..self.iters {
-            std_black_box(f());
+            black_box(f());
         }
         self.last_mean_ns = start.elapsed().as_nanos() as f64 / self.iters as f64;
     }
@@ -72,7 +67,6 @@ fn report(label: &str, mean_ns: f64, throughput: Option<&Throughput>) {
     };
     let rate = match throughput {
         Some(Throughput::Elements(n)) => format!("  {:>8.3} Melem/s", *n as f64 * 1e3 / mean_ns),
-        Some(Throughput::Bytes(n)) => format!("  {:>8.3} MB/s", *n as f64 * 1e3 / mean_ns),
         None => String::new(),
     };
     println!("bench: {label:<48} {value:>10.3} {unit}{rate}");
@@ -146,7 +140,6 @@ impl<'a> BenchmarkGroup<'a> {
 /// as a rate after the mean time.
 #[derive(Debug, Clone)]
 pub enum Throughput {
-    Bytes(u64),
     Elements(u64),
 }
 

@@ -2,15 +2,12 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the small API surface it actually uses: non-poisoning
-//! [`Mutex`] / [`RwLock`] guards and a [`Condvar`] whose `wait` takes a
-//! `&mut MutexGuard` (parking_lot style) instead of consuming the guard
-//! (std style). Poisoned std locks are recovered transparently, matching
-//! parking_lot's "no poisoning" semantics.
+//! [`Mutex`] / [`RwLock`] guards. Poisoned std locks are recovered
+//! transparently, matching parking_lot's "no poisoning" semantics.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Duration;
 
 /// A mutual-exclusion primitive (non-poisoning wrapper over `std::sync::Mutex`).
 pub struct Mutex<T: ?Sized> {
@@ -18,11 +15,8 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// The inner `Option` is only ever `None` transiently inside
-/// [`Condvar::wait`], which must take the std guard by value.
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -40,22 +34,8 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -67,102 +47,26 @@ impl<T: Default> Default for Mutex<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
+        fmt::Debug::fmt(&self.inner, f)
     }
 }
 
 impl<'a, T: ?Sized> Deref for MutexGuard<'a, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during condvar wait")
+        &self.inner
     }
 }
 
 impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during condvar wait")
+        &mut self.inner
     }
 }
 
 impl<'a, T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'a, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<'a, T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'a, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&**self, f)
-    }
-}
-
-impl<'a, T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'a, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<'a, T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'a, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Condition variable compatible with [`Mutex`]; `wait` re-acquires the
-/// lock into the same guard slot rather than consuming the guard.
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Self {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard already taken");
-        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-    }
-
-    /// Returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let g = guard.inner.take().expect("guard already taken");
-        let (g, res) = self
-            .inner
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(g);
-        res.timed_out()
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        // std does not report the number of woken threads; callers in this
-        // workspace ignore the return value.
-        0
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad("Condvar { .. }")
     }
 }
 
@@ -185,10 +89,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -202,22 +102,6 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
     }
 }
 
@@ -244,8 +128,6 @@ impl<'a, T: ?Sized> DerefMut for RwLockWriteGuard<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn mutex_basic() {
@@ -253,25 +135,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let h = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut flag = m.lock();
-            while !*flag {
-                cv.wait(&mut flag);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        h.join().unwrap();
     }
 
     #[test]

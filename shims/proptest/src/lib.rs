@@ -112,18 +112,6 @@ pub mod strategy {
             FlatMap { inner: self, f }
         }
 
-        fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-        where
-            Self: Sized,
-            F: Fn(&Self::Value) -> bool,
-        {
-            Filter {
-                inner: self,
-                f,
-                whence,
-            }
-        }
-
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -137,13 +125,6 @@ pub mod strategy {
     impl<T> Strategy for Box<dyn Strategy<Value = T>> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
-            (**self).generate(rng)
-        }
-    }
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
             (**self).generate(rng)
         }
     }
@@ -180,25 +161,6 @@ pub mod strategy {
         type Value = S2::Value;
         fn generate(&self, rng: &mut TestRng) -> S2::Value {
             (self.f)(self.inner.generate(rng)).generate(rng)
-        }
-    }
-
-    pub struct Filter<S, F> {
-        pub(crate) inner: S,
-        pub(crate) f: F,
-        pub(crate) whence: &'static str,
-    }
-
-    impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
-            for _ in 0..1000 {
-                let v = self.inner.generate(rng);
-                if (self.f)(&v) {
-                    return v;
-                }
-            }
-            panic!("prop_filter {:?} rejected 1000 candidates", self.whence);
         }
     }
 
@@ -343,14 +305,6 @@ impl ArbitraryValue for bool {
     }
 }
 
-impl ArbitraryValue for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        // Finite, moderate-magnitude values: good test fodder without NaN
-        // poisoning arithmetic-heavy properties.
-        (rng.unit_f64() - 0.5) * 2e6
-    }
-}
-
 impl<T: ArbitraryValue> Strategy for strategy::Any<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
@@ -438,7 +392,7 @@ pub mod prelude {
     pub use crate::collection;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestCaseResult};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Runs one property: `cases` iterations with a deterministic RNG seeded
@@ -562,30 +516,6 @@ macro_rules! prop_assert_eq {
         let (l, r) = (&$left, &$right);
         $crate::prop_assert!(*l == *r, $($fmt)+);
     }};
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{} != {}`\n  both: {:?}",
-            stringify!($left), stringify!($right), l
-        );
-    }};
-}
-
-/// Discards don't exist in the shim runner; a failed assumption just
-/// passes the case (the strategies in this workspace don't rely on
-/// assumption-driven filtering for coverage).
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr) => {
-        if !$cond {
-            return Ok(());
-        }
-    };
 }
 
 #[cfg(test)]

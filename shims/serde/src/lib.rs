@@ -289,12 +289,6 @@ impl Serialize for Value {
     }
 }
 
-impl Serialize for () {
-    fn to_json(&self) -> Value {
-        Value::Null
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_json(&self) -> Value {
         (**self).to_json()
@@ -316,12 +310,6 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_json).collect())
@@ -334,25 +322,8 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     }
 }
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
 impl<K: fmt::Display, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_json(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: fmt::Display, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_json(&self) -> Value {
-        // Route through BTreeMap for deterministic key order.
         Value::Object(
             self.iter()
                 .map(|(k, v)| (k.to_string(), v.to_json()))
