@@ -43,6 +43,15 @@ fast() {
         fail "a suite under tests/ defines a test-kit item again (use prs_suite's)"
     fi
 
+    # Membership plans, SLO rules and fitted profiles share one reader,
+    # crates/insight/src/toml.rs; a `key = value` split or a comment cut
+    # anywhere else is a second grammar growing back.
+    step "one TOML reader"
+    if grep -rnE "split_once\('='\)|strip_comment|(find|split|split_once)\('#'\)|'#' *(if|=>)" \
+        crates/*/src | grep -v '^crates/insight/src/toml\.rs:'; then
+        fail "TOML-style parsing outside crates/insight/src/toml.rs (use insight::toml)"
+    fi
+
     step "ci.yml runs only this script"
     if grep -nE '^[[:space:]]*(- )?run:' .github/workflows/ci.yml \
         | grep -vE 'run: ci/check\.sh (fast|full)$'; then

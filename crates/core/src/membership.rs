@@ -284,7 +284,8 @@ impl MembershipPlan {
         Ok(())
     }
 
-    /// Parses the membership plan TOML format (see `docs/elasticity.md`):
+    /// Parses the membership plan TOML format (grammar: [`insight::toml`];
+    /// keys: `docs/elasticity.md`):
     ///
     /// ```toml
     /// seed = 7
@@ -300,85 +301,34 @@ impl MembershipPlan {
     /// at_s = 0.6
     /// ```
     pub fn from_toml(text: &str) -> Result<MembershipPlan, String> {
-        enum Section {
-            Top,
-            ScaleOut,
-            Drain,
-            Evict,
-        }
         let mut plan = MembershipPlan::default();
-        let mut section = Section::Top;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = match raw.find('#') {
-                Some(p) => &raw[..p],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            match line {
-                "[[scale_out]]" => {
-                    plan.scale_outs.push(ScaleOut {
-                        count: 1,
-                        at_secs: 0.0,
-                    });
-                    section = Section::ScaleOut;
-                    continue;
-                }
-                "[[drain]]" => {
-                    plan.drains.push(Drain {
-                        node: 0,
-                        at_secs: 0.0,
-                        deadline_secs: 0.0,
-                    });
-                    section = Section::Drain;
-                    continue;
-                }
-                "[[evict]]" => {
-                    plan.evicts.push(Evict {
-                        node: 0,
-                        at_secs: 0.0,
-                    });
-                    section = Section::Evict;
-                    continue;
-                }
-                _ if line.starts_with('[') => {
-                    return Err(format!("line {lineno}: unknown section `{line}`"));
-                }
-                _ => {}
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-            let key = k.trim();
-            let num: f64 = v
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {lineno}: `{key}` wants a number"))?;
-            let unsigned = |n: f64| -> Result<usize, String> {
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("line {lineno}: `{key}` wants a non-negative integer"));
-                }
-                Ok(n as usize)
+        for table in insight::toml::parse(text)? {
+            let keys: &[&str] = match (table.array, table.name.as_str()) {
+                (false, "") => &["seed"],
+                (true, "scale_out") => &["count", "at_s"],
+                (true, "drain") => &["node", "at_s", "deadline_s"],
+                (true, "evict") => &["node", "at_s"],
+                _ => return Err(table.unknown()),
             };
-            match (&section, key) {
-                (Section::Top, "seed") => plan.seed = unsigned(num)? as u64,
-                (Section::ScaleOut, "count") => {
-                    plan.scale_outs.last_mut().unwrap().count = unsigned(num)?;
+            for e in &table.entries {
+                e.num()?;
+                if !keys.contains(&e.key.as_str()) {
+                    return Err(e.error("is not a key of this section"));
                 }
-                (Section::ScaleOut, "at_s") => {
-                    plan.scale_outs.last_mut().unwrap().at_secs = num;
-                }
-                (Section::Drain, "node") => plan.drains.last_mut().unwrap().node = unsigned(num)?,
-                (Section::Drain, "at_s") => plan.drains.last_mut().unwrap().at_secs = num,
-                (Section::Drain, "deadline_s") => {
-                    plan.drains.last_mut().unwrap().deadline_secs = num;
-                }
-                (Section::Evict, "node") => plan.evicts.last_mut().unwrap().node = unsigned(num)?,
-                (Section::Evict, "at_s") => plan.evicts.last_mut().unwrap().at_secs = num,
-                _ => return Err(format!("line {lineno}: unknown key `{key}` in this section")),
+            }
+            // A key the table does not set reads as its default.
+            let num = |key: &str| table.get(key).map_or(Ok(0.0), |e| e.num());
+            let index = |key: &str, default: usize| match table.get(key) {
+                Ok(e) => insight::toml::whole(e.num()?, usize::MAX as u64)
+                    .map(|n| n as usize)
+                    .ok_or_else(|| e.error("wants a whole number from 0 to 2^64")),
+                Err(_) => Ok(default),
+            };
+            match table.name.as_str() {
+                "" => plan.seed = index("seed", 0)? as u64,
+                "scale_out" => plan = plan.scale_out(index("count", 1)?, num("at_s")?),
+                "drain" => plan = plan.drain(index("node", 0)?, num("at_s")?, num("deadline_s")?),
+                _ => plan = plan.evict(index("node", 0)?, num("at_s")?),
             }
         }
         plan.validate()?;

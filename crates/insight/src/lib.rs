@@ -20,6 +20,8 @@
 //!   against measured hardware instead of the data-sheet presets;
 //! - [`profile_toml`] persists fitted profiles (`prs calibrate -o
 //!   profile.toml`, loadable wherever `profiles.rs` presets are accepted);
+//! - [`toml`] is the one reader of the workspace's TOML input files:
+//!   fitted profiles, membership plans and SLO rules;
 //! - [`report`] renders the deterministic `report.json` /
 //!   `critical_path.json` artifacts and the human summary table behind
 //!   `prs analyze`.
@@ -39,6 +41,7 @@ pub mod diff;
 pub mod postmortem;
 pub mod profile_toml;
 pub mod report;
+pub mod toml;
 pub mod trace;
 
 pub use calibrate::{fit_from_events, CalibrationProfile, SampleCounts, DEFAULT_ALPHA};

@@ -7,7 +7,8 @@
 //! `fast_factor × threshold` on any single sample (classic multi-window
 //! burn-rate alerting, collapsed onto the virtual-time stream).
 //!
-//! Rules are declared in TOML (see `docs/alerting.md`):
+//! Rules are declared in TOML (grammar: [`insight::toml`]; keys:
+//! `docs/alerting.md`):
 //!
 //! ```toml
 //! merge_gap_s = 0.0            # incident merge gap; 0 = auto
@@ -28,6 +29,7 @@
 
 use crate::detect::{DetectorKind, LaneClass, Signal};
 use crate::{Alert, FaultHint};
+use insight::toml::Entry;
 use std::collections::BTreeMap;
 
 /// The finest explicit detector window, virtual seconds: every window is
@@ -189,160 +191,78 @@ impl Default for WatchConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_scalar(raw: &str, lineno: usize) -> Result<Scalar, String> {
-    let raw = raw.trim();
-    if let Some(stripped) = raw.strip_prefix('"') {
-        let inner = stripped
-            .strip_suffix('"')
-            .ok_or_else(|| format!("line {lineno}: unterminated string"))?;
-        return Ok(Scalar::Str(inner.to_string()));
-    }
-    match raw {
-        "true" => return Ok(Scalar::Bool(true)),
-        "false" => return Ok(Scalar::Bool(false)),
-        _ => {}
-    }
-    raw.parse::<f64>()
-        .map(Scalar::Num)
-        .map_err(|_| format!("line {lineno}: expected string, number, or bool, got `{raw}`"))
-}
-
-fn expect_str(v: Scalar, key: &str, lineno: usize) -> Result<String, String> {
-    match v {
-        Scalar::Str(s) => Ok(s),
-        _ => Err(format!("line {lineno}: `{key}` wants a quoted string")),
-    }
-}
-
 /// Every numeric key is a finite, non-negative number.
-fn expect_num(v: Scalar, key: &str, lineno: usize) -> Result<f64, String> {
-    match v {
-        Scalar::Num(n) if n.is_finite() && n >= 0.0 => Ok(n),
-        Scalar::Num(n) => {
-            Err(format!("line {lineno}: `{key}` wants a finite number >= 0, got {n}"))
-        }
-        _ => Err(format!("line {lineno}: `{key}` wants a number")),
+fn expect_num(e: &Entry) -> Result<f64, String> {
+    match e.num()? {
+        n if n.is_finite() && n >= 0.0 => Ok(n),
+        n => Err(e.error(format_args!("wants a finite number >= 0, got {n}"))),
     }
 }
 
-fn set_rule_field(rule: &mut SloRule, key: &str, v: Scalar, lineno: usize) -> Result<(), String> {
-    match key {
-        "name" => rule.name = expect_str(v, key, lineno)?,
-        "detector" => {
-            let s = expect_str(v, key, lineno)?;
-            rule.detector = DetectorKind::parse(&s)
-                .ok_or_else(|| format!("line {lineno}: unknown detector `{s}`"))?;
-        }
-        "class" => {
-            let s = expect_str(v, key, lineno)?;
-            rule.class = LaneClass::parse(&s)
-                .ok_or_else(|| format!("line {lineno}: unknown class `{s}`"))?;
-        }
-        "objective" => rule.objective = expect_num(v, key, lineno)?,
-        "threshold" => rule.threshold = expect_num(v, key, lineno)?,
-        "fast_factor" => rule.fast_factor = expect_num(v, key, lineno)?,
-        "min_samples" => rule.min_samples = expect_num(v, key, lineno)?.max(1.0) as usize,
+/// A string naming an entry of a catalog (`what`) that `parse` knows.
+fn named<T>(e: &Entry, what: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+    let s = e.str()?;
+    parse(s).ok_or_else(|| format!("line {}: unknown {what} `{s}`", e.line))
+}
+
+fn set_rule_field(rule: &mut SloRule, e: &Entry) -> Result<(), String> {
+    match e.key.as_str() {
+        "name" => rule.name = e.str()?.to_string(),
+        "detector" => rule.detector = named(e, "detector", DetectorKind::parse)?,
+        "class" => rule.class = named(e, "class", LaneClass::parse)?,
+        "objective" => rule.objective = expect_num(e)?,
+        "threshold" => rule.threshold = expect_num(e)?,
+        "fast_factor" => rule.fast_factor = expect_num(e)?,
+        "min_samples" => rule.min_samples = expect_num(e)?.max(1.0) as usize,
         "window_s" => {
-            let w = expect_num(v, key, lineno)?;
+            let w = expect_num(e)?;
             if w > 0.0 && w < MIN_WINDOW_S {
-                return Err(format!(
-                    "line {lineno}: `window_s` = {w:e} is below the 1e-6 s minimum \
-                     (0 picks the auto width)"
-                ));
+                return Err(e.error(format_args!(
+                    "= {w:e} is below the 1e-6 s minimum (0 picks the auto width)"
+                )));
             }
             rule.window_s = w;
         }
         "alpha" => {
-            let a = expect_num(v, key, lineno)?;
+            let a = expect_num(e)?;
             if a > 1.0 {
-                return Err(format!("line {lineno}: `alpha` = {a} is outside [0, 1]"));
+                return Err(e.error(format_args!("= {a} is outside [0, 1]")));
             }
             rule.alpha = a;
         }
-        "severity" => {
-            let s = expect_str(v, key, lineno)?;
-            rule.severity = Severity::parse(&s)
-                .ok_or_else(|| format!("line {lineno}: unknown severity `{s}`"))?;
-        }
-        "enabled" => {
-            rule.enabled = match v {
-                Scalar::Bool(b) => b,
-                _ => return Err(format!("line {lineno}: `enabled` wants true/false")),
-            }
-        }
-        other => return Err(format!("line {lineno}: unknown rule key `{other}`")),
+        "severity" => rule.severity = named(e, "severity", Severity::parse)?,
+        "enabled" => rule.enabled = e.bool()?,
+        _ => return Err(e.error("is not a rule key")),
     }
     Ok(())
 }
 
 impl WatchConfig {
-    /// Parses a rule file. `[[rule]]` sections replace the built-in rule
+    /// Parses a rule file (grammar: [`insight::toml`]; keys:
+    /// `docs/alerting.md`). `[[rule]]` sections replace the built-in rule
     /// set entirely; top-level `merge_gap_s` tunes incident assembly. A
     /// file with no `[[rule]]` section keeps the defaults.
     pub fn from_toml(text: &str) -> Result<WatchConfig, String> {
         let mut cfg = WatchConfig::default();
         let mut rules: Vec<SloRule> = Vec::new();
-        let mut saw_rule = false;
-        let mut cur: Option<SloRule> = None;
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
+        for table in insight::toml::parse(text)? {
+            match (table.array, table.name.as_str()) {
+                (false, "") => {}
+                (true, "rule") => rules.push(SloRule::new("", DetectorKind::LatencyDrift, None)),
+                _ => return Err(table.unknown()),
             }
-            if line == "[[rule]]" {
-                saw_rule = true;
-                if let Some(r) = cur.take() {
-                    rules.push(r);
+            // The root table comes first, so no rule is open while its keys are read.
+            for e in &table.entries {
+                match rules.last_mut() {
+                    Some(rule) => set_rule_field(rule, e)?,
+                    None if e.key == "merge_gap_s" => cfg.merge_gap_s = expect_num(e)?,
+                    None => return Err(e.error("is not a top-level key")),
                 }
-                cur = Some(SloRule::new("", DetectorKind::LatencyDrift, None));
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(format!("line {lineno}: unknown section `{line}`"));
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-            let key = k.trim();
-            let val = parse_scalar(v, lineno)?;
-            match cur.as_mut() {
-                Some(rule) => set_rule_field(rule, key, val, lineno)?,
-                None => match key {
-                    "merge_gap_s" => cfg.merge_gap_s = expect_num(val, key, lineno)?,
-                    other => {
-                        return Err(format!("line {lineno}: unknown top-level key `{other}`"))
-                    }
-                },
             }
         }
-        if let Some(r) = cur.take() {
-            rules.push(r);
-        }
-        if saw_rule {
-            for (i, r) in rules.iter().enumerate() {
-                if r.name.is_empty() {
-                    return Err(format!("rule #{} has no name", i + 1));
-                }
+        if !rules.is_empty() {
+            if let Some(i) = rules.iter().position(|r| r.name.is_empty()) {
+                return Err(format!("rule #{} has no name", i + 1));
             }
             cfg.rules = rules;
         }
