@@ -33,7 +33,7 @@ use std::fmt::Display;
 
 /// A value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
+pub(crate) enum Scalar {
     /// A quoted string, its escapes undone.
     Str(String),
     /// A number.
@@ -48,7 +48,7 @@ pub struct Entry {
     /// The bare key.
     pub key: String,
     /// The value.
-    pub value: Scalar,
+    pub(crate) value: Scalar,
     /// The 1-based line number.
     pub line: usize,
 }
